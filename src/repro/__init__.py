@@ -47,25 +47,27 @@ through the stable façade (typed parameters, cached results)::
 or through the command line::
 
     $ python -m repro run case_study
+
+The exports below resolve on first access, so ``import repro`` — which
+every ``import repro.<module>`` runs first — loads neither the model nor
+numpy.
 """
 
-from repro.core.case_study import CaseStudy, CaseStudyParameters, CaseStudyResult
-from repro.core.energy_model import EnergyModel, ModelConfig, NodeEnergyBudget
-from repro.core.link_adaptation import ChannelInversionPolicy
-from repro.radio.power_profile import CC2420_PROFILE
-from repro.radio.states import RadioState
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "EnergyModel",
-    "ModelConfig",
-    "NodeEnergyBudget",
-    "CaseStudy",
-    "CaseStudyParameters",
-    "CaseStudyResult",
-    "ChannelInversionPolicy",
-    "CC2420_PROFILE",
-    "RadioState",
-    "__version__",
-]
+_EXPORTS = {
+    "repro.core.energy_model": ("EnergyModel", "ModelConfig",
+                                "NodeEnergyBudget"),
+    "repro.core.case_study": ("CaseStudy", "CaseStudyParameters",
+                              "CaseStudyResult"),
+    "repro.core.link_adaptation": ("ChannelInversionPolicy",),
+    "repro.radio.power_profile": ("CC2420_PROFILE",),
+    "repro.radio.states": ("RadioState",),
+}
+
+__all__ = [name for names in _EXPORTS.values() for name in names]
+__all__.append("__version__")
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

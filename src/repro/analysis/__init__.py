@@ -11,22 +11,21 @@ examples and the benchmark harness:
   measured value, relative error, pass/fail against a tolerance band);
 * :mod:`repro.analysis.keys` — type-aware value keys (``bool`` never
   conflated with ``int``) shared by every row grouping/filtering helper.
+
+The names resolve on first access, so the CLI's table and row writers load
+without the numpy-backed series module.
 """
 
-from repro.analysis.keys import typed_key, values_equal
-from repro.analysis.report import ComparisonRow, ExperimentReport
-from repro.analysis.series import Series, SeriesCollection
-from repro.analysis.sweep import ParameterSweep, SweepResult
-from repro.analysis.tables import format_table
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "format_table",
-    "typed_key",
-    "values_equal",
-    "Series",
-    "SeriesCollection",
-    "ParameterSweep",
-    "SweepResult",
-    "ComparisonRow",
-    "ExperimentReport",
-]
+_EXPORTS = {
+    "repro.analysis.tables": ("format_table",),
+    "repro.analysis.keys": ("typed_key", "values_equal"),
+    "repro.analysis.series": ("Series", "SeriesCollection"),
+    "repro.analysis.sweep": ("ParameterSweep", "SweepResult"),
+    "repro.analysis.report": ("ComparisonRow", "ExperimentReport"),
+}
+
+__all__ = [name for names in _EXPORTS.values() for name in names]
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -44,14 +44,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.constants import ROUTING_KINDS
 from repro.network.topology import SINK_NODE_ID, NetworkTopology
 from repro.network.traffic import (TrafficModel, TrafficSource,
                                    make_node_sources)
 from repro.sim.random import stream_replica
-
-#: Registered routing-model kinds, in the order ``build_routing_model``
-#: accepts them (the ``routing`` experiment parameter's choices).
-ROUTING_KINDS = ("gradient", "min_hop")
 
 
 # ---------------------------------------------------------------------------

@@ -35,13 +35,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.channel.pathloss import LogDistancePathLoss, PathLossModel
+from repro.constants import TOPOLOGY_KINDS
 from repro.network.geometry import (deterministic_path_loss_db,
                                     pairwise_path_losses_db,
                                     propagation_distance_m)
-
-#: Registered topology-model kinds, in the order ``build_topology_model``
-#: accepts them (the ``topology`` experiment parameter's choices).
-TOPOLOGY_KINDS = ("star", "grid", "disc", "cluster")
 
 #: The sink's (coordinator's) node id in every connectivity structure.
 SINK_NODE_ID = 0

@@ -6,9 +6,11 @@ one orchestrated system:
 * :mod:`repro.runner.params` — typed parameter schemas
   (:class:`ParamSpec`/:class:`ParamSchema`): validation, coercion to
   canonical values and did-you-mean errors shared by every entry point;
-* :mod:`repro.runner.registry` — declarative catalogue of every experiment
-  (name, typed schema, outputs, runtime estimate) with helpful lookup
-  errors;
+* :mod:`repro.runner.registry` — :class:`ExperimentSpec` and the registry
+  lookup with helpful errors;
+* :mod:`repro.runner.catalog` — the declarative catalogue of every paper
+  experiment (name, typed schema, outputs, runtime estimate); light to
+  import, it reaches each adapter only when the experiment computes;
 * :mod:`repro.runner.result` — :class:`RunResult`, the first-class result
   object every engine run returns (rows, metric accessors, provenance,
   deterministic ``to_table``/``to_json``/``to_csv``);
@@ -17,7 +19,7 @@ one orchestrated system:
 * :mod:`repro.runner.cache` — content-addressed on-disk JSON cache keyed by
   (experiment, parameters, seed, code version);
 * :mod:`repro.runner.drivers` — adapters mapping each paper driver onto the
-  engine contract (loaded lazily by :func:`default_registry`);
+  engine contract (imported on an experiment's first computed run);
 * :mod:`repro.runner.engine` — :func:`run_experiment`, the single
   programmatic entry point;
 * :mod:`repro.runner.cli` — the ``python -m repro`` command line.
@@ -25,50 +27,27 @@ one orchestrated system:
 Determinism is the engine's core guarantee: every parallel task carries its
 own seed spawned from the run's master seed, so ``--jobs N`` changes the
 wall-clock, never the rows.
+
+The names below resolve on first access: importing one runner module never
+imports the others.
 """
 
-from repro.runner.cache import NullCache, ResultCache, code_version
-from repro.runner.engine import DEFAULT_SEED, run_experiment
-from repro.runner.executor import (ProcessExecutor, SerialExecutor,
-                                   make_executor, run_ordered)
-from repro.runner.params import (ParamSchema, ParamSpec, ParameterValueError,
-                                 UnknownParameterError, parse_param)
-from repro.runner.registry import (ExperimentRegistry, ExperimentSpec,
-                                   RunContext, UnknownExperimentError,
-                                   default_registry)
-from repro.runner.result import RunResult
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "DEFAULT_SEED",
-    "ExperimentRegistry",
-    # "ExperimentRun" resolves too (deprecated alias of RunResult via the
-    # module __getattr__ below) but is deliberately not in __all__.
-    "ExperimentSpec",
-    "NullCache",
-    "ParamSchema",
-    "ParamSpec",
-    "ParameterValueError",
-    "ProcessExecutor",
-    "ResultCache",
-    "RunContext",
-    "RunResult",
-    "SerialExecutor",
-    "UnknownExperimentError",
-    "UnknownParameterError",
-    "code_version",
-    "default_registry",
-    "make_executor",
-    "parse_param",
-    "run_experiment",
-    "run_ordered",
-]
+_EXPORTS = {
+    "repro.runner.cache": ("NullCache", "ResultCache", "code_version"),
+    "repro.runner.engine": ("DEFAULT_SEED", "run_experiment"),
+    "repro.runner.executor": ("ProcessExecutor", "SerialExecutor",
+                              "make_executor", "run_ordered"),
+    "repro.runner.params": ("ParamSchema", "ParamSpec",
+                            "ParameterValueError", "UnknownParameterError",
+                            "parse_param"),
+    "repro.runner.registry": ("ExperimentRegistry", "ExperimentSpec",
+                              "RunContext", "UnknownExperimentError",
+                              "default_registry"),
+    "repro.runner.result": ("RunResult",),
+}
 
+__all__ = sorted(name for names in _EXPORTS.values() for name in names)
 
-def __getattr__(name: str):
-    # Deprecation shim mirroring repro.runner.engine.__getattr__.
-    if name == "ExperimentRun":
-        from repro._deprecation import warn_deprecated
-        warn_deprecated("repro.runner.ExperimentRun is deprecated; use "
-                        "repro.runner.RunResult", stacklevel=2)
-        return RunResult
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -21,7 +21,11 @@ Usage (with ``src`` on ``PYTHONPATH`` or the package installed)::
 ``run`` prints the result rows as an ASCII table plus, when the experiment
 produces one, the paper-vs-measured report; the exit status is 0 whenever
 the run completed (tolerance misses are reported, not fatal).  The ``sweep``
-command tree lives in :mod:`repro.sweep.cli`.
+command tree lives in :mod:`repro.sweep.cli`, ``bench`` in
+:mod:`repro.bench.cli` and ``serve``/``jobs`` in :mod:`repro.service.cli`;
+:func:`main` attaches those trees only to invocations that can reach them,
+so ``list``, ``run``, ``cache`` and ``obs`` never import the layers above
+the runner (nor, on a cache hit, numpy).
 
 Output discipline: result rows, tables and summary lines (grep targets of
 scripts and CI) go to stdout via ``print``; auxiliary status lines ("wrote
@@ -54,6 +58,9 @@ logger = logging.getLogger(__name__)
 #: ``--log-level`` choices, lowercase, mapped via ``getattr(logging, ...)``.
 LOG_LEVELS = ("debug", "info", "warning", "error")
 
+#: Commands whose parsers and handlers live in this module.
+RUNNER_COMMANDS = ("list", "run", "cache", "obs")
+
 
 def configure_logging(arguments: argparse.Namespace) -> None:
     """(Re)configure the ``repro`` logger tree for one CLI invocation.
@@ -81,8 +88,34 @@ def configure_logging(arguments: argparse.Namespace) -> None:
     root.propagate = False
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The engine's argument parser (exposed for the CLI tests)."""
+def _command_word(argv: Sequence[str]) -> Optional[str]:
+    """The command ``argv`` names, or ``None`` when it names none or the
+    top-level options leave it unclear (help, an abbreviated or unknown
+    option)."""
+    index = 0
+    while index < len(argv):
+        token = argv[index]
+        if token == "--log-level":
+            index += 2
+        elif token.startswith("--log-level="):
+            index += 1
+        elif token.startswith("-"):
+            return None
+        else:
+            return token
+    return None
+
+
+def build_parser(argv: Optional[Sequence[str]] = None
+                 ) -> argparse.ArgumentParser:
+    """The engine's argument parser (exposed for the CLI tests).
+
+    Given the ``argv`` about to be parsed, the ``sweep``, ``bench``,
+    ``serve`` and ``jobs`` trees are attached only when that invocation
+    can reach them — it names one of them, asks for top-level help or
+    names no runner command — because their modules import the façade and
+    the sweep stack.  Without ``argv`` every tree is attached.
+    """
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description="Experiment engine of the Bougard et al. (DATE 2005) "
@@ -167,9 +200,11 @@ def build_parser() -> argparse.ArgumentParser:
         "validate", help="check a trace against the artifact schema")
     validate_parser.add_argument("trace", help="trace artifact path")
 
-    # Imported here, not at module scope: the sweep and bench packages sit
-    # *above* the runner in the layering (they import the experiment
-    # drivers), so the runner must not depend on them at import time.
+    if argv is not None and _command_word(argv) in RUNNER_COMMANDS:
+        return parser
+    # Imported here, not at module scope: the sweep, bench and service
+    # packages sit *above* the runner in the layering, so the runner must
+    # not depend on them at import time.
     from repro.sweep.cli import add_sweep_parser
     add_sweep_parser(commands)
     from repro.bench.cli import add_bench_parser
@@ -345,7 +380,8 @@ def _command_obs(arguments: argparse.Namespace) -> int:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Entry point of ``python -m repro``; returns the exit status."""
-    arguments = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    arguments = build_parser(argv).parse_args(argv)
     configure_logging(arguments)
     if arguments.command == "sweep":
         from repro.sweep.cli import command_sweep

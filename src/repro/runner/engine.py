@@ -21,32 +21,20 @@ from __future__ import annotations
 import time
 from typing import Any, Dict, Mapping, Optional
 
+from repro.constants import PAPER_SEED
 from repro.obs.parallel import TracedExecutor
 from repro.obs.tracer import activate, current_tracer
 from repro.runner.backends import CacheBackend, resolve_backend
 from repro.runner.cache import NullCache, ResultCache, code_version
+from repro.runner.catalog import jsonify
 from repro.runner.executor import make_executor
 from repro.runner.registry import (ExperimentRegistry, RunContext,
                                    default_registry)
 from repro.runner.result import RunResult
 
-from repro.contention.tables import PAPER_SEED
-
 #: Master seed every engine run defaults to (the paper's publication year,
 #: matching ``repro.experiments.common.EXPERIMENT_SEED``).
 DEFAULT_SEED = PAPER_SEED
-
-
-def __getattr__(name: str):
-    # Deprecation shim: the engine's result class is RunResult since the
-    # repro.api redesign; the old name keeps resolving (to the same class)
-    # with a once-per-call-site DeprecationWarning.
-    if name == "ExperimentRun":
-        from repro._deprecation import warn_deprecated
-        warn_deprecated("repro.runner.engine.ExperimentRun is deprecated; "
-                        "use repro.runner.RunResult", stacklevel=2)
-        return RunResult
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def resolve_cache(cache: Any = True,
@@ -174,7 +162,6 @@ def run_experiment(name: str,
 
 def _canonical_params(params: Mapping[str, Any]) -> Dict[str, Any]:
     """Parameters as they enter the cache key (JSON-safe, tuples as lists)."""
-    from repro.runner.drivers import jsonify
     return jsonify(dict(params))
 
 

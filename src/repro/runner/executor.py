@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import FIRST_COMPLETED, wait
 from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple
 
 
@@ -89,6 +89,9 @@ class ProcessExecutor:
     def map_tasks(self, function: Callable[[Any], Any],
                   tasks: Sequence[Any]) -> Iterator[Tuple[int, Any]]:
         """Yield ``(index, function(task))`` pairs in completion order."""
+        # Imported here: the process pool loads multiprocessing, which a
+        # serial run or a cache hit never needs.
+        from concurrent.futures import ProcessPoolExecutor
         tasks = list(tasks)
         if not tasks:
             return

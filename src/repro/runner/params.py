@@ -365,18 +365,6 @@ class ParamSchema:
             ordered[spec.name] = spec
         self._specs = ordered
 
-    @classmethod
-    def untyped(cls, defaults: Mapping[str, Any]) -> "ParamSchema":
-        """Build a schema from a legacy ``default_params`` mapping.
-
-        Types are inferred from the default values (``int`` default ->
-        ``int`` parameter, and so on) so legacy declarations still gain
-        coercion and canonical cache keys; no bounds or choices are
-        inferred.
-        """
-        return cls(ParamSpec(name, _infer_type(value), value)
-                   for name, value in defaults.items())
-
     # -- mapping protocol ---------------------------------------------------------
     def __iter__(self) -> Iterator[ParamSpec]:
         return iter(self._specs.values())
@@ -431,17 +419,3 @@ class ParamSchema:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"ParamSchema({list(self._specs)})"
-
-
-def _infer_type(value: Any) -> str:
-    if isinstance(value, bool):
-        return "bool"
-    if isinstance(value, int):
-        return "int"
-    if isinstance(value, float):
-        return "float"
-    if isinstance(value, str):
-        return "str"
-    if isinstance(value, (list, tuple)):
-        return "list"
-    return "any"

@@ -8,8 +8,9 @@ the tests resolve experiments from, so ``python -m repro list`` is always
 the authoritative catalogue.
 
 The default registry is populated lazily (on the first
-:func:`default_registry` call) from :mod:`repro.runner.drivers`, keeping
-``import repro.runner`` cheap and cycle-free.
+:func:`default_registry` call) from :mod:`repro.runner.catalog`, which
+names every adapter without importing it, keeping ``import repro.runner``
+and every cache hit cheap and cycle-free.
 """
 
 from __future__ import annotations
@@ -19,9 +20,7 @@ from dataclasses import dataclass
 from typing import (Any, Callable, Dict, Iterable, Iterator, Mapping,
                     Optional, Tuple)
 
-from repro._deprecation import warn_deprecated
-from repro.runner.params import (ParamSchema, ParamSpec,
-                                 ParameterValueError, UnknownParameterError)
+from repro.runner.params import ParamSchema, ParamSpec
 
 
 class UnknownExperimentError(KeyError):
@@ -62,10 +61,6 @@ class ExperimentSpec:
         :class:`repro.runner.params.ParamSpec` (or a ready
         :class:`~repro.runner.params.ParamSchema`).  Every override, CLI
         ``--param`` and sweep axis validates against this schema.
-    default_params:
-        .. deprecated:: 1.1
-            Legacy bare-dict declaration; converted to an inferred-type
-            schema.  Declare ``params=[ParamSpec(...), ...]`` instead.
     output_names:
         Names of the columns of the result rows (documentation; shown by
         ``python -m repro list``).
@@ -85,21 +80,10 @@ class ExperimentSpec:
                                            Dict[str, Any]]] = None,
                  *,
                  params: Optional[Iterable[ParamSpec]] = None,
-                 default_params: Optional[Mapping[str, Any]] = None,
                  output_names: Tuple[str, ...] = (),
                  expected_runtime_s: float = 1.0,
                  supports_jobs: bool = False):
-        if params is not None and default_params is not None:
-            raise ValueError(f"Experiment {name!r}: give either params= "
-                             f"(typed schema) or the legacy default_params=, "
-                             f"not both")
-        if default_params is not None:
-            warn_deprecated(
-                f"ExperimentSpec(default_params=...) is deprecated; declare "
-                f"a typed schema with params=[ParamSpec(...), ...] "
-                f"(experiment {name!r})", stacklevel=2)
-            schema = ParamSchema.untyped(default_params)
-        elif isinstance(params, ParamSchema):
+        if isinstance(params, ParamSchema):
             schema = params
         else:
             schema = ParamSchema(params or ())
@@ -208,6 +192,6 @@ def default_registry() -> ExperimentRegistry:
     """The registry pre-populated with every paper experiment (built once)."""
     global _DEFAULT
     if _DEFAULT is None:
-        from repro.runner.drivers import build_default_registry
+        from repro.runner.catalog import build_default_registry
         _DEFAULT = build_default_registry()
     return _DEFAULT

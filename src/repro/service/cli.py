@@ -132,7 +132,10 @@ def command_serve(arguments: argparse.Namespace) -> int:
     for signum in (signal.SIGINT, signal.SIGTERM):
         previous[signum] = signal.signal(signum, request_stop)
     pool.start()
+    # A short poll keeps the drain prompt: shutdown() waits for the serving
+    # loop's next poll, which defaults to every 0.5 s.
     server_thread = threading.Thread(target=server.serve_forever,
+                                     kwargs={"poll_interval": 0.05},
                                      daemon=True, name="service-http")
     server_thread.start()
     host, port = server.server_address[:2]

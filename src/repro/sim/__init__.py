@@ -30,32 +30,22 @@ Main entry points
 ``Monitor`` / ``TimeWeightedMonitor`` / ``CounterMonitor``
     Lightweight statistics collectors used by the MAC simulation and the
     Monte-Carlo contention characterisation.
+
+The names resolve on first access: the cache and tracer import
+:mod:`repro.sim.monitor` without loading the event kernel or numpy.
 """
 
-from repro.sim.engine import (
-    Environment,
-    Event,
-    Interrupt,
-    Process,
-    SimulationError,
-    Timeout,
-)
-from repro.sim.monitor import CounterMonitor, Monitor, TimeWeightedMonitor
-from repro.sim.random import RandomStreams, spawn_seeds
-from repro.sim.resources import Resource, Store
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Environment",
-    "Event",
-    "Interrupt",
-    "Process",
-    "SimulationError",
-    "Timeout",
-    "Monitor",
-    "TimeWeightedMonitor",
-    "CounterMonitor",
-    "RandomStreams",
-    "spawn_seeds",
-    "Resource",
-    "Store",
-]
+_EXPORTS = {
+    "repro.sim.engine": ("Environment", "Event", "Interrupt", "Process",
+                         "SimulationError", "Timeout"),
+    "repro.sim.monitor": ("Monitor", "TimeWeightedMonitor",
+                          "CounterMonitor"),
+    "repro.sim.random": ("RandomStreams", "spawn_seeds"),
+    "repro.sim.resources": ("Resource", "Store"),
+}
+
+__all__ = [name for names in _EXPORTS.values() for name in names]
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -14,14 +14,19 @@ contention characterisation:
 ``CounterMonitor``
     Named event counters with convenient ratio helpers (e.g. collisions per
     attempted transmission).
+
+numpy is imported by the :class:`Monitor` statistics that use it, so the
+result cache and the tracer, which count with :class:`CounterMonitor`,
+load without it.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class Monitor:
@@ -47,39 +52,54 @@ class Monitor:
     @property
     def values(self) -> np.ndarray:
         """All observations as an array (copy)."""
+        import numpy as np
         return np.asarray(self._values, dtype=float)
 
     @property
     def total(self) -> float:
         """Sum of all observations."""
-        return float(np.sum(self._values)) if self._values else 0.0
+        if not self._values:
+            return 0.0
+        import numpy as np
+        return float(np.sum(self._values))
 
     @property
     def mean(self) -> float:
         """Arithmetic mean; ``nan`` when empty."""
-        return float(np.mean(self._values)) if self._values else math.nan
+        if not self._values:
+            return math.nan
+        import numpy as np
+        return float(np.mean(self._values))
 
     @property
     def std(self) -> float:
         """Sample standard deviation (ddof=1); ``nan`` with < 2 samples."""
         if len(self._values) < 2:
             return math.nan
+        import numpy as np
         return float(np.std(self._values, ddof=1))
 
     @property
     def min(self) -> float:
         """Smallest observation; ``nan`` when empty."""
-        return float(np.min(self._values)) if self._values else math.nan
+        if not self._values:
+            return math.nan
+        import numpy as np
+        return float(np.min(self._values))
 
     @property
     def max(self) -> float:
         """Largest observation; ``nan`` when empty."""
-        return float(np.max(self._values)) if self._values else math.nan
+        if not self._values:
+            return math.nan
+        import numpy as np
+        return float(np.max(self._values))
 
     def percentile(self, q: float) -> float:
         """The ``q``-th percentile of the observations; ``nan`` when empty."""
         if not self._values:
             return math.nan
+        import numpy as np
         return float(np.percentile(self._values, q))
 
     def confidence_interval(self, level: float = 0.95) -> tuple:

@@ -43,22 +43,25 @@ the discrete space is fully observed).
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import (TYPE_CHECKING, Any, Dict, Iterator, List, Mapping,
+                    Optional, Sequence, Tuple)
 
 from repro.runner.cache import canonical_json
+from repro.runner.catalog import jsonify
 from repro.runner.engine import DEFAULT_SEED
 from repro.runner.registry import ExperimentRegistry, default_registry
-from repro.sim.random import spawn_seeds
 from repro.sweep.analysis import (_cost_vector, knee_point, pareto_front,
                                   require_metrics)
 from repro.sweep.driver import (SweepPoint, build_points, dispatch_points,
                                 _wide_row)
 from repro.sweep.spec import SENSE_MAX, SENSE_MIN
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Seed-stream label prefix of the per-round proposal generators.
 OPTIMIZE_SEED_STREAM = "sweep.optimize"
@@ -87,6 +90,7 @@ SURROGATE_NEIGHBOURS = 3
 class IntDimension:
     """An integer dimension searched over the inclusive ``[low, high]`` range.
 
+    >>> import numpy as np
     >>> IntDimension(3, 6).sample(np.random.default_rng(0)) in (3, 4, 5, 6)
     True
     """
@@ -126,6 +130,7 @@ class FloatDimension:
     """A float dimension over ``[low, high]``; ``spacing="log"`` searches
     (samples, perturbs and measures distance) in log space.
 
+    >>> import numpy as np
     >>> dim = FloatDimension(1e-3, 1.0, spacing="log")
     >>> 1e-3 <= dim.sample(np.random.default_rng(0)) <= 1.0
     True
@@ -192,6 +197,7 @@ class ChoiceDimension:
     (categories have no neighbourhood structure); unit distance is by
     declaration index.
 
+    >>> import numpy as np
     >>> ChoiceDimension((None, 2, 3)).sample(np.random.default_rng(1)) \
         in (None, 2, 3)
     True
@@ -388,7 +394,6 @@ class OptimizeSpec:
     # -- serialisation --------------------------------------------------------
     def to_payload(self) -> Dict[str, Any]:
         """JSON-safe description of the search (manifest / hash input)."""
-        from repro.runner.drivers import jsonify
         return {
             "name": self.name,
             "experiment": self.experiment,
@@ -489,10 +494,14 @@ class OptimizeResult:
                                            f"({self.spec.experiment})")
 
 
-def _round_rng(spec: OptimizeSpec, round_index: int) -> np.random.Generator:
-    """The (budget-independent) generator of one proposal round."""
-    stream = f"{OPTIMIZE_SEED_STREAM}.{spec.name}.round{round_index}"
-    return np.random.default_rng(spawn_seeds(spec.seed, stream, 1)[0])
+def _round_rngs(spec: OptimizeSpec) -> Iterator[np.random.Generator]:
+    """The (budget-independent) generator of every proposal round, in
+    round order."""
+    import numpy as np
+    from repro.sim.random import spawn_seeds
+    for round_index in itertools.count():
+        stream = f"{OPTIMIZE_SEED_STREAM}.{spec.name}.round{round_index}"
+        yield np.random.default_rng(spawn_seeds(spec.seed, stream, 1)[0])
 
 
 def _proposal_token(values: Mapping[str, Any]) -> str:
@@ -677,6 +686,7 @@ def run_optimize(spec: OptimizeSpec,
     front_signature: Optional[frozenset] = None
     stale_rounds = 0
     stop_reason = "max_rounds"
+    round_rngs = _round_rngs(spec)
 
     with activate(tracer), \
             tracer.span(f"optimize:{spec.name}", kind="optimize",
@@ -684,7 +694,7 @@ def run_optimize(spec: OptimizeSpec,
                         max_points=spec.max_points):
         round_index = 0
         while True:
-            rng = _round_rng(spec, round_index)
+            rng = next(round_rngs)
             if round_index == 0:
                 proposals = _initial_proposals(spec, rng)
             else:

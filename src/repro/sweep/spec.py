@@ -35,11 +35,9 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
-import numpy as np
-
 from repro.runner.cache import canonical_json
+from repro.runner.catalog import jsonify
 from repro.runner.engine import DEFAULT_SEED
-from repro.sim.random import spawn_seeds
 
 #: Seed-stream label of the per-axis sampling seeds (random axes).
 AXIS_SEED_STREAM = "sweep.axes"
@@ -124,6 +122,7 @@ class RangeAxis:
     def resolve(self, seed: Optional[int] = None) -> List[Any]:
         """The spaced values, de-duplicated after any integer rounding
         (the seed is ignored; ranges are deterministic)."""
+        import numpy as np
         if self.spacing == "log":
             values = np.geomspace(self.start, self.stop, self.num)
         else:
@@ -170,6 +169,7 @@ class RandomAxis:
     def resolve(self, seed: Optional[int] = None) -> List[Any]:
         """Draw the samples (sorted, de-duplicated after any integer
         rounding); ``seed`` fully determines them."""
+        import numpy as np
         rng = np.random.default_rng(seed)
         if self.spacing == "log":
             values = np.exp(rng.uniform(np.log(self.low), np.log(self.high),
@@ -321,6 +321,7 @@ class SweepSpec:
     # -- expansion ----------------------------------------------------------------
     def axis_values(self) -> Dict[str, List[Any]]:
         """Resolved value list of every axis (random axes seeded)."""
+        from repro.sim.random import spawn_seeds
         names = list(self.axes)
         seeds = spawn_seeds(self.seed, f"{AXIS_SEED_STREAM}.{self.name}",
                             len(names))
@@ -349,7 +350,6 @@ class SweepSpec:
     # -- serialisation ------------------------------------------------------------
     def to_payload(self) -> Dict[str, Any]:
         """JSON-safe description of the sweep (manifest / hash input)."""
-        from repro.runner.drivers import jsonify
         return {
             "name": self.name,
             "experiment": self.experiment,

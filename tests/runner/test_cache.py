@@ -30,6 +30,21 @@ class TestKeys:
         assert result_key("e", {"a": 1, "b": 2}, 0, "v") == \
             result_key("e", {"b": 2, "a": 1}, 0, "v")
 
+    @pytest.mark.parametrize("experiment,digest", [
+        ("case_study_full",
+         "368ebc09eb28ba34ae91f3071860c2fb463568af1450ba09eb205a63f7aae694"),
+        ("fig6_csma",
+         "c4259731e7133b69acdab4aa25637a2925b3dee35ecc0b6dd882c389303b4cc8"),
+    ])
+    def test_default_run_keys_are_pinned(self, experiment, digest):
+        """Schema canonicalisation and ``jsonify`` feed every key: moving
+        or rewriting them must not orphan existing cache entries."""
+        from repro.runner.engine import canonical_params
+        from repro.runner.registry import default_registry
+        resolved = default_registry().get(experiment).resolve_params({})
+        assert result_key(experiment, canonical_params(resolved), 2005,
+                          version="pinned") == digest
+
     def test_default_version_is_code_version(self):
         assert result_key("e", {}, 0) == result_key("e", {}, 0, code_version())
 

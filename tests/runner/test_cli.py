@@ -52,6 +52,43 @@ class TestParser:
             build_parser().parse_args(["run", "fig6_csma", "--param", "=3"])
 
 
+class TestOnDemandParsers:
+    """The sweep/bench/serve/jobs trees import the layers above the
+    runner; they attach only to invocations that can reach them."""
+
+    RUNNER_ONLY = ("list", "run", "cache", "obs")
+    EVERY = RUNNER_ONLY + ("sweep", "bench", "serve", "jobs")
+
+    @staticmethod
+    def _commands(argv):
+        parser = build_parser(argv)
+        return tuple(next(action.choices for action in parser._actions
+                          if action.dest == "command"))
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "fig3_radio"], ["list", "--verbose"],
+        ["--log-level", "debug", "run", "fig3_radio"],
+        ["--log-level=warning", "cache", "stats"],
+        ["obs", "report", "trace.json"],
+    ])
+    def test_runner_commands_get_the_runner_trees_only(self, argv):
+        assert self._commands(argv) == self.RUNNER_ONLY
+
+    @pytest.mark.parametrize("argv", [
+        [], ["--help"], ["sweep", "list"], ["bench", "--quick"],
+        ["serve"], ["--log-level", "info", "jobs", "list"],
+        ["--log", "debug", "sweep", "list"], ["bogus"],
+    ])
+    def test_other_invocations_get_every_tree(self, argv):
+        assert self._commands(argv) == self.EVERY
+
+    def test_abbreviated_log_level_still_reaches_the_sweep_tree(self):
+        argv = ["--log", "debug", "sweep", "list"]
+        arguments = build_parser(argv).parse_args(argv)
+        assert arguments.log_level == "debug"
+        assert arguments.sweep_command == "list"
+
+
 class TestCommands:
     def test_list(self, capsys):
         assert main(["list"]) == 0

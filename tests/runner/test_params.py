@@ -144,17 +144,6 @@ class TestParamSchema:
         with pytest.raises(ValueError, match="Duplicate"):
             ParamSchema([ParamSpec("a", "int", 1), ParamSpec("a", "int", 2)])
 
-    def test_untyped_infers_types_from_defaults(self):
-        schema = ParamSchema.untyped({"n": 1, "x": 0.5, "flag": False,
-                                      "mode": "fast", "xs": [1, 2],
-                                      "cap": None})
-        assert schema["n"].type == "int"
-        assert schema["x"].type == "float"
-        assert schema["flag"].type == "bool"
-        assert schema["mode"].type == "str"
-        assert schema["xs"].type == "list"
-        assert schema["cap"].type == "any" and schema["cap"].nullable
-
     def test_mapping_protocol(self):
         schema = self.schema()
         assert len(schema) == 2

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro._deprecation import reset_deprecation_registry
 from repro.runner.params import (ParamSpec, ParameterValueError,
                                  UnknownParameterError)
 from repro.runner.registry import (ExperimentRegistry, ExperimentSpec,
@@ -82,20 +81,6 @@ class TestResolveParams:
         assert spec.default_params == {"a": 1}
 
 
-class TestLegacyDefaultParams:
-    def test_legacy_mapping_still_works_with_a_deprecation_warning(self):
-        reset_deprecation_registry()
-        with pytest.deprecated_call(match="default_params"):
-            spec = _spec(default_params={"a": 1, "b": 0.5})
-        assert spec.resolve_params({"b": 2}) == {"a": 1, "b": 2.0}
-        # Types are inferred from the defaults, so coercion still applies.
-        assert spec.resolve_params({"a": "7"})["a"] == 7
-
-    def test_schema_and_legacy_mapping_are_mutually_exclusive(self):
-        with pytest.raises(ValueError, match="not both"):
-            _spec(params=[ParamSpec("a", "int", 1)], default_params={"a": 1})
-
-
 class TestDefaultRegistry:
     def test_contains_every_paper_experiment(self):
         names = default_registry().names()
@@ -113,6 +98,16 @@ class TestDefaultRegistry:
 
     def test_is_built_once(self):
         assert default_registry() is default_registry()
+
+    def test_round_trips_through_pickle(self):
+        """Process-pool sweeps ship the registry to their workers; the
+        catalogue's lazy adapters must pickle and still resolve there."""
+        import pickle
+        clone = pickle.loads(pickle.dumps(default_registry()))
+        assert clone.names() == default_registry().names()
+        for spec in clone:
+            assert spec.runner.resolve() is \
+                default_registry().get(spec.name).runner.resolve()
 
     def test_every_experiment_exposes_a_non_empty_typed_schema(self):
         """Acceptance: no registered experiment is stringly-typed — every

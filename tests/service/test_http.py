@@ -19,7 +19,9 @@ def service(tmp_path):
     pool = WorkerPool(store, lambda: Session(backend=backend), workers=2,
                       poll_interval_s=0.02)
     server = make_server(ServiceState(session, store, pool))
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    # serve_forever's default 0.5 s poll would make shutdown() wait for it.
+    thread = threading.Thread(target=server.serve_forever,
+                              kwargs={"poll_interval": 0.05}, daemon=True)
     thread.start()
     pool.start()
     host, port = server.server_address[:2]
@@ -41,7 +43,8 @@ def frontend(tmp_path):
     backend = resolve_backend("directory", tmp_path / "cache")
     store = JobStore(tmp_path / "jobs.sqlite")
     server = make_server(ServiceState(Session(backend=backend), store, None))
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(target=server.serve_forever,
+                              kwargs={"poll_interval": 0.05}, daemon=True)
     thread.start()
     host, port = server.server_address[:2]
     client = ServiceClient(f"http://{host}:{port}")

@@ -9,8 +9,6 @@ import importlib
 
 import pytest
 
-from repro._deprecation import reset_deprecation_registry
-
 
 PUBLIC_SURFACE = {
     "repro": ["EnergyModel", "ModelConfig", "NodeEnergyBudget", "CaseStudy",
@@ -88,22 +86,3 @@ def test_all_lists_are_importable(module_name):
     exported = getattr(module, "__all__", [])
     for name in exported:
         assert hasattr(module, name), f"{module_name}.__all__ lists missing {name}"
-
-
-#: Deprecated names that must keep resolving — with a DeprecationWarning —
-#: until their removal release.
-DEPRECATED_SURFACE = {
-    "repro.runner": ["ExperimentRun"],
-    "repro.runner.engine": ["ExperimentRun"],
-}
-
-
-@pytest.mark.parametrize("module_name", sorted(DEPRECATED_SURFACE))
-def test_deprecated_names_resolve_with_a_warning(module_name):
-    module = importlib.import_module(module_name)
-    from repro.runner import RunResult
-    for name in DEPRECATED_SURFACE[module_name]:
-        reset_deprecation_registry()
-        with pytest.deprecated_call(match=name):
-            resolved = getattr(module, name)
-        assert resolved is RunResult
