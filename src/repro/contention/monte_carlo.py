@@ -26,20 +26,29 @@ Modelling choices (documented because the paper does not spell them out):
   lost; there is no capture effect (worst case, consistent with the paper).
 * The event granularity is one backoff slot (320 µs), exactly the
   granularity at which the slotted CSMA/CA algorithm operates.
+
+Implementation: one window is a single inlined slot-event loop over plain
+per-node lists (NB, BE, CW and the attempt counters), not a population of
+:class:`repro.mac.csma.SlottedCsmaCa` machines.  It applies the machine's
+rules and makes the same random draws in the same order, so the results are
+those of driving one machine per node.  The nodes' first backoff delays come
+from one array draw, which consumes the generator's stream exactly as the
+machines' per-node scalar draws do.  ``tests/contention/test_window_oracle.py``
+keeps the machine-driven loop as the reference and checks both claims.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional
+from heapq import heapify, heappop, heappush
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.contention.statistics import ContentionStatistics, merge_statistics
 from repro.mac.constants import MAC_2450MHZ, MacConstants
-from repro.mac.csma import CsmaAction, CsmaOutcome, CsmaParameters, SlottedCsmaCa
+from repro.mac.csma import CsmaParameters
 from repro.mac.frames import AckFrame
 from repro.sim.random import spawn_seeds
 
@@ -89,13 +98,10 @@ class WindowResult:
         return sum(1 for a in self.attempts if not a.access_granted)
 
 
-@dataclass
-class _ActiveTransmission:
-    """Channel occupancy bookkeeping entry."""
-
-    start_slot: int
-    end_slot: int
-    attempt: NodeAttempt
+#: Per-node columns of one window, in node order: arrival, finish and
+#: transmit slots, CCA count, backoff slots, access granted, collided.
+_WindowColumns = Tuple[List[int], List[int], List[Optional[int]], List[int],
+                       List[int], List[bool], List[bool]]
 
 
 class ContentionSimulator:
@@ -166,95 +172,95 @@ class ContentionSimulator:
     # -- single window ------------------------------------------------------------------
     def simulate_window(self, packet_bytes: int, window_slots: int) -> WindowResult:
         """Simulate one contention window and return every node's outcome."""
+        columns = self._run_window(packet_bytes, window_slots)
+        return WindowResult(window_slots=window_slots,
+                            packet_slots=self.packet_slots(packet_bytes),
+                            attempts=list(map(NodeAttempt, range(self.num_nodes),
+                                              *columns)))
+
+    def _run_window(self, packet_bytes: int, window_slots: int) -> _WindowColumns:
+        """The slot-event loop of one window, returning per-node columns.
+
+        Events are ``(slot, kind, push sequence, node)`` heap entries, so
+        transmission starts become visible before the CCAs of their slot and
+        ties resolve in push order.  Every CCA, clear or busy, counts towards
+        ``cca_count``; every backoff delay, the first included, counts towards
+        ``backoff_slots``.
+        """
         if window_slots < 1:
             raise ValueError("window_slots must be at least 1")
+        n = self.num_nodes
+        params = self.csma_params
+        integers = self.rng.integers
         occupancy = self.occupancy_slots(packet_bytes)
-        result = WindowResult(window_slots=window_slots,
-                              packet_slots=self.packet_slots(packet_bytes))
+        window_cw = params.contention_window
+        max_backoffs = params.max_csma_backoffs
+        clamp = params.clamp_backoff_exponent
+        tx_start, cca = self._EVENT_TX_START, self._EVENT_CCA
 
         if self.arrival_mode == "uniform":
-            arrivals = self.rng.integers(0, window_slots, size=self.num_nodes)
+            arrival = integers(0, window_slots, size=n).tolist()
         else:
-            arrivals = np.zeros(self.num_nodes, dtype=int)
+            arrival = [0] * n
+        be0 = params.initial_backoff_exponent()
+        # One array draw of the n first backoffs consumes the stream exactly
+        # as n scalar ``integers(0, 2**BE)`` calls in node order: numpy fills
+        # an array element by element through the same buffered 32-bit Lemire
+        # draw, and draws nothing for a range of one (BE = 0).
+        backoff = integers(0, 2 ** be0, size=n).tolist()
+        nb = [0] * n
+        be = [be0] * n
+        cw = [window_cw] * n
+        cca_count = [0] * n
+        finish: List[int] = [0] * n
+        transmit: List[Optional[int]] = [None] * n
+        granted = [False] * n
+        collided = [False] * n
 
-        attempts = [NodeAttempt(node_id=i, arrival_slot=int(arrivals[i]))
-                    for i in range(self.num_nodes)]
-        machines = [SlottedCsmaCa(self.csma_params, rng=self.rng)
-                    for _ in range(self.num_nodes)]
-
-        # Event heap entries: (slot, event_type, sequence, node_id)
-        heap: List[tuple] = []
-        sequence = 0
-        for node_id, attempt in enumerate(attempts):
-            instruction = machines[node_id].begin()
-            assert instruction.action is CsmaAction.WAIT_BACKOFF
-            cca_slot = attempt.arrival_slot + instruction.slots
-            heapq.heappush(heap, (cca_slot, self._EVENT_CCA, sequence, node_id))
-            sequence += 1
-
-        active: List[_ActiveTransmission] = []
-
-        def channel_busy(slot: int) -> bool:
-            nonlocal active
-            active = [t for t in active if t.end_slot >= slot]
-            return any(t.start_slot <= slot <= t.end_slot for t in active)
+        heap = [(arrival[i] + backoff[i], cca, i, i) for i in range(n)]
+        heapify(heap)
+        sequence = n
+        busy_until = -1  # last busy slot of the latest transmission
+        on_air: List[Tuple[int, int]] = []  # (end slot, node), maybe on air
 
         while heap:
-            slot, event_type, _seq, node_id = heapq.heappop(heap)
-            attempt = attempts[node_id]
-            machine = machines[node_id]
-
-            if event_type == self._EVENT_TX_START:
-                transmission = _ActiveTransmission(
-                    start_slot=slot, end_slot=slot + occupancy - 1, attempt=attempt)
+            slot, kind, _, node = heappop(heap)
+            if kind == tx_start:
                 # A transmission starting while the channel is occupied (in
-                # particular: another transmission starting in the same slot)
-                # collides with every overlapping transmission.
-                overlapping = [t for t in active if t.end_slot >= slot]
-                if overlapping:
-                    attempt.collided = True
-                    for other in overlapping:
-                        other.attempt.collided = True
-                active.append(transmission)
-                attempt.transmit_slot = slot
-                attempt.finish_slot = slot
-                attempt.access_granted = True
+                # particular: another one starting in the same slot) collides
+                # with every overlapping transmission.
+                on_air = [entry for entry in on_air if entry[0] >= slot]
+                if on_air:
+                    collided[node] = True
+                    for _, other in on_air:
+                        collided[other] = True
+                # Transmissions start in slot order and last equally long,
+                # so the latest one ends last.
+                busy_until = slot + occupancy - 1
+                on_air.append((busy_until, node))
+                finish[node] = transmit[node] = slot
+                granted[node] = True
                 continue
 
-            # CCA event: the machine told us to sense the channel at this slot.
-            machine.backoff_elapsed()  # transition WAIT_BACKOFF -> PERFORM_CCA
-            instruction = machine.cca_result(channel_busy(slot))
-            attempt.cca_count += 1
-            while True:
-                if instruction.action is CsmaAction.PERFORM_CCA:
-                    # Second CCA of the contention window: next slot.
-                    heapq.heappush(heap, (slot + 1, self._EVENT_CCA, sequence, node_id))
-                    sequence += 1
-                    break
-                if instruction.action is CsmaAction.WAIT_BACKOFF:
-                    attempt.backoff_slots += instruction.slots
-                    next_cca = slot + 1 + instruction.slots
-                    heapq.heappush(heap, (next_cca, self._EVENT_CCA, sequence, node_id))
-                    sequence += 1
-                    break
-                if instruction.action is CsmaAction.TRANSMIT:
-                    heapq.heappush(heap, (slot + 1, self._EVENT_TX_START,
-                                          sequence, node_id))
-                    sequence += 1
-                    break
-                if instruction.action is CsmaAction.FAILURE:
-                    attempt.finish_slot = slot
-                    attempt.access_granted = False
-                    break
-                raise RuntimeError(  # pragma: no cover - defensive
-                    f"Unexpected CSMA action {instruction.action}")
+            cca_count[node] += 1
+            if busy_until >= slot:
+                nb[node] += 1
+                if nb[node] > max_backoffs:
+                    finish[node] = slot  # channel access failure
+                    continue
+                cw[node] = window_cw
+                be[node] = clamp(be[node] + 1)
+                delay = int(integers(0, 2 ** be[node]))
+                backoff[node] += delay
+                heappush(heap, (slot + 1 + delay, cca, sequence, node))
+            elif cw[node] > 1:
+                cw[node] -= 1
+                heappush(heap, (slot + 1, cca, sequence, node))
+            else:
+                heappush(heap, (slot + 1, tx_start, sequence, node))
+            sequence += 1
 
-        result.attempts = attempts
-        return result
-
-    # -- the wiring the paper calls "CCA event handling" needs a small fix: the
-    #    state machine counts the CCA itself, so avoid double counting.
-    #    (attempt.cca_count mirrors the machine's count for reporting.)
+        return arrival, finish, transmit, cca_count, backoff, granted, collided
 
     # -- characterisation --------------------------------------------------------------
     def characterize(self, load: float, packet_bytes: int,
@@ -277,10 +283,12 @@ class ContentionSimulator:
 
         parts: List[ContentionStatistics] = []
         for _ in range(num_windows):
-            window = self.simulate_window(packet_bytes, window_slots)
-            parts.append(window_statistics(window, load=load,
-                                           packet_bytes=packet_bytes,
-                                           slot_s=slot_s))
+            arrival, finish, _, cca_count, backoff, granted, collided = \
+                self._run_window(packet_bytes, window_slots)
+            parts.append(_reduce_window(arrival, finish, cca_count, backoff,
+                                        granted, collided, load=load,
+                                        packet_bytes=packet_bytes,
+                                        slot_s=slot_s))
         return merge_statistics(parts)
 
     def sweep_loads(self, loads, packet_bytes: int,
@@ -294,41 +302,50 @@ def window_statistics(window: WindowResult, load: float, packet_bytes: int,
                       slot_s: float) -> ContentionStatistics:
     """Aggregate one simulated window into a :class:`ContentionStatistics`.
 
-    The per-attempt reduction is vectorised with numpy: the attempt fields
-    are gathered into flat arrays once and every mean/count is computed from
-    them, instead of re-walking the attempt list per quantity.  The numbers
-    are identical to the element-wise definition.
+    An attempt without a ``finish_slot`` counts towards every quantity except
+    the mean contention time.
     """
     attempts = window.attempts
-    n = len(attempts)
-    cca_counts = np.fromiter((a.cca_count for a in attempts),
-                             dtype=np.int64, count=n)
-    backoff_slots = np.fromiter((a.backoff_slots for a in attempts),
-                                dtype=np.int64, count=n)
-    granted = np.fromiter((a.access_granted for a in attempts),
-                          dtype=bool, count=n)
-    collided = np.fromiter((a.collided for a in attempts), dtype=bool, count=n)
-    arrival = np.fromiter((a.arrival_slot for a in attempts),
-                          dtype=np.int64, count=n)
-    finish = np.fromiter((-1 if a.finish_slot is None else a.finish_slot
-                          for a in attempts), dtype=np.int64, count=n)
+    return _reduce_window(
+        [a.arrival_slot for a in attempts],
+        [-1 if a.finish_slot is None else a.finish_slot for a in attempts],
+        [a.cca_count for a in attempts],
+        [a.backoff_slots for a in attempts],
+        [a.access_granted for a in attempts],
+        [a.collided for a in attempts],
+        load=load, packet_bytes=packet_bytes, slot_s=slot_s)
 
+
+def _reduce_window(arrival: Sequence[int], finish: Sequence[int],
+                   cca_count: Sequence[int], backoff_slots: Sequence[int],
+                   granted: Sequence[bool], collided: Sequence[bool], *,
+                   load: float, packet_bytes: int,
+                   slot_s: float) -> ContentionStatistics:
+    """Reduce one window's per-node columns (finish ``-1``: unfinished).
+
+    The columns become flat numpy arrays once and every mean/count is
+    computed from them; the numbers are identical to the element-wise
+    definition.
+    """
+    n = len(arrival)
+    finish = np.array(finish, dtype=np.int64)
     finished = finish >= 0
-    contention_slots = (finish - arrival)[finished]
+    contention_slots = (finish - np.array(arrival, dtype=np.int64))[finished]
+    granted = np.array(granted, dtype=bool)
     transmissions = int(np.count_nonzero(granted))
-    collisions = int(np.count_nonzero(granted & collided))
-    access_failures = int(np.count_nonzero(~granted))
+    collisions = int(np.count_nonzero(granted & np.array(collided, dtype=bool)))
+    access_failures = n - transmissions
 
     return ContentionStatistics(
         load=load,
         packet_bytes=packet_bytes,
         mean_contention_time_s=(float(contention_slots.mean()) * slot_s
                                 if contention_slots.size else 0.0),
-        mean_cca_count=float(cca_counts.mean()),
+        mean_cca_count=float(np.array(cca_count, dtype=np.int64).mean()),
         collision_probability=(collisions / transmissions
                                if transmissions else 0.0),
         channel_access_failure_probability=access_failures / n,
-        mean_backoff_slots=float(backoff_slots.mean()),
+        mean_backoff_slots=float(np.array(backoff_slots, dtype=np.int64).mean()),
         samples=n,
     )
 

@@ -19,11 +19,10 @@ to ``max_csma_backoffs = 2``; the standard default is 4.  Both are supported
 via :class:`CsmaParameters`, as is the battery-life-extension mode where
 ``BE`` is capped at 2 and the initial backoff is shortened.
 
-The implementation is a step-driven state machine so that
-
-* the Monte-Carlo contention characterisation can drive thousands of nodes
-  slot-by-slot against a shared channel occupancy trace, and
-* the packet-level MAC simulation can drive it in event time.
+The implementation is a step-driven state machine so that the packet-level
+MAC event kernel can drive it in event time.  The Monte-Carlo contention
+characterisation (:mod:`repro.contention.monte_carlo`) applies the same rules
+inlined over per-node lists; its tests drive this machine as the reference.
 """
 
 from __future__ import annotations

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.contention.analytical import ClosedFormContentionModel
 from repro.contention.monte_carlo import ContentionSimulator
 from repro.mac.csma import CsmaParameters
 
@@ -64,6 +65,20 @@ class TestSimulateWindow:
         with pytest.raises(ValueError):
             ContentionSimulator().simulate_window(133, 0)
 
+    @pytest.mark.parametrize("arrival_mode", ["uniform", "aligned"])
+    def test_contention_slots_are_backoff_delays_plus_ccas(self, arrival_mode):
+        # Every CCA takes one slot and every backoff delay, the first
+        # included, lies between arrival and finish.  A granted attempt
+        # finishes the slot after its last CCA, a failed one on it.
+        simulator = ContentionSimulator(num_nodes=100,
+                                        arrival_mode=arrival_mode, seed=23)
+        window = simulator.simulate_window(packet_bytes=63, window_slots=1500)
+        assert window.access_failures > 0 and window.transmissions > 0
+        for attempt in window.attempts:
+            assert attempt.contention_slots == (
+                attempt.backoff_slots + attempt.cca_count
+                - (0 if attempt.access_granted else 1))
+
     def test_reproducibility(self):
         a = ContentionSimulator(num_nodes=30, seed=7).characterize(0.42, 133, 5)
         b = ContentionSimulator(num_nodes=30, seed=7).characterize(0.42, 133, 5)
@@ -124,6 +139,27 @@ class TestCharacterize:
     def test_num_windows_must_be_positive(self):
         with pytest.raises(ValueError):
             ContentionSimulator().characterize(0.42, 133, num_windows=0)
+
+    def test_mean_backoff_agrees_with_closed_form_at_low_load(self):
+        # At 5 % load nearly every attempt clears its first stage, so the mean
+        # backoff is mostly the first delay (uniform on 0..7, mean 3.5).  The
+        # closed form gives 4.53 slots.  1000 attempts have a standard error
+        # of ~0.16 slot; the tolerance is 0.5 slot (~3 standard errors).
+        simulated = ContentionSimulator(num_nodes=100, seed=0).characterize(
+            0.05, 133, num_windows=10)
+        closed_form = ClosedFormContentionModel().evaluate(0.05, 133)
+        assert simulated.samples == 1000
+        assert simulated.mean_backoff_slots == pytest.approx(
+            closed_form.mean_backoff_slots, abs=0.5)
+
+    def test_contention_time_is_backoff_plus_cca_slots(self, sweep):
+        # The per-attempt identity, averaged: T_cont in slots equals the mean
+        # backoff plus the mean CCA count, less one slot per failure.
+        slot_s = ContentionSimulator().constants.unit_backoff_period_s
+        for stats in sweep.values():
+            assert stats.mean_contention_time_s / slot_s == pytest.approx(
+                stats.mean_backoff_slots + stats.mean_cca_count
+                - stats.channel_access_failure_probability)
 
 
 class TestCharacterizeGrid:
