@@ -4,9 +4,9 @@
 Where ``dense_network_case_study.py`` evaluates the 1600-node network
 through the paper's analytical model, this example *simulates* it packet by
 packet: all sixteen 2450 MHz channels with 100 nodes each, channel-inversion
-link adaptation, 50 superframes per channel — tractable in seconds thanks to
-the vectorized slot-level backend (``repro.mac.vectorized``), and fanned out
-over worker processes with per-channel spawned seeds.
+link adaptation, 50 superframes per channel — tractable in a fraction of a
+second because one batched lockstep kernel call (``repro.mac.vectorized``)
+advances every channel at once, each on its own spawned seed.
 
 The run goes through the experiment engine (equivalent CLI::
 

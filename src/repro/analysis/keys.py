@@ -1,20 +1,20 @@
-"""Type-aware value keys for grouping and filtering row tables.
+"""Type-aware value keys for grouping row tables.
 
 Python's ``bool`` is a subclass of ``int``, so ``True == 1`` and
-``hash(True) == hash(1)`` — plain dict keys and ``==`` filters silently
-merge a boolean axis value with an integer one (a sweep grouping rows by a
+``hash(True) == hash(1)`` — plain dict keys silently merge a boolean axis
+value with an integer one (a sweep grouping rows by a
 ``battery_life_extension`` axis next to a numeric axis value ``1`` would
-pool them into one bucket).  The helpers here discriminate exactly that
-case and nothing else: ``1`` and ``1.0`` still compare equal (numeric
-coercion through the typed parameter schemas already canonicalises those),
-but a ``bool`` only ever matches a ``bool``.
+pool them into one bucket).  The key here discriminates exactly that case
+and nothing else: ``1`` and ``1.0`` still share a key (numeric coercion
+through the typed parameter schemas already canonicalises those), but a
+``bool`` only ever matches a ``bool``.
 """
 
 from __future__ import annotations
 
 from typing import Any, Hashable, Tuple
 
-__all__ = ["typed_key", "values_equal"]
+__all__ = ["typed_key"]
 
 
 def typed_key(value: Any) -> Tuple[str, Hashable]:
@@ -29,15 +29,3 @@ def typed_key(value: Any) -> Tuple[str, Hashable]:
         return ("bool", value)
     return ("", value)
 
-
-def values_equal(a: Any, b: Any) -> bool:
-    """Equality that never conflates ``bool`` with its numeric spelling.
-
-    >>> values_equal(True, 1)
-    False
-    >>> values_equal(2, 2.0)
-    True
-    """
-    if isinstance(a, bool) != isinstance(b, bool):
-        return False
-    return a == b

@@ -1,28 +1,26 @@
 """The tracked benchmark workloads behind ``python -m repro bench``.
 
-Two workloads cover the two levels the kernels are consumed at:
+Two workloads cover the two levels the kernels are consumed at, each timing
+the discrete-event kernel against the batched lockstep kernel and
+reporting ``batched_vs_event``:
 
 ``vectorized_channel``
-    One dense channel (the paper's 100-node population), event kernel vs
-    the vectorized fast path — the single-channel speedup the benchmark
-    suite has asserted since the fast path landed.
+    One dense channel (the paper's 100-node population) — the
+    single-channel speedup the benchmark suite has asserted since the fast
+    path landed.
 ``case_study_full``
-    The full Section 5 fan-out (16 channels x 100 nodes), per-channel
-    vectorized vs the batched lockstep backend, plus the retained
-    pre-batching reference kernel (``vectorized_reference``, forced via
-    :data:`repro.mac.vectorized.COMPAT_ENV`) so the trajectory keeps the
-    baseline the batched kernel was measured against.
+    The full Section 5 fan-out (16 channels x 100 nodes): sixteen event
+    kernel runs against one batched call spanning every channel.
 
 Each case returns a schema-ordered record (:mod:`repro.bench.trajectory`);
 ``quick`` mode shrinks the population and horizon to CI-smoke size while
-keeping every speedup ratio meaningful.  The slow reference kernels run
-once per record in full mode (their medians move little and dominate wall
-time); the fast kernels always get the full repeat count.
+keeping every speedup ratio meaningful.  The slow event kernel runs once
+per full-mode case study record (its median moves little and dominates
+wall time); the batched kernel always gets the full repeat count.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Any, Callable, Dict
 
 from repro.bench.trajectory import build_record, timed_median
@@ -31,53 +29,44 @@ from repro.bench.trajectory import build_record, timed_median
 #: workload's random draws.
 BENCH_SEED = 2005
 
-
-def _timed_compat(fn: Callable[[], Any], repeats: int):
-    """Time ``fn`` with the pre-batching reference kernel forced."""
-    from repro.mac.vectorized import COMPAT_ENV
-
-    previous = os.environ.get(COMPAT_ENV)
-    os.environ[COMPAT_ENV] = "1"
-    try:
-        return timed_median(fn, repeats)
-    finally:
-        if previous is None:
-            os.environ.pop(COMPAT_ENV, None)
-        else:  # pragma: no cover - depends on the caller's environment
-            os.environ[COMPAT_ENV] = previous
+#: The two kernels every case times, slow reference first.
+KERNELS = ("event", "batched")
 
 
-def _phase_breakdown(fn: Callable[[], Any],
-                     compat: bool = False) -> Dict[str, float]:
+def _phase_breakdown(fn: Callable[[], Any]) -> Dict[str, float]:
     """Per-phase seconds of one instrumented run of ``fn``.
 
     Runs once under a fresh :class:`repro.obs.Tracer` (timings are
-    diagnostic, not gated, so a single sample is enough); ``compat``
-    forces the pre-batching reference kernel the way :func:`_timed_compat`
-    does for the median timings.
+    diagnostic, not gated, so a single sample is enough).
     """
-    from repro.mac.vectorized import COMPAT_ENV
     from repro.obs import Tracer, activate, phase_durations
 
     tracer = Tracer(name="bench")
-    previous = os.environ.get(COMPAT_ENV)
-    if compat:
-        os.environ[COMPAT_ENV] = "1"
-    try:
-        with activate(tracer):
-            fn()
-    finally:
-        if compat:
-            if previous is None:
-                os.environ.pop(COMPAT_ENV, None)
-            else:  # pragma: no cover - depends on caller's environment
-                os.environ[COMPAT_ENV] = previous
+    with activate(tracer):
+        fn()
     return phase_durations(tracer)
+
+
+def _time_kernels(run: Callable[[str], Any], repeats: int,
+                  event_repeats: int, phases: bool):
+    """``(timings, speedup, phases)`` of ``run(backend)`` on both kernels."""
+    timings: Dict[str, Dict[str, Any]] = {}
+    for kernel in KERNELS:
+        count = event_repeats if kernel == "event" else repeats
+        median_s, runs = timed_median(lambda: run(kernel), count)
+        timings[kernel] = {"median_s": median_s, "runs": runs}
+    speedup = {"batched_vs_event": (timings["event"]["median_s"]
+                                    / timings["batched"]["median_s"])}
+    breakdown = None
+    if phases:
+        breakdown = {kernel: _phase_breakdown(lambda: run(kernel))
+                     for kernel in KERNELS}
+    return timings, speedup, breakdown
 
 
 def bench_vectorized_channel(quick: bool = False, repeats: int = 3,
                              phases: bool = False) -> Dict[str, Any]:
-    """Single dense channel: event kernel vs the vectorized fast path."""
+    """Single dense channel: event kernel vs the batched kernel."""
     from repro.network.scenario import DenseNetworkScenario
 
     max_nodes = 20 if quick else None
@@ -89,18 +78,8 @@ def bench_vectorized_channel(quick: bool = False, repeats: int = 3,
     def run(backend: str):
         return channel.run(superframes=superframes, backend=backend)
 
-    timings: Dict[str, Dict[str, Any]] = {}
-    for kernel in ("event", "vectorized"):
-        median_s, runs = timed_median(lambda: run(kernel), repeats)
-        timings[kernel] = {"median_s": median_s, "runs": runs}
-    speedup = {
-        "vectorized_vs_event": (timings["event"]["median_s"]
-                                / timings["vectorized"]["median_s"]),
-    }
-    breakdown = None
-    if phases:
-        breakdown = {kernel: _phase_breakdown(lambda: run(kernel))
-                     for kernel in ("event", "vectorized")}
+    timings, speedup, breakdown = _time_kernels(run, repeats, repeats,
+                                                phases)
     return build_record(
         experiment="vectorized_channel",
         mode="quick" if quick else "full",
@@ -111,7 +90,7 @@ def bench_vectorized_channel(quick: bool = False, repeats: int = 3,
 
 def bench_case_study_full(quick: bool = False, repeats: int = 3,
                           phases: bool = False) -> Dict[str, Any]:
-    """Full Section 5 fan-out: batched vs per-channel vs reference kernels."""
+    """Full Section 5 fan-out: batched vs event kernels."""
     from repro.experiments.case_study_full import run_full_case_study
 
     superframes = 5 if quick else 50
@@ -122,32 +101,10 @@ def bench_case_study_full(quick: bool = False, repeats: int = 3,
                                    nodes_per_channel_cap=cap,
                                    seed=BENCH_SEED)
 
-    # The slow per-channel baselines dominate a full-mode record's wall
-    # time; one run each keeps regeneration cheap without moving the
-    # ratios materially.
-    slow_repeats = repeats if quick else 1
-    timings: Dict[str, Dict[str, Any]] = {}
-    for kernel, timer, count in (
-            ("event", timed_median, slow_repeats),
-            ("vectorized_reference", _timed_compat, slow_repeats),
-            ("vectorized", timed_median, repeats),
-            ("batched", timed_median, repeats)):
-        median_s, runs = timer(lambda: run(kernel.split("_")[0]), count)
-        timings[kernel] = {"median_s": median_s, "runs": runs}
-    batched = timings["batched"]["median_s"]
-    speedup = {
-        "batched_vs_reference": (timings["vectorized_reference"]["median_s"]
-                                 / batched),
-        "batched_vs_vectorized": timings["vectorized"]["median_s"] / batched,
-        "batched_vs_event": timings["event"]["median_s"] / batched,
-    }
-    breakdown = None
-    if phases:
-        breakdown = {
-            kernel: _phase_breakdown(lambda: run(kernel.split("_")[0]),
-                                     compat=kernel == "vectorized_reference")
-            for kernel in ("event", "vectorized_reference", "vectorized",
-                           "batched")}
+    # The event kernel dominates a full-mode record's wall time; one run
+    # keeps regeneration cheap without moving the ratio materially.
+    timings, speedup, breakdown = _time_kernels(
+        run, repeats, repeats if quick else 1, phases)
     return build_record(
         experiment="case_study_full",
         mode="quick" if quick else "full",

@@ -168,12 +168,14 @@ def compare_records(fresh: Dict[str, Any], baseline: Dict[str, Any],
                     tolerance: float = DEFAULT_TOLERANCE) -> List[str]:
     """Regression messages of ``fresh`` against ``baseline`` (empty = pass).
 
-    Every speedup key present in both records must not have fallen below
-    ``baseline / tolerance``.  Speedups are compared rather than wall
-    times so a committed baseline can gate a CI run on a different
-    machine; keys only one record has are ignored.  Both records must be
-    of the same experiment *and* mode — the quick workload's ratios are
-    structurally smaller than the full workload's, so cross-mode
+    Every speedup key of the baseline must be present in ``fresh`` and
+    must not have fallen below ``baseline / tolerance``; a missing key is
+    a regression, so renaming or dropping a ratio cannot silently leave
+    the gate with nothing to compare.  Keys only ``fresh`` has are
+    ignored.  Speedups are compared rather than wall times so a committed
+    baseline can gate a CI run on a different machine.  Both records must
+    be of the same experiment *and* mode — the quick workload's ratios
+    are structurally smaller than the full workload's, so cross-mode
     comparison is an error, not a regression.
     """
     if tolerance < 1.0:
@@ -187,14 +189,18 @@ def compare_records(fresh: Dict[str, Any], baseline: Dict[str, Any],
             f"Cannot compare a {fresh.get('mode')!r}-mode record against "
             f"a {baseline.get('mode')!r}-mode baseline")
     problems = []
-    base_speedups = baseline.get("speedup", {})
-    for key, measured in fresh.get("speedup", {}).items():
-        if key not in base_speedups:
+    fresh_speedups = fresh.get("speedup", {})
+    for key, committed in baseline.get("speedup", {}).items():
+        if key not in fresh_speedups:
+            problems.append(
+                f"{fresh['experiment']}: speedup {key} of the committed "
+                f"baseline is missing from the fresh record")
             continue
-        floor = base_speedups[key] / tolerance
+        measured = fresh_speedups[key]
+        floor = committed / tolerance
         if measured < floor:
             problems.append(
                 f"{fresh['experiment']}: speedup {key} regressed to "
-                f"{measured:.2f}x (committed baseline {base_speedups[key]:.2f}x, "
+                f"{measured:.2f}x (committed baseline {committed:.2f}x, "
                 f"tolerance floor {floor:.2f}x)")
     return problems

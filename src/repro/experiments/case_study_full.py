@@ -6,9 +6,9 @@ paper's 1600-node network through the Section 4 equations; this experiment
 batched lockstep backend (:mod:`repro.mac.vectorized`) by default — one
 kernel call spanning every (channel, replication) lane — with
 channel-inversion link adaptation and per-channel seeds spawned from the
-master seed.  The per-channel ``vectorized`` and ``event`` backends remain
-selectable and bit-identical in counts; on those, the fan-out is
-reproducible at any ``--jobs`` level.
+master seed.  The discrete-event ``event`` backend remains selectable and
+bit-identical in counts; it fans the channels out per task, reproducibly
+at any ``--jobs`` level.
 
 The report cross-checks the simulated network against the paper's headline
 numbers where they are comparable — the ~16 % transaction failure
@@ -72,7 +72,8 @@ def run_full_case_study(total_nodes: int = 1600,
     Parameters mirror :class:`repro.network.spec.ScenarioSpec`;
     ``superframe_order`` of ``None`` means SO = BO (no inactive portion),
     ``nodes_per_channel_cap`` truncates channel populations for scaled-down
-    runs (tests, quick CLI smoke), ``executor`` fans the channels out.
+    runs (tests, quick CLI smoke), ``executor`` fans the event backend's
+    channels out (the batched backend runs them all in one call).
     ``traffic_model`` selects the per-node packet process
     (:data:`repro.network.traffic.TRAFFIC_MODEL_KINDS`):
     ``"saturated"`` — the default — is the paper's one-packet-per-superframe

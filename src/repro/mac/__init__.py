@@ -15,7 +15,9 @@ The MAC substrate implements what the paper's scenario relies on:
 * indirect (downlink) transmission queue — :mod:`repro.mac.indirect`;
 * node-side and coordinator-side MAC entities tying everything together on
   top of the discrete-event kernel, used for packet-level validation of the
-  analytical model — :mod:`repro.mac.device`, :mod:`repro.mac.coordinator`.
+  analytical model — :mod:`repro.mac.device`, :mod:`repro.mac.coordinator`;
+* the batched lockstep uplink kernel, which simulates many independent
+  channel lanes at once — :mod:`repro.mac.vectorized`.
 """
 
 from repro.mac.commands import (
@@ -44,7 +46,7 @@ from repro.mac.frames import (
 from repro.mac.gts import GtsDescriptor, GtsManager
 from repro.mac.indirect import IndirectQueue, PendingTransaction
 from repro.mac.superframe import Superframe, SuperframeConfig
-from repro.mac.vectorized import VectorizedChannelSimulator
+from repro.mac.vectorized import BatchedChannelSimulator, ChannelLane
 
 __all__ = [
     "AssociationService",
@@ -71,5 +73,6 @@ __all__ = [
     "PendingTransaction",
     "Superframe",
     "SuperframeConfig",
-    "VectorizedChannelSimulator",
+    "BatchedChannelSimulator",
+    "ChannelLane",
 ]

@@ -51,10 +51,11 @@ bounded-integer / uniform transformations:
 
 These identities are checked against the running numpy at first use
 (:func:`raw_streams_compatible`); if numpy ever changes its bit-stream
-consumption — or ``REPRO_MAC_COMPAT`` is set — the kernel transparently
-falls back to :func:`_simulate_lane_reference`, the retained per-lane
-scalar implementation, which trades speed for independence from the
-raw-stream identities.
+consumption, :meth:`BatchedChannelSimulator.run` raises rather than
+produce silently different variates, and ``backend="event"`` remains
+available.  A scalar per-lane oracle that draws from the generators
+directly lives with the tests (``tests/mac/test_lane_oracle.py``); it is
+the reference for this kernel at the simulation horizon.
 
 Known departure: within a lane, simultaneous events are ordered by device
 index, while the event kernel orders them by scheduling sequence.  Exact
@@ -75,7 +76,6 @@ reports ``collisions == 0`` without tracking the medium per device pair.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from time import perf_counter
@@ -94,13 +94,6 @@ from repro.radio.power_profile import (CC2420_PROFILE, RadioPowerProfile,
                                        T_SHUTDOWN_TO_IDLE_POLICY_S)
 from repro.radio.states import RadioState
 from repro.sim.random import RandomStreams
-
-#: Event kinds of the reference implementation's compact queue.
-_EVENT_CCA_SAMPLE = 0
-_EVENT_TX_END = 1
-
-#: Environment variable forcing the per-lane reference implementation.
-COMPAT_ENV = "REPRO_MAC_COMPAT"
 
 #: ``2**-53`` — the constant numpy's ``next_double`` scales by.
 _U53 = 1.0 / 9007199254740992.0
@@ -247,8 +240,8 @@ def raw_streams_compatible() -> bool:
     """Whether this numpy's generators match the raw-stream replay.
 
     Evaluated once per process and cached; a mismatch (or any error while
-    probing) routes every batched run through the per-lane reference
-    implementation instead of producing silently different variates.
+    probing) makes every batched run raise instead of producing silently
+    different variates.
     """
     global _raw_compat
     if _raw_compat is None:
@@ -262,12 +255,6 @@ def raw_streams_compatible() -> bool:
         except Exception:  # pragma: no cover - depends on foreign numpy
             _raw_compat = False
     return _raw_compat
-
-
-def _use_batched_path() -> bool:
-    if os.environ.get(COMPAT_ENV):
-        return False
-    return raw_streams_compatible()
 
 
 # ---------------------------------------------------------------------------
@@ -325,16 +312,17 @@ class BatchedChannelSimulator:
 
         Returns one :class:`repro.network.scenario.SimulationSummary` per
         lane, in lane order — bit-for-bit what a single-lane run of each
-        lane would produce.
+        lane would produce.  Raises :class:`RuntimeError` when this numpy
+        fails the raw-stream probe (:func:`raw_streams_compatible`).
         """
         if superframes < 1:
             raise ValueError("superframes must be at least 1")
-        if not _use_batched_path():
-            return [_simulate_lane_reference(
-                        lane, self.config, self.constants,
-                        self.payload_bytes, self.csma_params, self.profile,
-                        self.traffic, superframes)
-                    for lane in self.lanes]
+        if not raw_streams_compatible():
+            raise RuntimeError(
+                f"numpy {np.__version__} draws its bounded integers or "
+                f"doubles differently from the raw-stream replay the "
+                f"batched kernel relies on; run with backend=\"event\" "
+                f"instead")
         return self._run_batched(superframes)
 
     # -- the batched fast path ------------------------------------------------
@@ -722,94 +710,22 @@ class BatchedChannelSimulator:
                                 end_dev.append(device)
                                 end_time.append(time_now)
                                 break
-                            if be:
-                                if lh[device]:
-                                    lh[device] = False
-                                    word32 = lv[device]
-                                else:
-                                    pointer = lr[device]
-                                    if pointer == _RAW_CHUNK:
-                                        fresh = device_bgs[device] \
-                                            .random_raw(_RAW_CHUNK)
-                                        raws[device] = fresh
-                                        row = fresh.tolist()
-                                        row_cache[device] = row
-                                        pointer = 0
-                                    else:
-                                        row = row_cache[device]
-                                        if row is None:
-                                            row = raws[device].tolist()
-                                            row_cache[device] = row
-                                    word = row[pointer]
-                                    lr[device] = pointer + 1
-                                    lv[device] = word >> 32
-                                    lh[device] = True
-                                    word32 = word & 0xFFFFFFFF
-                                step = (word32 >> (32 - be)) * slot
-                            else:
-                                step = 0.0
-                            idle_cont_loop[device] += step
-                            next_cca = time_now + step
-                            if next_cca > horizon:
-                                kill.append(device)
-                                break
-                            if next_cca >= cap_end:
+                            backoff_from = time_now
+                        elif cw > 1:
+                            # Clear CCA with window left: sample again one
+                            # slot later.  While the samples stay inline
+                            # nothing can put a frame on the air
+                            # (busy_until <= time_now), so the window
+                            # resolves clear back-to-back.
+                            cw -= 1
+                            if time_now >= cap_end:  # parked at the CAP edge
                                 end_dev.append(device)
-                                end_time.append(next_cca)
+                                end_time.append(time_now)
                                 break
                             cca_loop[device] += 1
-                            sample_at = next_cca + slot
-                            if sample_at < busy_until:
-                                # the frame on the air outlives the new
-                                # sample, so its outcome is already decided
-                                # (busy) no matter which queued events run
-                                # in between — no transmission can start
-                                # before busy_until (it needs two clear
-                                # CCAs), and other devices never touch this
-                                # device's stream or counters
-                                time_now = sample_at
-                                continue
+                            sample_at = time_now + slot
+                            backoff_from = None
                         else:
-                            # Clear CCA: burn down the remaining window.
-                            # While the samples stay inline nothing can put
-                            # a frame on the air (busy_until <= time_now),
-                            # so the whole window resolves clear
-                            # back-to-back without re-entering the chain.
-                            cw -= 1
-                            while cw > 0:  # next CCA of the window
-                                if time_now >= cap_end:
-                                    end_dev.append(device)
-                                    end_time.append(time_now)
-                                    cw = -1  # parked at the CAP edge
-                                    break
-                                cca_loop[device] += 1
-                                sample_at = time_now + slot
-                                if (sample_at < next_static
-                                        and sample_at < heap_top):
-                                    if sample_at > horizon:
-                                        # earliest remaining event past the
-                                        # horizon: the cut kills the queue
-                                        kill.append(device)
-                                        kill.extend(
-                                            static_devices[cursor:stop])
-                                        while heap:
-                                            kill.append(heap_pop(heap)[2])
-                                        killed = True
-                                        cw = -1
-                                        break
-                                    time_now = sample_at
-                                    cw -= 1
-                                    continue
-                                heap_push(heap,
-                                          (sample_at, push_seq, device, be,
-                                           nb, cw, att))
-                                push_seq += 1
-                                if sample_at < heap_top:
-                                    heap_top = sample_at
-                                cw = -1  # escaped to the heap
-                                break
-                            if cw:  # parked, killed or escaped
-                                break
                             # channel clear through the window: transmit,
                             # unless the transaction no longer fits
                             if time_now + txn_tail > cap_end:
@@ -857,7 +773,12 @@ class BatchedChannelSimulator:
                             be = be0
                             nb = 0
                             cw = cw0
-                            if be0:
+                            backoff_from = retry_at
+
+                        if backoff_from is not None:
+                            # Backoff of a busy CCA or a retry: one
+                            # raw-stream draw of ``be`` bits.
+                            if be:
                                 if lh[device]:
                                     lh[device] = False
                                     word32 = lv[device]
@@ -880,11 +801,11 @@ class BatchedChannelSimulator:
                                     lv[device] = word >> 32
                                     lh[device] = True
                                     word32 = word & 0xFFFFFFFF
-                                step = (word32 >> (32 - be0)) * slot
+                                step = (word32 >> (32 - be)) * slot
                             else:
                                 step = 0.0
                             idle_cont_loop[device] += step
-                            next_cca = retry_at + step
+                            next_cca = backoff_from + step
                             if next_cca > horizon:
                                 kill.append(device)
                                 break
@@ -894,6 +815,18 @@ class BatchedChannelSimulator:
                                 break
                             cca_loop[device] += 1
                             sample_at = next_cca + slot
+                            if sample_at < busy_until:
+                                # the frame on the air outlives the new
+                                # sample, so its outcome is already decided
+                                # (busy) no matter which queued events run
+                                # in between — no transmission can start
+                                # before busy_until (it needs two clear
+                                # CCAs), and other devices never touch this
+                                # device's stream or counters.  A retry's
+                                # sample always follows its own frame, so
+                                # this only fires after a busy CCA.
+                                time_now = sample_at
+                                continue
 
                         # continue inline only while this device's sample
                         # strictly precedes every other pending event —
@@ -1055,479 +988,3 @@ class BatchedChannelSimulator:
                                counters={"cca": int(cca.sum())})
             tracer.record_span("energy_ledger", ledger_s, parent=kernel)
         return summaries
-
-
-class VectorizedChannelSimulator:
-    """Fast uplink simulation of one channel — a single-lane batched run.
-
-    Parameters
-    ----------
-    nodes:
-        The sensor nodes of the channel (``repro.network.node.SensorNode``).
-    config:
-        Superframe configuration (no GTS allocation).
-    tx_levels_dbm:
-        Resolved transmit level per node, aligned with ``nodes``.  The
-        caller (:class:`repro.network.scenario.ChannelScenario`) performs the
-        link-adaptation / default resolution; this backend only rounds to
-        the radio's programmable steps exactly as the event kernel does.
-    constants / payload_bytes / seed / csma_params / profile:
-        As in :class:`repro.network.scenario.ChannelScenario`.
-    traffic:
-        Per-node packet process (:class:`repro.network.traffic.TrafficModel`)
-        polled at every beacon; ``None`` is the paper's saturated
-        assumption.  Sources are built from the same ``traffic[<id>]``
-        streams the event kernel uses, preserving the equivalence contract
-        for every model.
-    tree:
-        Sink tree of a routed channel
-        (:class:`repro.network.routing.SinkTree`); ``None`` is the classic
-        star.
-    """
-
-    def __init__(self, nodes: Sequence, config: SuperframeConfig,
-                 tx_levels_dbm: Sequence[float],
-                 constants: MacConstants = MAC_2450MHZ,
-                 payload_bytes: int = 120, seed: int = 0,
-                 csma_params: Optional[CsmaParameters] = None,
-                 profile: RadioPowerProfile = CC2420_PROFILE,
-                 traffic=None, tree=None):
-        self._batch = BatchedChannelSimulator(
-            [ChannelLane(nodes=nodes, tx_levels_dbm=tx_levels_dbm,
-                         seed=seed, tree=tree)],
-            config=config, constants=constants,
-            payload_bytes=payload_bytes, csma_params=csma_params,
-            profile=profile, traffic=traffic)
-        lane = self._batch.lanes[0]
-        self.nodes = lane.nodes
-        self.config = config
-        self.constants = constants
-        self.payload_bytes = payload_bytes
-        self.seed = seed
-        self.csma_params = self._batch.csma_params
-        self.profile = profile
-        self.tx_levels_dbm = lane.tx_levels_dbm
-        self.traffic = traffic
-        self.tree = tree
-
-    def run(self, superframes: int = 10):
-        """Simulate ``superframes`` beacon intervals; same summary as the kernel."""
-        return self._batch.run(superframes=superframes)[0]
-
-
-# ---------------------------------------------------------------------------
-# per-lane reference implementation (compat fallback)
-# ---------------------------------------------------------------------------
-
-def _simulate_lane_reference(lane: ChannelLane, config: SuperframeConfig,
-                             constants: MacConstants, payload_bytes: int,
-                             csma_params: CsmaParameters,
-                             profile: RadioPowerProfile, traffic,
-                             superframes: int):
-    """Scalar single-lane kernel drawing from the generators directly.
-
-    This is the pre-batching implementation, retained verbatim as the
-    fallback for numpy builds whose bit-stream consumption differs from the
-    identities :func:`raw_streams_compatible` probes (and for explicit
-    ``REPRO_MAC_COMPAT`` opt-outs).  Slower — one Python pass per lane —
-    but equivalent: its variates come from ``Generator`` calls instead of
-    raw-stream replay.
-    """
-    from repro.network.routing import depth_breakdown, make_lane_sources
-    from repro.network.scenario import SimulationSummary
-    from repro.network.traffic import SaturatedTraffic
-
-    # Telemetry mirrors _run_batched: phase times accumulate in floats
-    # behind one enabled-check, spans are emitted once at the end.
-    tracer = current_tracer()
-    tracing = tracer.enabled
-    t_setup = perf_counter() if tracing else 0.0
-
-    nodes = lane.nodes
-    params = csma_params
-    n = len(nodes)
-
-    # ---- timing constants (all in seconds) ---------------------------------
-    slot = constants.unit_backoff_period_s
-    byte_period = constants.timing.byte_period_s
-    interval = config.beacon_interval_s
-    sf_duration = config.superframe_duration_s
-    beacon_air = _beacon_airtime_s(config, constants)
-    frame = _make_data_frame(payload_bytes)
-    frame_air = frame.airtime_s(byte_period)
-    ack_air = AckFrame().airtime_s(byte_period)
-    turnaround = constants.turnaround_time_s
-    ack_wait = constants.ack_wait_duration_s
-    residual = max(0.0, ack_wait - turnaround)
-    wake_lead = T_SHUTDOWN_TO_IDLE_POLICY_S
-    margin = 56 * slot + frame_air + ack_wait
-    txn_tail = frame_air + turnaround + ack_air
-    horizon = superframes * interval
-    max_transmissions = constants.max_transmissions
-    max_backoffs = params.max_csma_backoffs
-    contention_window = params.contention_window
-    be0 = params.initial_backoff_exponent()
-    be_cap = params.max_be
-    if params.battery_life_extension:
-        be_cap = min(be_cap, params.battery_life_extension_max_be)
-
-    # ---- random streams (identical names to the event kernel) -------------
-    streams = RandomStreams(lane.seed)
-    coordinator_rng = streams.get("coordinator")
-    generators = [streams.get(f"device[{node.node_id}]") for node in nodes]
-
-    # ---- per-node traffic feeds (identical streams to the event kernel) ----
-    traffic_model = traffic
-    if traffic_model is None:
-        traffic_model = SaturatedTraffic(payload_bytes=payload_bytes)
-    sources = make_lane_sources(
-        traffic_model, [node.node_id for node in nodes], streams,
-        tree=lane.tree, hop_lag_s=interval)
-
-    # ---- per-device link/corruption constants -----------------------------
-    programmed_dbm = [profile.tx_level(level).level_dbm
-                      for level in lane.tx_levels_dbm]
-    packet_error = [node.link().packet_error_probability(level,
-                                                         frame.ppdu_bytes)
-                    for node, level in zip(nodes, programmed_dbm)]
-
-    # ---- lockstep device state ---------------------------------------------
-    next_beacon = [0.0] * n        # beacon the device will synchronise to
-    beacon_time = [0.0] * n        # beacon anchoring the running transaction
-    cfp_start = [0.0] * n          # end of the CAP of that superframe
-    attempt = [0] * n              # transmissions already spent this packet
-    be = [be0] * n                 # backoff exponent
-    nb = [0] * n                   # backoff stages used this attempt
-    cw = [0] * n                   # remaining clear CCAs before transmit
-
-    # ---- deferred-ledger accumulators --------------------------------------
-    sleep_t = [0.0] * n            # shutdown dwell               (sleep)
-    wake_beacon = [0] * n          # shutdown->idle transitions   (beacon)
-    idle_beacon_t = [0.0] * n      # pre-beacon idle dwell        (beacon)
-    beacon_rx = [0] * n            # beacon receptions            (beacon)
-    wake_cont = [0] * n            # stagger wake-ups             (contention)
-    idle_cont_t = [0.0] * n        # stagger + backoff idle dwell (contention)
-    cca = [0] * n                  # clear channel assessments    (contention)
-    tx = [0] * n                   # data-frame transmissions     (transmit)
-    idle_ack_t = [0.0] * n         # turnaround idle dwell        (ackifs)
-    ack_rx = [0] * n               # acknowledgements received    (ackifs)
-    residual_rx = [0] * n          # full ack-wait timeouts       (ackifs)
-
-    # ---- result counters ----------------------------------------------------
-    attempted = [0] * n
-    delivered = [0] * n
-    failures = [0] * n
-    delays: List[List[float]] = [[] for _ in range(n)]
-    collision_count = 0
-    phase_seen = {PHASE_BEACON: False, PHASE_CONTENTION: False,
-                  PHASE_TRANSMIT: False, PHASE_ACK: False,
-                  PHASE_SLEEP: False}
-
-    # ---- medium state -------------------------------------------------------
-    # Transmissions on air as [end_time, collided, device].  Starts are
-    # chronological and every frame has the same airtime, so the list
-    # stays sorted by end time and is pruned from the front; the device's
-    # own reference survives pruning so the final collision status is
-    # still readable when the frame completes.
-    active: List[list] = []
-    pending_tx: List[Optional[list]] = [None] * n
-
-    heap: List[tuple] = []
-    seq = 0
-
-    def push(time: float, kind: int, index: int) -> None:
-        nonlocal seq
-        seq += 1
-        heappush(heap, (time, seq, kind, index))
-
-    def start_attempt(index: int, now: float) -> Optional[float]:
-        """Draw the first backoff of a contention attempt starting at ``now``.
-
-        Returns the deferral time when the first CCA would fall outside
-        the CAP, ``None`` when a CCA sample was scheduled (or the device
-        ran past the horizon mid-wait).
-        """
-        be[index] = be0
-        nb[index] = 0
-        cw[index] = contention_window
-        delay = int(generators[index].integers(0, 1 << be0))
-        if delay:
-            idle_cont_t[index] += delay * slot
-            phase_seen[PHASE_CONTENTION] = True
-        cca_start = now + delay * slot
-        if cca_start > horizon:
-            return None
-        if cca_start >= cfp_start[index]:
-            return cca_start
-        cca[index] += 1
-        phase_seen[PHASE_CONTENTION] = True
-        push(cca_start + slot, _EVENT_CCA_SAMPLE, index)
-        return None
-
-    def begin_superframes(index: int, now: float, initial: bool = False) -> None:
-        """Advance a device from the end of one superframe's activity.
-
-        Mirrors the kernel's per-superframe loop: sleep to the pre-beacon
-        wake-up, receive the beacon, stagger, start the uplink
-        transaction.  Iterates over superframes whose transaction defers
-        before its first CCA; every charge is guarded by the simulated
-        time at which the kernel would have made it.
-        """
-        while True:
-            if not initial:
-                phase_seen[PHASE_SLEEP] = True   # idle->shutdown strobe
-            initial = False
-            beacon_at = next_beacon[index]
-            wake = beacon_at - wake_lead
-            if wake > now:
-                sleep_t[index] += wake - now
-            else:
-                wake = now
-            if wake > horizon:  # pragma: no cover - the horizon beacon's
-                return          # arrival check below returns first
-            wake_beacon[index] += 1
-            resume = wake
-            startup_wait = beacon_at - wake
-            if startup_wait > 0:
-                idle_beacon_t[index] += startup_wait
-                resume = beacon_at
-            if resume > horizon:  # pragma: no cover - same: beacons past
-                return            # the horizon are never begun
-            beacon_rx[index] += 1
-            phase_seen[PHASE_BEACON] = True
-            arrival = resume + beacon_air
-            if arrival > horizon:
-                return
-            # Poll the traffic feed at the superframe boundary, exactly
-            # where the event kernel does: no buffered packet means the
-            # device sleeps this superframe out after the beacon.
-            if not sources[index].poll(beacon_at):
-                now = arrival
-                next_beacon[index] += interval
-                continue
-            sources[index].drain_packet()
-            cap_end = beacon_at + sf_duration
-            latest_start = cap_end - margin
-            start = arrival
-            if latest_start > arrival + wake_lead:
-                phase_seen[PHASE_CONTENTION] = True
-                start = float(generators[index].uniform(
-                    arrival + wake_lead, latest_start))
-                stagger_sleep = start - arrival - wake_lead
-                if stagger_sleep > 0:
-                    phase_seen[PHASE_SLEEP] = True
-                    sleep_t[index] += stagger_sleep
-                    # start < latest_start <= horizon, so the cut cannot
-                    # land mid-stagger
-                    if start - wake_lead > horizon:  # pragma: no cover
-                        return
-                    wake_cont[index] += 1
-                idle_cont_t[index] += wake_lead
-            attempted[index] += 1
-            attempt[index] = 0
-            beacon_time[index] = beacon_at
-            cfp_start[index] = cap_end
-            deferred_at = start_attempt(index, start)
-            if deferred_at is None:
-                return
-            now = deferred_at
-            next_beacon[index] += interval
-
-    def end_transaction(index: int, now: float) -> None:
-        next_beacon[index] += interval
-        begin_superframes(index, now)
-
-    if tracing:
-        t_grid = perf_counter()
-        setup_s = t_grid - t_setup
-
-    for index in range(n):
-        begin_superframes(index, 0.0, initial=True)
-
-    # ---- interaction event loop --------------------------------------------
-    if tracing:
-        t_merge = perf_counter()
-        grid_s = t_merge - t_grid
-    while heap:
-        now, _, kind, index = heappop(heap)
-        if now > horizon:
-            break
-        while active and active[0][0] <= now:
-            active.pop(0)
-
-        if kind == _EVENT_CCA_SAMPLE:
-            if active:  # channel busy at the sample instant
-                nb[index] += 1
-                be[index] = min(be[index] + 1, be_cap)
-                cw[index] = contention_window
-                if nb[index] > max_backoffs:
-                    failures[index] += 1
-                    end_transaction(index, now)
-                    continue
-                delay = int(generators[index].integers(0, 1 << be[index]))
-                if delay:
-                    idle_cont_t[index] += delay * slot
-                cca_start = now + delay * slot
-                if cca_start > horizon:
-                    continue
-                if cca_start >= cfp_start[index]:
-                    end_transaction(index, cca_start)
-                    continue
-                cca[index] += 1
-                push(cca_start + slot, _EVENT_CCA_SAMPLE, index)
-                continue
-            cw[index] -= 1
-            if cw[index] > 0:  # second CCA of the contention window
-                if now >= cfp_start[index]:
-                    end_transaction(index, now)
-                    continue
-                cca[index] += 1
-                push(now + slot, _EVENT_CCA_SAMPLE, index)
-                continue
-            # Channel clear twice: transmit, unless the transaction no
-            # longer fits in the contention access period.
-            if now + txn_tail > cfp_start[index]:
-                end_transaction(index, now)
-                continue
-            tx[index] += 1
-            phase_seen[PHASE_TRANSMIT] = True
-            entry = [now + frame_air, False, index]
-            if active:  # pragma: no cover - measure-zero with CCA sampling
-                entry[1] = True
-                for other in active:
-                    other[1] = True
-                collision_count += 1
-            active.append(entry)
-            pending_tx[index] = entry
-            push(now + frame_air, _EVENT_TX_END, index)
-            continue
-
-        # ---- data frame completed: acknowledgement decision ----------------
-        phase_seen[PHASE_ACK] = True
-        # Collision status is final: any collider must have started
-        # strictly before the frame ended.
-        entry = pending_tx[index]
-        pending_tx[index] = None
-        collided = entry[1]
-        acked = False
-        if not collided:
-            acked = not (coordinator_rng.random() < packet_error[index])
-        idle_ack_t[index] += turnaround
-        ack_resume = now + turnaround
-        if acked:
-            ack_rx[index] += 1
-            done = ack_resume + ack_air
-            # float-edge guard: the CAP fit check bounds done <= horizon
-            if done > horizon:  # pragma: no cover
-                continue
-            delivered[index] += 1
-            delays[index].append(done - beacon_time[index])
-            end_transaction(index, done)
-            continue
-        residual_rx[index] += 1
-        retry_at = ack_resume + residual
-        if retry_at > horizon:
-            continue
-        attempt[index] += 1
-        if attempt[index] >= max_transmissions:
-            end_transaction(index, retry_at)
-            continue
-        deferred_at = start_attempt(index, retry_at)
-        if deferred_at is not None:
-            end_transaction(index, deferred_at)
-
-    # ---- numpy ledger reduction --------------------------------------------
-    if tracing:
-        t_ledger = perf_counter()
-        merge_s = t_ledger - t_merge
-    power_sd = profile.power_w(RadioState.SHUTDOWN)
-    power_idle = profile.power_w(RadioState.IDLE)
-    power_rx = profile.power_w(RadioState.RX)
-    power_tx = np.array([profile.tx_power_w(level)
-                         for level in programmed_dbm])
-    startup = profile.transition(RadioState.SHUTDOWN, RadioState.IDLE)
-    to_rx = profile.transition(RadioState.IDLE, RadioState.RX)
-    to_tx = profile.transition(RadioState.IDLE, RadioState.TX)
-    from_rx = profile.transition(RadioState.RX, RadioState.IDLE)
-    from_tx = profile.transition(RadioState.TX, RadioState.IDLE)
-
-    sleep_t = np.array(sleep_t)
-    wake_beacon = np.array(wake_beacon)
-    idle_beacon_t = np.array(idle_beacon_t)
-    beacon_rx = np.array(beacon_rx)
-    wake_cont = np.array(wake_cont)
-    idle_cont_t = np.array(idle_cont_t)
-    cca = np.array(cca)
-    tx = np.array(tx)
-    idle_ack_t = np.array(idle_ack_t)
-    ack_rx = np.array(ack_rx)
-    residual_rx = np.array(residual_rx)
-
-    rx_round_e = to_rx.energy_j + from_rx.energy_j
-    rx_round_t = to_rx.duration_s + from_rx.duration_s
-    energy_beacon = (wake_beacon * startup.energy_j
-                     + idle_beacon_t * power_idle
-                     + beacon_rx * (rx_round_e + power_rx * beacon_air))
-    energy_cont = (wake_cont * startup.energy_j
-                   + idle_cont_t * power_idle
-                   + cca * (rx_round_e + power_rx * slot))
-    energy_tx = tx * (to_tx.energy_j + from_tx.energy_j) \
-        + tx * power_tx * frame_air
-    energy_ack = (idle_ack_t * power_idle
-                  + ack_rx * (rx_round_e + power_rx * ack_air)
-                  + residual_rx * (rx_round_e + power_rx * residual))
-    energy_sleep = sleep_t * power_sd
-    energy = (energy_beacon + energy_cont + energy_tx + energy_ack
-              + energy_sleep)
-    elapsed = (sleep_t
-               + (wake_beacon + wake_cont) * startup.duration_s
-               + idle_beacon_t + idle_cont_t + idle_ack_t
-               + beacon_rx * (rx_round_t + beacon_air)
-               + cca * (rx_round_t + slot)
-               + tx * (to_tx.duration_s + from_tx.duration_s + frame_air)
-               + ack_rx * (rx_round_t + ack_air)
-               + residual_rx * (rx_round_t + residual))
-    powers = energy / np.maximum(elapsed, 1e-12)
-
-    phase_energy: Dict[str, float] = {}
-    for phase, total in ((PHASE_BEACON, energy_beacon),
-                         (PHASE_CONTENTION, energy_cont),
-                         (PHASE_TRANSMIT, energy_tx),
-                         (PHASE_ACK, energy_ack),
-                         (PHASE_SLEEP, energy_sleep)):
-        if phase_seen[phase]:
-            phase_energy[phase] = float(np.sum(total))
-
-    all_delays = [delay for per_device in delays for delay in per_device]
-    by_depth = None
-    if lane.tree is not None:
-        by_depth = depth_breakdown(
-            lane.tree, [node.node_id for node in nodes], attempted,
-            delivered, [sum(per_device) for per_device in delays],
-            energy, elapsed)
-
-    if tracing:
-        ledger_s = perf_counter() - t_ledger
-        kernel = tracer.record_span(
-            "kernel:reference", setup_s + grid_s + merge_s + ledger_s,
-            kind="kernel", counters={"lanes": 1, "devices": n})
-        tracer.record_span("setup", setup_s, parent=kernel)
-        tracer.record_span("beacon_grid", grid_s, parent=kernel,
-                           counters={"attempts": int(sum(attempted))})
-        tracer.record_span("contention_merge", merge_s, parent=kernel,
-                           counters={"cca": int(cca.sum())})
-        tracer.record_span("energy_ledger", ledger_s, parent=kernel)
-    return SimulationSummary(
-        simulated_time_s=horizon,
-        node_count=n,
-        superframes=superframes,
-        packets_attempted=int(sum(attempted)),
-        packets_delivered=int(sum(delivered)),
-        channel_access_failures=int(sum(failures)),
-        collisions=collision_count,
-        mean_node_power_w=float(np.mean(powers)),
-        mean_delivery_delay_s=(float(np.mean(all_delays))
-                               if all_delays else None),
-        energy_by_phase_j=phase_energy,
-        by_depth=by_depth,
-    )

@@ -26,7 +26,7 @@ Determinism contract: trees are pure functions of ``(topology, model,
 seed)``.  Link losses are the deterministic (median) evaluations of
 :mod:`repro.network.geometry`, BFS visits nodes in sorted order, and the
 only randomness — min-hop tie-breaking — draws from a dedicated stream, so
-the event and vectorized kernels, and every worker process of the channel
+the event and batched kernels, and every worker process of the channel
 fan-out, derive bit-identical trees.
 
 Layering: this module sits above topology and traffic and below the
@@ -197,9 +197,9 @@ def depth_breakdown(tree: SinkTree, node_ids: Sequence[int],
     The energy hole becomes directly measurable: depth-1 buckets hold the
     relays closest to the sink, and their ``mean_power_uw`` rises above the
     deeper (leaf-heavy) buckets as forwarding load concentrates on them.
-    All per-node inputs are aligned with ``node_ids``; every kernel (event,
-    vectorized reference, batched) funnels through this one function so the
-    breakdowns are comparable across backends.
+    All per-node inputs are aligned with ``node_ids``; both kernels (event
+    and batched) funnel through this one function so the breakdowns are
+    comparable across backends.
     """
     buckets: Dict[int, Dict] = {}
     for i, node_id in enumerate(node_ids):

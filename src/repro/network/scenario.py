@@ -10,10 +10,10 @@ its path losses and traffic, and can
   (energy, failure rate, delay).
 
 :meth:`ChannelScenario.run` offers two interchangeable kernels: the
-discrete-event reference (``backend="event"``) and the vectorized slot-level
-fast path (``backend="vectorized"``, :mod:`repro.mac.vectorized`) that makes
-the full 100-nodes-per-channel case study tractable — identical counts for
-the same seed, ≥10× faster.  The 16-channel fan-out lives in
+discrete-event reference (``backend="event"``) and the batched lockstep
+kernel (``backend="batched"``, :mod:`repro.mac.vectorized`) that makes the
+full 100-nodes-per-channel case study tractable — identical counts for the
+same seed, ≥10× faster.  The 16-channel fan-out lives in
 :mod:`repro.network.simulate`, driven by the declarative specs of
 :mod:`repro.network.spec`.
 """
@@ -119,7 +119,7 @@ class ChannelScenario:
     """
 
     #: Simulation backends accepted by :meth:`run`.
-    BACKENDS = ("event", "vectorized", "batched")
+    BACKENDS = ("event", "batched")
 
     def __init__(self, nodes: List[SensorNode], config: SuperframeConfig,
                  constants: MacConstants = MAC_2450MHZ,
@@ -195,12 +195,12 @@ class ChannelScenario:
         """Simulate ``superframes`` beacon intervals and summarise the outcome.
 
         ``backend`` selects the simulation kernel: ``"event"`` is the
-        discrete-event reference, ``"vectorized"`` the fast path of
-        :mod:`repro.mac.vectorized` (identical counts for the same seed) and
-        ``"batched"`` the same kernel — for a single channel the two are one
-        code path; the batched name matters at the network fan-out level
-        (:func:`repro.network.simulate.simulate_network`), where it collapses
-        all channels into one lockstep call.
+        discrete-event reference and the only kernel with downlink and GTS;
+        ``"batched"`` runs the channel as the single lane of
+        :class:`repro.mac.vectorized.BatchedChannelSimulator` (identical
+        counts for the same seed).  At the network level
+        (:func:`repro.network.simulate.simulate_network`) the batched kernel
+        takes every channel and replication in one lockstep call.
         """
         if backend not in self.BACKENDS:
             raise ValueError(f"Unknown backend {backend!r}; "
@@ -208,15 +208,16 @@ class ChannelScenario:
         if superframes < 1:
             raise ValueError("superframes must be at least 1")
         tx_levels = self.resolved_tx_levels_dbm()
-        if backend in ("vectorized", "batched"):
-            from repro.mac.vectorized import VectorizedChannelSimulator
-            simulator = VectorizedChannelSimulator(
-                nodes=self.nodes, config=self.config,
-                tx_levels_dbm=tx_levels, constants=self.constants,
-                payload_bytes=self.payload_bytes, seed=self.seed,
-                csma_params=self.csma_params, traffic=self.traffic,
-                tree=self.tree)
-            return simulator.run(superframes=superframes)
+        if backend == "batched":
+            from repro.mac.vectorized import (BatchedChannelSimulator,
+                                              ChannelLane)
+            lane = ChannelLane(nodes=self.nodes, tx_levels_dbm=tx_levels,
+                               seed=self.seed, tree=self.tree)
+            simulator = BatchedChannelSimulator(
+                [lane], config=self.config, constants=self.constants,
+                payload_bytes=self.payload_bytes,
+                csma_params=self.csma_params, traffic=self.traffic)
+            return simulator.run(superframes=superframes)[0]
         tracer = current_tracer()
         with tracer.span("kernel:event", kind="kernel",
                          devices=len(self.nodes), superframes=superframes):

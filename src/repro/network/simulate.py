@@ -10,16 +10,17 @@ master seed — and runs them through any :mod:`repro.runner.executor`
 strategy, so ``--jobs N`` parallelism and serial runs produce identical
 results.
 
-The ``"batched"`` backend replaces the fan-out entirely: every (channel,
-replication) pair becomes a :class:`repro.mac.vectorized.ChannelLane` of one
+The ``"batched"`` backend — the default — replaces the fan-out entirely:
+every (channel, replication) pair becomes a
+:class:`repro.mac.vectorized.ChannelLane` of one
 :class:`repro.mac.vectorized.BatchedChannelSimulator` call, which advances
 all lanes in lockstep numpy passes.  Lane seeds are exactly the per-channel
 seeds of the task fan-out (replication 0) plus
 :func:`replication_seeds`-spawned children (replications 1+), so batched and
 per-channel runs are bit-identical row for row and adding replications never
 perturbs existing ones.  The executor argument is ignored on this path —
-the batch *is* the parallelism; the task-based backends remain the fallback
-for process-pool distribution of the event kernel.
+the batch *is* the parallelism; the task fan-out is how the event kernel
+spreads over a process pool.
 """
 
 from __future__ import annotations
@@ -85,47 +86,60 @@ def simulate_channel(task: ChannelSimTask) -> Dict[str, Any]:
     """Simulate one channel of the spec'd network and summarise it as a dict.
 
     Module-level (and therefore picklable) so it can serve as the task
-    function of a process-pool executor.  The channel simulation is built
-    directly from the spec's own superframe config, MAC constants and CSMA
-    parameters, so band and SO < BO settings are honoured.
+    function of a process-pool executor.
     """
-    from repro.network.scenario import ChannelScenario
-
     spec = task.spec
     tracer = current_tracer()
     with tracer.span(f"channel[{task.channel}]", kind="lane",
                      channel=task.channel, replication=task.replication):
-        scenario = spec.build_seeded(task.placement_seed)
-        nodes = scenario.nodes_on_channel(task.channel)
-        tree = scenario.sink_tree(task.channel)
-        if task.max_nodes is not None and len(nodes) > task.max_nodes:
-            if tree is not None:
-                raise ValueError("max_nodes cannot truncate a routed "
-                                 "channel: the sink tree spans the full "
-                                 "population")
-            nodes = nodes[:task.max_nodes]
-        if spec.tx_policy == TX_POLICY_ADAPTIVE:
-            frame_bytes = spec.payload_bytes + _overhead_bytes()
-            levels = adaptive_tx_levels(
-                [node.path_loss_db for node in nodes], frame_bytes,
-                target_packet_error=spec.target_packet_error,
-                error_model=scenario.error_model)
-            for node, level in zip(nodes, levels):
-                node.tx_power_dbm = level
-        channel_scenario = ChannelScenario(
-            nodes=nodes,
-            config=spec.superframe_config(),
-            constants=spec.constants(),
-            payload_bytes=spec.payload_bytes,
-            seed=task.sim_seed,
-            csma_params=spec.csma_parameters(),
-            default_tx_power_dbm=spec.tx_power_dbm,
-            traffic=spec.traffic,
-            tree=tree)
+        channel_scenario = _build_channel(
+            spec, spec.build_seeded(task.placement_seed), task.channel,
+            task.sim_seed, task.max_nodes)
         backend = task.backend or spec.backend
         summary = channel_scenario.run(superframes=task.superframes,
                                        backend=backend)
     return _summary_row(task.channel, summary, task.replication)
+
+
+def _build_channel(spec: ScenarioSpec, scenario, channel: int, seed: int,
+                   max_nodes: Optional[int]):
+    """The :class:`ChannelScenario` of one channel of ``scenario``.
+
+    Built from the spec's own superframe config, MAC constants and CSMA
+    parameters, so band and SO < BO settings are honoured.  ``max_nodes``
+    truncates the channel's population (refused for routed channels,
+    whose sink tree spans all of it); the adaptive TX policy assigns each
+    node its channel-inversion level.  Both the per-channel tasks and the
+    batched lane grid build their channels here.
+    """
+    from repro.network.scenario import ChannelScenario
+
+    nodes = scenario.nodes_on_channel(channel)
+    tree = scenario.sink_tree(channel)
+    if max_nodes is not None and len(nodes) > max_nodes:
+        if tree is not None:
+            raise ValueError("max_nodes cannot truncate a routed "
+                             "channel: the sink tree spans the full "
+                             "population")
+        nodes = nodes[:max_nodes]
+    if spec.tx_policy == TX_POLICY_ADAPTIVE:
+        frame_bytes = spec.payload_bytes + _overhead_bytes()
+        levels = adaptive_tx_levels(
+            [node.path_loss_db for node in nodes], frame_bytes,
+            target_packet_error=spec.target_packet_error,
+            error_model=scenario.error_model)
+        for node, level in zip(nodes, levels):
+            node.tx_power_dbm = level
+    return ChannelScenario(
+        nodes=nodes,
+        config=spec.superframe_config(),
+        constants=spec.constants(),
+        payload_bytes=spec.payload_bytes,
+        seed=seed,
+        csma_params=spec.csma_parameters(),
+        default_tx_power_dbm=spec.tx_power_dbm,
+        traffic=spec.traffic,
+        tree=tree)
 
 
 def _summary_row(channel: int, summary,
@@ -220,50 +234,25 @@ def _channel_lanes(spec: ScenarioSpec, scenario, seed: int,
     """The (channel, replication) lane grid of a batched network run.
 
     Returns ``(lanes, tags)`` where ``tags`` holds the matching
-    ``(channel, replication-or-None)`` row labels.  Node selection, link
-    adaptation and transmit-level resolution replicate
-    :func:`simulate_channel` exactly — every lane of one channel shares the
-    node population and levels; only the lane seed varies.
+    ``(channel, replication-or-None)`` row labels.  Each channel is built
+    by :func:`_build_channel`, as in :func:`simulate_channel` — every lane
+    of one channel shares the node population and levels; only the lane
+    seed varies.
     """
     from repro.mac.vectorized import ChannelLane
-    from repro.network.scenario import ChannelScenario
 
     channel_seeds = spawn_seeds(seed, CHANNEL_SEED_STREAM, len(spec.channels))
     lanes = []
     tags = []
     for channel, channel_seed in zip(spec.channels, channel_seeds):
-        nodes = scenario.nodes_on_channel(channel)
-        tree = scenario.sink_tree(channel)
-        if max_nodes_per_channel is not None \
-                and len(nodes) > max_nodes_per_channel:
-            if tree is not None:
-                raise ValueError("max_nodes cannot truncate a routed "
-                                 "channel: the sink tree spans the full "
-                                 "population")
-            nodes = nodes[:max_nodes_per_channel]
-        if spec.tx_policy == TX_POLICY_ADAPTIVE:
-            frame_bytes = spec.payload_bytes + _overhead_bytes()
-            levels = adaptive_tx_levels(
-                [node.path_loss_db for node in nodes], frame_bytes,
-                target_packet_error=spec.target_packet_error,
-                error_model=scenario.error_model)
-            for node, level in zip(nodes, levels):
-                node.tx_power_dbm = level
-        channel_scenario = ChannelScenario(
-            nodes=nodes,
-            config=spec.superframe_config(),
-            constants=spec.constants(),
-            payload_bytes=spec.payload_bytes,
-            seed=channel_seed,
-            csma_params=spec.csma_parameters(),
-            default_tx_power_dbm=spec.tx_power_dbm,
-            traffic=spec.traffic,
-            tree=tree)
+        channel_scenario = _build_channel(spec, scenario, channel,
+                                          channel_seed, max_nodes_per_channel)
         tx_levels = channel_scenario.resolved_tx_levels_dbm()
         for replication, lane_seed in enumerate(
                 replication_seeds(channel_seed, replications)):
-            lanes.append(ChannelLane(nodes=nodes, tx_levels_dbm=tx_levels,
-                                     seed=lane_seed, tree=tree))
+            lanes.append(ChannelLane(nodes=channel_scenario.nodes,
+                                     tx_levels_dbm=tx_levels, seed=lane_seed,
+                                     tree=channel_scenario.tree))
             tags.append((channel,
                          replication if replications > 1 else None))
     return lanes, tags

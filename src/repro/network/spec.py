@@ -96,10 +96,10 @@ class ScenarioSpec:
     csma_convention:
         ``"paper"`` or ``"standard"`` abort rule.
     backend:
-        Default simulation backend for this workload: ``"event"``
-        (discrete-event reference), ``"vectorized"`` (per-channel fast
-        path) or ``"batched"`` (all channels and replications in one
-        lockstep kernel call — same counts, fastest fan-out).
+        Default simulation backend for this workload: ``"batched"`` (all
+        channels and replications in one lockstep kernel call) or
+        ``"event"`` (the discrete-event reference, fanned out per channel
+        — same counts).
     superframes_hint:
         Suggested simulation length in beacon intervals (drivers and
         examples may override).
@@ -124,7 +124,7 @@ class ScenarioSpec:
     target_packet_error: float = 0.01
     battery_life_extension: bool = False
     csma_convention: str = CSMA_PAPER
-    backend: str = "vectorized"
+    backend: str = "batched"
     superframes_hint: int = 50
 
     def __post_init__(self):
@@ -137,7 +137,7 @@ class ScenarioSpec:
             raise ValueError(
                 f"Unknown csma_convention {self.csma_convention!r}; choose "
                 f"'{CSMA_PAPER}' or '{CSMA_STANDARD}'")
-        if self.backend not in ("event", "vectorized", "batched"):
+        if self.backend not in ("event", "batched"):
             raise ValueError(f"Unknown backend {self.backend!r}")
         if self.superframes_hint < 1:
             raise ValueError("superframes_hint must be at least 1")

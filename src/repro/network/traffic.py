@@ -20,7 +20,7 @@ makes the traffic shape a first-class axis:
       packet bursts (seeded Poisson events, geometric burst sizes);
     * :class:`MixedPopulation` — per-node model assignment by fraction,
       deterministic in the node's position (no randomness, so the event and
-      vectorized kernels resolve identical populations).
+      batched kernels resolve identical populations).
 
 ``TrafficSource``
     The stateful per-node feed: :meth:`TrafficSource.poll` advances the
@@ -33,7 +33,7 @@ makes the traffic shape a first-class axis:
 Determinism contract: a source draws only from the generator handed to
 ``make_source`` (the per-node ``traffic[<id>]`` stream of
 :class:`repro.sim.random.RandomStreams`), lazily and in arrival-time order,
-so for the same master seed the event-driven and vectorized kernels — which
+so for the same master seed the event-driven and batched kernels — which
 poll at identical beacon instants — observe byte-identical arrival
 processes regardless of executor or backend.
 """
@@ -344,7 +344,7 @@ class TrafficModel(abc.ABC):
 
         Both simulation kernels assume a single frame airtime, so every
         layer embedding a traffic model (:class:`ScenarioSpec`,
-        :class:`ChannelScenario`, the vectorized kernel) enforces the
+        :class:`ChannelScenario`, the batched kernel) enforces the
         agreement through this one check.
         """
         if self.payload_bytes != payload_bytes:

@@ -4,7 +4,7 @@ The observability seam of the stack: a hierarchical span :class:`Tracer`
 (run -> experiment -> channel lane -> kernel phase) plus named counters
 and duration meters built on the :mod:`repro.sim.monitor` collectors.
 Instrumented layers (the engine, the executors, the cache, the sweep
-driver and the three MAC kernels) consult the *active* tracer through
+driver and both MAC kernels) consult the *active* tracer through
 :func:`current_tracer`; when none is active they see the module-level
 :data:`NULL_TRACER`, whose every operation is a no-op — hot loops pay a
 single ``tracer.enabled`` attribute check and allocate nothing.
@@ -17,7 +17,7 @@ Determinism contract
 --------------------
 Tracing must not perturb a run: nothing observable feeds cache keys or
 RNG streams, and a traced run's :class:`SimulationSummary` equals the
-untraced one for the same seed (pinned for all three backends).  The
+untraced one for the same seed (pinned for both backends).  The
 trace artifact (:func:`write_trace`) is schema-versioned JSON whose key
 order is stable and whose *every* nondeterministic quantity — wall-clock
 timestamp, monotonic durations, meter statistics, worker ids — lives in

@@ -233,10 +233,10 @@ def build_default_registry() -> ExperimentRegistry:
                       doc="cap on simulated nodes per channel (None: "
                           "uncapped)"),
             ParamSpec("backend", "str", "batched",
-                      choices=("batched", "vectorized", "event"),
-                      doc="simulation kernel: batched lockstep fan-out, "
-                          "per-channel vectorized tasks, or the "
-                          "discrete-event reference"),
+                      choices=("batched", "event"),
+                      doc="simulation kernel: batched lockstep fan-out or "
+                          "the discrete-event reference (per-channel "
+                          "tasks)"),
             ParamSpec("replications", "int", 1, minimum=1,
                       doc="Monte-Carlo replications per channel "
                           "(replication 0 reuses the historical channel "

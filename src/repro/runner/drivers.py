@@ -277,9 +277,9 @@ def run_case_study_full(params: Mapping[str, Any],
     """Section 5 case study simulated at full scale (batched backend).
 
     The default batched backend advances every (channel, replication) lane
-    in one lockstep kernel call; the vectorized and event backends fan the
-    channels out as independent tasks with their own spawned seeds through
-    the context executor.  Per-channel summaries are aggregated NaN-safely
+    in one lockstep kernel call; the event backend fans the channels out as
+    independent tasks with their own spawned seeds through the context
+    executor.  Per-channel summaries are aggregated NaN-safely
     (channels that delivered nothing are skipped in the delay mean instead
     of poisoning it).
     """

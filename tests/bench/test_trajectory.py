@@ -116,6 +116,16 @@ class TestComparisonGate:
         baseline["speedup"] = {}
         assert compare_records(record(speedup=0.1), baseline) == []
 
+    def test_baseline_key_missing_from_the_fresh_record_regresses(self):
+        """A renamed or dropped ratio must fail the gate, not pass it with
+        nothing compared."""
+        fresh = record(speedup=5.0)
+        fresh["speedup"] = {"renamed_vs_event": 5.0}
+        problems = compare_records(fresh, record(speedup=5.0))
+        assert len(problems) == 1
+        assert "batched_vs_event" in problems[0]
+        assert "missing" in problems[0]
+
     def test_experiment_mismatch_is_an_error(self):
         with pytest.raises(ValueError, match="Cannot compare"):
             compare_records(record("demo"), record("other"))
@@ -140,11 +150,8 @@ class TestBenchCases:
         assert built["experiment"] == "case_study_full"
         assert built["mode"] == "quick"
         assert built["params"]["seed"] == BENCH_SEED
-        assert set(built["timings_s"]) == {"event", "vectorized_reference",
-                                           "vectorized", "batched"}
-        assert set(built["speedup"]) == {"batched_vs_reference",
-                                         "batched_vs_vectorized",
-                                         "batched_vs_event"}
+        assert set(built["timings_s"]) == {"event", "batched"}
+        assert set(built["speedup"]) == {"batched_vs_event"}
         assert all(value > 0 for value in built["speedup"].values())
 
     def test_unknown_case_raises_with_choices(self):
@@ -168,7 +175,7 @@ class TestBenchCli:
         loaded = json.loads(path.read_text())
         assert tuple(loaded) == SCHEMA_KEYS
         assert loaded["mode"] == "quick"
-        assert loaded["speedup"]["vectorized_vs_event"] > 1.0
+        assert loaded["speedup"]["batched_vs_event"] > 1.0
 
     def test_check_flags_missing_baseline(self, tmp_path, capsys):
         from repro.runner.cli import main

@@ -55,7 +55,11 @@ class TestThroughEngine:
                                 cache_root=tmp_path, seed=7)
         assert replay.cache_hit
         assert replay.rows == serial.rows
-        parallel = run_experiment("case_study_full", params=TINY,
+        # --jobs reaches a process pool only on the event backend
+        event = dict(TINY, backend="event")
+        serial = run_experiment("case_study_full", params=event,
+                                cache=False, seed=7)
+        parallel = run_experiment("case_study_full", params=event,
                                   cache=False, jobs=2, seed=7)
         assert parallel.rows == serial.rows
 
@@ -86,6 +90,12 @@ class TestThroughEngine:
                                          num_channels=1, superframes=2),
                              cache=False, seed=3)
         assert len(run.rows) == 1
+
+    def test_vectorized_backend_rejected(self):
+        with pytest.raises(ValueError, match="backend"):
+            run_experiment("case_study_full",
+                           params=dict(TINY, backend="vectorized"),
+                           cache=False, seed=3)
 
     def test_payload_survives_a_json_round_trip(self):
         """The payload (including possibly-None delays) must be plain JSON —
@@ -137,9 +147,10 @@ class TestTrafficParameters:
     @pytest.mark.parametrize("model", ["periodic", "poisson", "bursty",
                                        "mixed"])
     def test_serial_and_parallel_rows_identical(self, model):
-        """The PR-1 executor contract extended to every traffic model:
-        per-channel spawned seeds make --jobs N runs bit-identical."""
-        params = dict(TINY, traffic_model=model)
+        """The executor contract extended to every traffic model:
+        per-channel spawned seeds make --jobs N runs of the event backend
+        (the one a process pool fans out) bit-identical."""
+        params = dict(TINY, traffic_model=model, backend="event")
         serial = run_experiment("case_study_full", params=params,
                                 cache=False, seed=7)
         parallel = run_experiment("case_study_full", params=params,
@@ -209,7 +220,8 @@ class TestTopologyParameters:
         assert replay == json.loads(json.dumps(replay))
 
     def test_serial_and_parallel_routed_rows_identical(self):
-        params = dict(MULTIHOP, num_channels=2, total_nodes=32)
+        params = dict(MULTIHOP, num_channels=2, total_nodes=32,
+                      backend="event")
         serial = run_experiment("case_study_full", params=params,
                                 cache=False, seed=7)
         parallel = run_experiment("case_study_full", params=params,

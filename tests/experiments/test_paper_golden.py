@@ -43,8 +43,8 @@ GOLDEN_FAILURE = 0.17373890985756943
 GOLDEN_TRANSITION_SAVING = 0.09696288749558613
 GOLDEN_RX_SAVING = 0.14179210454151625
 
-#: Golden values of the scaled full-scale simulation (vectorized backend,
-#: per-channel fan-out) — exact integer counts pin both MAC kernels.
+#: Golden values of the scaled full-scale simulation (default batched
+#: backend) — exact integer counts pin both MAC kernels.
 SIM_PARAMS = {"total_nodes": 60, "num_channels": 3, "superframes": 8,
               "beacon_order": 3, "nodes_per_channel_cap": 10}
 SIM_SEED = 11
@@ -199,7 +199,7 @@ class TestEngineCacheBackedReplay:
 class TestFullScaleSimulationGolden:
     """Golden pins on the packet-level simulator (both-kernel guard).
 
-    Exact integer counts of a scaled vectorized fan-out: any change to MAC
+    Exact integer counts of a scaled default run: any change to MAC
     timing, CSMA draws, traffic polling or the medium model shifts these
     and fails with the paper's full-scale context named.
     """
@@ -232,7 +232,7 @@ class TestFullScaleSimulationGolden:
 
     def test_event_kernel_reproduces_the_golden_counts(self):
         """The pins hold for the reference kernel too, not just the
-        vectorized fast path."""
+        batched fast path."""
         run = run_experiment("case_study_full",
                              params=dict(SIM_PARAMS, backend="event"),
                              cache=False, seed=SIM_SEED)
@@ -244,9 +244,9 @@ class TestFullScaleSimulationGolden:
              GOLDEN_SIM_ACCESS_FAILURES)
 
     def test_batched_kernel_reproduces_the_golden_counts(self):
-        """The batched lockstep backend is the third kernel bound to the
-        same pins: one batch call must draw the exact variates the
-        per-channel fan-out draws."""
+        """The batched lockstep backend, named explicitly so the pins
+        bind it whatever the default: one batch call must draw the exact
+        variates the per-channel fan-out draws."""
         run = run_experiment("case_study_full",
                              params=dict(SIM_PARAMS, backend="batched"),
                              cache=False, seed=SIM_SEED)
@@ -260,7 +260,7 @@ class TestFullScaleSimulationGolden:
             f"(attempted, delivered, access failures) {observed} != "
             f"({GOLDEN_SIM_ATTEMPTED}, {GOLDEN_SIM_DELIVERED}, "
             f"{GOLDEN_SIM_ACCESS_FAILURES}) — the batched kernel no longer "
-            f"matches the event and vectorized kernels.")
+            f"matches the event kernel.")
 
     def test_batched_kernel_reproduces_the_golden_power(self):
         run = run_experiment("case_study_full",
@@ -345,7 +345,7 @@ class TestStarProjectionGolden:
         from repro.network.topology import StarTopologyModel
 
         base = dict(total_nodes=12, num_channels=2, beacon_order=3)
-        for backend in ("vectorized", "batched", "event"):
+        for backend in ("batched", "event"):
             plain = simulate_network(ScenarioSpec(**base), superframes=4,
                                      seed=3, backend=backend)
             starred = simulate_network(
@@ -362,12 +362,12 @@ class TestMultiHopEnergyHoleGolden:
 
     A 2-hop gradient tree over the 24-node grid concentrates forwarding
     on the eight first-ring relays; their pinned average power must stay
-    ~1.7x the outer leaves'.  All three kernels are bound to the pins, so
+    ~1.7x the outer leaves'.  Both kernels are bound to the pins, so
     any drift in tree construction, stream replay or forwarding-source
     draining fails here by kernel name.
     """
 
-    @pytest.fixture(scope="class", params=["batched", "vectorized", "event"])
+    @pytest.fixture(scope="class", params=["batched", "event"])
     def multihop(self, request):
         run = run_experiment(
             "case_study_full",

@@ -1,12 +1,13 @@
-"""Cross-validation of the vectorized fast path against the event kernel.
+"""Cross-validation of the batched lockstep kernel against the event kernel.
 
-The vectorized backend promises *identical* delivery / failure / attempt
+The batched backend promises *identical* delivery / failure / attempt
 counts for the same scenario and master seed (it consumes the same named
 random streams in the same order), and float-precision agreement on powers,
 delays and the per-phase energy split.  These tests pin that contract on
 scenarios exercising the interesting regimes: light load (everything
 delivered), heavy load (busy CCAs, channel access failures, retries) and
-the full 100-node case-study channel.
+the full 100-node case-study channel.  Where the horizon cuts activity the
+reference is the scalar oracle of ``test_lane_oracle.py`` instead.
 """
 
 import math
@@ -16,8 +17,7 @@ import pytest
 
 from repro.mac.csma import CsmaParameters
 from repro.mac.superframe import SuperframeConfig
-from repro.mac.vectorized import (BatchedChannelSimulator, ChannelLane,
-                                  VectorizedChannelSimulator)
+from repro.mac.vectorized import BatchedChannelSimulator, ChannelLane
 from repro.network.node import SensorNode
 from repro.network.scenario import ChannelScenario, DenseNetworkScenario
 from repro.network.simulate import simulate_network
@@ -27,7 +27,7 @@ from repro.network.traffic import build_traffic_model
 
 def run_both(channel_scenario, superframes):
     event = channel_scenario.run(superframes=superframes, backend="event")
-    fast = channel_scenario.run(superframes=superframes, backend="vectorized")
+    fast = channel_scenario.run(superframes=superframes, backend="batched")
     return event, fast
 
 
@@ -171,26 +171,21 @@ class TestTrafficModelCrossValidation:
 
 
 class TestVectorizedProperties:
-    def test_unknown_backend_rejected(self):
+    @pytest.mark.parametrize("backend", ["gpu", "vectorized"])
+    def test_unknown_backend_rejected(self, backend):
         nodes = [SensorNode(node_id=1, channel=11, path_loss_db=65.0,
                             tx_power_dbm=0.0)]
         config = SuperframeConfig(beacon_order=3, superframe_order=3)
         with pytest.raises(ValueError, match="backend"):
-            ChannelScenario(nodes, config).run(superframes=2, backend="gpu")
+            ChannelScenario(nodes, config).run(superframes=2, backend=backend)
 
     def test_superframes_must_be_positive(self):
         nodes = [SensorNode(node_id=1, channel=11, path_loss_db=65.0)]
         config = SuperframeConfig(beacon_order=3, superframe_order=3)
-        simulator = VectorizedChannelSimulator(nodes, config,
-                                               tx_levels_dbm=[0.0])
+        simulator = BatchedChannelSimulator(
+            [ChannelLane(nodes=nodes, tx_levels_dbm=[0.0], seed=0)], config)
         with pytest.raises(ValueError):
             simulator.run(superframes=0)
-
-    def test_tx_levels_must_align_with_nodes(self):
-        nodes = [SensorNode(node_id=1, channel=11, path_loss_db=65.0)]
-        config = SuperframeConfig(beacon_order=3, superframe_order=3)
-        with pytest.raises(ValueError):
-            VectorizedChannelSimulator(nodes, config, tx_levels_dbm=[0.0, 0.0])
 
     def test_zero_delivery_channel_reports_none_delay(self):
         """Out-of-range nodes deliver nothing; the delay must be None."""
@@ -210,8 +205,8 @@ class TestBatchedNetworkEquivalenceMatrix:
 
     One :class:`BatchedChannelSimulator` call spans every (channel,
     replication) lane of a network run; it must reproduce the per-channel
-    kernels *row for row* — identical integer counts, float-precision
-    powers, delays and energy splits.  The matrix pins that contract over
+    event kernel fan-out *row for row* — identical integer counts,
+    float-precision powers, delays and energy splits.  The matrix pins that contract over
     every registered traffic model, both superframe structures
     (full-active and duty-cycled SO < BO) and the 1 / 3 / 16 channel
     fan-outs the case study scales across.
@@ -260,14 +255,9 @@ class TestBatchedNetworkEquivalenceMatrix:
             return simulate_network(spec, superframes=4, seed=5,
                                     backend=backend)
 
-        event = run("event")
-        vectorized = run("vectorized")
-        batched = run("batched")
         config = f"{model}/BO{beacon_order}SO{superframe_order}/{channels}ch"
-        self.assert_rows_match(vectorized, event,
-                               f"vectorized vs event ({config})")
-        self.assert_rows_match(batched, vectorized,
-                               f"batched vs vectorized ({config})")
+        self.assert_rows_match(run("batched"), run("event"),
+                               f"batched vs event ({config})")
 
 
 class TestBatchedLaneIndependence:
@@ -328,67 +318,30 @@ class TestBatchedLaneIndependence:
             self.run_batch([bad])
 
 
-class TestCompatReferencePath:
-    """The retained pre-batching reference kernel stays bit-equivalent.
+class TestRawStreamProbe:
+    """The batched kernel replays raw ``uint64`` streams through numpy's
+    own draw transformations; the probe checks those identities against
+    the running numpy, and a failed probe must stop the kernel loudly."""
 
-    ``REPRO_MAC_COMPAT`` (or a numpy whose raw streams fail the replay
-    probe) routes every lockstep run through the per-lane scalar reference
-    implementation — the kernel the batched fast path's speedup is
-    measured against.  It must keep producing the exact counts and
-    float-identical energies of the fast path across the same regimes the
-    cross-validation suite pins.
-    """
+    @staticmethod
+    def build_channel():
+        nodes = [SensorNode(node_id=i, channel=11, path_loss_db=70.0,
+                            tx_power_dbm=0.0) for i in range(1, 17)]
+        config = SuperframeConfig(beacon_order=2, superframe_order=2)
+        return ChannelScenario(nodes, config, payload_bytes=100, seed=5)
 
-    SCENARIOS = {
-        "heavy-load": dict(path_loss_db=70.0, beacon_order=2,
-                           superframe_order=2, node_count=16, traffic=None),
-        "lossy-links": dict(path_loss_db=93.0, beacon_order=3,
-                            superframe_order=3, node_count=6, traffic=None),
-        "duty-cycled-poisson": dict(path_loss_db=70.0, beacon_order=4,
-                                    superframe_order=2, node_count=8,
-                                    traffic="poisson"),
-        "battery-life-extension": dict(path_loss_db=70.0, beacon_order=2,
-                                       superframe_order=2, node_count=12,
-                                       traffic=None, ble=True),
-    }
-
-    def build_channel(self, path_loss_db, beacon_order, superframe_order,
-                      node_count, traffic, ble=False):
-        nodes = [SensorNode(node_id=i, channel=11,
-                            path_loss_db=path_loss_db, tx_power_dbm=0.0)
-                 for i in range(1, node_count + 1)]
-        config = SuperframeConfig(beacon_order=beacon_order,
-                                  superframe_order=superframe_order)
-        params = (CsmaParameters.from_mac_constants(
-                      battery_life_extension=True) if ble else None)
-        model = (build_traffic_model(traffic, payload_bytes=100)
-                 if traffic else None)
-        return ChannelScenario(nodes, config, payload_bytes=100, seed=5,
-                               csma_params=params, traffic=model)
-
-    @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
-    def test_reference_kernel_matches_the_fast_path(self, scenario,
-                                                    monkeypatch):
-        settings = self.SCENARIOS[scenario]
-        fast = self.build_channel(**settings).run(superframes=8,
-                                                  backend="vectorized")
-        monkeypatch.setenv("REPRO_MAC_COMPAT", "1")
-        reference = self.build_channel(**settings).run(superframes=8,
-                                                       backend="vectorized")
-        assert_summaries_match(fast, reference)
-
-    def test_probe_failure_routes_to_the_reference_kernel(self, monkeypatch):
-        """A numpy whose raw streams do not replay bit-for-bit must fall
-        back to the reference kernel rather than drift silently."""
+    def test_probe_failure_stops_the_batched_kernel(self, monkeypatch):
+        """A numpy whose raw streams do not replay bit-for-bit must raise
+        rather than drift silently; the event kernel still runs."""
         import repro.mac.vectorized as vectorized
 
         monkeypatch.setattr(vectorized, "_raw_compat", False)
-        fallback = self.build_channel(**self.SCENARIOS["heavy-load"]).run(
-            superframes=4, backend="vectorized")
-        monkeypatch.setattr(vectorized, "_raw_compat", True)
-        fast = self.build_channel(**self.SCENARIOS["heavy-load"]).run(
-            superframes=4, backend="vectorized")
-        assert_summaries_match(fast, fallback)
+        channel = self.build_channel()
+        with pytest.raises(RuntimeError, match=np.__version__) as error:
+            channel.run(superframes=4, backend="batched")
+        assert 'backend="event"' in str(error.value)
+        assert channel.run(superframes=4, backend="event") \
+            .packets_attempted > 0
 
     def test_probe_detects_mismatched_integer_streams(self):
         from repro.mac.vectorized import _probe_matches
@@ -427,7 +380,7 @@ class TestCompatReferencePath:
 
 
 class TestTrendsAtScale:
-    """The vectorized backend must reproduce the analytical model's trends
+    """The batched backend must reproduce the analytical model's trends
     when the channel is scaled from validation size to the paper's 100
     nodes — failure probability grows with load, power stays in the
     sub-milliwatt regime the model predicts."""
@@ -438,7 +391,7 @@ class TestTrendsAtScale:
         for nodes in (20, 100):
             scenario = DenseNetworkScenario(seed=1)
             channel = scenario.channel_scenario(11, max_nodes=nodes, seed=6)
-            out[nodes] = channel.run(superframes=12, backend="vectorized")
+            out[nodes] = channel.run(superframes=12, backend="batched")
         return out
 
     def test_failure_probability_grows_with_population(self, summaries):
@@ -460,125 +413,3 @@ class TestTrendsAtScale:
         interval = DenseNetworkScenario(seed=1).superframe_config().beacon_interval_s
         for summary in summaries.values():
             assert 0.0 < summary.mean_delivery_delay_s < interval
-
-
-class TestHorizonCutRegimes:
-    """Fast path and reference kernel agree where the horizon cuts activity.
-
-    ``BO == SO == 0`` makes the last CAP end exactly at the simulation
-    horizon, so saturated bursts drive contention chains, retry resumes
-    and deferred wake-ups across the cut — the kill paths a long
-    duty-cycled run never reaches.  Each scenario pins the fast kernel
-    against the retained reference kernel bit-for-bit: counts exactly,
-    power, delay and per-phase energies to 1e-9.
-
-    Scope: with no stagger every device contends on the same
-    backoff-slot grid, so dense bursts can produce float-identical event
-    times, where the kernels' tie orders legitimately differ (the event
-    and reference kernels disagree there too).  The scenarios below were
-    chosen tie-free — except ``zero-backoff``, where ties are structural
-    (every backoff is zero slots) and the contract weakens to exact
-    counts.  Event-kernel agreement across the cut holds at count level
-    only in the sparse regimes; the dense ones reorder the cut's last
-    few samples.
-    """
-
-    SCENARIOS = {
-        # busy-backoff resume past the horizon; retry resume after a
-        # lost acknowledgement crossing the cut
-        "retry-resume-cut": dict(node_count=10, path_loss_db=95.0,
-                                 seed=6, superframes=4),
-        # clear-CCA window escaping to the heap straight past the cut
-        "window-escape-cut": dict(node_count=10, path_loss_db=95.0,
-                                  seed=26, superframes=4),
-        # 31-slot backoffs carry devices past the next beacon: the next
-        # attempt defers a whole superframe
-        "deferred-wakeups": dict(node_count=12, path_loss_db=90.0,
-                                 seed=4, superframes=6, backoff_exponent=5),
-        # same carry-over, but the deferred first CCA lands beyond the
-        # horizon and the device dies in phase A
-        "deferred-wakeup-killed": dict(node_count=12, path_loss_db=90.0,
-                                       seed=8, superframes=6,
-                                       backoff_exponent=5),
-        # deep backoff chains killed mid-contention at the cut
-        "backoff-chain-cut": dict(node_count=12, path_loss_db=90.0,
-                                  seed=10, superframes=6,
-                                  backoff_exponent=5),
-        # a lone lossy device defers so hard whole superframes pass
-        # without a single schedulable CCA
-        "single-node-retries": dict(node_count=1, path_loss_db=97.0,
-                                    seed=7, superframes=20,
-                                    backoff_exponent=5),
-    }
-
-    #: BE pinned at 0: every CCA lands on the same instant, so event
-    #: ordering at ties differs between the kernels and only the
-    #: transaction counts are pinned.
-    ZERO_BACKOFF = dict(node_count=3, path_loss_db=95.0, seed=5,
-                        superframes=4, backoff_exponent=0)
-
-    #: Sparse enough that the event kernel's cut resolves the same
-    #: transaction outcomes (denser bursts reorder the last samples).
-    EVENT_COUNT_AGREEMENT = ("single-node-retries", "zero-backoff")
-
-    def build_channel(self, node_count, path_loss_db, seed,
-                      backoff_exponent=None):
-        nodes = [SensorNode(node_id=i, channel=11,
-                            path_loss_db=path_loss_db, tx_power_dbm=0.0)
-                 for i in range(1, node_count + 1)]
-        config = SuperframeConfig(beacon_order=0, superframe_order=0)
-        params = None
-        if backoff_exponent is not None:
-            params = CsmaParameters(min_be=backoff_exponent,
-                                    max_be=backoff_exponent)
-        return ChannelScenario(nodes, config, payload_bytes=100, seed=seed,
-                               csma_params=params)
-
-    def run_scenario(self, settings, backend="vectorized"):
-        settings = dict(settings)
-        superframes = settings.pop("superframes")
-        return self.build_channel(**settings).run(superframes=superframes,
-                                                  backend=backend)
-
-    @staticmethod
-    def assert_counts_match(expected, actual, context):
-        for field in ("packets_attempted", "packets_delivered",
-                      "channel_access_failures", "collisions"):
-            assert getattr(actual, field) == getattr(expected, field), (
-                f"{field} diverges {context}")
-
-    @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
-    def test_reference_kernel_matches_across_the_horizon_cut(
-            self, scenario, monkeypatch):
-        settings = self.SCENARIOS[scenario]
-        fast = self.run_scenario(settings)
-        monkeypatch.setenv("REPRO_MAC_COMPAT", "1")
-        reference = self.run_scenario(settings)
-        assert_summaries_match(reference, fast)
-
-    def test_zero_backoff_counts_match_the_reference(self, monkeypatch):
-        fast = self.run_scenario(self.ZERO_BACKOFF)
-        monkeypatch.setenv("REPRO_MAC_COMPAT", "1")
-        reference = self.run_scenario(self.ZERO_BACKOFF)
-        self.assert_counts_match(
-            reference, fast,
-            "between the fast and reference kernels at BE=0")
-
-    @pytest.mark.parametrize("scenario", EVENT_COUNT_AGREEMENT)
-    def test_event_kernel_counts_agree_in_sparse_cut_regimes(self, scenario):
-        settings = (self.ZERO_BACKOFF if scenario == "zero-backoff"
-                    else self.SCENARIOS[scenario])
-        fast = self.run_scenario(settings)
-        event = self.run_scenario(settings, backend="event")
-        self.assert_counts_match(
-            event, fast, f"between the event and fast kernels ({scenario})")
-
-    @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
-    def test_the_cut_leaves_unresolved_attempts(self, scenario):
-        """Every scenario must actually lose work to the horizon —
-        otherwise it stopped exercising the cut paths it exists for."""
-        summary = self.run_scenario(self.SCENARIOS[scenario])
-        unresolved = (summary.packets_attempted - summary.packets_delivered
-                      - summary.channel_access_failures)
-        assert unresolved > 0, (
-            f"{scenario} no longer drives any transaction into the cut")

@@ -10,8 +10,8 @@ over randomly drawn topologies rather than hand-picked grids:
 * forwarding multipliers conserve bytes — the multiplier sum equals the
   total hop count, because each node's traffic crosses ``depth`` links;
 * trees are pure functions of ``(topology, model, seed)`` — a fresh
-  interpreter derives the identical tree, which is what lets the event,
-  vectorized and batched kernels (and every fan-out worker) agree.
+  interpreter derives the identical tree, which is what lets the event
+  and batched kernels (and every fan-out worker) agree.
 """
 
 import subprocess

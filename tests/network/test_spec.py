@@ -59,6 +59,7 @@ class TestScenarioSpec:
         {"superframes_hint": 0},
         {"num_channels": 99},
         {"path_loss_low_db": 80.0, "path_loss_high_db": 60.0},
+        {"backend": "vectorized"},
     ])
     def test_invalid_specs_rejected(self, kwargs):
         with pytest.raises(ValueError):
@@ -161,10 +162,12 @@ class TestSimulateNetwork:
             assert 0.0 <= row["failure_probability"] <= 1.0
 
     def test_serial_and_parallel_rows_identical(self, spec):
+        """The event backend is the one a process pool fans out (the
+        batched kernel ignores the executor)."""
         serial = simulate_network(spec, superframes=3, seed=5,
-                                  max_nodes_per_channel=6)
+                                  max_nodes_per_channel=6, backend="event")
         parallel = simulate_network(spec, superframes=3, seed=5,
-                                    max_nodes_per_channel=6,
+                                    max_nodes_per_channel=6, backend="event",
                                     executor=ProcessExecutor(jobs=2))
         assert serial == parallel
 

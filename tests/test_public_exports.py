@@ -29,7 +29,8 @@ PUBLIC_SURFACE = {
     "repro.mac": ["MacConstants", "MAC_2450MHZ", "CsmaParameters",
                   "SlottedCsmaCa", "BeaconFrame", "DataFrame", "AckFrame",
                   "GtsManager", "IndirectQueue", "Superframe",
-                  "SuperframeConfig", "AssociationService", "CommandFrame"],
+                  "SuperframeConfig", "AssociationService", "CommandFrame",
+                  "BatchedChannelSimulator", "ChannelLane"],
     "repro.contention": ["ContentionSimulator", "ContentionStatistics",
                          "ContentionTable", "build_contention_table",
                          "ClosedFormContentionModel"],
@@ -46,7 +47,7 @@ PUBLIC_SURFACE = {
                    "EnergyBreakdown", "TimeBreakdown", "ImprovementAnalysis",
                    "CaseStudy", "LifetimeAnalysis", "SensitivityAnalysis"],
     "repro.analysis": ["format_table", "Series", "SeriesCollection",
-                       "ParameterSweep", "ExperimentReport"],
+                       "ExperimentReport", "typed_key"],
     "repro.experiments": ["run_fig3_radio_characterization", "run_fig4_ber",
                           "run_fig6_csma", "run_fig7_link_adaptation",
                           "run_fig8_packet_size", "run_fig9_breakdown",
