@@ -184,9 +184,9 @@ class Session:
     def experiments(self) -> List[ExperimentSpec]:
         """Every registered experiment, sorted by name.
 
-        Each spec carries its typed parameter schema (``spec.schema``),
-        output columns and runtime estimate — everything
-        ``python -m repro list --verbose`` prints.
+        Each spec carries its typed parameter schema (``spec.schema``) and
+        output columns — everything ``python -m repro list --verbose``
+        prints.
         """
         return list(self._registry)
 

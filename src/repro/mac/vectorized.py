@@ -29,13 +29,18 @@ random streams in the same order* as the event-driven kernel
 (``device[<id>]`` for stagger and backoff draws, ``coordinator`` for packet
 corruption draws, ``traffic[<id>]`` for per-node packet arrivals, see
 :class:`repro.sim.random.RandomStreams`) and applies the same timing rules
-(CCA sampled at the end of its slot, traffic polled at the superframe
+(CCA sampled at the end of its slot, traffic seen at the superframe
 boundary, deferral checks against the contention access period, the
-``run(until=horizon)`` event cut-off).  Delivery / failure / attempt counts
-are therefore *identical* to the event kernel's — and identical whether a
-lane runs alone or batched with fifteen others — and energies agree to
-float-summation-order precision.  This is asserted by the cross-validation
-matrix in ``tests/mac/test_vectorized.py``.
+``run(until=horizon)`` event cut-off).  Traffic is the one stream read
+differently: the event kernel and the test oracle poll each source at every
+beacon, while this kernel reads each fresh source's whole arrival schedule
+at set-up (:meth:`repro.network.traffic.TrafficSource.packet_counts`, drawn
+from the same ``traffic[<id>]`` streams) and keeps a per-device packet
+backlog.  Delivery / failure / attempt counts are therefore *identical* to
+the event kernel's — and identical whether a lane runs alone or batched
+with fifteen others — and energies agree to float-summation-order
+precision.  This is asserted by the cross-validation matrix in
+``tests/mac/test_vectorized.py``.
 
 To batch the variate draws, the kernel replays each stream's raw
 ``uint64`` output (``BitGenerator.random_raw``) and applies numpy's own
@@ -56,6 +61,11 @@ produce silently different variates, and ``backend="event"`` remains
 available.  A scalar per-lane oracle that draws from the generators
 directly lives with the tests (``tests/mac/test_lane_oracle.py``); it is
 the reference for this kernel at the simulation horizon.
+
+Memory: a call holds one fresh bit generator per stream, ``devices x 192``
+raw words (the merge loop reads them in place) and the ``devices x
+superframes`` arrival schedule.  Nothing is cached across calls, so a
+long-lived process does not grow with each new seed.
 
 Known departure: within a lane, simultaneous events are ordered by device
 index, while the event kernel orders them by scheduling sequence.  Exact
@@ -146,50 +156,21 @@ def _make_data_frame(payload_bytes: int) -> DataFrame:
                      ack_request=True, payload=bytes(payload_bytes))
 
 
+def _stream_bit_generator(master_seed: int,
+                          entropy: int) -> np.random.PCG64:
+    """The bit generator behind the stream whose name hashes to ``entropy``.
+
+    ``RandomStreams(master_seed).get(name)`` wraps exactly this
+    ``PCG64(SeedSequence(master_seed, spawn_key=(entropy,)))``; the raw
+    replay never calls the ``Generator`` around it.
+    """
+    return np.random.PCG64(np.random.SeedSequence(entropy=master_seed,
+                                                  spawn_key=(entropy,)))
+
+
 # ---------------------------------------------------------------------------
 # raw-stream compatibility probe
 # ---------------------------------------------------------------------------
-
-def _device_bit_generator(master_seed: Optional[int],
-                          name: str) -> np.random.BitGenerator:
-    """The bit generator behind ``RandomStreams(master_seed).get(name)``."""
-    from repro.sim.random import _name_to_entropy
-    seed_seq = np.random.SeedSequence(entropy=master_seed,
-                                      spawn_key=(_name_to_entropy(name),))
-    return np.random.default_rng(seed_seq).bit_generator
-
-
-#: Freshly-seeded PCG64 states keyed by ``(master_seed, stream_entropy)``.
-#: SeedSequence hashing plus PCG64 seeding dominate the batched kernel's
-#: setup at paper scale (~15 us x 1600 devices), and callers — the bench
-#: harness, replication fan-outs, the test matrix — re-run identical seeds
-#: back to back; restoring a cached state costs half a fresh construction.
-_pcg_states: Dict = {}
-_PCG_STATE_CACHE_MAX = 65536
-_pcg_template: Optional[np.random.SeedSequence] = None
-
-#: ``device[<id>]`` stream-name entropies keyed by node id — the name
-#: hash is pure, and the same node ids recur in every lane and run.
-_device_entropies: Dict[int, int] = {}
-
-
-def _seeded_pcg64(master_seed: int, entropy: int) -> np.random.PCG64:
-    """``PCG64(SeedSequence(master_seed, spawn_key=(entropy,)))``, cached."""
-    global _pcg_template
-    key = (master_seed, entropy)
-    state = _pcg_states.get(key)
-    if state is None:
-        generator = np.random.PCG64(np.random.SeedSequence(
-            entropy=master_seed, spawn_key=(entropy,)))
-        if len(_pcg_states) < _PCG_STATE_CACHE_MAX:
-            _pcg_states[key] = generator.state
-        return generator
-    if _pcg_template is None:
-        _pcg_template = np.random.SeedSequence(0)
-    generator = np.random.PCG64(_pcg_template)
-    generator.state = state
-    return generator
-
 
 def _probe_matches(real: np.random.Generator,
                    raw: np.random.BitGenerator) -> bool:
@@ -389,41 +370,52 @@ class BatchedChannelSimulator:
             and not forwarding
 
         # ---- per-lane streams (identical names to the event kernel) --------
-        # Bit generators are constructed directly from the stream names'
-        # seed sequences — the exact derivation ``RandomStreams.get`` uses
-        # (``default_rng(seq)`` wraps ``PCG64(seq)``) without the Generator
-        # objects the raw replay never calls.
+        # Every stream starts fresh from its name's seed sequence, so no
+        # generator state outlives the call.  Traffic sources are read once
+        # here: ``new_packets[d, k]`` is what device ``d`` gains at beacon
+        # ``k``, from the same ``traffic[<id>]`` streams the event kernel
+        # polls.
         from repro.sim.random import _name_to_entropy
         coordinator_entropy = _name_to_entropy("coordinator")
-        entropy_cache = _device_entropies
+        # replication lanes repeat node ids: hash each stream name once
+        device_entropy = {node_id: _name_to_entropy(f"device[{node_id}]")
+                          for node_id in {node.node_id for lane in lanes
+                                          for node in lane.nodes}}
         device_bgs: List[np.random.BitGenerator] = []
         coordinator_bgs: List[np.random.BitGenerator] = []
-        sources: List = []
+        if not saturated:
+            poll_times = np.arange(superframes) * interval
+            new_packets = np.zeros((n, superframes), dtype=np.int32)
         programmed_flat: List[float] = []
         pe_flat: List[float] = []
         ppdu_bytes = frame.ppdu_bytes
-        for lane in lanes:
+        for lane_index, lane in enumerate(lanes):
             master = lane.seed
             coordinator_bgs.append(
-                _seeded_pcg64(master, coordinator_entropy))
-            for node in lane.nodes:
-                entropy = entropy_cache.get(node.node_id)
-                if entropy is None:
-                    entropy = _name_to_entropy(f"device[{node.node_id}]")
-                    entropy_cache[node.node_id] = entropy
-                device_bgs.append(_seeded_pcg64(master, entropy))
+                _stream_bit_generator(master, coordinator_entropy))
+            device_bgs.extend(
+                _stream_bit_generator(master, device_entropy[node.node_id])
+                for node in lane.nodes)
             if not saturated:
-                sources.extend(make_lane_sources(
+                sources = make_lane_sources(
                     traffic_model,
                     [node.node_id for node in lane.nodes],
                     RandomStreams(master), tree=lane.tree,
-                    hop_lag_s=interval))
+                    hop_lag_s=interval)
+                for device, source in enumerate(sources,
+                                                int(bounds[lane_index])):
+                    new_packets[device] = source.packet_counts(poll_times)
             programmed = [profile.tx_level(level).level_dbm
                           for level in lane.tx_levels_dbm]
             programmed_flat.extend(programmed)
             pe_flat.extend(
                 node.link().packet_error_probability(level, ppdu_bytes)
                 for node, level in zip(lane.nodes, programmed))
+        if not saturated:
+            # cumulative counts -> packets gained at each beacon; a device
+            # with a packet drains one, so ``queued`` is its backlog
+            new_packets[:, 1:] = np.diff(new_packets, axis=1)
+            queued = np.zeros(n, dtype=np.int64)
 
         # ---- raw draw state -------------------------------------------------
         raws = np.zeros((n, _RAW_CHUNK), dtype=np.uint64)
@@ -433,14 +425,9 @@ class BatchedChannelSimulator:
         u32_mask = np.uint64(0xFFFFFFFF)
         shift_32 = np.uint64(32)
 
-        #: Lazily materialised Python-int mirror of each device's raw row,
-        #: used by the merge loop's scalar draws; invalidated on refill.
-        row_cache: List[Optional[List[int]]] = [None] * n
-
         def refill(needing: np.ndarray) -> None:
             for device in needing.tolist():
                 raws[device] = device_bgs[device].random_raw(_RAW_CHUNK)
-                row_cache[device] = None
             rptr[needing] = 0
 
         def take_u64_vec(ids: np.ndarray) -> np.ndarray:
@@ -556,16 +543,11 @@ class BatchedChannelSimulator:
                 ids2 = ids
                 arrival2 = arrival
             else:
-                has_packet = np.zeros(ids.size, dtype=bool)
-                id_list = ids.tolist()
-                arrival_list = arrival.tolist()
-                for position, device in enumerate(id_list):
-                    source = sources[device]
-                    if source.poll(beacon_at):
-                        source.drain_packet()
-                        has_packet[position] = True
-                    else:
-                        dev_now[device] = arrival_list[position]
+                buffered = queued[ids] + new_packets[ids, round_index]
+                has_packet = buffered > 0
+                queued[ids] = buffered - has_packet
+                idle = ~has_packet
+                dev_now[ids[idle]] = arrival[idle]
                 ids2 = ids[has_packet]
                 arrival2 = arrival[has_packet]
                 if ids2.size == 0:
@@ -646,6 +628,7 @@ class BatchedChannelSimulator:
             lr = rptr.tolist()
             lh = half_has.tolist()
             lv = half_val.tolist()
+            raws_item = raws.item  # one raw word as a python int
             heap_push = heappush
             heap_pop = heappop
             for lane_index in range(lane_count):
@@ -785,18 +768,10 @@ class BatchedChannelSimulator:
                                 else:
                                     pointer = lr[device]
                                     if pointer == _RAW_CHUNK:
-                                        fresh = device_bgs[device] \
+                                        raws[device] = device_bgs[device] \
                                             .random_raw(_RAW_CHUNK)
-                                        raws[device] = fresh
-                                        row = fresh.tolist()
-                                        row_cache[device] = row
                                         pointer = 0
-                                    else:
-                                        row = row_cache[device]
-                                        if row is None:
-                                            row = raws[device].tolist()
-                                            row_cache[device] = row
-                                    word = row[pointer]
+                                    word = raws_item(device, pointer)
                                     lr[device] = pointer + 1
                                     lv[device] = word >> 32
                                     lh[device] = True

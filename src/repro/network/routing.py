@@ -483,6 +483,17 @@ class ForwardingSource(TrafficSource):
                 return
         raise RuntimeError("No sub-source has a full packet")  # pragma: no cover
 
+    def packet_counts(self, times_s: np.ndarray) -> np.ndarray:
+        # Sub-queues hold whole packets and never pool, so the relay has a
+        # packet iff their summed queue is non-empty: the summed counts
+        # drive the same queue as the parts.
+        times_s = np.asarray(times_s, dtype=float)
+        counts = self.own.packet_counts(times_s)
+        for source, lag_s in self.relayed:
+            counts = counts + source.packet_counts(
+                np.maximum(source.start_time_s, times_s - lag_s))
+        return counts
+
 
 def make_lane_sources(model: TrafficModel, node_ids: Sequence[int], streams,
                       tree: Optional[SinkTree] = None,

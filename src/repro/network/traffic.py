@@ -28,14 +28,17 @@ makes the traffic shape a first-class axis:
     is buffered; :meth:`TrafficSource.drain_packet` removes one.  Sources
     conserve bytes (``bytes_deposited == bytes_drained + buffered_bytes``)
     and never emit a packet before ``payload_bytes`` have accumulated —
-    properties the test suite checks with hypothesis.
+    properties the test suite checks with hypothesis.  The batched kernel
+    reads a fresh source's whole arrival schedule at once instead
+    (:meth:`TrafficSource.packet_counts`).
 
 Determinism contract: a source draws only from the generator handed to
 ``make_source`` (the per-node ``traffic[<id>]`` stream of
-:class:`repro.sim.random.RandomStreams`), lazily and in arrival-time order,
-so for the same master seed the event-driven and batched kernels — which
-poll at identical beacon instants — observe byte-identical arrival
-processes regardless of executor or backend.
+:class:`repro.sim.random.RandomStreams`), in arrival-time order, so for the
+same master seed the event-driven kernel (which polls at the beacon
+instants) and the batched kernel (which reads the schedule at the same
+instants) observe byte-identical arrival processes regardless of executor
+or backend.
 """
 
 from __future__ import annotations
@@ -64,8 +67,9 @@ class TrafficSource(abc.ABC):
     """Stateful per-node packet feed consumed by both MAC kernels.
 
     Subclasses implement :meth:`_advance` (move the arrival process forward
-    in time) and expose :attr:`buffered_bytes`/:attr:`bytes_deposited`; the
-    base class provides the kernel-facing protocol — :meth:`poll`,
+    in time) and :meth:`packet_counts` (the whole arrival schedule at once)
+    and expose :attr:`buffered_bytes`/:attr:`bytes_deposited`; the base
+    class provides the kernel-facing protocol — :meth:`poll`,
     :meth:`packet_available`, :meth:`drain_packet` — and the conservation
     bookkeeping.
     """
@@ -95,6 +99,19 @@ class TrafficSource(abc.ABC):
 
     def _on_drain(self) -> None:
         """Hook: remove one payload from the subclass's buffer."""
+
+    @abc.abstractmethod
+    def packet_counts(self, times_s: np.ndarray) -> np.ndarray:
+        """Whole packets a fresh source has deposited by each poll time.
+
+        ``times_s`` must be ascending.  Entry ``k`` counts every packet the
+        source has made drainable by ``times_s[k]``, drained ones included.
+        A kernel that drains one packet at each poll finding one therefore
+        holds ``queued + counts[k] - counts[k-1]`` packets at poll ``k``,
+        and has one to send iff that is at least one.  Consumes the
+        source's random stream: call it on a fresh source, instead of
+        polling.
+        """
 
     # -- kernel-facing protocol ---------------------------------------------------
     @property
@@ -157,6 +174,10 @@ class SaturatedSource(TrafficSource):
 
     def _on_drain(self) -> None:
         pass
+
+    def packet_counts(self, times_s: np.ndarray) -> np.ndarray:
+        # one packet per poll keeps the kernel's queue from ever emptying
+        return np.arange(1, len(times_s) + 1)
 
 
 @dataclass
@@ -232,6 +253,16 @@ class BufferedTrafficSource(TrafficSource):
     def _on_drain(self) -> None:
         self._buffered_bytes -= self.traffic.payload_bytes
 
+    def packet_counts(self, times_s: np.ndarray) -> np.ndarray:
+        # deposit_until's sample count, elementwise in the same float order
+        traffic = self.traffic
+        elapsed = np.asarray(times_s, dtype=float) - self.start_time_s
+        samples = np.floor(elapsed / traffic.sampling_interval_s
+                           + _BOUNDARY_EPS).astype(np.int64)
+        deposited = self.initial_buffered_bytes \
+            + np.maximum(samples, 0) * traffic.sample_bytes
+        return deposited // traffic.payload_bytes
+
 
 class PacketQueueSource(TrafficSource):
     """Queue of whole-packet arrivals drawn lazily from a seeded process.
@@ -277,6 +308,20 @@ class PacketQueueSource(TrafficSource):
     def _on_drain(self) -> None:
         self._queued_packets -= 1
 
+    def packet_counts(self, times_s: np.ndarray) -> np.ndarray:
+        # the events _advance would draw on its way to the last poll
+        times_s = np.asarray(times_s, dtype=float)
+        until_s = times_s[-1] if times_s.size else self.start_time_s
+        events: List[float] = []
+        deposited = [0]
+        event_s, packets = self._next_arrival(self.start_time_s)
+        while event_s <= until_s:
+            events.append(event_s)
+            deposited.append(deposited[-1] + packets)
+            event_s, packets = self._next_arrival(event_s)
+        return np.array(deposited)[np.searchsorted(events, times_s,
+                                                   side="right")]
+
 
 class _PoissonSource(PacketQueueSource):
     """Memoryless packet arrivals (exponential interarrival times)."""
@@ -288,6 +333,25 @@ class _PoissonSource(PacketQueueSource):
 
     def _next_arrival(self, previous_s: float) -> Tuple[float, int]:
         return previous_s + float(self._rng.exponential(self._mean_s)), 1
+
+    def packet_counts(self, times_s: np.ndarray) -> np.ndarray:
+        # One packet per event, so a count is the number of events so far.
+        # ``exponential(size=k)`` yields the variates of k scalar draws, and
+        # ``cumsum`` adds each gap to the previous time in sequence, exactly
+        # as ``previous_s + gap`` does: the event times are bit-identical.
+        times_s = np.asarray(times_s, dtype=float)
+        until_s = times_s[-1] if times_s.size else self.start_time_s
+        last_s = self.start_time_s
+        # the expected event count plus headroom: usually one draw suffices
+        size = int(max(0.0, until_s - last_s) / self._mean_s * 1.25) + 8
+        chunks = [np.zeros(0)]
+        while last_s <= until_s:
+            chunk = self._rng.exponential(self._mean_s, size=size)
+            chunk[0] += last_s
+            chunk.cumsum(out=chunk)
+            chunks.append(chunk)
+            last_s = chunk[-1]
+        return np.concatenate(chunks).searchsorted(times_s, side="right")
 
 
 class _BurstSource(PacketQueueSource):

@@ -9,8 +9,8 @@ one orchestrated system:
 * :mod:`repro.runner.registry` — :class:`ExperimentSpec` and the registry
   lookup with helpful errors;
 * :mod:`repro.runner.catalog` — the declarative catalogue of every paper
-  experiment (name, typed schema, outputs, runtime estimate); light to
-  import, it reaches each adapter only when the experiment computes;
+  experiment (name, typed schema, outputs); light to import, it reaches
+  each adapter only when the experiment computes;
 * :mod:`repro.runner.result` — :class:`RunResult`, the first-class result
   object every engine run returns (rows, metric accessors, provenance,
   deterministic ``to_table``/``to_json``/``to_csv``);

@@ -1,8 +1,8 @@
 """The declarative catalogue of every paper experiment.
 
 Each :class:`~repro.runner.registry.ExperimentSpec` here names one
-experiment, its typed parameter schema, its output columns and its runtime
-estimate.  Everything a warm run, ``python -m repro list`` or a
+experiment, its typed parameter schema and its output columns.
+Everything a warm run, ``python -m repro list`` or a
 :class:`repro.api.Session` needs — parameter resolution and the cache key —
 comes from this module, which imports neither numpy nor the simulation
 stack.  An experiment's adapter in :mod:`repro.runner.drivers` (and with
@@ -103,7 +103,7 @@ def build_default_registry() -> ExperimentRegistry:
         ],
         output_names=("load", "packet_bytes", "t_cont_s", "n_cca",
                       "pr_col", "pr_cf", "samples"),
-        expected_runtime_s=3.0, supports_jobs=True))
+        supports_jobs=True))
     registry.register(ExperimentSpec(
         name="fig3_radio", figure="Fig. 3",
         title="CC2420 state powers, transition times and energies",
@@ -113,8 +113,7 @@ def build_default_registry() -> ExperimentRegistry:
                       doc="energy-scavenging power budget the idle draw is "
                           "compared against [uW]"),
         ],
-        output_names=REPORT_COLUMNS,
-        expected_runtime_s=0.1))
+        output_names=REPORT_COLUMNS))
     registry.register(ExperimentSpec(
         name="fig4_ber", figure="Fig. 4",
         title="Bit error rate vs received power and the eq. (1) regression",
@@ -124,8 +123,7 @@ def build_default_registry() -> ExperimentRegistry:
                       doc="bits pushed through the wired test bench per "
                           "receive-power point"),
         ],
-        output_names=("series", "x", "y"),
-        expected_runtime_s=5.0))
+        output_names=("series", "x", "y")))
     registry.register(ExperimentSpec(
         name="fig6_csma", figure="Fig. 6",
         title="Slotted CSMA/CA contention quantities vs load and packet size",
@@ -141,7 +139,7 @@ def build_default_registry() -> ExperimentRegistry:
         ],
         output_names=("payload_bytes", "load", "on_air_bytes",
                       "t_cont_s", "n_cca", "pr_col", "pr_cf"),
-        expected_runtime_s=2.0, supports_jobs=True))
+        supports_jobs=True))
     registry.register(ExperimentSpec(
         name="fig7_link", figure="Fig. 7",
         title="Link adaptation: optimal energy per bit vs path loss",
@@ -154,7 +152,7 @@ def build_default_registry() -> ExperimentRegistry:
             _num_windows(15),
         ],
         output_names=("series", "x", "y"),
-        expected_runtime_s=8.0, supports_jobs=True))
+        supports_jobs=True))
     registry.register(ExperimentSpec(
         name="fig8_packet", figure="Fig. 8",
         title="Energy per bit vs payload size",
@@ -168,7 +166,7 @@ def build_default_registry() -> ExperimentRegistry:
             _num_windows(15),
         ],
         output_names=("series", "x", "y"),
-        expected_runtime_s=5.0, supports_jobs=True))
+        supports_jobs=True))
     registry.register(ExperimentSpec(
         name="fig9_breakdown", figure="Fig. 9",
         title="Energy per phase and time per state breakdowns",
@@ -180,7 +178,7 @@ def build_default_registry() -> ExperimentRegistry:
             _num_windows(15),
         ],
         output_names=REPORT_COLUMNS,
-        expected_runtime_s=6.0, supports_jobs=True))
+        supports_jobs=True))
     registry.register(ExperimentSpec(
         name="case_study", figure="Section 5",
         title="Dense-network case study headline numbers",
@@ -192,7 +190,7 @@ def build_default_registry() -> ExperimentRegistry:
             _num_windows(15),
         ],
         output_names=REPORT_COLUMNS,
-        expected_runtime_s=8.0, supports_jobs=True))
+        supports_jobs=True))
     registry.register(ExperimentSpec(
         name="improvements", figure="Section 6",
         title="Improvement perspectives: faster transitions, scalable receiver",
@@ -209,7 +207,7 @@ def build_default_registry() -> ExperimentRegistry:
             _num_windows(15),
         ],
         output_names=REPORT_COLUMNS,
-        expected_runtime_s=10.0, supports_jobs=True))
+        supports_jobs=True))
     registry.register(ExperimentSpec(
         name="case_study_full", figure="Section 5 (simulated)",
         title="Full-scale packet-level simulation of the dense-network "
@@ -287,7 +285,7 @@ def build_default_registry() -> ExperimentRegistry:
                       "packets_delivered", "channel_access_failures",
                       "collisions", "failure_probability", "mean_power_uw",
                       "mean_delivery_delay_s", "energy_by_phase_j"),
-        expected_runtime_s=20.0, supports_jobs=True))
+        supports_jobs=True))
     registry.register(ExperimentSpec(
         name="model_vs_sim", figure="Section 4 (validation)",
         title="Analytical model vs packet-level MAC simulation",
@@ -301,5 +299,5 @@ def build_default_registry() -> ExperimentRegistry:
             _num_windows(15),
         ],
         output_names=REPORT_COLUMNS,
-        expected_runtime_s=15.0, supports_jobs=True))
+        supports_jobs=True))
     return registry

@@ -216,8 +216,8 @@ def build_parser(argv: Optional[Sequence[str]] = None
 
 def _command_list(arguments: argparse.Namespace) -> int:
     registry = default_registry()
-    headers = ["name", "figure", "~runtime [s]", "parallel", "title"]
-    rows = [[spec.name, spec.figure, spec.expected_runtime_s,
+    headers = ["name", "figure", "parallel", "title"]
+    rows = [[spec.name, spec.figure,
              "yes" if spec.supports_jobs else "-", spec.title]
             for spec in registry]
     print(format_table(headers, rows, title="Registered experiments"))

@@ -1,11 +1,11 @@
 """Registry of every figure / case-study experiment the engine can run.
 
 An :class:`ExperimentSpec` declares what one driver reproduces — its name,
-the paper artefact, the tunable parameters with their defaults, the output
-columns and a runtime estimate — plus the adapter callable that actually
-executes it.  The registry is the single source the CLI, the examples and
-the tests resolve experiments from, so ``python -m repro list`` is always
-the authoritative catalogue.
+the paper artefact, the tunable parameters with their defaults and the
+output columns — plus the adapter callable that actually executes it.  The
+registry is the single source the CLI, the examples and the tests resolve
+experiments from, so ``python -m repro list`` is always the authoritative
+catalogue.
 
 The default registry is populated lazily (on the first
 :func:`default_registry` call) from :mod:`repro.runner.catalog`, which
@@ -64,16 +64,13 @@ class ExperimentSpec:
     output_names:
         Names of the columns of the result rows (documentation; shown by
         ``python -m repro list``).
-    expected_runtime_s:
-        Rough single-core runtime of the default parameters (serial, cold
-        cache), so users know what to expect before launching.
     supports_jobs:
         Whether the adapter actually fans work out to the executor; serial
         drivers still accept ``--jobs`` but will not use the pool.
     """
 
     __slots__ = ("name", "title", "figure", "runner", "schema",
-                 "output_names", "expected_runtime_s", "supports_jobs")
+                 "output_names", "supports_jobs")
 
     def __init__(self, name: str, title: str = "", figure: str = "",
                  runner: Optional[Callable[[Mapping[str, Any], "RunContext"],
@@ -81,7 +78,6 @@ class ExperimentSpec:
                  *,
                  params: Optional[Iterable[ParamSpec]] = None,
                  output_names: Tuple[str, ...] = (),
-                 expected_runtime_s: float = 1.0,
                  supports_jobs: bool = False):
         if isinstance(params, ParamSchema):
             schema = params
@@ -93,7 +89,6 @@ class ExperimentSpec:
         self.runner = runner
         self.schema = schema
         self.output_names = tuple(output_names)
-        self.expected_runtime_s = expected_runtime_s
         self.supports_jobs = supports_jobs
 
     @property

@@ -10,7 +10,9 @@ the full 100-node case-study channel.  Where the horizon cuts activity the
 reference is the scalar oracle of ``test_lane_oracle.py`` instead.
 """
 
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -316,6 +318,35 @@ class TestBatchedLaneIndependence:
         bad = ChannelLane(nodes=lane.nodes, tx_levels_dbm=[0.0], seed=1)
         with pytest.raises(ValueError, match="transmit level"):
             self.run_batch([bad])
+
+
+class TestCallScopedState:
+    """The kernel's state belongs to one call, so long-lived processes
+    (``Session``, ``repro serve``) do not grow with every new seed."""
+
+    def test_fresh_seeds_retain_no_memory(self):
+        config = SuperframeConfig(beacon_order=3, superframe_order=3)
+        nodes = [SensorNode(node_id=i, channel=11, path_loss_db=70.0,
+                            tx_power_dbm=0.0) for i in range(1, 41)]
+        traffic = build_traffic_model("poisson", payload_bytes=100)
+
+        def run(first_seed):
+            lanes = [ChannelLane(nodes=nodes, tx_levels_dbm=[0.0] * 40,
+                                 seed=first_seed + lane)
+                     for lane in range(4)]
+            BatchedChannelSimulator(lanes, config=config, payload_bytes=100,
+                                    traffic=traffic).run(superframes=4)
+
+        run(1000)  # warm-up: imports, the raw-stream probe, lazy caches
+        tracemalloc.start()
+        try:
+            for first_seed in (2000, 3000, 4000):
+                run(first_seed)
+            gc.collect()
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert retained < 64 * 1024
 
 
 class TestRawStreamProbe:

@@ -11,7 +11,10 @@ over randomly drawn topologies rather than hand-picked grids:
   total hop count, because each node's traffic crosses ``depth`` links;
 * trees are pure functions of ``(topology, model, seed)`` — a fresh
   interpreter derives the identical tree, which is what lets the event
-  and batched kernels (and every fan-out worker) agree.
+  and batched kernels (and every fan-out worker) agree;
+* a relay's arrival schedule (``ForwardingSource.packet_counts``) gives
+  the batched kernel the has-packet flags lazy polling gives the event
+  kernel, with replicas lagged 0, 1 and 2 hops.
 """
 
 import subprocess
@@ -22,10 +25,15 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.network.routing import (ForwardingLoad, GradientRouting,
-                                   MinHopRouting, _bfs_depths)
+from repro.constants import TRAFFIC_MODEL_KINDS
+from repro.mac.superframe import SuperframeConfig
+from repro.network.routing import (ForwardingLoad, ForwardingSource,
+                                   GradientRouting, MinHopRouting, SinkTree,
+                                   _bfs_depths, make_lane_sources)
 from repro.network.topology import (SINK_NODE_ID, NetworkTopology,
                                     uniform_disc_placement)
+from repro.network.traffic import build_traffic_model
+from repro.sim.random import RandomStreams
 
 SRC = Path(__file__).resolve().parents[2] / "src"
 
@@ -124,3 +132,38 @@ class TestCrossProcessDeterminism:
         network = disc_network(17, 20)
         tree = build(network, "min_hop", 4, tie_seed=42)
         assert str(sorted(tree.parent.items())) == runs[0].stdout.strip()
+
+
+class TestForwardingSchedule:
+    # 1 -> sink, 2 -> 1, 3 -> 2: relay 1 replays node 2 one hop and node 3
+    # two hops behind; relay 2 replays node 3 one hop behind.
+    CHAIN = SinkTree(parent={1: 0, 2: 1, 3: 2}, depth={1: 1, 2: 2, 3: 3},
+                     link_loss_db={1: 70.0, 2: 71.0, 3: 72.0})
+
+    @settings(max_examples=60, deadline=None)
+    @given(kind=st.sampled_from(TRAFFIC_MODEL_KINDS),
+           beacon_order=st.integers(min_value=0, max_value=8),
+           order_gap=st.integers(min_value=0, max_value=3),
+           superframes=st.integers(min_value=1, max_value=40),
+           seed=placement_seeds,
+           rate_scale=st.floats(min_value=0.25, max_value=4.0),
+           lagged=st.booleans())
+    def test_relay_schedule_matches_polling(self, check_schedule, kind,
+                                            beacon_order, order_gap,
+                                            superframes, seed, rate_scale,
+                                            lagged):
+        superframe_order = max(0, beacon_order - order_gap)
+        interval = SuperframeConfig(
+            beacon_order=beacon_order,
+            superframe_order=superframe_order).beacon_interval_s
+        model = build_traffic_model(kind, rate_scale=rate_scale)
+        # zero lag pools replicas with the relay's own feed at each poll
+        hop_lag_s = interval if lagged else 0.0
+        for relay in (0, 1):
+            def make():
+                return make_lane_sources(model, [1, 2, 3],
+                                         RandomStreams(seed),
+                                         tree=self.CHAIN,
+                                         hop_lag_s=hop_lag_s)[relay]
+            assert isinstance(make(), ForwardingSource)
+            check_schedule(make, beacon_order, superframe_order, superframes)

@@ -4,8 +4,9 @@ Covers the periodic sensing arithmetic, every registered
 :class:`repro.network.traffic.TrafficModel`, and the properties the MAC
 kernels rely on: byte conservation (deposited == drained + buffered), no
 packet before ``payload_bytes`` accumulated, boundary samples drainable in
-the superframe they land on, and seeded sources that reproduce the same
-arrival process regardless of how the polling is chunked.
+the superframe they land on, seeded sources that reproduce the same
+arrival process regardless of how the polling is chunked, and arrival
+schedules (``packet_counts``) that match lazy polling on beacon grids.
 """
 
 import math
@@ -16,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.mac.superframe import SuperframeConfig
 from repro.network.traffic import (TRAFFIC_MODEL_KINDS, BufferedTrafficSource,
                                    BurstyAlarmTraffic, MixedPopulation,
                                    PeriodicSensingTraffic, PoissonTraffic,
@@ -406,3 +408,102 @@ class TestBuildTrafficModel:
                      for fraction, component in model.components}
         assert fractions["bursty"] == pytest.approx(0.25)
         assert fractions["periodic"] == pytest.approx(0.75)
+
+
+# Beacon grids of the schedule checks: SO never moves a poll instant, but
+# the grids cover SO < BO alongside SO = BO.
+beacon_orders = st.integers(min_value=0, max_value=8)
+order_gaps = st.integers(min_value=0, max_value=3)
+horizons = st.integers(min_value=1, max_value=60)
+seeds = st.integers(min_value=0, max_value=2**32 - 1)
+
+
+def superframe_order(beacon_order, gap):
+    return max(0, beacon_order - gap)
+
+
+class TestArrivalSchedule:
+    """``packet_counts`` drives the batched kernel's queue exactly as lazy
+    ``poll``/``drain_packet`` drive the event kernel's, beacon by beacon."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(bo=beacon_orders, gap=order_gaps, superframes=horizons,
+           sampling_ms=st.floats(min_value=0.5, max_value=40.0),
+           initial=st.integers(min_value=0, max_value=360))
+    def test_periodic_from_any_initial_buffer(self, check_schedule, bo, gap,
+                                              superframes, sampling_ms,
+                                              initial):
+        traffic = PeriodicSensingTraffic(sampling_interval_s=sampling_ms
+                                         * 1e-3)
+        check_schedule(lambda: BufferedTrafficSource(
+                           traffic=traffic, initial_buffered_bytes=initial),
+                       bo, superframe_order(bo, gap), superframes)
+
+    @settings(max_examples=30, deadline=None)
+    @given(bo=beacon_orders, gap=order_gaps, superframes=horizons,
+           beacons_per_packet=st.integers(min_value=1, max_value=4),
+           primed=st.booleans())
+    def test_periodic_boundary_samples(self, check_schedule, bo, gap,
+                                       superframes, beacons_per_packet,
+                                       primed):
+        """Packets complete exactly on beacons; the boundary sample counts."""
+        so = superframe_order(bo, gap)
+        interval = SuperframeConfig(beacon_order=bo,
+                                    superframe_order=so).beacon_interval_s
+        traffic = PeriodicSensingTraffic(
+            sampling_interval_s=interval * beacons_per_packet / 120)
+
+        def make():
+            if primed:
+                return traffic.make_source()
+            return BufferedTrafficSource(traffic=traffic)
+
+        flags = check_schedule(make, bo, so, superframes)
+        expected = [(k % beacons_per_packet == 0) if k else primed
+                    for k in range(superframes)]
+        assert flags == expected
+
+    @settings(max_examples=40, deadline=None)
+    @given(bo=beacon_orders, gap=order_gaps, superframes=horizons,
+           seed=seeds, mean_s=st.floats(min_value=0.01, max_value=20.0))
+    def test_poisson(self, check_schedule, bo, gap, superframes, seed,
+                     mean_s):
+        traffic = PoissonTraffic(mean_interval_s=mean_s)
+        check_schedule(
+            lambda: traffic.make_source(rng=np.random.default_rng(seed)),
+            bo, superframe_order(bo, gap), superframes)
+
+    @settings(max_examples=40, deadline=None)
+    @given(bo=beacon_orders, gap=order_gaps, superframes=horizons,
+           seed=seeds, mean_s=st.floats(min_value=0.05, max_value=40.0),
+           burst=st.floats(min_value=1.0, max_value=6.0))
+    def test_bursty(self, check_schedule, bo, gap, superframes, seed, mean_s,
+                    burst):
+        traffic = BurstyAlarmTraffic(mean_event_interval_s=mean_s,
+                                     mean_burst_packets=burst)
+        check_schedule(
+            lambda: traffic.make_source(rng=np.random.default_rng(seed)),
+            bo, superframe_order(bo, gap), superframes)
+
+    @settings(max_examples=10, deadline=None)
+    @given(bo=beacon_orders, gap=order_gaps, superframes=horizons)
+    def test_saturated(self, check_schedule, bo, gap, superframes):
+        flags = check_schedule(SaturatedTraffic().make_source, bo,
+                               superframe_order(bo, gap), superframes)
+        assert all(flags)
+
+    @settings(max_examples=30, deadline=None)
+    @given(bo=beacon_orders, gap=order_gaps, superframes=horizons,
+           seed=seeds, fraction=st.floats(min_value=0.05, max_value=0.95),
+           rate_scale=st.floats(min_value=0.25, max_value=4.0),
+           position=st.data())
+    def test_mixed_population_node(self, check_schedule, bo, gap,
+                                   superframes, seed, fraction, rate_scale,
+                                   position):
+        model = build_traffic_model("mixed", mix_fraction=fraction,
+                                    rate_scale=rate_scale)
+        index = position.draw(st.integers(min_value=0, max_value=7))
+        resolved = model.resolve(index, 8)
+        check_schedule(
+            lambda: resolved.make_source(rng=np.random.default_rng(seed)),
+            bo, superframe_order(bo, gap), superframes)

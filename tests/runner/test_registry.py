@@ -93,7 +93,6 @@ class TestDefaultRegistry:
         for spec in default_registry():
             assert spec.title
             assert spec.figure
-            assert spec.expected_runtime_s > 0
             assert spec.output_names
 
     def test_is_built_once(self):
