@@ -54,13 +54,17 @@ bounded-integer / uniform transformations:
   ``uint64`` (bypassing, not clearing, the 32-bit buffer) and map it to
   ``(u64 >> 11) * 2**-53``.
 
-These identities are checked against the running numpy at first use
-(:func:`raw_streams_compatible`); if numpy ever changes its bit-stream
-consumption, :meth:`BatchedChannelSimulator.run` raises rather than
-produce silently different variates, and ``backend="event"`` remains
-available.  A scalar per-lane oracle that draws from the generators
-directly lives with the tests (``tests/mac/test_lane_oracle.py``); it is
-the reference for this kernel at the simulation horizon.
+Every stream of a call is seeded in one vectorised pass
+(:meth:`repro.sim.random.RandomStreams.primed`, numpy's ``SeedSequence``
+arithmetic on arrays) rather than one ``SeedSequence`` object per stream.
+These identities and that seeding are checked against the running numpy
+at first use (:func:`raw_streams_compatible`); if numpy ever changes its
+seeding or bit-stream consumption, :meth:`BatchedChannelSimulator.run`
+raises rather than produce silently different variates, and
+``backend="event"`` remains available.  A scalar per-lane oracle that
+draws from the generators directly lives with the tests
+(``tests/mac/test_lane_oracle.py``); it is the reference for this kernel
+at the simulation horizon.
 
 Memory: a call holds one fresh bit generator per stream, ``devices x 192``
 raw words (the merge loop reads them in place) and the ``devices x
@@ -156,18 +160,6 @@ def _make_data_frame(payload_bytes: int) -> DataFrame:
                      ack_request=True, payload=bytes(payload_bytes))
 
 
-def _stream_bit_generator(master_seed: int,
-                          entropy: int) -> np.random.PCG64:
-    """The bit generator behind the stream whose name hashes to ``entropy``.
-
-    ``RandomStreams(master_seed).get(name)`` wraps exactly this
-    ``PCG64(SeedSequence(master_seed, spawn_key=(entropy,)))``; the raw
-    replay never calls the ``Generator`` around it.
-    """
-    return np.random.PCG64(np.random.SeedSequence(entropy=master_seed,
-                                                  spawn_key=(entropy,)))
-
-
 # ---------------------------------------------------------------------------
 # raw-stream compatibility probe
 # ---------------------------------------------------------------------------
@@ -217,12 +209,33 @@ def _probe_matches(real: np.random.Generator,
     return True
 
 
+def _seeding_matches() -> bool:
+    """Whether one-pass seeding (:meth:`RandomStreams.primed`) opens the
+    streams ``SeedSequence`` seeds one by one, replicas included.
+
+    The probe masters cover one to five 32-bit words (wider than the
+    seed-sequence pool), the names the kernel's three stream kinds.
+    """
+    masters = (0, 987654321, 2**64 + 3, 2**130 + 7)
+    names = ("coordinator", "device[1]", "traffic[4097]")
+    families = RandomStreams.primed([(master, names) for master in masters])
+    for master, primed in zip(masters, families):
+        for name in names:
+            expected = RandomStreams(master).get(name).bit_generator.state
+            if primed.get(name).bit_generator.state != expected \
+                    or primed.replica(name).bit_generator.state != expected:
+                return False
+    return True
+
+
 def raw_streams_compatible() -> bool:
     """Whether this numpy's generators match the raw-stream replay.
 
-    Evaluated once per process and cached; a mismatch (or any error while
-    probing) makes every batched run raise instead of producing silently
-    different variates.
+    Checks the draw transformations (:func:`_probe_matches`) and the
+    one-pass stream seeding (:func:`_seeding_matches`).  Evaluated once
+    per process and cached; a mismatch (or any error while probing) makes
+    every batched run raise instead of producing silently different
+    variates.
     """
     global _raw_compat
     if _raw_compat is None:
@@ -232,7 +245,7 @@ def raw_streams_compatible() -> bool:
             raw = np.random.default_rng(
                 np.random.SeedSequence(entropy=987654321,
                                        spawn_key=(11,))).bit_generator
-            _raw_compat = _probe_matches(real, raw)
+            _raw_compat = _probe_matches(real, raw) and _seeding_matches()
         except Exception:  # pragma: no cover - depends on foreign numpy
             _raw_compat = False
     return _raw_compat
@@ -300,10 +313,10 @@ class BatchedChannelSimulator:
             raise ValueError("superframes must be at least 1")
         if not raw_streams_compatible():
             raise RuntimeError(
-                f"numpy {np.__version__} draws its bounded integers or "
-                f"doubles differently from the raw-stream replay the "
-                f"batched kernel relies on; run with backend=\"event\" "
-                f"instead")
+                f"numpy {np.__version__} seeds its streams or draws its "
+                f"bounded integers or doubles differently from the "
+                f"raw-stream replay the batched kernel relies on; run with "
+                f"backend=\"event\" instead")
         return self._run_batched(superframes)
 
     # -- the batched fast path ------------------------------------------------
@@ -358,6 +371,19 @@ class BatchedChannelSimulator:
         np.cumsum(counts, out=bounds[1:])
         lane_of = np.repeat(np.arange(lane_count), counts)
 
+        # ---- raw draw state -------------------------------------------------
+        # The largest block of the call, allocated before set-up creates
+        # thousands of small long-lived objects: in a long-lived process it
+        # then lands in the space the previous call's block left, instead
+        # of growing the heap past fragments (which cost the 128-lane case
+        # study ~17 MB of peak RSS).
+        raws = np.zeros((n, _RAW_CHUNK), dtype=np.uint64)
+        rptr = np.full(n, _RAW_CHUNK, dtype=np.int64)
+        half_has = np.zeros(n, dtype=bool)
+        half_val = np.zeros(n, dtype=np.uint64)
+        u32_mask = np.uint64(0xFFFFFFFF)
+        shift_32 = np.uint64(32)
+
         traffic_model = self.traffic
         if traffic_model is None:
             traffic_model = SaturatedTraffic(payload_bytes=self.payload_bytes)
@@ -370,17 +396,21 @@ class BatchedChannelSimulator:
             and not forwarding
 
         # ---- per-lane streams (identical names to the event kernel) --------
-        # Every stream starts fresh from its name's seed sequence, so no
-        # generator state outlives the call.  Traffic sources are read once
-        # here: ``new_packets[d, k]`` is what device ``d`` gains at beacon
-        # ``k``, from the same ``traffic[<id>]`` streams the event kernel
-        # polls.
-        from repro.sim.random import _name_to_entropy
-        coordinator_entropy = _name_to_entropy("coordinator")
-        # replication lanes repeat node ids: hash each stream name once
-        device_entropy = {node_id: _name_to_entropy(f"device[{node_id}]")
-                          for node_id in {node.node_id for lane in lanes
-                                          for node in lane.nodes}}
+        # Every stream of the call is seeded in one pass and opened fresh,
+        # so no generator state outlives the call; a lane's family (with
+        # its traffic generators) is dropped once the lane is set up.
+        # Traffic sources are read once here: ``new_packets[d, k]`` is
+        # what device ``d`` gains at beacon ``k``, from the same
+        # ``traffic[<id>]`` streams the event kernel polls.
+        device_names = [[f"device[{node.node_id}]" for node in lane.nodes]
+                        for lane in lanes]
+        traffic_names = [[] if saturated
+                         else [f"traffic[{node.node_id}]"
+                               for node in lane.nodes] for lane in lanes]
+        lane_streams = RandomStreams.primed(
+            [(lane.seed, ["coordinator", *devices, *feeds])
+             for lane, devices, feeds in zip(lanes, device_names,
+                                             traffic_names)])
         device_bgs: List[np.random.BitGenerator] = []
         coordinator_bgs: List[np.random.BitGenerator] = []
         if not saturated:
@@ -389,19 +419,16 @@ class BatchedChannelSimulator:
         programmed_flat: List[float] = []
         pe_flat: List[float] = []
         ppdu_bytes = frame.ppdu_bytes
-        for lane_index, lane in enumerate(lanes):
-            master = lane.seed
-            coordinator_bgs.append(
-                _stream_bit_generator(master, coordinator_entropy))
-            device_bgs.extend(
-                _stream_bit_generator(master, device_entropy[node.node_id])
-                for node in lane.nodes)
+        for lane_index, (lane, streams) in enumerate(zip(lanes,
+                                                         lane_streams)):
+            coordinator_bgs.append(streams.get("coordinator").bit_generator)
+            device_bgs.extend(streams.get(name).bit_generator
+                              for name in device_names[lane_index])
             if not saturated:
                 sources = make_lane_sources(
                     traffic_model,
                     [node.node_id for node in lane.nodes],
-                    RandomStreams(master), tree=lane.tree,
-                    hop_lag_s=interval)
+                    streams, tree=lane.tree, hop_lag_s=interval)
                 for device, source in enumerate(sources,
                                                 int(bounds[lane_index])):
                     new_packets[device] = source.packet_counts(poll_times)
@@ -416,14 +443,6 @@ class BatchedChannelSimulator:
             # with a packet drains one, so ``queued`` is its backlog
             new_packets[:, 1:] = np.diff(new_packets, axis=1)
             queued = np.zeros(n, dtype=np.int64)
-
-        # ---- raw draw state -------------------------------------------------
-        raws = np.zeros((n, _RAW_CHUNK), dtype=np.uint64)
-        rptr = np.full(n, _RAW_CHUNK, dtype=np.int64)
-        half_has = np.zeros(n, dtype=bool)
-        half_val = np.zeros(n, dtype=np.uint64)
-        u32_mask = np.uint64(0xFFFFFFFF)
-        shift_32 = np.uint64(32)
 
         def refill(needing: np.ndarray) -> None:
             for device in needing.tolist():

@@ -48,7 +48,6 @@ from repro.constants import ROUTING_KINDS
 from repro.network.topology import SINK_NODE_ID, NetworkTopology
 from repro.network.traffic import (TrafficModel, TrafficSource,
                                    make_node_sources)
-from repro.sim.random import stream_replica
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +424,7 @@ class ForwardingSource(TrafficSource):
 
     Each descendant contributes an independent *replica* of its arrival
     process (same stream seed, fresh generator — see
-    :func:`repro.sim.random.stream_replica`), lagged by the store-and-
+    :meth:`repro.sim.random.RandomStreams.replica`), lagged by the store-and-
     forward delay its packets accumulate travelling down to this relay.
     Draining serves the relay's own buffer first, then descendants in
     ascending id order.
@@ -528,8 +527,7 @@ def make_lane_sources(model: TrafficModel, node_ids: Sequence[int], streams,
         relayed = []
         for descendant in descendants:
             replica_model = model.resolve(index_of[descendant], population)
-            replica_rng = stream_replica(streams.master_seed,
-                                         f"traffic[{descendant}]")
+            replica_rng = streams.replica(f"traffic[{descendant}]")
             lag_s = (tree.depth[descendant] - tree.depth[node_id]) * hop_lag_s
             relayed.append((replica_model.make_source(rng=replica_rng),
                             lag_s))

@@ -30,6 +30,7 @@ from __future__ import annotations
 import abc
 import math
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -276,11 +277,12 @@ class NetworkTopology:
                 path_loss_model, propagation_distance_m(p.x_m, p.y_m))
             for p in ordered}
         matrix = pairwise_path_losses_db(ordered, path_loss_model)
-        links = {}
-        for i in range(len(ordered)):
-            for j in range(i + 1, len(ordered)):
-                links[(ordered[i].node_id, ordered[j].node_id)] = \
-                    float(matrix[i, j])
+        # an object array hands out the placements' own id objects rather
+        # than a fresh int per dictionary key
+        ids = np.array([p.node_id for p in ordered], dtype=object)
+        rows, cols = np.triu_indices(len(ordered), 1)
+        links = dict(zip(zip(ids[rows].tolist(), ids[cols].tolist()),
+                         matrix[rows, cols].tolist()))
         return cls(placements=ordered, sink_losses_db=sink_losses,
                    link_losses_db=links,
                    max_link_loss_db=float(max_link_loss_db))
@@ -313,19 +315,29 @@ class NetworkTopology:
 
         A neighbour is any node whose link loss does not exceed
         ``max_link_loss_db``; the sink (id 0) appears first when its link
-        qualifies.
+        qualifies.  The lists of every node are built together on the
+        first call, so the loss fields must not be edited after it.
         """
-        result = []
-        if node_id != SINK_NODE_ID:
-            if self.sink_losses_db[node_id] <= self.max_link_loss_db:
-                result.append(SINK_NODE_ID)
-            for other in self.node_ids:
-                if other != node_id and \
-                        self.link_loss_db(node_id, other) <= self.max_link_loss_db:
-                    result.append(other)
-            return result
-        return [other for other in self.node_ids
-                if self.sink_losses_db[other] <= self.max_link_loss_db]
+        return list(self._neighbour_table()[node_id])
+
+    def _neighbour_table(self) -> Dict[int, List[int]]:
+        table = self.__dict__.get("_neighbours")
+        if table is None:
+            limit = self.max_link_loss_db
+            links = self.link_losses_db
+            usable = np.fromiter(links.values(), dtype=float,
+                                 count=len(links)) <= limit
+            peers: Dict[int, List[int]] = {n: [] for n in self.node_ids}
+            for a, b in compress(links, usable.tolist()):
+                peers[a].append(b)
+                peers[b].append(a)
+            sink_usable = {n: self.sink_losses_db[n] <= limit for n in peers}
+            table = {SINK_NODE_ID: [n for n in peers if sink_usable[n]]}
+            for n, others in peers.items():
+                table[n] = ([SINK_NODE_ID] if sink_usable[n] else []) \
+                    + sorted(others)
+            self._neighbours = table
+        return table
 
     def star(self) -> StarTopology:
         """The trivial 1-hop projection (direct sink links only)."""

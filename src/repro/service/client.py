@@ -50,7 +50,8 @@ class ServiceClient:
                                         timeout=self.timeout_s) as reply:
                 return reply.read().decode("utf-8")
         except urllib.error.HTTPError as error:
-            text = error.read().decode("utf-8", errors="replace")
+            with error:  # an unread, unclosed error reply leaks its socket
+                text = error.read().decode("utf-8", errors="replace")
             try:
                 body = json.loads(text)
             except json.JSONDecodeError:

@@ -34,7 +34,8 @@ from typing import Any, Dict, Optional, Tuple
 
 from repro.api import (ParameterValueError, Session, UnknownExperimentError,
                        UnknownParameterError, UnknownSweepError, code_version)
-from repro.service.jobs import JobSpec, JobSpecError, canonicalize
+from repro.service.jobs import (JobSpec, JobSpecError, JobState,
+                                canonicalize)
 from repro.service.store import JobStore
 from repro.service.worker import WorkerPool
 
@@ -74,6 +75,8 @@ class ServiceState:
             return 400, {"error": message}
         receipt = self.store.submit(job.job_id, job.payload,
                                     cache_key=job.cache_key)
+        if self.pool is not None and receipt["state"] == JobState.QUEUED:
+            self.pool.wake()
         return (201 if receipt["created"] else 200), receipt
 
     def status(self, job_id: str) -> Tuple[int, Dict[str, Any]]:
@@ -132,6 +135,10 @@ class ServiceHandler(BaseHTTPRequestHandler):
 
     server_version = "repro-service/1"
     protocol_version = "HTTP/1.1"
+    #: ``TCP_NODELAY``: a reply is written as a header block then a body,
+    #: and with Nagle on the body waits for the client's (delayed, ~40 ms)
+    #: ACK of the headers on every keep-alive request.
+    disable_nagle_algorithm = True
 
     @property
     def state(self) -> ServiceState:

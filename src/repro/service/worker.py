@@ -25,6 +25,13 @@ and every idle loop opportunistically requeues stale claims of *other*
 (crashed) workers — bounded by the job's attempt budget.  Stopping a pool
 is a graceful drain: workers finish the job in hand, claim nothing new,
 and exit.
+
+Latency: an idle worker sleeps at most ``poll_interval_s`` between claims,
+and :meth:`WorkerPool.wake` (called by the HTTP frontend whenever a
+submission leaves a job queued) cuts that sleep short for the workers of
+the same process.  The timed poll remains the fallback for jobs queued by
+another ``serve`` process on the same store, and it paces stale-claim
+recovery.
 """
 
 from __future__ import annotations
@@ -76,11 +83,14 @@ class Worker:
         self.heartbeat_interval_s = heartbeat_interval_s
         self.stale_after_s = stale_after_s
         self.tracer = Tracer(name=f"worker:{worker_id}")
+        #: Set to end an idle wait early (a job was queued, or stop).
+        self.wakeup = threading.Event()
 
     # -- the loop -----------------------------------------------------------------
     def run_forever(self, stop: threading.Event) -> None:
         """Drain the store until ``stop`` is set (graceful: the job in
-        hand always completes; only *claiming* stops)."""
+        hand always completes; only *claiming* stops).  Whoever sets
+        ``stop`` should also set :attr:`wakeup` so an idle wait ends now."""
         while not stop.is_set():
             record = self.store.claim(self.worker_id)
             if record is None:
@@ -90,7 +100,12 @@ class Worker:
                                       recovered["requeued"]
                                       + recovered["failed"])
                     continue
-                stop.wait(self.poll_interval_s)
+                self.wakeup.wait(self.poll_interval_s)
+                # Cleared before the next claim, so a wake-up that lands
+                # while that claim runs stays set and ends the next wait.
+                # The event is this worker's own: a peer's clear cannot
+                # swallow it.
+                self.wakeup.clear()
                 continue
             self.execute(record)
 
@@ -206,9 +221,15 @@ class WorkerPool:
             thread.start()
             self._threads.append(thread)
 
+    def wake(self) -> None:
+        """End every idle worker's poll wait (a job was just queued)."""
+        for worker in self.workers:
+            worker.wakeup.set()
+
     def stop(self, timeout: Optional[float] = 30.0) -> None:
         """Graceful drain: stop claiming, finish jobs in hand, join."""
         self._stop.set()
+        self.wake()
         for thread in self._threads:
             thread.join(timeout=timeout)
         self._threads = []

@@ -21,7 +21,8 @@ from repro.network.geometry import (
     propagation_distance_m,
     rx_power_threshold_dbm,
 )
-from repro.network.topology import NodePlacement
+from repro.network.topology import (NodePlacement, clustered_placement,
+                                    grid_placement, uniform_disc_placement)
 from repro.phy.error_model import EmpiricalBerModel, packet_error_probability
 
 
@@ -92,6 +93,60 @@ class TestPairwisePathLosses:
         sink_loss = deterministic_path_loss_db(
             None, propagation_distance_m(0.0, 12.0))
         assert losses[1, 2] == sink_loss  # (12,0)-(12,12) is a 12 m link
+
+
+def reference_pairwise_losses(placements, model=None):
+    """The per-pair scalar double loop the vectorised matrix must equal."""
+    count = len(placements)
+    losses = np.zeros((count, count))
+    for i in range(count):
+        for j in range(i + 1, count):
+            distance = propagation_distance_m(
+                placements[i].x_m, placements[i].y_m,
+                placements[j].x_m, placements[j].y_m)
+            losses[i, j] = losses[j, i] = \
+                deterministic_path_loss_db(model, distance)
+    return losses
+
+
+class TestPairwiseMatchesTheScalarLoop:
+    """Losses are evaluated once per distinct displacement and scattered;
+    every entry must equal the scalar per-pair evaluation bit for bit."""
+
+    @pytest.mark.parametrize("count", [100, 400])
+    def test_grid(self, count):
+        placements = grid_placement(count, 12.0)
+        assert np.array_equal(pairwise_path_losses_db(placements),
+                              reference_pairwise_losses(placements))
+
+    def test_disc(self):
+        placements = uniform_disc_placement(
+            100, 60.0, np.random.default_rng(3))
+        model = LogDistancePathLoss(exponent=2.7)
+        assert np.array_equal(pairwise_path_losses_db(placements, model),
+                              reference_pairwise_losses(placements, model))
+
+    def test_cluster(self):
+        placements = clustered_placement(
+            100, 4, 60.0, 8.0, np.random.default_rng(4))
+        model = FreeSpacePathLoss()
+        assert np.array_equal(pairwise_path_losses_db(placements, model),
+                              reference_pairwise_losses(placements, model))
+
+    def test_coincident_points_take_the_clamp(self):
+        placements = [NodePlacement(node_id=1, x_m=3.5, y_m=-2.0),
+                      NodePlacement(node_id=2, x_m=3.5, y_m=-2.0),
+                      NodePlacement(node_id=3, x_m=-3.5, y_m=2.0)]
+        losses = pairwise_path_losses_db(placements)
+        assert np.array_equal(losses, reference_pairwise_losses(placements))
+        assert losses[0, 1] == deterministic_path_loss_db(
+            None, MIN_PROPAGATION_DISTANCE_M)
+
+    def test_fewer_than_two_placements(self):
+        assert pairwise_path_losses_db([]).shape == (0, 0)
+        single = [NodePlacement(node_id=1, x_m=1.0, y_m=1.0)]
+        assert np.array_equal(pairwise_path_losses_db(single),
+                              np.zeros((1, 1)))
 
 
 class TestRxPowerThreshold:

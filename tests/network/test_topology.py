@@ -176,6 +176,40 @@ class TestNetworkTopology:
         assert neighbours[0] == 0
         assert neighbours[1:] == sorted(neighbours[1:])
 
+    @pytest.mark.parametrize("kind", ["grid", "disc", "cluster"])
+    def test_neighbors_match_a_per_node_scan(self, kind):
+        """The neighbour lists are built once for the whole topology; each
+        must equal a scan of that node's links against the threshold."""
+        model = build_topology_model(kind)
+        network = model.build_network(list(range(3, 203, 2)),
+                                      rng=np.random.default_rng(8))
+        limit = network.max_link_loss_db
+        assert network.neighbors(0) == [
+            n for n in network.node_ids
+            if network.sink_loss_db(n) <= limit]
+        for node in network.node_ids:
+            expected = [0] if network.sink_loss_db(node) <= limit else []
+            expected += [other for other in network.node_ids
+                         if other != node
+                         and network.link_loss_db(node, other) <= limit]
+            assert network.neighbors(node) == expected
+
+    def test_neighbors_of_a_topology_built_field_by_field(self):
+        built = self.topology(count=12)
+        direct = NetworkTopology(placements=list(built.placements),
+                                 sink_losses_db=dict(built.sink_losses_db),
+                                 link_losses_db=dict(reversed(
+                                     list(built.link_losses_db.items()))),
+                                 max_link_loss_db=built.max_link_loss_db)
+        assert direct == built
+        for node in [0] + built.node_ids:
+            assert direct.neighbors(node) == built.neighbors(node)
+
+    def test_neighbors_returns_a_copy(self):
+        topology = self.topology()
+        topology.neighbors(1).append(99)
+        assert 99 not in topology.neighbors(1)
+
     def test_star_projection_keeps_sink_losses(self):
         topology = self.topology()
         star = topology.star()

@@ -1,5 +1,7 @@
 """Tests of the worker pool: execution, dedup, crash requeue, drain."""
 
+import sys
+import threading
 import time
 
 import pytest
@@ -154,6 +156,53 @@ class TestPool:
         assert store.get(job).heartbeat_unix_s > first_beat
 
 
+class TestWakeUp:
+    def test_every_submit_is_claimed_promptly_under_contention(self, store):
+        """Submits wake idle workers of the same process, so a job waits
+        for a claim, not for the 5 s poll.  More workers than cores and a
+        tiny switch interval interleave submits, claims and waits as
+        finely as the interpreter allows; one lost wake-up costs 5 s."""
+        from repro.service import ServiceState
+
+        session = _RecordingSession()
+        pool = WorkerPool(store, lambda: session, workers=4,
+                          poll_interval_s=5.0)
+        state = ServiceState(Session(cache=False), store, pool)
+        submitted = {}
+        previous_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            pool.start()
+            threads = [thread for thread in threading.enumerate()
+                       if thread.name.startswith("worker-")]
+            assert len(threads) == 4
+            for seed in range(1, 41):
+                submitted[seed] = time.monotonic()
+                status, receipt = state.submit(
+                    {"kind": "run", "name": "fig3_radio", "seed": seed})
+                assert status == 201 and receipt["state"] == JobState.QUEUED
+                time.sleep(0.002 * (seed % 4))
+            assert pool.wait_idle(timeout=30, poll_interval_s=0.01)
+            stop_started = time.monotonic()
+            pool.stop(timeout=10)
+            stop_s = time.monotonic() - stop_started
+            for thread in threads:
+                thread.join(timeout=10)
+        finally:
+            sys.setswitchinterval(previous_interval)
+            pool.stop(timeout=10)
+        assert not any(thread.is_alive() for thread in threads)
+        assert stop_s < 1.0  # stop wakes the idle workers too
+        assert sorted(session.claimed) == sorted(submitted)
+        assert all(len(times) == 1 for times in session.claimed.values())
+        waits = {seed: session.claimed[seed][0] - submitted[seed]
+                 for seed in submitted}
+        assert max(waits.values()) < 1.0, waits
+        for record in store.jobs():
+            assert record.state == JobState.DONE
+            assert record.attempts == 1
+
+
 # -- stub sessions (duck-typed against the Session surface the worker uses) ----
 
 def submit_run_stub(store, name):
@@ -197,4 +246,17 @@ class _SlowSession(_StubSessionBase):
 
     def run(self, name, *, seed=None, **params):
         time.sleep(self.delay_s)
+        return _StubResult()
+
+
+class _RecordingSession(_StubSessionBase):
+    """Records when each seed's run starts (one session for all workers)."""
+
+    def __init__(self):
+        self.claimed = {}
+        self.lock = threading.Lock()
+
+    def run(self, name, *, seed=None, **params):
+        with self.lock:
+            self.claimed.setdefault(seed, []).append(time.monotonic())
         return _StubResult()

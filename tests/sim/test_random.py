@@ -1,11 +1,13 @@
 """Unit tests of the reproducible random-stream manager."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.random import RandomStreams
+from repro.sim.random import RandomStreams, stream_replica
 
 
 class TestRandomStreams:
@@ -105,3 +107,116 @@ class TestSpawnSeeds:
 
         with pytest.raises(ValueError):
             spawn_seeds(7, "windows", -1)
+
+
+#: Masters around every 32-bit word boundary a seed sequence splits on,
+#: up to one wider than its 128-bit pool.
+SPECIAL_MASTERS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**128 + 1]
+
+masters = st.one_of(st.sampled_from(SPECIAL_MASTERS),
+                    st.integers(min_value=0, max_value=2**130))
+
+
+class TestPrimedStreams:
+    """One-pass seeding must open exactly the streams ``SeedSequence``
+    opens one by one (the batched MAC kernel's equivalence rests on it)."""
+
+    @staticmethod
+    def assert_same_stream(batch, reference):
+        assert batch.bit_generator.state == reference.bit_generator.state
+        assert np.array_equal(batch.bit_generator.random_raw(16),
+                              reference.bit_generator.random_raw(16))
+
+    @settings(max_examples=150, deadline=None)
+    @given(families=st.lists(
+        st.tuples(masters, st.lists(st.text(), min_size=1, max_size=4,
+                                    unique=True)),
+        min_size=1, max_size=4))
+    def test_matches_seed_sequence(self, families):
+        primed = list(RandomStreams.primed(families))
+        assert len(primed) == len(families)
+        for (master, names), streams in zip(families, primed):
+            assert streams.master_seed == master
+            for name in names:
+                self.assert_same_stream(streams.replica(name),
+                                        RandomStreams(master).get(name))
+                self.assert_same_stream(streams.replica(name),
+                                        stream_replica(master, name))
+                self.assert_same_stream(streams.get(name),
+                                        RandomStreams(master).get(name))
+
+    @pytest.mark.parametrize("entropy", [0, 1, 2**32, 2**64 - 1, 2**96 - 1,
+                                         2**128 - 1])
+    def test_short_name_entropies(self, monkeypatch, entropy):
+        """A name hashing to fewer than four 32-bit words is a shorter
+        spawn key; force each length through the name hash."""
+        import repro.sim.random as random_module
+
+        monkeypatch.setattr(random_module, "_name_digest",
+                            lambda name: entropy.to_bytes(16, "little"))
+        for master in SPECIAL_MASTERS:
+            [streams] = RandomStreams.primed([(master, ["x"])])
+            self.assert_same_stream(streams.get("x"),
+                                    RandomStreams(master).get("x"))
+
+    def test_replica_replays_from_variate_zero(self):
+        [streams] = RandomStreams.primed([(5, ["traffic[3]"])])
+        first = streams.get("traffic[3]").random(8)
+        assert np.array_equal(streams.replica("traffic[3]").random(8), first)
+        # an unprimed family replays through the seed sequence
+        plain = RandomStreams(5)
+        assert np.array_equal(plain.replica("traffic[3]").random(8), first)
+        assert "traffic[3]" not in plain
+
+    def test_streams_open_on_first_use_and_reset_to_their_seed(self):
+        [streams] = RandomStreams.primed([(5, ["a", "b"])])
+        assert len(streams) == 0
+        first = streams.get("a").random(4)
+        assert "a" in streams and "b" not in streams
+        streams.reset()
+        assert np.array_equal(streams.get("a").random(4), first)
+
+    def test_unseeded_family_seeds_streams_one_by_one(self):
+        [streams] = RandomStreams.primed([(None, ["a"])])
+        assert streams.master_seed is None
+        assert 0.0 <= streams.get("a").random() < 1.0
+
+    def test_precomputed_words_serve_only_their_own_request(self):
+        """A bit generator reads the seed words through a raw pointer, so
+        any other request than four contiguous uint64 words must raise."""
+        from repro.sim.random import _seed_words_type
+
+        seed_words = _seed_words_type()
+        words = np.arange(8, dtype=np.uint64)
+        assert seed_words(words[:4]).generate_state(4, np.uint64) is not None
+        for request in ((4, np.uint32), (8, np.uint64)):
+            with pytest.raises(ValueError):
+                seed_words(words[:4]).generate_state(*request)
+        with pytest.raises(ValueError):
+            seed_words(words[::2]).generate_state(4, np.uint64)
+
+    def test_negative_master_is_rejected(self):
+        with pytest.raises(ValueError):
+            RandomStreams.primed([(-1, ["a"])])
+
+    def test_seeding_mismatch_stops_the_batched_kernel(self, monkeypatch):
+        """A numpy whose seed sequences drift from the one-pass arithmetic
+        must fail the kernel's first-use probe, not shift its variates."""
+        import repro.mac.vectorized as vectorized
+        import repro.sim.random as random_module
+        from repro.mac.superframe import SuperframeConfig
+        from repro.network.node import SensorNode
+        from repro.network.scenario import ChannelScenario
+
+        exact = random_module._seed_words
+        monkeypatch.setattr(random_module, "_seed_words",
+                            lambda *pairs: exact(*pairs) ^ np.uint64(1))
+        monkeypatch.setattr(vectorized, "_raw_compat", None)
+        nodes = [SensorNode(node_id=i, channel=11, path_loss_db=70.0,
+                            tx_power_dbm=0.0) for i in range(1, 5)]
+        channel = ChannelScenario(
+            nodes, SuperframeConfig(beacon_order=2, superframe_order=2),
+            payload_bytes=100, seed=5)
+        with pytest.raises(RuntimeError,
+                           match=re.escape(f"numpy {np.__version__}")):
+            channel.run(superframes=2, backend="batched")
