@@ -8,23 +8,20 @@ fingerprint), regenerated with ``python -m repro bench`` and guarded in CI
 by a quick-mode run compared against the committed speedups with a 2x
 tolerance.  See :mod:`repro.bench.trajectory` for the schema and
 :mod:`repro.bench.cases` for the tracked workloads.
+
+The names resolve on first access.
 """
 
-from repro.bench.trajectory import (SCHEMA_VERSION, bench_path, build_record,
-                                    compare_records, git_sha,
-                                    machine_fingerprint, read_record,
-                                    write_record)
-from repro.bench.cases import BENCH_CASES, run_bench_case
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "SCHEMA_VERSION",
-    "BENCH_CASES",
-    "bench_path",
-    "build_record",
-    "compare_records",
-    "git_sha",
-    "machine_fingerprint",
-    "read_record",
-    "run_bench_case",
-    "write_record",
-]
+_EXPORTS = {
+    "repro.bench.trajectory": ("SCHEMA_VERSION", "bench_path",
+                               "build_record", "compare_records", "git_sha",
+                               "machine_fingerprint", "read_record",
+                               "write_record"),
+    "repro.bench.cases": ("BENCH_CASES", "run_bench_case"),
+}
+
+__all__ = [name for names in _EXPORTS.values() for name in names]
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

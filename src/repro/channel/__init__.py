@@ -11,25 +11,21 @@ The paper's analysis needs three channel abstractions:
 * the **wired attenuator test bench** used to measure the BER curve of
   Figure 4, reproduced here as a chip-level Monte-Carlo link simulator
   (:mod:`repro.channel.wired`).
+
+The names resolve on first access.
 """
 
-from repro.channel.awgn import AwgnLink
-from repro.channel.fading import CoherenceModel, BlockFadingChannel
-from repro.channel.pathloss import (
-    FreeSpacePathLoss,
-    LogDistancePathLoss,
-    PathLossDistribution,
-    UniformPathLossDistribution,
-)
-from repro.channel.wired import WiredTestBench
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AwgnLink",
-    "CoherenceModel",
-    "BlockFadingChannel",
-    "FreeSpacePathLoss",
-    "LogDistancePathLoss",
-    "PathLossDistribution",
-    "UniformPathLossDistribution",
-    "WiredTestBench",
-]
+_EXPORTS = {
+    "repro.channel.awgn": ("AwgnLink",),
+    "repro.channel.fading": ("CoherenceModel", "BlockFadingChannel"),
+    "repro.channel.pathloss": ("FreeSpacePathLoss", "LogDistancePathLoss",
+                               "PathLossDistribution",
+                               "UniformPathLossDistribution"),
+    "repro.channel.wired": ("WiredTestBench",),
+}
+
+__all__ = [name for names in _EXPORTS.values() for name in names]
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

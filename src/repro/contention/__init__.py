@@ -24,19 +24,20 @@ This package provides
 * :mod:`repro.contention.analytical` — a closed-form approximation of the
   same four quantities, used as an ablation baseline for the Monte-Carlo
   characterisation.
+
+The names resolve on first access.
 """
 
-from repro.contention.analytical import ClosedFormContentionModel
-from repro.contention.monte_carlo import ContentionSimulator, WindowResult
-from repro.contention.statistics import ContentionStatistics, merge_statistics
-from repro.contention.tables import ContentionTable, build_contention_table
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ContentionSimulator",
-    "WindowResult",
-    "ContentionStatistics",
-    "merge_statistics",
-    "ContentionTable",
-    "build_contention_table",
-    "ClosedFormContentionModel",
-]
+_EXPORTS = {
+    "repro.contention.monte_carlo": ("ContentionSimulator", "WindowResult"),
+    "repro.contention.statistics": ("ContentionStatistics",
+                                    "merge_statistics"),
+    "repro.contention.tables": ("ContentionTable", "build_contention_table"),
+    "repro.contention.analytical": ("ClosedFormContentionModel",),
+}
+
+__all__ = [name for names in _EXPORTS.values() for name in names]
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -21,6 +21,12 @@ from repro.constants import PAPER_SEED
 from repro.contention.monte_carlo import ContentionSimulator
 from repro.contention.statistics import ContentionStatistics
 
+#: Grid axes of the shared characterisation (covers every paper figure):
+#: :func:`repro.experiments.common.fast_contention_table` and the engine's
+#: ``contention_table`` experiment characterise the same points.
+TABLE_LOADS = (0.05, 0.1, 0.2, 0.3, 0.42, 0.5, 0.6, 0.75, 0.9)
+TABLE_SIZES = (20, 33, 63, 93, 113, 133)
+
 
 class ContentionTable:
     """Interpolating lookup table of contention statistics.

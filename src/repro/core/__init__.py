@@ -30,61 +30,33 @@ Module                    Content
 ``improvements``          Transition-time and scalable-receiver perspectives
 ``case_study``            The 1600-node dense-network scenario of Section 5
 ========================  =====================================================
+
+The names resolve on first access.
 """
 
-from repro.core.activation_policy import ActivationPolicy, PolicyVariant
-from repro.core.breakdown import EnergyBreakdown, TimeBreakdown
-from repro.core.case_study import CaseStudy, CaseStudyParameters, CaseStudyResult
-from repro.core.energy_model import EnergyModel, ModelConfig, NodeEnergyBudget
-from repro.core.gts_comparison import GtsEnergyModel, GtsVersusContention
-from repro.core.improvements import ImprovementAnalysis, ImprovementResult
-from repro.core.lifetime import (
-    BatterySpec,
-    HarvesterSpec,
-    LifetimeAnalysis,
-    LifetimeReport,
-)
-from repro.core.sensitivity import OperatingPoint, SensitivityAnalysis
-from repro.core.link_adaptation import ChannelInversionPolicy, PowerThreshold
-from repro.core.optimizer import BeaconOrderSelector, PacketSizeOptimizer
-from repro.core.reliability import (
-    delivery_delay_s,
-    energy_per_data_bit_j,
-    packet_error_from_link,
-    transmission_attempt_distribution,
-    transmission_failure_probability,
-    transaction_failure_probability,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ActivationPolicy",
-    "PolicyVariant",
-    "EnergyModel",
-    "ModelConfig",
-    "NodeEnergyBudget",
-    "EnergyBreakdown",
-    "TimeBreakdown",
-    "ChannelInversionPolicy",
-    "PowerThreshold",
-    "PacketSizeOptimizer",
-    "BeaconOrderSelector",
-    "GtsEnergyModel",
-    "GtsVersusContention",
-    "ImprovementAnalysis",
-    "ImprovementResult",
-    "LifetimeAnalysis",
-    "LifetimeReport",
-    "BatterySpec",
-    "HarvesterSpec",
-    "SensitivityAnalysis",
-    "OperatingPoint",
-    "CaseStudy",
-    "CaseStudyParameters",
-    "CaseStudyResult",
-    "transmission_attempt_distribution",
-    "transmission_failure_probability",
-    "transaction_failure_probability",
-    "delivery_delay_s",
-    "energy_per_data_bit_j",
-    "packet_error_from_link",
-]
+_EXPORTS = {
+    "repro.core.activation_policy": ("ActivationPolicy", "PolicyVariant"),
+    "repro.core.energy_model": ("EnergyModel", "ModelConfig",
+                                "NodeEnergyBudget"),
+    "repro.core.breakdown": ("EnergyBreakdown", "TimeBreakdown"),
+    "repro.core.link_adaptation": ("ChannelInversionPolicy", "PowerThreshold"),
+    "repro.core.optimizer": ("PacketSizeOptimizer", "BeaconOrderSelector"),
+    "repro.core.gts_comparison": ("GtsEnergyModel", "GtsVersusContention"),
+    "repro.core.improvements": ("ImprovementAnalysis", "ImprovementResult"),
+    "repro.core.lifetime": ("LifetimeAnalysis", "LifetimeReport",
+                            "BatterySpec", "HarvesterSpec"),
+    "repro.core.sensitivity": ("SensitivityAnalysis", "OperatingPoint"),
+    "repro.core.case_study": ("CaseStudy", "CaseStudyParameters",
+                              "CaseStudyResult"),
+    "repro.core.reliability": ("transmission_attempt_distribution",
+                               "transmission_failure_probability",
+                               "transaction_failure_probability",
+                               "delivery_delay_s", "energy_per_data_bit_j",
+                               "packet_error_from_link"),
+}
+
+__all__ = [name for names in _EXPORTS.values() for name in names]
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -24,29 +24,26 @@ Driver             Paper artefact
 ``improvements``   Section 5/6 — improvement perspectives (−12 %, −15 %)
 ``validation``     Model vs packet-level simulation cross-check
 =================  ======================================================
+
+The names resolve on first access, so reaching one driver loads none of
+the others.
 """
 
-from repro.experiments.common import default_model, fast_contention_table
-from repro.experiments.fig3_radio import run_fig3_radio_characterization
-from repro.experiments.fig4_ber import run_fig4_ber
-from repro.experiments.fig6_csma import run_fig6_csma
-from repro.experiments.fig7_link import run_fig7_link_adaptation
-from repro.experiments.fig8_packet import run_fig8_packet_size
-from repro.experiments.fig9_breakdown import run_fig9_breakdown
-from repro.experiments.case_study import run_case_study
-from repro.experiments.improvements import run_improvements
-from repro.experiments.validation import run_model_vs_simulation
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "default_model",
-    "fast_contention_table",
-    "run_fig3_radio_characterization",
-    "run_fig4_ber",
-    "run_fig6_csma",
-    "run_fig7_link_adaptation",
-    "run_fig8_packet_size",
-    "run_fig9_breakdown",
-    "run_case_study",
-    "run_improvements",
-    "run_model_vs_simulation",
-]
+_EXPORTS = {
+    "repro.experiments.common": ("default_model", "fast_contention_table"),
+    "repro.experiments.fig3_radio": ("run_fig3_radio_characterization",),
+    "repro.experiments.fig4_ber": ("run_fig4_ber",),
+    "repro.experiments.fig6_csma": ("run_fig6_csma",),
+    "repro.experiments.fig7_link": ("run_fig7_link_adaptation",),
+    "repro.experiments.fig8_packet": ("run_fig8_packet_size",),
+    "repro.experiments.fig9_breakdown": ("run_fig9_breakdown",),
+    "repro.experiments.case_study": ("run_case_study",),
+    "repro.experiments.improvements": ("run_improvements",),
+    "repro.experiments.validation": ("run_model_vs_simulation",),
+}
+
+__all__ = [name for names in _EXPORTS.values() for name in names]
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -23,16 +23,12 @@ from functools import lru_cache
 from typing import Optional
 
 from repro.contention.monte_carlo import ContentionSimulator
-from repro.contention.tables import (PAPER_SEED, ContentionTable,
-                                     build_contention_table)
+from repro.contention.tables import (PAPER_SEED, TABLE_LOADS, TABLE_SIZES,
+                                     ContentionTable, build_contention_table)
 from repro.core.energy_model import EnergyModel, ModelConfig
 
 #: Seed used by every experiment so results are reproducible run to run.
 EXPERIMENT_SEED = PAPER_SEED
-
-#: Grid axes of the shared characterisation (covers every paper figure).
-TABLE_LOADS = (0.05, 0.1, 0.2, 0.3, 0.42, 0.5, 0.6, 0.75, 0.9)
-TABLE_SIZES = (20, 33, 63, 93, 113, 133)
 
 
 def _disk_cached_table(num_windows: int, seed: int) -> ContentionTable:

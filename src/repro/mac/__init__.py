@@ -18,61 +18,28 @@ The MAC substrate implements what the paper's scenario relies on:
   analytical model — :mod:`repro.mac.device`, :mod:`repro.mac.coordinator`;
 * the batched lockstep uplink kernel, which simulates many independent
   channel lanes at once — :mod:`repro.mac.vectorized`.
+
+The names resolve on first access: reaching :mod:`repro.mac.constants`
+loads neither the kernels nor numpy.
 """
 
-from repro.mac.commands import (
-    AssociationService,
-    AssociationStatus,
-    CommandFrame,
-    CommandType,
-)
-from repro.mac.constants import MacConstants, MAC_2450MHZ
-from repro.mac.csma import (
-    BatteryLifeExtensionError,
-    CsmaParameters,
-    CsmaResult,
-    CsmaOutcome,
-    SlottedCsmaCa,
-)
-from repro.mac.frames import (
-    AckFrame,
-    AddressingMode,
-    BeaconFrame,
-    DataFrame,
-    MacFrame,
-    mac_overhead_bytes,
-    total_packet_overhead_bytes,
-)
-from repro.mac.gts import GtsDescriptor, GtsManager
-from repro.mac.indirect import IndirectQueue, PendingTransaction
-from repro.mac.superframe import Superframe, SuperframeConfig
-from repro.mac.vectorized import BatchedChannelSimulator, ChannelLane
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AssociationService",
-    "AssociationStatus",
-    "CommandFrame",
-    "CommandType",
-    "MacConstants",
-    "MAC_2450MHZ",
-    "CsmaParameters",
-    "CsmaResult",
-    "CsmaOutcome",
-    "SlottedCsmaCa",
-    "BatteryLifeExtensionError",
-    "MacFrame",
-    "BeaconFrame",
-    "DataFrame",
-    "AckFrame",
-    "AddressingMode",
-    "mac_overhead_bytes",
-    "total_packet_overhead_bytes",
-    "GtsDescriptor",
-    "GtsManager",
-    "IndirectQueue",
-    "PendingTransaction",
-    "Superframe",
-    "SuperframeConfig",
-    "BatchedChannelSimulator",
-    "ChannelLane",
-]
+_EXPORTS = {
+    "repro.mac.commands": ("AssociationService", "AssociationStatus",
+                           "CommandFrame", "CommandType"),
+    "repro.mac.constants": ("MacConstants", "MAC_2450MHZ"),
+    "repro.mac.csma": ("CsmaParameters", "CsmaResult", "CsmaOutcome",
+                       "SlottedCsmaCa", "BatteryLifeExtensionError"),
+    "repro.mac.frames": ("MacFrame", "BeaconFrame", "DataFrame", "AckFrame",
+                         "AddressingMode", "mac_overhead_bytes",
+                         "total_packet_overhead_bytes"),
+    "repro.mac.gts": ("GtsDescriptor", "GtsManager"),
+    "repro.mac.indirect": ("IndirectQueue", "PendingTransaction"),
+    "repro.mac.superframe": ("Superframe", "SuperframeConfig"),
+    "repro.mac.vectorized": ("BatchedChannelSimulator", "ChannelLane"),
+}
+
+__all__ = [name for names in _EXPORTS.values() for name in names]
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -6,76 +6,42 @@ channels, periodic sensing traffic with buffering, sink-tree routing with
 per-hop forwarding load (the NET layer), and the assembly of all of it
 into a runnable packet-level simulation (for cross-validation of the
 analytical model) or into analytical per-channel scenarios.
+
+The names resolve on first access, so an experiment that never builds a
+network never loads this package's modules.
 """
 
-from repro.network.topology import (TOPOLOGY_KINDS, ClusteredTopologyModel,
-                                    DiscTopologyModel, GridTopologyModel,
-                                    NetworkTopology, NodePlacement,
-                                    StarTopology, StarTopologyModel,
-                                    TopologyModel, build_topology_model,
-                                    clustered_placement, grid_placement,
-                                    uniform_disc_placement)
-from repro.network.routing import (ROUTING_KINDS, ForwardingLoad,
-                                   ForwardingSource, GradientRouting,
-                                   MinHopRouting, RoutingModel, SinkTree,
-                                   build_routing_model, depth_breakdown,
-                                   make_lane_sources)
-from repro.network.traffic import (BufferedTrafficSource, BurstyAlarmTraffic,
-                                   MixedPopulation, PeriodicSensingTraffic,
-                                   PoissonTraffic, SaturatedTraffic,
-                                   TrafficModel, TrafficSource,
-                                   build_traffic_model)
-from repro.network.channel_allocation import ChannelAllocator, round_robin_allocation
-from repro.network.node import SensorNode
-from repro.network.scenario import DenseNetworkScenario, ChannelScenario, SimulationSummary
-from repro.network.spec import CASE_STUDY_SPEC, ScenarioSpec, adaptive_tx_levels
-from repro.network.simulate import (ChannelSimTask, aggregate_channel_rows,
-                                    simulate_channel, simulate_network)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "NodePlacement",
-    "StarTopology",
-    "NetworkTopology",
-    "TopologyModel",
-    "StarTopologyModel",
-    "GridTopologyModel",
-    "DiscTopologyModel",
-    "ClusteredTopologyModel",
-    "TOPOLOGY_KINDS",
-    "build_topology_model",
-    "uniform_disc_placement",
-    "grid_placement",
-    "clustered_placement",
-    "RoutingModel",
-    "GradientRouting",
-    "MinHopRouting",
-    "SinkTree",
-    "ForwardingLoad",
-    "ForwardingSource",
-    "ROUTING_KINDS",
-    "build_routing_model",
-    "depth_breakdown",
-    "make_lane_sources",
-    "PeriodicSensingTraffic",
-    "BufferedTrafficSource",
-    "TrafficModel",
-    "TrafficSource",
-    "SaturatedTraffic",
-    "PoissonTraffic",
-    "BurstyAlarmTraffic",
-    "MixedPopulation",
-    "build_traffic_model",
-    "ChannelAllocator",
-    "round_robin_allocation",
-    "SensorNode",
-    "DenseNetworkScenario",
-    "ChannelScenario",
-    "SimulationSummary",
-    "ScenarioSpec",
-    "CASE_STUDY_SPEC",
-    "adaptive_tx_levels",
-    "ChannelSimTask",
-    "simulate_channel",
-    "simulate_network",
-    "aggregate_channel_rows",
-]
+_EXPORTS = {
+    "repro.network.topology": ("NodePlacement", "StarTopology",
+                               "NetworkTopology", "TopologyModel",
+                               "StarTopologyModel", "GridTopologyModel",
+                               "DiscTopologyModel", "ClusteredTopologyModel",
+                               "TOPOLOGY_KINDS", "build_topology_model",
+                               "uniform_disc_placement", "grid_placement",
+                               "clustered_placement"),
+    "repro.network.routing": ("RoutingModel", "GradientRouting",
+                              "MinHopRouting", "SinkTree", "ForwardingLoad",
+                              "ForwardingSource", "ROUTING_KINDS",
+                              "build_routing_model", "depth_breakdown",
+                              "make_lane_sources"),
+    "repro.network.traffic": ("PeriodicSensingTraffic",
+                              "BufferedTrafficSource", "TrafficModel",
+                              "TrafficSource", "SaturatedTraffic",
+                              "PoissonTraffic", "BurstyAlarmTraffic",
+                              "MixedPopulation", "build_traffic_model"),
+    "repro.network.channel_allocation": ("ChannelAllocator",
+                                         "round_robin_allocation"),
+    "repro.network.node": ("SensorNode",),
+    "repro.network.scenario": ("DenseNetworkScenario", "ChannelScenario",
+                               "SimulationSummary"),
+    "repro.network.spec": ("ScenarioSpec", "CASE_STUDY_SPEC",
+                           "adaptive_tx_levels"),
+    "repro.network.simulate": ("ChannelSimTask", "simulate_channel",
+                               "simulate_network", "aggregate_channel_rows"),
+}
+
+__all__ = [name for names in _EXPORTS.values() for name in names]
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

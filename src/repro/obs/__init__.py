@@ -23,30 +23,22 @@ order is stable and whose *every* nondeterministic quantity — wall-clock
 timestamp, monotonic durations, meter statistics, worker ids — lives in
 the single top-level ``"timing"`` field, so comparing traces minus that
 one field is exact (serial vs ``--jobs N``, fresh vs committed golden).
+
+The names resolve on first access, so the tracer loads without the
+artifact and report modules.
 """
 
-from repro.obs.parallel import TracedExecutor
-from repro.obs.report import phase_durations, render_report
-from repro.obs.trace import (TRACE_KIND, TRACE_SCHEMA_VERSION,
-                             deterministic_view, read_trace, validate_trace,
-                             write_trace)
-from repro.obs.tracer import (NULL_TRACER, NullTracer, Span, Tracer,
-                              activate, current_tracer)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Tracer",
-    "Span",
-    "NullTracer",
-    "NULL_TRACER",
-    "activate",
-    "current_tracer",
-    "TracedExecutor",
-    "TRACE_KIND",
-    "TRACE_SCHEMA_VERSION",
-    "write_trace",
-    "read_trace",
-    "validate_trace",
-    "deterministic_view",
-    "render_report",
-    "phase_durations",
-]
+_EXPORTS = {
+    "repro.obs.tracer": ("Tracer", "Span", "NullTracer", "NULL_TRACER",
+                         "activate", "current_tracer"),
+    "repro.obs.parallel": ("TracedExecutor",),
+    "repro.obs.trace": ("TRACE_KIND", "TRACE_SCHEMA_VERSION", "write_trace",
+                        "read_trace", "validate_trace", "deterministic_view"),
+    "repro.obs.report": ("render_report", "phase_durations"),
+}
+
+__all__ = [name for names in _EXPORTS.values() for name in names]
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -13,34 +13,24 @@ The package covers everything the paper's analysis needs from the PHY:
   packet-error conversion of equation (10) — :mod:`repro.phy.error_model`;
 * the channel page / frequency band catalogue (2450 MHz, 915 MHz, 868 MHz)
   — :mod:`repro.phy.bands`.
+
+The names resolve on first access.
 """
 
-from repro.phy.bands import Band, CHANNEL_PAGES, channels_in_band, channel_center_frequency_hz
-from repro.phy.constants import PhyTiming, TIMING_2450MHZ
-from repro.phy.error_model import (
-    AnalyticOqpskErrorModel,
-    EmpiricalBerModel,
-    ErrorModel,
-    packet_error_probability,
-)
-from repro.phy.frame import PhyFrame, PHY_PREAMBLE_BYTES, PHY_SFD_BYTES, PHY_HEADER_BYTES
-from repro.phy.modulation import OqpskDsssModulator, CHIP_SEQUENCES
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Band",
-    "CHANNEL_PAGES",
-    "channels_in_band",
-    "channel_center_frequency_hz",
-    "PhyTiming",
-    "TIMING_2450MHZ",
-    "ErrorModel",
-    "EmpiricalBerModel",
-    "AnalyticOqpskErrorModel",
-    "packet_error_probability",
-    "PhyFrame",
-    "PHY_PREAMBLE_BYTES",
-    "PHY_SFD_BYTES",
-    "PHY_HEADER_BYTES",
-    "OqpskDsssModulator",
-    "CHIP_SEQUENCES",
-]
+_EXPORTS = {
+    "repro.phy.bands": ("Band", "CHANNEL_PAGES", "channels_in_band",
+                        "channel_center_frequency_hz"),
+    "repro.phy.constants": ("PhyTiming", "TIMING_2450MHZ"),
+    "repro.phy.error_model": ("ErrorModel", "EmpiricalBerModel",
+                              "AnalyticOqpskErrorModel",
+                              "packet_error_probability"),
+    "repro.phy.frame": ("PhyFrame", "PHY_PREAMBLE_BYTES", "PHY_SFD_BYTES",
+                        "PHY_HEADER_BYTES"),
+    "repro.phy.modulation": ("OqpskDsssModulator", "CHIP_SEQUENCES"),
+}
+
+__all__ = [name for names in _EXPORTS.values() for name in names]
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

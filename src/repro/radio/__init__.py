@@ -14,28 +14,20 @@ This package encodes the measurement results of Section 3 of the paper
 * :mod:`repro.radio.calibration` — fitting of the empirical BER regression
   from (synthetic or measured) bit-error observations, reproducing how the
   paper derived equation (1) from the attenuator test bench.
+
+The names resolve on first access.
 """
 
-from repro.radio.cc2420 import CC2420Radio, EnergyLedger, RadioEvent
-from repro.radio.power_profile import (
-    CC2420_PROFILE,
-    RadioPowerProfile,
-    StateTransition,
-    TxPowerLevel,
-)
-from repro.radio.states import IllegalTransitionError, RadioState
-from repro.radio.calibration import BerCalibration, fit_exponential_ber
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "RadioState",
-    "IllegalTransitionError",
-    "RadioPowerProfile",
-    "StateTransition",
-    "TxPowerLevel",
-    "CC2420_PROFILE",
-    "CC2420Radio",
-    "EnergyLedger",
-    "RadioEvent",
-    "BerCalibration",
-    "fit_exponential_ber",
-]
+_EXPORTS = {
+    "repro.radio.states": ("RadioState", "IllegalTransitionError"),
+    "repro.radio.power_profile": ("RadioPowerProfile", "StateTransition",
+                                  "TxPowerLevel", "CC2420_PROFILE"),
+    "repro.radio.cc2420": ("CC2420Radio", "EnergyLedger", "RadioEvent"),
+    "repro.radio.calibration": ("BerCalibration", "fit_exponential_ber"),
+}
+
+__all__ = [name for names in _EXPORTS.values() for name in names]
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

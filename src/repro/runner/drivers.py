@@ -6,9 +6,12 @@ JSON-serialisable payload with a ``"rows"`` list out — and one driver from
 :mod:`repro.experiments`.  The payloads are what the result cache stores, so
 everything returned here must survive a JSON round trip unchanged.
 
-This module is heavy on purpose: it imports the model and numpy.  The
-catalogue (:mod:`repro.runner.catalog`) names each adapter and imports this
-module only when an experiment first computes, so cache hits never load it.
+This module is heavy on purpose: it imports the contention Monte-Carlo
+and numpy.  The catalogue (:mod:`repro.runner.catalog`) names each adapter
+and imports this module only when an experiment first computes, so cache
+hits never load it.  What only some adapters use (the energy model, each
+experiment's driver) is imported inside them, so a cold run loads only its
+own experiment's modules.
 
 The contention-heavy experiments (``fig6_csma``, ``contention_table``) fan
 their Monte-Carlo grid points out through the context's executor with
@@ -21,24 +24,20 @@ cache, which is what makes a warm second run near-instant.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping
+from typing import TYPE_CHECKING, Any, Dict, List, Mapping
 
 from repro.analysis.report import ExperimentReport
-from repro.analysis.series import SeriesCollection
 from repro.contention.monte_carlo import characterize_grid
-from repro.contention.tables import ContentionTable, build_contention_table
-from repro.core.energy_model import EnergyModel
-from repro.experiments.common import TABLE_LOADS, TABLE_SIZES
+from repro.contention.tables import (TABLE_LOADS, TABLE_SIZES,
+                                     ContentionTable, build_contention_table)
 from repro.mac.frames import total_packet_overhead_bytes
 from repro.runner.cache import code_version
 from repro.runner.catalog import jsonify
 from repro.runner.registry import RunContext
 
-#: Grid of the shared engine characterisation — the same axes
-#: :func:`repro.experiments.common.fast_contention_table` uses, so the two
-#: caching paths characterise identical (load, packet size) points.
-ENGINE_TABLE_LOADS = TABLE_LOADS
-ENGINE_TABLE_SIZES = TABLE_SIZES
+if TYPE_CHECKING:
+    from repro.analysis.series import SeriesCollection
+    from repro.core.energy_model import EnergyModel
 
 
 # ---------------------------------------------------------------------------
@@ -91,17 +90,15 @@ def engine_contention_table(context: RunContext, num_windows: int = 15,
     the result cache, making every later experiment that needs it (fig7–fig9,
     case study, improvements, validation) start from a warm table.
     """
-    params = {"loads": list(ENGINE_TABLE_LOADS),
-              "packet_sizes": list(ENGINE_TABLE_SIZES),
+    params = {"loads": list(TABLE_LOADS), "packet_sizes": list(TABLE_SIZES),
               "num_windows": num_windows, "num_nodes": num_nodes}
     key = context.cache.key("contention_table", params, context.seed)
     cached = context.cache.load(key)
     if cached is not None:
         return ContentionTable.from_payload(cached["table"])
     table = build_contention_table(
-        list(ENGINE_TABLE_LOADS), list(ENGINE_TABLE_SIZES),
-        num_windows=num_windows, executor=context.executor,
-        seed=context.seed, num_nodes=num_nodes)
+        list(TABLE_LOADS), list(TABLE_SIZES), num_windows=num_windows,
+        executor=context.executor, seed=context.seed, num_nodes=num_nodes)
     try:
         context.cache.store(key, {"experiment": "contention_table",
                                   "params": jsonify(params),
@@ -115,6 +112,7 @@ def engine_contention_table(context: RunContext, num_windows: int = 15,
 
 def engine_model(context: RunContext, num_windows: int = 15) -> EnergyModel:
     """The energy model the analytical experiments start from."""
+    from repro.core.energy_model import EnergyModel
     return EnergyModel(
         contention_source=engine_contention_table(context,
                                                   num_windows=num_windows))

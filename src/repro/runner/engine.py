@@ -87,7 +87,10 @@ def run_experiment(name: str,
         unpredictable task seeds — such a run is *not* reproducible, so the
         result cache is bypassed entirely (neither looked up nor written):
         caching it would replay one arbitrary draw as if it were the
-        deterministic answer.
+        deterministic answer.  Anything but ``None`` or a non-negative
+        integer raises :class:`ValueError`: ``True`` would compute seed 1's
+        rows under a second cache key, and a negative seed fails only
+        inside the model.
     cache:
         ``True`` (default on-disk cache), ``False`` (no caching), or a cache
         object with ``key``/``load``/``store``.
@@ -107,6 +110,10 @@ def run_experiment(name: str,
     RunResult
         Rows, provenance and cache diagnostics of the run.
     """
+    if seed is not None and (isinstance(seed, bool)
+                             or not isinstance(seed, int) or seed < 0):
+        raise ValueError(f"seed must be a non-negative integer or None, "
+                         f"got {seed!r}")
     registry = registry or default_registry()
     jobs = max(1, jobs)
     spec = registry.get(name)

@@ -136,9 +136,10 @@ class JobSpec:
         if unknown:
             raise JobSpecError(f"Unknown job fields: {', '.join(unknown)}")
         seed = payload.get("seed")
-        if seed is not None and not isinstance(seed, int):
-            raise JobSpecError(f"seed must be an integer or null, got "
-                               f"{seed!r}")
+        if seed is not None and (isinstance(seed, bool)
+                                 or not isinstance(seed, int) or seed < 0):
+            raise JobSpecError(f"seed must be a non-negative integer or "
+                               f"null, got {seed!r}")
         return cls(kind=payload.get("kind", "run"),
                    name=payload.get("name", ""),
                    params=dict(payload.get("params") or {}),

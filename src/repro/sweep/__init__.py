@@ -32,85 +32,39 @@ Quick start::
                                  "failure_probability": "min"})
     result = run_sweep(spec, jobs=4)          # re-run resumes from cache
     front = pareto_front(result.rows, spec.objectives)
+
+The names resolve on first access.
 """
 
-from repro.sweep.analysis import (GroupedRows, UnknownMetricError,
-                                  aggregate_rows, dominates, group_rows,
-                                  knee_point, pareto_front, require_metrics)
-from repro.sweep.artifacts import (export_optimize, export_sweep,
-                                   optimize_manifest, ordered_columns,
-                                   rows_to_csv_text, rows_to_json_text,
-                                   sweep_manifest, write_rows)
-from repro.sweep.catalog import (OptimizeDefinition, SweepDefinition,
-                                 UnknownOptimizeError, UnknownSweepError,
-                                 get_definition, get_optimize,
-                                 get_optimize_definition, get_sweep,
-                                 iter_definitions,
-                                 iter_optimize_definitions, optimize_names,
-                                 sweep_names)
-from repro.sweep.driver import (SweepPoint, SweepRunResult, SweepStatus,
-                                build_points, dispatch_points,
-                                expand_points, extract_point_metrics,
-                                run_sweep, sweep_status)
-from repro.sweep.optimize import (ChoiceDimension, FloatDimension,
-                                  IntDimension, OptimizeResult,
-                                  OptimizeRound, OptimizeSpec,
-                                  dimension_from_payload,
-                                  optimize_spec_from_payload, run_optimize)
-from repro.sweep.spec import (GridAxis, RandomAxis, RangeAxis, SweepSpec,
-                              axis_from_payload, spec_from_payload)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ChoiceDimension",
-    "FloatDimension",
-    "GridAxis",
-    "GroupedRows",
-    "IntDimension",
-    "OptimizeDefinition",
-    "OptimizeResult",
-    "OptimizeRound",
-    "OptimizeSpec",
-    "RandomAxis",
-    "RangeAxis",
-    "SweepDefinition",
-    "SweepPoint",
-    "SweepRunResult",
-    "SweepSpec",
-    "SweepStatus",
-    "UnknownMetricError",
-    "UnknownOptimizeError",
-    "UnknownSweepError",
-    "aggregate_rows",
-    "axis_from_payload",
-    "build_points",
-    "dimension_from_payload",
-    "dispatch_points",
-    "dominates",
-    "expand_points",
-    "export_optimize",
-    "export_sweep",
-    "extract_point_metrics",
-    "get_definition",
-    "get_optimize",
-    "get_optimize_definition",
-    "get_sweep",
-    "group_rows",
-    "iter_definitions",
-    "iter_optimize_definitions",
-    "knee_point",
-    "optimize_manifest",
-    "optimize_names",
-    "optimize_spec_from_payload",
-    "ordered_columns",
-    "pareto_front",
-    "require_metrics",
-    "rows_to_csv_text",
-    "rows_to_json_text",
-    "run_optimize",
-    "run_sweep",
-    "spec_from_payload",
-    "sweep_manifest",
-    "sweep_names",
-    "sweep_status",
-    "write_rows",
-]
+_EXPORTS = {
+    "repro.sweep.analysis": ("GroupedRows", "UnknownMetricError",
+                             "aggregate_rows", "dominates", "group_rows",
+                             "knee_point", "pareto_front", "require_metrics"),
+    "repro.sweep.artifacts": ("export_optimize", "export_sweep",
+                              "optimize_manifest", "ordered_columns",
+                              "rows_to_csv_text", "rows_to_json_text",
+                              "sweep_manifest", "write_rows"),
+    "repro.sweep.catalog": ("OptimizeDefinition", "SweepDefinition",
+                            "UnknownOptimizeError", "UnknownSweepError",
+                            "get_definition", "get_optimize",
+                            "get_optimize_definition", "get_sweep",
+                            "iter_definitions", "iter_optimize_definitions",
+                            "optimize_names", "sweep_names"),
+    "repro.sweep.driver": ("SweepPoint", "SweepRunResult", "SweepStatus",
+                           "build_points", "dispatch_points",
+                           "expand_points", "extract_point_metrics",
+                           "run_sweep", "sweep_status"),
+    "repro.sweep.optimize": ("ChoiceDimension", "FloatDimension",
+                             "IntDimension", "OptimizeResult",
+                             "OptimizeRound", "OptimizeSpec",
+                             "dimension_from_payload",
+                             "optimize_spec_from_payload", "run_optimize"),
+    "repro.sweep.spec": ("GridAxis", "RandomAxis", "RangeAxis", "SweepSpec",
+                         "axis_from_payload", "spec_from_payload"),
+}
+
+__all__ = [name for names in _EXPORTS.values() for name in names]
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -5,8 +5,11 @@ subsystem; the runner package must import none of them — not at import
 time, and not while the CLI serves ``run`` or ``list`` (the sweep, bench
 and service command trees attach only to invocations that name them).  A
 cache hit, ``list`` and a bare :class:`repro.api.Session` also load neither
-numpy nor the experiment adapters (:mod:`repro.runner.drivers`).  CI runs
-the same assertions as standalone steps.
+numpy nor the experiment adapters (:mod:`repro.runner.drivers`).  Every
+package but :mod:`repro.service` exports lazily, so a cold run loads only
+what its experiment uses: Fig. 3 never reaches the network layer, the MAC
+kernels or the sweep subsystem.  CI runs the same assertions as standalone
+steps.
 """
 
 import subprocess
@@ -26,6 +29,32 @@ UPPER_LAYERS = ("repro.api", "repro.sweep", "repro.bench", "repro.service")
 #: What only a computing run may load.
 COMPUTE_STACK = ("numpy", "repro.runner.drivers")
 
+#: Every package but ``repro.service``, whose seam check admits only
+#: façade imports; each exports through :func:`repro._lazy.lazy_exports`.
+LAZY_PACKAGES = sorted(
+    ".".join(path.parent.relative_to(SRC).parts)
+    for path in (SRC / "repro").rglob("__init__.py")
+    if path.parent.name != "service")
+
+#: What a cold Fig. 3 run has no use for.
+NOT_FOR_FIG3 = ("repro.network", "repro.mac.vectorized", "repro.mac.device",
+                "repro.mac.coordinator", "repro.sweep")
+
+#: The experiments whose cold run builds a network; no other loads it.
+NETWORK_EXPERIMENTS = ("case_study_full", "model_vs_sim")
+
+#: Small parameters per experiment (the rest take ``num_windows=1``): the
+#: checks below are about imports, not rows.
+QUICK_PARAMS = {
+    "case_study_full": ["total_nodes=32", "superframes=2"],
+    "contention_table": ["num_windows=1", "num_nodes=10"],
+    "fig3_radio": [],
+    "fig4_ber": ["bench_bits_per_point=1000"],
+    "fig6_csma": ["loads=[0.2]", "payload_sizes=[20]", "num_windows=1",
+                  "num_nodes=10"],
+    "model_vs_sim": ["num_nodes=4", "superframes=2", "num_windows=1"],
+}
+
 
 def _run(code: str) -> subprocess.CompletedProcess:
     return subprocess.run(
@@ -38,6 +67,17 @@ def _none_loaded(prefixes) -> str:
     return ("offenders = sorted(m for m in sys.modules "
             f"if m.startswith({tuple(prefixes)!r})); "
             "assert not offenders, offenders")
+
+
+def _cold_runs(names) -> str:
+    """Code running each experiment cold through the CLI, in one process."""
+    runs = []
+    for name in names:
+        args = ["run", name, "--no-cache", "--quiet"]
+        for param in QUICK_PARAMS.get(name, ["num_windows=1"]):
+            args += ["--param", param]
+        runs.append(f"assert main({args!r}) == 0; ")
+    return "import sys; from repro.runner.cli import main; " + "".join(runs)
 
 
 def _python_m_repro(args, check: str = "") -> subprocess.CompletedProcess:
@@ -140,15 +180,21 @@ def test_importing_the_routing_layer_pulls_in_no_upper_layer():
 
 
 def test_importing_obs_pulls_in_nothing_above_the_sim_substrate():
-    """``repro.obs`` sits just above :mod:`repro.sim`: importing it must
-    not pull in the runner, sweep, bench, api or any simulation-domain
-    package.  The check diffs against what a bare ``import repro`` loads:
-    its exports are lazy, so that is the package and its export helper
-    only.  CI runs the same assertion as a standalone step."""
+    """``repro.obs`` sits just above :mod:`repro.sim`: importing any of its
+    modules must not pull in the runner, sweep, bench, api or any
+    simulation-domain package.  The check diffs against what a bare
+    ``import repro`` loads: its exports are lazy, so that is the package
+    and its export helper only.  The package exports lazily too, so every
+    module in it is imported by name.  CI runs the same assertion as a
+    standalone step."""
     completed = _run(
         "import sys, repro; base = set(sys.modules); "
         "assert sorted(m for m in base if m.startswith('repro.')) == "
-        "['repro._lazy'], sorted(base); import repro.obs; "
+        "['repro._lazy'], sorted(base); "
+        "import importlib, pkgutil, repro.obs; "
+        "[importlib.import_module(f'repro.obs.{info.name}') "
+        "for info in pkgutil.iter_modules(repro.obs.__path__)]; "
+        "assert 'repro.obs.report' in sys.modules; "
         "offenders = sorted(m for m in set(sys.modules) - base "
         "if m.startswith('repro.') "
         "and not m.startswith(('repro.obs', 'repro.sim'))); "
@@ -215,3 +261,38 @@ def test_importing_the_facade_is_self_contained_and_runs(tmp_path):
         "print(result.experiment, len(result.rows))")
     assert completed.returncode == 0, completed.stderr
     assert completed.stdout.startswith("fig3_radio")
+
+
+@pytest.mark.parametrize("package", LAZY_PACKAGES)
+def test_importing_a_package_loads_none_of_its_submodules(package):
+    expected = sorted({"repro", "repro._lazy", package})
+    completed = _run(
+        f"import sys, {package}; loaded = sorted(m for m in sys.modules "
+        "if m.split('.')[0] == 'repro'); "
+        f"assert loaded == {expected!r}, loaded")
+    assert completed.returncode == 0, completed.stderr
+
+
+def test_a_cold_fig3_run_loads_no_network_kernel_or_sweep_module():
+    completed = _run(
+        "import sys; from repro.runner.cli import main; "
+        "assert main(['run', 'fig3_radio', '--no-cache', '--quiet']) == 0; "
+        + _none_loaded(NOT_FOR_FIG3))
+    assert completed.returncode == 0, completed.stderr
+
+
+def test_only_the_network_experiments_load_the_network_layer():
+    """Every other experiment, run cold in one interpreter, leaves
+    :mod:`repro.network` unloaded."""
+    others = [name for name in default_registry().names()
+              if name not in NETWORK_EXPERIMENTS]
+    assert len(others) == 9, others
+    completed = _run(_cold_runs(others) + _none_loaded(["repro.network"]))
+    assert completed.returncode == 0, completed.stderr
+
+
+@pytest.mark.parametrize("name", NETWORK_EXPERIMENTS)
+def test_a_network_experiment_loads_the_network_layer(name):
+    completed = _run(_cold_runs([name])
+                     + "assert 'repro.network' in sys.modules")
+    assert completed.returncode == 0, completed.stderr

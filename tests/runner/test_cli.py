@@ -151,6 +151,12 @@ class TestCommands:
         err = capsys.readouterr().err
         assert "num_windows" in err and "int in [1, 64]" in err
 
+    def test_negative_seed_fails_without_computing(self, tmp_path, capsys):
+        assert main(["run", "fig3_radio", "--seed", "-1",
+                     "--cache-dir", str(tmp_path)]) == 2
+        assert "seed must be a non-negative integer" in capsys.readouterr().err
+        assert not list(tmp_path.rglob("*.json"))
+
     def test_equivalent_param_spellings_replay_from_cache(self, tmp_path,
                                                           capsys):
         """Acceptance: ``--param num_windows=4`` and ``--param

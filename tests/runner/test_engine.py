@@ -139,6 +139,14 @@ class TestResultCacheIntegration:
         assert not run.cache_hit
         assert run.rows and "poisoned" not in run.rows[0]
 
+    @pytest.mark.parametrize("seed", [-1, True, False, 1.0, "7"])
+    def test_invalid_seed_is_rejected_before_any_work(self, tmp_path, seed):
+        """A negative seed used to fail only inside numpy, and ``True``
+        computed seed 1's rows under a second cache key."""
+        with pytest.raises(ValueError, match=f"seed .*got {seed!r}"):
+            run_experiment("fig3_radio", cache_root=tmp_path, seed=seed)
+        assert len(ResultCache(root=tmp_path)) == 0
+
 
 class TestPayloadShape:
     def test_fig6_payload_is_json_rows(self, tmp_path):

@@ -130,6 +130,15 @@ class TestErrors:
                              "params": {"windowz": 1}})
         assert caught.value.status == 400
 
+    @pytest.mark.parametrize("seed", [-1, True])
+    def test_negative_or_boolean_seed_is_400(self, frontend, seed):
+        with pytest.raises(ServiceError) as caught:
+            frontend.submit({"kind": "run", "name": "fig3_radio",
+                             "seed": seed})
+        assert caught.value.status == 400
+        assert "seed" in caught.value.message
+        assert frontend.jobs()["jobs"] == []
+
     def test_malformed_json_is_400(self, frontend):
         with pytest.raises(ServiceError) as caught:
             frontend._request("POST", "/v1/jobs")

@@ -43,6 +43,14 @@ class TestJobSpec:
             JobSpec.from_payload({"kind": "run", "name": "fig3_radio",
                                   "seed": "7"})
 
+    @pytest.mark.parametrize("seed", [-1, True, False])
+    def test_from_payload_rejects_negative_and_boolean_seeds(self, seed):
+        """``true`` would run seed 1 under a second job id; ``-1`` used to
+        queue and then fail in the worker."""
+        with pytest.raises(JobSpecError, match="non-negative integer"):
+            JobSpec.from_payload({"kind": "run", "name": "fig3_radio",
+                                  "seed": seed})
+
     def test_from_payload_rejects_non_object(self):
         with pytest.raises(JobSpecError, match="JSON object"):
             JobSpec.from_payload(["run"])

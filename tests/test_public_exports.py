@@ -6,8 +6,14 @@ not silently break the public surface.
 """
 
 import importlib
+import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 PUBLIC_SURFACE = {
@@ -87,3 +93,143 @@ def test_all_lists_are_importable(module_name):
     exported = getattr(module, "__all__", [])
     for name in exported:
         assert hasattr(module, name), f"{module_name}.__all__ lists missing {name}"
+
+
+#: The ``__all__`` of every lazily-exporting package.  Such a package
+#: resolves a name only when it is first reached, so a slip in its export
+#: table would surface in a user's program; pinning the sets keeps a
+#: rewrite of an ``__init__`` from dropping or adding a public name.
+EXPORTED_NAMES = {
+    "repro": """
+        CC2420_PROFILE CaseStudy CaseStudyParameters CaseStudyResult
+        ChannelInversionPolicy EnergyModel ModelConfig NodeEnergyBudget
+        RadioState __version__""",
+    "repro.analysis": """
+        ComparisonRow ExperimentReport Series SeriesCollection format_table
+        typed_key""",
+    "repro.bench": """
+        BENCH_CASES SCHEMA_VERSION bench_path build_record compare_records
+        git_sha machine_fingerprint read_record run_bench_case write_record""",
+    "repro.channel": """
+        AwgnLink BlockFadingChannel CoherenceModel FreeSpacePathLoss
+        LogDistancePathLoss PathLossDistribution
+        UniformPathLossDistribution WiredTestBench""",
+    "repro.contention": """
+        ClosedFormContentionModel ContentionSimulator ContentionStatistics
+        ContentionTable WindowResult build_contention_table
+        merge_statistics""",
+    "repro.core": """
+        ActivationPolicy BatterySpec BeaconOrderSelector CaseStudy
+        CaseStudyParameters CaseStudyResult ChannelInversionPolicy
+        EnergyBreakdown EnergyModel GtsEnergyModel GtsVersusContention
+        HarvesterSpec ImprovementAnalysis ImprovementResult
+        LifetimeAnalysis LifetimeReport ModelConfig NodeEnergyBudget
+        OperatingPoint PacketSizeOptimizer PolicyVariant PowerThreshold
+        SensitivityAnalysis TimeBreakdown delivery_delay_s
+        energy_per_data_bit_j packet_error_from_link
+        transaction_failure_probability transmission_attempt_distribution
+        transmission_failure_probability""",
+    "repro.experiments": """
+        default_model fast_contention_table run_case_study
+        run_fig3_radio_characterization run_fig4_ber run_fig6_csma
+        run_fig7_link_adaptation run_fig8_packet_size run_fig9_breakdown
+        run_improvements run_model_vs_simulation""",
+    "repro.mac": """
+        AckFrame AddressingMode AssociationService AssociationStatus
+        BatchedChannelSimulator BatteryLifeExtensionError BeaconFrame
+        ChannelLane CommandFrame CommandType CsmaOutcome CsmaParameters
+        CsmaResult DataFrame GtsDescriptor GtsManager IndirectQueue
+        MAC_2450MHZ MacConstants MacFrame PendingTransaction SlottedCsmaCa
+        Superframe SuperframeConfig mac_overhead_bytes
+        total_packet_overhead_bytes""",
+    "repro.network": """
+        BufferedTrafficSource BurstyAlarmTraffic CASE_STUDY_SPEC
+        ChannelAllocator ChannelScenario ChannelSimTask
+        ClusteredTopologyModel DenseNetworkScenario DiscTopologyModel
+        ForwardingLoad ForwardingSource GradientRouting GridTopologyModel
+        MinHopRouting MixedPopulation NetworkTopology NodePlacement
+        PeriodicSensingTraffic PoissonTraffic ROUTING_KINDS RoutingModel
+        SaturatedTraffic ScenarioSpec SensorNode SimulationSummary SinkTree
+        StarTopology StarTopologyModel TOPOLOGY_KINDS TopologyModel
+        TrafficModel TrafficSource adaptive_tx_levels
+        aggregate_channel_rows build_routing_model build_topology_model
+        build_traffic_model clustered_placement depth_breakdown
+        grid_placement make_lane_sources round_robin_allocation
+        simulate_channel simulate_network uniform_disc_placement""",
+    "repro.obs": """
+        NULL_TRACER NullTracer Span TRACE_KIND TRACE_SCHEMA_VERSION
+        TracedExecutor Tracer activate current_tracer deterministic_view
+        phase_durations read_trace render_report validate_trace write_trace""",
+    "repro.phy": """
+        AnalyticOqpskErrorModel Band CHANNEL_PAGES CHIP_SEQUENCES
+        EmpiricalBerModel ErrorModel OqpskDsssModulator PHY_HEADER_BYTES
+        PHY_PREAMBLE_BYTES PHY_SFD_BYTES PhyFrame PhyTiming TIMING_2450MHZ
+        channel_center_frequency_hz channels_in_band
+        packet_error_probability""",
+    "repro.radio": """
+        BerCalibration CC2420Radio CC2420_PROFILE EnergyLedger
+        IllegalTransitionError RadioEvent RadioPowerProfile RadioState
+        StateTransition TxPowerLevel fit_exponential_ber""",
+    "repro.runner": """
+        DEFAULT_SEED ExperimentRegistry ExperimentSpec NullCache
+        ParamSchema ParamSpec ParameterValueError ProcessExecutor
+        ResultCache RunContext RunResult SerialExecutor
+        UnknownExperimentError UnknownParameterError code_version
+        default_registry make_executor parse_param run_experiment
+        run_ordered""",
+    "repro.sim": """
+        CounterMonitor Environment Event Interrupt Monitor Process
+        RandomStreams Resource SimulationError Store TimeWeightedMonitor
+        Timeout spawn_seeds""",
+    "repro.sweep": """
+        ChoiceDimension FloatDimension GridAxis GroupedRows IntDimension
+        OptimizeDefinition OptimizeResult OptimizeRound OptimizeSpec
+        RandomAxis RangeAxis SweepDefinition SweepPoint SweepRunResult
+        SweepSpec SweepStatus UnknownMetricError UnknownOptimizeError
+        UnknownSweepError aggregate_rows axis_from_payload build_points
+        dimension_from_payload dispatch_points dominates expand_points
+        export_optimize export_sweep extract_point_metrics get_definition
+        get_optimize get_optimize_definition get_sweep group_rows
+        iter_definitions iter_optimize_definitions knee_point
+        optimize_manifest optimize_names optimize_spec_from_payload
+        ordered_columns pareto_front require_metrics rows_to_csv_text
+        rows_to_json_text run_optimize run_sweep spec_from_payload
+        sweep_manifest sweep_names sweep_status write_rows""",
+}
+
+#: Resolves every export of the packages named in argv, first through the
+#: package (the lazy path) and then from the module its table names.
+_RESOLVE_EXPORTS = """
+import importlib, json, sys
+report = {}
+for package_name in sys.argv[1:]:
+    package = importlib.import_module(package_name)
+    wrong = [name for module_name, names in package._EXPORTS.items()
+             for name in names
+             if getattr(package, name)
+             is not getattr(importlib.import_module(module_name), name)]
+    report[package_name] = {
+        "all": package.__all__, "wrong": wrong,
+        "unbound": [name for name in package.__all__
+                    if not hasattr(package, name)],
+        "undir": sorted(set(package.__all__) - set(dir(package)))}
+print(json.dumps(report))
+"""
+
+
+def test_every_lazy_export_resolves_to_its_defining_modules_object():
+    """In a fresh interpreter, so each name's first lookup goes through the
+    package's ``__getattr__``."""
+    completed = subprocess.run(
+        [sys.executable, "-c", _RESOLVE_EXPORTS, *sorted(EXPORTED_NAMES)],
+        capture_output=True, text=True, timeout=120,
+        env={"PYTHONPATH": str(SRC), "PATH": "/usr/bin:/bin"})
+    assert completed.returncode == 0, completed.stderr
+    report = json.loads(completed.stdout)
+    for package_name, names in EXPORTED_NAMES.items():
+        entry = report[package_name]
+        assert sorted(entry["all"]) == sorted(names.split()), package_name
+        assert len(set(entry["all"])) == len(entry["all"]), package_name
+        assert not entry["wrong"], (package_name, entry["wrong"])
+        assert not entry["unbound"], (package_name, entry["unbound"])
+        assert not entry["undir"], (package_name, entry["undir"])
