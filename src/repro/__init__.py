@@ -4,12 +4,15 @@ Perspectives" (Bougard, Daly, Dehaene, Catthoor, Chandrakasan — DATE 2005).
 
 The library is organised bottom-up:
 
-* :mod:`repro.sim` — discrete-event simulation kernel (substrate);
+* :mod:`repro.sim` — discrete-event simulation kernel, random streams and
+  monitors (substrate);
 * :mod:`repro.phy` — IEEE 802.15.4 2450 MHz physical layer model;
 * :mod:`repro.radio` — CC2420 transceiver model (states, power, transitions);
-* :mod:`repro.channel` — path loss, AWGN links, fading, wired test bench;
-* :mod:`repro.mac` — beacon-enabled MAC: superframes, slotted CSMA/CA, GTS,
-  acknowledgements, indirect transmission, device/coordinator entities;
+* :mod:`repro.channel` — path loss, AWGN links, wired test bench;
+* :mod:`repro.mac` — beacon-enabled MAC: superframes, frames, slotted
+  CSMA/CA, and the two uplink kernels — the event kernel
+  (device/coordinator entities, the per-device-timeline oracle) and the
+  batched lockstep kernel;
 * :mod:`repro.contention` — Monte-Carlo characterisation of the contention
   procedure (T_cont, N_CCA, Pr_col, Pr_cf);
 * :mod:`repro.network` — topology, traffic, channel allocation, scenarios;

@@ -36,7 +36,8 @@ from repro.runner.backends import (CacheBackend, DirectoryBackend,
                                    SharedDirectoryBackend, resolve_backend)
 from repro.runner.cache import code_version
 from repro.runner.engine import (DEFAULT_SEED, canonical_params,
-                                 resolve_cache, run_experiment)
+                                 resolve_cache, run_experiment,
+                                 validate_seed)
 from repro.runner.params import (ParamSchema, ParamSpec, ParameterValueError,
                                  UnknownParameterError, parse_param_arg)
 from repro.runner.registry import (ExperimentRegistry, ExperimentSpec,
@@ -111,7 +112,8 @@ class Session:
     seed:
         Default master seed — the session's *seed policy*.  Every
         :meth:`run` uses it unless overridden per call; ``None`` makes runs
-        intentionally non-reproducible (and uncached).
+        intentionally non-reproducible (and uncached).  Anything but
+        ``None`` or a non-negative integer raises :class:`ValueError`.
     registry:
         Experiment registry to resolve names in; defaults to the full
         catalogue.
@@ -139,6 +141,7 @@ class Session:
                  seed: Optional[int] = DEFAULT_SEED,
                  registry: Optional[ExperimentRegistry] = None,
                  trace: Optional[Union[str, os.PathLike]] = None):
+        validate_seed(seed)
         self._cache_root = None if cache_dir is None else str(cache_dir)
         if backend is not None:
             if cache is not True:

@@ -7,7 +7,7 @@ The paper's analysis needs three channel abstractions:
   all nodes within range at 0 dBm (:mod:`repro.channel.pathloss`);
 * an **AWGN link** whose bit-error rate depends only on the received power
   (valid under slow fading, i.e. while the channel stays coherent over a
-  packet) (:mod:`repro.channel.awgn`, :mod:`repro.channel.fading`);
+  packet) (:mod:`repro.channel.awgn`);
 * the **wired attenuator test bench** used to measure the BER curve of
   Figure 4, reproduced here as a chip-level Monte-Carlo link simulator
   (:mod:`repro.channel.wired`).
@@ -19,7 +19,6 @@ from repro._lazy import lazy_exports
 
 _EXPORTS = {
     "repro.channel.awgn": ("AwgnLink",),
-    "repro.channel.fading": ("CoherenceModel", "BlockFadingChannel"),
     "repro.channel.pathloss": ("FreeSpacePathLoss", "LogDistancePathLoss",
                                "PathLossDistribution",
                                "UniformPathLossDistribution"),

@@ -44,7 +44,9 @@ from repro.core.reliability import (
     transmission_attempt_distribution,
     transmission_failure_probability,
 )
-from repro.mac.constants import MAC_2450MHZ, MacConstants
+from repro.mac.constants import (MAC_2450MHZ, PHASE_ACK, PHASE_BEACON,
+                                 PHASE_CONTENTION, PHASE_SLEEP,
+                                 PHASE_TRANSMIT, MacConstants)
 from repro.mac.frames import AckFrame, BeaconFrame, DataFrame, total_packet_overhead_bytes
 from repro.phy.constants import CCA_DURATION_S
 from repro.phy.error_model import EmpiricalBerModel, ErrorModel, packet_error_probability
@@ -54,13 +56,6 @@ from repro.radio.power_profile import (
     T_IDLE_TO_ACTIVE_S,
 )
 from repro.radio.states import RadioState
-
-#: Phase labels of the breakdown (Figure 9a of the paper).
-PHASE_BEACON = "beacon"
-PHASE_CONTENTION = "contention"
-PHASE_TRANSMIT = "transmit"
-PHASE_ACK = "ackifs"
-PHASE_SLEEP = "sleep"
 
 #: Type of a contention-statistics source: (load, on-air packet bytes) -> stats.
 ContentionSource = Callable[[float, int], ContentionStatistics]

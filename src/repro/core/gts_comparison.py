@@ -38,8 +38,10 @@ from repro.core.reliability import (
 )
 from repro.mac.constants import MAC_2450MHZ
 from repro.mac.frames import AckFrame
-from repro.mac.gts import MAX_GTS_DESCRIPTORS
 from repro.radio.states import RadioState
+
+#: Maximum number of GTS descriptors a coordinator may allocate.
+MAX_GTS_DESCRIPTORS = 7
 
 
 @dataclass

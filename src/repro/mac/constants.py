@@ -133,3 +133,13 @@ class MacConstants:
 
 #: MAC constants bound to the 2450 MHz PHY (the configuration of the paper).
 MAC_2450MHZ = MacConstants()
+
+#: Protocol phases of one superframe (Figure 9a of the paper).  Both MAC
+#: kernels tag their energy ledgers with these labels, and the analytical
+#: model (:mod:`repro.core.energy_model`) uses the same ones, so simulated
+#: and modelled breakdowns compare key by key.
+PHASE_BEACON = "beacon"
+PHASE_CONTENTION = "contention"
+PHASE_TRANSMIT = "transmit"
+PHASE_ACK = "ackifs"
+PHASE_SLEEP = "sleep"

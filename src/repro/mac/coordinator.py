@@ -1,40 +1,27 @@
 """Coordinator-side MAC entity for the packet-level simulation.
 
 The coordinator (the base station of the sensor network) emits a beacon at
-every beacon interval, receives uplink data frames, returns acknowledgements
-after ``aTurnaroundTime``, manages the indirect-transmission queue for the
-downlink and the GTS allocations.  Its own energy is not the object of the
-paper's study (the base station is mains powered), so no energy ledger is
-attached to it; its role in the simulation is to generate the superframe
-timing and to decide which uplink frames are successfully received.
+every beacon interval and decides which uplink data frames it receives and
+therefore acknowledges.  Its own energy is not the object of the paper's
+study (the base station is mains powered), so no energy ledger is attached
+to it.  The paper's scenario has no downlink and no guaranteed time slots,
+so every beacon advertises neither; the empty GTS and pending-address
+fields still count in the beacon's length.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Dict, Optional
 
 import numpy as np
 
 from repro.channel.awgn import AwgnLink
 from repro.mac.constants import MAC_2450MHZ, MacConstants
-from repro.mac.frames import AckFrame, BeaconFrame, DataFrame
-from repro.mac.gts import GtsManager
-from repro.mac.indirect import IndirectQueue
+from repro.mac.frames import BeaconFrame, DataFrame
 from repro.mac.medium import Medium, Transmission
 from repro.mac.superframe import Superframe, SuperframeConfig
 from repro.sim.engine import Environment
 from repro.sim.monitor import CounterMonitor
-
-
-@dataclass
-class ReceivedPacket:
-    """Record of one uplink frame accepted by the coordinator."""
-
-    source: int
-    payload_bytes: int
-    received_at_s: float
-    transmission_count: int
 
 
 class Coordinator:
@@ -71,19 +58,10 @@ class Coordinator:
         self.constants = constants
         self.links = links or {}
         self.rng = rng if rng is not None else np.random.default_rng(0)
-        self.gts = GtsManager(num_superframe_slots=constants.num_superframe_slots)
-        self.indirect = IndirectQueue()
         self.counters = CounterMonitor("coordinator")
-        self.received: List[ReceivedPacket] = []
         self.current_superframe: Optional[Superframe] = None
-        self._beacon_listeners: List[Callable[[Superframe], None]] = []
         self._sequence_number = 0
         self._process = None
-
-    # -- wiring -------------------------------------------------------------------
-    def add_beacon_listener(self, callback: Callable[[Superframe], None]) -> None:
-        """Register a callback invoked at the start of every beacon."""
-        self._beacon_listeners.append(callback)
 
     def start(self) -> None:
         """Launch the beacon process."""
@@ -93,16 +71,12 @@ class Coordinator:
     # -- beacon generation -----------------------------------------------------------
     def build_beacon(self) -> BeaconFrame:
         """Construct the beacon frame for the upcoming superframe."""
-        pending = self.indirect.pending_addresses()
-        beacon = BeaconFrame(
+        return BeaconFrame(
             source=self.COORDINATOR_ID,
             sequence_number=self._next_sequence(),
             beacon_order=self.config.beacon_order,
             superframe_order=self.config.superframe_order,
-            gts_descriptors=len(self.gts.descriptors),
-            pending_short_addresses=tuple(pending),
         )
-        return beacon
 
     def _next_sequence(self) -> int:
         self._sequence_number = (self._sequence_number + 1) % 256
@@ -114,7 +88,6 @@ class Coordinator:
             beacon = self.build_beacon()
             beacon_airtime = beacon.airtime_s(byte_period)
             superframe = Superframe(self.config, beacon_time_s=self.env.now,
-                                    gts_descriptors=self.gts.descriptors,
                                     beacon_airtime_s=beacon_airtime)
             self.current_superframe = superframe
             self.counters.increment("beacons_sent")
@@ -124,13 +97,10 @@ class Coordinator:
                 frame=beacon,
                 tx_power_dbm=0.0,
             )
-            for listener in self._beacon_listeners:
-                listener(superframe)
             yield self.env.timeout(self.config.beacon_interval_s)
 
     # -- uplink reception ---------------------------------------------------------------
-    def frame_received(self, transmission: Transmission,
-                       transmission_count: int) -> bool:
+    def frame_received(self, transmission: Transmission) -> bool:
         """Decide whether an uplink data frame is accepted.
 
         A frame is lost if it collided on the medium, or if the AWGN link of
@@ -152,46 +122,4 @@ class Coordinator:
                 self.counters.increment("corrupted_frames")
                 return False
         self.counters.increment("data_frames_accepted")
-        self.received.append(ReceivedPacket(
-            source=transmission.source,
-            payload_bytes=frame.payload_bytes,
-            received_at_s=self.env.now,
-            transmission_count=transmission_count,
-        ))
         return True
-
-    def build_ack(self, data_frame: DataFrame) -> AckFrame:
-        """Acknowledgement frame echoing the data frame's sequence number."""
-        return AckFrame(source=self.COORDINATOR_ID,
-                        destination=data_frame.source,
-                        sequence_number=data_frame.sequence_number)
-
-    # -- downlink -------------------------------------------------------------------------
-    def queue_downlink(self, destination: int, payload: bytes) -> None:
-        """Buffer a downlink frame for indirect transmission."""
-        self.indirect.enqueue(destination, payload, self.env.now)
-        self.counters.increment("downlink_queued")
-
-    def has_pending_downlink(self, destination: int) -> bool:
-        """Whether the beacon would advertise pending data for ``destination``."""
-        return self.indirect.has_pending(destination)
-
-    def handle_data_request(self, destination: int):
-        """Process a data-request command from ``destination``.
-
-        Returns the :class:`DataFrame` the coordinator will transmit, or
-        ``None`` when nothing is pending (the device then only receives the
-        acknowledgement of its request).
-        """
-        self.counters.increment("data_requests_received")
-        transaction = self.indirect.extract(destination)
-        if transaction is None:
-            return None
-        self.counters.increment("downlink_delivered")
-        return DataFrame(
-            source=self.COORDINATOR_ID,
-            destination=destination,
-            sequence_number=self._next_sequence(),
-            ack_request=True,
-            payload=transaction.payload,
-        )

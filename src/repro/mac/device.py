@@ -19,22 +19,29 @@ superframe (Figure 5 of the paper) the node:
 All radio activity is charged to a per-node :class:`CC2420Radio` energy
 ledger tagged with the protocol phase, which is what the simulation-side
 energy breakdown (cross-validating Figure 9) is computed from.
+
+Together with :mod:`repro.mac.coordinator` and :mod:`repro.mac.medium` on
+:mod:`repro.sim.engine` this is the event kernel: one process per device,
+so every device has its own timeline.  It is the semantic oracle that the
+model-vs-simulation check, the paper goldens and the event ≡ batched
+contract rely on, and it models exactly the paper's uplink scenario — no
+downlink, no guaranteed time slots, no association.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, List, Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (keeps mac below network)
     from repro.network.traffic import TrafficSource
 
-from repro.mac.commands import AssociationService, CommandFrame, CommandType
-from repro.mac.constants import MAC_2450MHZ, MacConstants
+from repro.mac.constants import (MAC_2450MHZ, PHASE_ACK, PHASE_BEACON,
+                                 PHASE_CONTENTION, PHASE_SLEEP,
+                                 PHASE_TRANSMIT, MacConstants)
 from repro.mac.coordinator import Coordinator
-from repro.mac.csma import CsmaAction, CsmaOutcome, CsmaParameters, SlottedCsmaCa
+from repro.mac.csma import CsmaAction, CsmaParameters, SlottedCsmaCa
 from repro.mac.frames import AckFrame, DataFrame
 from repro.mac.medium import Medium
 from repro.mac.superframe import Superframe, SuperframeConfig
@@ -47,36 +54,6 @@ from repro.radio.power_profile import (
 from repro.radio.states import RadioState
 from repro.sim.engine import Environment
 from repro.sim.monitor import CounterMonitor, Monitor
-
-#: Phase labels used in the energy ledger (match Figure 9 of the paper).
-PHASE_BEACON = "beacon"
-PHASE_CONTENTION = "contention"
-PHASE_TRANSMIT = "transmit"
-PHASE_ACK = "ackifs"
-PHASE_SLEEP = "sleep"
-#: Downlink (indirect transmission) activity — not part of the paper's
-#: uplink model, so it gets its own phase label and stays out of the
-#: Figure 9 comparison.
-PHASE_DOWNLINK = "downlink"
-
-
-@dataclass
-class TransactionRecord:
-    """Outcome of one per-superframe uplink transaction attempt."""
-
-    superframe_start_s: float
-    completed_s: Optional[float]
-    success: bool
-    transmissions: int
-    channel_access_failures: int
-    deferred: bool = False
-
-    @property
-    def delay_s(self) -> Optional[float]:
-        """Time from superframe start to successful completion."""
-        if not self.success or self.completed_s is None:
-            return None
-        return self.completed_s - self.superframe_start_s
 
 
 class Device:
@@ -100,32 +77,22 @@ class Device:
         Transmit power level; ``None`` lets a link-adaptation callback decide.
     csma_params / constants / profile:
         MAC and radio parameterisation.
-    packet_source:
-        Callable returning ``True`` when the node has a packet to send this
-        superframe (default: always — one packet per superframe, as in the
-        paper's model).
     traffic_source:
         Stateful per-node packet feed
         (:class:`repro.network.traffic.TrafficSource`).  When set, the node
         polls it at every beacon: data sensed by the superframe boundary is
         drainable in that superframe, and a superframe without a buffered
-        packet is slept through (beacon reception only).  ``None`` keeps
-        the saturated default.  ``packet_source`` — the legacy hook — is
-        consulted first; a packet is only drained when both agree.
-    stagger_transactions:
-        When ``True`` (default) the node starts its uplink transaction at a
-        uniformly random offset within the contention access period instead
-        of immediately after the beacon, shutting the radio down in between.
-        This matches the arrival model used by the Monte-Carlo contention
-        characterisation (a node's buffered packet completes at an arbitrary
-        point of the superframe) and avoids the pathological burst of 100
-        simultaneous contention procedures right after each beacon.
-    enable_downlink:
-        When ``True`` (default) the node checks the beacon's pending-address
-        indication and extracts buffered downlink data with a data-request
-        command (indirect transmission, Figure 1b of the paper).
+        packet is slept through (beacon reception only).  ``None`` is the
+        paper's saturated model: one packet per superframe.
     rng:
-        Random generator (backoff draws).
+        Random generator (stagger and backoff draws).
+
+    Every transaction starts at a uniformly random offset within the
+    contention access period rather than right after the beacon, with the
+    radio shut down in between.  This matches the arrival model of the
+    Monte-Carlo contention characterisation (a node's buffered packet
+    completes at an arbitrary point of the superframe) and avoids a burst of
+    simultaneous contention procedures after each beacon.
     """
 
     def __init__(self, env: Environment, node_id: int, medium: Medium,
@@ -135,10 +102,7 @@ class Device:
                  csma_params: Optional[CsmaParameters] = None,
                  constants: MacConstants = MAC_2450MHZ,
                  profile: RadioPowerProfile = CC2420_PROFILE,
-                 packet_source: Optional[Callable[[], bool]] = None,
                  traffic_source: Optional["TrafficSource"] = None,
-                 stagger_transactions: bool = True,
-                 enable_downlink: bool = True,
                  rng: Optional[np.random.Generator] = None):
         if node_id == Coordinator.COORDINATOR_ID:
             raise ValueError("Node id 0 is reserved for the coordinator")
@@ -152,11 +116,7 @@ class Device:
         self.constants = constants
         self.csma_params = csma_params or CsmaParameters.from_mac_constants(constants)
         self.profile = profile
-        self.packet_source = packet_source or (lambda: True)
         self.traffic_source = traffic_source
-        self.stagger_transactions = stagger_transactions
-        self.enable_downlink = enable_downlink
-        self.downlink_payloads: List[bytes] = []
         self.rng = rng if rng is not None else np.random.default_rng(node_id)
 
         self.radio = CC2420Radio(profile=profile,
@@ -164,7 +124,6 @@ class Device:
                                  time_s=env.now)
         self.counters = CounterMonitor(f"node{node_id}")
         self.delays = Monitor(f"node{node_id}.delay")
-        self.transactions: List[TransactionRecord] = []
         self._sequence_number = 0
         self._process = None
 
@@ -202,8 +161,6 @@ class Device:
     # -- main process ------------------------------------------------------------------
     def _run(self):
         beacon_interval = self.config.beacon_interval_s
-        byte_period = self.constants.timing.byte_period_s
-        slot_s = self.constants.unit_backoff_period_s
         wake_lead = T_SHUTDOWN_TO_IDLE_POLICY_S
 
         # Align with the coordinator: the first beacon is emitted at t = 0,
@@ -241,16 +198,9 @@ class Device:
             self.radio.transition_to(RadioState.IDLE, phase=PHASE_BEACON)
             self.counters.increment("beacons_received")
 
-            # ---- downlink (indirect transmission) ------------------------------------
-            if self.enable_downlink and \
-                    self.coordinator.has_pending_downlink(self.node_id):
-                self.counters.increment("downlink_pending_seen")
-                yield from self._downlink_transaction(superframe)
-
             # ---- uplink transaction -------------------------------------------------
             if self._take_packet(superframe.beacon_time_s):
-                if self.stagger_transactions:
-                    yield from self._stagger_delay(superframe, wake_lead)
+                yield from self._stagger_delay(superframe, wake_lead)
                 yield from self._uplink_transaction(superframe)
 
             # ---- shutdown until the next wake-up -------------------------------------
@@ -265,8 +215,6 @@ class Device:
         beacon starts.  The drained packet is committed to this superframe's
         single transaction attempt (delivered, failed or deferred).
         """
-        if not self.packet_source():
-            return False
         if self.traffic_source is None:
             return True
         if not self.traffic_source.poll(beacon_time_s):
@@ -274,103 +222,6 @@ class Device:
             return False
         self.traffic_source.drain_packet()
         return True
-
-    def _downlink_transaction(self, superframe: Superframe):
-        """Extract pending downlink data with a data-request command.
-
-        Indirect transmission (Figure 1b): the beacon advertised pending
-        data, so the node contends for the channel, transmits a data-request
-        command, receives its acknowledgement, stays in receive mode for the
-        downlink data frame and finally acknowledges it.  Failures (channel
-        access failure, collision of the request) are abandoned for this
-        superframe — the data stays queued at the coordinator and is
-        advertised again in the next beacon.
-        """
-        constants = self.constants
-        slot_s = constants.unit_backoff_period_s
-        byte_period = constants.timing.byte_period_s
-        request = AssociationService.build_data_request(self.node_id)
-        request_airtime = request.airtime_s(byte_period)
-        ack_airtime = AckFrame().airtime_s(byte_period)
-
-        # ---- contention for the data-request command -------------------------------
-        csma = SlottedCsmaCa(self.csma_params, rng=self.rng)
-        instruction = csma.begin()
-        while True:
-            if instruction.action is CsmaAction.WAIT_BACKOFF:
-                wait_s = instruction.slots * slot_s
-                if wait_s > 0:
-                    self._charge_radio(wait_s, RadioState.IDLE, PHASE_DOWNLINK)
-                    yield self.env.timeout(wait_s)
-                instruction = csma.backoff_elapsed()
-            elif instruction.action is CsmaAction.PERFORM_CCA:
-                if not superframe.in_cap(self.env.now):
-                    self.counters.increment("downlink_deferred")
-                    return
-                self._charge_radio(slot_s, RadioState.RX, PHASE_DOWNLINK)
-                yield self.env.timeout(slot_s)
-                busy = self.medium.is_busy()
-                self.radio.transition_to(RadioState.IDLE, phase=PHASE_DOWNLINK)
-                instruction = csma.cca_result(busy)
-            elif instruction.action is CsmaAction.TRANSMIT:
-                break
-            else:  # CsmaAction.FAILURE
-                self.counters.increment("downlink_access_failures")
-                return
-
-        # ---- transmit the data request ------------------------------------------------
-        self.counters.increment("data_requests_sent")
-        self.radio.transition_to(RadioState.TX, phase=PHASE_DOWNLINK)
-        transmission = self.medium.start_transmission(
-            source=self.node_id, duration_s=request_airtime, frame=request,
-            tx_power_dbm=self.radio.tx_level_dbm)
-        self.radio.dwell(request_airtime, phase=PHASE_DOWNLINK)
-        yield self.env.timeout(request_airtime)
-        self.radio.transition_to(RadioState.IDLE, phase=PHASE_DOWNLINK)
-        if transmission.collided:
-            # Request lost; wait out the acknowledgement window and give up.
-            self._charge_radio(constants.ack_wait_duration_s, RadioState.RX,
-                               PHASE_DOWNLINK)
-            yield self.env.timeout(constants.ack_wait_duration_s)
-            self.radio.transition_to(RadioState.IDLE, phase=PHASE_DOWNLINK)
-            self.counters.increment("downlink_request_lost")
-            return
-
-        # ---- acknowledgement of the request, then the data frame -----------------------
-        self._charge_radio(constants.turnaround_time_s, RadioState.IDLE,
-                           PHASE_DOWNLINK)
-        yield self.env.timeout(constants.turnaround_time_s)
-        self._charge_radio(ack_airtime, RadioState.RX, PHASE_DOWNLINK)
-        yield self.env.timeout(ack_airtime)
-
-        downlink_frame = self.coordinator.handle_data_request(self.node_id)
-        if downlink_frame is None:
-            self.radio.transition_to(RadioState.IDLE, phase=PHASE_DOWNLINK)
-            return
-        frame_airtime = downlink_frame.airtime_s(byte_period)
-        # The coordinator turns the frame around after aTurnaroundTime; the
-        # node keeps its receiver on throughout.
-        self._charge_radio(constants.turnaround_time_s + frame_airtime,
-                           RadioState.RX, PHASE_DOWNLINK)
-        self.medium.start_transmission(
-            source=Coordinator.COORDINATOR_ID, duration_s=frame_airtime,
-            frame=downlink_frame, tx_power_dbm=0.0)
-        yield self.env.timeout(constants.turnaround_time_s + frame_airtime)
-        self.radio.transition_to(RadioState.IDLE, phase=PHASE_DOWNLINK)
-
-        # ---- acknowledge the downlink frame ----------------------------------------------
-        self._charge_radio(constants.turnaround_time_s, RadioState.IDLE,
-                           PHASE_DOWNLINK)
-        yield self.env.timeout(constants.turnaround_time_s)
-        self.radio.transition_to(RadioState.TX, phase=PHASE_DOWNLINK)
-        self.medium.start_transmission(
-            source=self.node_id, duration_s=ack_airtime,
-            frame=AckFrame(source=self.node_id), tx_power_dbm=self.radio.tx_level_dbm)
-        self.radio.dwell(ack_airtime, phase=PHASE_DOWNLINK)
-        yield self.env.timeout(ack_airtime)
-        self.radio.transition_to(RadioState.IDLE, phase=PHASE_DOWNLINK)
-        self.downlink_payloads.append(downlink_frame.payload)
-        self.counters.increment("downlink_received")
 
     def _stagger_delay(self, superframe: Superframe, wake_lead: float):
         """Shut down until a random transaction start within the CAP.
@@ -383,7 +234,7 @@ class Device:
         slot_s = constants.unit_backoff_period_s
         margin = (56 * slot_s + self.packet_airtime_s
                   + constants.ack_wait_duration_s)
-        latest_start = superframe.cfp_start_time_s - margin
+        latest_start = superframe.active_end_time_s - margin
         earliest_start = self.env.now
         if latest_start <= earliest_start + wake_lead:
             return
@@ -406,15 +257,9 @@ class Device:
         frame = self._build_data_frame()
         frame_airtime = frame.airtime_s(byte_period)
         ack_airtime = AckFrame().airtime_s(byte_period)
-
-        record = TransactionRecord(
-            superframe_start_s=superframe.beacon_time_s,
-            completed_s=None, success=False,
-            transmissions=0, channel_access_failures=0,
-        )
         self.counters.increment("packets_attempted")
 
-        for attempt in range(constants.max_transmissions):
+        for _ in range(constants.max_transmissions):
             # ---- contention ------------------------------------------------------
             csma = SlottedCsmaCa(self.csma_params, rng=self.rng)
             instruction = csma.begin()
@@ -430,9 +275,7 @@ class Device:
                     # Abort if the CCA (and a subsequent transmission) can no
                     # longer fit in the contention access period.
                     if not superframe.in_cap(self.env.now):
-                        record.deferred = True
                         self.counters.increment("transactions_deferred")
-                        self.transactions.append(record)
                         return
                     # Turn the receiver on for one backoff slot to sense.
                     self._charge_radio(slot_s, RadioState.RX, PHASE_CONTENTION)
@@ -452,21 +295,16 @@ class Device:
                     raise RuntimeError(f"Unknown CSMA action {instruction.action}")
 
             if not access_granted:
-                record.channel_access_failures += 1
                 self.counters.increment("channel_access_failures")
-                self.transactions.append(record)
                 return
 
             if not superframe.transaction_fits_in_cap(
                     self.env.now,
                     frame_airtime + constants.turnaround_time_s + ack_airtime):
-                record.deferred = True
                 self.counters.increment("transactions_deferred")
-                self.transactions.append(record)
                 return
 
             # ---- transmit the data frame ---------------------------------------------
-            record.transmissions += 1
             self.counters.increment("frames_transmitted")
             self.radio.transition_to(RadioState.TX, phase=PHASE_TRANSMIT)
             if self.tx_power_dbm is not None:
@@ -482,8 +320,7 @@ class Device:
             self.radio.transition_to(RadioState.IDLE, phase=PHASE_TRANSMIT)
 
             # ---- acknowledgement ------------------------------------------------------
-            acked = self.coordinator.frame_received(transmission,
-                                                    record.transmissions)
+            acked = self.coordinator.frame_received(transmission)
             # Idle during the minimum turnaround (t-ack), then receive.
             self._charge_radio(constants.turnaround_time_s, RadioState.IDLE, PHASE_ACK)
             yield self.env.timeout(constants.turnaround_time_s)
@@ -491,11 +328,8 @@ class Device:
                 self._charge_radio(ack_airtime, RadioState.RX, PHASE_ACK)
                 yield self.env.timeout(ack_airtime)
                 self.radio.transition_to(RadioState.IDLE, phase=PHASE_ACK)
-                record.success = True
-                record.completed_s = self.env.now
                 self.counters.increment("packets_delivered")
-                self.delays.record(record.delay_s)
-                self.transactions.append(record)
+                self.delays.record(self.env.now - superframe.beacon_time_s)
                 return
             # No acknowledgement: listen until t+ack expires, then retry.
             residual_wait = max(0.0, constants.ack_wait_duration_s
@@ -507,7 +341,6 @@ class Device:
 
         # All transmissions exhausted without an acknowledgement.
         self.counters.increment("packets_failed")
-        self.transactions.append(record)
 
     # -- reporting ------------------------------------------------------------------------
     def average_power_w(self) -> float:

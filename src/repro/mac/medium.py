@@ -17,10 +17,8 @@ Monte-Carlo contention characterisation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
-
-import numpy as np
+from dataclasses import dataclass
+from typing import List, Optional
 
 from repro.sim.engine import Environment
 
@@ -56,7 +54,6 @@ class Medium:
         self.env = env
         self.channel = channel
         self._active: List[Transmission] = []
-        self._history: List[Transmission] = []
         self.collision_count = 0
         self.transmission_count = 0
 
@@ -67,21 +64,8 @@ class Medium:
         self._expire(now)
         return any(t.start_s <= now < t.end_s for t in self._active)
 
-    def busy_until(self) -> float:
-        """Latest end time of the currently active transmissions (or now)."""
-        self._expire(self.env.now)
-        if not self._active:
-            return self.env.now
-        return max(t.end_s for t in self._active)
-
     def _expire(self, now: float) -> None:
-        still_active = []
-        for transmission in self._active:
-            if transmission.end_s <= now:
-                self._history.append(transmission)
-            else:
-                still_active.append(transmission)
-        self._active = still_active
+        self._active = [t for t in self._active if t.end_s > now]
 
     # -- transmissions --------------------------------------------------------------
     def start_transmission(self, source: int, duration_s: float, frame: object,
@@ -107,9 +91,3 @@ class Medium:
         self._active.append(transmission)
         self.transmission_count += 1
         return transmission
-
-    @property
-    def history(self) -> List[Transmission]:
-        """Completed transmissions (for post-run statistics)."""
-        self._expire(self.env.now)
-        return list(self._history) + list(self._active)

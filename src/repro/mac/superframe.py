@@ -1,21 +1,22 @@
 """Superframe structure of the beacon-enabled mode (Figure 2 of the paper).
 
-A superframe starts with the beacon, contains 16 equally sized slots, and is
-split into a contention access period (CAP, slotted CSMA/CA) and an optional
-contention-free period (CFP) made of guaranteed time slots at the tail.  The
-inter-beacon period is ``aBaseSuperframeDuration x 2^BO`` (equation 12);
-the active portion lasts ``aBaseSuperframeDuration x 2^SO`` with SO <= BO.
-When SO < BO the coordinator and all devices may sleep between the end of
-the active portion and the next beacon.
+A superframe starts with the beacon and contains 16 equally sized slots.
+The standard lets the coordinator end the active portion with a
+contention-free period of guaranteed time slots; the paper dismisses those
+for dense networks (Section 2, quantified in
+:mod:`repro.core.gts_comparison`), so here the contention access period
+(CAP, slotted CSMA/CA) runs from the end of the beacon to the end of the
+active portion.  The inter-beacon period is ``aBaseSuperframeDuration x
+2^BO`` (equation 12); the active portion lasts ``aBaseSuperframeDuration x
+2^SO`` with SO <= BO.  When SO < BO the coordinator and all devices may
+sleep between the end of the active portion and the next beacon.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
 
 from repro.mac.constants import MAC_2450MHZ, MacConstants
-from repro.mac.gts import GtsDescriptor
 
 
 @dataclass(frozen=True)
@@ -90,22 +91,16 @@ class SuperframeConfig:
 class Superframe:
     """One concrete superframe instance anchored at a beacon time.
 
-    Combines the static :class:`SuperframeConfig` with the GTS allocation
-    advertised in this particular beacon, and answers slot-geometry queries
-    (which CSMA backoff slots belong to the CAP, when the CFP starts, ...).
+    Combines the static :class:`SuperframeConfig` with this beacon's time
+    and airtime, and answers slot-geometry queries (which CSMA backoff slots
+    belong to the CAP, whether a transaction still fits in it, ...).
     """
 
     def __init__(self, config: SuperframeConfig, beacon_time_s: float = 0.0,
-                 gts_descriptors: Optional[List[GtsDescriptor]] = None,
                  beacon_airtime_s: float = 0.0):
         self.config = config
         self.beacon_time_s = beacon_time_s
-        self.gts_descriptors = list(gts_descriptors or [])
         self.beacon_airtime_s = beacon_airtime_s
-        total_gts_slots = sum(d.length_slots for d in self.gts_descriptors)
-        if total_gts_slots > self.config.constants.num_superframe_slots - 1:
-            raise ValueError("GTS allocation leaves no contention access period")
-        self._cfp_slots = total_gts_slots
 
     # -- boundaries -----------------------------------------------------------------
     @property
@@ -115,7 +110,7 @@ class Superframe:
 
     @property
     def active_end_time_s(self) -> float:
-        """End of the active portion."""
+        """End of the active portion, which is also the end of the CAP."""
         return self.beacon_time_s + self.config.superframe_duration_s
 
     @property
@@ -124,14 +119,9 @@ class Superframe:
         return self.beacon_time_s + self.beacon_airtime_s
 
     @property
-    def cfp_start_time_s(self) -> float:
-        """Start of the contention-free period (end of CAP)."""
-        return self.active_end_time_s - self._cfp_slots * self.config.slot_duration_s
-
-    @property
     def cap_duration_s(self) -> float:
         """Duration of the contention access period."""
-        return self.cfp_start_time_s - self.cap_start_time_s
+        return self.active_end_time_s - self.cap_start_time_s
 
     @property
     def cap_backoff_slots(self) -> int:
@@ -146,11 +136,7 @@ class Superframe:
 
     def in_cap(self, time_s: float) -> bool:
         """Whether ``time_s`` falls in the contention access period."""
-        return self.cap_start_time_s <= time_s < self.cfp_start_time_s
-
-    def in_cfp(self, time_s: float) -> bool:
-        """Whether ``time_s`` falls in the contention-free period."""
-        return self.cfp_start_time_s <= time_s < self.active_end_time_s
+        return self.cap_start_time_s <= time_s < self.active_end_time_s
 
     def in_inactive(self, time_s: float) -> bool:
         """Whether ``time_s`` falls in the inactive portion."""
@@ -173,10 +159,10 @@ class Superframe:
 
     def transaction_fits_in_cap(self, start_time_s: float,
                                 transaction_duration_s: float) -> bool:
-        """Whether a transaction starting at ``start_time_s`` ends before the CFP."""
-        return start_time_s + transaction_duration_s <= self.cfp_start_time_s
+        """Whether a transaction starting at ``start_time_s`` ends in the CAP."""
+        return start_time_s + transaction_duration_s <= self.active_end_time_s
 
     def next(self) -> "Superframe":
-        """The superframe following this one (same config, no GTS carry-over)."""
+        """The superframe following this one (same config and beacon airtime)."""
         return Superframe(self.config, beacon_time_s=self.end_time_s,
                           beacon_airtime_s=self.beacon_airtime_s)

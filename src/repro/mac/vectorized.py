@@ -80,12 +80,14 @@ measure-zero event.
 
 Scope: the uplink transaction cycle of the paper's activation policy
 (Figure 5) with staggered transaction starts — the configuration
-:class:`repro.network.scenario.ChannelScenario` uses.  Downlink (indirect
-transmission) and GTS traffic are not modelled on the fast path; scenarios
-needing them must use the event-driven backend.  Collisions cannot occur
-under this policy (a transmission starts only when the second CCA found the
-channel clear, which implies no frame is on the air), so the batched kernel
-reports ``collisions == 0`` without tracking the medium per device pair.
+:class:`repro.network.scenario.ChannelScenario` uses, and the only one the
+event kernel models too.  What the event kernel adds is a per-device
+timeline (one process per device), which makes it the semantic oracle this
+kernel is checked against, not a wider protocol scope.  Collisions cannot
+occur under this policy (a transmission starts only when the second CCA
+found the channel clear, which implies no frame is on the air), so the
+batched kernel reports ``collisions == 0`` without tracking the medium per
+device pair.
 """
 
 from __future__ import annotations
@@ -97,10 +99,10 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.mac.constants import MAC_2450MHZ, MacConstants
+from repro.mac.constants import (MAC_2450MHZ, PHASE_ACK, PHASE_BEACON,
+                                 PHASE_CONTENTION, PHASE_SLEEP,
+                                 PHASE_TRANSMIT, MacConstants)
 from repro.mac.csma import CsmaParameters
-from repro.mac.device import (PHASE_ACK, PHASE_BEACON, PHASE_CONTENTION,
-                              PHASE_SLEEP, PHASE_TRANSMIT)
 from repro.mac.frames import AckFrame, BeaconFrame, DataFrame
 from repro.mac.superframe import SuperframeConfig
 from repro.obs.tracer import current_tracer

@@ -26,10 +26,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.mac.constants import MAC_2450MHZ, MacConstants
-from repro.mac.coordinator import Coordinator
 from repro.mac.csma import CsmaParameters
-from repro.mac.device import Device
-from repro.mac.medium import Medium
 from repro.mac.superframe import SuperframeConfig
 from repro.network.channel_allocation import ChannelAllocator
 from repro.network.node import SensorNode
@@ -42,7 +39,6 @@ from repro.network.topology import (NetworkTopology, StarTopology,
 from repro.obs.tracer import current_tracer
 from repro.phy.bands import Band, channels_in_band
 from repro.phy.error_model import EmpiricalBerModel, ErrorModel
-from repro.sim.engine import Environment
 from repro.sim.random import RandomStreams
 
 
@@ -195,12 +191,15 @@ class ChannelScenario:
         """Simulate ``superframes`` beacon intervals and summarise the outcome.
 
         ``backend`` selects the simulation kernel: ``"event"`` is the
-        discrete-event reference and the only kernel with downlink and GTS;
-        ``"batched"`` runs the channel as the single lane of
-        :class:`repro.mac.vectorized.BatchedChannelSimulator` (identical
+        discrete-event reference — one process per device, so every device
+        has its own timeline — and the semantic oracle the other kernel is
+        checked against; ``"batched"`` runs the channel as the single lane
+        of :class:`repro.mac.vectorized.BatchedChannelSimulator` (identical
         counts for the same seed).  At the network level
         (:func:`repro.network.simulate.simulate_network`) the batched kernel
-        takes every channel and replication in one lockstep call.
+        takes every channel and replication in one lockstep call.  Each
+        branch imports its own kernel, so a batched run loads none of the
+        event kernel.
         """
         if backend not in self.BACKENDS:
             raise ValueError(f"Unknown backend {backend!r}; "
@@ -218,6 +217,10 @@ class ChannelScenario:
                 payload_bytes=self.payload_bytes,
                 csma_params=self.csma_params, traffic=self.traffic)
             return simulator.run(superframes=superframes)[0]
+        from repro.mac.coordinator import Coordinator
+        from repro.mac.device import Device
+        from repro.mac.medium import Medium
+        from repro.sim.engine import Environment
         tracer = current_tracer()
         with tracer.span("kernel:event", kind="kernel",
                          devices=len(self.nodes), superframes=superframes):

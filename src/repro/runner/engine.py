@@ -37,6 +37,19 @@ from repro.runner.result import RunResult
 DEFAULT_SEED = PAPER_SEED
 
 
+def validate_seed(seed: Any) -> None:
+    """Raise :class:`ValueError` unless ``seed`` is ``None`` or an ``int`` ≥ 0.
+
+    ``True`` would compute seed 1's rows under a second cache key, and a
+    negative seed fails only inside the model, after the run was keyed (or
+    a service job queued).
+    """
+    if seed is not None and (isinstance(seed, bool)
+                             or not isinstance(seed, int) or seed < 0):
+        raise ValueError(f"seed must be a non-negative integer or None, "
+                         f"got {seed!r}")
+
+
 def resolve_cache(cache: Any = True,
                   cache_root: Optional[str] = None):
     """Normalise the ``cache`` argument of :func:`run_experiment`.
@@ -88,9 +101,7 @@ def run_experiment(name: str,
         result cache is bypassed entirely (neither looked up nor written):
         caching it would replay one arbitrary draw as if it were the
         deterministic answer.  Anything but ``None`` or a non-negative
-        integer raises :class:`ValueError`: ``True`` would compute seed 1's
-        rows under a second cache key, and a negative seed fails only
-        inside the model.
+        integer raises :class:`ValueError` (:func:`validate_seed`).
     cache:
         ``True`` (default on-disk cache), ``False`` (no caching), or a cache
         object with ``key``/``load``/``store``.
@@ -110,10 +121,7 @@ def run_experiment(name: str,
     RunResult
         Rows, provenance and cache diagnostics of the run.
     """
-    if seed is not None and (isinstance(seed, bool)
-                             or not isinstance(seed, int) or seed < 0):
-        raise ValueError(f"seed must be a non-negative integer or None, "
-                         f"got {seed!r}")
+    validate_seed(seed)
     registry = registry or default_registry()
     jobs = max(1, jobs)
     spec = registry.get(name)

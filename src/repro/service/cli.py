@@ -108,14 +108,19 @@ def add_service_parsers(commands: Any) -> None:
 def command_serve(arguments: argparse.Namespace) -> int:
     """Run the service until SIGINT/SIGTERM, then drain gracefully."""
     backend = resolve_backend(arguments.backend, arguments.cache_dir)
-    store_path = arguments.store or str(backend.root / "jobs.sqlite")
-    store = JobStore(store_path, max_attempts=arguments.max_attempts)
-
     session_options: Dict[str, Any] = {"backend": backend,
                                        "jobs": arguments.jobs}
     if arguments.seed is not None:
         session_options["seed"] = arguments.seed
-    frontend_session = Session(**session_options)
+    try:
+        frontend_session = Session(**session_options)
+    except ValueError as error:
+        # An invalid seed policy would canonicalise every seedless job to
+        # a seed the workers reject; refuse it before serving anything.
+        logger.error(f"error: {error}")
+        return 2
+    store_path = arguments.store or str(backend.root / "jobs.sqlite")
+    store = JobStore(store_path, max_attempts=arguments.max_attempts)
     pool = WorkerPool(store, lambda: Session(**session_options),
                       workers=max(0, arguments.workers),
                       stale_after_s=arguments.stale_after)

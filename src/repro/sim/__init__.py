@@ -6,6 +6,8 @@ simulation and we additionally cross-validate the analytical energy model
 against a packet-level simulation of the beacon-enabled 802.15.4 MAC.  The
 offline environment does not ship ``simpy`` so a small, fully deterministic
 process-based discrete-event kernel is implemented here from scratch.
+It carries the event MAC kernel (one process per device and one for the
+coordinator) and nothing else.
 
 Main entry points
 -----------------
@@ -38,12 +40,11 @@ The names resolve on first access: the cache and tracer import
 from repro._lazy import lazy_exports
 
 _EXPORTS = {
-    "repro.sim.engine": ("Environment", "Event", "Interrupt", "Process",
+    "repro.sim.engine": ("Environment", "Event", "Process",
                          "SimulationError", "Timeout"),
     "repro.sim.monitor": ("Monitor", "TimeWeightedMonitor",
                           "CounterMonitor"),
     "repro.sim.random": ("RandomStreams", "spawn_seeds"),
-    "repro.sim.resources": ("Resource", "Store"),
 }
 
 __all__ = [name for names in _EXPORTS.values() for name in names]

@@ -6,9 +6,10 @@ chronological order.  Model code is written as generator functions ("process
 functions") that ``yield`` events; the :class:`Process` wrapper resumes the
 generator whenever the yielded event is triggered.
 
-The design intentionally mirrors a small subset of the ``simpy`` API
+The design mirrors a small subset of the ``simpy`` API
 (``Environment.process``, ``Environment.timeout``, ``Environment.run``,
-``Event.succeed`` / ``Event.fail``) so the MAC and contention simulators read
+``Event.succeed`` / ``Event.fail``), enough for the event MAC kernel
+(:mod:`repro.mac.device`, :mod:`repro.mac.coordinator`), so that kernel reads
 naturally to anyone familiar with that library, while remaining a from-scratch
 implementation suitable for the offline environment.
 """
@@ -16,25 +17,11 @@ implementation suitable for the offline environment.
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, Generator, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Generator, List, Optional, Tuple
 
 
 class SimulationError(RuntimeError):
     """Raised for illegal uses of the simulation kernel."""
-
-
-class Interrupt(Exception):
-    """Thrown into a process when it is interrupted by another process.
-
-    Parameters
-    ----------
-    cause:
-        Arbitrary object describing why the process was interrupted.
-    """
-
-    def __init__(self, cause: Any = None):
-        super().__init__(cause)
-        self.cause = cause
 
 
 #: Priority used for ordinary events.
@@ -174,26 +161,6 @@ class Process(Event):
         """The event this process is currently waiting for."""
         return self._target
 
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current time."""
-        if self._triggered:
-            raise SimulationError("Cannot interrupt a terminated process")
-        event = Event(self.env)
-        event._exception = Interrupt(cause)
-        event._triggered = True
-        event._defused = True
-        event.callbacks = []
-        event.callbacks.append(self._resume)
-        self.env._schedule(event, PRIORITY_URGENT)
-        # Detach from the event we were waiting on so the normal resume does
-        # not fire a second time.
-        if self._target is not None and self._target.callbacks is not None:
-            try:
-                self._target.callbacks.remove(self._resume)
-            except ValueError:
-                pass
-        self._target = None
-
     # -- kernel machinery --------------------------------------------------
     def _resume(self, event: Event) -> None:
         self.env._active_process = self
@@ -235,59 +202,6 @@ class Process(Event):
             self._target = next_target
 
 
-class AllOf(Event):
-    """Fires when every event of a collection has fired successfully."""
-
-    def __init__(self, env: "Environment", events: Iterable[Event]):
-        super().__init__(env)
-        self._pending = 0
-        self._results: dict = {}
-        events = list(events)
-        for event in events:
-            if event.callbacks is None:
-                self._results[event] = event._value
-                continue
-            self._pending += 1
-            event.callbacks.append(self._collect)
-        if self._pending == 0:
-            self.succeed(self._results)
-
-    def _collect(self, event: Event) -> None:
-        if self._triggered:
-            return
-        if event._exception is not None:
-            event._defused = True
-            self.fail(event._exception)
-            return
-        self._results[event] = event._value
-        self._pending -= 1
-        if self._pending == 0:
-            self.succeed(self._results)
-
-
-class AnyOf(Event):
-    """Fires as soon as any event of a collection fires."""
-
-    def __init__(self, env: "Environment", events: Iterable[Event]):
-        super().__init__(env)
-        events = list(events)
-        for event in events:
-            if event.callbacks is None:
-                self.succeed({event: event._value})
-                return
-        for event in events:
-            event.callbacks.append(self._collect)
-
-    def _collect(self, event: Event) -> None:
-        if self._triggered:
-            return
-        if event._exception is not None:
-            event._defused = True
-            self.fail(event._exception)
-            return
-        self.succeed({event: event._value})
-
-
 class Environment:
     """The simulation environment: clock plus event list.
 
@@ -327,14 +241,6 @@ class Environment:
     def process(self, generator: Generator) -> Process:
         """Register ``generator`` as a new process starting at the current time."""
         return Process(self, generator)
-
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        """Event that fires when all of ``events`` have fired."""
-        return AllOf(self, events)
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        """Event that fires when the first of ``events`` fires."""
-        return AnyOf(self, events)
 
     # -- scheduling ----------------------------------------------------------
     def _schedule(self, event: Event, priority: int, delay: float = 0.0) -> None:

@@ -1,8 +1,8 @@
 """Reproducible random-number streams.
 
-Every stochastic component of the simulator (backoff draws, traffic jitter,
-channel fading, node placement, bit errors, ...) pulls its variates from a
-named stream so that:
+Every stochastic component of the simulator (backoff draws, traffic
+arrivals, path-loss draws, node placement, bit errors, ...) pulls its
+variates from a named stream so that:
 
 * the whole experiment is reproducible from a single master seed, and
 * changing the amount of randomness consumed by one component does not

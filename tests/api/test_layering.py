@@ -8,8 +8,9 @@ cache hit, ``list`` and a bare :class:`repro.api.Session` also load neither
 numpy nor the experiment adapters (:mod:`repro.runner.drivers`).  Every
 package but :mod:`repro.service` exports lazily, so a cold run loads only
 what its experiment uses: Fig. 3 never reaches the network layer, the MAC
-kernels or the sweep subsystem.  CI runs the same assertions as standalone
-steps.
+kernels or the sweep subsystem, and ``case_study_full`` on its default
+batched kernel never loads the event kernel.  CI runs the same assertions
+as standalone steps.
 """
 
 import subprocess
@@ -42,6 +43,10 @@ NOT_FOR_FIG3 = ("repro.network", "repro.mac.vectorized", "repro.mac.device",
 
 #: The experiments whose cold run builds a network; no other loads it.
 NETWORK_EXPERIMENTS = ("case_study_full", "model_vs_sim")
+
+#: The event MAC kernel, which a run on the batched kernel has no use for.
+EVENT_KERNEL = ("repro.mac.device", "repro.mac.coordinator",
+                "repro.mac.medium", "repro.radio.cc2420", "repro.sim.engine")
 
 #: Small parameters per experiment (the rest take ``num_windows=1``): the
 #: checks below are about imports, not rows.
@@ -295,4 +300,14 @@ def test_only_the_network_experiments_load_the_network_layer():
 def test_a_network_experiment_loads_the_network_layer(name):
     completed = _run(_cold_runs([name])
                      + "assert 'repro.network' in sys.modules")
+    assert completed.returncode == 0, completed.stderr
+
+
+def test_a_cold_batched_case_study_loads_no_event_kernel():
+    """``case_study_full`` runs the batched kernel; only the event branch
+    of :meth:`repro.network.scenario.ChannelScenario.run` imports the
+    event kernel."""
+    completed = _run(_cold_runs(["case_study_full"])
+                     + "assert 'repro.mac.vectorized' in sys.modules; "
+                     + _none_loaded(EVENT_KERNEL))
     assert completed.returncode == 0, completed.stderr

@@ -31,6 +31,15 @@ class TestSessionBasics:
         override = session.run("fig6_csma", seed=7, jobs=1, **TINY_FIG6)
         assert override.seed == 7 and override.jobs == 1
 
+    @pytest.mark.parametrize("seed", [-1, True, 1.5])
+    def test_invalid_seed_policy_is_rejected_at_construction(self, tmp_path,
+                                                             seed):
+        # Otherwise every seedless run or service job would be keyed under
+        # the bad seed and fail only once it computes.
+        with pytest.raises(ValueError, match=f"got {seed!r}"):
+            api.Session(cache_dir=tmp_path / "cache", seed=seed)
+        assert not (tmp_path / "cache").exists()
+
     def test_cache_property_is_the_store_runs_use(self, tmp_path):
         session = api.Session(cache_dir=tmp_path)
         assert str(session.cache.root) == str(tmp_path)

@@ -3,10 +3,10 @@
 import pytest
 
 from repro.core.gts_comparison import (
+    MAX_GTS_DESCRIPTORS,
     GtsEnergyModel,
     GtsVersusContention,
 )
-from repro.mac.gts import MAX_GTS_DESCRIPTORS
 
 
 @pytest.fixture(scope="module")

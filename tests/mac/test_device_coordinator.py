@@ -9,14 +9,16 @@ from repro.mac.csma import CsmaParameters
 from repro.mac.device import Device
 from repro.mac.medium import Medium
 from repro.mac.superframe import SuperframeConfig
+from repro.mac.vectorized import _beacon_airtime_s
+from repro.network.traffic import (BufferedTrafficSource,
+                                   PeriodicSensingTraffic)
 from repro.radio.states import RadioState
 from repro.sim.engine import Environment
 from repro.sim.random import RandomStreams
 
 
 def build_network(num_nodes=3, beacon_order=2, payload_bytes=50,
-                  path_loss_db=60.0, seed=0, stagger=True,
-                  links=True):
+                  path_loss_db=60.0, seed=0, links=True):
     """Assemble a small star network ready to run."""
     streams = RandomStreams(seed)
     env = Environment()
@@ -32,7 +34,6 @@ def build_network(num_nodes=3, beacon_order=2, payload_bytes=50,
         devices.append(Device(
             env=env, node_id=node_id, medium=medium, coordinator=coordinator,
             config=config, payload_bytes=payload_bytes, tx_power_dbm=0.0,
-            stagger_transactions=stagger,
             rng=streams.get(f"dev{node_id}")))
     coordinator.start()
     for device in devices:
@@ -52,11 +53,28 @@ class TestCoordinator:
         assert beacon.beacon_order == config.beacon_order
         assert beacon.source == Coordinator.COORDINATOR_ID
 
-    def test_downlink_queue_advertised(self):
-        env, medium, coordinator, devices, config = build_network(num_nodes=1)
-        coordinator.queue_downlink(destination=1, payload=b"cmd")
+    @pytest.mark.parametrize("beacon_order, superframe_order",
+                             [(0, 0), (3, 1), (6, 6), (6, 4), (10, 2),
+                              (14, 14)])
+    def test_beacon_airtime_matches_the_batched_kernel(self, beacon_order,
+                                                       superframe_order):
+        # Both kernels charge one beacon per superframe; its length carries
+        # the empty GTS and pending-address fields' fixed bytes.
+        env = Environment()
+        medium = Medium(env)
+        config = SuperframeConfig(beacon_order=beacon_order,
+                                  superframe_order=superframe_order)
+        coordinator = Coordinator(env, medium, config)
         beacon = coordinator.build_beacon()
-        assert 1 in beacon.pending_short_addresses
+        assert beacon.gts_descriptors == 0
+        assert tuple(beacon.pending_short_addresses) == ()
+        byte_period = MAC_2450MHZ.timing.byte_period_s
+        assert beacon.airtime_s(byte_period) == \
+            _beacon_airtime_s(config, MAC_2450MHZ)
+        coordinator.start()
+        env.run(until=0.0)
+        assert coordinator.current_superframe.beacon_airtime_s == \
+            _beacon_airtime_s(config, MAC_2450MHZ)
 
     def test_device_id_zero_reserved(self):
         env, medium, coordinator, devices, config = build_network(num_nodes=1)
@@ -140,15 +158,23 @@ class TestDeviceTransactions:
         assert device.delays.mean < config.beacon_interval_s
 
     def test_packet_source_can_suppress_traffic(self):
+        # A cold buffer filling one sample per 1000 s never holds a packet.
         env = Environment()
         medium = Medium(env)
         config = SuperframeConfig(beacon_order=2, superframe_order=2)
         coordinator = Coordinator(env, medium, config)
+        silent = BufferedTrafficSource(
+            traffic=PeriodicSensingTraffic(sampling_interval_s=1e3,
+                                           payload_bytes=120))
         device = Device(env=env, node_id=1, medium=medium,
                         coordinator=coordinator, config=config,
-                        packet_source=lambda: False)
+                        traffic_source=silent)
         coordinator.start()
         device.start()
         env.run(until=3 * config.beacon_interval_s)
         assert device.counters.get("packets_attempted") == 0
         assert device.counters.get("beacons_received") >= 2
+        assert device.counters.get("superframes_without_traffic") == \
+            device.counters.get("beacons_received")
+        assert device.radio.ledger.energy_by_phase().get("transmit", 0.0) \
+            == 0.0

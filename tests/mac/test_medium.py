@@ -1,7 +1,5 @@
 """Unit tests of the shared-medium model."""
 
-import pytest
-
 from repro.mac.frames import DataFrame
 from repro.mac.medium import Medium, Transmission
 from repro.sim.engine import Environment
@@ -21,7 +19,6 @@ class TestMedium:
     def test_idle_channel(self):
         medium = Medium(Environment())
         assert not medium.is_busy()
-        assert medium.busy_until() == 0.0
 
     def test_busy_during_transmission(self):
         env = Environment()
@@ -29,7 +26,8 @@ class TestMedium:
         medium.start_transmission(source=1, duration_s=1e-3,
                                   frame=DataFrame(payload=b"x"), tx_power_dbm=0.0)
         assert medium.is_busy()
-        assert medium.busy_until() == pytest.approx(1e-3)
+        assert medium.is_busy(at_time_s=0.999e-3)
+        assert not medium.is_busy(at_time_s=1e-3)
 
     def test_channel_frees_after_transmission(self):
         env = Environment()
@@ -65,10 +63,3 @@ class TestMedium:
         env.process(later())
         env.run()
         assert not first.collided
-
-    def test_history_contains_all_transmissions(self):
-        env = Environment()
-        medium = Medium(env)
-        medium.start_transmission(1, 1e-3, DataFrame(payload=b"a"), 0.0)
-        medium.start_transmission(2, 1e-3, DataFrame(payload=b"b"), 0.0)
-        assert len(medium.history) == 2

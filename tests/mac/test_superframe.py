@@ -3,7 +3,6 @@
 import pytest
 
 from repro.mac.constants import MAC_2450MHZ
-from repro.mac.gts import GtsDescriptor
 from repro.mac.superframe import Superframe, SuperframeConfig
 
 
@@ -57,16 +56,19 @@ class TestSuperframeConfig:
 
 
 class TestSuperframe:
-    def make(self, **kwargs):
+    def make(self):
         config = SuperframeConfig(beacon_order=6, superframe_order=6)
-        return Superframe(config, beacon_time_s=0.0, beacon_airtime_s=1e-3,
-                          **kwargs)
+        return Superframe(config, beacon_time_s=0.0, beacon_airtime_s=1e-3)
 
     def test_boundaries(self):
         frame = self.make()
         assert frame.end_time_s == pytest.approx(0.98304)
         assert frame.cap_start_time_s == pytest.approx(1e-3)
-        assert frame.cfp_start_time_s == pytest.approx(frame.active_end_time_s)
+        # No contention-free period: the CAP fills the active portion.
+        assert frame.cap_duration_s == \
+            frame.active_end_time_s - frame.cap_start_time_s
+        assert frame.in_cap(frame.active_end_time_s - 1e-9)
+        assert not frame.in_cap(frame.active_end_time_s)
 
     def test_time_classification(self):
         frame = self.make()
@@ -74,18 +76,6 @@ class TestSuperframe:
         assert not frame.contains(1.0)
         assert frame.in_cap(0.5)
         assert not frame.in_cap(0.9835)
-
-    def test_gts_shrinks_cap(self):
-        descriptors = [GtsDescriptor(device=5, starting_slot=14, length_slots=2)]
-        frame = self.make(gts_descriptors=descriptors)
-        assert frame.cfp_start_time_s == pytest.approx(
-            frame.active_end_time_s - 2 * frame.config.slot_duration_s)
-        assert frame.in_cfp(frame.active_end_time_s - 0.01)
-
-    def test_gts_cannot_consume_whole_superframe(self):
-        descriptors = [GtsDescriptor(device=1, starting_slot=0, length_slots=16)]
-        with pytest.raises(ValueError):
-            self.make(gts_descriptors=descriptors)
 
     def test_backoff_slot_boundary_alignment(self):
         frame = self.make()
@@ -102,7 +92,8 @@ class TestSuperframe:
     def test_transaction_fits_in_cap(self):
         frame = self.make()
         assert frame.transaction_fits_in_cap(0.1, 5e-3)
-        assert not frame.transaction_fits_in_cap(frame.cfp_start_time_s - 1e-3, 5e-3)
+        assert not frame.transaction_fits_in_cap(frame.active_end_time_s - 1e-3,
+                                                 5e-3)
 
     def test_next_superframe(self):
         frame = self.make()

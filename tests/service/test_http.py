@@ -198,6 +198,20 @@ class TestCliClient:
         assert main(["jobs", "--url", "http://127.0.0.1:9",
                      "status", "deadbeef"]) == 2
 
+    def test_serve_rejects_an_invalid_seed_before_serving(self, tmp_path,
+                                                           monkeypatch):
+        import repro.service.cli as service_cli
+        from repro.runner.cli import main
+
+        def never(*args, **kwargs):
+            raise AssertionError("serve went past its seed check")
+
+        monkeypatch.setattr(service_cli, "make_server", never)
+        monkeypatch.setattr(service_cli, "WorkerPool", never)
+        assert main(["serve", "--seed", "-1", "--port", "0",
+                     "--cache-dir", str(tmp_path)]) == 2
+        assert not (tmp_path / "jobs.sqlite").exists()
+
     def test_serve_parser_defaults(self):
         from repro.runner.cli import build_parser
         arguments = build_parser().parse_args(["serve"])

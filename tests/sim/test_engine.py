@@ -5,7 +5,6 @@ import pytest
 from repro.sim.engine import (
     Environment,
     Event,
-    Interrupt,
     Process,
     SimulationError,
     Timeout,
@@ -61,6 +60,13 @@ class TestEnvironmentBasics:
             env.process(proc(tag))
         env.run()
         assert order == ["first", "second", "third"]
+
+    def test_run_until_event_that_never_fires_raises(self):
+        env = Environment()
+        pending = env.event()
+        env.timeout(1.0)
+        with pytest.raises(SimulationError):
+            env.run(until=pending)
 
 
 class TestTimeout:
@@ -210,78 +216,3 @@ class TestProcess:
         env.process(proc())
         with pytest.raises(ValueError, match="inside"):
             env.run()
-
-    def test_interrupt_delivers_cause(self):
-        env = Environment()
-        caught = []
-
-        def sleeper():
-            try:
-                yield env.timeout(100.0)
-            except Interrupt as interrupt:
-                caught.append((env.now, interrupt.cause))
-
-        def interrupter(target):
-            yield env.timeout(3.0)
-            target.interrupt(cause="wake up")
-
-        target = env.process(sleeper())
-        env.process(interrupter(target))
-        env.run()
-        assert caught == [(3.0, "wake up")]
-
-    def test_interrupt_terminated_process_raises(self):
-        env = Environment()
-
-        def quick():
-            yield env.timeout(1.0)
-
-        process = env.process(quick())
-        env.run()
-        with pytest.raises(SimulationError):
-            process.interrupt()
-
-
-class TestCompositeEvents:
-    def test_all_of_waits_for_every_event(self):
-        env = Environment()
-        times = []
-
-        def proc():
-            yield env.all_of([env.timeout(1.0), env.timeout(5.0), env.timeout(3.0)])
-            times.append(env.now)
-
-        env.process(proc())
-        env.run()
-        assert times == [5.0]
-
-    def test_any_of_fires_on_first_event(self):
-        env = Environment()
-        times = []
-
-        def proc():
-            yield env.any_of([env.timeout(4.0), env.timeout(2.0)])
-            times.append(env.now)
-
-        env.process(proc())
-        env.run()
-        assert times == [2.0]
-
-    def test_all_of_empty_collection_fires_immediately(self):
-        env = Environment()
-        done = []
-
-        def proc():
-            yield env.all_of([])
-            done.append(env.now)
-
-        env.process(proc())
-        env.run()
-        assert done == [0.0]
-
-    def test_run_until_event_that_never_fires_raises(self):
-        env = Environment()
-        pending = env.event()
-        env.timeout(1.0)
-        with pytest.raises(SimulationError):
-            env.run(until=pending)

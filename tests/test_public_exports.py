@@ -21,21 +21,18 @@ PUBLIC_SURFACE = {
               "CaseStudyParameters", "CaseStudyResult", "ChannelInversionPolicy",
               "CC2420_PROFILE", "RadioState", "__version__"],
     "repro.sim": ["Environment", "Event", "Process", "Timeout", "Monitor",
-                  "TimeWeightedMonitor", "CounterMonitor", "RandomStreams",
-                  "Resource", "Store"],
+                  "TimeWeightedMonitor", "CounterMonitor", "RandomStreams"],
     "repro.phy": ["Band", "PhyTiming", "TIMING_2450MHZ", "EmpiricalBerModel",
                   "AnalyticOqpskErrorModel", "PhyFrame", "OqpskDsssModulator",
                   "packet_error_probability"],
     "repro.radio": ["RadioState", "RadioPowerProfile", "CC2420_PROFILE",
                     "CC2420Radio", "EnergyLedger", "BerCalibration",
                     "fit_exponential_ber"],
-    "repro.channel": ["AwgnLink", "CoherenceModel", "BlockFadingChannel",
-                      "FreeSpacePathLoss", "LogDistancePathLoss",
+    "repro.channel": ["AwgnLink", "FreeSpacePathLoss", "LogDistancePathLoss",
                       "UniformPathLossDistribution", "WiredTestBench"],
     "repro.mac": ["MacConstants", "MAC_2450MHZ", "CsmaParameters",
                   "SlottedCsmaCa", "BeaconFrame", "DataFrame", "AckFrame",
-                  "GtsManager", "IndirectQueue", "Superframe",
-                  "SuperframeConfig", "AssociationService", "CommandFrame",
+                  "Superframe", "SuperframeConfig",
                   "BatchedChannelSimulator", "ChannelLane"],
     "repro.contention": ["ContentionSimulator", "ContentionStatistics",
                          "ContentionTable", "build_contention_table",
@@ -111,8 +108,7 @@ EXPORTED_NAMES = {
         BENCH_CASES SCHEMA_VERSION bench_path build_record compare_records
         git_sha machine_fingerprint read_record run_bench_case write_record""",
     "repro.channel": """
-        AwgnLink BlockFadingChannel CoherenceModel FreeSpacePathLoss
-        LogDistancePathLoss PathLossDistribution
+        AwgnLink FreeSpacePathLoss LogDistancePathLoss PathLossDistribution
         UniformPathLossDistribution WiredTestBench""",
     "repro.contention": """
         ClosedFormContentionModel ContentionSimulator ContentionStatistics
@@ -135,12 +131,10 @@ EXPORTED_NAMES = {
         run_fig7_link_adaptation run_fig8_packet_size run_fig9_breakdown
         run_improvements run_model_vs_simulation""",
     "repro.mac": """
-        AckFrame AddressingMode AssociationService AssociationStatus
-        BatchedChannelSimulator BatteryLifeExtensionError BeaconFrame
-        ChannelLane CommandFrame CommandType CsmaOutcome CsmaParameters
-        CsmaResult DataFrame GtsDescriptor GtsManager IndirectQueue
-        MAC_2450MHZ MacConstants MacFrame PendingTransaction SlottedCsmaCa
-        Superframe SuperframeConfig mac_overhead_bytes
+        AckFrame AddressingMode BatchedChannelSimulator
+        BatteryLifeExtensionError BeaconFrame ChannelLane CsmaOutcome
+        CsmaParameters CsmaResult DataFrame MAC_2450MHZ MacConstants MacFrame
+        SlottedCsmaCa Superframe SuperframeConfig mac_overhead_bytes
         total_packet_overhead_bytes""",
     "repro.network": """
         BufferedTrafficSource BurstyAlarmTraffic CASE_STUDY_SPEC
@@ -178,9 +172,8 @@ EXPORTED_NAMES = {
         default_registry make_executor parse_param run_experiment
         run_ordered""",
     "repro.sim": """
-        CounterMonitor Environment Event Interrupt Monitor Process
-        RandomStreams Resource SimulationError Store TimeWeightedMonitor
-        Timeout spawn_seeds""",
+        CounterMonitor Environment Event Monitor Process RandomStreams
+        SimulationError TimeWeightedMonitor Timeout spawn_seeds""",
     "repro.sweep": """
         ChoiceDimension FloatDimension GridAxis GroupedRows IntDimension
         OptimizeDefinition OptimizeResult OptimizeRound OptimizeSpec
