@@ -18,7 +18,7 @@ Monte-Carlo contention characterisation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 from repro.sim.engine import Environment
 
@@ -58,9 +58,9 @@ class Medium:
         self.transmission_count = 0
 
     # -- channel state ----------------------------------------------------------
-    def is_busy(self, at_time_s: Optional[float] = None) -> bool:
-        """Whether any transmission is on air at ``at_time_s`` (default: now)."""
-        now = self.env.now if at_time_s is None else at_time_s
+    def is_busy(self) -> bool:
+        """Whether any transmission is on air now."""
+        now = self.env.now
         self._expire(now)
         return any(t.start_s <= now < t.end_s for t in self._active)
 

@@ -26,7 +26,7 @@ class SimulationError(RuntimeError):
 
 #: Priority used for ordinary events.
 PRIORITY_NORMAL = 1
-#: Priority used for urgent (kernel-internal) events such as process resumes.
+#: Priority used for urgent (kernel-internal) events: process starts.
 PRIORITY_URGENT = 0
 
 
@@ -48,19 +48,9 @@ class Event:
 
     # -- state inspection -------------------------------------------------
     @property
-    def triggered(self) -> bool:
-        """``True`` once the event has been scheduled to fire."""
-        return self._triggered
-
-    @property
     def processed(self) -> bool:
         """``True`` once the event's callbacks have been executed."""
         return self.callbacks is None
-
-    @property
-    def ok(self) -> bool:
-        """``True`` if the event fired successfully (no exception)."""
-        return self._triggered and self._exception is None
 
     @property
     def value(self) -> Any:
@@ -100,10 +90,6 @@ class Event:
         self._exception = exception
         self.env._schedule(self, PRIORITY_NORMAL)
         return self
-
-    def defuse(self) -> None:
-        """Mark a failed event as handled so it does not crash the run."""
-        self._defused = True
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         state = "processed" if self.processed else (
@@ -149,21 +135,15 @@ class Process(Event):
                 "function?)")
         super().__init__(env)
         self._generator = generator
-        self._target: Optional[Event] = Initialize(env, self)
+        Initialize(env, self)
 
     @property
     def is_alive(self) -> bool:
         """``True`` while the underlying generator has not terminated."""
         return not self._triggered
 
-    @property
-    def target(self) -> Optional[Event]:
-        """The event this process is currently waiting for."""
-        return self._target
-
     # -- kernel machinery --------------------------------------------------
     def _resume(self, event: Event) -> None:
-        self.env._active_process = self
         try:
             if event._exception is not None:
                 event._defused = True
@@ -180,26 +160,14 @@ class Process(Event):
             self._exception = exc
             self.env._schedule(self, PRIORITY_NORMAL)
             return
-        finally:
-            self.env._active_process = None
 
         if not isinstance(next_target, Event):
             raise SimulationError(
                 f"Process yielded a non-event object: {next_target!r}")
         if next_target.callbacks is None:
-            # Already processed: resume immediately at the current time.
-            immediate = Event(self.env)
-            immediate._triggered = True
-            immediate._value = next_target._value
-            immediate._exception = next_target._exception
-            if next_target._exception is not None:
-                next_target._defused = True
-            immediate.callbacks = [self._resume]
-            self.env._schedule(immediate, PRIORITY_URGENT)
-            self._target = None
-        else:
-            next_target.callbacks.append(self._resume)
-            self._target = next_target
+            raise SimulationError(
+                f"Process yielded an already processed event: {next_target!r}")
+        next_target.callbacks.append(self._resume)
 
 
 class Environment:
@@ -216,18 +184,12 @@ class Environment:
         self._now = float(initial_time)
         self._queue: List[Tuple[float, int, int, Event]] = []
         self._eid = 0
-        self._active_process: Optional[Process] = None
 
     # -- clock ---------------------------------------------------------------
     @property
     def now(self) -> float:
         """Current simulation time."""
         return self._now
-
-    @property
-    def active_process(self) -> Optional[Process]:
-        """The process currently being resumed, if any."""
-        return self._active_process
 
     # -- event factories -------------------------------------------------
     def event(self) -> Event:

@@ -40,6 +40,10 @@ class TestSessionBasics:
             api.Session(cache_dir=tmp_path / "cache", seed=seed)
         assert not (tmp_path / "cache").exists()
 
+    @pytest.mark.parametrize("seed", [None, 0, 2**40])
+    def test_valid_seed_policy_is_kept(self, tmp_path, seed):
+        assert api.Session(cache_dir=tmp_path, seed=seed).seed == seed
+
     def test_cache_property_is_the_store_runs_use(self, tmp_path):
         session = api.Session(cache_dir=tmp_path)
         assert str(session.cache.root) == str(tmp_path)

@@ -55,6 +55,28 @@ class TestJobSpec:
         with pytest.raises(JobSpecError, match="JSON object"):
             JobSpec.from_payload(["run"])
 
+    @pytest.mark.parametrize("seed", [None, 0, 5, 2**64, -1, True, False,
+                                      1.5, "7"])
+    def test_from_payload_admits_exactly_the_engines_seeds(self, seed):
+        """The service seam keeps its own copy of the seed predicate (it
+        imports only the façade); it must agree with the engine's."""
+        from repro.runner.engine import validate_seed
+        try:
+            validate_seed(seed)
+        except ValueError:
+            engine_admits = False
+        else:
+            engine_admits = True
+        try:
+            spec = JobSpec.from_payload({"kind": "run", "name": "fig3_radio",
+                                         "seed": seed})
+        except JobSpecError:
+            service_admits = False
+        else:
+            service_admits = True
+            assert spec.seed == seed
+        assert service_admits is engine_admits
+
 
 class TestLifecycle:
     def test_happy_path(self):

@@ -68,6 +68,28 @@ class TestEnvironmentBasics:
         with pytest.raises(SimulationError):
             env.run(until=pending)
 
+    def test_run_until_the_current_time_processes_events_due_now(self):
+        # Events due at the stop time still run; the clock does not move.
+        env = Environment()
+        started = []
+
+        def proc():
+            started.append(env.now)
+            yield env.timeout(1.0)
+            started.append(env.now)
+
+        env.process(proc())
+        assert env.run(until=0.0) is None
+        assert started == [0.0] and env.now == 0.0
+
+    def test_peek_reports_the_earliest_event(self):
+        env = Environment()
+        env.timeout(2.0)
+        env.timeout(0.5)
+        assert env.peek() == 0.5
+        env.step()
+        assert env.now == 0.5 and env.peek() == 2.0
+
 
 class TestTimeout:
     def test_negative_delay_rejected(self):
@@ -87,6 +109,30 @@ class TestTimeout:
         env.run()
         assert seen == ["payload"]
         assert env.now == 2.0
+
+    def test_delay_counts_from_the_current_time(self):
+        env = Environment(initial_time=5.0)
+        fired = []
+
+        def proc():
+            yield env.timeout(2.0)
+            fired.append(env.now)
+
+        env.process(proc())
+        env.run()
+        assert fired == [7.0]
+
+    def test_zero_delay_fires_without_advancing_the_clock(self):
+        env = Environment(initial_time=3.0)
+        fired = []
+
+        def proc():
+            yield env.timeout(0.0)
+            fired.append(env.now)
+
+        env.process(proc())
+        env.run()
+        assert fired == [3.0]
 
 
 class TestEvent:
@@ -150,6 +196,28 @@ class TestEvent:
         event = env.event()
         event.fail(RuntimeError("unhandled"))
         with pytest.raises(RuntimeError, match="unhandled"):
+            env.run()
+
+    def test_fail_after_trigger_raises(self):
+        env = Environment()
+        event = env.event()
+        event.succeed()
+        with pytest.raises(SimulationError):
+            event.fail(RuntimeError("late"))
+
+    def test_yielding_an_already_processed_event_raises(self):
+        # Nothing could ever resume the process; the kernel's processes
+        # only wait on fresh timeouts.
+        env = Environment()
+        done = env.timeout(1.0)
+        env.run(until=2.0)
+        assert done.processed
+
+        def late_waiter():
+            yield done
+
+        env.process(late_waiter())
+        with pytest.raises(SimulationError, match="already processed"):
             env.run()
 
 
@@ -216,3 +284,21 @@ class TestProcess:
         env.process(proc())
         with pytest.raises(ValueError, match="inside"):
             env.run()
+
+    def test_parent_can_catch_a_failing_child(self):
+        env = Environment()
+        log = []
+
+        def child():
+            yield env.timeout(1.0)
+            raise ValueError("child failed")
+
+        def parent():
+            try:
+                yield env.process(child())
+            except ValueError as exc:
+                log.append((env.now, str(exc)))
+
+        env.process(parent())
+        env.run()
+        assert log == [(1.0, "child failed")]
