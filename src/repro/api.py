@@ -107,8 +107,10 @@ class Session:
         directory), built over ``cache_dir``.  Mutually exclusive with a
         non-default ``cache`` argument.
     jobs:
-        Default worker-process count of every run and sweep (``1`` =
-        serial; rows are identical either way).
+        Default task-pool size of every run and sweep (``1`` = no pool;
+        rows are identical either way).  Independent of it, a large
+        batched kernel call from the main thread splits its lanes over
+        forked workers, one per usable CPU.
     seed:
         Default master seed — the session's *seed policy*.  Every
         :meth:`run` uses it unless overridden per call; ``None`` makes runs

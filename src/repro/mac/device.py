@@ -185,13 +185,6 @@ class Device:
                 yield self.env.timeout(startup_wait)
 
             superframe = self.coordinator.current_superframe
-            if superframe is None or abs(superframe.beacon_time_s - next_beacon_s) > 1e-9:
-                # Beacon not observed (should not happen with an ideal
-                # coordinator); treat as a lost beacon and sleep a full period.
-                self.counters.increment("beacons_missed")
-                next_beacon_s += beacon_interval
-                continue
-
             beacon_airtime = superframe.beacon_airtime_s
             self._charge_radio(beacon_airtime, RadioState.RX, PHASE_BEACON)
             yield self.env.timeout(beacon_airtime)
@@ -341,19 +334,3 @@ class Device:
 
         # All transmissions exhausted without an acknowledgement.
         self.counters.increment("packets_failed")
-
-    # -- reporting ------------------------------------------------------------------------
-    def average_power_w(self) -> float:
-        """Average power over the node's elapsed simulation time."""
-        elapsed = self.radio.time_s
-        if elapsed <= 0:
-            raise RuntimeError("No simulated time has elapsed for this node")
-        return self.radio.ledger.total_energy_j / elapsed
-
-    def failure_probability(self) -> float:
-        """Fraction of attempted packets that were not delivered."""
-        attempted = self.counters.get("packets_attempted")
-        if attempted == 0:
-            return 0.0
-        delivered = self.counters.get("packets_delivered")
-        return 1.0 - delivered / attempted

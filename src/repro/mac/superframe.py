@@ -123,24 +123,10 @@ class Superframe:
         """Duration of the contention access period."""
         return self.active_end_time_s - self.cap_start_time_s
 
-    @property
-    def cap_backoff_slots(self) -> int:
-        """Number of whole CSMA backoff slots that fit in the CAP."""
-        return int(self.cap_duration_s
-                   // self.config.constants.unit_backoff_period_s)
-
     # -- queries -----------------------------------------------------------------------
-    def contains(self, time_s: float) -> bool:
-        """Whether ``time_s`` falls within this superframe's beacon interval."""
-        return self.beacon_time_s <= time_s < self.end_time_s
-
     def in_cap(self, time_s: float) -> bool:
         """Whether ``time_s`` falls in the contention access period."""
         return self.cap_start_time_s <= time_s < self.active_end_time_s
-
-    def in_inactive(self, time_s: float) -> bool:
-        """Whether ``time_s`` falls in the inactive portion."""
-        return self.active_end_time_s <= time_s < self.end_time_s
 
     def backoff_slot_boundary_after(self, time_s: float) -> float:
         """First CSMA backoff-slot boundary at or after ``time_s``.
@@ -161,8 +147,3 @@ class Superframe:
                                 transaction_duration_s: float) -> bool:
         """Whether a transaction starting at ``start_time_s`` ends in the CAP."""
         return start_time_s + transaction_duration_s <= self.active_end_time_s
-
-    def next(self) -> "Superframe":
-        """The superframe following this one (same config and beacon airtime)."""
-        return Superframe(self.config, beacon_time_s=self.end_time_s,
-                          beacon_airtime_s=self.beacon_airtime_s)

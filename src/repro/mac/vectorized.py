@@ -66,10 +66,18 @@ draws from the generators directly lives with the tests
 (``tests/mac/test_lane_oracle.py``); it is the reference for this kernel
 at the simulation horizon.
 
-Memory: a call holds one fresh bit generator per stream, ``devices x 192``
-raw words (the merge loop reads them in place) and the ``devices x
+Memory: a call holds one fresh bit generator per stream, ``devices x 64``
+raw words (the merge loop reads them in place; a device fills its row
+about twice in a 50-superframe run) and the ``devices x
 superframes`` arrival schedule.  Nothing is cached across calls, so a
 long-lived process does not grow with each new seed.
+
+Sharding: because a lane's summary does not depend on its batch, a large
+call splits its lanes into contiguous shards of about equal device count
+and runs all but the first in forked children, one shard per usable CPU
+(:func:`_shard_count`); the rows are byte-identical to a one-process call.
+Each child sends its summaries back through a pipe, and every child is
+reaped before :meth:`BatchedChannelSimulator.run` returns or raises.
 
 Known departure: within a lane, simultaneous events are ordered by device
 index, while the event kernel orders them by scheduling sequence.  Exact
@@ -92,10 +100,16 @@ device pair.
 
 from __future__ import annotations
 
+import os
+import pickle
+import signal
+import sys
+import threading
+import traceback
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from time import perf_counter
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -105,7 +119,7 @@ from repro.mac.constants import (MAC_2450MHZ, PHASE_ACK, PHASE_BEACON,
 from repro.mac.csma import CsmaParameters
 from repro.mac.frames import AckFrame, BeaconFrame, DataFrame
 from repro.mac.superframe import SuperframeConfig
-from repro.obs.tracer import current_tracer
+from repro.obs.tracer import Tracer, activate, current_tracer
 from repro.radio.power_profile import (CC2420_PROFILE, RadioPowerProfile,
                                        T_SHUTDOWN_TO_IDLE_POLICY_S)
 from repro.radio.states import RadioState
@@ -115,7 +129,17 @@ from repro.sim.random import RandomStreams
 _U53 = 1.0 / 9007199254740992.0
 
 #: Raw ``uint64`` words buffered per device stream between refills.
-_RAW_CHUNK = 192
+_RAW_CHUNK = 64
+
+#: Device-superframes each shard of a sharded call must hold.  Measured on
+#: a 2-vCPU x86-64 host (16 lanes, BO 6, saturated): with the second vCPU
+#: free, two shards beat one call by 1.4-1.9x from 16,000 device-superframes
+#: up (1600 nodes x 10 superframes); squeezed onto one CPU
+#: (``taskset -c 0``), they lost 29 % there, 14-19 % at 40,000-80,000, as
+#: the fork, copy-on-write faults and reap (3-9 ms for an idle child at
+#: 30-200 MB RSS) and the time-sharing are paid without the second core.
+#: This floor keeps calls under 40,000 (about 0.1 s) in one process.
+_SHARD_FLOOR = 20_000
 
 #: Cached result of :func:`raw_streams_compatible`.
 _raw_compat: Optional[bool] = None
@@ -254,6 +278,98 @@ def raw_streams_compatible() -> bool:
 
 
 # ---------------------------------------------------------------------------
+# lane shards over forked workers
+# ---------------------------------------------------------------------------
+
+def _shard_count(lane_count: int, devices: int, superframes: int) -> int:
+    """How many processes one kernel call spreads its lanes over.
+
+    One, the single-process call, off Linux; while another Python thread
+    is alive, because a fork copies only the calling thread and a lock
+    another thread holds stays held in the child (so ``repro serve``'s
+    worker threads run serially); and inside a ``multiprocessing`` child,
+    so ``--jobs N`` pool workers do not nest.  Otherwise one shard per CPU
+    this process may run on (``taskset`` narrows the set), as far as the
+    lanes and :data:`_SHARD_FLOOR` allow.  Native threads are not counted:
+    numpy's OpenBLAS pool shuts itself down in a fork handler, and a shard
+    calls no BLAS routine.
+    """
+    if not sys.platform.startswith("linux") or threading.active_count() > 1:
+        return 1
+    multiprocessing = sys.modules.get("multiprocessing")
+    if multiprocessing is not None \
+            and multiprocessing.parent_process() is not None:
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), lane_count,
+                      devices * superframes // _SHARD_FLOOR))
+
+
+def _shard_bounds(counts: Sequence[int], shards: int) -> List[int]:
+    """Lane indices cutting lanes of ``counts`` devices into ``shards``
+    contiguous, non-empty runs of about equal device count."""
+    prefix = [0]
+    for count in counts:
+        prefix.append(prefix[-1] + count)
+    bounds = [0]
+    for shard in range(1, shards):
+        target = prefix[-1] * shard / shards
+        cuts = range(bounds[-1] + 1, len(counts) - shards + shard + 1)
+        bounds.append(min(cuts, key=lambda cut: abs(prefix[cut] - target)))
+    bounds.append(len(counts))
+    return bounds
+
+
+def _serve_shard(shard: "BatchedChannelSimulator", superframes: int,
+                 tracing: bool, write_fd: int) -> None:
+    """Forked-child side of a sharded call: run ``shard``, send the pickled
+    ``(error, outcome)`` reply through ``write_fd`` and leave through
+    ``os._exit``, so the child never unwinds into the caller's frames.
+    Everything the shard raises, interrupts included, becomes the reply's
+    traceback text."""
+    try:
+        try:
+            reply = (None, shard._run_shard(superframes, tracing))
+        except BaseException:
+            reply = (traceback.format_exc(), None)
+        with os.fdopen(write_fd, "wb") as pipe:
+            pickle.dump(reply, pipe, pickle.HIGHEST_PROTOCOL)
+    finally:
+        os._exit(0)
+
+
+def _record_sharded_kernel(tracer, exports: Sequence[dict],
+                           wall_s: float) -> None:
+    """Record the shards' buffer tracers as the one ``kernel:batched`` span
+    and four phases a single-process call records.
+
+    Counters add up across the shards, except ``rounds``: every shard
+    steps through the same beacon intervals, so the call ran as many as
+    its longest shard.  The kernel span lasts the call's wall time, and
+    each phase gets the shards' summed time in it, scaled so that the
+    phases fill that wall time.
+    """
+    spans: Dict[str, dict] = {}
+    for export in exports:
+        for span in export["spans"][1:]:
+            folded = spans.setdefault(span["name"], {
+                "kind": span["kind"], "duration_s": 0.0, "counters": {}})
+            folded["duration_s"] += span["duration_s"]
+            counters = folded["counters"]
+            for key, value in span["counters"].items():
+                counters[key] = (max(counters.get(key, 0), value)
+                                 if key == "rounds"
+                                 else counters.get(key, 0) + value)
+    (kernel_name, kernel), *phases = spans.items()
+    phase_s = sum(phase["duration_s"] for _, phase in phases)
+    parent = tracer.record_span(kernel_name, wall_s, kind=kernel["kind"],
+                                counters=kernel["counters"])
+    for name, phase in phases:
+        share = phase["duration_s"] / phase_s if phase_s else 0.0
+        tracer.record_span(name, wall_s * share, kind=phase["kind"],
+                           counters=phase["counters"], parent=parent)
+
+
+# ---------------------------------------------------------------------------
 # batched kernel
 # ---------------------------------------------------------------------------
 
@@ -308,8 +424,11 @@ class BatchedChannelSimulator:
 
         Returns one :class:`repro.network.scenario.SimulationSummary` per
         lane, in lane order — bit-for-bit what a single-lane run of each
-        lane would produce.  Raises :class:`RuntimeError` when this numpy
-        fails the raw-stream probe (:func:`raw_streams_compatible`).
+        lane would produce, so a call large enough to be sharded over
+        forked workers (:func:`_shard_count`) returns the same summaries
+        as a single-process call.  Raises :class:`RuntimeError` when this
+        numpy fails the raw-stream probe (:func:`raw_streams_compatible`)
+        or a forked shard fails.
         """
         if superframes < 1:
             raise ValueError("superframes must be at least 1")
@@ -319,7 +438,97 @@ class BatchedChannelSimulator:
                 f"bounded integers or doubles differently from the "
                 f"raw-stream replay the batched kernel relies on; run with "
                 f"backend=\"event\" instead")
+        devices = sum(len(lane.nodes) for lane in self.lanes)
+        shards = _shard_count(len(self.lanes), devices, superframes)
+        if shards > 1:
+            return self._run_sharded(superframes, shards)
         return self._run_batched(superframes)
+
+    # -- lane shards over forked workers ---------------------------------------
+    def _run_shard(self, superframes: int, tracing: bool) -> tuple:
+        """``(summaries, trace export or None, seconds)`` of these lanes,
+        run under a fresh buffer tracer when the caller traces."""
+        started = perf_counter()
+        export = None
+        if tracing:
+            buffer = Tracer(name="shard")
+            with activate(buffer):
+                summaries = self._run_batched(superframes)
+            export = buffer.export()
+        else:
+            summaries = self._run_batched(superframes)
+        return summaries, export, perf_counter() - started
+
+    def _run_sharded(self, superframes: int, shards: int) -> List:
+        """Run the lanes as ``shards`` contiguous shards, all but the first
+        in forked children, and return the summaries in lane order.
+
+        Each child sends its outcome, or its traceback, through a pipe
+        (:func:`_serve_shard`).  A failed child raises a
+        :class:`RuntimeError` naming its shard; an exception of the
+        caller's own shard propagates as it is.  Every child is reaped
+        before this returns or raises, and unless every shard finished,
+        the children are killed first.
+        """
+        tracer = current_tracer()
+        tracing = tracer.enabled
+        started = perf_counter()
+        bounds = _shard_bounds([len(lane.nodes) for lane in self.lanes],
+                               shards)
+        parts = [BatchedChannelSimulator(
+                     self.lanes[lo:hi], self.config, self.constants,
+                     self.payload_bytes, self.csma_params, self.profile,
+                     self.traffic)
+                 for lo, hi in zip(bounds, bounds[1:])]
+        children: List[Tuple[int, object]] = []  # (pid, read end)
+        finished = False
+        try:
+            for part in parts[1:]:
+                read_fd, write_fd = os.pipe()
+                try:
+                    pid = os.fork()
+                except OSError:  # e.g. EAGAIN at the process limit
+                    os.close(read_fd)
+                    os.close(write_fd)
+                    raise
+                if pid == 0:
+                    os.close(read_fd)
+                    _serve_shard(part, superframes, tracing, write_fd)
+                os.close(write_fd)
+                children.append((pid, os.fdopen(read_fd, "rb")))
+            outcomes = [parts[0]._run_shard(superframes, tracing)]
+            for shard, (pid, pipe) in enumerate(children, 1):
+                data = pipe.read()
+                if data:
+                    error, outcome = pickle.loads(data)
+                else:  # killed (say, out of memory) before it could reply
+                    ended = os.waitid(os.P_PID, pid,
+                                      os.WEXITED | os.WNOWAIT)
+                    error = (f"it exited with status {ended.si_status}"
+                             if ended.si_code == os.CLD_EXITED else
+                             f"it was killed by signal {ended.si_status}"
+                             ) + " without replying"
+                if error is not None:
+                    raise RuntimeError(
+                        f"kernel shard {shard} of {shards} (lanes "
+                        f"{bounds[shard]}-{bounds[shard + 1] - 1}) "
+                        f"failed: {error}")
+                outcomes.append(outcome)
+            finished = True
+        finally:
+            for pid, pipe in children:
+                pipe.close()
+                if not finished:
+                    os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+        if tracing:
+            _record_sharded_kernel(tracer,
+                                   [export for _, export, _ in outcomes],
+                                   perf_counter() - started)
+            for _, _, seconds in outcomes:
+                tracer.meter_record("kernel.shard_s", seconds)
+        return [summary for summaries, _, _ in outcomes
+                for summary in summaries]
 
     # -- the batched fast path ------------------------------------------------
     def _run_batched(self, superframes: int) -> List:

@@ -18,9 +18,10 @@ all lanes in lockstep numpy passes.  Lane seeds are exactly the per-channel
 seeds of the task fan-out (replication 0) plus
 :func:`replication_seeds`-spawned children (replications 1+), so batched and
 per-channel runs are bit-identical row for row and adding replications never
-perturbs existing ones.  The executor argument is ignored on this path —
-the batch *is* the parallelism; the task fan-out is how the event kernel
-spreads over a process pool.
+perturbs existing ones.  The executor argument is ignored on this path:
+a large call spreads its lanes over forked workers itself, one per usable
+CPU, with byte-identical rows (see :mod:`repro.mac.vectorized`); the task
+fan-out is how the event kernel spreads over a process pool.
 """
 
 from __future__ import annotations
@@ -196,7 +197,8 @@ def simulate_network(spec: ScenarioSpec, superframes: Optional[int] = None,
     executor:
         A :mod:`repro.runner.executor` strategy; ``None`` runs serially.
         Ignored by the ``"batched"`` backend, whose single lockstep kernel
-        call already advances every (channel, replication) lane at once.
+        call advances every (channel, replication) lane at once and, when
+        large enough, splits its lanes over forked workers itself.
     max_nodes_per_channel:
         Truncate each channel's population (scaled-down runs).
     backend:

@@ -134,7 +134,9 @@ def build_parser(argv: Optional[Sequence[str]] = None
     run_parser = commands.add_parser("run", help="run one experiment")
     run_parser.add_argument("experiment", help="registry name (see 'list')")
     run_parser.add_argument("--jobs", "-j", type=int, default=1,
-                            help="worker processes (1 = serial; rows are "
+                            help="task-pool worker processes (1 = no "
+                                 "pool; a large batched kernel call still "
+                                 "uses every usable CPU; rows are "
                                  "identical either way)")
     run_parser.add_argument("--seed", type=int, default=DEFAULT_SEED,
                             help=f"master seed (default {DEFAULT_SEED})")

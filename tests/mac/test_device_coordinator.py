@@ -105,7 +105,8 @@ class TestDeviceTransactions:
         env.run(until=6 * config.beacon_interval_s)
         device = devices[0]
         assert device.counters.get("packets_attempted") >= 5
-        assert device.failure_probability() == pytest.approx(0.0)
+        assert device.counters.get("packets_delivered") \
+            == device.counters.get("packets_attempted")
         assert coordinator.counters.get("data_frames_accepted") \
             == device.counters.get("packets_delivered")
 
@@ -136,7 +137,11 @@ class TestDeviceTransactions:
                                                       seed=1)
         env5 = devices_bo5[0].env
         env5.run(until=4 * config5.beacon_interval_s)
-        assert devices_bo5[0].average_power_w() < devices_bo2[0].average_power_w()
+        power_bo2 = devices_bo2[0].radio.ledger.average_power_w(
+            4 * config2.beacon_interval_s)
+        power_bo5 = devices_bo5[0].radio.ledger.average_power_w(
+            4 * config5.beacon_interval_s)
+        assert power_bo5 < power_bo2
 
     def test_bad_link_causes_retransmissions(self):
         env, medium, coordinator, devices, config = build_network(

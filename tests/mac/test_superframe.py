@@ -72,8 +72,6 @@ class TestSuperframe:
 
     def test_time_classification(self):
         frame = self.make()
-        assert frame.contains(0.5)
-        assert not frame.contains(1.0)
         assert frame.in_cap(0.5)
         assert not frame.in_cap(0.9835)
 
@@ -94,15 +92,3 @@ class TestSuperframe:
         assert frame.transaction_fits_in_cap(0.1, 5e-3)
         assert not frame.transaction_fits_in_cap(frame.active_end_time_s - 1e-3,
                                                  5e-3)
-
-    def test_next_superframe(self):
-        frame = self.make()
-        nxt = frame.next()
-        assert nxt.beacon_time_s == pytest.approx(frame.end_time_s)
-        assert nxt.config is frame.config
-
-    def test_cap_backoff_slots(self):
-        frame = self.make()
-        expected = int((frame.cap_duration_s)
-                       / frame.config.constants.unit_backoff_period_s)
-        assert frame.cap_backoff_slots == expected
