@@ -73,11 +73,15 @@ superframes`` arrival schedule.  Nothing is cached across calls, so a
 long-lived process does not grow with each new seed.
 
 Sharding: because a lane's summary does not depend on its batch, a large
-call splits its lanes into contiguous shards of about equal device count
-and runs all but the first in forked children, one shard per usable CPU
-(:func:`_shard_count`); the rows are byte-identical to a one-process call.
-Each child sends its summaries back through a pipe, and every child is
-reaped before :meth:`BatchedChannelSimulator.run` returns or raises.
+call runs on one worker process per usable CPU (:func:`_shard_count`):
+the caller and forked children, each kept on a CPU of its own.  The lanes
+are cut into contiguous pieces of about equal device count, two per
+worker (:func:`_piece_count`), and each worker takes the next piece when
+it is free, so a worker slowed by other work on its CPU runs fewer
+pieces; the rows are byte-identical to a one-process call whichever
+worker ran which piece.  Each child sends its summaries back through a
+pipe, and every child is reaped before
+:meth:`BatchedChannelSimulator.run` returns or raises.
 
 Known departure: within a lane, simultaneous events are ordered by device
 index, while the event kernel orders them by scheduling sequence.  Exact
@@ -106,10 +110,11 @@ import signal
 import sys
 import threading
 import traceback
+from contextlib import nullcontext
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from time import perf_counter
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -131,7 +136,7 @@ _U53 = 1.0 / 9007199254740992.0
 #: Raw ``uint64`` words buffered per device stream between refills.
 _RAW_CHUNK = 64
 
-#: Device-superframes each shard of a sharded call must hold.  Measured on
+#: Device-superframes each worker of a sharded call must have.  Measured on
 #: a 2-vCPU x86-64 host (16 lanes, BO 6, saturated): with the second vCPU
 #: free, two shards beat one call by 1.4-1.9x from 16,000 device-superframes
 #: up (1600 nodes x 10 superframes); squeezed onto one CPU
@@ -140,6 +145,17 @@ _RAW_CHUNK = 64
 #: 30-200 MB RSS) and the time-sharing are paid without the second core.
 #: This floor keeps calls under 40,000 (about 0.1 s) in one process.
 _SHARD_FLOOR = 20_000
+
+#: Pieces per worker a sharded call is cut into, and the device-superframes
+#: a piece must hold.  Every piece pays the per-call set-up and per-round
+#: array work again: one 16-lane, 1600-node, 50-superframe call run as 2,
+#: 4, 8 or 16 pieces took 1.00, 1.03-1.06, 1.13-1.17 and 1.23-1.26 times
+#: the one call's time.  Measured per call on a 2-vCPU x86-64 host with
+#: the second vCPU kept busy by another process, one piece per worker ran
+#: at 0.91x one process (the call waits for the worker on the busy CPU)
+#: and two per worker at 1.13x (the other worker takes three of four).
+_PIECES_PER_WORKER = 2
+_PIECE_FLOOR = 10_000
 
 #: Cached result of :func:`raw_streams_compatible`.
 _raw_compat: Optional[bool] = None
@@ -278,8 +294,22 @@ def raw_streams_compatible() -> bool:
 
 
 # ---------------------------------------------------------------------------
-# lane shards over forked workers
+# lane pieces over forked workers
 # ---------------------------------------------------------------------------
+
+def _usable_cpus() -> List[int]:
+    """The CPUs this process may run on (``taskset`` narrows the set)."""
+    return sorted(os.sched_getaffinity(0))
+
+
+def _pin(cpus: Set[int]) -> None:
+    """Keep the calling process on ``cpus``; a set it may not use leaves
+    the process where it is."""
+    try:
+        os.sched_setaffinity(0, cpus)
+    except OSError:
+        pass
+
 
 def _shard_count(lane_count: int, devices: int, superframes: int) -> int:
     """How many processes one kernel call spreads its lanes over.
@@ -288,11 +318,11 @@ def _shard_count(lane_count: int, devices: int, superframes: int) -> int:
     is alive, because a fork copies only the calling thread and a lock
     another thread holds stays held in the child (so ``repro serve``'s
     worker threads run serially); and inside a ``multiprocessing`` child,
-    so ``--jobs N`` pool workers do not nest.  Otherwise one shard per CPU
-    this process may run on (``taskset`` narrows the set), as far as the
-    lanes and :data:`_SHARD_FLOOR` allow.  Native threads are not counted:
-    numpy's OpenBLAS pool shuts itself down in a fork handler, and a shard
-    calls no BLAS routine.
+    so ``--jobs N`` pool workers do not nest.  Otherwise one worker per
+    CPU this process may run on (:func:`_usable_cpus`), as far as the
+    lanes and :data:`_SHARD_FLOOR` allow.  Native threads are not
+    counted: numpy's OpenBLAS pool shuts itself down in a fork handler,
+    and a worker calls no BLAS routine.
     """
     if not sys.platform.startswith("linux") or threading.active_count() > 1:
         return 1
@@ -300,8 +330,18 @@ def _shard_count(lane_count: int, devices: int, superframes: int) -> int:
     if multiprocessing is not None \
             and multiprocessing.parent_process() is not None:
         return 1
-    return max(1, min(len(os.sched_getaffinity(0)), lane_count,
+    return max(1, min(len(_usable_cpus()), lane_count,
                       devices * superframes // _SHARD_FLOOR))
+
+
+def _piece_count(lane_count: int, devices: int, superframes: int,
+                 workers: int) -> int:
+    """How many pieces the ``workers`` of a sharded call share: up to
+    :data:`_PIECES_PER_WORKER` each, as far as the lanes, one byte per
+    piece index and :data:`_PIECE_FLOOR` allow, and never fewer than the
+    workers."""
+    return max(workers, min(lane_count, 255, workers * _PIECES_PER_WORKER,
+                            devices * superframes // _PIECE_FLOOR))
 
 
 def _shard_bounds(counts: Sequence[int], shards: int) -> List[int]:
@@ -319,18 +359,49 @@ def _shard_bounds(counts: Sequence[int], shards: int) -> List[int]:
     return bounds
 
 
-def _serve_shard(shard: "BatchedChannelSimulator", superframes: int,
-                 tracing: bool, write_fd: int) -> None:
-    """Forked-child side of a sharded call: run ``shard``, send the pickled
-    ``(error, outcome)`` reply through ``write_fd`` and leave through
-    ``os._exit``, so the child never unwinds into the caller's frames.
-    Everything the shard raises, interrupts included, becomes the reply's
-    traceback text."""
+def _pull_pieces(pieces: Sequence["BatchedChannelSimulator"], tasks: int,
+                 superframes: int, tracing: bool, claimed: List[int]
+                 ) -> tuple:
+    """One worker's side of a sharded call: run pieces, taking each index
+    as one byte from the shared ``tasks`` pipe, until the pipe is empty.
+
+    Returns ``({piece index: summaries}, trace export or None,
+    seconds)``; the pieces run under one fresh buffer tracer when the
+    caller traces.  Each index is appended to ``claimed`` before its
+    piece runs, so a failure can name the piece's lanes.
+    """
+    started = perf_counter()
+    done: Dict[int, List] = {}
+    buffer = Tracer(name="shard") if tracing else None
+    with activate(buffer) if tracing else nullcontext():
+        while True:
+            token = os.read(tasks, 1)
+            if not token:
+                break
+            claimed.append(token[0])
+            done[token[0]] = pieces[token[0]]._run_batched(superframes)
+    export = buffer.export() if tracing else None
+    return done, export, perf_counter() - started
+
+
+def _serve_pieces(pieces: Sequence["BatchedChannelSimulator"], tasks: int,
+                  superframes: int, tracing: bool, cpu: int,
+                  write_fd: int) -> None:
+    """Forked-child side of a sharded call: move to ``cpu``, pull and run
+    pieces (:func:`_pull_pieces`), send the pickled ``(error, outcome)``
+    reply through ``write_fd`` and leave through ``os._exit``, so the
+    child never unwinds into the caller's frames.  Everything a piece raises,
+    interrupts included, becomes ``error``: the failing piece's index (or
+    ``None``) and the traceback text."""
     try:
+        _pin({cpu})
+        claimed: List[int] = []
         try:
-            reply = (None, shard._run_shard(superframes, tracing))
+            reply = (None, _pull_pieces(pieces, tasks, superframes, tracing,
+                                        claimed))
         except BaseException:
-            reply = (traceback.format_exc(), None)
+            reply = ((claimed[-1] if claimed else None,
+                      traceback.format_exc()), None)
         with os.fdopen(write_fd, "wb") as pipe:
             pickle.dump(reply, pipe, pickle.HIGHEST_PROTOCOL)
     finally:
@@ -339,13 +410,13 @@ def _serve_shard(shard: "BatchedChannelSimulator", superframes: int,
 
 def _record_sharded_kernel(tracer, exports: Sequence[dict],
                            wall_s: float) -> None:
-    """Record the shards' buffer tracers as the one ``kernel:batched`` span
-    and four phases a single-process call records.
+    """Record the workers' buffer tracers as the one ``kernel:batched``
+    span and four phases a single-process call records.
 
-    Counters add up across the shards, except ``rounds``: every shard
+    Counters add up across the pieces, except ``rounds``: every piece
     steps through the same beacon intervals, so the call ran as many as
-    its longest shard.  The kernel span lasts the call's wall time, and
-    each phase gets the shards' summed time in it, scaled so that the
+    its longest piece.  The kernel span lasts the call's wall time, and
+    each phase gets the pieces' summed time in it, scaled so that the
     phases fill that wall time.
     """
     spans: Dict[str, dict] = {}
@@ -444,46 +515,53 @@ class BatchedChannelSimulator:
             return self._run_sharded(superframes, shards)
         return self._run_batched(superframes)
 
-    # -- lane shards over forked workers ---------------------------------------
-    def _run_shard(self, superframes: int, tracing: bool) -> tuple:
-        """``(summaries, trace export or None, seconds)`` of these lanes,
-        run under a fresh buffer tracer when the caller traces."""
-        started = perf_counter()
-        export = None
-        if tracing:
-            buffer = Tracer(name="shard")
-            with activate(buffer):
-                summaries = self._run_batched(superframes)
-            export = buffer.export()
-        else:
-            summaries = self._run_batched(superframes)
-        return summaries, export, perf_counter() - started
+    # -- lane pieces over forked workers --------------------------------------
+    def _run_sharded(self, superframes: int, workers: int) -> List:
+        """Run the lanes on ``workers`` processes, the caller and
+        ``workers - 1`` forked children, each kept on its own CPU, and
+        return the summaries in lane order.
 
-    def _run_sharded(self, superframes: int, shards: int) -> List:
-        """Run the lanes as ``shards`` contiguous shards, all but the first
-        in forked children, and return the summaries in lane order.
-
-        Each child sends its outcome, or its traceback, through a pipe
-        (:func:`_serve_shard`).  A failed child raises a
-        :class:`RuntimeError` naming its shard; an exception of the
-        caller's own shard propagates as it is.  Every child is reaped
-        before this returns or raises, and unless every shard finished,
-        the children are killed first.
+        The lanes are cut into contiguous pieces of about equal device
+        count (:func:`_piece_count`), and every worker takes the next
+        piece from a shared pipe as soon as it is free, so a worker whose
+        CPU is busy with other work runs fewer pieces instead of holding
+        up the call.  Each child sends its outcome, or its traceback,
+        through its own pipe (:func:`_serve_pieces`).  A failed child
+        raises a :class:`RuntimeError` naming the worker and the lanes it
+        failed on; an exception of the caller's own pieces propagates as
+        it is.  Every child is reaped, and the caller's CPU set restored,
+        before this returns or raises; unless every worker finished, the
+        children are killed first.
         """
         tracer = current_tracer()
         tracing = tracer.enabled
         started = perf_counter()
-        bounds = _shard_bounds([len(lane.nodes) for lane in self.lanes],
-                               shards)
-        parts = [BatchedChannelSimulator(
-                     self.lanes[lo:hi], self.config, self.constants,
-                     self.payload_bytes, self.csma_params, self.profile,
-                     self.traffic)
-                 for lo, hi in zip(bounds, bounds[1:])]
+        counts = [len(lane.nodes) for lane in self.lanes]
+        bounds = _shard_bounds(counts, _piece_count(
+            len(counts), sum(counts), superframes, workers))
+        pieces = [BatchedChannelSimulator(
+                      self.lanes[lo:hi], self.config, self.constants,
+                      self.payload_bytes, self.csma_params, self.profile,
+                      self.traffic)
+                  for lo, hi in zip(bounds, bounds[1:])]
+        # A forked child may start on its parent's CPU, and where the
+        # scheduler does not balance load (a cpuset with
+        # sched_load_balance off) it stays there: on such a 2-vCPU host,
+        # unpinned, both workers shared one CPU in 2-18 % of a
+        # design-search run's calls, and in most calls of some processes.
+        # So each worker is kept on a CPU of its own for the call.
+        cpus = _usable_cpus()
+        allowed = os.sched_getaffinity(0)
+        # Every index is queued, and the write end closed, before the
+        # first fork, so a worker's read ends at an empty pipe.
+        tasks, queue = os.pipe()
+        os.write(queue, bytes(range(len(pieces))))
+        os.close(queue)
         children: List[Tuple[int, object]] = []  # (pid, read end)
         finished = False
         try:
-            for part in parts[1:]:
+            _pin({cpus[0]})
+            for worker in range(1, workers):
                 read_fd, write_fd = os.pipe()
                 try:
                     pid = os.fork()
@@ -493,42 +571,51 @@ class BatchedChannelSimulator:
                     raise
                 if pid == 0:
                     os.close(read_fd)
-                    _serve_shard(part, superframes, tracing, write_fd)
+                    _serve_pieces(pieces, tasks, superframes, tracing,
+                                  cpus[worker], write_fd)
                 os.close(write_fd)
                 children.append((pid, os.fdopen(read_fd, "rb")))
-            outcomes = [parts[0]._run_shard(superframes, tracing)]
-            for shard, (pid, pipe) in enumerate(children, 1):
+            outcomes = [_pull_pieces(pieces, tasks, superframes, tracing,
+                                     [])]
+            for worker, (pid, pipe) in enumerate(children, 1):
                 data = pipe.read()
                 if data:
                     error, outcome = pickle.loads(data)
                 else:  # killed (say, out of memory) before it could reply
                     ended = os.waitid(os.P_PID, pid,
                                       os.WEXITED | os.WNOWAIT)
-                    error = (f"it exited with status {ended.si_status}"
-                             if ended.si_code == os.CLD_EXITED else
-                             f"it was killed by signal {ended.si_status}"
-                             ) + " without replying"
+                    error = (None, (
+                        f"it exited with status {ended.si_status}"
+                        if ended.si_code == os.CLD_EXITED else
+                        f"it was killed by signal {ended.si_status}"
+                    ) + " without replying")
                 if error is not None:
-                    raise RuntimeError(
-                        f"kernel shard {shard} of {shards} (lanes "
-                        f"{bounds[shard]}-{bounds[shard + 1] - 1}) "
-                        f"failed: {error}")
+                    piece, text = error
+                    lanes = ("" if piece is None else
+                             f" on lanes {bounds[piece]}-"
+                             f"{bounds[piece + 1] - 1}")
+                    raise RuntimeError(f"kernel worker {worker} of "
+                                       f"{workers} failed{lanes}: {text}")
                 outcomes.append(outcome)
             finished = True
         finally:
+            os.close(tasks)
             for pid, pipe in children:
                 pipe.close()
                 if not finished:
                     os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
+            _pin(allowed)
         if tracing:
             _record_sharded_kernel(tracer,
                                    [export for _, export, _ in outcomes],
                                    perf_counter() - started)
             for _, _, seconds in outcomes:
                 tracer.meter_record("kernel.shard_s", seconds)
-        return [summary for summaries, _, _ in outcomes
-                for summary in summaries]
+        done = {index: summaries for pieces_done, _, _ in outcomes
+                for index, summaries in pieces_done.items()}
+        return [summary for index in range(len(pieces))
+                for summary in done[index]]
 
     # -- the batched fast path ------------------------------------------------
     def _run_batched(self, superframes: int) -> List:

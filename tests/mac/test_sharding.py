@@ -1,20 +1,24 @@
-"""Lane shards over forked workers: same rows, no process left behind.
+"""Lane pieces over forked workers: same rows, no process left behind.
 
-A large :meth:`BatchedChannelSimulator.run` splits its lanes into
-contiguous shards and runs all but the first in ``os.fork`` children
-(:func:`repro.mac.vectorized._shard_count` picks how many).  A lane's
-summary does not depend on its batch, so a sharded call must return
-exactly the single-process call's summaries; its trace must equal the
-serial trace outside the timing field; and every child must be reaped
-whether the call succeeds, a shard fails or the caller is interrupted.
+A large :meth:`BatchedChannelSimulator.run` cuts its lanes into
+contiguous pieces and shares them between the caller and ``os.fork``
+children (:func:`repro.mac.vectorized._shard_count` picks how many
+workers, :func:`~repro.mac.vectorized._piece_count` how many pieces);
+each worker takes the next piece when it is free.  A lane's summary does
+not depend on its batch, so a sharded call must return exactly the
+single-process call's summaries, whichever worker ran which piece; its
+trace must equal the serial trace outside the timing field; and every
+child must be reaped whether the call succeeds, a worker fails or the
+caller is interrupted.
 
-The tests force small calls to shard by lowering the per-shard floor and
-patching the CPU set the policy reads.
+The tests force small calls to shard by lowering the per-worker and
+per-piece floors and patching the CPU set the policy reads.
 """
 
 import json
 import multiprocessing
 import os
+import re
 import threading
 import time
 
@@ -23,7 +27,7 @@ import pytest
 import repro.mac.vectorized as vectorized
 from repro.mac.superframe import SuperframeConfig
 from repro.mac.vectorized import (BatchedChannelSimulator, ChannelLane,
-                                  _shard_bounds, _shard_count)
+                                  _piece_count, _shard_bounds, _shard_count)
 from repro.network.node import SensorNode
 from repro.obs import Tracer, deterministic_view, validate_trace
 from repro.obs.trace import build_payload
@@ -52,11 +56,13 @@ WORKLOADS = {
 @pytest.fixture
 def cpus(monkeypatch):
     """``cpus(k)`` makes every later call shard over ``k`` CPUs, however
-    small; ``cpus(1)`` keeps it in one process."""
+    small, in up to ``2 k`` pieces of one lane or more; ``cpus(1)`` keeps
+    it in one process."""
     def use(count):
         monkeypatch.setattr(vectorized, "_SHARD_FLOOR", 1)
-        monkeypatch.setattr(os, "sched_getaffinity",
-                            lambda pid: set(range(count)))
+        monkeypatch.setattr(vectorized, "_PIECE_FLOOR", 1)
+        monkeypatch.setattr(vectorized, "_usable_cpus",
+                            lambda: list(range(count)))
     return use
 
 
@@ -81,6 +87,14 @@ def no_fork(monkeypatch):
     def refuse():
         raise AssertionError("os.fork must not be called here")
     monkeypatch.setattr(os, "fork", refuse)
+
+
+def wait_for(path, timeout=30.0):
+    """Block until ``path`` exists (a forked child touches it)."""
+    deadline = time.monotonic() + timeout
+    while not path.exists():
+        assert time.monotonic() < deadline, f"{path.name} never appeared"
+        time.sleep(0.01)
 
 
 def assert_no_child_left():
@@ -133,6 +147,80 @@ class TestShardedRowsEqualOneCall:
         assert len(forks) == shards - 1
         assert_no_child_left()
 
+    def test_a_busy_worker_leaves_its_share_to_the_others(self, cpus,
+                                                          monkeypatch):
+        """The child spends half a second on each piece it takes, so the
+        caller takes the queued pieces: it runs more than the three lanes
+        an even split would give it, and the rows do not change."""
+        cpus(1)
+        serial = uneven_batch().run(superframes=6)
+        cpus(2)
+        parent = os.getpid()
+        ran = []
+        real = BatchedChannelSimulator._run_batched
+
+        def run_batched(self, superframes):
+            if os.getpid() == parent:
+                ran.append(len(self.lanes))
+            else:
+                time.sleep(0.5)
+            return real(self, superframes)
+
+        monkeypatch.setattr(BatchedChannelSimulator, "_run_batched",
+                            run_batched)
+        assert uneven_batch().run(superframes=6) == serial
+        assert sum(ran) >= 4
+        assert_no_child_left()
+
+
+class TestWorkersKeepTheirOwnCpu:
+    @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
+                        reason="needs two usable CPUs")
+    def test_each_worker_runs_on_a_cpu_of_its_own(self, monkeypatch,
+                                                  tmp_path):
+        """The caller runs on the first usable CPU and the child on the
+        second; the caller waits for the child's piece before its own."""
+        monkeypatch.setattr(vectorized, "_SHARD_FLOOR", 1)
+        monkeypatch.setattr(vectorized, "_PIECE_FLOOR", 1)
+        first, second = sorted(os.sched_getaffinity(0))[:2]
+        monkeypatch.setattr(vectorized, "_usable_cpus",
+                            lambda: [first, second])
+        parent = os.getpid()
+        seen = tmp_path / "child-cpus"
+        caller_cpus = []
+        real = BatchedChannelSimulator._run_batched
+
+        def run_batched(self, superframes):
+            if os.getpid() == parent:
+                wait_for(seen)
+                caller_cpus.append(os.sched_getaffinity(0))
+            elif not seen.exists():
+                seen.write_text(json.dumps(sorted(os.sched_getaffinity(0))))
+            return real(self, superframes)
+
+        monkeypatch.setattr(BatchedChannelSimulator, "_run_batched",
+                            run_batched)
+        before = os.sched_getaffinity(0)
+        uneven_batch().run(superframes=6)
+        assert json.loads(seen.read_text()) == [second]
+        assert set(map(frozenset, caller_cpus)) == {frozenset({first})}
+        assert os.sched_getaffinity(0) == before
+        assert_no_child_left()
+
+    def test_a_failing_call_gives_the_caller_its_cpu_set_back(
+            self, cpus, monkeypatch):
+        cpus(2)
+        before = os.sched_getaffinity(0)
+
+        def stop():
+            raise ValueError("caller stopped")
+
+        TestShardFailures.patch_shards(monkeypatch, caller=stop)
+        with pytest.raises(ValueError, match="caller stopped"):
+            uneven_batch().run(superframes=6)
+        assert os.sched_getaffinity(0) == before
+        assert_no_child_left()
+
 
 class TestShardBounds:
     @pytest.mark.parametrize("counts, shards, expected", [
@@ -148,23 +236,38 @@ class TestShardBounds:
         assert _shard_bounds(counts, shards) == expected
 
 
+class TestPieceCount:
+    def test_the_paper_network_gives_two_pieces_per_worker(self):
+        assert _piece_count(16, 1600, 50, 2) == 4
+        assert _piece_count(128, 12800, 50, 2) == 4
+
+    def test_pieces_stay_within_lanes_one_byte_and_the_floor(self):
+        assert _piece_count(3, 12800, 50, 2) == 3
+        assert _piece_count(4000, 400000, 50, 200) == 255
+        assert _piece_count(16, 1600, 20, 3) == 3
+
+    def test_every_worker_has_a_piece_of_its_own(self):
+        assert _piece_count(16, 1600, 5, 2) == 2
+        assert _piece_count(3, 30, 1, 3) == 3
+
+
 class TestShardPolicy:
     def test_the_paper_network_shards_on_two_cpus(self, monkeypatch):
         """1600 nodes x 50 superframes over 16 lanes (the headline run of
         ``TestBatchedHeadlineGolden``) clears the per-shard floor."""
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(vectorized, "_usable_cpus", lambda: [0, 1])
         assert _shard_count(16, 1600, 50) == 2
 
     def test_shards_never_exceed_lanes_or_cpus(self, monkeypatch):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        monkeypatch.setattr(vectorized, "_usable_cpus", lambda: [0, 1, 2])
         assert _shard_count(2, 12800, 50) == 2
         assert _shard_count(128, 12800, 50) == 3
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {5})
+        monkeypatch.setattr(vectorized, "_usable_cpus", lambda: [5])
         assert _shard_count(128, 12800, 50) == 1
 
     def test_a_call_below_the_floor_does_not_fork(self, monkeypatch,
                                                   no_fork):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(vectorized, "_usable_cpus", lambda: [0, 1])
         assert len(uneven_batch().run(superframes=6)) == 6
 
     def test_off_linux_does_not_fork(self, cpus, monkeypatch, no_fork):
@@ -221,8 +324,8 @@ def _run_without_fork(sender):
 class TestShardFailures:
     @staticmethod
     def patch_shards(monkeypatch, caller=None, children=None):
-        """Run ``caller()`` before the caller's own shard and
-        ``children()`` before every forked child's shard."""
+        """Run ``caller()`` before each of the caller's own pieces and
+        ``children()`` before each piece of a forked child."""
         parent = os.getpid()
         real = BatchedChannelSimulator._run_batched
 
@@ -235,27 +338,41 @@ class TestShardFailures:
         monkeypatch.setattr(BatchedChannelSimulator, "_run_batched",
                             run_batched)
 
-    def test_a_raising_shard_is_named_and_every_child_reaped(
-            self, cpus, monkeypatch):
+    def test_a_raising_worker_is_named_and_every_child_reaped(
+            self, cpus, monkeypatch, tmp_path):
+        """Six one-lane pieces over three workers.  The children fail on
+        the first piece they take, and the caller runs its own only once
+        a child has taken one."""
         cpus(3)
+        taken = tmp_path / "taken"
 
         def boom():
+            taken.touch()
             raise ValueError("lane state corrupted")
 
-        self.patch_shards(monkeypatch, children=boom)
+        self.patch_shards(monkeypatch, caller=lambda: wait_for(taken),
+                          children=boom)
         with pytest.raises(RuntimeError) as error:
             uneven_batch().run(superframes=6)
         message = str(error.value)
-        assert "kernel shard 1 of 3 (lanes 2-3) failed" in message
+        assert re.match(r"kernel worker [12] of 3 failed on lanes "
+                        r"(\d)-\1: ", message)
         assert "ValueError: lane state corrupted" in message
         assert_no_child_left()
 
     def test_a_child_dying_without_a_reply_is_reported(self, cpus,
-                                                       monkeypatch):
+                                                       monkeypatch, tmp_path):
         cpus(2)
-        self.patch_shards(monkeypatch, children=lambda: os._exit(3))
+        taken = tmp_path / "taken"
+
+        def die():
+            taken.touch()
+            os._exit(3)
+
+        self.patch_shards(monkeypatch, caller=lambda: wait_for(taken),
+                          children=die)
         with pytest.raises(RuntimeError,
-                           match=r"kernel shard 1 of 2 \(lanes 3-5\) failed: "
+                           match=r"kernel worker 1 of 2 failed: "
                                  r"it exited with status 3 without replying"):
             uneven_batch().run(superframes=6)
         assert_no_child_left()
