@@ -30,7 +30,6 @@ Run with::
 
 from __future__ import annotations
 
-import os
 import tempfile
 from pathlib import Path
 
@@ -43,7 +42,7 @@ QUICK = True
 
 
 def main() -> None:
-    session = api.Session(jobs=min(4, os.cpu_count() or 1))
+    session = api.Session()
 
     # ---- 1. a registered optimizer, resumable round by round ----------------
     result = session.optimize("case_study_power", quick=QUICK)

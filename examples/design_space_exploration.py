@@ -26,7 +26,6 @@ Run with::
 
 from __future__ import annotations
 
-import os
 import tempfile
 from pathlib import Path
 
@@ -39,7 +38,7 @@ QUICK = True
 
 
 def main() -> None:
-    session = api.Session(jobs=min(4, os.cpu_count() or 1))
+    session = api.Session()
 
     # ---- 1. a registered sweep, resumable point by point ---------------------
     status = session.sweep_status("node_density", quick=QUICK)

@@ -10,7 +10,7 @@ advances every channel at once, each on its own spawned seed.
 
 The run goes through the experiment engine (equivalent CLI::
 
-    python -m repro run case_study_full --jobs 4
+    python -m repro run case_study_full
 
 ), so a re-run is served from the result cache.  A scaled-down variant shows
 how a :class:`repro.network.ScenarioSpec` makes diverse workloads one
@@ -23,18 +23,14 @@ Run with::
 
 from __future__ import annotations
 
-import os
-
 from repro.analysis.tables import format_table
 from repro.network import ScenarioSpec, aggregate_channel_rows, simulate_network
 from repro.runner import run_experiment
 
 
 def main() -> None:
-    jobs = min(4, os.cpu_count() or 1)
-
     # ---- the paper's network, simulated end to end through the engine --------
-    run = run_experiment("case_study_full", jobs=jobs)
+    run = run_experiment("case_study_full")
     aggregate = run.payload["aggregate"]
     print(format_table(
         ["channel", "delivered / attempted", "failures", "power [uW]",
@@ -46,7 +42,7 @@ def main() -> None:
           else row["mean_delivery_delay_s"]]
          for row in run.rows],
         title="Per-channel packet-level simulation "
-              f"({'cache hit' if run.cache_hit else f'{jobs} jobs'} "
+              f"({'cache hit' if run.cache_hit else f'{run.jobs} job(s)'} "
               f"in {run.elapsed_s:.2f} s)",
     ))
     print()

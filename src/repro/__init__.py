@@ -21,8 +21,8 @@ The library is organised bottom-up:
   the dense-network case study;
 * :mod:`repro.analysis` — tables, series, sweeps and reports;
 * :mod:`repro.experiments` — one driver per figure/table of the paper;
-* :mod:`repro.runner` — the experiment engine: registry, process-pool
-  executors and a content-addressed result cache behind the
+* :mod:`repro.runner` — the experiment engine: registry, executors on
+  the forked worker pool and a content-addressed result cache behind the
   ``python -m repro`` CLI;
 * :mod:`repro.sweep` — design-space exploration over registered
   experiments: declarative axes, cache-resuming sweep driver, Pareto

@@ -107,10 +107,13 @@ class Session:
         directory), built over ``cache_dir``.  Mutually exclusive with a
         non-default ``cache`` argument.
     jobs:
-        Default task-pool size of every run and sweep (``1`` = no pool;
-        rows are identical either way).  Independent of it, a large
-        batched kernel call from the main thread splits its lanes over
-        forked workers, one per usable CPU.
+        Default cap on the worker processes of every run, sweep and
+        optimizer: the caller and forked children of the worker pool
+        (:mod:`repro.pool`), each on a CPU of its own.  ``None`` (the
+        default) is every CPU in ``os.sched_getaffinity(0)``; ``1`` is
+        serial.  Rows are identical either way.  A fan-out started while
+        another thread is alive (``repro serve``) stays in the calling
+        process, and nothing forks at construction.
     seed:
         Default master seed — the session's *seed policy*.  Every
         :meth:`run` uses it unless overridden per call; ``None`` makes runs
@@ -139,7 +142,7 @@ class Session:
                  cache_dir: Optional[Union[str, os.PathLike]] = None,
                  cache: Any = True,
                  backend: Any = None,
-                 jobs: int = 1,
+                 jobs: Optional[int] = None,
                  seed: Optional[int] = DEFAULT_SEED,
                  registry: Optional[ExperimentRegistry] = None,
                  trace: Optional[Union[str, os.PathLike]] = None):
@@ -150,7 +153,7 @@ class Session:
                 raise ValueError("pass either backend= or cache=, not both")
             cache = resolve_backend(backend, self._cache_root)
         self._cache = resolve_cache(cache, self._cache_root)
-        self._jobs = max(1, jobs)
+        self._jobs = None if jobs is None else max(1, jobs)
         self._seed = seed
         self._registry = registry or default_registry()
         self._trace_path = None if trace is None else str(trace)
@@ -167,8 +170,9 @@ class Session:
         return self._cache
 
     @property
-    def jobs(self) -> int:
-        """Default worker count of this session."""
+    def jobs(self) -> Optional[int]:
+        """Default worker cap of this session (``None``: every usable
+        CPU)."""
         return self._jobs
 
     @property

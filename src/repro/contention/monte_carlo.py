@@ -382,8 +382,7 @@ class GridPointTask:
 def characterize_point(task: GridPointTask) -> ContentionStatistics:
     """Characterise one grid point with its own freshly seeded simulator.
 
-    Module-level (and therefore picklable) so it can serve as the task
-    function of a process-pool executor.
+    The task function of :func:`characterize_grid`'s executor fan-out.
     """
     simulator = ContentionSimulator(
         num_nodes=task.num_nodes,

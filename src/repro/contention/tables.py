@@ -176,7 +176,7 @@ def build_contention_table(loads: Sequence[float],
       This is the historical behaviour every seeded test relies on.
     * **Executor (``executor`` given)** — each grid point is characterised by
       its own simulator seeded via :func:`repro.sim.random.spawn_seeds`, so
-      the points are independent tasks that can run on a process pool.  The
+      the points are independent tasks the worker pool can share.  The
       table is bit-identical whether the executor is serial or parallel (the
       ``simulator`` argument is ignored; pass ``seed``/``num_nodes`` instead).
 

@@ -73,15 +73,15 @@ superframes`` arrival schedule.  Nothing is cached across calls, so a
 long-lived process does not grow with each new seed.
 
 Sharding: because a lane's summary does not depend on its batch, a large
-call runs on one worker process per usable CPU (:func:`_shard_count`):
-the caller and forked children, each kept on a CPU of its own.  The lanes
-are cut into contiguous pieces of about equal device count, two per
-worker (:func:`_piece_count`), and each worker takes the next piece when
-it is free, so a worker slowed by other work on its CPU runs fewer
-pieces; the rows are byte-identical to a one-process call whichever
-worker ran which piece.  Each child sends its summaries back through a
-pipe, and every child is reaped before
-:meth:`BatchedChannelSimulator.run` returns or raises.
+call runs on the package's worker pool (:mod:`repro.pool`), one process
+per usable CPU as far as :func:`_shard_count` allows: the caller and
+forked children, each kept on a CPU of its own.  The lanes are cut into
+contiguous pieces of about equal device count, two per worker
+(:func:`_piece_count`), and each worker takes the next piece when it is
+free, so a worker slowed by other work on its CPU runs fewer pieces; the
+rows are byte-identical to a one-process call whichever worker ran which
+piece.  Every child is reaped before :meth:`BatchedChannelSimulator.run`
+returns or raises.
 
 Known departure: within a lane, simultaneous events are ordered by device
 index, while the event kernel orders them by scheduling sequence.  Exact
@@ -104,17 +104,11 @@ device pair.
 
 from __future__ import annotations
 
-import os
-import pickle
-import signal
-import sys
-import threading
-import traceback
 from contextlib import nullcontext
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from time import perf_counter
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -125,6 +119,7 @@ from repro.mac.csma import CsmaParameters
 from repro.mac.frames import AckFrame, BeaconFrame, DataFrame
 from repro.mac.superframe import SuperframeConfig
 from repro.obs.tracer import Tracer, activate, current_tracer
+from repro.pool import WorkerFailed, run_workers, worker_count
 from repro.radio.power_profile import (CC2420_PROFILE, RadioPowerProfile,
                                        T_SHUTDOWN_TO_IDLE_POLICY_S)
 from repro.radio.states import RadioState
@@ -297,48 +292,19 @@ def raw_streams_compatible() -> bool:
 # lane pieces over forked workers
 # ---------------------------------------------------------------------------
 
-def _usable_cpus() -> List[int]:
-    """The CPUs this process may run on (``taskset`` narrows the set)."""
-    return sorted(os.sched_getaffinity(0))
-
-
-def _pin(cpus: Set[int]) -> None:
-    """Keep the calling process on ``cpus``; a set it may not use leaves
-    the process where it is."""
-    try:
-        os.sched_setaffinity(0, cpus)
-    except OSError:
-        pass
-
-
 def _shard_count(lane_count: int, devices: int, superframes: int) -> int:
-    """How many processes one kernel call spreads its lanes over.
-
-    One, the single-process call, off Linux; while another Python thread
-    is alive, because a fork copies only the calling thread and a lock
-    another thread holds stays held in the child (so ``repro serve``'s
-    worker threads run serially); and inside a ``multiprocessing`` child,
-    so ``--jobs N`` pool workers do not nest.  Otherwise one worker per
-    CPU this process may run on (:func:`_usable_cpus`), as far as the
-    lanes and :data:`_SHARD_FLOOR` allow.  Native threads are not
-    counted: numpy's OpenBLAS pool shuts itself down in a fork handler,
-    and a worker calls no BLAS routine.
-    """
-    if not sys.platform.startswith("linux") or threading.active_count() > 1:
-        return 1
-    multiprocessing = sys.modules.get("multiprocessing")
-    if multiprocessing is not None \
-            and multiprocessing.parent_process() is not None:
-        return 1
-    return max(1, min(len(_usable_cpus()), lane_count,
-                      devices * superframes // _SHARD_FLOOR))
+    """How many processes one kernel call spreads its lanes over: what the
+    pool's policy (:func:`repro.pool.worker_count`) grants, up to the
+    lanes and :data:`_SHARD_FLOOR` device-superframes per worker."""
+    return worker_count(min(lane_count, devices * superframes
+                            // _SHARD_FLOOR))
 
 
 def _piece_count(lane_count: int, devices: int, superframes: int,
                  workers: int) -> int:
     """How many pieces the ``workers`` of a sharded call share: up to
-    :data:`_PIECES_PER_WORKER` each, as far as the lanes, one byte per
-    piece index and :data:`_PIECE_FLOOR` allow, and never fewer than the
+    :data:`_PIECES_PER_WORKER` each, as far as the lanes,
+    :data:`_PIECE_FLOOR` and 255 pieces allow, and never fewer than the
     workers."""
     return max(workers, min(lane_count, 255, workers * _PIECES_PER_WORKER,
                             devices * superframes // _PIECE_FLOOR))
@@ -357,55 +323,6 @@ def _shard_bounds(counts: Sequence[int], shards: int) -> List[int]:
         bounds.append(min(cuts, key=lambda cut: abs(prefix[cut] - target)))
     bounds.append(len(counts))
     return bounds
-
-
-def _pull_pieces(pieces: Sequence["BatchedChannelSimulator"], tasks: int,
-                 superframes: int, tracing: bool, claimed: List[int]
-                 ) -> tuple:
-    """One worker's side of a sharded call: run pieces, taking each index
-    as one byte from the shared ``tasks`` pipe, until the pipe is empty.
-
-    Returns ``({piece index: summaries}, trace export or None,
-    seconds)``; the pieces run under one fresh buffer tracer when the
-    caller traces.  Each index is appended to ``claimed`` before its
-    piece runs, so a failure can name the piece's lanes.
-    """
-    started = perf_counter()
-    done: Dict[int, List] = {}
-    buffer = Tracer(name="shard") if tracing else None
-    with activate(buffer) if tracing else nullcontext():
-        while True:
-            token = os.read(tasks, 1)
-            if not token:
-                break
-            claimed.append(token[0])
-            done[token[0]] = pieces[token[0]]._run_batched(superframes)
-    export = buffer.export() if tracing else None
-    return done, export, perf_counter() - started
-
-
-def _serve_pieces(pieces: Sequence["BatchedChannelSimulator"], tasks: int,
-                  superframes: int, tracing: bool, cpu: int,
-                  write_fd: int) -> None:
-    """Forked-child side of a sharded call: move to ``cpu``, pull and run
-    pieces (:func:`_pull_pieces`), send the pickled ``(error, outcome)``
-    reply through ``write_fd`` and leave through ``os._exit``, so the
-    child never unwinds into the caller's frames.  Everything a piece raises,
-    interrupts included, becomes ``error``: the failing piece's index (or
-    ``None``) and the traceback text."""
-    try:
-        _pin({cpu})
-        claimed: List[int] = []
-        try:
-            reply = (None, _pull_pieces(pieces, tasks, superframes, tracing,
-                                        claimed))
-        except BaseException:
-            reply = ((claimed[-1] if claimed else None,
-                      traceback.format_exc()), None)
-        with os.fdopen(write_fd, "wb") as pipe:
-            pickle.dump(reply, pipe, pickle.HIGHEST_PROTOCOL)
-    finally:
-        os._exit(0)
 
 
 def _record_sharded_kernel(tracer, exports: Sequence[dict],
@@ -517,21 +434,18 @@ class BatchedChannelSimulator:
 
     # -- lane pieces over forked workers --------------------------------------
     def _run_sharded(self, superframes: int, workers: int) -> List:
-        """Run the lanes on ``workers`` processes, the caller and
-        ``workers - 1`` forked children, each kept on its own CPU, and
-        return the summaries in lane order.
+        """Run the lanes on ``workers`` processes of the worker pool
+        (:func:`repro.pool.run_workers`): the caller and ``workers - 1``
+        forked children, each kept on its own CPU.  Returns the summaries
+        in lane order.
 
         The lanes are cut into contiguous pieces of about equal device
         count (:func:`_piece_count`), and every worker takes the next
-        piece from a shared pipe as soon as it is free, so a worker whose
-        CPU is busy with other work runs fewer pieces instead of holding
-        up the call.  Each child sends its outcome, or its traceback,
-        through its own pipe (:func:`_serve_pieces`).  A failed child
-        raises a :class:`RuntimeError` naming the worker and the lanes it
-        failed on; an exception of the caller's own pieces propagates as
-        it is.  Every child is reaped, and the caller's CPU set restored,
-        before this returns or raises; unless every worker finished, the
-        children are killed first.
+        piece as soon as it is free, so a worker whose CPU is busy with
+        other work runs fewer pieces instead of holding up the call.  A
+        failed child raises a :class:`RuntimeError` naming the worker and
+        the lanes it failed on; an exception of the caller's own pieces
+        propagates as it is.
         """
         tracer = current_tracer()
         tracing = tracer.enabled
@@ -544,68 +458,28 @@ class BatchedChannelSimulator:
                       self.payload_bytes, self.csma_params, self.profile,
                       self.traffic)
                   for lo, hi in zip(bounds, bounds[1:])]
-        # A forked child may start on its parent's CPU, and where the
-        # scheduler does not balance load (a cpuset with
-        # sched_load_balance off) it stays there: on such a 2-vCPU host,
-        # unpinned, both workers shared one CPU in 2-18 % of a
-        # design-search run's calls, and in most calls of some processes.
-        # So each worker is kept on a CPU of its own for the call.
-        cpus = _usable_cpus()
-        allowed = os.sched_getaffinity(0)
-        # Every index is queued, and the write end closed, before the
-        # first fork, so a worker's read ends at an empty pipe.
-        tasks, queue = os.pipe()
-        os.write(queue, bytes(range(len(pieces))))
-        os.close(queue)
-        children: List[Tuple[int, object]] = []  # (pid, read end)
-        finished = False
+
+        def run_pieces(indices) -> tuple:
+            """One worker's pieces: ``({piece index: summaries}, trace
+            export or None, seconds)``, under one fresh buffer tracer
+            when the caller traces."""
+            begun = perf_counter()
+            done: Dict[int, List] = {}
+            buffer = Tracer(name="shard") if tracing else None
+            with activate(buffer) if tracing else nullcontext():
+                for index in indices:
+                    done[index] = pieces[index]._run_batched(superframes)
+            export = buffer.export() if tracing else None
+            return done, export, perf_counter() - begun
+
         try:
-            _pin({cpus[0]})
-            for worker in range(1, workers):
-                read_fd, write_fd = os.pipe()
-                try:
-                    pid = os.fork()
-                except OSError:  # e.g. EAGAIN at the process limit
-                    os.close(read_fd)
-                    os.close(write_fd)
-                    raise
-                if pid == 0:
-                    os.close(read_fd)
-                    _serve_pieces(pieces, tasks, superframes, tracing,
-                                  cpus[worker], write_fd)
-                os.close(write_fd)
-                children.append((pid, os.fdopen(read_fd, "rb")))
-            outcomes = [_pull_pieces(pieces, tasks, superframes, tracing,
-                                     [])]
-            for worker, (pid, pipe) in enumerate(children, 1):
-                data = pipe.read()
-                if data:
-                    error, outcome = pickle.loads(data)
-                else:  # killed (say, out of memory) before it could reply
-                    ended = os.waitid(os.P_PID, pid,
-                                      os.WEXITED | os.WNOWAIT)
-                    error = (None, (
-                        f"it exited with status {ended.si_status}"
-                        if ended.si_code == os.CLD_EXITED else
-                        f"it was killed by signal {ended.si_status}"
-                    ) + " without replying")
-                if error is not None:
-                    piece, text = error
-                    lanes = ("" if piece is None else
-                             f" on lanes {bounds[piece]}-"
-                             f"{bounds[piece + 1] - 1}")
-                    raise RuntimeError(f"kernel worker {worker} of "
-                                       f"{workers} failed{lanes}: {text}")
-                outcomes.append(outcome)
-            finished = True
-        finally:
-            os.close(tasks)
-            for pid, pipe in children:
-                pipe.close()
-                if not finished:
-                    os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-            _pin(allowed)
+            outcomes = run_workers(run_pieces, len(pieces), workers)
+        except WorkerFailed as failure:
+            piece = failure.index
+            lanes = ("" if piece is None else
+                     f" on lanes {bounds[piece]}-{bounds[piece + 1] - 1}")
+            raise RuntimeError(f"kernel worker {failure.worker} of {workers} "
+                               f"failed{lanes}: {failure.text}") from None
         if tracing:
             _record_sharded_kernel(tracer,
                                    [export for _, export, _ in outcomes],

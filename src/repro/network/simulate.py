@@ -21,7 +21,7 @@ per-channel runs are bit-identical row for row and adding replications never
 perturbs existing ones.  The executor argument is ignored on this path:
 a large call spreads its lanes over forked workers itself, one per usable
 CPU, with byte-identical rows (see :mod:`repro.mac.vectorized`); the task
-fan-out is how the event kernel spreads over a process pool.
+fan-out is how the event kernel spreads over the worker pool.
 """
 
 from __future__ import annotations
@@ -86,8 +86,7 @@ class ChannelSimTask:
 def simulate_channel(task: ChannelSimTask) -> Dict[str, Any]:
     """Simulate one channel of the spec'd network and summarise it as a dict.
 
-    Module-level (and therefore picklable) so it can serve as the task
-    function of a process-pool executor.
+    The task function of :func:`simulate_network`'s executor fan-out.
     """
     spec = task.spec
     tracer = current_tracer()
@@ -179,7 +178,7 @@ def simulate_network(spec: ScenarioSpec, superframes: Optional[int] = None,
                      max_nodes_per_channel: Optional[int] = None,
                      backend: Optional[str] = None,
                      replications: int = 1) -> List[Dict[str, Any]]:
-    """Simulate every channel of ``spec``, batched or on a process pool.
+    """Simulate every channel of ``spec``, batched or as executor tasks.
 
     Parameters
     ----------

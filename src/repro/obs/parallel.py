@@ -1,12 +1,11 @@
-"""Telemetry transport across the process-pool boundary.
+"""Telemetry transport across the worker-pool boundary.
 
-:class:`TracedExecutor` wraps any engine executor (serial or process
-pool).  Each task function is replaced by a picklable :class:`_TracedTask`
-that activates a *fresh* buffer :class:`~repro.obs.tracer.Tracer` inside
-the worker, runs the task under it, and ships the buffer's export back
-with the result.  The parent streams results through unchanged (callers
-still see ``(index, result)`` in completion order) and, once the task
-list drains, grafts the buffers into its own tracer **in task-index
+:class:`TracedExecutor` wraps any engine executor (serial or the forked
+worker pool).  Each task runs under a *fresh* buffer
+:class:`~repro.obs.tracer.Tracer` inside its worker, which sends the
+buffer's export back with the result.  The parent streams results
+through unchanged (callers still see ``(index, result)``) and, once the
+task list drains, grafts the buffers into its own tracer **in task-index
 order** — so the merged span tree is identical for ``--jobs 1`` and
 ``--jobs N`` and only the artifact's ``"timing"`` field differs.
 
@@ -20,7 +19,8 @@ Executor telemetry recorded on the timing side:
     clamped at zero against scheduler jitter.
 ``executor.utilization`` (meter)
     One observation per ``map_tasks`` call: total busy worker time over
-    ``wall x jobs``, clamped to ``[0, 1]``.
+    ``wall x workers``, clamped to ``[0, 1]``, where ``workers`` counts
+    the processes that ran the call's tasks (not the ``jobs`` cap).
 ``executor.tasks`` (counter)
     Tasks executed through the wrapper.
 """
@@ -29,13 +29,13 @@ from __future__ import annotations
 
 import os
 import time
-from typing import Any, Callable, Iterator, Sequence, Tuple
+from typing import Any, Callable, Iterable, Iterator, Sequence, Tuple
 
 from repro.obs.tracer import Tracer, activate
 
 
 class _TracedOutcome:
-    """Picklable result envelope a :class:`_TracedTask` sends back."""
+    """Picklable result envelope of one traced task."""
 
     __slots__ = ("result", "export", "started_monotonic", "duration_s", "pid")
 
@@ -48,32 +48,13 @@ class _TracedOutcome:
         self.pid = pid
 
 
-class _TracedTask:
-    """Picklable wrapper running one task under a fresh buffer tracer."""
-
-    __slots__ = ("function",)
-
-    def __init__(self, function: Callable[[Any], Any]):
-        self.function = function
-
-    def __call__(self, task: Any) -> _TracedOutcome:
-        started = time.monotonic()
-        begin = time.perf_counter()
-        tracer = Tracer(name="task")
-        with activate(tracer):
-            result = self.function(task)
-        duration = time.perf_counter() - begin
-        return _TracedOutcome(result, tracer.export(), started, duration,
-                              os.getpid())
-
-
 class TracedExecutor:
     """Wrap an executor so every task reports into ``tracer``.
 
-    Transparent to callers: ``jobs`` and the ``map_tasks`` streaming
-    contract are the inner executor's.  Buffer merge happens after the
-    last task arrives, in task-index order, keeping merged span ids
-    deterministic across executors and completion orders.
+    Transparent to callers: ``jobs`` and the ``map_tasks`` contract are
+    the inner executor's.  Buffer merge happens after the last task
+    arrives, in task-index order, keeping merged span ids deterministic
+    across executors and completion orders.
     """
 
     def __init__(self, inner, tracer: Tracer):
@@ -85,15 +66,25 @@ class TracedExecutor:
         return self.inner.jobs
 
     def map_tasks(self, function: Callable[[Any], Any],
-                  tasks: Sequence[Any]) -> Iterator[Tuple[int, Any]]:
+                  tasks: Sequence[Any],
+                  local: Iterable[int] = ()) -> Iterator[Tuple[int, Any]]:
         tasks = list(tasks)
         if not tasks:
             return
-        traced = _TracedTask(function)
+
+        def traced(task: Any) -> _TracedOutcome:
+            started = time.monotonic()
+            begin = time.perf_counter()
+            buffer = Tracer(name="task")
+            with activate(buffer):
+                result = function(task)
+            return _TracedOutcome(result, buffer.export(), started,
+                                  time.perf_counter() - begin, os.getpid())
+
         outcomes = {}
         submitted = time.monotonic()
         wall_begin = time.perf_counter()
-        for index, outcome in self.inner.map_tasks(traced, tasks):
+        for index, outcome in self.inner.map_tasks(traced, tasks, local):
             outcomes[index] = outcome
             yield index, outcome.result
         wall = time.perf_counter() - wall_begin
@@ -108,7 +99,8 @@ class TracedExecutor:
             tracer.count("executor.tasks")
             busy += outcome.duration_s
         if wall > 0.0:
-            capacity = wall * max(1, self.jobs)
+            pids = {outcome.pid for outcome in outcomes.values()}
+            capacity = wall * len(pids)
             tracer.meter_record("executor.utilization",
                                 min(1.0, busy / capacity))
 

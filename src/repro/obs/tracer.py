@@ -25,8 +25,8 @@ meters and worker ids are not, so they live apart (``Span.duration_s``,
 ``Tracer.meters``, ``Tracer.workers``) and the trace artifact confines
 them to its single ``"timing"`` field.
 
-Process-pool transport: a worker activates its own buffer tracer, runs
-the task, and ships :meth:`Tracer.export` back with the result; the
+Worker-pool transport: a worker activates its own buffer tracer, runs
+the task, and sends :meth:`Tracer.export` back with the result; the
 parent grafts the buffers in task order via :meth:`Tracer.merge_export`,
 renumbering span ids deterministically — a ``--jobs 8`` trace equals the
 serial trace modulo the timing field.

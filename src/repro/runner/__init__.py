@@ -14,8 +14,8 @@ one orchestrated system:
 * :mod:`repro.runner.result` — :class:`RunResult`, the first-class result
   object every engine run returns (rows, metric accessors, provenance,
   deterministic ``to_table``/``to_json``/``to_csv``);
-* :mod:`repro.runner.executor` — serial and process-pool execution
-  strategies sharing one streaming ``(index, result)`` interface;
+* :mod:`repro.runner.executor` — serial and worker-pool execution
+  strategies sharing one ``(index, result)`` interface;
 * :mod:`repro.runner.cache` — content-addressed on-disk JSON cache keyed by
   (experiment, parameters, seed, code version);
 * :mod:`repro.runner.drivers` — adapters mapping each paper driver onto the

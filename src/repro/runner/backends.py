@@ -67,14 +67,10 @@ class CacheBackend:
     :meth:`store` atomic — a concurrent :meth:`load` observes a complete
     artifact or a miss, never a partial write.
 
-    ``kind``/``transport`` identify the backend: ``kind`` is the
-    human-readable name, ``transport`` the plain-data token the sweep
-    driver ships to process-pool workers so they rebuild an equivalent
-    backend from the root path alone.
+    ``kind`` is the backend's human-readable name.
     """
 
     kind: str = "abstract"
-    transport: Any = True
     root: Optional[Path] = None
 
     def path_for(self, key: str) -> Path:
@@ -141,7 +137,6 @@ class DirectoryBackend(CacheBackend):
     """
 
     kind = "directory"
-    transport = True
 
     def __init__(self, root: Union[str, os.PathLike]):
         self.root = Path(root)
@@ -260,7 +255,6 @@ class SharedDirectoryBackend(DirectoryBackend):
     """
 
     kind = "shared-directory"
-    transport = "shared"
 
     def __init__(self, root: Union[str, os.PathLike]):
         super().__init__(root)

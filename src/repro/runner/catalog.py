@@ -41,8 +41,8 @@ def jsonify(value: Any) -> Any:
 class DriverAdapter:
     """The adapter ``repro.runner.drivers.<name>``, imported on first call.
 
-    A class rather than a closure so a registry shipped to process-pool
-    workers still pickles.
+    A class rather than a closure, so :meth:`resolve` can name the
+    adapter without running it.
     """
 
     __slots__ = ("name",)

@@ -3,7 +3,7 @@
 Usage (with ``src`` on ``PYTHONPATH`` or the package installed)::
 
     python -m repro list                      # catalogue of experiments
-    python -m repro run fig6_csma --jobs 2    # run one experiment in parallel
+    python -m repro run fig6_csma --jobs 1    # run one experiment serially
     python -m repro run case_study --no-cache # force a recomputation
     python -m repro run fig6_csma --param num_windows=4
     python -m repro run fig6_csma --output csv --output-file rows.csv
@@ -133,11 +133,13 @@ def build_parser(argv: Optional[Sequence[str]] = None
 
     run_parser = commands.add_parser("run", help="run one experiment")
     run_parser.add_argument("experiment", help="registry name (see 'list')")
-    run_parser.add_argument("--jobs", "-j", type=int, default=1,
-                            help="task-pool worker processes (1 = no "
-                                 "pool; a large batched kernel call still "
-                                 "uses every usable CPU; rows are "
-                                 "identical either way)")
+    run_parser.add_argument("--jobs", "-j", type=int, default=None,
+                            help="cap on the worker processes a task "
+                                 "fan-out shares its tasks between "
+                                 "(default: every CPU this process may "
+                                 "use; 1 = serial; a large batched kernel "
+                                 "call splits its lanes either way; rows "
+                                 "are identical either way)")
     run_parser.add_argument("--seed", type=int, default=DEFAULT_SEED,
                             help=f"master seed (default {DEFAULT_SEED})")
     run_parser.add_argument("--no-cache", action="store_true",

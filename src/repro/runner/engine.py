@@ -8,12 +8,13 @@ tests all go through it.  The flow for one run:
    overrides into the spec's defaults;
 2. compute the content-addressed cache key (experiment, parameters, seed,
    code version) and return the stored artifact on a hit;
-3. otherwise execute the spec's adapter with an executor sized from
-   ``jobs``, stamp the payload with its provenance, and store it.
+3. otherwise execute the spec's adapter with an executor capped at
+   ``jobs`` workers (every usable CPU by default), stamp the payload with
+   its provenance, and store it.
 
 Determinism contract: for a fixed seed the payload rows are identical
-whatever ``jobs`` is, because every parallel task carries its own seed
-spawned from the master seed (see :func:`repro.sim.random.spawn_seeds`).
+whatever ``jobs`` is, because every task carries its own seed spawned
+from the master seed (see :func:`repro.sim.random.spawn_seeds`).
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from typing import Any, Dict, Mapping, Optional
 from repro.constants import PAPER_SEED
 from repro.obs.parallel import TracedExecutor
 from repro.obs.tracer import activate, current_tracer
+from repro.pool import usage
 from repro.runner.backends import CacheBackend, resolve_backend
 from repro.runner.cache import NullCache, ResultCache, code_version
 from repro.runner.catalog import jsonify
@@ -57,9 +59,9 @@ def resolve_cache(cache: Any = True,
     ``True`` builds the default on-disk cache (honouring ``cache_root`` and
     the ``REPRO_CACHE_DIR`` environment variable), ``False``/``None`` a
     :class:`NullCache`; a :class:`~repro.runner.backends.CacheBackend`
-    instance or kind name (``"directory"``/``"shared"``) wraps in a
-    :class:`ResultCache` over that backend (kind names are how the sweep
-    driver ships a shared backend to process-pool workers); an existing
+    instance or kind name (``"directory"``/``"shared"``, as
+    ``run_experiment(cache=...)`` and ``Session(backend=...)`` accept
+    them) wraps in a :class:`ResultCache` over that backend; an existing
     cache object is passed through.
     """
     if cache is True:
@@ -73,7 +75,7 @@ def resolve_cache(cache: Any = True,
 
 def run_experiment(name: str,
                    params: Optional[Mapping[str, Any]] = None,
-                   jobs: int = 1,
+                   jobs: Optional[int] = None,
                    seed: Optional[int] = DEFAULT_SEED,
                    cache: Any = True,
                    cache_root: Optional[str] = None,
@@ -94,7 +96,10 @@ def run_experiment(name: str,
         ``KeyError``) with close-match suggestions; out-of-domain values
         raise :class:`~repro.runner.params.ParameterValueError`.
     jobs:
-        Worker processes; ``1`` runs serially, producing identical rows.
+        Cap on the worker processes of the run's task fan-outs (the
+        caller and forked children, :mod:`repro.pool`); ``None`` is every
+        CPU in ``os.sched_getaffinity(0)``, ``1`` runs serially.  The
+        rows are identical either way.
     seed:
         Master seed of the run (part of the cache key).  ``None`` draws
         unpredictable task seeds — such a run is *not* reproducible, so the
@@ -119,11 +124,12 @@ def run_experiment(name: str,
     Returns
     -------
     RunResult
-        Rows, provenance and cache diagnostics of the run.
+        Rows, provenance and cache diagnostics of the run; its ``jobs`` is
+        the most processes one of the run's fan-outs (tasks or kernel lane
+        pieces) actually used: 1 for a cache hit or a serial run.
     """
     validate_seed(seed)
     registry = registry or default_registry()
-    jobs = max(1, jobs)
     spec = registry.get(name)
     resolved = spec.resolve_params(params)
     if seed is None:
@@ -144,17 +150,18 @@ def run_experiment(name: str,
             stored = cache_obj.load(key)
         if stored is not None:
             return RunResult(spec=spec, params=resolved, seed=seed,
-                             jobs=jobs, cache_hit=True, cache_key=key,
+                             jobs=1, cache_hit=True, cache_key=key,
                              code_version=stored.get("code_version",
                                                      code_version()),
                              elapsed_s=time.perf_counter() - start,
                              payload=stored["payload"])
 
-        executor = make_executor(jobs)
+        executor = make_executor(None if jobs is None else max(1, jobs))
         if tracer.enabled:
             executor = TracedExecutor(executor, tracer)
         context = RunContext(executor=executor, cache=cache_obj, seed=seed)
-        with tracer.span(f"driver:{spec.name}", kind="driver"):
+        with usage() as fan_outs, \
+                tracer.span(f"driver:{spec.name}", kind="driver"):
             payload = spec.runner(resolved, context)
         elapsed = time.perf_counter() - start
         try:
@@ -169,7 +176,8 @@ def run_experiment(name: str,
                 })
         except OSError:
             pass  # unwritable cache must not lose a finished computation
-        return RunResult(spec=spec, params=resolved, seed=seed, jobs=jobs,
+        return RunResult(spec=spec, params=resolved, seed=seed,
+                         jobs=max(fan_outs, default=1),
                          cache_hit=False, cache_key=key,
                          code_version=code_version(), elapsed_s=elapsed,
                          payload=payload)

@@ -1,34 +1,35 @@
 """Execution strategies for the experiment engine.
 
-The engine describes its work as a flat list of picklable *tasks* plus one
-top-level *task function*; an executor decides where the calls run.  Two
-strategies are provided:
+The engine describes its work as a flat list of *tasks* plus one *task
+function*; an executor decides where the calls run.  Two strategies are
+provided:
 
 * :class:`SerialExecutor` — evaluate in the calling process, in order.
-* :class:`ProcessExecutor` — fan the tasks out over a
-  :class:`concurrent.futures.ProcessPoolExecutor`, chunked to amortise the
-  inter-process round-trip, yielding results as they complete.
+* :class:`ProcessExecutor` — share the tasks between the caller and forked
+  workers of the package's worker pool (:mod:`repro.pool`), one per CPU
+  this process may use, each pulling the next task when it is free.
 
-Both yield ``(index, result)`` pairs so callers can either stream results as
-they arrive (progress reporting, incremental table rows) or reassemble the
-deterministic input order.  Determinism across strategies is the caller's
-contract: every task must carry its own seed (see
+Both yield ``(index, result)`` pairs.  Determinism across strategies is
+the caller's contract: every task must carry its own seed (see
 :func:`repro.sim.random.spawn_seeds`) so the result of task ``i`` does not
 depend on which worker — or how many workers — executed it.
 """
 
 from __future__ import annotations
 
-import math
-import os
-from concurrent.futures import FIRST_COMPLETED, wait
-from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple
+from time import perf_counter
+from typing import (Any, Callable, Iterable, Iterator, List, Optional,
+                    Sequence, Tuple)
 
+from repro.pool import WorkerFailed, run_workers, usable_cpus, worker_count
 
-def _run_chunk(function: Callable[[Any], Any],
-               chunk: Sequence[Tuple[int, Any]]) -> List[Tuple[int, Any]]:
-    """Worker entry point: evaluate one chunk of ``(index, task)`` pairs."""
-    return [(index, function(task)) for index, task in chunk]
+#: Task-seconds a call must be expected to hold before it forks.  A fan-out
+#: costs its forks, the reaps and the caller's copy-on-write faults after
+#: them: on a 2-vCPU x86-64 host, 136 two-worker fan-outs of a synthetic
+#: optimizer's millisecond tasks took 1.3 s longer than running them
+#: serially (about 10 ms each, in a ~100 MB process), so two workers
+#: need about 20 ms of work to gain anything.
+_FORK_FLOOR_S = 0.02
 
 
 class SerialExecutor:
@@ -38,11 +39,12 @@ class SerialExecutor:
     ``(index, result)`` multiset for the same task list.
     """
 
-    #: Worker count, kept for symmetry with :class:`ProcessExecutor`.
+    #: Worker cap, kept for symmetry with :class:`ProcessExecutor`.
     jobs = 1
 
     def map_tasks(self, function: Callable[[Any], Any],
-                  tasks: Sequence[Any]) -> Iterator[Tuple[int, Any]]:
+                  tasks: Sequence[Any],
+                  local: Iterable[int] = ()) -> Iterator[Tuple[int, Any]]:
         """Yield ``(index, function(task))`` in input order."""
         for index, task in enumerate(tasks):
             yield index, function(task)
@@ -52,85 +54,107 @@ class SerialExecutor:
 
 
 class ProcessExecutor:
-    """Evaluate tasks on a process pool, yielding results as they complete.
+    """Evaluate tasks on the caller and forked pool workers.
 
     Parameters
     ----------
     jobs:
-        Worker process count; defaults to ``os.cpu_count()``.
-    chunksize:
-        Tasks shipped per inter-process call.  The default splits the task
-        list into about four chunks per worker, which keeps the pool busy
-        while bounding the pickling overhead.
+        Cap on the processes a call runs on; ``None`` (the default) is
+        every CPU in ``os.sched_getaffinity(0)``.
 
-    Notes
-    -----
-    ``function`` and every task must be picklable (module-level function,
-    plain-data task tuples).  Results are yielded unordered; callers that
-    need the input order sort by the yielded index.
+    A call of fewer than two shared tasks, or one the pool's policy keeps
+    in one process (:func:`repro.pool.worker_count`: another thread alive,
+    a ``multiprocessing`` child, inside a pool worker, off Linux), runs in
+    the caller.  Otherwise the workers inherit ``function`` and the tasks
+    through the fork, and only results travel back, pickled.  A task's
+    exception reaches the caller as its own type when it pickles, and as
+    :class:`repro.pool.WorkerFailed` (a :class:`RuntimeError` naming the
+    worker and the task) when it does not.
+
+    A call also stays in the caller when this executor's previous call
+    measured its tasks so short that the call's share is expected to hold
+    less than :data:`_FORK_FLOOR_S` of work: an optimizer's rounds of
+    millisecond points then fork once, not once per round.
     """
 
-    def __init__(self, jobs: Optional[int] = None,
-                 chunksize: Optional[int] = None):
-        resolved = jobs if jobs is not None else (os.cpu_count() or 1)
-        if resolved < 1:
+    def __init__(self, jobs: Optional[int] = None):
+        if jobs is not None and jobs < 1:
             raise ValueError("jobs must be at least 1")
-        if chunksize is not None and chunksize < 1:
-            raise ValueError("chunksize must be at least 1")
-        self.jobs = resolved
-        self.chunksize = chunksize
-
-    def _chunks(self, tasks: Sequence[Any]) -> List[List[Tuple[int, Any]]]:
-        indexed = list(enumerate(tasks))
-        size = self.chunksize or max(1, math.ceil(len(indexed) / (self.jobs * 4)))
-        return [indexed[start:start + size]
-                for start in range(0, len(indexed), size)]
+        self.jobs = len(usable_cpus()) if jobs is None else jobs
+        #: Seconds per shared task the previous call measured (``None``
+        #: before the first call).
+        self.task_s: Optional[float] = None
 
     def map_tasks(self, function: Callable[[Any], Any],
-                  tasks: Sequence[Any]) -> Iterator[Tuple[int, Any]]:
-        """Yield ``(index, function(task))`` pairs in completion order."""
-        # Imported here: the process pool loads multiprocessing, which a
-        # serial run or a cache hit never needs.
-        from concurrent.futures import ProcessPoolExecutor
+                  tasks: Sequence[Any],
+                  local: Iterable[int] = ()) -> Iterator[Tuple[int, Any]]:
+        """Yield ``(index, function(task))`` for every task, in index
+        order once every task is done.
+
+        The caller runs the ``local`` indices itself (a sweep's cached
+        points); only the others are shared with forked workers.
+        """
         tasks = list(tasks)
-        if not tasks:
-            return
-        with ProcessPoolExecutor(max_workers=self.jobs) as pool:
-            pending = {pool.submit(_run_chunk, function, chunk)
-                       for chunk in self._chunks(tasks)}
-            while pending:
-                done, pending = wait(pending, return_when=FIRST_COMPLETED)
-                for future in done:
-                    yield from future.result()
+        local = set(local)
+        shared = len(tasks) - len(local)
+        small = self.task_s is not None \
+            and self.task_s * shared < _FORK_FLOOR_S
+        workers = worker_count(1 if small else min(self.jobs, shared))
+
+        def run(indices) -> List[Tuple[int, Any, float]]:
+            done = []
+            for index in indices:
+                started = perf_counter()
+                result = function(tasks[index])
+                done.append((index, result, perf_counter() - started))
+            return done
+
+        if workers < 2:
+            done = run(range(len(tasks)))
+        else:
+            try:
+                shares = run_workers(run, len(tasks), workers, sorted(local))
+            except WorkerFailed as failure:
+                if failure.error is None:
+                    raise
+                raise failure.error from failure
+            done = sorted(item for share in shares for item in share)
+        if shared:
+            self.task_s = sum(seconds for index, _, seconds in done
+                              if index not in local) / shared
+        for index, result, _ in done:
+            yield index, result
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return f"ProcessExecutor(jobs={self.jobs}, chunksize={self.chunksize})"
+        return f"ProcessExecutor(jobs={self.jobs})"
 
 
-def make_executor(jobs: Optional[int] = None,
-                  chunksize: Optional[int] = None):
+def make_executor(jobs: Optional[int] = None):
     """Build the executor matching a ``--jobs`` request.
 
-    ``jobs`` of ``None`` or ``1`` selects the serial strategy; anything
-    larger selects a process pool with that many workers.
+    ``1`` selects the serial strategy; ``None`` (every usable CPU) or
+    anything larger the worker pool with that cap.
     """
-    if jobs is None or jobs <= 1:
+    if jobs is not None and jobs <= 1:
         return SerialExecutor()
-    return ProcessExecutor(jobs=jobs, chunksize=chunksize)
+    return ProcessExecutor(jobs=jobs)
 
 
 def run_ordered(executor, function: Callable[[Any], Any],
                 tasks: Sequence[Any],
-                on_result: Optional[Callable[[int, Any], None]] = None) -> List[Any]:
+                on_result: Optional[Callable[[int, Any], None]] = None,
+                local: Iterable[int] = ()) -> List[Any]:
     """Evaluate all tasks and return the results in input order.
 
-    ``on_result`` is invoked as each ``(index, result)`` arrives (completion
-    order), which lets callers stream progress while still receiving a
-    deterministic, input-ordered list.
+    ``on_result`` is invoked as each ``(index, result)`` arrives, which
+    lets callers stream progress while still receiving a deterministic,
+    input-ordered list; ``local`` is passed to the executor's
+    ``map_tasks``.  ``None`` runs serially.
     """
     tasks = list(tasks)
     results: List[Any] = [None] * len(tasks)
-    for index, result in (executor or SerialExecutor()).map_tasks(function, tasks):
+    for index, result in (executor or SerialExecutor()).map_tasks(
+            function, tasks, local):
         results[index] = result
         if on_result is not None:
             on_result(index, result)

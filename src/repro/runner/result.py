@@ -44,7 +44,9 @@ class RunResult:
         merged with coerced overrides — see
         :class:`repro.runner.params.ParamSchema`).
     seed / jobs:
-        Master seed and worker count of the run.
+        Master seed of the run, and the most processes one of its fan-outs
+        (tasks or kernel lane pieces) actually used: 1 for a cache hit or
+        a serial run.
     cache_hit:
         Whether the payload was served from the result cache.
     cache_key:

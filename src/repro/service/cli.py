@@ -52,9 +52,6 @@ def add_service_parsers(commands: Any) -> None:
     serve.add_argument("--store", default=None, metavar="PATH",
                        help="job-store sqlite path (default "
                             "<cache-dir>/jobs.sqlite)")
-    serve.add_argument("--jobs", "-j", type=int, default=1,
-                       help="worker processes per experiment run "
-                            "(default 1 = serial)")
     serve.add_argument("--seed", type=int, default=None,
                        help="session seed policy for specs without a seed "
                             "(default: the engine default seed)")
@@ -108,8 +105,9 @@ def add_service_parsers(commands: Any) -> None:
 def command_serve(arguments: argparse.Namespace) -> int:
     """Run the service until SIGINT/SIGTERM, then drain gracefully."""
     backend = resolve_backend(arguments.backend, arguments.cache_dir)
-    session_options: Dict[str, Any] = {"backend": backend,
-                                       "jobs": arguments.jobs}
+    # No ``jobs``: with the worker, heartbeat and HTTP threads alive every
+    # fan-out of a served job runs in the worker thread's process.
+    session_options: Dict[str, Any] = {"backend": backend}
     if arguments.seed is not None:
         session_options["seed"] = arguments.seed
     try:

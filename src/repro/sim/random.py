@@ -200,10 +200,9 @@ def spawn_seeds(master_seed: Optional[int], name: str, count: int) -> "list[int]
     that :class:`RandomStreams` uses, so a task family (e.g. the Monte-Carlo
     windows of one grid point) gets statistically independent generators that
     are reproducible from the master seed alone.  Because the result is a list
-    of plain integers it can be shipped to worker processes without pickling
-    generator state, which is what the experiment engine's process-pool
-    executor relies on: task ``i`` receives ``seeds[i]`` regardless of which
-    worker executes it, making serial and parallel runs bit-identical.
+    of plain integers, task ``i`` receives ``seeds[i]`` regardless of which
+    worker of the experiment engine's pool executes it, making serial and
+    parallel runs bit-identical.
 
     Parameters
     ----------

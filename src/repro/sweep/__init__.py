@@ -6,8 +6,8 @@ multi-point design-space study:
 * :mod:`repro.sweep.spec` — :class:`SweepSpec` with grid/range/seeded-random
   axes, stable JSON serialisation and a content hash;
 * :mod:`repro.sweep.driver` — :func:`run_sweep`: expansion into engine
-  tasks, chunk-wise dispatch through the serial/process-pool executors,
-  per-point cache keys so interrupted or repeated sweeps resume from the
+  tasks, cached points served in the caller and the rest shared with the
+  forked worker pool, per-point cache keys so interrupted or repeated sweeps resume from the
   result cache instead of recomputing;
 * :mod:`repro.sweep.optimize` — :func:`run_optimize`: adaptive
   design-space search (seeded successive halving + a k-NN acquisition)

@@ -77,9 +77,11 @@ def add_sweep_parser(commands) -> None:
     run_parser = actions.add_parser(
         "run", help="run a sweep (finished points resume from the cache)")
     common(run_parser)
-    run_parser.add_argument("--jobs", "-j", type=int, default=1,
-                            help="worker processes (points are dispatched "
-                                 "chunk-wise; rows are identical either way)")
+    run_parser.add_argument("--jobs", "-j", type=int, default=None,
+                            help="cap on the worker processes the uncached "
+                                 "points are shared between (default: "
+                                 "every usable CPU; 1 = serial; rows are "
+                                 "identical either way)")
     run_parser.add_argument("--no-cache", action="store_true",
                             help="neither read nor write the result cache "
                                  "(disables resume)")
@@ -100,8 +102,10 @@ def add_sweep_parser(commands) -> None:
     export_parser = actions.add_parser(
         "export", help="run (from cache where possible) and write artifacts")
     common(export_parser)
-    export_parser.add_argument("--jobs", "-j", type=int, default=1,
-                               help="worker processes for missing points")
+    export_parser.add_argument("--jobs", "-j", type=int, default=None,
+                               help="cap on the worker processes for "
+                                    "missing points (default: every "
+                                    "usable CPU; 1 = serial)")
     export_parser.add_argument("--out", required=True, metavar="DIR",
                                help="output directory of the artifacts")
 
@@ -123,8 +127,10 @@ def add_sweep_parser(commands) -> None:
                                  help="override one base parameter "
                                       "(repeatable; searched dimensions "
                                       "cannot be overridden)")
-    optimize_parser.add_argument("--jobs", "-j", type=int, default=1,
-                                 help="worker processes per proposal batch")
+    optimize_parser.add_argument("--jobs", "-j", type=int, default=None,
+                                 help="cap on the worker processes per "
+                                      "proposal batch (default: every "
+                                      "usable CPU; 1 = serial)")
     optimize_parser.add_argument("--no-cache", action="store_true",
                                  help="neither read nor write the result "
                                       "cache (disables resume)")

@@ -4,11 +4,12 @@ Every expanded point of a :class:`repro.sweep.spec.SweepSpec` is one
 :func:`repro.runner.engine.run_experiment` call, so it inherits the engine's
 whole machinery: parameter validation against the registry, per-point
 content-addressed cache keys and provenance-stamped artifacts.  The driver
-adds the fan-out — points ship chunk-wise through the existing
-serial/process-pool executors (:mod:`repro.runner.executor`) — and the
-resume semantics: a re-run (or an interrupted run picked up again) finds
-every finished point in the cache and recomputes nothing
-(``SweepRunResult.computed_points == 0`` on a warm second run).
+adds the fan-out — the points the cache lacks are shared between the caller
+and forked pool workers (:mod:`repro.runner.executor`), while the caller
+serves the cached ones itself — and the resume semantics: a re-run (or an
+interrupted run picked up again) finds every finished point in the cache
+and recomputes nothing (``SweepRunResult.computed_points == 0`` on a warm
+second run).
 
 Results are collected two ways:
 
@@ -29,7 +30,6 @@ from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
 
 from repro.obs.parallel import TracedExecutor
 from repro.obs.tracer import activate, current_tracer
-from repro.runner.cache import NullCache
 from repro.runner.engine import (_canonical_params, resolve_cache,
                                  run_experiment)
 from repro.runner.executor import (SerialExecutor, make_executor,
@@ -226,48 +226,23 @@ def extract_point_metrics(payload: Mapping[str, Any]) -> Dict[str, Any]:
     return metrics
 
 
-def _run_point(task: Tuple[str, Dict[str, Any], int, Any, Optional[str],
-                           Optional[ExperimentRegistry]]) -> Dict[str, Any]:
-    """Task function of one sweep point (module-level, so picklable).
+def _run_point(task: Tuple[str, Dict[str, Any], int, Any,
+                           Optional[ExperimentRegistry], Optional[int]]
+               ) -> Dict[str, Any]:
+    """Task function of one sweep point.
 
-    Runs the point serially *inside* its worker — the parallelism of a
-    sweep is across points, not within one — and returns only what the
-    parent needs (metrics + cache diagnostics), keeping the inter-process
-    payload small even when the experiment's rows are large.
+    Returns only what the caller needs (metrics + cache diagnostics),
+    keeping the reply of a pool worker small even when the experiment's
+    rows are large.  The point's own fan-outs get the sweep's ``jobs``
+    cap; inside a pool worker they run in that worker.
     """
-    experiment, params, seed, cache, cache_root, registry = task
-    run = run_experiment(experiment, params=params, jobs=1, seed=seed,
-                         cache=cache, cache_root=cache_root,
-                         registry=registry)
+    experiment, params, seed, cache, registry, jobs = task
+    run = run_experiment(experiment, params=params, jobs=jobs, seed=seed,
+                         cache=cache, registry=registry)
     return {"cache_hit": run.cache_hit,
             "cache_key": run.cache_key,
             "elapsed_s": run.elapsed_s,
             "metrics": extract_point_metrics(run.payload)}
-
-
-def _cache_transport(executor, cache: Any,
-                     cache_root: Optional[str]) -> Tuple[Any, Optional[str]]:
-    """Normalise a cache argument for shipping to the executor's workers.
-
-    Serial runs hand any cache object straight through; process workers
-    rebuild theirs from plain-data settings — a cache *object* ships as
-    its backend's ``transport`` token plus the root (``True`` for the
-    plain directory layout, ``"shared"`` for the locking shared-directory
-    backend), so workers hit the same on-disk store with the same
-    concurrency guarantees instead of silently falling back to the
-    default directory.
-    """
-    inner = executor.inner if isinstance(executor, TracedExecutor) \
-        else executor
-    if isinstance(inner, SerialExecutor) or \
-            isinstance(cache, (bool, str, NullCache)) or cache is None:
-        return cache, cache_root
-    backend = getattr(cache, "backend", cache)
-    setting = getattr(backend, "transport", True)
-    root = getattr(cache, "root", None)
-    if root is not None and cache_root is None:
-        cache_root = str(root)
-    return setting, cache_root
 
 
 def dispatch_points(experiment: str,
@@ -289,10 +264,13 @@ def dispatch_points(experiment: str,
 
     The shared dispatch path under :func:`run_sweep` and
     :func:`repro.sweep.optimize.run_optimize`: every point becomes one
-    engine task shipped through ``executor`` (serial by default), its
-    result served from the content-addressed cache when present.  Returns
-    one outcome dict per point, in point order: ``{"cache_hit",
-    "cache_key", "elapsed_s", "metrics"}``.
+    engine task of ``executor`` (serial by default), its result served
+    from the content-addressed cache when present.  The points the cache
+    holds (:meth:`~repro.runner.cache.ResultCache.contains`, one ``stat``
+    each) run in the caller; only the others are shared with pool
+    workers, so a mostly cached sweep with one new point computes that
+    point in the caller.  Returns one outcome dict per point, in point
+    order: ``{"cache_hit", "cache_key", "elapsed_s", "metrics"}``.
 
     ``label`` names the batch in logs, ``span_name``/``span_attributes``
     the tracer span wrapping it (``sweep.points.cached`` /
@@ -302,11 +280,12 @@ def dispatch_points(experiment: str,
     tracer = tracer if tracer is not None else current_tracer()
     if tracer.enabled and not isinstance(executor, TracedExecutor):
         executor = TracedExecutor(executor, tracer)
-    cache_setting, cache_root = _cache_transport(executor, cache, cache_root)
+    cache_obj = resolve_cache(cache, cache_root)
     points = list(points)
-    tasks = [(experiment, point.params, seed, cache_setting,
-              None if cache_root is None else str(cache_root), registry)
-             for point in points]
+    tasks = [(experiment, point.params, seed, cache_obj, registry,
+              executor.jobs) for point in points]
+    cached = [index for index, point in enumerate(points)
+              if cache_obj.contains(point.cache_key)]
     label = label or experiment
 
     def stream(index: int, outcome: Dict[str, Any]) -> None:
@@ -323,11 +302,12 @@ def dispatch_points(experiment: str,
             tracer.span(span_name or f"points:{label}", kind="sweep",
                         experiment=experiment, points=len(points),
                         **dict(span_attributes or {})):
-        return run_ordered(executor, _run_point, tasks, on_result=stream)
+        return run_ordered(executor, _run_point, tasks, on_result=stream,
+                           local=cached)
 
 
 def run_sweep(spec: SweepSpec,
-              jobs: int = 1,
+              jobs: Optional[int] = None,
               cache: Any = True,
               cache_root: Optional[str] = None,
               registry: Optional[ExperimentRegistry] = None,
@@ -342,21 +322,21 @@ def run_sweep(spec: SweepSpec,
     spec:
         The design space to explore.
     jobs:
-        Worker processes; points are dispatched chunk-wise through
-        :func:`repro.runner.executor.make_executor`, so ``jobs`` changes
-        wall-clock only (every point carries the sweep's master seed).
+        Cap on the worker processes the points are shared between
+        (:func:`repro.runner.executor.make_executor`); ``None`` is every
+        usable CPU, ``1`` serial.  ``jobs`` changes wall-clock only
+        (every point carries the sweep's master seed).
     cache / cache_root:
-        Passed through to :func:`repro.runner.engine.run_experiment` for
-        every point.  ``cache=False`` disables resume (every point
-        recomputes).  For process-parallel runs pass ``cache_root`` (or use
-        the default root): each worker rebuilds its cache from the root.
+        Resolved once (:func:`repro.runner.engine.resolve_cache`) and
+        used by every point, in the caller and in forked workers alike.
+        ``cache=False`` disables resume (every point recomputes).
     registry:
         Experiment registry override (defaults to the full catalogue).
     executor:
         Explicit execution strategy, overriding ``jobs``.
     on_point:
         Optional ``(point_index, wide_row)`` callback streamed as points
-        complete (completion order under a parallel executor).
+        complete.
     tracer:
         Observability collector (:class:`repro.obs.Tracer`); defaults to
         the active tracer.  Records a ``sweep:<name>`` span, per-point
@@ -369,13 +349,13 @@ def run_sweep(spec: SweepSpec,
         Wide rows in expansion order plus cache/compute accounting.
     """
     start = time.perf_counter()
-    registry = registry or spec.registry  # None: workers use the default
-    points = expand_points(spec, cache=cache, cache_root=cache_root,
-                           registry=registry)
+    registry = registry or spec.registry  # None: points use the default
+    cache = resolve_cache(cache, cache_root)
+    points = expand_points(spec, cache=cache, registry=registry)
     executor = executor if executor is not None else make_executor(jobs)
     outcomes = dispatch_points(spec.experiment, points, spec.seed,
-                               cache=cache, cache_root=cache_root,
-                               registry=registry, executor=executor,
+                               cache=cache, registry=registry,
+                               executor=executor,
                                tracer=tracer, on_point=on_point,
                                label=f"sweep {spec.name}",
                                span_name=f"sweep:{spec.name}",

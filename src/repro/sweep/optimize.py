@@ -642,7 +642,7 @@ def _adaptive_proposals(spec: OptimizeSpec,
 
 
 def run_optimize(spec: OptimizeSpec,
-                 jobs: int = 1,
+                 jobs: Optional[int] = None,
                  cache: Any = True,
                  cache_root: Optional[str] = None,
                  registry: Optional[ExperimentRegistry] = None,
@@ -671,9 +671,11 @@ def run_optimize(spec: OptimizeSpec,
         stop reason.
     """
     from repro.obs.tracer import activate, current_tracer
+    from repro.runner.engine import resolve_cache
     from repro.runner.executor import make_executor
     start = time.perf_counter()
-    registry = registry or spec.registry  # None: workers use the default
+    registry = registry or spec.registry  # None: points use the default
+    cache = resolve_cache(cache, cache_root)
     executor = executor if executor is not None else make_executor(jobs)
     tracer = tracer if tracer is not None else current_tracer()
 
@@ -712,11 +714,10 @@ def run_optimize(spec: OptimizeSpec,
             batch = build_points(spec.experiment, proposals,
                                  base_params=spec.base_params,
                                  seed=spec.seed, cache=cache,
-                                 cache_root=cache_root, registry=registry,
-                                 start_index=len(points))
+                                 registry=registry, start_index=len(points))
             batch_outcomes = dispatch_points(
                 spec.experiment, batch, spec.seed, cache=cache,
-                cache_root=cache_root, registry=registry, executor=executor,
+                registry=registry, executor=executor,
                 tracer=tracer, on_point=on_point,
                 label=f"optimize {spec.name} round {round_index}",
                 span_name=f"optimize:{spec.name}:round{round_index}",

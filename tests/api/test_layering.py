@@ -30,6 +30,11 @@ UPPER_LAYERS = ("repro.api", "repro.sweep", "repro.bench", "repro.service")
 #: What only a computing run may load.
 COMPUTE_STACK = ("numpy", "repro.runner.drivers")
 
+#: What only a fan-out that forks may load: the worker pool imports
+#: ``pickle`` and ``signal`` where it forks, and nothing in the package
+#: uses ``concurrent.futures`` or ``multiprocessing``.
+FORK_STACK = ("concurrent.futures", "multiprocessing", "pickle", "signal")
+
 #: Every package but ``repro.service``, whose seam check admits only
 #: façade imports; each exports through :func:`repro._lazy.lazy_exports`.
 LAZY_PACKAGES = sorted(
@@ -120,10 +125,11 @@ def test_importing_the_runner_pulls_in_no_upper_layer(warm_cache):
 
 
 def test_a_warm_run_loads_neither_numpy_nor_the_adapters(warm_cache):
+    """Nor the process machinery: a cache hit forks nothing."""
     root, cold_rows = warm_cache
     completed = _python_m_repro(
         ["run", "fig3_radio", "--output", "json", "--cache-dir", root],
-        _none_loaded(COMPUTE_STACK))
+        _none_loaded(COMPUTE_STACK + FORK_STACK))
     assert completed.returncode == 0, completed.stderr
     assert completed.stdout == cold_rows
 
@@ -135,12 +141,14 @@ def test_list_loads_neither_numpy_nor_the_adapters():
 
 
 def test_a_session_loads_neither_numpy_nor_the_adapters(tmp_path):
+    """Nor the process machinery: nothing forks at ``import repro.api`` or
+    at ``Session(...)``."""
     completed = _run(
         "import sys; import repro.api; "
         f"names = [spec.name for spec in repro.api.Session("
         f"cache_dir={str(tmp_path)!r}).experiments()]; "
         "assert 'case_study' in names, names; "
-        + _none_loaded(COMPUTE_STACK))
+        + _none_loaded(COMPUTE_STACK + FORK_STACK))
     assert completed.returncode == 0, completed.stderr
 
 

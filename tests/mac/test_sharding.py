@@ -2,9 +2,10 @@
 
 A large :meth:`BatchedChannelSimulator.run` cuts its lanes into
 contiguous pieces and shares them between the caller and ``os.fork``
-children (:func:`repro.mac.vectorized._shard_count` picks how many
-workers, :func:`~repro.mac.vectorized._piece_count` how many pieces);
-each worker takes the next piece when it is free.  A lane's summary does
+children of the worker pool (:func:`repro.mac.vectorized._shard_count`
+picks how many workers through :func:`repro.pool.worker_count`,
+:func:`~repro.mac.vectorized._piece_count` how many pieces); each worker
+takes the next piece when it is free.  A lane's summary does
 not depend on its batch, so a sharded call must return exactly the
 single-process call's summaries, whichever worker ran which piece; its
 trace must equal the serial trace outside the timing field; and every
@@ -25,6 +26,7 @@ import time
 import pytest
 
 import repro.mac.vectorized as vectorized
+import repro.pool as pool
 from repro.mac.superframe import SuperframeConfig
 from repro.mac.vectorized import (BatchedChannelSimulator, ChannelLane,
                                   _piece_count, _shard_bounds, _shard_count)
@@ -61,8 +63,7 @@ def cpus(monkeypatch):
     def use(count):
         monkeypatch.setattr(vectorized, "_SHARD_FLOOR", 1)
         monkeypatch.setattr(vectorized, "_PIECE_FLOOR", 1)
-        monkeypatch.setattr(vectorized, "_usable_cpus",
-                            lambda: list(range(count)))
+        monkeypatch.setattr(pool, "usable_cpus", lambda: list(range(count)))
     return use
 
 
@@ -183,8 +184,7 @@ class TestWorkersKeepTheirOwnCpu:
         monkeypatch.setattr(vectorized, "_SHARD_FLOOR", 1)
         monkeypatch.setattr(vectorized, "_PIECE_FLOOR", 1)
         first, second = sorted(os.sched_getaffinity(0))[:2]
-        monkeypatch.setattr(vectorized, "_usable_cpus",
-                            lambda: [first, second])
+        monkeypatch.setattr(pool, "usable_cpus", lambda: [first, second])
         parent = os.getpid()
         seen = tmp_path / "child-cpus"
         caller_cpus = []
@@ -255,24 +255,24 @@ class TestShardPolicy:
     def test_the_paper_network_shards_on_two_cpus(self, monkeypatch):
         """1600 nodes x 50 superframes over 16 lanes (the headline run of
         ``TestBatchedHeadlineGolden``) clears the per-shard floor."""
-        monkeypatch.setattr(vectorized, "_usable_cpus", lambda: [0, 1])
+        monkeypatch.setattr(pool, "usable_cpus", lambda: [0, 1])
         assert _shard_count(16, 1600, 50) == 2
 
     def test_shards_never_exceed_lanes_or_cpus(self, monkeypatch):
-        monkeypatch.setattr(vectorized, "_usable_cpus", lambda: [0, 1, 2])
+        monkeypatch.setattr(pool, "usable_cpus", lambda: [0, 1, 2])
         assert _shard_count(2, 12800, 50) == 2
         assert _shard_count(128, 12800, 50) == 3
-        monkeypatch.setattr(vectorized, "_usable_cpus", lambda: [5])
+        monkeypatch.setattr(pool, "usable_cpus", lambda: [5])
         assert _shard_count(128, 12800, 50) == 1
 
     def test_a_call_below_the_floor_does_not_fork(self, monkeypatch,
                                                   no_fork):
-        monkeypatch.setattr(vectorized, "_usable_cpus", lambda: [0, 1])
+        monkeypatch.setattr(pool, "usable_cpus", lambda: [0, 1])
         assert len(uneven_batch().run(superframes=6)) == 6
 
     def test_off_linux_does_not_fork(self, cpus, monkeypatch, no_fork):
         cpus(2)
-        monkeypatch.setattr(vectorized.sys, "platform", "darwin")
+        monkeypatch.setattr(pool.sys, "platform", "darwin")
         assert len(uneven_batch().run(superframes=6)) == 6
 
     def test_a_call_from_a_second_thread_does_not_fork(self, cpus, no_fork):

@@ -157,8 +157,6 @@ class TestResolution:
         shared = resolve_backend("shared", tmp_path)
         assert type(directory) is DirectoryBackend
         assert type(shared) is SharedDirectoryBackend
-        assert directory.transport is True
-        assert shared.transport == "shared"
         assert set(BACKEND_KINDS) == {"directory", "shared"}
 
     def test_instance_passes_through(self, tmp_path):
@@ -170,8 +168,8 @@ class TestResolution:
             resolve_backend("redis", tmp_path)
 
     def test_resolve_cache_accepts_backends_and_kind_tokens(self, tmp_path):
-        """The sweep driver ships `backend.transport` to process workers;
-        resolve_cache must rebuild an equivalent cache from the token."""
+        """`run_experiment(cache=...)` and `Session(backend=...)` accept
+        kind names; resolve_cache must build an equivalent cache from one."""
         cache = resolve_cache("shared", str(tmp_path))
         assert isinstance(cache, ResultCache)
         assert isinstance(cache.backend, SharedDirectoryBackend)

@@ -1,5 +1,6 @@
 """Smoke tests of the ``python -m repro`` command line."""
 
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -16,7 +17,7 @@ class TestParser:
     def test_run_defaults(self):
         arguments = build_parser().parse_args(["run", "fig6_csma"])
         assert arguments.experiment == "fig6_csma"
-        assert arguments.jobs == 1
+        assert arguments.jobs is None
         assert not arguments.no_cache
 
     def test_param_parsing(self):
@@ -122,8 +123,11 @@ class TestCommands:
         assert "[cache]" in second
 
     def test_run_no_cache(self, tmp_path, capsys):
+        """The default shares fig6's two grid points between as many
+        workers as there are usable CPUs, and reports what it used."""
         assert main(["run", "fig6_csma", "--no-cache", *TINY_ARGS]) == 0
-        assert "computed with 1 job(s)" in capsys.readouterr().out
+        workers = min(2, len(os.sched_getaffinity(0)))
+        assert f"computed with {workers} job(s)" in capsys.readouterr().out
 
     def test_unknown_experiment_fails_with_suggestion(self, capsys):
         assert main(["run", "fig6"]) == 2

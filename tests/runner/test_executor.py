@@ -1,4 +1,6 @@
-"""Tests of the execution strategies (serial / process pool)."""
+"""Tests of the execution strategies (serial / forked worker pool)."""
+
+import os
 
 import pytest
 
@@ -7,7 +9,6 @@ from repro.runner.executor import (ProcessExecutor, SerialExecutor,
 
 
 def square(value):
-    """Module-level task function so the process pool can pickle it."""
     return value * value
 
 
@@ -28,32 +29,27 @@ class TestProcessExecutor:
         parallel = sorted(ProcessExecutor(jobs=2).map_tasks(square, tasks))
         assert parallel == serial
 
-    def test_chunking_covers_every_task(self):
-        executor = ProcessExecutor(jobs=3, chunksize=2)
-        chunks = executor._chunks(list("abcdefg"))
-        flattened = [pair for chunk in chunks for pair in chunk]
-        assert flattened == list(enumerate("abcdefg"))
-        assert all(len(chunk) <= 2 for chunk in chunks)
-
     def test_empty_tasks(self):
         assert list(ProcessExecutor(jobs=2).map_tasks(square, [])) == []
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
             ProcessExecutor(jobs=0)
-        with pytest.raises(ValueError):
-            ProcessExecutor(jobs=2, chunksize=0)
 
 
 class TestMakeExecutor:
     def test_serial_for_one_job(self):
-        assert isinstance(make_executor(None), SerialExecutor)
         assert isinstance(make_executor(1), SerialExecutor)
 
     def test_process_pool_for_many_jobs(self):
         executor = make_executor(4)
         assert isinstance(executor, ProcessExecutor)
         assert executor.jobs == 4
+
+    def test_the_default_caps_at_every_usable_cpu(self):
+        executor = make_executor(None)
+        assert isinstance(executor, ProcessExecutor)
+        assert executor.jobs == len(os.sched_getaffinity(0))
 
 
 class TestRunOrdered:

@@ -1,5 +1,6 @@
 """Tests of the worker pool: execution, dedup, crash requeue, drain."""
 
+import os
 import sys
 import threading
 import time
@@ -154,6 +155,37 @@ class TestPool:
         first_beat = claimed.heartbeat_unix_s
         worker.execute(claimed)
         assert store.get(job).heartbeat_unix_s > first_beat
+
+
+class TestNoForkUnderThreads:
+    def test_a_served_fan_out_computes_in_the_worker_thread(
+            self, backend, store, monkeypatch):
+        """Default-jobs sessions, as ``repro serve`` builds them: with
+        the pool's threads alive, fig6's Monte-Carlo grid runs in the
+        worker thread's process, and its rows equal a main-thread serial
+        run's."""
+        params = {"loads": [0.2, 0.6], "payload_sizes": [20],
+                  "num_windows": 2, "num_nodes": 20}
+        job = submit(store, Session(backend=backend),
+                     JobSpec(kind="run", name="fig6_csma", params=params,
+                             seed=9))
+
+        def refuse():
+            raise AssertionError("a served job called os.fork")
+
+        monkeypatch.setattr(os, "fork", refuse)
+        pool = WorkerPool(store, lambda: Session(backend=backend),
+                          workers=1, poll_interval_s=0.02)
+        pool.start()
+        try:
+            assert pool.wait_idle(timeout=120)
+        finally:
+            pool.stop()
+        monkeypatch.undo()
+        assert store.get(job.job_id).state == JobState.DONE
+        serial = Session(cache=False, jobs=1).run("fig6_csma", seed=9,
+                                                  **params)
+        assert store.result_text(job.job_id) == serial.to_json()
 
 
 class TestWakeUp:

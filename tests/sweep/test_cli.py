@@ -34,7 +34,7 @@ class TestParser:
         assert arguments.command == "sweep"
         assert arguments.sweep_command == "run"
         assert arguments.sweep == "node_density"
-        assert arguments.jobs == 1
+        assert arguments.jobs is None
         assert not arguments.quick
 
     def test_sweep_export_requires_out(self):
@@ -189,7 +189,7 @@ class TestOptimizeCommand:
             ["sweep", "optimize", "case_study_power"])
         assert arguments.sweep_command == "optimize"
         assert arguments.optimizer == "case_study_power"
-        assert arguments.jobs == 1
+        assert arguments.jobs is None
         assert not arguments.quick
 
     def test_list_shows_registered_optimizers(self, capsys):
