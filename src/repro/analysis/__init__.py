@@ -1,7 +1,7 @@
 """Analysis and reporting utilities.
 
 Plot-free (terminal friendly) helpers used by the experiment drivers, the
-examples and the benchmark harness:
+engine and the examples:
 
 * :mod:`repro.analysis.tables` — fixed-width ASCII tables;
 * :mod:`repro.analysis.series` — named (x, y) series containers standing in

@@ -2,7 +2,7 @@
 
 Each figure of the paper is regenerated as one or more :class:`Series`
 (x values, y values, label); a :class:`SeriesCollection` groups the series
-of one figure and renders them as an ASCII table so the benchmark output can
+of one figure and renders them as an ASCII table so a driver's output can
 be eyeballed against the published curves.
 """
 
@@ -115,8 +115,7 @@ class SeriesCollection:
     def to_table(self, float_format: str = ".4g") -> str:
         """Render the collection as an ASCII table (one column per curve).
 
-        All series must share the same x grid; this is how every figure
-        bench prints its regenerated data.
+        All series must share the same x grid.
         """
         if not self.series:
             raise ValueError("The collection contains no series")

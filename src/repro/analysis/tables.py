@@ -1,6 +1,6 @@
 """Fixed-width ASCII table formatting.
 
-The benchmark harness and examples print the rows the paper reports; this
+The engine's CLI and the examples print the rows the paper reports; this
 module renders them as aligned, monospace tables without any third-party
 dependency.
 """

@@ -291,12 +291,6 @@ class ContentionSimulator:
                                         slot_s=slot_s))
         return merge_statistics(parts)
 
-    def sweep_loads(self, loads, packet_bytes: int,
-                    num_windows: int = 40) -> List[ContentionStatistics]:
-        """Characterise a list of load points at a fixed packet size."""
-        return [self.characterize(load, packet_bytes, num_windows=num_windows)
-                for load in loads]
-
 
 def window_statistics(window: WindowResult, load: float, packet_bytes: int,
                       slot_s: float) -> ContentionStatistics:

@@ -43,11 +43,7 @@ _EXPORTS = {
     "repro.core.breakdown": ("EnergyBreakdown", "TimeBreakdown"),
     "repro.core.link_adaptation": ("ChannelInversionPolicy", "PowerThreshold"),
     "repro.core.optimizer": ("PacketSizeOptimizer", "BeaconOrderSelector"),
-    "repro.core.gts_comparison": ("GtsEnergyModel", "GtsVersusContention"),
     "repro.core.improvements": ("ImprovementAnalysis", "ImprovementResult"),
-    "repro.core.lifetime": ("LifetimeAnalysis", "LifetimeReport",
-                            "BatterySpec", "HarvesterSpec"),
-    "repro.core.sensitivity": ("SensitivityAnalysis", "OperatingPoint"),
     "repro.core.case_study": ("CaseStudy", "CaseStudyParameters",
                               "CaseStudyResult"),
     "repro.core.reliability": ("transmission_attempt_distribution",

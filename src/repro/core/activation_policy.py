@@ -12,7 +12,7 @@ node occupies during every phase of the per-superframe transaction:
   (``t-ack``) and only turns the receiver on for the acknowledgement window;
 * it shuts down immediately after the transaction completes.
 
-Two deliberately worse variants are provided for the ablation benchmarks:
+Two deliberately worse variants quantify what the policy saves:
 
 * ``ALWAYS_IDLE`` — the node never shuts down (it idles between
   superframes), isolating the benefit of the shutdown state;
@@ -56,7 +56,7 @@ class ActivationPolicy:
         (1 ms in the paper, covering the ~970 µs startup).
     idle_between_ccas:
         Whether the radio returns to idle between CCAs (paper policy) or
-        stays in receive (pessimistic variant used in sensitivity checks).
+        stays in receive (a pessimistic variant).
     shutdown_after_transaction:
         Whether the node shuts down after the acknowledgement (paper policy)
         or merely idles until the next superframe.

@@ -78,7 +78,7 @@ class CaseStudyResult:
     thresholds: List = field(default_factory=list)
 
     def summary(self) -> Dict[str, float]:
-        """Headline quantities as a flat dictionary (for reports/benches)."""
+        """Headline quantities as a flat dictionary."""
         return {
             "average_power_uW": self.average_power_w * 1e6,
             "delivery_delay_s": self.mean_delivery_delay_s,
@@ -141,7 +141,7 @@ class CaseStudy:
         """Evaluate the case study over the path-loss population.
 
         ``link_adaptation=False`` forces every node to the maximum transmit
-        power (used by the ablation benchmarks to quantify the saving).
+        power; the ``case_study`` experiment reports the saving against it.
         """
         params = self.parameters
         load = self.channel_load()

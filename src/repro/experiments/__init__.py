@@ -8,15 +8,16 @@ evaluation and returns
 * an :class:`repro.analysis.report.ExperimentReport` comparing the paper's
   stated numbers with the reproduced ones.
 
-The benchmark harness under ``benchmarks/`` simply runs these drivers and
-prints their tables; EXPERIMENTS.md is assembled from the reports.
+The engine's adapters (:mod:`repro.runner.drivers`) run these drivers and
+turn their reports into result rows.  Figure 6 has no driver here: its
+adapter characterises the (payload, load) grid directly, one seeded
+Monte-Carlo task per point.
 
 =================  ======================================================
 Driver             Paper artefact
 =================  ======================================================
 ``fig3_radio``     Figure 3 — CC2420 state powers and transitions
 ``fig4_ber``       Figure 4 — bit-error rate vs received power
-``fig6_csma``      Figure 6 — slotted CSMA/CA behaviour vs load
 ``fig7_link``      Figure 7 — optimal energy per bit vs path loss
 ``fig8_packet``    Figure 8 — energy per bit vs payload size
 ``fig9_breakdown`` Figure 9 — energy / time breakdowns
@@ -35,7 +36,6 @@ _EXPORTS = {
     "repro.experiments.common": ("default_model", "fast_contention_table"),
     "repro.experiments.fig3_radio": ("run_fig3_radio_characterization",),
     "repro.experiments.fig4_ber": ("run_fig4_ber",),
-    "repro.experiments.fig6_csma": ("run_fig6_csma",),
     "repro.experiments.fig7_link": ("run_fig7_link_adaptation",),
     "repro.experiments.fig8_packet": ("run_fig8_packet_size",),
     "repro.experiments.fig9_breakdown": ("run_fig9_breakdown",),

@@ -20,9 +20,9 @@ The MAC substrate implements what the paper's scenario relies on:
   channel lanes at once — :mod:`repro.mac.vectorized`.
 
 Both kernels run the paper's scenario only: one uplink packet per
-superframe through slotted CSMA/CA in the contention access period.  The
-paper's Section 2 argument against guaranteed time slots lives in
-:mod:`repro.core.gts_comparison`.
+superframe through slotted CSMA/CA in the contention access period (the
+paper's Section 2 rules guaranteed time slots out for dense networks; see
+``docs/experiments.md``).
 
 The names resolve on first access: reaching :mod:`repro.mac.constants`
 loads neither the kernels nor numpy.

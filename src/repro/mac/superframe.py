@@ -3,10 +3,10 @@
 A superframe starts with the beacon and contains 16 equally sized slots.
 The standard lets the coordinator end the active portion with a
 contention-free period of guaranteed time slots; the paper dismisses those
-for dense networks (Section 2, quantified in
-:mod:`repro.core.gts_comparison`), so here the contention access period
-(CAP, slotted CSMA/CA) runs from the end of the beacon to the end of the
-active portion.  The inter-beacon period is ``aBaseSuperframeDuration x
+for dense networks (Section 2: at most seven GTS descriptors per superframe
+against 100 nodes per channel), so here the contention access period (CAP,
+slotted CSMA/CA) runs from the end of the beacon to the end of the active
+portion.  The inter-beacon period is ``aBaseSuperframeDuration x
 2^BO`` (equation 12); the active portion lasts ``aBaseSuperframeDuration x
 2^SO`` with SO <= BO.  When SO < BO the coordinator and all devices may
 sleep between the end of the active portion and the next beacon.

@@ -303,10 +303,9 @@ def _shard_count(lane_count: int, devices: int, superframes: int) -> int:
 def _piece_count(lane_count: int, devices: int, superframes: int,
                  workers: int) -> int:
     """How many pieces the ``workers`` of a sharded call share: up to
-    :data:`_PIECES_PER_WORKER` each, as far as the lanes,
-    :data:`_PIECE_FLOOR` and 255 pieces allow, and never fewer than the
-    workers."""
-    return max(workers, min(lane_count, 255, workers * _PIECES_PER_WORKER,
+    :data:`_PIECES_PER_WORKER` each, as far as the lanes and
+    :data:`_PIECE_FLOOR` allow, and never fewer than the workers."""
+    return max(workers, min(lane_count, workers * _PIECES_PER_WORKER,
                             devices * superframes // _PIECE_FLOOR))
 
 

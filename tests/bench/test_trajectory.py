@@ -230,17 +230,3 @@ class TestBenchCli:
 
         assert main(["bench", "--repeats", "0"]) == 2
         assert "--repeats" in capsys.readouterr().err
-
-    def test_benchmarks_shim_reexports_the_helper(self):
-        import sys
-        from pathlib import Path
-
-        repo_root = Path(__file__).resolve().parents[2]
-        sys.path.insert(0, str(repo_root))
-        try:
-            from benchmarks import trajectory as shim
-        finally:
-            sys.path.remove(str(repo_root))
-        assert shim.build_record is build_record
-        assert set(shim.__all__) >= {"BENCH_CASES", "bench_path",
-                                     "compare_records", "write_record"}

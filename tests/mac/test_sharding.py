@@ -241,9 +241,10 @@ class TestPieceCount:
         assert _piece_count(16, 1600, 50, 2) == 4
         assert _piece_count(128, 12800, 50, 2) == 4
 
-    def test_pieces_stay_within_lanes_one_byte_and_the_floor(self):
+    def test_pieces_stay_within_lanes_and_the_floor(self):
         assert _piece_count(3, 12800, 50, 2) == 3
-        assert _piece_count(4000, 400000, 50, 200) == 255
+        assert _piece_count(64, 6000, 10, 4) == 6
+        assert _piece_count(4000, 60000, 50, 200) == 300
         assert _piece_count(16, 1600, 20, 3) == 3
 
     def test_every_worker_has_a_piece_of_its_own(self):

@@ -77,11 +77,16 @@ class TestScenarioToModelConsistency:
             # Nodes further out never use less power than closer nodes
             # (monotonicity is already unit-tested; here we spot-check range).
 
-    def test_closed_form_contention_source_works_end_to_end(self):
+    def test_closed_form_contention_source_works_end_to_end(
+            self, case_study_result):
+        """The headline power is robust to the contention-statistics
+        source: the closed form lands within 30 % of the Monte-Carlo."""
         model = EnergyModel(contention_source=ClosedFormContentionModel())
         study = CaseStudy(model=model, path_loss_resolution=11)
         result = study.run()
         assert 120e-6 < result.average_power_w < 350e-6
+        ratio = result.average_power_w / case_study_result.average_power_w
+        assert 0.7 < ratio < 1.3
 
 
 class TestModelVsSimulation:

@@ -48,11 +48,11 @@ PUBLIC_SURFACE = {
                    "ActivationPolicy", "ChannelInversionPolicy",
                    "PacketSizeOptimizer", "BeaconOrderSelector",
                    "EnergyBreakdown", "TimeBreakdown", "ImprovementAnalysis",
-                   "CaseStudy", "LifetimeAnalysis", "SensitivityAnalysis"],
+                   "CaseStudy"],
     "repro.analysis": ["format_table", "Series", "SeriesCollection",
                        "ExperimentReport", "typed_key"],
     "repro.experiments": ["run_fig3_radio_characterization", "run_fig4_ber",
-                          "run_fig6_csma", "run_fig7_link_adaptation",
+                          "run_fig7_link_adaptation",
                           "run_fig8_packet_size", "run_fig9_breakdown",
                           "run_case_study", "run_improvements",
                           "run_model_vs_simulation", "default_model"],
@@ -115,19 +115,17 @@ EXPORTED_NAMES = {
         ContentionTable WindowResult build_contention_table
         merge_statistics""",
     "repro.core": """
-        ActivationPolicy BatterySpec BeaconOrderSelector CaseStudy
-        CaseStudyParameters CaseStudyResult ChannelInversionPolicy
-        EnergyBreakdown EnergyModel GtsEnergyModel GtsVersusContention
-        HarvesterSpec ImprovementAnalysis ImprovementResult
-        LifetimeAnalysis LifetimeReport ModelConfig NodeEnergyBudget
-        OperatingPoint PacketSizeOptimizer PolicyVariant PowerThreshold
-        SensitivityAnalysis TimeBreakdown delivery_delay_s
+        ActivationPolicy BeaconOrderSelector CaseStudy CaseStudyParameters
+        CaseStudyResult ChannelInversionPolicy EnergyBreakdown EnergyModel
+        ImprovementAnalysis ImprovementResult ModelConfig NodeEnergyBudget
+        PacketSizeOptimizer PolicyVariant PowerThreshold TimeBreakdown
+        delivery_delay_s
         energy_per_data_bit_j packet_error_from_link
         transaction_failure_probability transmission_attempt_distribution
         transmission_failure_probability""",
     "repro.experiments": """
         default_model fast_contention_table run_case_study
-        run_fig3_radio_characterization run_fig4_ber run_fig6_csma
+        run_fig3_radio_characterization run_fig4_ber
         run_fig7_link_adaptation run_fig8_packet_size run_fig9_breakdown
         run_improvements run_model_vs_simulation""",
     "repro.mac": """
