@@ -53,18 +53,26 @@ class TestFig4:
 
 
 class TestFig6:
-    """The registered ``fig6_csma`` experiment at test scale."""
+    """The registered ``fig6_csma`` experiment at test scale, at seed 3
+    and at the case-study seed 2005."""
 
     PARAMS = {"num_windows": 5, "num_nodes": 60}
 
+    @pytest.fixture(scope="class", params=[3, 2005])
+    def seed(self, request):
+        return request.param
+
     @pytest.fixture(scope="class")
-    def series(self):
-        """Rows per payload, in load order."""
-        rows = run_experiment(
+    def run(self, seed):
+        return run_experiment(
             "fig6_csma", params=dict(self.PARAMS, loads=[0.1, 0.42, 0.8]),
-            seed=3, jobs=1, cache=False).rows
+            seed=seed, jobs=1, cache=False)
+
+    @pytest.fixture(scope="class")
+    def series(self, run):
+        """Rows per payload, in load order."""
         by_payload = {}
-        for row in rows:
+        for row in run.rows:
             by_payload.setdefault(row["payload_bytes"], []).append(row)
         return by_payload
 
@@ -83,15 +91,34 @@ class TestFig6:
         for rows in series.values():
             assert 2.0 <= rows[-1]["n_cca"] <= 6.0
 
+    def test_contention_time_grows_with_load(self, series):
+        for rows in series.values():
+            times = [row["t_cont_s"] for row in rows]
+            assert times == sorted(times) and times[0] < times[-1]
+
     def test_smaller_packets_collide_more(self, series):
         at_042 = {payload: rows[1] for payload, rows in series.items()}
         assert at_042[10]["pr_col"] > at_042[100]["pr_col"]
 
-    def test_case_study_point_matches_the_paper_failure(self):
+    def test_report_holds_the_growth_and_cca_rows_of_every_payload(
+            self, run, series):
+        report = {row["quantity"]: row["measured_value"]
+                  for row in run.report["rows"]}
+        assert len(report) == 2 * len(series)
+        for payload, rows in series.items():
+            growth = report[f"Pr_cf growth with load ({payload} B), "
+                            f"high/low ratio"]
+            assert growth > 1.0
+            assert growth == pytest.approx(
+                rows[-1]["pr_cf"] / max(rows[0]["pr_cf"], 1e-9))
+            assert report[f"N_CCA at max load ({payload} B)"] == \
+                rows[-1]["n_cca"]
+
+    def test_case_study_point_matches_the_paper_failure(self, seed):
         """The paper's 16 % transaction failure is dominated by Pr_cf at
         the case-study point (load 0.42, 133 bytes on air)."""
         rows = run_experiment("contention_table", params=self.PARAMS,
-                              seed=3, jobs=1, cache=False).rows
+                              seed=seed, jobs=1, cache=False).rows
         point = next(row for row in rows
                      if row["load"] == 0.42 and row["packet_bytes"] == 133)
         assert point["pr_cf"] == pytest.approx(0.16, rel=0.5)
