@@ -14,9 +14,10 @@ Reproduces the dense-network scenario end to end:
 The headline comparison goes through the experiment engine (equivalent
 CLI: ``python -m repro run case_study``), so a re-run is served from the
 result cache.  The breakdowns and thresholds then use the library API
-directly — a separate, finer-resolution evaluation driven by
-``default_model()``'s own cached characterisation, so its numbers can
-differ slightly from the engine's headline row.
+directly on ``build_contention_table()``, the same characterisation the
+engine reads; they average over 61 path-loss points instead of the
+engine's 41, which is the only reason their numbers differ slightly from
+the headline row.
 
 Run with::
 
@@ -26,14 +27,14 @@ Run with::
 from __future__ import annotations
 
 from repro.analysis.tables import format_table
-from repro.core import CaseStudy, CaseStudyParameters
-from repro.experiments.common import default_model
+from repro.contention import build_contention_table
+from repro.core import CaseStudy, CaseStudyParameters, EnergyModel
 from repro.network.scenario import DenseNetworkScenario
 from repro.runner import run_experiment
 
 
 def main() -> None:
-    model = default_model()
+    model = EnergyModel(contention_source=build_contention_table())
     parameters = CaseStudyParameters()          # the paper's values
     study = CaseStudy(model=model, parameters=parameters,
                       path_loss_resolution=61)

@@ -22,13 +22,14 @@ from __future__ import annotations
 import numpy as np
 
 from repro.analysis.tables import format_table
+from repro.contention import build_contention_table
+from repro.core import EnergyModel
 from repro.core.link_adaptation import ChannelInversionPolicy
-from repro.experiments.common import default_model
 from repro.runner import run_experiment
 
 
 def main() -> None:
-    model = default_model()
+    model = EnergyModel(contention_source=build_contention_table())
     loads = (0.2, 0.42, 0.6)
     grid = np.arange(50.0, 95.0, 5.0)
 

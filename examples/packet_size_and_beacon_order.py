@@ -21,14 +21,15 @@ Run with::
 from __future__ import annotations
 
 from repro.analysis.tables import format_table
+from repro.contention import build_contention_table
+from repro.core import EnergyModel
 from repro.core.optimizer import BeaconOrderSelector, PacketSizeOptimizer
-from repro.experiments.common import default_model
 from repro.network.traffic import PeriodicSensingTraffic
 from repro.runner import run_experiment
 
 
 def main() -> None:
-    model = default_model()
+    model = EnergyModel(contention_source=build_contention_table())
 
     # ---- Figure 8: energy per bit vs payload size (through the engine) -----------
     loads = (0.2, 0.42, 0.6)

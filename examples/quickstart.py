@@ -26,15 +26,16 @@ from __future__ import annotations
 
 import repro.api as api
 from repro.analysis.tables import format_table
-from repro.experiments.common import default_model
+from repro.contention import build_contention_table
+from repro.core import EnergyModel
 
 
 def main() -> None:
     # ---- 1. contention characterisation (Figure 6 machinery) --------------------
-    # default_model() builds the paper-grid Monte-Carlo characterisation and
-    # feeds it to the analytical model; the experiment engine's on-disk cache
-    # makes every run after the first near-instant.
-    model = default_model()
+    # build_contention_table() characterises the paper grid by Monte-Carlo
+    # (the same table `repro run case_study` reads) and the analytical model
+    # interpolates it.
+    model = EnergyModel(contention_source=build_contention_table())
     budget = model.evaluate(
         payload_bytes=120,      # buffered sensor readings (the paper's choice)
         tx_power_dbm=-10.0,     # a mid-range CC2420 power level

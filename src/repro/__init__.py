@@ -35,11 +35,13 @@ The library is organised bottom-up:
 Quick start
 -----------
 
+>>> from repro.contention import build_contention_table
 >>> from repro.core import EnergyModel, CaseStudy
->>> model = EnergyModel()                      # CC2420 + paper's policy
+>>> table = build_contention_table()           # Fig. 6 grid, seed 2005
+>>> model = EnergyModel(contention_source=table)   # CC2420 + paper's policy
 >>> result = CaseStudy(model=model).run()      # Section 5 scenario
 >>> round(result.average_power_w * 1e6)        # ~211 uW in the paper
-217
+213
 
 through the stable façade (typed parameters, cached results)::
 

@@ -3,7 +3,8 @@
 Every experiment driver produces an :class:`ExperimentReport` listing, for
 each quantity the paper states, the published value, the reproduced value
 and whether the reproduction falls inside the declared tolerance band.  The
-EXPERIMENTS.md file is generated from these reports.
+engine's adapters (:mod:`repro.runner.drivers`) turn each report into the
+result rows ``python -m repro run`` prints.
 """
 
 from __future__ import annotations
@@ -11,8 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from typing import List, Optional
-
-from repro.analysis.tables import format_table
 
 
 @dataclass(frozen=True)
@@ -87,41 +86,3 @@ class ExperimentReport:
         checked = [row.within_tolerance for row in self.rows
                    if row.within_tolerance is not None]
         return all(checked) if checked else True
-
-    def to_table(self, float_format: str = ".4g") -> str:
-        """Render the report as an ASCII table."""
-        headers = ["quantity", "paper", "measured", "rel. error", "ok", "note"]
-        table_rows = []
-        for row in self.rows:
-            error = row.relative_error
-            table_rows.append([
-                row.quantity,
-                "-" if row.paper_value is None else format(row.paper_value, float_format),
-                format(row.measured_value, float_format),
-                "-" if error is None else f"{100 * error:+.1f}%",
-                {"True": "yes", "False": "NO", "None": "-"}[str(row.within_tolerance)],
-                row.note,
-            ])
-        rendered = format_table(headers, table_rows, float_format=float_format,
-                                title=f"{self.experiment_id}: {self.title}")
-        if self.notes:
-            rendered += "\n" + "\n".join(f"  note: {note}" for note in self.notes)
-        return rendered
-
-    def to_markdown(self) -> str:
-        """Render the report as a Markdown table (used for EXPERIMENTS.md)."""
-        lines = [f"### {self.experiment_id}: {self.title}", ""]
-        lines.append("| Quantity | Paper | Measured | Rel. error | Within band |")
-        lines.append("|---|---|---|---|---|")
-        for row in self.rows:
-            paper = "-" if row.paper_value is None else f"{row.paper_value:.4g}"
-            error = row.relative_error
-            error_text = "-" if error is None else f"{100 * error:+.1f}%"
-            ok = {"True": "yes", "False": "**no**", "None": "-"}[str(row.within_tolerance)]
-            lines.append(f"| {row.quantity} | {paper} | {row.measured_value:.4g} "
-                         f"| {error_text} | {ok} |")
-        if self.notes:
-            lines.append("")
-            lines.extend(f"- {note}" for note in self.notes)
-        lines.append("")
-        return "\n".join(lines)

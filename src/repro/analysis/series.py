@@ -2,18 +2,16 @@
 
 Each figure of the paper is regenerated as one or more :class:`Series`
 (x values, y values, label); a :class:`SeriesCollection` groups the series
-of one figure and renders them as an ASCII table so a driver's output can
-be eyeballed against the published curves.
+of one figure, which the engine's adapters flatten into one result row per
+(series, x) point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional
 
 import numpy as np
-
-from repro.analysis.tables import format_table
 
 
 @dataclass
@@ -111,22 +109,3 @@ class SeriesCollection:
             if series.label == label:
                 return series
         raise KeyError(f"No series labelled {label!r} in {self.title!r}")
-
-    def to_table(self, float_format: str = ".4g") -> str:
-        """Render the collection as an ASCII table (one column per curve).
-
-        All series must share the same x grid.
-        """
-        if not self.series:
-            raise ValueError("The collection contains no series")
-        x = self.series[0].x
-        for series in self.series[1:]:
-            if not np.allclose(series.x, x):
-                raise ValueError("All series must share the same x grid to "
-                                 "tabulate the collection")
-        headers = [self.x_name] + [s.label for s in self.series]
-        rows = []
-        for index in range(x.size):
-            rows.append([float(x[index])] + [float(s.y[index]) for s in self.series])
-        return format_table(headers, rows, float_format=float_format,
-                            title=f"{self.title}  ({self.y_name})")

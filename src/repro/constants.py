@@ -7,9 +7,8 @@ The modules implementing the models re-export these same objects.
 """
 
 #: The project's canonical master seed (the paper's publication year).
-#: ``repro.contention.tables.PAPER_SEED``,
-#: ``repro.experiments.common.EXPERIMENT_SEED`` and
-#: ``repro.runner.engine.DEFAULT_SEED`` all alias this constant.
+#: ``repro.runner.engine.DEFAULT_SEED`` aliases this constant, and
+#: ``repro.contention.tables.build_contention_table`` defaults to it.
 PAPER_SEED = 2005
 
 #: Registered traffic-model kinds, in the order ``build_traffic_model``

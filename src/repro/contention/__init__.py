@@ -17,10 +17,12 @@ This package provides
   default, matching the paper);
 * :mod:`repro.contention.statistics` — the result containers and
   aggregation helpers;
-* :mod:`repro.contention.tables` — cached characterisation tables over a
+* :mod:`repro.contention.tables` — characterisation tables over a
   (load, packet size) grid with bilinear interpolation, which is how the
   energy model consumes the characterisation without re-running the
-  Monte-Carlo for every query;
+  Monte-Carlo for every query; ``build_contention_table()`` is the paper
+  grid with one seeded Monte-Carlo task per point, the same table the
+  engine's experiments read;
 * :mod:`repro.contention.analytical` — a closed-form approximation of the
   same four quantities, used as an ablation baseline for the Monte-Carlo
   characterisation.

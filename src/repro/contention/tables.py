@@ -1,29 +1,25 @@
-"""Cached contention-characterisation tables with interpolation.
+"""Contention-characterisation tables with interpolation.
 
 Re-running the Monte-Carlo for every query of the energy model would be
 wasteful — the paper itself characterises the contention behaviour once
 (Figure 6) and then reads the curves.  :class:`ContentionTable` stores the
 statistics on a (load, packet size) grid and answers arbitrary queries by
 bilinear interpolation, which is exactly how the analytical model consumes
-the characterisation.
+the characterisation.  :func:`build_contention_table` is the one way the
+library characterises a grid: one seeded Monte-Carlo task per point.
 """
 
 from __future__ import annotations
 
 import bisect
-import math
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Dict, List, Sequence, Tuple
 
 from repro.constants import PAPER_SEED
-from repro.contention.monte_carlo import ContentionSimulator
 from repro.contention.statistics import ContentionStatistics
 
-#: Grid axes of the shared characterisation (covers every paper figure):
-#: :func:`repro.experiments.common.fast_contention_table` and the engine's
-#: ``contention_table`` experiment characterise the same points.
+#: Grid axes of the paper characterisation (covers every paper figure):
+#: the defaults of :func:`build_contention_table` and of the engine's
+#: ``contention_table`` experiment.
 TABLE_LOADS = (0.05, 0.1, 0.2, 0.3, 0.42, 0.5, 0.6, 0.75, 0.9)
 TABLE_SIZES = (20, 33, 63, 93, 113, 133)
 
@@ -59,18 +55,6 @@ class ContentionTable:
                     raise ValueError(
                         f"Missing statistics for grid point ({i}, {j})")
         self._statistics = dict(statistics)
-
-    # -- construction --------------------------------------------------------------
-    @classmethod
-    def from_callable(cls, source: Callable[[float, int], ContentionStatistics],
-                      loads: Sequence[float],
-                      packet_sizes: Sequence[int]) -> "ContentionTable":
-        """Build a table by evaluating ``source`` on the full grid."""
-        statistics: Dict[Tuple[int, int], ContentionStatistics] = {}
-        for i, load in enumerate(loads):
-            for j, size in enumerate(packet_sizes):
-                statistics[(i, j)] = source(load, size)
-        return cls(loads, packet_sizes, statistics)
 
     # -- lookup -----------------------------------------------------------------------
     def _bracket(self, grid: List[float], value: float) -> Tuple[int, int, float]:
@@ -160,80 +144,39 @@ class ContentionTable:
         return cls(loads, packet_sizes, statistics)
 
 
-def build_contention_table(loads: Sequence[float],
-                           packet_sizes: Sequence[int],
-                           simulator: Optional[ContentionSimulator] = None,
-                           num_windows: int = 30,
+def build_contention_table(loads: Sequence[float] = TABLE_LOADS,
+                           packet_sizes: Sequence[int] = TABLE_SIZES,
+                           num_windows: int = 15,
                            executor=None,
                            seed: int = PAPER_SEED,
                            num_nodes: int = 100) -> ContentionTable:
     """Characterise the full (load, packet size) grid by Monte-Carlo.
 
-    Two modes:
-
-    * **Shared-simulator (default, ``executor=None``)** — one simulator walks
-      the grid in order, drawing all windows from a single random stream.
-      This is the historical behaviour every seeded test relies on.
-    * **Executor (``executor`` given)** — each grid point is characterised by
-      its own simulator seeded via :func:`repro.sim.random.spawn_seeds`, so
-      the points are independent tasks the worker pool can share.  The
-      table is bit-identical whether the executor is serial or parallel (the
-      ``simulator`` argument is ignored; pass ``seed``/``num_nodes`` instead).
+    Each grid point is characterised by its own simulator seeded via
+    :func:`repro.sim.random.spawn_seeds` (stream ``"contention.table"``), so
+    the points are independent tasks and the table is bit-identical whether
+    they run in the caller, on a serial executor or on the worker pool.  The
+    defaults are the ``contention_table`` experiment's, so
+    ``build_contention_table()`` is the table ``repro run case_study`` reads.
 
     Parameters
     ----------
     loads / packet_sizes:
         Grid axes (ascending).
-    simulator:
-        Shared-simulator mode only: the Monte-Carlo simulator to walk the
-        grid with (a default 100-node simulator with the paper's CSMA
-        convention is created when omitted).
     num_windows:
         Contention windows simulated per grid point.
     executor:
-        A :mod:`repro.runner.executor` strategy enabling the per-point-seed
-        mode; ``None`` keeps the shared-simulator behaviour.
+        A :mod:`repro.runner.executor` strategy sharing the points out;
+        ``None`` runs them serially in the caller.
     seed / num_nodes:
-        Executor mode only: master seed of the per-point seed family and
-        contending node count.
+        Master seed of the per-point seed family and contending node count.
     """
-    if executor is not None:
-        from repro.contention.monte_carlo import characterize_grid
+    from repro.contention.monte_carlo import characterize_grid
 
-        points = [(load, size) for load in loads for size in packet_sizes]
-        stats = characterize_grid(points, num_windows=num_windows,
-                                  num_nodes=num_nodes, seed=seed,
-                                  executor=executor,
-                                  stream_name="contention.table")
-        by_point = dict(zip(points, stats))
-        statistics = {(i, j): by_point[(load, size)]
-                      for i, load in enumerate(loads)
-                      for j, size in enumerate(packet_sizes)}
-        return ContentionTable(loads, packet_sizes, statistics)
-
-    simulator = simulator or ContentionSimulator()
-    return ContentionTable.from_callable(
-        lambda load, size: simulator.characterize(load, size,
-                                                  num_windows=num_windows),
-        loads, packet_sizes)
-
-
-_DEFAULT_TABLE_CACHE: Dict[Tuple, ContentionTable] = {}
-
-
-def default_contention_table(num_windows: int = 20,
-                             seed: int = PAPER_SEED) -> ContentionTable:
-    """A lazily built, cached characterisation table for common queries.
-
-    The grid spans loads 0.05–0.9 and on-air packet sizes 20–133 bytes,
-    covering every experiment of the paper.  The table is built once per
-    process and cached.
-    """
-    key = (num_windows, seed)
-    if key not in _DEFAULT_TABLE_CACHE:
-        simulator = ContentionSimulator(seed=seed)
-        loads = [0.05, 0.1, 0.2, 0.3, 0.42, 0.5, 0.6, 0.75, 0.9]
-        sizes = [20, 33, 63, 93, 113, 133]
-        _DEFAULT_TABLE_CACHE[key] = build_contention_table(
-            loads, sizes, simulator=simulator, num_windows=num_windows)
-    return _DEFAULT_TABLE_CACHE[key]
+    cells = [(i, j) for i in range(len(loads))
+             for j in range(len(packet_sizes))]
+    stats = characterize_grid([(loads[i], packet_sizes[j]) for i, j in cells],
+                              num_windows=num_windows, num_nodes=num_nodes,
+                              seed=seed, executor=executor,
+                              stream_name="contention.table")
+    return ContentionTable(loads, packet_sizes, dict(zip(cells, stats)))

@@ -95,7 +95,8 @@ class CaseStudy:
     Parameters
     ----------
     model:
-        Analytical energy model (default configuration when omitted).
+        Analytical energy model, e.g.
+        ``EnergyModel(contention_source=build_contention_table())``.
     parameters:
         Scenario parameters (paper values when omitted).
     path_loss_resolution:
@@ -104,10 +105,10 @@ class CaseStudy:
         discretisation).
     """
 
-    def __init__(self, model: Optional[EnergyModel] = None,
+    def __init__(self, model: EnergyModel,
                  parameters: Optional[CaseStudyParameters] = None,
                  path_loss_resolution: int = 81):
-        self.model = model or EnergyModel()
+        self.model = model
         self.parameters = parameters or CaseStudyParameters()
         self.path_loss_resolution = path_loss_resolution
 

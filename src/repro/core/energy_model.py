@@ -190,16 +190,14 @@ class EnergyModel:
     contention_source:
         Callable mapping ``(load, on-air packet bytes)`` to
         :class:`ContentionStatistics` — typically a
-        :class:`repro.contention.tables.ContentionTable`, the Monte-Carlo
-        simulator itself, or the closed-form approximation.
+        :class:`repro.contention.tables.ContentionTable` (the paper's is
+        ``build_contention_table()``), the Monte-Carlo simulator itself, or
+        the closed-form approximation.
     """
 
-    def __init__(self, config: Optional[ModelConfig] = None,
-                 contention_source: Optional[ContentionSource] = None):
+    def __init__(self, config: Optional[ModelConfig] = None, *,
+                 contention_source: ContentionSource):
         self.config = config or ModelConfig()
-        if contention_source is None:
-            from repro.contention.tables import default_contention_table
-            contention_source = default_contention_table()
         self.contention_source = contention_source
 
     # -- building blocks --------------------------------------------------------------

@@ -33,7 +33,6 @@ the others.
 from repro._lazy import lazy_exports
 
 _EXPORTS = {
-    "repro.experiments.common": ("default_model", "fast_contention_table"),
     "repro.experiments.fig3_radio": ("run_fig3_radio_characterization",),
     "repro.experiments.fig4_ber": ("run_fig4_ber",),
     "repro.experiments.fig7_link": ("run_fig7_link_adaptation",),

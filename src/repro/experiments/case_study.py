@@ -12,10 +12,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.analysis.report import ExperimentReport
-from repro.analysis.tables import format_table
 from repro.core.case_study import CaseStudy, CaseStudyParameters, CaseStudyResult
 from repro.core.energy_model import EnergyModel
-from repro.experiments.common import default_model
 
 #: The paper's headline numbers.
 PAPER_AVERAGE_POWER_W = 211e-6
@@ -33,14 +31,12 @@ class CaseStudyExperimentResult:
     report: ExperimentReport
     with_adaptation: CaseStudyResult
     without_adaptation: CaseStudyResult
-    summary_table: str
 
 
-def run_case_study(model: Optional[EnergyModel] = None,
+def run_case_study(model: EnergyModel,
                    parameters: Optional[CaseStudyParameters] = None,
                    path_loss_resolution: int = 41) -> CaseStudyExperimentResult:
     """Reproduce the Section 5 headline numbers (with and without adaptation)."""
-    model = model or default_model()
     study = CaseStudy(model=model, parameters=parameters,
                       path_loss_resolution=path_loss_resolution)
     adapted = study.run(link_adaptation=True)
@@ -72,23 +68,8 @@ def run_case_study(model: Optional[EnergyModel] = None,
     report.add_note("Population averages are computed over an equal-mass "
                     "discretisation of the U(55, 95) dB path-loss distribution.")
 
-    summary_rows = [
-        ["average power [uW]", adapted.average_power_w * 1e6,
-         fixed.average_power_w * 1e6],
-        ["delivery delay [s]", adapted.mean_delivery_delay_s,
-         fixed.mean_delivery_delay_s],
-        ["failure probability", adapted.mean_failure_probability,
-         fixed.mean_failure_probability],
-        ["energy per bit [nJ]", adapted.mean_energy_per_bit_j * 1e9,
-         fixed.mean_energy_per_bit_j * 1e9],
-    ]
-    summary_table = format_table(
-        ["quantity", "with adaptation", "fixed 0 dBm"], summary_rows,
-        title="Case study summary")
-
     return CaseStudyExperimentResult(
         report=report,
         with_adaptation=adapted,
         without_adaptation=fixed,
-        summary_table=summary_table,
     )

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
 from repro.analysis.report import ExperimentReport
-from repro.analysis.tables import format_table
 from repro.network.routing import build_routing_model
 from repro.network.simulate import aggregate_channel_rows, simulate_network
 from repro.network.spec import CASE_STUDY_SPEC, ScenarioSpec
@@ -44,7 +43,6 @@ class FullCaseStudyResult:
     report: ExperimentReport
     channel_rows: List[Dict[str, Any]]
     aggregate: Dict[str, Any]
-    table: str
 
 
 def run_full_case_study(total_nodes: int = 1600,
@@ -176,16 +174,5 @@ def run_full_case_study(total_nodes: int = 1600,
            if topology != "star" else "")
         + (f", replications={replications}" if replications > 1 else ""))
 
-    table = format_table(
-        ["channel", "nodes", "attempted", "delivered", "failures",
-         "Pr_fail", "power [uW]", "delay [s]"],
-        [[row["channel"], row["nodes"], row["packets_attempted"],
-          row["packets_delivered"], row["channel_access_failures"],
-          row["failure_probability"], row["mean_power_uw"],
-          "-" if row["mean_delivery_delay_s"] is None
-          else row["mean_delivery_delay_s"]]
-         for row in rows],
-        title="Per-channel packet-level simulation")
-
     return FullCaseStudyResult(report=report, channel_rows=rows,
-                               aggregate=aggregate, table=table)
+                               aggregate=aggregate)

@@ -12,10 +12,8 @@ times higher than the average power goal of 100 µW").
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
 
 from repro.analysis.report import ExperimentReport
-from repro.analysis.tables import format_table
 from repro.radio.power_profile import CC2420_PROFILE, RadioPowerProfile
 from repro.radio.states import RadioState
 
@@ -44,9 +42,6 @@ class Fig3Result:
     """Output of the Figure 3 experiment."""
 
     report: ExperimentReport
-    state_table: str
-    transition_table: str
-    tx_level_table: str
 
 
 def run_fig3_radio_characterization(
@@ -112,24 +107,4 @@ def run_fig3_radio_characterization(
                note="paper quotes 6.63 uJ for both active transitions; at "
                     "0 dBm the TX arrival power is slightly lower than RX")
 
-    # ---- tables ------------------------------------------------------------------------------
-    state_rows = [
-        [state.value, profile.power_w(state) if state is not RadioState.TX
-         else profile.tx_power_w()] for state in RadioState]
-    state_table = format_table(["state", "power [W]"], state_rows,
-                               title="Steady-state power")
-    transition_rows = [
-        [t.source.value, t.target.value, t.duration_s, t.energy_j]
-        for t in profile.transitions.values()]
-    transition_table = format_table(
-        ["from", "to", "time [s]", "energy [J]"], transition_rows,
-        title="State transitions")
-    tx_rows = [[level.level_dbm, level.supply_current_a,
-                level.power_w(profile.vdd_v)] for level in profile.tx_levels]
-    tx_level_table = format_table(
-        ["TX level [dBm]", "current [A]", "power [W]"], tx_rows,
-        title="Transmit power levels")
-
-    return Fig3Result(report=report, state_table=state_table,
-                      transition_table=transition_table,
-                      tx_level_table=tx_level_table)
+    return Fig3Result(report=report)

@@ -23,7 +23,6 @@ from repro.analysis.report import ExperimentReport
 from repro.analysis.series import Series, SeriesCollection
 from repro.core.energy_model import EnergyModel
 from repro.core.link_adaptation import ChannelInversionPolicy, PowerThreshold
-from repro.experiments.common import default_model
 
 #: Paper values used as comparison baselines.
 PAPER_ENERGY_LOW_NJ = 135.0
@@ -41,13 +40,12 @@ class Fig7Result:
     thresholds_by_load: Dict[float, List[PowerThreshold]]
 
 
-def run_fig7_link_adaptation(model: Optional[EnergyModel] = None,
+def run_fig7_link_adaptation(model: EnergyModel,
                              loads: Sequence[float] = (0.2, 0.42, 0.6),
                              payload_bytes: int = 120,
                              path_loss_grid_db: Optional[np.ndarray] = None,
                              beacon_order: int = 6) -> Fig7Result:
     """Regenerate Figure 7 and the transmit-power switching thresholds."""
-    model = model or default_model()
     if path_loss_grid_db is None:
         path_loss_grid_db = np.arange(45.0, 95.5, 1.0)
     grid = np.asarray(path_loss_grid_db, dtype=float)

@@ -11,7 +11,7 @@ largest payload the standard allows (123 bytes), which motivates the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
@@ -19,7 +19,6 @@ from repro.analysis.report import ExperimentReport
 from repro.analysis.series import Series, SeriesCollection
 from repro.core.energy_model import EnergyModel
 from repro.core.optimizer import PacketSizeOptimizer, PacketSizeSweep
-from repro.experiments.common import default_model
 from repro.mac.frames import max_payload_bytes
 
 
@@ -32,13 +31,12 @@ class Fig8Result:
     sweeps: Dict[float, PacketSizeSweep]
 
 
-def run_fig8_packet_size(model: Optional[EnergyModel] = None,
+def run_fig8_packet_size(model: EnergyModel,
                          loads: Sequence[float] = (0.2, 0.42, 0.6),
                          payload_sizes: Optional[Sequence[int]] = None,
                          path_loss_db: float = 75.0,
                          beacon_order: int = 6) -> Fig8Result:
     """Regenerate Figure 8 (energy per bit vs payload size per load)."""
-    model = model or default_model()
     if payload_sizes is None:
         payload_sizes = [5, 10, 20, 40, 60, 80, 100, 120, 123]
     payload_sizes = [int(p) for p in payload_sizes]

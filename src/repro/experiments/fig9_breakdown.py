@@ -9,10 +9,8 @@ breaks the inter-beacon period into the radio-state occupancies
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.analysis.report import ExperimentReport
-from repro.analysis.tables import format_table
 from repro.core.case_study import CaseStudy, CaseStudyResult
 from repro.core.energy_model import (
     EnergyModel,
@@ -21,7 +19,6 @@ from repro.core.energy_model import (
     PHASE_CONTENTION,
     PHASE_TRANSMIT,
 )
-from repro.experiments.common import default_model
 from repro.radio.states import RadioState
 
 #: Paper values (Figure 9a), as fractions of the active energy.
@@ -46,14 +43,11 @@ class Fig9Result:
 
     report: ExperimentReport
     case_study: CaseStudyResult
-    energy_table: str
-    time_table: str
 
 
-def run_fig9_breakdown(model: Optional[EnergyModel] = None,
+def run_fig9_breakdown(model: EnergyModel,
                        path_loss_resolution: int = 41) -> Fig9Result:
     """Regenerate the Figure 9 breakdowns from the case-study scenario."""
-    model = model or default_model()
     study = CaseStudy(model=model, path_loss_resolution=path_loss_resolution)
     result = study.run()
 
@@ -86,16 +80,4 @@ def run_fig9_breakdown(model: Optional[EnergyModel] = None,
             tolerance=0.6 if state is not RadioState.SHUTDOWN else 0.01,
         )
 
-    energy_table = format_table(
-        ["phase", "share [%]"],
-        [[phase, 100.0 * share]
-         for phase, share in result.energy_breakdown.fractions.items()],
-        title="Figure 9a: energy breakdown (active energy)")
-    time_table = format_table(
-        ["state", "share [%]"],
-        [[state.value, 100.0 * share]
-         for state, share in result.time_breakdown.fractions.items()],
-        title="Figure 9b: time breakdown (inter-beacon period)")
-
-    return Fig9Result(report=report, case_study=result,
-                      energy_table=energy_table, time_table=time_table)
+    return Fig9Result(report=report, case_study=result)

@@ -12,11 +12,9 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.analysis.report import ExperimentReport
-from repro.analysis.tables import format_table
 from repro.core.case_study import CaseStudy, CaseStudyParameters
 from repro.core.energy_model import EnergyModel
 from repro.core.improvements import ImprovementResult
-from repro.experiments.common import default_model
 
 #: Savings stated by the paper.
 PAPER_TRANSITION_SAVING = 0.12
@@ -29,16 +27,14 @@ class ImprovementsExperimentResult:
 
     report: ExperimentReport
     results: List[ImprovementResult]
-    table: str
 
 
-def run_improvements(model: Optional[EnergyModel] = None,
+def run_improvements(model: EnergyModel,
                      parameters: Optional[CaseStudyParameters] = None,
                      path_loss_resolution: int = 31,
                      transition_factor: float = 0.5,
                      rx_scale: float = 0.5) -> ImprovementsExperimentResult:
     """Quantify both improvement perspectives on the case-study scenario."""
-    model = model or default_model()
     study = CaseStudy(model=model, parameters=parameters,
                       path_loss_resolution=path_loss_resolution)
     results = study.improvements(transition_factor=transition_factor,
@@ -62,10 +58,4 @@ def run_improvements(model: Optional[EnergyModel] = None,
     report.add("baseline average power [W]", 211e-6,
                by_name["baseline"].average_power_w, tolerance=0.25)
 
-    table = format_table(
-        ["variant", "average power [uW]", "saving [%]"],
-        [[result.name, result.average_power_w * 1e6,
-          100.0 * result.relative_saving] for result in results],
-        title="Improvement perspectives")
-
-    return ImprovementsExperimentResult(report=report, results=results, table=table)
+    return ImprovementsExperimentResult(report=report, results=results)

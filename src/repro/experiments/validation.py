@@ -19,13 +19,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.analysis.report import ExperimentReport
-from repro.analysis.tables import format_table
 from repro.core.energy_model import EnergyModel, PHASE_BEACON, PHASE_CONTENTION, \
     PHASE_TRANSMIT, PHASE_ACK
-from repro.experiments.common import default_model
 from repro.mac.superframe import SuperframeConfig
 from repro.network.node import SensorNode
 from repro.network.scenario import ChannelScenario, SimulationSummary
@@ -38,10 +35,9 @@ class ValidationResult:
     report: ExperimentReport
     simulation: SimulationSummary
     model_power_w: float
-    table: str
 
 
-def run_model_vs_simulation(model: Optional[EnergyModel] = None,
+def run_model_vs_simulation(model: EnergyModel,
                             num_nodes: int = 12,
                             beacon_order: int = 3,
                             payload_bytes: int = 120,
@@ -55,7 +51,6 @@ def run_model_vs_simulation(model: Optional[EnergyModel] = None,
     same channel load as the paper's 100 nodes at beacon order 6, so the
     contention statistics the analytical model interpolates remain valid.
     """
-    model = model or default_model()
     constants = model.config.constants
     config = SuperframeConfig(beacon_order=beacon_order,
                               superframe_order=beacon_order,
@@ -102,17 +97,5 @@ def run_model_vs_simulation(model: Optional[EnergyModel] = None,
     report.add("transmit share of active energy (model as reference)",
                model_tx_share, sim_tx_share, tolerance=0.35)
 
-    table = format_table(
-        ["quantity", "analytical model", "packet simulation"],
-        [
-            ["average power [uW]", budget.average_power_w * 1e6,
-             simulation.mean_node_power_w * 1e6],
-            ["failure probability", budget.transaction_failure_probability,
-             simulation.failure_probability],
-            ["transmit energy share", model_tx_share, sim_tx_share],
-        ],
-        title=f"Model vs simulation ({num_nodes} nodes, BO={beacon_order}, "
-              f"load={load:.2f})")
-
     return ValidationResult(report=report, simulation=simulation,
-                            model_power_w=budget.average_power_w, table=table)
+                            model_power_w=budget.average_power_w)

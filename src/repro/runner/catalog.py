@@ -284,7 +284,8 @@ def build_default_registry() -> ExperimentRegistry:
         output_names=("channel", "nodes", "packets_attempted",
                       "packets_delivered", "channel_access_failures",
                       "collisions", "failure_probability", "mean_power_uw",
-                      "mean_delivery_delay_s", "energy_by_phase_j"),
+                      "mean_delivery_delay_s", "energy_by_phase_j",
+                      "superframes"),
         supports_jobs=True))
     registry.register(ExperimentSpec(
         name="model_vs_sim", figure="Section 4 (validation)",

@@ -35,7 +35,7 @@ from repro.runner.registry import (ExperimentRegistry, RunContext,
 from repro.runner.result import RunResult
 
 #: Master seed every engine run defaults to (the paper's publication year,
-#: matching ``repro.experiments.common.EXPERIMENT_SEED``).
+#: the default seed of ``repro.contention.tables.build_contention_table``).
 DEFAULT_SEED = PAPER_SEED
 
 

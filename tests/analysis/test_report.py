@@ -47,17 +47,3 @@ class TestExperimentReport:
 
     def test_empty_report_passes(self):
         assert ExperimentReport("EXP-Y", "empty").all_within_tolerance
-
-    def test_to_table(self):
-        report = self.make_report()
-        report.add_note("a note")
-        text = report.to_table()
-        assert "EXP-X" in text
-        assert "a note" in text
-        assert "+5.0%" in text
-
-    def test_to_markdown(self):
-        text = self.make_report().to_markdown()
-        assert text.startswith("### EXP-X")
-        assert "| good |" in text
-        assert "| - |" in text     # informational row

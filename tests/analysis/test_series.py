@@ -63,20 +63,3 @@ class TestSeriesCollection:
     def test_get_unknown_label_raises(self):
         with pytest.raises(KeyError):
             self.make_collection().get("missing")
-
-    def test_to_table(self):
-        text = self.make_collection().to_table()
-        assert "fig" in text
-        assert "a" in text and "b" in text
-        # title + header + separator + two data rows
-        assert len(text.splitlines()) == 5
-
-    def test_to_table_requires_common_grid(self):
-        collection = self.make_collection()
-        collection.add(Series("c", [0, 2], [1, 1]))
-        with pytest.raises(ValueError):
-            collection.to_table()
-
-    def test_empty_collection_to_table_raises(self):
-        with pytest.raises(ValueError):
-            SeriesCollection("fig", "x", "y").to_table()

@@ -10,7 +10,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.contention.monte_carlo import ContentionSimulator
 from repro.contention.tables import ContentionTable, build_contention_table
 from repro.core.case_study import CaseStudy
 from repro.core.energy_model import EnergyModel
@@ -19,12 +18,12 @@ from repro.core.energy_model import EnergyModel
 @pytest.fixture(scope="session")
 def contention_table() -> ContentionTable:
     """A small but representative Monte-Carlo characterisation table."""
-    simulator = ContentionSimulator(num_nodes=100, seed=123)
     return build_contention_table(
         loads=[0.1, 0.3, 0.42, 0.6, 0.9],
         packet_sizes=[23, 63, 133],
-        simulator=simulator,
         num_windows=8,
+        seed=123,
+        num_nodes=100,
     )
 
 

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.contention.monte_carlo import ContentionSimulator
 from repro.contention.statistics import ContentionStatistics
 from repro.contention.tables import ContentionTable, build_contention_table
 
@@ -21,11 +20,18 @@ def synthetic_source(load, packet_bytes):
     )
 
 
+def synthetic_table(loads, packet_sizes):
+    """A table holding the synthetic statistics at every grid point."""
+    return ContentionTable(loads, packet_sizes, {
+        (i, j): synthetic_source(load, size)
+        for i, load in enumerate(loads)
+        for j, size in enumerate(packet_sizes)})
+
+
 class TestContentionTable:
     @pytest.fixture(scope="class")
     def table(self):
-        return ContentionTable.from_callable(
-            synthetic_source, loads=[0.1, 0.5, 0.9], packet_sizes=[20, 133])
+        return synthetic_table(loads=[0.1, 0.5, 0.9], packet_sizes=[20, 133])
 
     def test_grid_point_lookup_is_exact(self, table):
         stats = table.lookup(0.5, 133)
@@ -57,8 +63,7 @@ class TestContentionTable:
 
     def test_unsorted_grid_rejected(self):
         with pytest.raises(ValueError):
-            ContentionTable.from_callable(synthetic_source,
-                                          loads=[0.5, 0.1], packet_sizes=[20])
+            synthetic_table(loads=[0.5, 0.1], packet_sizes=[20])
 
     def test_missing_grid_point_rejected(self):
         with pytest.raises(ValueError):
@@ -68,9 +73,8 @@ class TestContentionTable:
 
 class TestBuildContentionTable:
     def test_build_from_monte_carlo(self):
-        simulator = ContentionSimulator(num_nodes=30, seed=5)
-        table = build_contention_table([0.2, 0.6], [63], simulator=simulator,
-                                       num_windows=4)
+        table = build_contention_table([0.2, 0.6], [63], num_windows=4,
+                                       seed=5, num_nodes=30)
         low = table.lookup(0.2, 63)
         high = table.lookup(0.6, 63)
         assert low.channel_access_failure_probability <= \
@@ -82,20 +86,23 @@ class TestBuildContentionTable:
     def test_executor_mode_is_jobs_invariant(self):
         from repro.runner.executor import ProcessExecutor, SerialExecutor
 
+        in_caller = build_contention_table([0.2, 0.6], [33, 63],
+                                           num_windows=2, executor=None,
+                                           seed=9, num_nodes=25)
         serial = build_contention_table([0.2, 0.6], [33, 63], num_windows=2,
                                         executor=SerialExecutor(), seed=9,
                                         num_nodes=25)
         parallel = build_contention_table([0.2, 0.6], [33, 63], num_windows=2,
                                           executor=ProcessExecutor(jobs=2),
                                           seed=9, num_nodes=25)
+        assert in_caller.grid_statistics() == serial.grid_statistics()
         assert serial.grid_statistics() == parallel.grid_statistics()
 
 
 class TestPayloadRoundTrip:
     def test_to_payload_from_payload(self):
-        simulator = ContentionSimulator(num_nodes=20, seed=7)
-        table = build_contention_table([0.2, 0.6], [33, 63],
-                                       simulator=simulator, num_windows=2)
+        table = build_contention_table([0.2, 0.6], [33, 63], num_windows=2,
+                                       seed=7, num_nodes=20)
         clone = ContentionTable.from_payload(table.to_payload())
         assert clone.loads == table.loads
         assert clone.packet_sizes == table.packet_sizes
@@ -104,9 +111,8 @@ class TestPayloadRoundTrip:
     def test_payload_survives_json(self):
         import json
 
-        simulator = ContentionSimulator(num_nodes=20, seed=7)
-        table = build_contention_table([0.42], [133], simulator=simulator,
-                                       num_windows=2)
+        table = build_contention_table([0.42], [133], num_windows=2, seed=7,
+                                       num_nodes=20)
         payload = json.loads(json.dumps(table.to_payload()))
         clone = ContentionTable.from_payload(payload)
         assert clone.grid_statistics() == table.grid_statistics()

@@ -35,10 +35,6 @@ class TestDriver:
         assert any("failure probability" in q for q in quantities)
         assert any("power" in q for q in quantities)
 
-    def test_table_renders(self, result):
-        assert "Per-channel" in result.table
-        assert "11" in result.table
-
 
 class TestThroughEngine:
     def test_registered_and_runnable(self, tmp_path):

@@ -1,7 +1,7 @@
 """Integration tests of the per-figure experiment drivers.
 
 Each driver must run end to end, produce the expected artefacts (series /
-tables / reports) and land within its declared tolerance bands.  The tests
+reports) and land within its declared tolerance bands.  The tests
 use scaled-down Monte-Carlo settings so the whole module stays fast;
 ``tests/experiments/test_paper_golden.py`` pins the full-size headlines.
 """
@@ -30,8 +30,6 @@ class TestFig3:
     def test_report_within_tolerance(self):
         result = run_fig3_radio_characterization()
         assert result.report.all_within_tolerance
-        assert "Shutdown" in result.state_table or "shutdown" in result.state_table
-        assert "TX level" in result.tx_level_table
 
 
 class TestFig4:
@@ -162,8 +160,6 @@ class TestFig9:
     def test_report_within_tolerance(self, model):
         result = run_fig9_breakdown(model=model, path_loss_resolution=15)
         assert result.report.all_within_tolerance
-        assert "Figure 9a" in result.energy_table
-        assert "Figure 9b" in result.time_table
 
 
 class TestCaseStudyExperiment:
@@ -177,9 +173,6 @@ class TestCaseStudyExperiment:
     def test_adaptation_beats_fixed_power(self, result):
         assert result.with_adaptation.average_power_w < \
             result.without_adaptation.average_power_w
-
-    def test_summary_table(self, result):
-        assert "with adaptation" in result.summary_table
 
 
 class TestImprovementsExperiment:

@@ -11,7 +11,10 @@ their energy model from the engine's own contention table:
   The four share one cache, so the contention table is built once.
 * Every registered experiment at small parameters: the same seed gives
   byte-identical JSON (what ``repro run --output json --no-cache --seed``
-  prints), and a new seed reaches every stochastic driver.
+  prints), a new seed reaches every stochastic driver, and the rows carry
+  exactly the declared output names.
+* The library case-study driver on ``build_contention_table()`` gives the
+  registered ``case_study``'s rows.
 """
 
 import json
@@ -212,3 +215,33 @@ class TestEveryRegisteredExperiment:
     def test_a_new_seed_reaches_every_stochastic_driver(self, name):
         changed = small_json(name, 7) != small_json(name, 8)
         assert changed == (name not in SEEDLESS)
+
+    @pytest.mark.parametrize("name", sorted(SMALL))
+    def test_row_keys_are_the_declared_output_names(self, name):
+        """What ``repro list`` declares is what the rows carry."""
+        rows = run_experiment(name, params=SMALL[name], seed=7, jobs=1,
+                              cache=False).rows
+        keys = {key for row in rows for key in row}
+        assert sorted(keys) == sorted(default_registry().get(name).output_names)
+
+
+class TestOneCaseStudy:
+    """The library and the engine characterise the contention grid one
+    way, so they print one case study."""
+
+    def test_library_driver_on_the_default_table_gives_the_engine_rows(self):
+        from repro.contention import build_contention_table
+        from repro.core import EnergyModel
+        from repro.experiments import run_case_study
+        from repro.runner.drivers import report_rows
+
+        library = run_case_study(
+            model=EnergyModel(contention_source=build_contention_table()),
+            path_loss_resolution=41)
+        engine = run_experiment("case_study", jobs=1, cache=False)
+        assert report_rows(library.report) == engine.rows
+        adapted = library.with_adaptation
+        assert engine.payload["average_power_uw"] == \
+            adapted.average_power_w * 1e6
+        assert round(adapted.average_power_w * 1e6, 2) == 213.21
+        assert round(adapted.mean_failure_probability, 4) == 0.1765

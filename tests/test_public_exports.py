@@ -55,7 +55,7 @@ PUBLIC_SURFACE = {
                           "run_fig7_link_adaptation",
                           "run_fig8_packet_size", "run_fig9_breakdown",
                           "run_case_study", "run_improvements",
-                          "run_model_vs_simulation", "default_model"],
+                          "run_model_vs_simulation"],
     "repro.runner": ["run_experiment", "RunResult", "ExperimentSpec",
                      "ExperimentRegistry", "UnknownExperimentError",
                      "default_registry", "SerialExecutor", "ProcessExecutor",
@@ -124,8 +124,7 @@ EXPORTED_NAMES = {
         transaction_failure_probability transmission_attempt_distribution
         transmission_failure_probability""",
     "repro.experiments": """
-        default_model fast_contention_table run_case_study
-        run_fig3_radio_characterization run_fig4_ber
+        run_case_study run_fig3_radio_characterization run_fig4_ber
         run_fig7_link_adaptation run_fig8_packet_size run_fig9_breakdown
         run_improvements run_model_vs_simulation""",
     "repro.mac": """
@@ -224,3 +223,13 @@ def test_every_lazy_export_resolves_to_its_defining_modules_object():
         assert not entry["wrong"], (package_name, entry["wrong"])
         assert not entry["unbound"], (package_name, entry["unbound"])
         assert not entry["undir"], (package_name, entry["undir"])
+
+
+def test_the_package_quick_start_prints_what_it_shows():
+    """The ``repro`` docstring's quick start, run as a doctest."""
+    import doctest
+
+    import repro
+    results = doctest.testmod(repro)
+    assert results.attempted > 0
+    assert results.failed == 0
