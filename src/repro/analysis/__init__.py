@@ -7,9 +7,7 @@ engine and the examples:
 * :mod:`repro.analysis.series` — named (x, y) series containers standing in
   for the paper's figures;
 * :mod:`repro.analysis.report` — experiment report assembly (paper value vs
-  measured value, relative error, pass/fail against a tolerance band);
-* :mod:`repro.analysis.keys` — type-aware value keys (``bool`` never
-  conflated with ``int``) shared by every row grouping helper.
+  measured value, relative error, pass/fail against a tolerance band).
 
 The names resolve on first access, so the CLI's table and row writers load
 without the numpy-backed series module.
@@ -19,7 +17,6 @@ from repro._lazy import lazy_exports
 
 _EXPORTS = {
     "repro.analysis.tables": ("format_table",),
-    "repro.analysis.keys": ("typed_key",),
     "repro.analysis.series": ("Series", "SeriesCollection"),
     "repro.analysis.report": ("ComparisonRow", "ExperimentReport"),
 }

@@ -9,7 +9,7 @@ of one figure, which the engine's adapters flatten into one result row per
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
@@ -48,36 +48,6 @@ class Series:
     def interpolate(self, x_value: float) -> float:
         """Linear interpolation of the curve at ``x_value`` (clamped)."""
         return float(np.interp(x_value, self.x, self.y))
-
-    def argmin_x(self) -> float:
-        """x value at which the curve attains its minimum."""
-        return float(self.x[int(np.argmin(self.y))])
-
-    def is_monotonic_decreasing(self, tolerance: float = 0.0) -> bool:
-        """Whether y never increases by more than ``tolerance`` (relative)."""
-        for previous, current in zip(self.y, self.y[1:]):
-            if current > previous * (1.0 + tolerance):
-                return False
-        return True
-
-    def crossing_with(self, other: "Series") -> Optional[float]:
-        """x at which this curve first crosses ``other`` (None if never).
-
-        Both series must share the same x grid.
-        """
-        if not np.allclose(self.x, other.x):
-            raise ValueError("Series must share the same x grid to intersect")
-        difference = self.y - other.y
-        signs = np.sign(difference)
-        for index in range(1, signs.size):
-            if signs[index] != signs[index - 1] and signs[index] != 0:
-                # Linear interpolation of the crossing point.
-                x0, x1 = self.x[index - 1], self.x[index]
-                d0, d1 = difference[index - 1], difference[index]
-                if d1 == d0:
-                    return float(x1)
-                return float(x0 - d0 * (x1 - x0) / (d1 - d0))
-        return None
 
 
 @dataclass

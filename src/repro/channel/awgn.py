@@ -11,7 +11,6 @@ Bernoulli packet-corruption draws for the event-driven simulation).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -66,33 +65,3 @@ class AwgnLink:
         """Bernoulli draw of a packet corruption event (for simulation)."""
         return bool(rng.random() < self.packet_error_probability(
             tx_power_dbm, packet_bytes))
-
-    def minimum_tx_power_dbm(self, target_packet_error: float,
-                             packet_bytes: int,
-                             candidate_levels_dbm: Optional[list] = None) -> float:
-        """Smallest candidate transmit power meeting a packet-error target.
-
-        Parameters
-        ----------
-        target_packet_error:
-            Maximum acceptable packet-error probability.
-        packet_bytes:
-            Packet size used for the conversion.
-        candidate_levels_dbm:
-            Discrete levels to choose from (ascending); ``None`` searches the
-            continuous range [-25, 0] dBm with 0.1 dB resolution.
-
-        Raises
-        ------
-        ValueError
-            If no candidate level meets the target.
-        """
-        if candidate_levels_dbm is None:
-            candidate_levels_dbm = list(np.arange(-25.0, 0.01, 0.1))
-        for level in sorted(candidate_levels_dbm):
-            if self.packet_error_probability(level, packet_bytes) <= target_packet_error:
-                return float(level)
-        raise ValueError(
-            f"No transmit power among the candidates achieves a packet-error "
-            f"probability of {target_packet_error} at {self.path_loss_db} dB "
-            f"path loss")

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -29,27 +29,6 @@ class PathLossModel(ABC):
     @abstractmethod
     def attenuation_db(self, distance_m: float) -> float:
         """Path loss in dB at ``distance_m`` metres."""
-
-    def attenuation_db_array(self, distances_m) -> np.ndarray:
-        """Vectorised :meth:`attenuation_db`."""
-        distances = np.asarray(distances_m, dtype=float)
-        return np.vectorize(self.attenuation_db)(distances)
-
-    def range_for_attenuation(self, attenuation_db: float,
-                              lower_m: float = 1e-3,
-                              upper_m: float = 1e5) -> float:
-        """Distance at which the model reaches ``attenuation_db`` (bisection)."""
-        low, high = lower_m, upper_m
-        if self.attenuation_db(high) < attenuation_db:
-            raise ValueError("Requested attenuation not reached within the "
-                             "search interval")
-        for _ in range(200):
-            mid = math.sqrt(low * high)
-            if self.attenuation_db(mid) < attenuation_db:
-                low = mid
-            else:
-                high = mid
-        return math.sqrt(low * high)
 
 
 @dataclass(frozen=True)
@@ -122,18 +101,10 @@ class PathLossDistribution(ABC):
     """A distribution of path losses across the nodes of a scenario."""
 
     @abstractmethod
-    def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
-        """Draw ``count`` path losses in dB."""
-
-    @abstractmethod
     def grid(self, count: int) -> np.ndarray:
         """A deterministic grid of ``count`` representative path losses,
         suitable for numerically averaging a function of the path loss over
         the node population (used by the analytical case study)."""
-
-    @abstractmethod
-    def mean_of(self, func) -> float:
-        """Expected value of ``func(path_loss_db)`` under the distribution."""
 
 
 @dataclass(frozen=True)
@@ -153,54 +124,9 @@ class UniformPathLossDistribution(PathLossDistribution):
         if self.high_db <= self.low_db:
             raise ValueError("high_db must exceed low_db")
 
-    def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
-        """Draw ``count`` i.i.d. uniform path losses."""
-        return rng.uniform(self.low_db, self.high_db, size=count)
-
     def grid(self, count: int) -> np.ndarray:
         """Midpoint grid covering the support with equal probability mass."""
         if count < 1:
             raise ValueError("Grid must contain at least one point")
         edges = np.linspace(self.low_db, self.high_db, count + 1)
         return 0.5 * (edges[:-1] + edges[1:])
-
-    def mean_of(self, func, resolution: int = 401) -> float:
-        """Numerically average ``func`` over the uniform distribution."""
-        grid = np.linspace(self.low_db, self.high_db, resolution)
-        values = np.array([func(a) for a in grid], dtype=float)
-        return float(np.trapezoid(values, grid) / (self.high_db - self.low_db))
-
-
-@dataclass(frozen=True)
-class DiscretePathLossDistribution(PathLossDistribution):
-    """Path losses concentrated on a finite set of values with weights."""
-
-    values_db: Sequence[float]
-    weights: Optional[Sequence[float]] = None
-
-    def _normalised_weights(self) -> np.ndarray:
-        if self.weights is None:
-            return np.full(len(self.values_db), 1.0 / len(self.values_db))
-        weights = np.asarray(self.weights, dtype=float)
-        if weights.shape != (len(self.values_db),):
-            raise ValueError("weights must match values_db in length")
-        if np.any(weights < 0) or weights.sum() <= 0:
-            raise ValueError("weights must be non-negative and not all zero")
-        return weights / weights.sum()
-
-    def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
-        """Draw ``count`` path losses from the discrete distribution."""
-        return rng.choice(np.asarray(self.values_db, dtype=float),
-                          size=count, p=self._normalised_weights())
-
-    def grid(self, count: int) -> np.ndarray:
-        """The support itself (``count`` is ignored beyond a sanity check)."""
-        if count < 1:
-            raise ValueError("Grid must contain at least one point")
-        return np.asarray(self.values_db, dtype=float)
-
-    def mean_of(self, func) -> float:
-        """Weighted average of ``func`` over the support."""
-        weights = self._normalised_weights()
-        values = np.array([func(a) for a in self.values_db], dtype=float)
-        return float(np.dot(weights, values))

@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.phy.error_model import AnalyticOqpskErrorModel, q_function
+from repro.phy.error_model import AnalyticOqpskErrorModel
 from repro.phy.modulation import OqpskDsssModulator
 
 
@@ -115,17 +115,6 @@ class WiredTestBench:
             bits_sent=bits_sent,
             bit_errors=bit_errors,
         )
-
-    def sweep(self, attenuations_db, total_bits_per_point: int = 80_000):
-        """Measure the BER across a list of attenuator settings."""
-        return [self.measure_ber(a, total_bits=total_bits_per_point)
-                for a in attenuations_db]
-
-    # -- analytic shortcut -----------------------------------------------------
-    def analytic_ber(self, attenuation_db: float) -> float:
-        """The analytic BER prediction for this attenuation (no Monte-Carlo)."""
-        return self._analytic.bit_error_probability(
-            self.received_power_dbm(attenuation_db))
 
 
 def _count_bit_errors(sent: bytes, received: bytes) -> int:

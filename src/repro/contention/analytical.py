@@ -33,7 +33,6 @@ from typing import Optional
 from repro.contention.statistics import ContentionStatistics
 from repro.mac.constants import MAC_2450MHZ, MacConstants
 from repro.mac.csma import CsmaParameters
-from repro.mac.frames import AckFrame
 
 
 @dataclass

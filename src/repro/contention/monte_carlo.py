@@ -11,12 +11,8 @@ functions of the network load λ and the packet duration.
 Modelling choices (documented because the paper does not spell them out):
 
 * Nodes start their contention procedures at times uniformly distributed
-  over the inter-beacon window (``arrival_mode="uniform"``, the default).
-  A node that gathers data continuously has its packet ready at an
-  essentially random point of the superframe; starting all procedures at the
-  beacon (``arrival_mode="aligned"``) is also supported and is used as an
-  ablation — it produces the pathological burst congestion the paper's
-  16 % failure figure excludes.
+  over the inter-beacon window: a node that gathers data continuously has
+  its packet ready at an essentially random point of the superframe.
 * The window length is derived from the load: ``window = N x T_packet / λ``,
   so that the aggregate offered airtime equals λ times the channel capacity.
 * A transmission occupies the channel for the packet airtime plus the
@@ -115,12 +111,6 @@ class ContentionSimulator:
         Slotted CSMA/CA parameters (paper convention by default).
     constants:
         MAC constants (timing).
-    arrival_mode:
-        ``"uniform"`` — contention start times uniform over the window
-        (default); ``"aligned"`` — all nodes start at slot 0 (ablation).
-    include_ack_occupancy:
-        Whether the acknowledgement turnaround + frame extend the busy period
-        seen by other nodes' CCAs.
     seed:
         Master seed of the simulator's random generator.
     """
@@ -132,18 +122,12 @@ class ContentionSimulator:
     def __init__(self, num_nodes: int = 100,
                  csma_params: Optional[CsmaParameters] = None,
                  constants: MacConstants = MAC_2450MHZ,
-                 arrival_mode: str = "uniform",
-                 include_ack_occupancy: bool = True,
                  seed: int = 0):
         if num_nodes < 1:
             raise ValueError("num_nodes must be at least 1")
-        if arrival_mode not in ("uniform", "aligned"):
-            raise ValueError("arrival_mode must be 'uniform' or 'aligned'")
         self.num_nodes = num_nodes
         self.csma_params = csma_params or CsmaParameters.from_mac_constants(constants)
         self.constants = constants
-        self.arrival_mode = arrival_mode
-        self.include_ack_occupancy = include_ack_occupancy
         self.rng = np.random.default_rng(seed)
 
     # -- unit helpers ----------------------------------------------------------------
@@ -154,12 +138,10 @@ class ContentionSimulator:
 
     def occupancy_slots(self, packet_bytes: int) -> int:
         """Channel-busy duration of one transaction in backoff slots."""
-        slots = self.packet_slots(packet_bytes)
-        if self.include_ack_occupancy:
-            ack_airtime = (self.constants.turnaround_time_s
-                           + AckFrame().airtime_s(self.constants.timing.byte_period_s))
-            slots += math.ceil(ack_airtime / self.constants.unit_backoff_period_s)
-        return slots
+        ack_airtime = (self.constants.turnaround_time_s
+                       + AckFrame().airtime_s(self.constants.timing.byte_period_s))
+        return self.packet_slots(packet_bytes) + math.ceil(
+            ack_airtime / self.constants.unit_backoff_period_s)
 
     def window_slots_for_load(self, load: float, packet_bytes: int) -> int:
         """Window length so the offered airtime equals ``load`` x capacity."""
@@ -198,10 +180,7 @@ class ContentionSimulator:
         clamp = params.clamp_backoff_exponent
         tx_start, cca = self._EVENT_TX_START, self._EVENT_CCA
 
-        if self.arrival_mode == "uniform":
-            arrival = integers(0, window_slots, size=n).tolist()
-        else:
-            arrival = [0] * n
+        arrival = integers(0, window_slots, size=n).tolist()
         be0 = params.initial_backoff_exponent()
         # One array draw of the n first backoffs consumes the stream exactly
         # as n scalar ``integers(0, 2**BE)`` calls in node order: numpy fills
@@ -357,8 +336,8 @@ class GridPointTask:
     ----------
     load / packet_bytes / num_windows:
         The characterisation point, as in :meth:`ContentionSimulator.characterize`.
-    num_nodes / arrival_mode / include_ack_occupancy / csma_params:
-        Simulator construction parameters, as in :class:`ContentionSimulator`.
+    num_nodes:
+        Contending nodes, as in :class:`ContentionSimulator`.
     seed:
         Master seed of this point's private simulator.
     """
@@ -368,9 +347,6 @@ class GridPointTask:
     num_windows: int
     num_nodes: int
     seed: int
-    arrival_mode: str = "uniform"
-    include_ack_occupancy: bool = True
-    csma_params: Optional[CsmaParameters] = None
 
 
 def characterize_point(task: GridPointTask) -> ContentionStatistics:
@@ -378,31 +354,22 @@ def characterize_point(task: GridPointTask) -> ContentionStatistics:
 
     The task function of :func:`characterize_grid`'s executor fan-out.
     """
-    simulator = ContentionSimulator(
-        num_nodes=task.num_nodes,
-        csma_params=task.csma_params,
-        arrival_mode=task.arrival_mode,
-        include_ack_occupancy=task.include_ack_occupancy,
-        seed=task.seed,
-    )
+    simulator = ContentionSimulator(num_nodes=task.num_nodes, seed=task.seed)
     return simulator.characterize(task.load, task.packet_bytes,
                                   num_windows=task.num_windows)
 
 
 def characterize_grid(points, num_windows: int = 30, num_nodes: int = 100,
                       seed: int = 0, executor=None,
-                      arrival_mode: str = "uniform",
-                      include_ack_occupancy: bool = True,
-                      csma_params: Optional[CsmaParameters] = None,
-                      stream_name: str = "contention.grid",
-                      on_result=None) -> List[ContentionStatistics]:
+                      stream_name: str = "contention.grid"
+                      ) -> List[ContentionStatistics]:
     """Characterise many (load, packet size) points, optionally in parallel.
 
     Parameters
     ----------
     points:
         Sequence of ``(load, packet_bytes)`` pairs.
-    num_windows / num_nodes / arrival_mode / include_ack_occupancy / csma_params:
+    num_windows / num_nodes:
         Shared simulator configuration, see :class:`ContentionSimulator`.
     seed:
         Master seed; point ``i`` receives the ``i``-th child seed of
@@ -413,8 +380,6 @@ def characterize_grid(points, num_windows: int = 30, num_nodes: int = 100,
     stream_name:
         Seed-stream label, so different grids of the same experiment draw
         unrelated seeds.
-    on_result:
-        Optional ``(index, statistics)`` callback invoked as points complete.
 
     Returns
     -------
@@ -427,9 +392,6 @@ def characterize_grid(points, num_windows: int = 30, num_nodes: int = 100,
     seeds = spawn_seeds(seed, stream_name, len(points))
     tasks = [GridPointTask(load=load, packet_bytes=size,
                            num_windows=num_windows, num_nodes=num_nodes,
-                           seed=point_seed, arrival_mode=arrival_mode,
-                           include_ack_occupancy=include_ack_occupancy,
-                           csma_params=csma_params)
+                           seed=point_seed)
              for (load, size), point_seed in zip(points, seeds)]
-    return run_ordered(executor, characterize_point, tasks,
-                       on_result=on_result)
+    return run_ordered(executor, characterize_point, tasks)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 
 @dataclass(frozen=True)
@@ -53,19 +53,6 @@ class ContentionStatistics:
                 raise ValueError(f"{name} must lie in [0, 1], got {value}")
         if self.mean_contention_time_s < 0 or self.mean_cca_count < 0:
             raise ValueError("Contention time and CCA count must be non-negative")
-
-    def scaled_time(self, factor: float) -> "ContentionStatistics":
-        """A copy with the contention time scaled by ``factor`` (for ablations)."""
-        return ContentionStatistics(
-            load=self.load,
-            packet_bytes=self.packet_bytes,
-            mean_contention_time_s=self.mean_contention_time_s * factor,
-            mean_cca_count=self.mean_cca_count,
-            collision_probability=self.collision_probability,
-            channel_access_failure_probability=self.channel_access_failure_probability,
-            mean_backoff_slots=self.mean_backoff_slots,
-            samples=self.samples,
-        )
 
 
 def merge_statistics(parts: Sequence[ContentionStatistics]) -> ContentionStatistics:

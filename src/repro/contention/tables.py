@@ -24,6 +24,18 @@ TABLE_LOADS = (0.05, 0.1, 0.2, 0.3, 0.42, 0.5, 0.6, 0.75, 0.9)
 TABLE_SIZES = (20, 33, 63, 93, 113, 133)
 
 
+def _ascending_axes(loads: Sequence[float], packet_sizes: Sequence[int]
+                    ) -> Tuple[List[float], List[int]]:
+    """The grid axes as floats and ints; raises unless both ascend."""
+    loads = [float(l) for l in loads]
+    packet_sizes = [int(s) for s in packet_sizes]
+    if loads != sorted(loads):
+        raise ValueError("loads must be given in ascending order")
+    if packet_sizes != sorted(packet_sizes):
+        raise ValueError("packet_sizes must be given in ascending order")
+    return loads, packet_sizes
+
+
 class ContentionTable:
     """Interpolating lookup table of contention statistics.
 
@@ -43,12 +55,7 @@ class ContentionTable:
 
     def __init__(self, loads: Sequence[float], packet_sizes: Sequence[int],
                  statistics: Dict[Tuple[int, int], ContentionStatistics]):
-        self.loads = sorted(float(l) for l in loads)
-        self.packet_sizes = sorted(int(s) for s in packet_sizes)
-        if list(self.loads) != [float(l) for l in loads]:
-            raise ValueError("loads must be given in ascending order")
-        if list(self.packet_sizes) != [int(s) for s in packet_sizes]:
-            raise ValueError("packet_sizes must be given in ascending order")
+        self.loads, self.packet_sizes = _ascending_axes(loads, packet_sizes)
         for i in range(len(self.loads)):
             for j in range(len(self.packet_sizes)):
                 if (i, j) not in statistics:
@@ -173,6 +180,7 @@ def build_contention_table(loads: Sequence[float] = TABLE_LOADS,
     """
     from repro.contention.monte_carlo import characterize_grid
 
+    loads, packet_sizes = _ascending_axes(loads, packet_sizes)
     cells = [(i, j) for i in range(len(loads))
              for j in range(len(packet_sizes))]
     stats = characterize_grid([(loads[i], packet_sizes[j]) for i, j in cells],

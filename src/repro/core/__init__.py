@@ -49,8 +49,7 @@ _EXPORTS = {
     "repro.core.reliability": ("transmission_attempt_distribution",
                                "transmission_failure_probability",
                                "transaction_failure_probability",
-                               "delivery_delay_s", "energy_per_data_bit_j",
-                               "packet_error_from_link"),
+                               "delivery_delay_s", "energy_per_data_bit_j"),
 }
 
 __all__ = [name for names in _EXPORTS.values() for name in names]

@@ -23,9 +23,8 @@ Two deliberately worse variants quantify what the policy saves:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import List, Tuple
 
 from repro.radio.power_profile import (
     CC2420_PROFILE,
@@ -130,20 +129,3 @@ class ActivationPolicy:
         if not self.wakeup_is_required:
             return 0.0
         return self.profile.transition_energy_j(RadioState.SHUTDOWN, RadioState.IDLE)
-
-    def timeline_description(self) -> List[Tuple[str, str]]:
-        """Human-readable (phase, state) timeline of one transaction.
-
-        Used by the examples and the documentation; purely descriptive.
-        """
-        timeline = []
-        if self.wakeup_is_required:
-            timeline.append(("pre-beacon wake-up", self.pre_beacon_state.value))
-        timeline.append(("beacon reception", RadioState.RX.value))
-        timeline.append(("backoff delays", self.contention_wait_state.value))
-        timeline.append(("clear channel assessments", RadioState.RX.value))
-        timeline.append(("packet transmission", RadioState.TX.value))
-        timeline.append(("t-ack turnaround", RadioState.IDLE.value))
-        timeline.append(("acknowledgement wait", RadioState.RX.value))
-        timeline.append(("inactive period", self.inactive_state.value))
-        return timeline

@@ -6,22 +6,22 @@ inter-frame spacing — while Figure 9b breaks the inter-beacon period into
 the time spent in each radio state (shutdown 98.77 %, idle 0.47 %,
 transmit 0.48 %, receive 0.28 % in the paper's case study).
 
-Both breakdowns are computed from a :class:`NodeEnergyBudget`; population
-averages (e.g. over the case-study path-loss distribution) are obtained by
-averaging multiple budgets with :func:`average_breakdowns`.
+Both breakdowns are computed from :class:`NodeEnergyBudget` objects by
+:func:`average_breakdowns`: one budget gives one node's breakdown, many
+give the population average (e.g. over the case-study path-loss
+distribution).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence
+from typing import Dict, Sequence
 
 from repro.core.energy_model import (
     NodeEnergyBudget,
     PHASE_ACK,
     PHASE_BEACON,
     PHASE_CONTENTION,
-    PHASE_SLEEP,
     PHASE_TRANSMIT,
 )
 from repro.radio.states import RadioState
@@ -41,28 +41,6 @@ class EnergyBreakdown:
         """Share of ``phase`` (0..1)."""
         return self.fractions.get(phase, 0.0)
 
-    def as_percentages(self) -> Dict[str, float]:
-        """The same shares expressed in percent."""
-        return {phase: 100.0 * value for phase, value in self.fractions.items()}
-
-    @classmethod
-    def from_budget(cls, budget: NodeEnergyBudget,
-                    include_sleep: bool = False) -> "EnergyBreakdown":
-        """Breakdown of one node's energy budget.
-
-        ``include_sleep`` adds the (tiny) shutdown leakage as a fifth slice;
-        the paper's pie chart excludes it.
-        """
-        phases = list(PHASE_ORDER)
-        if include_sleep:
-            phases.append(PHASE_SLEEP)
-        energies = {p: budget.energy_by_phase_j.get(p, 0.0) for p in phases}
-        total = sum(energies.values())
-        if total <= 0:
-            raise ValueError("Budget contains no active energy to break down")
-        return cls(fractions={p: e / total for p, e in energies.items()},
-                   total_active_energy_j=total)
-
 
 @dataclass(frozen=True)
 class TimeBreakdown:
@@ -75,24 +53,8 @@ class TimeBreakdown:
         """Share of ``state`` (0..1)."""
         return self.fractions.get(state, 0.0)
 
-    def as_percentages(self) -> Dict[str, float]:
-        """Shares in percent, keyed by state name."""
-        return {state.value: 100.0 * value
-                for state, value in self.fractions.items()}
 
-    @classmethod
-    def from_budget(cls, budget: NodeEnergyBudget) -> "TimeBreakdown":
-        """Breakdown of one node's per-state occupancy times."""
-        times = budget.time_by_state()
-        total = sum(times.values())
-        if total <= 0:
-            raise ValueError("Budget contains no time to break down")
-        return cls(fractions={state: t / total for state, t in times.items()},
-                   inter_beacon_period_s=budget.inter_beacon_period_s)
-
-
-def average_breakdowns(budgets: Sequence[NodeEnergyBudget],
-                       include_sleep: bool = False):
+def average_breakdowns(budgets: Sequence[NodeEnergyBudget]):
     """Population-average energy and time breakdowns.
 
     The average is energy weighted (respectively time weighted), i.e. the
@@ -107,11 +69,8 @@ def average_breakdowns(budgets: Sequence[NodeEnergyBudget],
     if not budgets:
         raise ValueError("At least one budget is required")
 
-    phases = list(PHASE_ORDER)
-    if include_sleep:
-        phases.append(PHASE_SLEEP)
     summed_energy = {p: sum(b.energy_by_phase_j.get(p, 0.0) for b in budgets)
-                     for p in phases}
+                     for p in PHASE_ORDER}
     total_energy = sum(summed_energy.values())
     energy_breakdown = EnergyBreakdown(
         fractions={p: e / total_energy for p, e in summed_energy.items()},

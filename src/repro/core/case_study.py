@@ -18,17 +18,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
 from repro.channel.pathloss import UniformPathLossDistribution
 from repro.core.breakdown import EnergyBreakdown, TimeBreakdown, average_breakdowns
-from repro.core.energy_model import EnergyModel, ModelConfig, NodeEnergyBudget
+from repro.core.energy_model import EnergyModel, NodeEnergyBudget
 from repro.core.improvements import ImprovementAnalysis, ImprovementResult
 from repro.core.link_adaptation import ChannelInversionPolicy
 from repro.mac.superframe import SuperframeConfig
-from repro.phy.bands import Band, channels_in_band
 
 
 @dataclass(frozen=True)
@@ -77,17 +76,6 @@ class CaseStudyResult:
     per_node_budgets: List[NodeEnergyBudget] = field(default_factory=list)
     thresholds: List = field(default_factory=list)
 
-    def summary(self) -> Dict[str, float]:
-        """Headline quantities as a flat dictionary."""
-        return {
-            "average_power_uW": self.average_power_w * 1e6,
-            "delivery_delay_s": self.mean_delivery_delay_s,
-            "failure_probability": self.mean_failure_probability,
-            "energy_per_bit_nJ": self.mean_energy_per_bit_j * 1e9,
-            "channel_load": self.channel_load,
-            "inter_beacon_period_s": self.inter_beacon_period_s,
-        }
-
 
 class CaseStudy:
     """Run the Section 5 case study with the analytical model.
@@ -132,10 +120,6 @@ class CaseStudy:
             nodes=self.parameters.nodes_per_channel,
             payload_bytes=on_air,
             packets_per_node_per_beacon=packets_per_beacon)
-
-    def channel_numbers(self) -> List[int]:
-        """The sixteen 2450 MHz channels the 1600 nodes are split over."""
-        return channels_in_band(Band.BAND_2450MHZ)[:self.parameters.channels]
 
     # -- evaluation --------------------------------------------------------------------------
     def run(self, link_adaptation: bool = True) -> CaseStudyResult:

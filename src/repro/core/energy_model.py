@@ -30,7 +30,6 @@ because they matter for exact reproduction:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, Optional
 
@@ -47,14 +46,10 @@ from repro.core.reliability import (
 from repro.mac.constants import (MAC_2450MHZ, PHASE_ACK, PHASE_BEACON,
                                  PHASE_CONTENTION, PHASE_SLEEP,
                                  PHASE_TRANSMIT, MacConstants)
-from repro.mac.frames import AckFrame, BeaconFrame, DataFrame, total_packet_overhead_bytes
+from repro.mac.frames import AckFrame, BeaconFrame, total_packet_overhead_bytes
 from repro.phy.constants import CCA_DURATION_S
 from repro.phy.error_model import EmpiricalBerModel, ErrorModel, packet_error_probability
-from repro.radio.power_profile import (
-    CC2420_PROFILE,
-    RadioPowerProfile,
-    T_IDLE_TO_ACTIVE_S,
-)
+from repro.radio.power_profile import CC2420_PROFILE, RadioPowerProfile
 from repro.radio.states import RadioState
 
 #: Type of a contention-statistics source: (load, on-air packet bytes) -> stats.
@@ -173,11 +168,6 @@ class NodeEnergyBudget:
             RadioState.RX: self.time_rx_s,
             RadioState.SHUTDOWN: self.time_shutdown_s,
         }
-
-    def active_energy_j(self) -> float:
-        """Energy excluding the sleep phase (what Figure 9a is normalised to)."""
-        return sum(energy for phase, energy in self.energy_by_phase_j.items()
-                   if phase != PHASE_SLEEP)
 
 
 class EnergyModel:

@@ -19,10 +19,10 @@ improvements (individually and combined) and reports the relative savings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, List
 
-from repro.core.energy_model import EnergyModel, NodeEnergyBudget
+from repro.core.energy_model import EnergyModel
 
 
 @dataclass(frozen=True)
@@ -110,9 +110,3 @@ class ImprovementAnalysis:
                 baseline_power_w=baseline_power,
             ))
         return results
-
-    def savings_summary(self, transition_factor: float = 0.5,
-                        rx_scale: float = 0.5) -> Dict[str, float]:
-        """Mapping variant name -> fractional saving vs the baseline."""
-        return {result.name: result.relative_saving
-                for result in self.run(transition_factor, rx_scale)}

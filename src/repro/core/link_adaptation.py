@@ -17,7 +17,6 @@ essentially independent of the network load.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
@@ -53,11 +52,6 @@ class LinkAdaptationCurve:
     energy_per_bit_j: Dict[float, np.ndarray]
     optimal_level_dbm: np.ndarray
     optimal_energy_per_bit_j: np.ndarray
-
-    def level_for(self, path_loss_db: float) -> float:
-        """Optimal level at ``path_loss_db`` (nearest grid point)."""
-        index = int(np.argmin(np.abs(self.path_loss_grid_db - path_loss_db)))
-        return float(self.optimal_level_dbm[index])
 
 
 class ChannelInversionPolicy:

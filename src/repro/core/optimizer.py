@@ -15,14 +15,11 @@ paper sets BO = 6 (inter-beacon period 983 ms, channel load ~42 %).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
-import numpy as np
 
-from repro.core.energy_model import EnergyModel, NodeEnergyBudget
-from repro.mac.frames import max_payload_bytes
+from repro.core.energy_model import EnergyModel
 from repro.mac.superframe import SuperframeConfig
 
 
@@ -110,16 +107,6 @@ class PacketSizeOptimizer:
                 average_power_w=budget.average_power_w,
             ))
         return PacketSizeSweep(load=load, points=points)
-
-    def sweep_loads(self, loads: Sequence[float],
-                    payload_sizes: Optional[Sequence[int]] = None) -> List[PacketSizeSweep]:
-        """Figure 8: one sweep per network load."""
-        return [self.sweep(load, payload_sizes) for load in loads]
-
-    @staticmethod
-    def maximum_payload() -> int:
-        """Largest payload the standard allows with the paper's overhead."""
-        return max_payload_bytes()
 
 
 @dataclass(frozen=True)

@@ -18,10 +18,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional
 
-from repro.channel.awgn import AwgnLink
-from repro.phy.error_model import ErrorModel, packet_error_probability
+from repro.phy.error_model import packet_error_probability
 
 
 @dataclass(frozen=True)
@@ -59,11 +57,6 @@ class AttemptDistribution:
     def success_probability(self) -> float:
         """Probability the packet is delivered within N_max transmissions."""
         return 1.0 - self.exceed_probability
-
-    @property
-    def expected_failed_transmissions(self) -> float:
-        """Expected number of attempts that end without an acknowledgement."""
-        return self.expected_transmissions - self.success_probability
 
 
 def transmission_failure_probability(collision_probability: float,
@@ -134,12 +127,3 @@ def energy_per_data_bit_j(average_power_w: float, delay_s: float,
     if math.isinf(delay_s):
         return math.inf
     return average_power_w * delay_s / (data_payload_bytes * 8)
-
-
-def packet_error_from_link(error_model: ErrorModel, tx_power_dbm: float,
-                           path_loss_db: float, packet_bytes: int,
-                           sensitivity_dbm: float = -94.0) -> float:
-    """Packet-error probability of a link (equations 1, 2 and 10 combined)."""
-    link = AwgnLink(path_loss_db=path_loss_db, error_model=error_model,
-                    sensitivity_dbm=sensitivity_dbm)
-    return link.packet_error_probability(tx_power_dbm, packet_bytes)

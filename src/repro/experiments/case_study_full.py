@@ -27,7 +27,7 @@ from typing import Any, Dict, List, Optional
 from repro.analysis.report import ExperimentReport
 from repro.network.routing import build_routing_model
 from repro.network.simulate import aggregate_channel_rows, simulate_network
-from repro.network.spec import CASE_STUDY_SPEC, ScenarioSpec
+from repro.network.spec import ScenarioSpec
 from repro.network.topology import build_topology_model
 from repro.network.traffic import build_traffic_model
 

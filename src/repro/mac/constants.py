@@ -114,10 +114,6 @@ class MacConstants:
         self.validate_beacon_order(superframe_order)
         return self.base_superframe_duration_s * (2 ** superframe_order)
 
-    def slot_duration_s(self, superframe_order: int) -> float:
-        """Duration of one of the 16 superframe slots at order SO."""
-        return self.superframe_duration_s(superframe_order) / self.num_superframe_slots
-
     def validate_beacon_order(self, order: int) -> None:
         """Raise :class:`ValueError` if ``order`` is outside 0..14.
 

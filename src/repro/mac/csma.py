@@ -27,9 +27,9 @@ inlined over per-node lists; its tests drive this machine as the reference.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -270,15 +270,3 @@ class SlottedCsmaCa:
         if not self._started:
             raise RuntimeError("begin() must be called before driving the "
                                "state machine")
-
-
-def expected_initial_backoff_slots(params: Optional[CsmaParameters] = None) -> float:
-    """Mean of the first random backoff delay, in backoff slots.
-
-    With ``macMinBE`` = 3 the first delay is uniform on 0..7, mean 3.5 slots
-    (1.12 ms at 2450 MHz) — a useful sanity bound for the contention time at
-    vanishing load.
-    """
-    params = params or CsmaParameters()
-    be = params.initial_backoff_exponent()
-    return (2 ** be - 1) / 2.0

@@ -56,25 +56,9 @@ class SuperframeConfig:
         return self.constants.superframe_duration_s(self.superframe_order)
 
     @property
-    def slot_duration_s(self) -> float:
-        """Duration of one of the 16 superframe slots."""
-        return self.constants.slot_duration_s(self.superframe_order)
-
-    @property
-    def inactive_duration_s(self) -> float:
-        """Time between the end of the active portion and the next beacon."""
-        return self.beacon_interval_s - self.superframe_duration_s
-
-    @property
     def duty_cycle(self) -> float:
         """Fraction of time the superframe is active (1.0 when SO == BO)."""
         return self.superframe_duration_s / self.beacon_interval_s
-
-    @property
-    def backoff_slots_per_superframe(self) -> int:
-        """Number of CSMA/CA backoff slots in the active portion."""
-        return int(round(self.superframe_duration_s
-                         / self.constants.unit_backoff_period_s))
 
     def offered_load(self, nodes: int, payload_bytes: int,
                      packets_per_node_per_beacon: float = 1.0) -> float:
@@ -102,12 +86,6 @@ class Superframe:
         self.beacon_time_s = beacon_time_s
         self.beacon_airtime_s = beacon_airtime_s
 
-    # -- boundaries -----------------------------------------------------------------
-    @property
-    def end_time_s(self) -> float:
-        """Time of the next beacon."""
-        return self.beacon_time_s + self.config.beacon_interval_s
-
     @property
     def active_end_time_s(self) -> float:
         """End of the active portion, which is also the end of the CAP."""
@@ -117,11 +95,6 @@ class Superframe:
     def cap_start_time_s(self) -> float:
         """Start of the contention access period (right after the beacon)."""
         return self.beacon_time_s + self.beacon_airtime_s
-
-    @property
-    def cap_duration_s(self) -> float:
-        """Duration of the contention access period."""
-        return self.active_end_time_s - self.cap_start_time_s
 
     # -- queries -----------------------------------------------------------------------
     def in_cap(self, time_s: float) -> bool:

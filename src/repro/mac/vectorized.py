@@ -108,7 +108,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from time import perf_counter
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 

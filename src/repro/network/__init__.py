@@ -14,25 +14,23 @@ network never loads this package's modules.
 from repro._lazy import lazy_exports
 
 _EXPORTS = {
-    "repro.network.topology": ("NodePlacement", "StarTopology",
-                               "NetworkTopology", "TopologyModel",
+    "repro.network.topology": ("NodePlacement", "NetworkTopology",
+                               "TopologyModel",
                                "StarTopologyModel", "GridTopologyModel",
                                "DiscTopologyModel", "ClusteredTopologyModel",
                                "TOPOLOGY_KINDS", "build_topology_model",
                                "uniform_disc_placement", "grid_placement",
                                "clustered_placement"),
     "repro.network.routing": ("RoutingModel", "GradientRouting",
-                              "MinHopRouting", "SinkTree", "ForwardingLoad",
-                              "ForwardingSource", "ROUTING_KINDS",
-                              "build_routing_model", "depth_breakdown",
-                              "make_lane_sources"),
+                              "MinHopRouting", "SinkTree", "ForwardingSource",
+                              "ROUTING_KINDS", "build_routing_model",
+                              "depth_breakdown", "make_lane_sources"),
     "repro.network.traffic": ("PeriodicSensingTraffic",
                               "BufferedTrafficSource", "TrafficModel",
                               "TrafficSource", "SaturatedTraffic",
                               "PoissonTraffic", "BurstyAlarmTraffic",
                               "MixedPopulation", "build_traffic_model"),
-    "repro.network.channel_allocation": ("ChannelAllocator",
-                                         "round_robin_allocation"),
+    "repro.network.channel_allocation": ("ChannelAllocator",),
     "repro.network.node": ("SensorNode",),
     "repro.network.scenario": ("DenseNetworkScenario", "ChannelScenario",
                                "SimulationSummary"),

@@ -3,15 +3,13 @@
 The paper's case study splits 1600 nodes over the 16 channels of the
 2450 MHz band, 100 nodes per channel, so that each channel runs an
 independent star network at ~42 % load.  The allocator assigns nodes to
-channels and reports the per-channel population and load balance.
+channels round-robin.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
-
-import numpy as np
+from typing import Dict, List, Sequence
 
 from repro.phy.bands import Band, channels_in_band
 
@@ -33,67 +31,8 @@ class ChannelAllocator:
     def __post_init__(self):
         if not self.channels:
             raise ValueError("At least one channel is required")
-        self._assignment: Dict[int, int] = {}
 
-    # -- allocation ---------------------------------------------------------------
     def allocate_round_robin(self, node_ids: Sequence[int]) -> Dict[int, int]:
         """Deterministic round-robin assignment node -> channel."""
-        assignment = {}
-        for index, node_id in enumerate(node_ids):
-            assignment[node_id] = self.channels[index % len(self.channels)]
-        self._assignment.update(assignment)
-        return assignment
-
-    def allocate_random(self, node_ids: Sequence[int],
-                        rng: np.random.Generator) -> Dict[int, int]:
-        """Uniform random assignment node -> channel."""
-        picks = rng.integers(0, len(self.channels), size=len(node_ids))
-        assignment = {node_id: self.channels[int(pick)]
-                      for node_id, pick in zip(node_ids, picks)}
-        self._assignment.update(assignment)
-        return assignment
-
-    # -- queries -------------------------------------------------------------------
-    @property
-    def assignment(self) -> Dict[int, int]:
-        """Copy of the current node -> channel assignment."""
-        return dict(self._assignment)
-
-    def channel_of(self, node_id: int) -> int:
-        """Channel assigned to ``node_id``."""
-        return self._assignment[node_id]
-
-    def nodes_on_channel(self, channel: int) -> List[int]:
-        """Devices sharing ``channel``, ascending by id."""
-        return sorted(n for n, c in self._assignment.items() if c == channel)
-
-    def population_per_channel(self) -> Dict[int, int]:
-        """Number of devices on each channel."""
-        counts = {channel: 0 for channel in self.channels}
-        for channel in self._assignment.values():
-            counts[channel] += 1
-        return counts
-
-    def balance_ratio(self) -> float:
-        """max/min channel population (1.0 = perfectly balanced).
-
-        Returns ``inf`` when some channel is empty while another is not.
-        """
-        counts = list(self.population_per_channel().values())
-        smallest = min(counts)
-        largest = max(counts)
-        if largest == 0:
-            return 1.0
-        if smallest == 0:
-            return float("inf")
-        return largest / smallest
-
-
-def round_robin_allocation(node_count: int,
-                           channels: Optional[Sequence[int]] = None,
-                           first_node_id: int = 1) -> Dict[int, int]:
-    """Convenience wrapper: round-robin allocation of ``node_count`` nodes."""
-    allocator = ChannelAllocator(list(channels) if channels else
-                                 channels_in_band(Band.BAND_2450MHZ))
-    node_ids = list(range(first_node_id, first_node_id + node_count))
-    return allocator.allocate_round_robin(node_ids)
+        return {node_id: self.channels[index % len(self.channels)]
+                for index, node_id in enumerate(node_ids)}

@@ -55,20 +55,3 @@ class SensorNode:
         return AwgnLink(path_loss_db=self.path_loss_db,
                         error_model=self.error_model,
                         sensitivity_dbm=sensitivity_dbm)
-
-    def received_power_dbm(self, tx_power_dbm: Optional[float] = None) -> float:
-        """Received power at the base station for a given transmit power."""
-        level = self.tx_power_dbm if tx_power_dbm is None else tx_power_dbm
-        if level is None:
-            raise ValueError("No transmit power assigned to this node")
-        return level - self.path_loss_db
-
-    def is_reachable(self, max_tx_power_dbm: float = 0.0,
-                     sensitivity_dbm: float = -94.0) -> bool:
-        """Whether the node can reach the base station at the maximum power.
-
-        The paper's case study assumes this holds for every node ("the
-        received power when 0 dBm are transmitted is above the receiver
-        sensitivity").
-        """
-        return max_tx_power_dbm - self.path_loss_db >= sensitivity_dbm

@@ -99,20 +99,6 @@ class SinkTree:
         """All device identifiers, ascending (the sink excluded)."""
         return sorted(self.parent)
 
-    @property
-    def node_count(self) -> int:
-        return len(self.parent)
-
-    @property
-    def max_depth(self) -> int:
-        """The deepest hop count in the tree (0 for an empty tree)."""
-        return max(self.depth.values(), default=0)
-
-    @property
-    def is_multihop(self) -> bool:
-        """Whether any node needs a relay (depth beyond the first hop)."""
-        return self.max_depth > 1
-
     def _children_map(self) -> Dict[int, List[int]]:
         if self._children is None:
             children: Dict[int, List[int]] = {}
@@ -135,54 +121,10 @@ class SinkTree:
             stack.extend(self.children(current))
         return sorted(result)
 
-    def subtree_size(self, node_id: int) -> int:
-        """Nodes whose traffic ``node_id`` carries, itself included."""
-        return 1 + len(self.descendants(node_id))
-
     @property
     def relays(self) -> List[int]:
         """Devices forwarding at least one other node's traffic."""
         return sorted(n for n in self.parent if self.children(n))
-
-    @property
-    def leaves(self) -> List[int]:
-        """Devices carrying only their own traffic."""
-        return sorted(n for n in self.parent if not self.children(n))
-
-    def nodes_at_depth(self, hop_depth: int) -> List[int]:
-        """Devices exactly ``hop_depth`` hops from the sink, ascending."""
-        return sorted(n for n, d in self.depth.items() if d == hop_depth)
-
-
-@dataclass(frozen=True)
-class ForwardingLoad:
-    """How the sink tree multiplies each node's offered bytes.
-
-    A relay offers its own traffic plus one full copy of every descendant's,
-    so its load multiplier is its subtree size.  Leaves have multiplier 1;
-    the multipliers always sum to the total hop count of the tree (every
-    node's traffic crosses ``depth`` links).
-    """
-
-    multipliers: Dict[int, int]
-
-    @classmethod
-    def from_tree(cls, tree: SinkTree) -> "ForwardingLoad":
-        return cls(multipliers={n: tree.subtree_size(n)
-                                for n in tree.node_ids})
-
-    def multiplier(self, node_id: int) -> int:
-        """Offered-byte multiplier of ``node_id`` (1 for a leaf)."""
-        return self.multipliers[node_id]
-
-    def offered_bytes(self, node_id: int, own_bytes: int) -> int:
-        """Bytes ``node_id`` offers to the MAC when generating ``own_bytes``."""
-        return self.multipliers[node_id] * own_bytes
-
-    @property
-    def total_link_crossings(self) -> int:
-        """Sum of multipliers — every node's traffic crosses ``depth`` links."""
-        return sum(self.multipliers.values())
 
 
 def depth_breakdown(tree: SinkTree, node_ids: Sequence[int],

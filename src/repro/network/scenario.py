@@ -34,8 +34,7 @@ from repro.network.routing import (GradientRouting, RoutingModel, SinkTree,
                                    depth_breakdown, make_lane_sources)
 from repro.network.traffic import (PeriodicSensingTraffic, SaturatedTraffic,
                                    TrafficModel, TrafficSource)
-from repro.network.topology import (NetworkTopology, StarTopology,
-                                    TopologyModel)
+from repro.network.topology import NetworkTopology, TopologyModel
 from repro.obs.tracer import current_tracer
 from repro.phy.bands import Band, channels_in_band
 from repro.phy.error_model import EmpiricalBerModel, ErrorModel
@@ -149,9 +148,9 @@ class ChannelScenario:
         ------
         ValueError
             If a node has no assigned level and the scenario has no
-            configured default — run link adaptation
-            (:meth:`DenseNetworkScenario.assign_tx_powers`) or construct the
-            scenario with ``default_tx_power_dbm``.
+            configured default — set each node's ``tx_power_dbm`` (link
+            adaptation) or construct the scenario with
+            ``default_tx_power_dbm``.
         """
         levels = []
         for node in self.nodes:
@@ -370,7 +369,6 @@ class DenseNetworkScenario:
             raise ValueError("At least one channel is required")
         self._streams = RandomStreams(self.seed)
         self._nodes: Optional[List[SensorNode]] = None
-        self._allocator: Optional[ChannelAllocator] = None
         self._networks: Dict[int, NetworkTopology] = {}
         self._trees: Dict[int, SinkTree] = {}
 
@@ -398,8 +396,8 @@ class DenseNetworkScenario:
         if self._nodes is not None:
             return self._nodes
         node_ids = list(range(1, self.total_nodes + 1))
-        self._allocator = ChannelAllocator(list(self.channels))
-        assignment = self._allocator.allocate_round_robin(node_ids)
+        assignment = ChannelAllocator(list(self.channels)) \
+            .allocate_round_robin(node_ids)
         if not self.is_geometric:
             rng = self._streams.get("scenario.pathloss")
             losses = rng.uniform(self.path_loss_low_db,
@@ -435,20 +433,10 @@ class DenseNetworkScenario:
         ]
         return self._nodes
 
-    def network_topology(self, channel: int) -> Optional[NetworkTopology]:
-        """The placement/connectivity view of ``channel`` (geometric only)."""
-        self.build_nodes()
-        return self._networks.get(channel)
-
     def sink_tree(self, channel: int) -> Optional[SinkTree]:
         """The routing tree of ``channel``, or ``None`` for the star draw."""
         self.build_nodes()
         return self._trees.get(channel)
-
-    def topology(self) -> StarTopology:
-        """The star topology (path-loss view) of the whole population."""
-        nodes = self.build_nodes()
-        return StarTopology.from_path_losses([n.path_loss_db for n in nodes])
 
     def nodes_on_channel(self, channel: int) -> List[SensorNode]:
         """The sensor nodes assigned to ``channel``."""
@@ -466,11 +454,6 @@ class DenseNetworkScenario:
         return self.traffic.offered_load(
             nodes=self.nodes_per_channel,
             channel_bit_rate_bps=constants.timing.bit_rate_bps)
-
-    def assign_tx_powers(self, select_level) -> None:
-        """Apply a link-adaptation policy (path loss -> level) to every node."""
-        for node in self.build_nodes():
-            node.tx_power_dbm = float(select_level(node.path_loss_db))
 
     # -- packet-level simulation -----------------------------------------------------------
     def channel_scenario(self, channel: int, payload_bytes: Optional[int] = None,

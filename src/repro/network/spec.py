@@ -9,8 +9,8 @@ knows how to build the runnable objects (:class:`DenseNetworkScenario`,
 workloads one configuration away:
 
 >>> spec = ScenarioSpec(total_nodes=320, superframes_hint=4)
->>> spec.nodes_per_channel
-20
+>>> len(spec.channels)
+16
 >>> spec.csma_parameters().max_csma_backoffs
 2
 
@@ -21,8 +21,8 @@ simulated anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import List, Optional, Tuple
+from dataclasses import dataclass
+from typing import List, Optional
 
 from repro.mac.constants import MAC_2450MHZ, MacConstants
 from repro.mac.csma import CsmaParameters
@@ -31,8 +31,7 @@ from repro.network.geometry import (lowest_sufficient_levels,
                                     rx_power_threshold_dbm)
 from repro.network.routing import RoutingModel
 from repro.network.topology import TopologyModel
-from repro.network.traffic import (PeriodicSensingTraffic, SaturatedTraffic,
-                                   TrafficModel)
+from repro.network.traffic import PeriodicSensingTraffic, TrafficModel
 from repro.phy.bands import Band, CHANNEL_PAGES, channels_in_band
 from repro.radio.power_profile import CC2420_PROFILE, RadioPowerProfile
 
@@ -167,11 +166,6 @@ class ScenarioSpec:
             return all_channels
         return all_channels[:self.num_channels]
 
-    @property
-    def nodes_per_channel(self) -> int:
-        """Nominal population per channel."""
-        return self.total_nodes // len(self.channels)
-
     def constants(self) -> MacConstants:
         """MAC constants bound to the spec's band timing."""
         if self.band is Band.BAND_2450MHZ:
@@ -184,16 +178,6 @@ class ScenarioSpec:
             sample_bytes=self.sample_bytes,
             sampling_interval_s=self.sampling_interval_s,
             payload_bytes=self.payload_bytes)
-
-    def traffic_model(self) -> TrafficModel:
-        """The packet process the MAC kernels consume.
-
-        The configured ``traffic`` field, or the paper's saturated
-        assumption (one packet ready at every beacon) when none is set.
-        """
-        if self.traffic is not None:
-            return self.traffic
-        return SaturatedTraffic(payload_bytes=self.payload_bytes)
 
     def csma_parameters(self) -> CsmaParameters:
         """Slotted CSMA/CA parameters implementing the spec's convention."""
@@ -210,17 +194,6 @@ class ScenarioSpec:
         return SuperframeConfig(beacon_order=self.beacon_order,
                                 superframe_order=superframe_order,
                                 constants=self.constants())
-
-    def scaled_down(self, nodes_per_channel: int,
-                    num_channels: int = 1) -> "ScenarioSpec":
-        """A smaller copy of this workload (tests, quick benches)."""
-        return replace(self, name=f"{self.name}-scaled",
-                       total_nodes=nodes_per_channel * num_channels,
-                       num_channels=num_channels)
-
-    def build(self):
-        """The :class:`DenseNetworkScenario` this spec describes (seed 0)."""
-        return self.build_seeded(0)
 
     def build_seeded(self, placement_seed: int):
         """The scenario with an explicit placement seed (fan-out workers)."""

@@ -6,13 +6,11 @@ losses are uniformly distributed between 55 and 95 dB; both views are
 supported: geometric placement plus a path-loss model, or direct path-loss
 assignment from a distribution.
 
-Three levels of description live here:
+Two levels of description live here:
 
 * placement helpers (:func:`uniform_disc_placement`,
   :func:`grid_placement`, :func:`clustered_placement`) produce
   :class:`NodePlacement` lists around the sink at the origin;
-* :class:`StarTopology` is the paper's trivial 1-hop view — per-node path
-  losses to the coordinator, no node-to-node structure;
 * :class:`NetworkTopology` is the general placement + connectivity-graph
   view: deterministic pairwise link losses plus a neighbour graph induced
   by a maximum usable link loss, the substrate
@@ -29,7 +27,7 @@ from __future__ import annotations
 
 import abc
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import compress
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -60,16 +58,6 @@ class NodePlacement:
     node_id: int
     x_m: float
     y_m: float
-
-    @property
-    def distance_m(self) -> float:
-        """Distance to the base station."""
-        return math.hypot(self.x_m, self.y_m)
-
-    @property
-    def angle_rad(self) -> float:
-        """Azimuth angle seen from the base station."""
-        return math.atan2(self.y_m, self.x_m)
 
 
 def uniform_disc_placement(count: int, radius_m: float,
@@ -156,85 +144,6 @@ def clustered_placement(count: int, num_clusters: int, area_radius_m: float,
 
 
 @dataclass
-class StarTopology:
-    """A 1-hop star: one coordinator, many devices, per-node path losses.
-
-    Parameters
-    ----------
-    placements:
-        Geometric node positions (may be empty when path losses are assigned
-        directly from a distribution).
-    path_losses_db:
-        Mapping node id -> path loss to the coordinator.
-    node_density_per_m3:
-        Informational density figure (the paper quotes ~20 nodes/m^3 for
-        high-end deployments).
-    """
-
-    placements: List[NodePlacement] = field(default_factory=list)
-    path_losses_db: Dict[int, float] = field(default_factory=dict)
-    node_density_per_m3: Optional[float] = None
-
-    # -- constructors --------------------------------------------------------------
-    @classmethod
-    def from_placements(cls, placements: Sequence[NodePlacement],
-                        path_loss_model: Optional[PathLossModel] = None,
-                        rng: Optional[np.random.Generator] = None) -> "StarTopology":
-        """Topology with path losses derived from geometry.
-
-        ``path_loss_model`` defaults to a log-distance model with exponent 3
-        (indoor / dense deployment).  Distances are clamped by
-        :func:`repro.network.geometry.propagation_distance_m` — the same
-        guard every other geometric loss in the package uses.
-        """
-        model = path_loss_model or LogDistancePathLoss(exponent=3.0)
-        losses = {}
-        for placement in placements:
-            distance = propagation_distance_m(placement.x_m, placement.y_m)
-            if isinstance(model, LogDistancePathLoss):
-                losses[placement.node_id] = model.attenuation_db(distance, rng=rng)
-            else:
-                losses[placement.node_id] = model.attenuation_db(distance)
-        return cls(placements=list(placements), path_losses_db=losses)
-
-    @classmethod
-    def from_path_losses(cls, path_losses_db: Sequence[float],
-                         first_node_id: int = 1) -> "StarTopology":
-        """Topology defined directly by per-node path losses (no geometry)."""
-        losses = {first_node_id + i: float(a)
-                  for i, a in enumerate(path_losses_db)}
-        return cls(placements=[], path_losses_db=losses)
-
-    # -- queries -------------------------------------------------------------------
-    @property
-    def node_ids(self) -> List[int]:
-        """All device identifiers, ascending."""
-        return sorted(self.path_losses_db)
-
-    @property
-    def node_count(self) -> int:
-        """Number of devices in the star."""
-        return len(self.path_losses_db)
-
-    def path_loss_db(self, node_id: int) -> float:
-        """Path loss of ``node_id`` to the coordinator."""
-        return self.path_losses_db[node_id]
-
-    def path_loss_array(self) -> np.ndarray:
-        """Path losses ordered by node id."""
-        return np.array([self.path_losses_db[i] for i in self.node_ids])
-
-    def nodes_within_range(self, max_path_loss_db: float) -> List[int]:
-        """Nodes whose path loss does not exceed ``max_path_loss_db``."""
-        return [i for i in self.node_ids
-                if self.path_losses_db[i] <= max_path_loss_db]
-
-    def all_within_range(self, max_path_loss_db: float) -> bool:
-        """Whether every node can reach the coordinator (paper assumption)."""
-        return len(self.nodes_within_range(max_path_loss_db)) == self.node_count
-
-
-@dataclass
 class NetworkTopology:
     """Placement + connectivity-graph view of one channel's population.
 
@@ -293,14 +202,6 @@ class NetworkTopology:
         """All device identifiers, ascending."""
         return sorted(self.sink_losses_db)
 
-    @property
-    def node_count(self) -> int:
-        return len(self.sink_losses_db)
-
-    def sink_loss_db(self, node_id: int) -> float:
-        """Median loss of ``node_id``'s direct sink link."""
-        return self.sink_losses_db[node_id]
-
     def link_loss_db(self, a: int, b: int) -> float:
         """Median loss of the ``a``–``b`` link (either id may be the sink)."""
         if a == b:
@@ -338,11 +239,6 @@ class NetworkTopology:
                     + sorted(others)
             self._neighbours = table
         return table
-
-    def star(self) -> StarTopology:
-        """The trivial 1-hop projection (direct sink links only)."""
-        return StarTopology(placements=list(self.placements),
-                            path_losses_db=dict(self.sink_losses_db))
 
 
 # ---------------------------------------------------------------------------

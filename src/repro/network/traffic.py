@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import abc
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -418,22 +418,6 @@ class TrafficModel(abc.ABC):
                 f"both kernels assume a single frame airtime, so the two "
                 f"must agree")
 
-    @abc.abstractmethod
-    def mean_packet_interval_s(self, inter_beacon_period_s: float) -> float:
-        """Expected time between packet completions at one node."""
-
-    def expected_offered_load(self, nodes: int, channel_bit_rate_bps: float,
-                              inter_beacon_period_s: float,
-                              overhead_bytes: int = 13) -> float:
-        """Aggregate expected on-air load of ``nodes`` such sources."""
-        if nodes < 0:
-            raise ValueError("nodes must be non-negative")
-        if channel_bit_rate_bps <= 0:
-            raise ValueError("channel_bit_rate_bps must be positive")
-        packet_bits = (self.payload_bytes + overhead_bytes) * 8
-        rate = 1.0 / self.mean_packet_interval_s(inter_beacon_period_s)
-        return nodes * packet_bits * rate / channel_bit_rate_bps
-
 
 @dataclass(frozen=True)
 class SaturatedTraffic(TrafficModel):
@@ -455,11 +439,6 @@ class SaturatedTraffic(TrafficModel):
     def make_source(self, rng: Optional[np.random.Generator] = None,
                     start_time_s: float = 0.0) -> TrafficSource:
         return SaturatedSource(self.payload_bytes, start_time_s=start_time_s)
-
-    def mean_packet_interval_s(self, inter_beacon_period_s: float) -> float:
-        if inter_beacon_period_s <= 0:
-            raise ValueError("inter_beacon_period_s must be positive")
-        return inter_beacon_period_s
 
 
 @dataclass(frozen=True)
@@ -505,12 +484,6 @@ class PeriodicSensingTraffic(TrafficModel):
         """Time to accumulate one full packet (960 ms in the paper)."""
         return self.samples_per_packet * self.sampling_interval_s
 
-    def packets_per_superframe(self, inter_beacon_period_s: float) -> float:
-        """Average packets becoming available per inter-beacon period."""
-        if inter_beacon_period_s <= 0:
-            raise ValueError("inter_beacon_period_s must be positive")
-        return inter_beacon_period_s / self.packet_period_s
-
     def offered_load(self, nodes: int, channel_bit_rate_bps: float,
                      overhead_bytes: int = 13) -> float:
         """Aggregate on-air load of ``nodes`` such sources on one channel."""
@@ -544,9 +517,6 @@ class PeriodicSensingTraffic(TrafficModel):
             traffic=self, start_time_s=start_time_s,
             initial_buffered_bytes=self.payload_bytes)
 
-    def mean_packet_interval_s(self, inter_beacon_period_s: float) -> float:
-        return self.packet_period_s
-
 
 @dataclass(frozen=True)
 class PoissonTraffic(TrafficModel):
@@ -575,9 +545,6 @@ class PoissonTraffic(TrafficModel):
     def make_source(self, rng: Optional[np.random.Generator] = None,
                     start_time_s: float = 0.0) -> TrafficSource:
         return _PoissonSource(self, rng, start_time_s=start_time_s)
-
-    def mean_packet_interval_s(self, inter_beacon_period_s: float) -> float:
-        return self.mean_interval_s
 
 
 @dataclass(frozen=True)
@@ -608,9 +575,6 @@ class BurstyAlarmTraffic(TrafficModel):
     def make_source(self, rng: Optional[np.random.Generator] = None,
                     start_time_s: float = 0.0) -> TrafficSource:
         return _BurstSource(self, rng, start_time_s=start_time_s)
-
-    def mean_packet_interval_s(self, inter_beacon_period_s: float) -> float:
-        return self.mean_event_interval_s / self.mean_burst_packets
 
 
 @dataclass(frozen=True)
@@ -690,12 +654,6 @@ class MixedPopulation(TrafficModel):
         raise TypeError("MixedPopulation is resolved per node: call "
                         "resolve(index, population).make_source(...) "
                         "instead")
-
-    def mean_packet_interval_s(self, inter_beacon_period_s: float) -> float:
-        rate = sum(fraction / model.mean_packet_interval_s(
-                       inter_beacon_period_s)
-                   for fraction, model in self.components)
-        return 1.0 / rate
 
 
 def make_node_sources(model: TrafficModel, node_ids: "List[int]",

@@ -144,12 +144,6 @@ class Tracer:
         self.workers: Dict[int, Any] = {}
         self._epoch = perf_counter()
 
-    # -- span recording -----------------------------------------------------------
-    @property
-    def current(self) -> Span:
-        """The innermost open span (the root when none is open)."""
-        return self._stack[-1]
-
     def _new_span(self, name: str, kind: str,
                   attrs: Optional[Dict[str, Any]],
                   parent: Optional[Span]) -> Span:

@@ -34,14 +34,12 @@ class Band(Enum):
 
 @dataclass(frozen=True)
 class ChannelPage:
-    """Description of one band: its channels, timing and centre frequencies."""
+    """Description of one band: its channels and PHY timing."""
 
     band: Band
     timing: PhyTiming
     first_channel: int
     last_channel: int
-    base_frequency_hz: float
-    channel_spacing_hz: float
 
     @property
     def channel_count(self) -> int:
@@ -52,21 +50,6 @@ class ChannelPage:
         """Channel numbers belonging to this band."""
         return list(range(self.first_channel, self.last_channel + 1))
 
-    def center_frequency_hz(self, channel: int) -> float:
-        """Centre frequency of ``channel``.
-
-        Raises
-        ------
-        ValueError
-            If ``channel`` does not belong to this band.
-        """
-        if not self.first_channel <= channel <= self.last_channel:
-            raise ValueError(
-                f"Channel {channel} is not in band {self.band.value} "
-                f"({self.first_channel}..{self.last_channel})")
-        return (self.base_frequency_hz
-                + (channel - self.first_channel) * self.channel_spacing_hz)
-
 
 #: Catalogue of the three channel pages keyed by band.
 CHANNEL_PAGES: Dict[Band, ChannelPage] = {
@@ -75,24 +58,18 @@ CHANNEL_PAGES: Dict[Band, ChannelPage] = {
         timing=TIMING_868MHZ,
         first_channel=0,
         last_channel=0,
-        base_frequency_hz=868.3e6,
-        channel_spacing_hz=0.0,
     ),
     Band.BAND_915MHZ: ChannelPage(
         band=Band.BAND_915MHZ,
         timing=TIMING_915MHZ,
         first_channel=1,
         last_channel=10,
-        base_frequency_hz=906.0e6,
-        channel_spacing_hz=2.0e6,
     ),
     Band.BAND_2450MHZ: ChannelPage(
         band=Band.BAND_2450MHZ,
         timing=TIMING_2450MHZ,
         first_channel=11,
         last_channel=26,
-        base_frequency_hz=2405.0e6,
-        channel_spacing_hz=5.0e6,
     ),
 }
 
@@ -100,27 +77,3 @@ CHANNEL_PAGES: Dict[Band, ChannelPage] = {
 def channels_in_band(band: Band) -> List[int]:
     """Channel numbers available in ``band``."""
     return CHANNEL_PAGES[band].channels()
-
-
-def band_of_channel(channel: int) -> Band:
-    """The band a channel number belongs to.
-
-    Raises
-    ------
-    ValueError
-        If ``channel`` is not one of the 27 channels of the standard.
-    """
-    for band, page in CHANNEL_PAGES.items():
-        if page.first_channel <= channel <= page.last_channel:
-            return band
-    raise ValueError(f"Channel {channel} is not defined by IEEE 802.15.4-2003")
-
-
-def channel_center_frequency_hz(channel: int) -> float:
-    """Centre frequency of ``channel`` in Hz."""
-    return CHANNEL_PAGES[band_of_channel(channel)].center_frequency_hz(channel)
-
-
-def timing_of_channel(channel: int) -> PhyTiming:
-    """PHY timing parameters applicable to ``channel``."""
-    return CHANNEL_PAGES[band_of_channel(channel)].timing

@@ -53,28 +53,6 @@ class PhyTiming:
         """Time to transmit one octet (T_B in the paper; 32 µs at 2450 MHz)."""
         return 8.0 / self.bit_rate_bps
 
-    @property
-    def backoff_slot_symbols(self) -> int:
-        """Slotted CSMA/CA backoff period in symbols (aUnitBackoffPeriod)."""
-        return 20
-
-    @property
-    def backoff_slot_s(self) -> float:
-        """Slotted CSMA/CA backoff period in seconds (T_slot = 20 T_S)."""
-        return self.backoff_slot_symbols * self.symbol_period_s
-
-    def bytes_to_seconds(self, n_bytes: float) -> float:
-        """Airtime of ``n_bytes`` octets at the gross rate."""
-        return n_bytes * self.byte_period_s
-
-    def seconds_to_symbols(self, seconds: float) -> float:
-        """Convert a duration to (fractional) symbol periods."""
-        return seconds / self.symbol_period_s
-
-    def symbols_to_seconds(self, symbols: float) -> float:
-        """Convert a number of symbol periods to seconds."""
-        return symbols * self.symbol_period_s
-
 
 #: The 2450 MHz O-QPSK/DSSS PHY the paper (and the CC2420) uses:
 #: 2 Mchip/s, 32-chip symbols, 4 bits per symbol -> 250 kbit/s.

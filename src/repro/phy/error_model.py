@@ -42,11 +42,6 @@ BOLTZMANN_J_PER_K = 1.380649e-23
 REFERENCE_TEMPERATURE_K = 290.0
 
 
-def dbm_to_watt(dbm: float) -> float:
-    """Convert a power level from dBm to watts."""
-    return 10.0 ** (dbm / 10.0) * 1e-3
-
-
 def watt_to_dbm(watt: float) -> float:
     """Convert a power level from watts to dBm.
 

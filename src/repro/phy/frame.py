@@ -1,4 +1,4 @@
-"""PHY protocol data unit (PPDU) framing.
+"""PHY protocol data unit (PPDU) framing sizes.
 
 A transmitted 802.15.4 packet consists of (Figure 5 of the paper):
 
@@ -15,13 +15,6 @@ overhead to 8 bytes including the 2-byte FCS).  The exact MAC accounting
 lives in :mod:`repro.mac.frames`; this module only models the PHY portion.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass, field
-from typing import Optional
-
-from repro.phy.constants import MAX_PHY_PACKET_SIZE_BYTES, PhyTiming, TIMING_2450MHZ
-
 #: Synchronisation preamble length (octets of zeros).
 PHY_PREAMBLE_BYTES = 4
 #: Start-of-frame delimiter length.
@@ -30,106 +23,3 @@ PHY_SFD_BYTES = 1
 PHY_LENGTH_FIELD_BYTES = 1
 #: Total PHY overhead per packet: preamble + SFD + length field = 6 bytes.
 PHY_HEADER_BYTES = PHY_PREAMBLE_BYTES + PHY_SFD_BYTES + PHY_LENGTH_FIELD_BYTES
-
-#: SFD value defined by the standard.
-SFD_VALUE = 0xA7
-
-
-@dataclass
-class PhyFrame:
-    """A PHY frame (synchronisation header + PHY header + PSDU).
-
-    Parameters
-    ----------
-    psdu:
-        The MAC frame bytes (PHY service data unit).
-    timing:
-        PHY timing option used to compute airtime; defaults to the 2450 MHz
-        O-QPSK PHY used throughout the paper.
-    """
-
-    psdu: bytes
-    timing: PhyTiming = field(default=TIMING_2450MHZ)
-
-    def __post_init__(self):
-        if len(self.psdu) > MAX_PHY_PACKET_SIZE_BYTES:
-            raise ValueError(
-                f"PSDU of {len(self.psdu)} bytes exceeds aMaxPHYPacketSize "
-                f"({MAX_PHY_PACKET_SIZE_BYTES})")
-
-    # -- sizes ----------------------------------------------------------------
-    @property
-    def psdu_length(self) -> int:
-        """Length of the PSDU (value carried in the frame-length field)."""
-        return len(self.psdu)
-
-    @property
-    def total_bytes(self) -> int:
-        """Total on-air bytes including preamble, SFD and length field."""
-        return PHY_HEADER_BYTES + self.psdu_length
-
-    @property
-    def synchronisation_bytes(self) -> int:
-        """Bytes that only serve receiver synchronisation (preamble + SFD)."""
-        return PHY_PREAMBLE_BYTES + PHY_SFD_BYTES
-
-    # -- timing ---------------------------------------------------------------
-    @property
-    def airtime_s(self) -> float:
-        """Time needed to transmit the whole frame."""
-        return self.timing.bytes_to_seconds(self.total_bytes)
-
-    @property
-    def payload_airtime_s(self) -> float:
-        """Airtime of the PSDU alone (without synchronisation header)."""
-        return self.timing.bytes_to_seconds(self.psdu_length + PHY_LENGTH_FIELD_BYTES)
-
-    # -- serialisation --------------------------------------------------------
-    def to_bytes(self) -> bytes:
-        """Serialise the frame as it appears on air (preamble first)."""
-        preamble = bytes(PHY_PREAMBLE_BYTES)
-        sfd = bytes([SFD_VALUE])
-        length = bytes([self.psdu_length & 0x7F])
-        return preamble + sfd + length + self.psdu
-
-    @classmethod
-    def from_bytes(cls, raw: bytes, timing: PhyTiming = TIMING_2450MHZ) -> "PhyFrame":
-        """Parse an on-air byte stream back into a :class:`PhyFrame`.
-
-        Raises
-        ------
-        ValueError
-            If the preamble/SFD are malformed or the length is inconsistent.
-        """
-        if len(raw) < PHY_HEADER_BYTES:
-            raise ValueError("Byte stream shorter than the PHY header")
-        preamble = raw[:PHY_PREAMBLE_BYTES]
-        if any(preamble):
-            raise ValueError("Preamble must be all-zero octets")
-        if raw[PHY_PREAMBLE_BYTES] != SFD_VALUE:
-            raise ValueError(
-                f"Bad SFD: expected {SFD_VALUE:#x}, got {raw[PHY_PREAMBLE_BYTES]:#x}")
-        length = raw[PHY_PREAMBLE_BYTES + PHY_SFD_BYTES] & 0x7F
-        psdu = raw[PHY_HEADER_BYTES:PHY_HEADER_BYTES + length]
-        if len(psdu) != length:
-            raise ValueError(
-                f"Frame-length field says {length} bytes but only "
-                f"{len(psdu)} PSDU bytes are present")
-        return cls(psdu=psdu, timing=timing)
-
-
-def frame_airtime_s(psdu_bytes: int,
-                    timing: Optional[PhyTiming] = None) -> float:
-    """Airtime of a frame with a ``psdu_bytes``-byte PSDU.
-
-    This is equation (3) of the paper expressed at the PHY level:
-    ``T_packet = (L_o + L) * T_B`` where the PHY part of ``L_o`` is the
-    6-byte synchronisation + length header.
-    """
-    timing = timing or TIMING_2450MHZ
-    if psdu_bytes < 0:
-        raise ValueError("PSDU size must be non-negative")
-    if psdu_bytes > MAX_PHY_PACKET_SIZE_BYTES:
-        raise ValueError(
-            f"PSDU of {psdu_bytes} bytes exceeds aMaxPHYPacketSize")
-    return timing.bytes_to_seconds(PHY_HEADER_BYTES + psdu_bytes)

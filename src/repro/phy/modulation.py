@@ -15,7 +15,7 @@ conjugated (odd-indexed chips inverted) versions of 0–7.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict, Sequence
 
 import numpy as np
 
@@ -48,15 +48,6 @@ CHIP_SEQUENCES: Dict[int, np.ndarray] = _build_chip_sequences()
 def chip_sequence_matrix() -> np.ndarray:
     """All sixteen chip sequences stacked as a (16, 32) uint8 matrix."""
     return np.vstack([CHIP_SEQUENCES[s] for s in range(16)])
-
-
-def hamming_distance_matrix() -> np.ndarray:
-    """Pairwise Hamming distances between the sixteen chip sequences."""
-    matrix = chip_sequence_matrix().astype(np.int32)
-    distances = np.zeros((16, 16), dtype=np.int32)
-    for i in range(16):
-        distances[i] = np.sum(matrix ^ matrix[i], axis=1)
-    return distances
 
 
 class OqpskDsssModulator:
@@ -145,9 +136,3 @@ class OqpskDsssModulator:
     def demodulate(self, chips: Sequence[int]) -> bytes:
         """Full receive mapping: chip stream back to octets."""
         return self.symbols_to_bytes(self.despread(chips))
-
-    def minimum_code_distance(self) -> int:
-        """Smallest pairwise Hamming distance between distinct chip codes."""
-        distances = hamming_distance_matrix()
-        off_diagonal = distances[~np.eye(16, dtype=bool)]
-        return int(off_diagonal.min())

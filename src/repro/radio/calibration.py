@@ -79,11 +79,6 @@ class CalibrationResult:
     fitted_ber: np.ndarray
     rms_log_error: float
 
-    def as_model(self) -> EmpiricalBerModel:
-        """The fitted regression wrapped as an :class:`EmpiricalBerModel`."""
-        return EmpiricalBerModel(coefficient=self.coefficient,
-                                 exponent_per_dbm=self.exponent_per_dbm)
-
 
 class BerCalibration:
     """Synthetic replacement of the paper's attenuator measurement bench.

@@ -15,11 +15,11 @@ protocol-phase energy breakdown of Figure 9 is computed from.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.radio.power_profile import CC2420_PROFILE, RadioPowerProfile
-from repro.radio.states import IllegalTransitionError, RadioState, transition_path
+from repro.radio.states import RadioState, transition_path
 
 
 @dataclass(frozen=True)
@@ -47,26 +47,9 @@ class EnergyLedger:
         self._events.append(event)
 
     @property
-    def events(self) -> List[RadioEvent]:
-        """All charges in chronological insertion order (copy)."""
-        return list(self._events)
-
-    @property
     def total_energy_j(self) -> float:
         """Total energy across all charges."""
         return sum(e.energy_j for e in self._events)
-
-    @property
-    def total_time_s(self) -> float:
-        """Total time covered by dwell charges (transitions excluded)."""
-        return sum(e.duration_s for e in self._events if e.kind == "dwell")
-
-    def energy_by_state(self) -> Dict[RadioState, float]:
-        """Energy per radio state."""
-        out: Dict[RadioState, float] = {state: 0.0 for state in RadioState}
-        for event in self._events:
-            out[event.state] += event.energy_j
-        return out
 
     def energy_by_phase(self) -> Dict[str, float]:
         """Energy per protocol phase label."""
@@ -82,24 +65,6 @@ class EnergyLedger:
         for event in self._events:
             out[event.state] += event.duration_s
         return out
-
-    def time_by_phase(self) -> Dict[str, float]:
-        """Time per protocol phase label."""
-        out: Dict[str, float] = {}
-        for event in self._events:
-            out[event.phase] = out.get(event.phase, 0.0) + event.duration_s
-        return out
-
-    def average_power_w(self, horizon_s: Optional[float] = None) -> float:
-        """Total energy divided by ``horizon_s`` (or the covered time)."""
-        horizon = horizon_s if horizon_s is not None else self.total_time_s
-        if horizon <= 0:
-            raise ValueError("Averaging horizon must be positive")
-        return self.total_energy_j / horizon
-
-    def reset(self) -> None:
-        """Discard all charges."""
-        self._events.clear()
 
 
 class CC2420Radio:
@@ -193,64 +158,3 @@ class CC2420Radio:
         ))
         self._time_s += duration_s
         return energy
-
-    # -- composite operations ----------------------------------------------------------
-    def transmit(self, duration_s: float, phase: str = "transmit",
-                 level_dbm: Optional[float] = None) -> float:
-        """Enter TX (through IDLE if needed), transmit, return to IDLE.
-
-        Returns the total energy charged for the operation (transitions +
-        dwell).
-        """
-        if level_dbm is not None:
-            self.set_tx_level(level_dbm)
-        before = self.ledger.total_energy_j
-        self.transition_to(RadioState.TX, phase=phase)
-        self.dwell(duration_s, phase=phase)
-        self.transition_to(RadioState.IDLE, phase=phase)
-        return self.ledger.total_energy_j - before
-
-    def receive(self, duration_s: float, phase: str = "receive") -> float:
-        """Enter RX (through IDLE if needed), listen, return to IDLE."""
-        before = self.ledger.total_energy_j
-        self.transition_to(RadioState.RX, phase=phase)
-        self.dwell(duration_s, phase=phase)
-        self.transition_to(RadioState.IDLE, phase=phase)
-        return self.ledger.total_energy_j - before
-
-    def clear_channel_assessment(self, cca_duration_s: float,
-                                 phase: str = "contention") -> float:
-        """Perform one CCA: turn the receiver on, sense, return to idle."""
-        return self.receive(cca_duration_s, phase=phase)
-
-    def sleep(self, duration_s: float, phase: str = "sleep") -> float:
-        """Enter shutdown and stay there for ``duration_s``."""
-        before = self.ledger.total_energy_j
-        self.transition_to(RadioState.SHUTDOWN, phase=phase)
-        self.dwell(duration_s, phase=phase)
-        return self.ledger.total_energy_j - before
-
-    def wake_up(self, phase: str = "wakeup") -> float:
-        """Leave shutdown for idle, charging the startup transition.
-
-        Returns the wake-up delay.
-        """
-        if self._state is not RadioState.SHUTDOWN:
-            return 0.0
-        return self.transition_to(RadioState.IDLE, phase=phase)
-
-    # -- reporting ----------------------------------------------------------------------
-    def average_power_w(self, horizon_s: Optional[float] = None) -> float:
-        """Average power over ``horizon_s`` (or the locally elapsed time)."""
-        horizon = horizon_s if horizon_s is not None else self._time_s
-        if horizon <= 0:
-            raise ValueError("Averaging horizon must be positive")
-        return self.ledger.total_energy_j / horizon
-
-    def reset(self, state: RadioState = RadioState.SHUTDOWN,
-              time_s: float = 0.0) -> None:
-        """Clear the ledger and restart from ``state`` at ``time_s``."""
-        self.ledger.reset()
-        self._state = state
-        self._time_s = float(time_s)
-        self._tx_level_dbm = None

@@ -26,7 +26,7 @@ multiplied by the power of the *arrival* state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
 from repro.radio.states import IllegalTransitionError, RadioState
@@ -197,21 +197,6 @@ class RadioPowerProfile:
         return replace(self, transitions=scaled,
                        name=f"{self.name}(transitions x{factor:g})")
 
-    def with_scaled_rx_power(self, factor: float,
-                             name_suffix: str = "") -> "RadioPowerProfile":
-        """A copy with the receive power multiplied by ``factor``.
-
-        Used for the paper's second improvement perspective, the *scalable
-        receiver* that offers a low-power mode for channel sensing and
-        acknowledgement waiting.
-        """
-        if factor < 0:
-            raise ValueError("Scaling factor must be non-negative")
-        state_power = dict(self.state_power_w)
-        state_power[RadioState.RX] = state_power[RadioState.RX] * factor
-        suffix = name_suffix or f"(rx x{factor:g})"
-        return replace(self, state_power_w=state_power,
-                       name=f"{self.name}{suffix}")
 
 
 def _build_cc2420_profile() -> RadioPowerProfile:

@@ -30,11 +30,6 @@ class RadioState(Enum):
     RX = "rx"
     TX = "tx"
 
-    @property
-    def is_active(self) -> bool:
-        """True for the RF-active states (RX and TX)."""
-        return self in (RadioState.RX, RadioState.TX)
-
 
 class IllegalTransitionError(RuntimeError):
     """Raised when a transition not allowed by the activation policy is requested."""

@@ -27,7 +27,7 @@ import hashlib
 import json
 import os
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Mapping, Optional
+from typing import Any, Dict, Iterator, Mapping, Optional
 
 from repro.obs.tracer import current_tracer
 from repro.runner.backends import CacheBackend, DirectoryBackend

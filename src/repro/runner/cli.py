@@ -47,9 +47,7 @@ from repro.analysis.tables import format_table
 from repro.runner.cache import ResultCache, code_version
 from repro.runner.engine import DEFAULT_SEED, run_experiment
 # The --param reader (literal evaluation, the bare true/false/none/null
-# normalisation table, first-=-splits) is shared with the sweep CLI; the
-# local name keeps the historical import path working.
-from repro.runner.params import parse_param
+# normalisation table, first-=-splits) is shared with the sweep CLI.
 from repro.runner.params import parse_param_arg as _parse_param
 from repro.runner.registry import UnknownExperimentError, default_registry
 

@@ -84,7 +84,25 @@ def _context(experiment: Optional[str]) -> str:
     return f"Experiment {experiment!r} " if experiment else ""
 
 
-class UnknownParameterError(KeyError):
+def did_you_mean(name: str, known: Iterable[str]) -> str:
+    """A `` Did you mean: …?`` suffix naming up to three close matches of
+    ``name`` among ``known`` (``difflib``), or ``""`` when none is close."""
+    suggestions = difflib.get_close_matches(name, list(known), n=3)
+    return f" Did you mean: {', '.join(suggestions)}?" if suggestions else ""
+
+
+class ReadableKeyError(KeyError):
+    """A :class:`KeyError` that prints its message as written.
+
+    The base of the unknown-name errors, so callers catching ``KeyError``
+    (the CLI's shared error path) render the message without a traceback.
+    """
+
+    def __str__(self) -> str:  # KeyError quotes its payload; keep it readable
+        return self.args[0]
+
+
+class UnknownParameterError(ReadableKeyError):
     """An override names a parameter the experiment does not declare.
 
     A :class:`KeyError` subclass so pre-schema callers catching ``KeyError``
@@ -97,16 +115,11 @@ class UnknownParameterError(KeyError):
         self.name = name
         self.known = tuple(known)
         self.experiment = experiment
-        message = (f"{_context(experiment)}has no parameter {name!r}; "
-                   f"tunable parameters: "
-                   f"{', '.join(sorted(self.known)) or '(none)'}.")
-        suggestions = difflib.get_close_matches(name, self.known, n=3)
-        if suggestions:
-            message += f" Did you mean: {', '.join(suggestions)}?"
-        super().__init__(message)
-
-    def __str__(self) -> str:  # KeyError quotes its payload; keep it readable
-        return self.args[0]
+        super().__init__(
+            f"{_context(experiment)}has no parameter {name!r}; "
+            f"tunable parameters: "
+            f"{', '.join(sorted(self.known)) or '(none)'}."
+            + did_you_mean(name, self.known))
 
 
 class ParameterValueError(ValueError):
@@ -277,25 +290,6 @@ class ParamSpec:
             base += " or None"
         return base
 
-    def to_payload(self) -> Dict[str, Any]:
-        """JSON-safe description (documentation / ``list --verbose``)."""
-        payload: Dict[str, Any] = {"name": self.name, "type": self.type,
-                                   "default": self.default,
-                                   "domain": self.domain()}
-        if self.doc:
-            payload["doc"] = self.doc
-        if self.minimum is not None:
-            payload["minimum"] = self.minimum
-        if self.maximum is not None:
-            payload["maximum"] = self.maximum
-        if self.choices is not None:
-            payload["choices"] = list(self.choices)
-        if self.element is not None:
-            payload["element"] = self.element
-        if self.nullable:
-            payload["nullable"] = True
-        return payload
-
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (f"ParamSpec({self.name!r}, type={self.type!r}, "
                 f"default={self.default!r})")
@@ -412,10 +406,6 @@ class ParamSchema:
         for name, value in (overrides or {}).items():
             params[name] = self.validate(name, value, experiment)
         return params
-
-    def to_payload(self) -> Dict[str, Any]:
-        """JSON-safe description of every parameter (documentation)."""
-        return {spec.name: spec.to_payload() for spec in self}
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"ParamSchema({list(self._specs)})"

@@ -15,29 +15,23 @@ and every cache hit cheap and cycle-free.
 
 from __future__ import annotations
 
-import difflib
 from dataclasses import dataclass
 from typing import (Any, Callable, Dict, Iterable, Iterator, Mapping,
                     Optional, Tuple)
 
-from repro.runner.params import ParamSchema, ParamSpec
+from repro.runner.params import (ParamSchema, ParamSpec, ReadableKeyError,
+                                 did_you_mean)
 
 
-class UnknownExperimentError(KeyError):
+class UnknownExperimentError(ReadableKeyError):
     """Raised when an experiment name is not in the registry."""
 
     def __init__(self, name: str, known: Tuple[str, ...]):
         self.name = name
         self.known = known
-        suggestions = difflib.get_close_matches(name, known, n=3)
-        message = f"Unknown experiment {name!r}. Known experiments: " \
-                  f"{', '.join(known) or '(none)'}."
-        if suggestions:
-            message += f" Did you mean: {', '.join(suggestions)}?"
-        super().__init__(message)
-
-    def __str__(self) -> str:  # KeyError quotes its payload; keep it readable
-        return self.args[0]
+        super().__init__(f"Unknown experiment {name!r}. Known experiments: "
+                         f"{', '.join(known) or '(none)'}."
+                         + did_you_mean(name, known))
 
 
 class ExperimentSpec:
@@ -90,11 +84,6 @@ class ExperimentSpec:
         self.schema = schema
         self.output_names = tuple(output_names)
         self.supports_jobs = supports_jobs
-
-    @property
-    def default_params(self) -> Dict[str, Any]:
-        """The canonical default of every parameter (derived from the schema)."""
-        return self.schema.defaults()
 
     def resolve_params(self, overrides: Optional[Mapping[str, Any]] = None
                        ) -> Dict[str, Any]:

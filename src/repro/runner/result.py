@@ -22,12 +22,12 @@ either was served from the cache or how long it took; a cache-hit replay is
 
 from __future__ import annotations
 
-import difflib
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.analysis.io import ordered_columns, rows_to_csv_text, \
     rows_to_json_text
+from repro.runner.params import did_you_mean
 from repro.runner.registry import ExperimentSpec
 
 
@@ -161,20 +161,6 @@ class RunResult:
                             title=title or
                             f"{self.spec.name} ({self.spec.figure})")
 
-    def to_dict(self) -> Dict[str, Any]:
-        """Full provenance document (JSON-safe)."""
-        return {
-            "experiment": self.experiment,
-            "params": dict(self.params),
-            "seed": self.seed,
-            "jobs": self.jobs,
-            "cache_hit": self.cache_hit,
-            "cache_key": self.cache_key,
-            "code_version": self.code_version,
-            "elapsed_s": self.elapsed_s,
-            "payload": self.payload,
-        }
-
     # -- equality -----------------------------------------------------------------
     def __eq__(self, other: object) -> bool:
         """Semantic equality: same computation, same data.
@@ -200,9 +186,6 @@ class RunResult:
 
 def _missing(name: str, known: Tuple[str, ...], kind: str,
              experiment: str) -> str:
-    message = (f"Experiment {experiment!r} result has no {kind} {name!r}; "
-               f"available: {', '.join(known) or '(none)'}.")
-    suggestions = difflib.get_close_matches(name, known, n=3)
-    if suggestions:
-        message += f" Did you mean: {', '.join(suggestions)}?"
-    return message
+    return (f"Experiment {experiment!r} result has no {kind} {name!r}; "
+            f"available: {', '.join(known) or '(none)'}."
+            + did_you_mean(name, known))

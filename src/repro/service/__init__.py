@@ -17,8 +17,8 @@ below it except the cache-backend protocol
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.http import ServiceState, make_server
 from repro.service.jobs import (JOB_KINDS, CanonicalJob, JobSpec,
-                                JobSpecError, JobState, can_transition,
-                                canonicalize, spec_from_canonical)
+                                JobSpecError, JobState, canonicalize,
+                                spec_from_canonical)
 from repro.service.store import JobRecord, JobStore
 from repro.service.worker import Worker, WorkerPool
 
@@ -28,7 +28,6 @@ __all__ = [
     "JobSpecError",
     "JobState",
     "CanonicalJob",
-    "can_transition",
     "canonicalize",
     "spec_from_canonical",
     "JobRecord",

@@ -19,7 +19,7 @@ import logging
 import signal
 import sys
 import threading
-from typing import Any, Dict, Optional
+from typing import Any, Dict
 
 from repro.api import Session, parse_param_arg, resolve_backend
 from repro.service.client import ServiceClient, ServiceError

@@ -55,21 +55,6 @@ class JobState:
     TERMINAL = frozenset({DONE, FAILED, CANCELLED})
 
 
-#: Legal state transitions (see the module docstring's diagram).
-_TRANSITIONS = {
-    JobState.QUEUED: {JobState.RUNNING, JobState.CANCELLED},
-    JobState.RUNNING: {JobState.DONE, JobState.FAILED, JobState.QUEUED},
-    JobState.FAILED: {JobState.QUEUED},
-    JobState.CANCELLED: {JobState.QUEUED},
-    JobState.DONE: set(),
-}
-
-
-def can_transition(old: str, new: str) -> bool:
-    """Whether ``old -> new`` is a legal lifecycle step."""
-    return new in _TRANSITIONS.get(old, set())
-
-
 class JobSpecError(ValueError):
     """A submission that cannot describe a valid job."""
 
@@ -118,13 +103,6 @@ class JobSpec:
         if self.quick and self.kind != "sweep":
             raise JobSpecError("quick=True only applies to sweep jobs "
                                "(runs control their scale via params)")
-
-    # -- plain-data round trip ----------------------------------------------------
-    def to_payload(self) -> Dict[str, Any]:
-        """JSON-safe form (the HTTP submission body)."""
-        return {"kind": self.kind, "name": self.name,
-                "params": dict(self.params), "seed": self.seed,
-                "quick": self.quick}
 
     @classmethod
     def from_payload(cls, payload: Mapping[str, Any]) -> "JobSpec":

@@ -29,9 +29,9 @@ Main entry points
     master seed, so every stochastic component of the simulator can be
     re-seeded independently.
 
-``Monitor`` / ``TimeWeightedMonitor`` / ``CounterMonitor``
-    Lightweight statistics collectors used by the MAC simulation and the
-    Monte-Carlo contention characterisation.
+``Monitor`` / ``CounterMonitor``
+    Lightweight statistics collectors used by the MAC simulation, the result
+    cache and the tracer.
 
 The names resolve on first access: the cache and tracer import
 :mod:`repro.sim.monitor` without loading the event kernel or numpy.
@@ -42,8 +42,7 @@ from repro._lazy import lazy_exports
 _EXPORTS = {
     "repro.sim.engine": ("Environment", "Event", "Process",
                          "SimulationError", "Timeout"),
-    "repro.sim.monitor": ("Monitor", "TimeWeightedMonitor",
-                          "CounterMonitor"),
+    "repro.sim.monitor": ("Monitor", "CounterMonitor"),
     "repro.sim.random": ("RandomStreams", "spawn_seeds"),
 }
 

@@ -1,15 +1,10 @@
 """Statistics collectors for simulation runs.
 
-Three collectors cover the needs of the MAC simulation and the Monte-Carlo
-contention characterisation:
+Two collectors cover the needs of the MAC simulation, the result cache and
+the tracer:
 
 ``Monitor``
     Plain sample collector (mean / variance / percentiles of observations).
-
-``TimeWeightedMonitor``
-    Piecewise-constant signal integrator; used for state-occupancy times of
-    the radio (how long the transceiver spends in idle / RX / TX) so that the
-    time-weighted mean is exact regardless of when samples are taken.
 
 ``CounterMonitor``
     Named event counters with convenient ratio helpers (e.g. collisions per
@@ -23,7 +18,7 @@ load without it.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Dict, List, Sequence
+from typing import TYPE_CHECKING, Dict, List
 
 if TYPE_CHECKING:
     import numpy as np
@@ -39,10 +34,6 @@ class Monitor:
     def record(self, value: float) -> None:
         """Append one observation."""
         self._values.append(float(value))
-
-    def extend(self, values: Sequence[float]) -> None:
-        """Append many observations at once."""
-        self._values.extend(float(v) for v in values)
 
     @property
     def count(self) -> int:
@@ -80,14 +71,6 @@ class Monitor:
         return float(np.std(self._values, ddof=1))
 
     @property
-    def min(self) -> float:
-        """Smallest observation; ``nan`` when empty."""
-        if not self._values:
-            return math.nan
-        import numpy as np
-        return float(np.min(self._values))
-
-    @property
     def max(self) -> float:
         """Largest observation; ``nan`` when empty."""
         if not self._values:
@@ -116,10 +99,6 @@ class Monitor:
         half = z * self.std / math.sqrt(self.count)
         return (self.mean - half, self.mean + half)
 
-    def reset(self) -> None:
-        """Discard all observations."""
-        self._values.clear()
-
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (f"Monitor(name={self.name!r}, count={self.count}, "
                 f"mean={self.mean:.6g})" if self._values
@@ -141,75 +120,6 @@ def _erfinv(y: float) -> float:
     return math.copysign(math.sqrt(math.sqrt(inside) - first), y)
 
 
-class TimeWeightedMonitor:
-    """Integrates a piecewise-constant signal over simulated time.
-
-    Record a new level with :meth:`record`; the previous level is weighted by
-    the elapsed time.  Call :meth:`finalize` (or read properties) with the end
-    time to close the last segment.
-    """
-
-    def __init__(self, name: str = "", initial_time: float = 0.0,
-                 initial_value: float = 0.0):
-        self.name = name
-        self._last_time = float(initial_time)
-        self._last_value = float(initial_value)
-        self._area = 0.0
-        self._duration = 0.0
-        self._max = float(initial_value)
-        self._min = float(initial_value)
-
-    def record(self, time: float, value: float) -> None:
-        """Change the signal to ``value`` at ``time``."""
-        if time < self._last_time:
-            raise ValueError(
-                f"TimeWeightedMonitor received out-of-order time {time} "
-                f"(last was {self._last_time})")
-        dt = time - self._last_time
-        self._area += self._last_value * dt
-        self._duration += dt
-        self._last_time = time
-        self._last_value = float(value)
-        self._max = max(self._max, self._last_value)
-        self._min = min(self._min, self._last_value)
-
-    def finalize(self, time: float) -> None:
-        """Close the current segment at ``time`` without changing the level."""
-        self.record(time, self._last_value)
-
-    @property
-    def current(self) -> float:
-        """The most recently recorded level."""
-        return self._last_value
-
-    @property
-    def integral(self) -> float:
-        """Integral of the signal over the observed duration."""
-        return self._area
-
-    @property
-    def duration(self) -> float:
-        """Total observed duration."""
-        return self._duration
-
-    @property
-    def time_average(self) -> float:
-        """Time-weighted mean of the signal; ``nan`` with zero duration."""
-        if self._duration == 0.0:
-            return math.nan
-        return self._area / self._duration
-
-    @property
-    def max(self) -> float:
-        """Largest level seen."""
-        return self._max
-
-    @property
-    def min(self) -> float:
-        """Smallest level seen."""
-        return self._min
-
-
 class CounterMonitor:
     """Named integer counters with ratio helpers."""
 
@@ -225,20 +135,9 @@ class CounterMonitor:
         """Current value of counter ``key`` (zero if never incremented)."""
         return self._counts.get(key, 0)
 
-    def ratio(self, numerator: str, denominator: str) -> float:
-        """``counts[numerator] / counts[denominator]``; ``nan`` if empty."""
-        denom = self.get(denominator)
-        if denom == 0:
-            return math.nan
-        return self.get(numerator) / denom
-
     def as_dict(self) -> Dict[str, int]:
         """Copy of all counters."""
         return dict(self._counts)
-
-    def reset(self) -> None:
-        """Zero every counter."""
-        self._counts.clear()
 
     def __getitem__(self, key: str) -> int:
         return self.get(key)

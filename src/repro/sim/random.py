@@ -262,11 +262,6 @@ class RandomStreams:
         # precomputed seed words of primed names (see ``primed``)
         self._primed: Dict[str, np.ndarray] = {}
 
-    @property
-    def master_seed(self) -> Optional[int]:
-        """The seed the family was created with."""
-        return self._master_seed
-
     def get(self, name: str) -> np.random.Generator:
         """Return the generator for ``name``, creating it on first use."""
         if name not in self._streams:
@@ -323,18 +318,6 @@ class RandomStreams:
         if words is None:
             return stream_replica(self._master_seed, name)
         return np.random.Generator(_bit_generator(words))
-
-    def spawn(self, name: str, count: int) -> Iterator[np.random.Generator]:
-        """Yield ``count`` independent sub-streams of ``name``.
-
-        Useful for giving each node of a large network its own generator.
-        """
-        for index in range(count):
-            yield self.get(f"{name}[{index}]")
-
-    def reset(self) -> None:
-        """Forget all streams so they restart from their initial state."""
-        self._streams.clear()
 
     def __contains__(self, name: str) -> bool:
         return name in self._streams

@@ -14,8 +14,8 @@ multi-point design-space study:
   proposing batches over typed dimensions, dispatched through the same
   executor/cache path — a warm re-run replays the identical proposal
   sequence from the cache and recomputes nothing;
-* :mod:`repro.sweep.analysis` — grouping/aggregation helpers, Pareto-front
-  extraction and knee-point selection over arbitrary objectives;
+* :mod:`repro.sweep.analysis` — Pareto-front extraction and knee-point
+  selection over arbitrary objectives;
 * :mod:`repro.sweep.artifacts` — byte-reproducible CSV/JSON exports plus a
   manifest (spec hash, code version, seeds, cache keys);
 * :mod:`repro.sweep.catalog` — the registered headline sweeps
@@ -39,13 +39,10 @@ The names resolve on first access.
 from repro._lazy import lazy_exports
 
 _EXPORTS = {
-    "repro.sweep.analysis": ("GroupedRows", "UnknownMetricError",
-                             "aggregate_rows", "dominates", "group_rows",
-                             "knee_point", "pareto_front", "require_metrics"),
+    "repro.sweep.analysis": ("UnknownMetricError", "dominates", "knee_point",
+                             "pareto_front", "require_metrics"),
     "repro.sweep.artifacts": ("export_optimize", "export_sweep",
-                              "optimize_manifest", "ordered_columns",
-                              "rows_to_csv_text", "rows_to_json_text",
-                              "sweep_manifest", "write_rows"),
+                              "optimize_manifest", "sweep_manifest"),
     "repro.sweep.catalog": ("OptimizeDefinition", "SweepDefinition",
                             "UnknownOptimizeError", "UnknownSweepError",
                             "get_definition", "get_optimize",

@@ -1,4 +1,4 @@
-"""Analysis helpers over sweep rows: grouping, Pareto fronts, knee points.
+"""Analysis helpers over sweep rows: Pareto fronts and knee points.
 
 All helpers operate on plain row dicts (the wide rows of
 :class:`repro.sweep.driver.SweepRunResult` — or any list of dicts), so they
@@ -19,25 +19,14 @@ dominate a point that did.
 
 from __future__ import annotations
 
-import difflib
 import math
-from typing import (Any, Callable, Dict, Hashable, Iterator, List, Mapping,
-                    Optional, Sequence, Tuple)
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.analysis.keys import typed_key
+from repro.runner.params import ReadableKeyError, did_you_mean
 from repro.sweep.spec import SENSE_MAX, SENSE_MIN
 
-#: Statistics understood by :func:`aggregate_rows`.
-_STATISTICS: Dict[str, Callable[[List[float]], float]] = {
-    "mean": lambda values: sum(values) / len(values),
-    "min": min,
-    "max": max,
-    "sum": sum,
-    "count": len,
-}
 
-
-class UnknownMetricError(KeyError):
+class UnknownMetricError(ReadableKeyError):
     """A requested objective/metric name was produced by no point.
 
     Before this error existed, an objective absent from every payload
@@ -57,15 +46,10 @@ class UnknownMetricError(KeyError):
         self.name = name
         self.observed = tuple(observed)
         prefix = f"{context}: " if context else ""
-        message = (f"{prefix}no point produced metric {name!r}; observed "
-                   f"metrics: {', '.join(sorted(self.observed)) or '(none)'}.")
-        suggestions = difflib.get_close_matches(name, self.observed, n=3)
-        if suggestions:
-            message += f" Did you mean: {', '.join(suggestions)}?"
-        super().__init__(message)
-
-    def __str__(self) -> str:  # KeyError quotes its payload; keep it readable
-        return self.args[0]
+        super().__init__(
+            f"{prefix}no point produced metric {name!r}; observed "
+            f"metrics: {', '.join(sorted(self.observed)) or '(none)'}."
+            + did_you_mean(name, self.observed))
 
 
 def require_metrics(requested: Mapping[str, Any] | Sequence[str],
@@ -177,97 +161,3 @@ def knee_point(rows: Sequence[Mapping[str, Any]],
         if distance < best_distance:
             best, best_distance = row, distance
     return dict(best) if best is not None else None
-
-
-class GroupedRows(Mapping):
-    """Insertion-ordered mapping ``key tuple -> rows``, type-aware for bools.
-
-    Behaves like the plain dict :func:`group_rows` used to return — keys
-    are tuples of the grouping column values, lookups accept those raw
-    tuples — except that grouping discriminates ``bool`` from its numeric
-    spelling: a ``True`` axis value and an ``1`` axis value land in (and
-    look up) *different* groups, where a plain dict would silently merge
-    them (``hash(True) == hash(1)``).  Iteration yields every group's raw
-    key tuple, including both sides of a bool/int pair; only materialising
-    the keys into a plain ``dict``/``set`` would re-conflate them.
-    """
-
-    __slots__ = ("_entries",)
-
-    def __init__(self) -> None:
-        # typed key tuple -> (raw key tuple, rows)
-        self._entries: Dict[Tuple[Hashable, ...],
-                            Tuple[Tuple[Hashable, ...],
-                                  List[Dict[str, Any]]]] = {}
-
-    @staticmethod
-    def _typed(key: Sequence[Hashable]) -> Tuple[Hashable, ...]:
-        return tuple(typed_key(value) for value in key)
-
-    def _append(self, key: Tuple[Hashable, ...], row: Dict[str, Any]) -> None:
-        entry = self._entries.setdefault(self._typed(key), (key, []))
-        entry[1].append(row)
-
-    def __getitem__(self, key: Sequence[Hashable]) -> List[Dict[str, Any]]:
-        return self._entries[self._typed(tuple(key))][1]
-
-    def __iter__(self) -> Iterator[Tuple[Hashable, ...]]:
-        return (raw for raw, _ in self._entries.values())
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return f"GroupedRows({dict(self.items())!r})"
-
-
-def group_rows(rows: Sequence[Mapping[str, Any]],
-               by: Sequence[str]) -> GroupedRows:
-    """Group rows by the values of the ``by`` columns (insertion-ordered).
-
-    The returned mapping is dict-like (same iteration, lookup and
-    ``items()`` behaviour as before) but type-aware: a boolean column
-    value never shares a group with the equal-comparing integer (see
-    :class:`GroupedRows`).
-    """
-    if not by:
-        raise ValueError("group_rows needs at least one key column")
-    groups = GroupedRows()
-    for row in rows:
-        key = tuple(row.get(column) for column in by)
-        groups._append(key, dict(row))
-    return groups
-
-
-def aggregate_rows(rows: Sequence[Mapping[str, Any]],
-                   by: Sequence[str],
-                   metrics: Sequence[str],
-                   statistics: Sequence[str] = ("mean",)
-                   ) -> List[Dict[str, Any]]:
-    """Aggregate metric columns over groups of rows.
-
-    Produces one row per group with the ``by`` columns plus
-    ``<metric>_<statistic>`` columns; ``None``/missing metric values are
-    skipped, and a group with no usable values reports ``None``.
-
-    >>> rows = [{"bo": 3, "p": 1.0}, {"bo": 3, "p": 3.0}, {"bo": 6, "p": 5.0}]
-    >>> aggregate_rows(rows, by=["bo"], metrics=["p"])
-    [{'bo': 3, 'p_mean': 2.0}, {'bo': 6, 'p_mean': 5.0}]
-    """
-    unknown = [stat for stat in statistics if stat not in _STATISTICS]
-    if unknown:
-        raise ValueError(f"Unknown statistics {unknown}; "
-                         f"known: {', '.join(sorted(_STATISTICS))}")
-    aggregated: List[Dict[str, Any]] = []
-    for key, group in group_rows(rows, by).items():
-        out: Dict[str, Any] = dict(zip(by, key))
-        for metric in metrics:
-            values = [row[metric] for row in group
-                      if isinstance(row.get(metric), (int, float))
-                      and not isinstance(row.get(metric), bool)
-                      and not math.isnan(row[metric])]
-            for stat in statistics:
-                out[f"{metric}_{stat}"] = \
-                    _STATISTICS[stat](values) if values else None
-        aggregated.append(out)
-    return aggregated

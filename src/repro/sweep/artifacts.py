@@ -33,9 +33,7 @@ import os
 from pathlib import Path
 from typing import Any, Dict, Optional
 
-from repro.analysis.io import (ROW_FORMATS, ordered_columns,  # noqa: F401
-                               rows_to_csv_text, rows_to_json_text,
-                               write_rows)
+from repro.analysis.io import write_rows
 from repro.runner.cache import code_version
 from repro.sweep.driver import SweepRunResult
 

@@ -36,10 +36,10 @@ across runs.
 
 from __future__ import annotations
 
-import difflib
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, Tuple
 
+from repro.runner.params import ReadableKeyError, did_you_mean
 from repro.sweep.optimize import (ChoiceDimension, IntDimension,
                                   OptimizeSpec)
 from repro.sweep.spec import GridAxis, SweepSpec
@@ -54,21 +54,15 @@ TRADEOFF_OBJECTIVES = {
 }
 
 
-class UnknownSweepError(KeyError):
+class UnknownSweepError(ReadableKeyError):
     """Raised when a sweep name is not in the catalogue."""
 
     def __init__(self, name: str, known: Tuple[str, ...]):
         self.name = name
         self.known = known
-        suggestions = difflib.get_close_matches(name, known, n=3)
-        message = f"Unknown sweep {name!r}. Registered sweeps: " \
-                  f"{', '.join(known) or '(none)'}."
-        if suggestions:
-            message += f" Did you mean: {', '.join(suggestions)}?"
-        super().__init__(message)
-
-    def __str__(self) -> str:  # KeyError quotes its payload; keep it readable
-        return self.args[0]
+        super().__init__(f"Unknown sweep {name!r}. Registered sweeps: "
+                         f"{', '.join(known) or '(none)'}."
+                         + did_you_mean(name, known))
 
 
 @dataclass(frozen=True)
@@ -217,21 +211,15 @@ _DEFINITIONS: Dict[str, SweepDefinition] = {
 }
 
 
-class UnknownOptimizeError(KeyError):
+class UnknownOptimizeError(ReadableKeyError):
     """Raised when an optimizer name is not in the catalogue."""
 
     def __init__(self, name: str, known: Tuple[str, ...]):
         self.name = name
         self.known = known
-        suggestions = difflib.get_close_matches(name, known, n=3)
-        message = f"Unknown optimizer {name!r}. Registered optimizers: " \
-                  f"{', '.join(known) or '(none)'}."
-        if suggestions:
-            message += f" Did you mean: {', '.join(suggestions)}?"
-        super().__init__(message)
-
-    def __str__(self) -> str:  # KeyError quotes its payload; keep it readable
-        return self.args[0]
+        super().__init__(f"Unknown optimizer {name!r}. Registered optimizers: "
+                         f"{', '.join(known) or '(none)'}."
+                         + did_you_mean(name, known))
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,6 @@ import logging
 
 # Shared --param reader — one table, one behaviour for both the runner and
 # the sweep CLI (see repro.runner.params.parse_param).
-from repro.runner.params import parse_param
 from repro.runner.params import parse_param_arg as _parse_param
 from repro.sweep.analysis import knee_point, pareto_front
 from repro.sweep.artifacts import export_optimize, export_sweep

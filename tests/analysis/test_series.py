@@ -16,34 +16,6 @@ class TestSeries:
         assert series.interpolate(0.5) == pytest.approx(5.0)
         assert series.interpolate(5.0) == pytest.approx(20.0)   # clamped
 
-    def test_argmin(self):
-        series = Series("s", [0.0, 1.0, 2.0], [3.0, 1.0, 2.0])
-        assert series.argmin_x() == 1.0
-
-    def test_monotonicity_check(self):
-        decreasing = Series("s", [0, 1, 2], [3.0, 2.0, 1.0])
-        assert decreasing.is_monotonic_decreasing()
-        bumpy = Series("s", [0, 1, 2], [3.0, 3.05, 1.0])
-        assert not bumpy.is_monotonic_decreasing()
-        assert bumpy.is_monotonic_decreasing(tolerance=0.02)
-
-    def test_crossing(self):
-        a = Series("a", [0.0, 1.0, 2.0], [0.0, 1.0, 2.0])
-        b = Series("b", [0.0, 1.0, 2.0], [2.0, 1.5, 1.0])
-        crossing = a.crossing_with(b)
-        assert crossing == pytest.approx(1.333, abs=0.01)
-
-    def test_no_crossing_returns_none(self):
-        a = Series("a", [0.0, 1.0], [0.0, 1.0])
-        b = Series("b", [0.0, 1.0], [2.0, 3.0])
-        assert a.crossing_with(b) is None
-
-    def test_crossing_requires_same_grid(self):
-        a = Series("a", [0.0, 1.0], [0.0, 1.0])
-        b = Series("b", [0.0, 2.0], [2.0, 3.0])
-        with pytest.raises(ValueError):
-            a.crossing_with(b)
-
     def test_len(self):
         assert len(Series("s", [1, 2, 3], [4, 5, 6])) == 3
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.channel.awgn import AwgnLink
+from repro.phy.error_model import EmpiricalBerModel
 
 
 class TestAwgnLink:
@@ -34,31 +35,13 @@ class TestAwgnLink:
         pe = link.packet_error_probability(0.0, 133)
         assert 0.0 <= pe < 1e-6
 
+    def test_packet_error_is_partial_on_a_marginal_link(self):
+        link = AwgnLink(path_loss_db=92.0, error_model=EmpiricalBerModel())
+        assert 0.01 < link.packet_error_probability(0.0, 133) < 1.0
+
     def test_packet_corruption_draws_follow_probability(self):
         link = AwgnLink(path_loss_db=90.0)
         rng = np.random.default_rng(0)
         probability = link.packet_error_probability(0.0, 133)
         draws = [link.packet_is_corrupted(0.0, 133, rng) for _ in range(3000)]
         assert np.mean(draws) == pytest.approx(probability, abs=0.03)
-
-    def test_minimum_tx_power_meets_target(self):
-        link = AwgnLink(path_loss_db=85.0)
-        levels = [-25.0, -15.0, -10.0, -7.0, -5.0, -3.0, -1.0, 0.0]
-        level = link.minimum_tx_power_dbm(0.05, 133, candidate_levels_dbm=levels)
-        assert level in levels
-        assert link.packet_error_probability(level, 133) <= 0.05
-        # The next lower candidate (if any) must violate the target.
-        lower = [l for l in levels if l < level]
-        if lower:
-            assert link.packet_error_probability(lower[-1], 133) > 0.05
-
-    def test_minimum_tx_power_increases_with_path_loss(self):
-        levels = [-25.0, -15.0, -10.0, -7.0, -5.0, -3.0, -1.0, 0.0]
-        near = AwgnLink(path_loss_db=60.0).minimum_tx_power_dbm(0.05, 133, levels)
-        far = AwgnLink(path_loss_db=88.0).minimum_tx_power_dbm(0.05, 133, levels)
-        assert far > near
-
-    def test_minimum_tx_power_unreachable_raises(self):
-        link = AwgnLink(path_loss_db=130.0)
-        with pytest.raises(ValueError):
-            link.minimum_tx_power_dbm(0.05, 133, candidate_levels_dbm=[-25.0, 0.0])

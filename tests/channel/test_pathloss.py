@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.channel.pathloss import (
-    DiscretePathLossDistribution,
     FreeSpacePathLoss,
     LogDistancePathLoss,
     UniformPathLossDistribution,
@@ -29,17 +28,6 @@ class TestFreeSpacePathLoss:
     def test_non_positive_distance_rejected(self):
         with pytest.raises(ValueError):
             FreeSpacePathLoss().attenuation_db(0.0)
-
-    def test_range_for_attenuation_inverts_model(self):
-        model = FreeSpacePathLoss()
-        distance = model.range_for_attenuation(80.0)
-        assert model.attenuation_db(distance) == pytest.approx(80.0, abs=0.01)
-
-    def test_vectorised_form(self):
-        model = FreeSpacePathLoss()
-        values = model.attenuation_db_array([1.0, 10.0, 100.0])
-        assert values.shape == (3,)
-        assert np.all(np.diff(values) > 0)
 
 
 class TestLogDistancePathLoss:
@@ -91,13 +79,6 @@ class TestUniformPathLossDistribution:
         with pytest.raises(ValueError):
             UniformPathLossDistribution(low_db=60.0, high_db=60.0)
 
-    def test_samples_within_bounds(self, rng):
-        distribution = UniformPathLossDistribution(55.0, 95.0)
-        samples = distribution.sample(1000, rng)
-        assert samples.min() >= 55.0
-        assert samples.max() <= 95.0
-        assert samples.mean() == pytest.approx(75.0, abs=1.0)
-
     def test_grid_is_equal_mass(self):
         distribution = UniformPathLossDistribution(55.0, 95.0)
         grid = distribution.grid(4)
@@ -106,36 +87,3 @@ class TestUniformPathLossDistribution:
     def test_grid_requires_positive_count(self):
         with pytest.raises(ValueError):
             UniformPathLossDistribution().grid(0)
-
-    def test_mean_of_linear_function_is_midpoint(self):
-        distribution = UniformPathLossDistribution(55.0, 95.0)
-        assert distribution.mean_of(lambda a: a) == pytest.approx(75.0)
-
-    def test_mean_of_constant(self):
-        distribution = UniformPathLossDistribution()
-        assert distribution.mean_of(lambda a: 3.0) == pytest.approx(3.0)
-
-
-class TestDiscretePathLossDistribution:
-    def test_uniform_weights_by_default(self):
-        distribution = DiscretePathLossDistribution([60.0, 80.0])
-        assert distribution.mean_of(lambda a: a) == pytest.approx(70.0)
-
-    def test_custom_weights(self):
-        distribution = DiscretePathLossDistribution([60.0, 80.0], weights=[3, 1])
-        assert distribution.mean_of(lambda a: a) == pytest.approx(65.0)
-
-    def test_bad_weights_rejected(self):
-        with pytest.raises(ValueError):
-            DiscretePathLossDistribution([60.0], weights=[1, 2]).mean_of(lambda a: a)
-        with pytest.raises(ValueError):
-            DiscretePathLossDistribution([60.0, 70.0], weights=[0, 0]).mean_of(lambda a: a)
-
-    def test_samples_come_from_support(self, rng):
-        distribution = DiscretePathLossDistribution([60.0, 70.0, 80.0])
-        samples = distribution.sample(100, rng)
-        assert set(np.unique(samples)).issubset({60.0, 70.0, 80.0})
-
-    def test_grid_returns_support(self):
-        distribution = DiscretePathLossDistribution([60.0, 70.0])
-        assert list(distribution.grid(10)) == [60.0, 70.0]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.channel.wired import WiredTestBench, _count_bit_errors
+from repro.phy.error_model import AnalyticOqpskErrorModel
 
 
 class TestBitErrorCounting:
@@ -46,14 +47,9 @@ class TestWiredTestBench:
         bench = WiredTestBench(rng=np.random.default_rng(2))
         attenuation = 92.0
         measured = bench.measure_ber(attenuation, total_bits=120_000).bit_error_rate
-        analytic = bench.analytic_ber(attenuation)
+        analytic = AnalyticOqpskErrorModel(noise_figure_db=bench.noise_figure_db) \
+            .bit_error_probability(bench.received_power_dbm(attenuation))
         assert measured == pytest.approx(analytic, rel=1.5, abs=2e-4)
-
-    def test_sweep_returns_one_measurement_per_point(self):
-        bench = WiredTestBench(rng=np.random.default_rng(3))
-        results = bench.sweep([90.0, 92.0], total_bits_per_point=8_000)
-        assert [r.attenuation_db for r in results] == [90.0, 92.0]
-        assert all(r.bits_sent >= 8_000 for r in results)
 
     def test_transmit_bytes_roundtrip_structure(self):
         bench = WiredTestBench(rng=np.random.default_rng(4))

@@ -16,9 +16,8 @@ class TestUnitsAndSetup:
         assert simulator.packet_slots(23) == 3
 
     def test_occupancy_includes_ack(self):
-        with_ack = ContentionSimulator(include_ack_occupancy=True)
-        without_ack = ContentionSimulator(include_ack_occupancy=False)
-        assert with_ack.occupancy_slots(133) > without_ack.occupancy_slots(133)
+        simulator = ContentionSimulator()
+        assert simulator.occupancy_slots(133) > simulator.packet_slots(133)
 
     def test_window_slots_for_load(self):
         simulator = ContentionSimulator(num_nodes=100)
@@ -33,8 +32,6 @@ class TestUnitsAndSetup:
     def test_invalid_constructor_arguments(self):
         with pytest.raises(ValueError):
             ContentionSimulator(num_nodes=0)
-        with pytest.raises(ValueError):
-            ContentionSimulator(arrival_mode="bursty")
 
 
 class TestSimulateWindow:
@@ -53,25 +50,15 @@ class TestSimulateWindow:
         assert window.collisions == 0
         assert window.access_failures == 0
 
-    def test_aligned_arrivals_saturate(self):
-        # All 100 nodes contending right after the beacon collapses the
-        # procedure (this is why the paper's model needs spread arrivals).
-        simulator = ContentionSimulator(num_nodes=100, arrival_mode="aligned",
-                                        seed=3)
-        window = simulator.simulate_window(packet_bytes=133, window_slots=3000)
-        assert window.access_failures > 50
-
     def test_invalid_window_rejected(self):
         with pytest.raises(ValueError):
             ContentionSimulator().simulate_window(133, 0)
 
-    @pytest.mark.parametrize("arrival_mode", ["uniform", "aligned"])
-    def test_contention_slots_are_backoff_delays_plus_ccas(self, arrival_mode):
+    def test_contention_slots_are_backoff_delays_plus_ccas(self):
         # Every CCA takes one slot and every backoff delay, the first
         # included, lies between arrival and finish.  A granted attempt
         # finishes the slot after its last CCA, a failed one on it.
-        simulator = ContentionSimulator(num_nodes=100,
-                                        arrival_mode=arrival_mode, seed=23)
+        simulator = ContentionSimulator(num_nodes=100, seed=23)
         window = simulator.simulate_window(packet_bytes=63, window_slots=1500)
         assert window.access_failures > 0 and window.transmissions > 0
         for attempt in window.attempts:

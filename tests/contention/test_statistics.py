@@ -33,11 +33,6 @@ class TestContentionStatistics:
         with pytest.raises(ValueError):
             make_stats(mean_cca_count=-1.0)
 
-    def test_scaled_time(self):
-        scaled = make_stats().scaled_time(2.0)
-        assert scaled.mean_contention_time_s == pytest.approx(8e-3)
-        assert scaled.mean_cca_count == pytest.approx(2.6)
-
 
 class TestMergeStatistics:
     def test_merge_is_sample_weighted(self):

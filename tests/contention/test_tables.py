@@ -98,6 +98,25 @@ class TestBuildContentionTable:
         assert in_caller.grid_statistics() == serial.grid_statistics()
         assert serial.grid_statistics() == parallel.grid_statistics()
 
+    @pytest.mark.parametrize("loads, packet_sizes", [([0.9, 0.1], [133]),
+                                                     ([0.1], [133, 20]),
+                                                     ((0.9, 0.1), (133, 20))])
+    def test_misordered_axes_rejected_before_any_point_runs(self, loads,
+                                                            packet_sizes):
+        class RecordingExecutor:
+            def __init__(self):
+                self.calls = []
+
+            def map_tasks(self, function, tasks, local=()):
+                self.calls.append(list(tasks))
+                return iter(())
+
+        executor = RecordingExecutor()
+        with pytest.raises(ValueError, match="ascending order"):
+            build_contention_table(loads, packet_sizes, num_windows=15,
+                                   executor=executor)
+        assert executor.calls == []
+
 
 class TestPayloadRoundTrip:
     def test_to_payload_from_payload(self):

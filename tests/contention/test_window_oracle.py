@@ -45,10 +45,7 @@ def reference_window(simulator: ContentionSimulator, packet_bytes: int,
     result = WindowResult(window_slots=window_slots,
                           packet_slots=simulator.packet_slots(packet_bytes))
     n = simulator.num_nodes
-    if simulator.arrival_mode == "uniform":
-        arrivals = simulator.rng.integers(0, window_slots, size=n)
-    else:
-        arrivals = np.zeros(n, dtype=int)
+    arrivals = simulator.rng.integers(0, window_slots, size=n)
 
     attempts = [NodeAttempt(node_id=i, arrival_slot=int(arrivals[i]))
                 for i in range(n)]
@@ -139,20 +136,18 @@ def assert_windows_equal(simulator, reference, packet_bytes, window_slots):
         reference.rng.bit_generator.state
 
 
-@pytest.mark.parametrize("arrival_mode", ["uniform", "aligned"])
+@pytest.mark.parametrize("num_nodes", [1, 2, 17, 100])
 @pytest.mark.parametrize("csma", sorted(CSMA_PARAMETER_SETS))
-def test_inlined_window_matches_state_machine_reference(csma, arrival_mode):
-    for include_ack in (True, False):
-        for num_nodes in (1, 2, 17, 100):
-            simulator, reference = _simulator_pair(
-                num_nodes=num_nodes, csma_params=CSMA_PARAMETER_SETS[csma],
-                arrival_mode=arrival_mode,
-                include_ack_occupancy=include_ack, seed=num_nodes)
-            for load, packet_bytes in ((0.05, 133), (0.42, 63), (0.9, 20)):
-                window = simulator.window_slots_for_load(load, packet_bytes)
-                for window_slots in (1, 2, window):
-                    assert_windows_equal(simulator, reference, packet_bytes,
-                                         window_slots)
+def test_inlined_window_matches_state_machine_reference(csma, num_nodes):
+    simulator, reference = _simulator_pair(
+        num_nodes=num_nodes, csma_params=CSMA_PARAMETER_SETS[csma],
+        seed=num_nodes)
+    for load, packet_bytes in ((0.05, 133), (0.42, 63), (0.9, 20)):
+        window = simulator.window_slots_for_load(load, packet_bytes)
+        # A one-slot window starts every node on the same slot.
+        for window_slots in (1, 2, window):
+            assert_windows_equal(simulator, reference, packet_bytes,
+                                 window_slots)
 
 
 @settings(max_examples=60, deadline=None)
@@ -160,16 +155,12 @@ def test_inlined_window_matches_state_machine_reference(csma, arrival_mode):
        window_slots=st.integers(1, 1500),
        packet_bytes=st.integers(9, 133),
        csma=st.sampled_from(sorted(CSMA_PARAMETER_SETS)),
-       arrival_mode=st.sampled_from(["uniform", "aligned"]),
-       include_ack=st.booleans(),
        seed=st.integers(0, 2**32 - 1),
        windows=st.integers(1, 3))
 def test_inlined_window_property(num_nodes, window_slots, packet_bytes, csma,
-                                 arrival_mode, include_ack, seed, windows):
+                                 seed, windows):
     simulator, reference = _simulator_pair(
-        num_nodes=num_nodes, csma_params=CSMA_PARAMETER_SETS[csma],
-        arrival_mode=arrival_mode, include_ack_occupancy=include_ack,
-        seed=seed)
+        num_nodes=num_nodes, csma_params=CSMA_PARAMETER_SETS[csma], seed=seed)
     for _ in range(windows):
         assert_windows_equal(simulator, reference, packet_bytes, window_slots)
 

@@ -25,13 +25,6 @@ class TestPaperPolicy:
         policy = ActivationPolicy.paper()
         assert policy.wakeup_energy_j() == pytest.approx(691e-12)
 
-    def test_timeline_covers_all_phases(self):
-        timeline = ActivationPolicy.paper().timeline_description()
-        phases = [phase for phase, _state in timeline]
-        assert "beacon reception" in phases
-        assert "packet transmission" in phases
-        assert "inactive period" in phases
-
 
 class TestAblationPolicies:
     def test_always_idle(self):

@@ -28,7 +28,7 @@ class TestCaseStudyScenario:
 
     def test_sixteen_channels(self, energy_model):
         study = CaseStudy(model=energy_model)
-        assert len(study.channel_numbers()) == 16
+        assert study.parameters.channels == 16
 
     def test_superframe_config(self, energy_model):
         config = CaseStudy(model=energy_model).superframe_config()
@@ -60,14 +60,6 @@ class TestCaseStudyResults:
 
     def test_thresholds_present_with_adaptation(self, case_study_result):
         assert len(case_study_result.thresholds) >= 5
-
-    def test_summary_keys(self, case_study_result):
-        summary = case_study_result.summary()
-        assert set(summary) == {"average_power_uW", "delivery_delay_s",
-                                "failure_probability", "energy_per_bit_nJ",
-                                "channel_load", "inter_beacon_period_s"}
-        assert summary["average_power_uW"] == pytest.approx(
-            case_study_result.average_power_w * 1e6)
 
     def test_per_node_budgets_cover_the_path_loss_grid(self, case_study_result):
         budgets = case_study_result.per_node_budgets

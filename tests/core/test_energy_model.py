@@ -91,10 +91,6 @@ class TestBudgetConsistency:
             assert phase in budget.energy_by_phase_j
             assert budget.energy_by_phase_j[phase] >= 0.0
 
-    def test_active_energy_excludes_sleep(self, budget):
-        assert budget.active_energy_j() == pytest.approx(
-            budget.total_energy_j - budget.energy_by_phase_j[PHASE_SLEEP])
-
     def test_time_by_state_mapping(self, budget):
         by_state = budget.time_by_state()
         assert by_state[RadioState.SHUTDOWN] == budget.time_shutdown_s

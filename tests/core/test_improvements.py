@@ -68,12 +68,12 @@ class TestImprovementAnalysis:
                  + results["scalable receiver x0.5"].relative_saving)
         assert results["combined"].relative_saving <= total + 1e-9
 
-    def test_savings_summary(self, analysis):
-        summary = analysis.savings_summary()
-        assert set(summary) == {"baseline", "transitions x0.5",
+    def test_variant_names(self, analysis):
+        assert {r.name for r in analysis.run()} == {"baseline", "transitions x0.5",
                                 "scalable receiver x0.5", "combined"}
 
     def test_stronger_scaling_saves_more(self, analysis):
-        mild = analysis.savings_summary(transition_factor=0.75, rx_scale=0.75)
-        aggressive = analysis.savings_summary(transition_factor=0.25, rx_scale=0.25)
-        assert aggressive["combined"] > mild["combined"]
+        def combined(factor):
+            results = {r.name: r for r in analysis.run(factor, factor)}
+            return results["combined"].relative_saving
+        assert combined(0.25) > combined(0.75)

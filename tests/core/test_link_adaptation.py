@@ -77,8 +77,8 @@ class TestEnergyCurves:
 
     def test_curve_level_lookup(self, policy):
         curve = policy.compute_curve(np.arange(50.0, 95.0, 2.0))
-        assert curve.level_for(50.0) == -25.0
-        assert curve.level_for(93.0) == 0.0
+        assert curve.optimal_level_dbm[0] == -25.0
+        assert curve.optimal_level_dbm[-1] == 0.0
 
 
 class TestLoadIndependence:

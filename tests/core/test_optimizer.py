@@ -27,7 +27,8 @@ class TestPacketSizeOptimizer:
 
     def test_holds_across_loads(self, model):
         optimizer = PacketSizeOptimizer(model, path_loss_db=75.0)
-        for sweep in optimizer.sweep_loads([0.2, 0.6], [10, 60, 120]):
+        for load in (0.2, 0.6):
+            sweep = optimizer.sweep(load, [10, 60, 120])
             assert sweep.optimal_payload_bytes == 120
 
     def test_small_packets_pay_large_overhead(self, model):
@@ -42,9 +43,6 @@ class TestPacketSizeOptimizer:
         optimizer = PacketSizeOptimizer(model)
         with pytest.raises(ValueError):
             optimizer.sweep(0.42, payload_sizes=[0, 10])
-
-    def test_maximum_payload_constant(self):
-        assert PacketSizeOptimizer.maximum_payload() == 120
 
     def test_monotonicity_helper_detects_increase(self, model):
         optimizer = PacketSizeOptimizer(model, path_loss_db=75.0)

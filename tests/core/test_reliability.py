@@ -9,12 +9,10 @@ from hypothesis import strategies as st
 from repro.core.reliability import (
     delivery_delay_s,
     energy_per_data_bit_j,
-    packet_error_from_link,
     transaction_failure_probability,
     transmission_attempt_distribution,
     transmission_failure_probability,
 )
-from repro.phy.error_model import EmpiricalBerModel
 
 
 class TestTransmissionFailureProbability:
@@ -71,7 +69,6 @@ class TestAttemptDistribution:
         distribution = transmission_attempt_distribution(1.0, 5)
         assert distribution.exceed_probability == 1.0
         assert distribution.expected_transmissions == pytest.approx(5.0)
-        assert distribution.expected_failed_transmissions == pytest.approx(5.0)
 
     def test_expected_transmissions_monotone_in_failure(self):
         values = [transmission_attempt_distribution(p, 5).expected_transmissions
@@ -92,7 +89,6 @@ class TestAttemptDistribution:
         total = sum(distribution.probabilities) + distribution.exceed_probability
         assert total == pytest.approx(1.0)
         assert 1.0 - 1e-9 <= distribution.expected_transmissions <= n + 1e-9
-        assert 0.0 <= distribution.expected_failed_transmissions <= n + 1e-9
 
 
 class TestTransactionFailureAndDelay:
@@ -142,16 +138,3 @@ class TestEnergyPerBit:
             energy_per_data_bit_j(-1.0, 1.0, 120)
         with pytest.raises(ValueError):
             energy_per_data_bit_j(1.0, 1.0, 0)
-
-
-class TestPacketErrorFromLink:
-    def test_good_link_is_reliable(self):
-        assert packet_error_from_link(EmpiricalBerModel(), 0.0, 60.0, 133) < 1e-9
-
-    def test_marginal_link_has_errors(self):
-        value = packet_error_from_link(EmpiricalBerModel(), 0.0, 92.0, 133)
-        assert 0.01 < value < 1.0
-
-    def test_out_of_range_link_always_fails(self):
-        assert packet_error_from_link(EmpiricalBerModel(), -25.0, 90.0, 133,
-                                      sensitivity_dbm=-94.0) == 1.0

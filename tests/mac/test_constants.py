@@ -58,10 +58,6 @@ class TestBeaconInterval:
         with pytest.raises(ValueError):
             MAC_2450MHZ.beacon_interval_s(15)
 
-    def test_slot_duration(self):
-        assert MAC_2450MHZ.slot_duration_s(0) == pytest.approx(15.36e-3 / 16)
-        assert MAC_2450MHZ.slot_duration_s(6) == pytest.approx(0.98304 / 16)
-
     def test_superframe_duration_matches_beacon_interval_at_same_order(self):
         assert MAC_2450MHZ.superframe_duration_s(6) == pytest.approx(
             MAC_2450MHZ.beacon_interval_s(6))

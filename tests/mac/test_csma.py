@@ -11,7 +11,6 @@ from repro.mac.csma import (
     CsmaOutcome,
     CsmaParameters,
     SlottedCsmaCa,
-    expected_initial_backoff_slots,
 )
 
 
@@ -66,10 +65,10 @@ class TestCsmaParameters:
         assert params.clamp_backoff_exponent(7) == 5
         assert params.clamp_backoff_exponent(4) == 4
 
-    def test_expected_initial_backoff(self):
-        assert expected_initial_backoff_slots(CsmaParameters()) == pytest.approx(3.5)
-        assert expected_initial_backoff_slots(
-            CsmaParameters(battery_life_extension=True)) == pytest.approx(1.5)
+    def test_initial_backoff_exponent(self):
+        assert CsmaParameters().initial_backoff_exponent() == 3
+        assert CsmaParameters(
+            battery_life_extension=True).initial_backoff_exponent() == 2
 
 
 class TestBatteryLifeExtensionEdgeCases:

@@ -12,13 +12,10 @@ class TestSuperframeConfig:
         assert config.beacon_interval_s == pytest.approx(0.98304)
         assert config.superframe_duration_s == pytest.approx(0.98304)
         assert config.duty_cycle == pytest.approx(1.0)
-        assert config.inactive_duration_s == pytest.approx(0.0)
 
     def test_inactive_portion_when_so_below_bo(self):
         config = SuperframeConfig(beacon_order=6, superframe_order=4)
         assert config.duty_cycle == pytest.approx(0.25)
-        assert config.inactive_duration_s == pytest.approx(
-            config.beacon_interval_s * 0.75)
 
     def test_so_above_bo_rejected(self):
         with pytest.raises(ValueError):
@@ -28,20 +25,12 @@ class TestSuperframeConfig:
         with pytest.raises(ValueError):
             SuperframeConfig(beacon_order=15, superframe_order=15)
 
-    def test_slot_duration(self):
-        config = SuperframeConfig(beacon_order=0, superframe_order=0)
-        assert config.slot_duration_s == pytest.approx(15.36e-3 / 16)
-
     def test_beacon_off_duty_cycle_claim(self):
         # The paper: beacon mode allows the transceiver to be off up to
         # 15/16 of the time while still associated.  With SO = BO - 4 the
         # duty cycle is 1/16.
         config = SuperframeConfig(beacon_order=6, superframe_order=2)
         assert config.duty_cycle == pytest.approx(1.0 / 16.0)
-
-    def test_backoff_slots_per_superframe(self):
-        config = SuperframeConfig(beacon_order=6, superframe_order=6)
-        assert config.backoff_slots_per_superframe == 3072
 
     def test_offered_load_case_study(self):
         # 100 nodes x 133 bytes per 983 ms ~= 0.43 of 250 kbit/s.
@@ -62,11 +51,8 @@ class TestSuperframe:
 
     def test_boundaries(self):
         frame = self.make()
-        assert frame.end_time_s == pytest.approx(0.98304)
         assert frame.cap_start_time_s == pytest.approx(1e-3)
         # No contention-free period: the CAP fills the active portion.
-        assert frame.cap_duration_s == \
-            frame.active_end_time_s - frame.cap_start_time_s
         assert frame.in_cap(frame.active_end_time_s - 1e-9)
         assert not frame.in_cap(frame.active_end_time_s)
 

@@ -17,22 +17,6 @@ class TestSensorNode:
         with pytest.raises(ValueError):
             SensorNode(node_id=1, channel=11, path_loss_db=-1.0)
 
-    def test_received_power(self):
-        node = SensorNode(node_id=1, channel=11, path_loss_db=70.0,
-                          tx_power_dbm=-10.0)
-        assert node.received_power_dbm() == pytest.approx(-80.0)
-        assert node.received_power_dbm(0.0) == pytest.approx(-70.0)
-
-    def test_received_power_without_level_raises(self):
-        node = SensorNode(node_id=1, channel=11, path_loss_db=70.0)
-        with pytest.raises(ValueError):
-            node.received_power_dbm()
-
-    def test_reachability(self):
-        # The paper's assumption: every node is reachable at 0 dBm.
-        assert SensorNode(node_id=1, channel=11, path_loss_db=94.0).is_reachable()
-        assert not SensorNode(node_id=1, channel=11, path_loss_db=95.0).is_reachable()
-
     def test_link_construction(self):
         node = SensorNode(node_id=1, channel=11, path_loss_db=88.0)
         link = node.link()

@@ -4,7 +4,6 @@ import pytest
 
 from repro.network.routing import (
     ROUTING_KINDS,
-    ForwardingLoad,
     ForwardingSource,
     GradientRouting,
     MinHopRouting,
@@ -21,6 +20,11 @@ from repro.network.topology import (
 )
 from repro.network.traffic import build_traffic_model, make_node_sources
 from repro.sim.random import RandomStreams
+
+
+def at_depth(tree, hop_depth):
+    """Devices exactly ``hop_depth`` hops from the sink, ascending."""
+    return sorted(n for n, d in tree.depth.items() if d == hop_depth)
 
 
 def grid_network(count=24):
@@ -46,44 +50,17 @@ class TestSinkTree:
     def test_structure_queries(self):
         tree = self.chain()
         assert tree.node_ids == [1, 2, 3, 4]
-        assert tree.node_count == 4
-        assert tree.max_depth == 3
-        assert tree.is_multihop
+        assert max(tree.depth.values()) == 3
         assert tree.children(SINK_NODE_ID) == [1, 4]
         assert tree.children(1) == [2]
         assert tree.descendants(1) == [2, 3]
-        assert tree.subtree_size(1) == 3
         assert tree.relays == [1, 2]
-        assert tree.leaves == [3, 4]
-        assert tree.nodes_at_depth(1) == [1, 4]
-        assert tree.nodes_at_depth(3) == [3]
 
     def test_single_hop_tree_is_not_multihop(self):
         tree = SinkTree(parent={1: 0, 2: 0}, depth={1: 1, 2: 1},
                         link_loss_db={1: 70.0, 2: 71.0})
-        assert not tree.is_multihop
+        assert max(tree.depth.values()) == 1
         assert tree.relays == []
-        assert tree.leaves == [1, 2]
-
-
-class TestForwardingLoad:
-    def test_multipliers_are_subtree_sizes(self):
-        tree = SinkTree(parent={1: 0, 2: 1, 3: 2, 4: 0},
-                        depth={1: 1, 2: 2, 3: 3, 4: 1},
-                        link_loss_db={n: 70.0 for n in (1, 2, 3, 4)})
-        load = ForwardingLoad.from_tree(tree)
-        assert load.multiplier(1) == 3
-        assert load.multiplier(2) == 2
-        assert load.multiplier(3) == 1
-        assert load.multiplier(4) == 1
-        assert load.offered_bytes(1, 120) == 360
-
-    def test_total_link_crossings_equals_total_depth(self):
-        """Every node's traffic crosses ``depth`` links, so the multiplier
-        sum always equals the sum of depths — a conservation invariant."""
-        tree = GradientRouting(max_hops=3).build_tree(grid_network())
-        load = ForwardingLoad.from_tree(tree)
-        assert load.total_link_crossings == sum(tree.depth.values())
 
 
 class TestRoutingModels:
@@ -107,10 +84,10 @@ class TestRoutingModels:
         """24-node 12 m grid: ring 1 (8 nodes) at depth 1, ring 2 (16
         nodes) at depth 2, every ring-2 parent a ring-1 node."""
         tree = GradientRouting(max_hops=4).build_tree(grid_network())
-        assert tree.nodes_at_depth(1) == list(range(1, 9))
-        assert tree.nodes_at_depth(2) == list(range(9, 25))
-        assert tree.max_depth == 2
-        for node in tree.nodes_at_depth(2):
+        assert at_depth(tree, 1) == list(range(1, 9))
+        assert at_depth(tree, 2) == list(range(9, 25))
+        assert max(tree.depth.values()) == 2
+        for node in at_depth(tree, 2):
             assert tree.parent[node] in range(1, 9)
 
     def test_gradient_is_deterministic_and_ignores_the_rng(self):
@@ -137,7 +114,7 @@ class TestRoutingModels:
     def test_min_hop_without_rng_picks_the_lowest_id(self):
         network = grid_network()
         tree = MinHopRouting(max_hops=4).build_tree(network, rng=None)
-        for node in tree.nodes_at_depth(2):
+        for node in at_depth(tree, 2):
             candidates = [nb for nb in network.neighbors(node)
                           if nb != SINK_NODE_ID and tree.depth.get(nb) == 1]
             assert tree.parent[node] == min(candidates)
@@ -146,11 +123,11 @@ class TestRoutingModels:
         network = grid_network()
         tree = GradientRouting(max_hops=1).build_tree(network)
         assert set(tree.parent.values()) == {SINK_NODE_ID}
-        assert tree.max_depth == 1
+        assert max(tree.depth.values()) == 1
         assert tree.relays == []
         # Parent-link losses become the direct sink losses.
         for node in tree.node_ids:
-            assert tree.link_loss_db[node] == network.sink_loss_db(node)
+            assert tree.link_loss_db[node] == network.sink_losses_db[node]
 
     def test_truncation_reparents_onto_the_original_chain(self):
         """Capping at 2 hops must hand depth-3 nodes to their *original*
@@ -158,10 +135,10 @@ class TestRoutingModels:
         network = NetworkTopology.from_placements(grid_placement(32, 12.0),
                                                   max_link_loss_db=78.0)
         full = GradientRouting(max_hops=4).build_tree(network)
-        assert full.max_depth == 3
+        assert max(full.depth.values()) == 3
         capped = GradientRouting(max_hops=2).build_tree(network)
-        assert capped.max_depth == 2
-        for node in full.nodes_at_depth(3):
+        assert max(capped.depth.values()) == 2
+        for node in at_depth(full, 3):
             grandparent = full.parent[full.parent[node]]
             assert capped.parent[node] == grandparent
             assert capped.depth[node] == 2
@@ -185,7 +162,7 @@ class TestRoutingModels:
                                                   max_link_loss_db=60.0)
         tree = GradientRouting(max_hops=4).build_tree(network)
         assert set(tree.parent.values()) == {SINK_NODE_ID}
-        assert tree.max_depth == 1
+        assert max(tree.depth.values()) == 1
 
 
 class TestDepthBreakdown:

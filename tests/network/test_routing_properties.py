@@ -27,7 +27,7 @@ from hypothesis import strategies as st
 
 from repro.constants import TRAFFIC_MODEL_KINDS
 from repro.mac.superframe import SuperframeConfig
-from repro.network.routing import (ForwardingLoad, ForwardingSource,
+from repro.network.routing import (ForwardingSource,
                                    GradientRouting, MinHopRouting, SinkTree,
                                    _bfs_depths, make_lane_sources)
 from repro.network.topology import (SINK_NODE_ID, NetworkTopology,
@@ -96,13 +96,16 @@ class TestSubtreeByteConservation:
                                                    count, max_hops):
         network = disc_network(placement_seed, count)
         tree = build(network, "gradient", max_hops)
-        load = ForwardingLoad.from_tree(tree)
-        assert load.total_link_crossings == sum(tree.depth.values())
-        # Subtree sizes partition consistently: a relay carries itself plus
+        # A relay forwards one copy of every descendant's traffic, so the
+        # carried loads sum to the total hop count.
+        carried = {node: 1 + len(tree.descendants(node))
+                   for node in tree.node_ids}
+        assert sum(carried.values()) == sum(tree.depth.values())
+        # Subtrees partition consistently: a relay carries itself plus
         # exactly its children's subtrees.
         for node in tree.node_ids:
-            assert load.multiplier(node) == 1 + sum(
-                load.multiplier(child) for child in tree.children(node))
+            assert carried[node] == 1 + sum(
+                carried[child] for child in tree.children(node))
 
 
 class TestCrossProcessDeterminism:

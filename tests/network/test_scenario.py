@@ -39,16 +39,10 @@ class TestDenseNetworkScenario:
         assert config.beacon_order == 6
         assert config.beacon_interval_s == pytest.approx(0.98304)
 
-    def test_topology_view(self, scenario):
-        topology = scenario.topology()
-        assert topology.node_count == 1600
-        assert topology.all_within_range(95.0)
-
-    def test_assign_tx_powers(self):
-        scenario = DenseNetworkScenario(total_nodes=32, channels=[11, 12], seed=2)
-        scenario.assign_tx_powers(lambda loss: 0.0 if loss > 80.0 else -10.0)
-        for node in scenario.build_nodes():
-            assert node.tx_power_dbm in (0.0, -10.0)
+    def test_path_losses_cover_the_population(self, scenario):
+        losses = [node.path_loss_db for node in scenario.build_nodes()]
+        assert len(losses) == 1600
+        assert 55.0 <= min(losses) and max(losses) <= 95.0
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
@@ -146,11 +140,10 @@ class TestRoutedScenario:
     def test_geometric_scenario_exposes_network_and_tree(self):
         scenario = self.build()
         assert scenario.is_geometric
-        network = scenario.network_topology(11)
         tree = scenario.sink_tree(11)
-        assert network.node_count == 24
-        assert tree.node_ids == network.node_ids
-        assert tree.max_depth == 2
+        assert tree.node_ids == [n.node_id for n in scenario.nodes_on_channel(11)]
+        assert len(tree.node_ids) == 24
+        assert max(tree.depth.values()) == 2
 
     def test_node_losses_are_parent_link_losses(self):
         """Adaptive TX must close each node's parent link, not the sink
@@ -164,7 +157,6 @@ class TestRoutedScenario:
         scenario = DenseNetworkScenario(total_nodes=8, channels=[11], seed=5)
         assert not scenario.is_geometric
         assert scenario.sink_tree(11) is None
-        assert scenario.network_topology(11) is None
 
     def test_channel_scenario_carries_the_tree(self):
         scenario = self.build()
@@ -201,6 +193,6 @@ class TestRoutedScenario:
         first, second = build(), build()
         for channel in (11, 12):
             assert first.sink_tree(channel) == second.sink_tree(channel)
-        losses_11 = sorted(first.network_topology(11).sink_losses_db.values())
-        losses_12 = sorted(first.network_topology(12).sink_losses_db.values())
+        losses_11 = sorted(first.sink_tree(11).link_loss_db.values())
+        losses_12 = sorted(first.sink_tree(12).link_loss_db.values())
         assert losses_11 != losses_12

@@ -15,7 +15,6 @@ class TestScenarioSpec:
         spec = CASE_STUDY_SPEC
         assert spec.total_nodes == 1600
         assert len(spec.channels) == 16
-        assert spec.nodes_per_channel == 100
         assert spec.beacon_order == 6
         assert spec.payload_bytes == 120
         config = spec.superframe_config()
@@ -36,18 +35,10 @@ class TestScenarioSpec:
     def test_num_channels_subsets_the_band(self):
         spec = ScenarioSpec(total_nodes=300, num_channels=3)
         assert spec.channels == [11, 12, 13]
-        assert spec.nodes_per_channel == 100
-
-    def test_scaled_down_copy(self):
-        small = CASE_STUDY_SPEC.scaled_down(nodes_per_channel=10,
-                                            num_channels=2)
-        assert small.total_nodes == 20
-        assert len(small.channels) == 2
-        assert small.beacon_order == CASE_STUDY_SPEC.beacon_order
 
     def test_build_produces_scenario(self):
         spec = ScenarioSpec(total_nodes=40, num_channels=2, beacon_order=3)
-        scenario = spec.build()
+        scenario = spec.build_seeded(0)
         assert len(scenario.build_nodes()) == 40
         assert scenario.tx_power_dbm == spec.tx_power_dbm
 
@@ -73,18 +64,12 @@ class TestScenarioSpec:
 
 class TestScenarioSpecTraffic:
     def test_default_is_the_saturated_assumption(self):
-        spec = ScenarioSpec()
+        spec = ScenarioSpec(total_nodes=32, num_channels=2)
         assert spec.traffic is None
-        model = spec.traffic_model()
+        channel = spec.build_seeded(0).channel_scenario(11, max_nodes=2)
+        model = channel.traffic_model()
         assert model.kind == "saturated"
         assert model.payload_bytes == spec.payload_bytes
-
-    def test_configured_model_is_resolved_verbatim(self):
-        from repro.network.traffic import PoissonTraffic
-
-        traffic = PoissonTraffic(mean_interval_s=2.0, payload_bytes=120)
-        spec = ScenarioSpec(traffic=traffic)
-        assert spec.traffic_model() is traffic
 
     def test_payload_mismatch_rejected_at_build_time(self):
         from repro.network.traffic import PoissonTraffic
@@ -106,7 +91,7 @@ class TestScenarioSpecTraffic:
 
         traffic = PoissonTraffic(mean_interval_s=2.0, payload_bytes=120)
         scenario = ScenarioSpec(total_nodes=20, num_channels=2,
-                                traffic=traffic).build()
+                                traffic=traffic).build_seeded(0)
         assert scenario.traffic_model is traffic
 
     def test_traffic_spec_is_picklable(self):

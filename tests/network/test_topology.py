@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 
-from repro.channel.pathloss import LogDistancePathLoss
 from repro.network.geometry import deterministic_path_loss_db
 from repro.network.topology import (
     TOPOLOGY_KINDS,
@@ -13,8 +12,6 @@ from repro.network.topology import (
     DiscTopologyModel,
     GridTopologyModel,
     NetworkTopology,
-    NodePlacement,
-    StarTopology,
     StarTopologyModel,
     build_topology_model,
     clustered_placement,
@@ -23,11 +20,9 @@ from repro.network.topology import (
 )
 
 
-class TestNodePlacement:
-    def test_distance_and_angle(self):
-        placement = NodePlacement(node_id=1, x_m=3.0, y_m=4.0)
-        assert placement.distance_m == pytest.approx(5.0)
-        assert placement.angle_rad == pytest.approx(math.atan2(4.0, 3.0))
+def distance(placement):
+    """Distance of ``placement`` to the sink at the origin."""
+    return math.hypot(placement.x_m, placement.y_m)
 
 
 class TestUniformDiscPlacement:
@@ -38,12 +33,12 @@ class TestUniformDiscPlacement:
 
     def test_all_within_radius(self, rng):
         placements = uniform_disc_placement(500, radius_m=30.0, rng=rng)
-        assert max(p.distance_m for p in placements) <= 30.0
+        assert max(distance(p) for p in placements) <= 30.0
 
     def test_area_uniformity(self, rng):
         # For uniform-area placement, the median distance is radius/sqrt(2).
         placements = uniform_disc_placement(4000, radius_m=1.0, rng=rng)
-        median = np.median([p.distance_m for p in placements])
+        median = np.median([distance(p) for p in placements])
         assert median == pytest.approx(1.0 / math.sqrt(2.0), abs=0.03)
 
     def test_invalid_arguments(self, rng):
@@ -63,7 +58,7 @@ class TestGridPlacement:
 
     def test_near_to_far_ordering(self):
         placements = grid_placement(24, 12.0)
-        distances = [p.distance_m for p in placements]
+        distances = [distance(p) for p in placements]
         assert distances == sorted(distances)
         # 12 m lattice: ring 1 holds 8 nodes (4 lateral at 12 m, 4 diagonal
         # at ~17 m), ring 2 the next 16.
@@ -111,33 +106,6 @@ class TestClusteredPlacement:
             clustered_placement(10, 4, 0.0, 8.0, rng)
 
 
-class TestStarTopology:
-    def test_from_path_losses(self):
-        topology = StarTopology.from_path_losses([60.0, 70.0, 80.0])
-        assert topology.node_count == 3
-        assert topology.node_ids == [1, 2, 3]
-        assert topology.path_loss_db(2) == 70.0
-        assert np.allclose(topology.path_loss_array(), [60.0, 70.0, 80.0])
-
-    def test_from_placements_uses_path_loss_model(self, rng):
-        placements = uniform_disc_placement(20, radius_m=40.0, rng=rng)
-        topology = StarTopology.from_placements(
-            placements, path_loss_model=LogDistancePathLoss(
-                exponent=3.0, reference_loss_db=40.0))
-        assert topology.node_count == 20
-        # Farther nodes experience larger path loss.
-        losses = topology.path_losses_db
-        farthest = max(placements, key=lambda p: p.distance_m)
-        nearest = min(placements, key=lambda p: p.distance_m)
-        assert losses[farthest.node_id] > losses[nearest.node_id]
-
-    def test_nodes_within_range(self):
-        topology = StarTopology.from_path_losses([60.0, 94.0, 96.0])
-        assert topology.nodes_within_range(94.0) == [1, 2]
-        assert not topology.all_within_range(94.0)
-        assert topology.all_within_range(96.0)
-
-
 class TestNetworkTopology:
     def topology(self, count=24):
         placements = grid_placement(count, 12.0)
@@ -147,13 +115,13 @@ class TestNetworkTopology:
     def test_sink_losses_match_the_deterministic_model(self):
         topology = self.topology()
         nearest = topology.placements[0]
-        assert topology.sink_loss_db(nearest.node_id) == \
-            deterministic_path_loss_db(None, nearest.distance_m)
+        assert topology.sink_losses_db[nearest.node_id] == \
+            deterministic_path_loss_db(None, distance(nearest))
 
     def test_link_losses_are_symmetric_and_sink_aware(self):
         topology = self.topology()
         assert topology.link_loss_db(1, 2) == topology.link_loss_db(2, 1)
-        assert topology.link_loss_db(0, 3) == topology.sink_loss_db(3)
+        assert topology.link_loss_db(0, 3) == topology.sink_losses_db[3]
         with pytest.raises(ValueError):
             topology.link_loss_db(5, 5)
 
@@ -186,9 +154,9 @@ class TestNetworkTopology:
         limit = network.max_link_loss_db
         assert network.neighbors(0) == [
             n for n in network.node_ids
-            if network.sink_loss_db(n) <= limit]
+            if network.sink_losses_db[n] <= limit]
         for node in network.node_ids:
-            expected = [0] if network.sink_loss_db(node) <= limit else []
+            expected = [0] if network.sink_losses_db[node] <= limit else []
             expected += [other for other in network.node_ids
                          if other != node
                          and network.link_loss_db(node, other) <= limit]
@@ -209,14 +177,6 @@ class TestNetworkTopology:
         topology = self.topology()
         topology.neighbors(1).append(99)
         assert 99 not in topology.neighbors(1)
-
-    def test_star_projection_keeps_sink_losses(self):
-        topology = self.topology()
-        star = topology.star()
-        assert isinstance(star, StarTopology)
-        assert star.node_ids == topology.node_ids
-        for node in star.node_ids:
-            assert star.path_loss_db(node) == topology.sink_loss_db(node)
 
 
 class TestTopologyModels:
@@ -264,11 +224,11 @@ class TestTopologyModels:
         contiguous = model.build_network([1, 2, 3, 4])
         assert scattered.node_ids == [3, 7, 19, 35]
         for sparse_id, dense_id in zip([3, 7, 19, 35], [1, 2, 3, 4]):
-            assert scattered.sink_loss_db(sparse_id) == \
-                contiguous.sink_loss_db(dense_id)
+            assert scattered.sink_losses_db[sparse_id] == \
+                contiguous.sink_losses_db[dense_id]
 
     def test_disc_model_uses_the_rng(self, rng):
         model = DiscTopologyModel(radius_m=40.0)
         network = model.build_network([1, 2, 3], rng=rng)
-        assert network.node_count == 3
-        assert all(p.distance_m <= 40.0 for p in network.placements)
+        assert len(network.node_ids) == 3
+        assert all(distance(p) <= 40.0 for p in network.placements)

@@ -36,10 +36,6 @@ class TestPeriodicSensingTraffic:
         assert traffic.samples_per_packet == 120
         assert traffic.packet_period_s == pytest.approx(0.960)
 
-    def test_packets_per_superframe_at_bo6(self):
-        traffic = PeriodicSensingTraffic()
-        assert traffic.packets_per_superframe(0.98304) == pytest.approx(1.024, rel=0.01)
-
     def test_offered_load_matches_paper(self):
         # 100 nodes x 133 bytes / 960 ms over 250 kbit/s ~= 0.44.
         traffic = PeriodicSensingTraffic()
@@ -60,8 +56,6 @@ class TestPeriodicSensingTraffic:
     def test_invalid_queries(self):
         traffic = PeriodicSensingTraffic()
         with pytest.raises(ValueError):
-            traffic.packets_per_superframe(0.0)
-        with pytest.raises(ValueError):
             traffic.offered_load(nodes=-1, channel_bit_rate_bps=250e3)
         with pytest.raises(ValueError):
             traffic.offered_load(nodes=1, channel_bit_rate_bps=0.0)
@@ -72,13 +66,6 @@ class TestPeriodicSensingTraffic:
         assert source.poll(0.0)
         assert source.drain_packet() == 120
         assert not source.packet_available()
-
-    def test_expected_offered_load_matches_periodic_arithmetic(self):
-        traffic = PeriodicSensingTraffic()
-        assert traffic.expected_offered_load(
-            nodes=100, channel_bit_rate_bps=250e3,
-            inter_beacon_period_s=0.98304) == pytest.approx(
-                traffic.offered_load(nodes=100, channel_bit_rate_bps=250e3))
 
 
 class TestBufferedTrafficSource:
@@ -210,11 +197,6 @@ class TestSaturatedTraffic:
         assert source.bytes_deposited == \
             source.bytes_drained + source.buffered_bytes == 50
 
-    def test_mean_interval_is_the_beacon_interval(self):
-        assert SaturatedTraffic().mean_packet_interval_s(0.98304) == 0.98304
-        with pytest.raises(ValueError):
-            SaturatedTraffic().mean_packet_interval_s(0.0)
-
     def test_invalid_payload(self):
         with pytest.raises(ValueError):
             SaturatedTraffic(payload_bytes=0)
@@ -295,11 +277,6 @@ class TestBurstyAlarmTraffic:
         assert source.bytes_deposited % 120 == 0
         assert source.bytes_deposited >= 120  # events did fire in 100 s
 
-    def test_mean_packet_interval_reflects_bursts(self):
-        traffic = BurstyAlarmTraffic(mean_event_interval_s=16.0,
-                                     mean_burst_packets=4.0)
-        assert traffic.mean_packet_interval_s(0.98304) == pytest.approx(4.0)
-
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1),
            cuts=st.lists(st.floats(min_value=0.0, max_value=200.0),
@@ -362,13 +339,6 @@ class TestMixedPopulation:
     def test_needs_a_component(self):
         with pytest.raises(ValueError):
             MixedPopulation(components=())
-
-    def test_mean_interval_combines_component_rates(self):
-        mix = MixedPopulation(components=(
-            (0.5, PoissonTraffic(mean_interval_s=1.0)),
-            (0.5, PoissonTraffic(mean_interval_s=2.0))))
-        # rate = 0.5 * 1 + 0.5 * 0.5 = 0.75 packets/s
-        assert mix.mean_packet_interval_s(1.0) == pytest.approx(1 / 0.75)
 
     def test_picklable(self):
         mix = self.mix()

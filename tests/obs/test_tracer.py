@@ -33,12 +33,15 @@ class TestSpanTree:
             pass
         assert tracer.spans[1].duration_s >= 0.0
 
-    def test_current_tracks_the_innermost_open_span(self):
+    def test_spans_nest_under_the_innermost_open_span(self):
         tracer = Tracer()
-        assert tracer.current is tracer.spans[0]
         with tracer.span("a") as a:
-            assert tracer.current is a
-        assert tracer.current is tracer.spans[0]
+            with tracer.span("b") as b:
+                pass
+        with tracer.span("c") as c:
+            pass
+        assert b.parent_id == a.span_id
+        assert a.parent_id == c.parent_id == tracer.spans[0].span_id
 
     def test_span_attrs_are_copied(self):
         tracer = Tracer()
@@ -61,7 +64,9 @@ class TestSpanTree:
         with pytest.raises(RuntimeError):
             with tracer.span("boom"):
                 raise RuntimeError("x")
-        assert tracer.current is tracer.spans[0]
+        with tracer.span("after") as after:
+            pass
+        assert after.parent_id == tracer.spans[0].span_id
         assert tracer.spans[1].duration_s >= 0.0
 
 

@@ -2,14 +2,7 @@
 
 import pytest
 
-from repro.phy.bands import (
-    Band,
-    CHANNEL_PAGES,
-    band_of_channel,
-    channel_center_frequency_hz,
-    channels_in_band,
-    timing_of_channel,
-)
+from repro.phy.bands import Band, CHANNEL_PAGES, channels_in_band
 
 
 class TestChannelCatalogue:
@@ -29,40 +22,19 @@ class TestChannelCatalogue:
     def test_channel_numbers_of_2450mhz_are_11_to_26(self):
         assert channels_in_band(Band.BAND_2450MHZ) == list(range(11, 27))
 
+    def test_pages_partition_channels_0_to_26(self):
+        numbers = [n for page in CHANNEL_PAGES.values()
+                   for n in page.channels()]
+        assert sorted(numbers) == list(range(27))
 
-class TestCenterFrequencies:
-    def test_channel_11_is_2405_mhz(self):
-        assert channel_center_frequency_hz(11) == pytest.approx(2405e6)
-
-    def test_channel_26_is_2480_mhz(self):
-        assert channel_center_frequency_hz(26) == pytest.approx(2480e6)
-
-    def test_channel_spacing_is_5_mhz_in_2450_band(self):
-        assert channel_center_frequency_hz(12) - channel_center_frequency_hz(11) \
-            == pytest.approx(5e6)
-
-    def test_channel_0_is_868_3_mhz(self):
-        assert channel_center_frequency_hz(0) == pytest.approx(868.3e6)
-
-    def test_channel_1_is_906_mhz(self):
-        assert channel_center_frequency_hz(1) == pytest.approx(906e6)
-
-    def test_out_of_band_channel_raises(self):
-        page = CHANNEL_PAGES[Band.BAND_2450MHZ]
-        with pytest.raises(ValueError):
-            page.center_frequency_hz(5)
-
-
-class TestBandLookup:
-    def test_band_of_channel(self):
-        assert band_of_channel(0) is Band.BAND_868MHZ
-        assert band_of_channel(5) is Band.BAND_915MHZ
-        assert band_of_channel(20) is Band.BAND_2450MHZ
-
-    def test_unknown_channel_raises(self):
-        with pytest.raises(ValueError):
-            band_of_channel(27)
-
-    def test_timing_of_channel_matches_band(self):
-        assert timing_of_channel(15).bit_rate_bps == pytest.approx(250_000.0)
-        assert timing_of_channel(3).bit_rate_bps == pytest.approx(40_000.0)
+    @pytest.mark.parametrize("band, bit_rate_bps, symbol_rate_hz", [
+        (Band.BAND_868MHZ, 20_000.0, 20_000.0),
+        (Band.BAND_915MHZ, 40_000.0, 40_000.0),
+        (Band.BAND_2450MHZ, 250_000.0, 62_500.0),
+    ])
+    def test_each_band_has_its_timing(self, band, bit_rate_bps,
+                                      symbol_rate_hz):
+        page = CHANNEL_PAGES[band]
+        assert page.band is band
+        assert page.timing.bit_rate_bps == bit_rate_bps
+        assert page.timing.symbol_rate_hz == pytest.approx(symbol_rate_hz)

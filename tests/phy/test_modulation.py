@@ -9,7 +9,6 @@ from repro.phy.modulation import (
     CHIP_SEQUENCES,
     OqpskDsssModulator,
     chip_sequence_matrix,
-    hamming_distance_matrix,
 )
 
 
@@ -37,7 +36,8 @@ class TestChipSequences:
 
     def test_minimum_distance_is_large(self):
         # Near-orthogonal code: every pair differs in at least 12 chips.
-        distances = hamming_distance_matrix()
+        matrix = chip_sequence_matrix().astype(np.int32)
+        distances = np.array([np.sum(matrix ^ row, axis=1) for row in matrix])
         off_diagonal = distances[~np.eye(16, dtype=bool)]
         assert off_diagonal.min() >= 12
 
@@ -88,9 +88,6 @@ class TestModulator:
                 index = block * 32 + offset
                 chips[index] ^= 1
         assert self.modulator.demodulate(chips) == payload
-
-    def test_minimum_code_distance_accessor(self):
-        assert self.modulator.minimum_code_distance() >= 12
 
     def test_empty_input(self):
         assert self.modulator.spread([]).size == 0

@@ -43,8 +43,8 @@ class TestBerCalibration:
         result = BerCalibration().run()
         assert result.exponent_per_dbm == pytest.approx(0.659, rel=1e-6)
         assert result.rms_log_error < 1e-9
-        assert result.as_model().bit_error_probability(-90.0) == pytest.approx(
-            EmpiricalBerModel().bit_error_probability(-90.0), rel=1e-6)
+        assert result.coefficient == pytest.approx(
+            EmpiricalBerModel().coefficient, rel=1e-6)
 
     def test_noisy_bench_recovers_exponent(self):
         rng = np.random.default_rng(7)

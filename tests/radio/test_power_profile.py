@@ -107,13 +107,7 @@ class TestDerivedProfiles:
         with pytest.raises(ValueError):
             CC2420_PROFILE.with_scaled_transitions(-1.0)
 
-    def test_scaled_rx_power(self):
-        scaled = CC2420_PROFILE.with_scaled_rx_power(0.5)
-        assert scaled.power_w(RadioState.RX) == pytest.approx(35.28e-3 / 2)
-        assert scaled.power_w(RadioState.IDLE) == CC2420_PROFILE.power_w(RadioState.IDLE)
-
     def test_derived_profiles_do_not_mutate_original(self):
-        CC2420_PROFILE.with_scaled_rx_power(0.1)
         CC2420_PROFILE.with_scaled_transitions(0.1)
         assert CC2420_PROFILE.power_w(RadioState.RX) == pytest.approx(35.28e-3)
         assert CC2420_PROFILE.transition(RadioState.IDLE, RadioState.RX) \

@@ -15,12 +15,6 @@ class TestRadioState:
     def test_four_states(self):
         assert len(list(RadioState)) == 4
 
-    def test_active_states(self):
-        assert RadioState.RX.is_active
-        assert RadioState.TX.is_active
-        assert not RadioState.IDLE.is_active
-        assert not RadioState.SHUTDOWN.is_active
-
 
 class TestTransitions:
     def test_self_transition_always_allowed(self):

@@ -3,8 +3,12 @@
 import pytest
 
 from repro.runner.params import (PARAM_LITERALS, ParamSchema, ParamSpec,
-                                 ParameterValueError, UnknownParameterError,
+                                 ParameterValueError, ReadableKeyError,
+                                 UnknownParameterError, did_you_mean,
                                  parse_param)
+from repro.runner.registry import UnknownExperimentError
+from repro.sweep.analysis import UnknownMetricError
+from repro.sweep.catalog import UnknownOptimizeError, UnknownSweepError
 
 
 class TestParamSpec:
@@ -105,14 +109,6 @@ class TestParamSpec:
     def test_domain_rendering(self, kwargs, expected):
         assert ParamSpec("p", **kwargs).domain() == expected
 
-    def test_payload_is_json_safe(self):
-        import json
-        spec = ParamSpec("mode", "str", "fast", choices=("fast", "slow"),
-                         doc="speed mode")
-        payload = spec.to_payload()
-        assert json.loads(json.dumps(payload)) == payload
-        assert payload["domain"] == "one of 'fast', 'slow'"
-
 
 class TestParamSchema:
     def schema(self):
@@ -179,9 +175,44 @@ class TestParseParam:
         """Satellite: one normalisation table, one parser — the runner and
         sweep CLIs both delegate to repro.runner.params.parse_param."""
         from repro.runner import cli as runner_cli
+        from repro.runner.params import parse_param_arg
         from repro.sweep import cli as sweep_cli
-        assert runner_cli.parse_param is parse_param
-        assert sweep_cli.parse_param is parse_param
+        assert runner_cli._parse_param is parse_param_arg
+        assert sweep_cli._parse_param is parse_param_arg
         assert runner_cli._parse_param("n=3") == ("n", 3)
         assert sweep_cli._parse_param("n=3") == ("n", 3)
         assert set(PARAM_LITERALS) == {"true", "false", "none", "null"}
+
+
+
+class TestUnknownNameErrors:
+    """Every unknown-name error reads as its message, with the shared
+    did-you-mean suffix, and stays a ``KeyError``."""
+
+    @pytest.mark.parametrize("error, message", [
+        (UnknownParameterError("seeed", ["seed", "nodes"], "demo"),
+         "Experiment 'demo' has no parameter 'seeed'; tunable parameters: "
+         "nodes, seed. Did you mean: seed?"),
+        (UnknownExperimentError("fig3", ("fig3_radio", "fig4_ber")),
+         "Unknown experiment 'fig3'. Known experiments: fig3_radio, "
+         "fig4_ber."),
+        (UnknownOptimizeError("case_study_powr", ("case_study_power",)),
+         "Unknown optimizer 'case_study_powr'. Registered optimizers: "
+         "case_study_power. Did you mean: case_study_power?"),
+        (UnknownSweepError("duty", ("duty_cycle", "node_density")),
+         "Unknown sweep 'duty'. Registered sweeps: duty_cycle, "
+         "node_density."),
+        (UnknownMetricError("mean_power", ["mean_power_uw", "x"], "opt"),
+         "opt: no point produced metric 'mean_power'; observed metrics: "
+         "mean_power_uw, x. Did you mean: mean_power_uw?"),
+    ])
+    def test_message_and_base(self, error, message):
+        assert isinstance(error, ReadableKeyError)
+        assert isinstance(error, KeyError)
+        assert str(error) == message
+
+    def test_did_you_mean(self):
+        assert did_you_mean("fitted_exponnent",
+                            ("fitted_coefficient", "fitted_exponent")) == \
+            " Did you mean: fitted_exponent, fitted_coefficient?"
+        assert did_you_mean("zzz", ("seed",)) == ""

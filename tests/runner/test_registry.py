@@ -76,9 +76,9 @@ class TestResolveParams:
         assert "'demo'" in message and "'n'" in message
         assert "int in [1, 9]" in message
 
-    def test_default_params_is_derived_from_the_schema(self):
+    def test_defaults_come_from_the_schema(self):
         spec = _spec(params=[ParamSpec("a", "int", 1)])
-        assert spec.default_params == {"a": 1}
+        assert spec.resolve_params() == {"a": 1}
 
 
 class TestDefaultRegistry:
@@ -131,4 +131,4 @@ class TestDefaultRegistry:
         """Every declared default passes its own validation (the schema
         constructor coerces them; resolve() must return them unchanged)."""
         for spec in default_registry():
-            assert spec.resolve_params() == spec.default_params
+            assert spec.resolve_params() == spec.schema.defaults()

@@ -1,10 +1,10 @@
-"""Tests of job specs, canonical identity and the lifecycle graph."""
+"""Tests of job specs and canonical identity."""
 
 import pytest
 
 from repro.api import Session
-from repro.service import (JOB_KINDS, JobSpec, JobSpecError, JobState,
-                           can_transition, canonicalize, spec_from_canonical)
+from repro.service import (JOB_KINDS, JobSpec, JobSpecError, canonicalize,
+                           spec_from_canonical)
 
 
 @pytest.fixture()
@@ -28,10 +28,12 @@ class TestJobSpec:
         with pytest.raises(JobSpecError, match="quick"):
             JobSpec(kind="run", name="fig3_radio", quick=True)
 
-    def test_payload_round_trip(self):
+    def test_from_payload(self):
         spec = JobSpec(kind="sweep", name="node_density",
                        params={"a": 1}, quick=True)
-        assert JobSpec.from_payload(spec.to_payload()) == spec
+        assert JobSpec.from_payload({"kind": "sweep", "name": "node_density",
+                                     "params": {"a": 1}, "seed": None,
+                                     "quick": True}) == spec
 
     def test_from_payload_rejects_unknown_fields(self):
         with pytest.raises(JobSpecError, match="Unknown job fields: priority"):
@@ -76,26 +78,6 @@ class TestJobSpec:
             service_admits = True
             assert spec.seed == seed
         assert service_admits is engine_admits
-
-
-class TestLifecycle:
-    def test_happy_path(self):
-        assert can_transition(JobState.QUEUED, JobState.RUNNING)
-        assert can_transition(JobState.RUNNING, JobState.DONE)
-
-    def test_crash_requeue_and_cancel(self):
-        assert can_transition(JobState.RUNNING, JobState.QUEUED)
-        assert can_transition(JobState.QUEUED, JobState.CANCELLED)
-        assert can_transition(JobState.FAILED, JobState.QUEUED)
-        assert can_transition(JobState.CANCELLED, JobState.QUEUED)
-
-    def test_done_is_forever(self):
-        assert not any(can_transition(JobState.DONE, state)
-                       for state in JobState.ALL)
-
-    def test_no_skipping_queued(self):
-        assert not can_transition(JobState.QUEUED, JobState.DONE)
-        assert not can_transition(JobState.QUEUED, JobState.FAILED)
 
 
 class TestCanonicalize:

@@ -7,7 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.monitor import CounterMonitor, Monitor, TimeWeightedMonitor
+from repro.sim.monitor import CounterMonitor, Monitor
+
+
+def filled(values):
+    """A monitor holding ``values``."""
+    monitor = Monitor()
+    for value in values:
+        monitor.record(value)
+    return monitor
 
 
 class TestMonitor:
@@ -15,31 +23,26 @@ class TestMonitor:
         monitor = Monitor("empty")
         assert monitor.count == 0
         assert math.isnan(monitor.mean)
-        assert math.isnan(monitor.min)
         assert math.isnan(monitor.max)
         assert math.isnan(monitor.percentile(50))
         assert monitor.total == 0.0
 
     def test_basic_statistics(self):
-        monitor = Monitor()
-        monitor.extend([1.0, 2.0, 3.0, 4.0])
+        monitor = filled([1.0, 2.0, 3.0, 4.0])
         assert monitor.count == 4
         assert monitor.mean == pytest.approx(2.5)
-        assert monitor.min == 1.0
         assert monitor.max == 4.0
         assert monitor.total == pytest.approx(10.0)
         assert monitor.std == pytest.approx(np.std([1, 2, 3, 4], ddof=1))
 
     def test_percentile(self):
-        monitor = Monitor()
-        monitor.extend(range(101))
+        monitor = filled(range(101))
         assert monitor.percentile(50) == pytest.approx(50.0)
         assert monitor.percentile(90) == pytest.approx(90.0)
 
-    def test_percentile_extremes_match_min_and_max(self):
-        monitor = Monitor()
-        monitor.extend([3.0, -1.0, 7.0])
-        assert monitor.percentile(0) == monitor.min == -1.0
+    def test_percentile_extremes_are_the_extreme_samples(self):
+        monitor = filled([3.0, -1.0, 7.0])
+        assert monitor.percentile(0) == -1.0
         assert monitor.percentile(100) == monitor.max == 7.0
 
     def test_percentile_of_single_sample_is_that_sample(self):
@@ -49,8 +52,7 @@ class TestMonitor:
             assert monitor.percentile(q) == pytest.approx(42.0)
 
     def test_percentile_interpolates_between_samples(self):
-        monitor = Monitor()
-        monitor.extend([0.0, 10.0])
+        monitor = filled([0.0, 10.0])
         assert monitor.percentile(50) == pytest.approx(5.0)
         assert monitor.percentile(25) == pytest.approx(2.5)
 
@@ -60,15 +62,13 @@ class TestMonitor:
         assert math.isnan(monitor.std)
 
     def test_values_property_is_a_copy(self):
-        monitor = Monitor()
-        monitor.extend([1.0, 2.0])
+        monitor = filled([1.0, 2.0])
         values = monitor.values
         values[0] = 99.0
         assert monitor.values[0] == 1.0
 
     def test_confidence_interval_contains_mean(self):
-        monitor = Monitor()
-        monitor.extend([10.0] * 50)
+        monitor = filled([10.0] * 50)
         low, high = monitor.confidence_interval()
         assert low == pytest.approx(10.0)
         assert high == pytest.approx(10.0)
@@ -79,78 +79,12 @@ class TestMonitor:
         low, high = monitor.confidence_interval()
         assert math.isnan(low) and math.isnan(high)
 
-    def test_reset(self):
-        monitor = Monitor()
-        monitor.record(1.0)
-        monitor.reset()
-        assert monitor.count == 0
-
     @settings(max_examples=30, deadline=None)
     @given(values=st.lists(st.floats(min_value=-1e6, max_value=1e6,
                                      allow_nan=False), min_size=1, max_size=50))
     def test_mean_bounded_by_min_max(self, values):
-        monitor = Monitor()
-        monitor.extend(values)
-        assert monitor.min - 1e-9 <= monitor.mean <= monitor.max + 1e-9
-
-
-class TestTimeWeightedMonitor:
-    def test_time_average_of_constant_signal(self):
-        monitor = TimeWeightedMonitor()
-        monitor.record(0.0, 5.0)
-        monitor.finalize(10.0)
-        assert monitor.time_average == pytest.approx(5.0)
-        assert monitor.integral == pytest.approx(50.0)
-
-    def test_piecewise_constant_integration(self):
-        monitor = TimeWeightedMonitor(initial_value=1.0)
-        monitor.record(2.0, 3.0)      # 1.0 held for 2 s
-        monitor.record(4.0, 0.0)      # 3.0 held for 2 s
-        monitor.finalize(10.0)        # 0.0 held for 6 s
-        assert monitor.integral == pytest.approx(1.0 * 2 + 3.0 * 2)
-        assert monitor.duration == pytest.approx(10.0)
-        assert monitor.time_average == pytest.approx(8.0 / 10.0)
-
-    def test_out_of_order_time_rejected(self):
-        monitor = TimeWeightedMonitor(initial_time=5.0)
-        with pytest.raises(ValueError):
-            monitor.record(1.0, 0.0)
-
-    def test_min_max_tracking(self):
-        monitor = TimeWeightedMonitor(initial_value=2.0)
-        monitor.record(1.0, 7.0)
-        monitor.record(2.0, -1.0)
-        assert monitor.max == 7.0
-        assert monitor.min == -1.0
-
-    def test_zero_duration_average_is_nan(self):
-        assert math.isnan(TimeWeightedMonitor().time_average)
-
-    def test_empty_signal_has_zero_integral_and_duration(self):
-        monitor = TimeWeightedMonitor(initial_value=4.0)
-        assert monitor.integral == 0.0
-        assert monitor.duration == 0.0
-        assert monitor.current == 4.0
-        assert monitor.min == monitor.max == 4.0
-
-    def test_finalize_at_the_start_time_keeps_average_nan(self):
-        monitor = TimeWeightedMonitor(initial_time=3.0, initial_value=2.0)
-        monitor.finalize(3.0)  # zero-width segment, no observed time
-        assert monitor.duration == 0.0
-        assert math.isnan(monitor.time_average)
-
-    def test_repeated_sample_at_the_same_time_is_zero_width(self):
-        monitor = TimeWeightedMonitor()
-        monitor.record(1.0, 5.0)
-        monitor.record(1.0, 9.0)  # instant level change, no area
-        monitor.finalize(2.0)
-        assert monitor.integral == pytest.approx(9.0)
-        assert monitor.time_average == pytest.approx(9.0 / 2.0)
-
-    def test_current_value(self):
-        monitor = TimeWeightedMonitor()
-        monitor.record(1.0, 9.0)
-        assert monitor.current == 9.0
+        monitor = filled(values)
+        assert min(values) - 1e-9 <= monitor.mean <= monitor.max + 1e-9
 
 
 class TestCounterMonitor:
@@ -164,24 +98,9 @@ class TestCounterMonitor:
     def test_unknown_counter_is_zero(self):
         assert CounterMonitor().get("missing") == 0
 
-    def test_ratio(self):
-        counters = CounterMonitor()
-        counters.increment("collisions", 2)
-        counters.increment("transmissions", 8)
-        assert counters.ratio("collisions", "transmissions") == pytest.approx(0.25)
-
-    def test_ratio_with_zero_denominator_is_nan(self):
-        assert math.isnan(CounterMonitor().ratio("a", "b"))
-
     def test_as_dict_is_a_copy(self):
         counters = CounterMonitor()
         counters.increment("x")
         snapshot = counters.as_dict()
         snapshot["x"] = 99
         assert counters.get("x") == 1
-
-    def test_reset(self):
-        counters = CounterMonitor()
-        counters.increment("x", 5)
-        counters.reset()
-        assert counters.get("x") == 0

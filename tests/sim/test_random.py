@@ -42,30 +42,12 @@ class TestRandomStreams:
         fresh = RandomStreams(3).get("b").random(20)
         assert np.allclose(forward_b, fresh)
 
-    def test_spawn_creates_requested_count(self):
-        streams = RandomStreams(0)
-        children = list(streams.spawn("node", 5))
-        assert len(children) == 5
-        values = [child.random() for child in children]
-        assert len(set(values)) == 5
-
-    def test_reset_clears_streams(self):
-        streams = RandomStreams(0)
-        first = streams.get("x").random()
-        streams.reset()
-        assert len(streams) == 0
-        second = streams.get("x").random()
-        assert first == second
-
     def test_contains_and_len(self):
         streams = RandomStreams(0)
         assert "a" not in streams
         streams.get("a")
         assert "a" in streams
         assert len(streams) == 1
-
-    def test_master_seed_exposed(self):
-        assert RandomStreams(42).master_seed == 42
 
     @settings(max_examples=25, deadline=None)
     @given(name=st.text(min_size=1, max_size=30))
@@ -136,7 +118,7 @@ class TestPrimedStreams:
         primed = list(RandomStreams.primed(families))
         assert len(primed) == len(families)
         for (master, names), streams in zip(families, primed):
-            assert streams.master_seed == master
+            assert streams._master_seed == master
             for name in names:
                 self.assert_same_stream(streams.replica(name),
                                         RandomStreams(master).get(name))
@@ -168,17 +150,17 @@ class TestPrimedStreams:
         assert np.array_equal(plain.replica("traffic[3]").random(8), first)
         assert "traffic[3]" not in plain
 
-    def test_streams_open_on_first_use_and_reset_to_their_seed(self):
+    def test_streams_open_on_first_use_at_their_seed(self):
         [streams] = RandomStreams.primed([(5, ["a", "b"])])
         assert len(streams) == 0
         first = streams.get("a").random(4)
         assert "a" in streams and "b" not in streams
-        streams.reset()
-        assert np.array_equal(streams.get("a").random(4), first)
+        [again] = RandomStreams.primed([(5, ["a", "b"])])
+        assert np.array_equal(again.get("a").random(4), first)
 
     def test_unseeded_family_seeds_streams_one_by_one(self):
         [streams] = RandomStreams.primed([(None, ["a"])])
-        assert streams.master_seed is None
+        assert streams._master_seed is None
         assert 0.0 <= streams.get("a").random() < 1.0
 
     def test_precomputed_words_serve_only_their_own_request(self):

@@ -1,13 +1,10 @@
-"""Tests of the Pareto / grouping analysis layer, incl. dominance properties."""
-
-import math
+"""Tests of the Pareto analysis layer, incl. dominance properties."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sweep.analysis import (aggregate_rows, dominates, group_rows,
-                                  knee_point, pareto_front)
+from repro.sweep.analysis import dominates, knee_point, pareto_front
 
 OBJECTIVES = {"power": "min", "fail": "min"}
 
@@ -110,75 +107,6 @@ class TestKneePoint:
         rows = [row(float(p), 1.0 / (1.0 + p)) for p in range(10)]
         front = pareto_front(rows, OBJECTIVES)
         assert knee_point(front, OBJECTIVES) in front
-
-
-class TestGroupingAndAggregation:
-    ROWS = [{"bo": 3, "so": 3, "p": 1.0}, {"bo": 3, "so": 2, "p": 3.0},
-            {"bo": 6, "so": 6, "p": 5.0}, {"bo": 3, "so": 3, "p": 2.0}]
-
-    def test_group_rows(self):
-        groups = group_rows(self.ROWS, by=["bo"])
-        assert set(groups) == {(3,), (6,)}
-        assert len(groups[(3,)]) == 3
-
-    def test_group_rows_needs_keys(self):
-        with pytest.raises(ValueError):
-            group_rows(self.ROWS, by=[])
-
-    def test_aggregate_mean(self):
-        out = aggregate_rows(self.ROWS, by=["bo"], metrics=["p"])
-        assert out == [{"bo": 3, "p_mean": 2.0}, {"bo": 6, "p_mean": 5.0}]
-
-    def test_aggregate_multiple_statistics(self):
-        out = aggregate_rows(self.ROWS, by=["bo"], metrics=["p"],
-                             statistics=("min", "max", "count"))
-        assert out[0] == {"bo": 3, "p_min": 1.0, "p_max": 3.0, "p_count": 3}
-
-    def test_aggregate_skips_none_and_nan(self):
-        rows = [{"g": 1, "p": 2.0}, {"g": 1, "p": None},
-                {"g": 1, "p": math.nan}, {"g": 2, "p": None}]
-        out = aggregate_rows(rows, by=["g"], metrics=["p"])
-        assert out == [{"g": 1, "p_mean": 2.0}, {"g": 2, "p_mean": None}]
-
-    def test_unknown_statistic_rejected(self):
-        with pytest.raises(ValueError, match="Unknown statistics"):
-            aggregate_rows(self.ROWS, by=["bo"], metrics=["p"],
-                           statistics=("median",))
-
-
-class TestTypeAwareGrouping:
-    def test_bool_and_int_keys_stay_distinct(self):
-        """Satellite contract: ``True == 1`` and ``hash(True) == hash(1)``,
-        so a plain dict silently merges a boolean axis with an integer
-        one — GroupedRows must keep them apart."""
-        rows = [{"flag": True, "v": 1.0}, {"flag": 1, "v": 2.0},
-                {"flag": False, "v": 3.0}, {"flag": 0, "v": 4.0}]
-        groups = group_rows(rows, by=["flag"])
-        assert len(groups) == 4
-        assert [r["v"] for r in groups[(True,)]] == [1.0]
-        assert [r["v"] for r in groups[(1,)]] == [2.0]
-        assert [r["v"] for r in groups[(False,)]] == [3.0]
-        assert [r["v"] for r in groups[(0,)]] == [4.0]
-
-    def test_iteration_yields_every_raw_key(self):
-        rows = [{"flag": True, "v": 1.0}, {"flag": 1, "v": 2.0}]
-        keys = list(group_rows(rows, by=["flag"]))
-        assert len(keys) == 2
-        assert any(isinstance(key[0], bool) for key in keys)
-        assert any(not isinstance(key[0], bool) for key in keys)
-
-    def test_mapping_protocol_still_holds(self):
-        rows = [{"bo": 3, "v": 1.0}, {"bo": 6, "v": 2.0},
-                {"bo": 3, "v": 3.0}]
-        groups = group_rows(rows, by=["bo"])
-        assert set(groups) == {(3,), (6,)}
-        assert len(groups[(3,)]) == 2
-        assert dict(groups.items())[(6,)] == [{"bo": 6, "v": 2.0}]
-
-    def test_aggregate_rows_keeps_bool_groups_apart(self):
-        rows = [{"flag": True, "v": 10.0}, {"flag": 1, "v": 20.0}]
-        aggregated = aggregate_rows(rows, by=["flag"], metrics=["v"])
-        assert [entry["v_mean"] for entry in aggregated] == [10.0, 20.0]
 
 
 class TestRequireMetrics:

@@ -4,9 +4,9 @@ import json
 
 import pytest
 
-from repro.sweep.artifacts import (export_sweep, ordered_columns,
-                                   rows_to_csv_text, rows_to_json_text,
-                                   sweep_manifest, write_rows)
+from repro.analysis.io import (ordered_columns, rows_to_csv_text,
+                               rows_to_json_text, write_rows)
+from repro.sweep.artifacts import export_sweep, sweep_manifest
 from repro.sweep.driver import run_sweep
 from repro.sweep.spec import GridAxis, SweepSpec
 

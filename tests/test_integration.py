@@ -68,12 +68,11 @@ class TestScenarioToModelConsistency:
         policy = ChannelInversionPolicy(model, payload_bytes=120, load=0.42)
         policy.compute_thresholds()
         scenario = DenseNetworkScenario(total_nodes=64, channels=[11, 12], seed=6)
-        scenario.assign_tx_powers(policy.select_level_dbm)
-        nodes = scenario.build_nodes()
-        levels = {node.tx_power_dbm for node in nodes}
+        levels = {policy.select_level_dbm(node.path_loss_db)
+                  for node in scenario.build_nodes()}
         assert len(levels) >= 3          # several distinct levels in use
-        for node in nodes:
-            assert -25.0 <= node.tx_power_dbm <= 0.0
+        for level in levels:
+            assert -25.0 <= level <= 0.0
             # Nodes further out never use less power than closer nodes
             # (monotonicity is already unit-tested; here we spot-check range).
 

@@ -21,9 +21,9 @@ PUBLIC_SURFACE = {
               "CaseStudyParameters", "CaseStudyResult", "ChannelInversionPolicy",
               "CC2420_PROFILE", "RadioState", "__version__"],
     "repro.sim": ["Environment", "Event", "Process", "Timeout", "Monitor",
-                  "TimeWeightedMonitor", "CounterMonitor", "RandomStreams"],
+                  "CounterMonitor", "RandomStreams"],
     "repro.phy": ["Band", "PhyTiming", "TIMING_2450MHZ", "EmpiricalBerModel",
-                  "AnalyticOqpskErrorModel", "PhyFrame", "OqpskDsssModulator",
+                  "AnalyticOqpskErrorModel", "OqpskDsssModulator",
                   "packet_error_probability"],
     "repro.radio": ["RadioState", "RadioPowerProfile", "CC2420_PROFILE",
                     "CC2420Radio", "EnergyLedger", "BerCalibration",
@@ -37,7 +37,7 @@ PUBLIC_SURFACE = {
     "repro.contention": ["ContentionSimulator", "ContentionStatistics",
                          "ContentionTable", "build_contention_table",
                          "ClosedFormContentionModel"],
-    "repro.network": ["StarTopology", "uniform_disc_placement",
+    "repro.network": ["uniform_disc_placement",
                       "PeriodicSensingTraffic", "BufferedTrafficSource",
                       "TrafficModel", "TrafficSource", "SaturatedTraffic",
                       "PoissonTraffic", "BurstyAlarmTraffic",
@@ -50,7 +50,7 @@ PUBLIC_SURFACE = {
                    "EnergyBreakdown", "TimeBreakdown", "ImprovementAnalysis",
                    "CaseStudy"],
     "repro.analysis": ["format_table", "Series", "SeriesCollection",
-                       "ExperimentReport", "typed_key"],
+                       "ExperimentReport"],
     "repro.experiments": ["run_fig3_radio_characterization", "run_fig4_ber",
                           "run_fig7_link_adaptation",
                           "run_fig8_packet_size", "run_fig9_breakdown",
@@ -70,9 +70,8 @@ PUBLIC_SURFACE = {
     "repro.sweep": ["SweepSpec", "GridAxis", "RangeAxis", "RandomAxis",
                     "run_sweep", "sweep_status", "expand_points",
                     "SweepRunResult", "SweepPoint", "SweepStatus",
-                    "pareto_front", "knee_point", "dominates", "group_rows",
-                    "aggregate_rows", "export_sweep", "sweep_manifest",
-                    "write_rows", "get_sweep", "sweep_names",
+                    "pareto_front", "knee_point", "dominates",
+                    "export_sweep", "sweep_manifest", "get_sweep", "sweep_names",
                     "UnknownSweepError", "spec_from_payload"],
 }
 
@@ -102,8 +101,7 @@ EXPORTED_NAMES = {
         ChannelInversionPolicy EnergyModel ModelConfig NodeEnergyBudget
         RadioState __version__""",
     "repro.analysis": """
-        ComparisonRow ExperimentReport Series SeriesCollection format_table
-        typed_key""",
+        ComparisonRow ExperimentReport Series SeriesCollection format_table""",
     "repro.bench": """
         BENCH_CASES SCHEMA_VERSION bench_path build_record compare_records
         git_sha machine_fingerprint read_record run_bench_case write_record""",
@@ -120,7 +118,7 @@ EXPORTED_NAMES = {
         ImprovementAnalysis ImprovementResult ModelConfig NodeEnergyBudget
         PacketSizeOptimizer PolicyVariant PowerThreshold TimeBreakdown
         delivery_delay_s
-        energy_per_data_bit_j packet_error_from_link
+        energy_per_data_bit_j
         transaction_failure_probability transmission_attempt_distribution
         transmission_failure_probability""",
     "repro.experiments": """
@@ -137,15 +135,15 @@ EXPORTED_NAMES = {
         BufferedTrafficSource BurstyAlarmTraffic CASE_STUDY_SPEC
         ChannelAllocator ChannelScenario ChannelSimTask
         ClusteredTopologyModel DenseNetworkScenario DiscTopologyModel
-        ForwardingLoad ForwardingSource GradientRouting GridTopologyModel
+        ForwardingSource GradientRouting GridTopologyModel
         MinHopRouting MixedPopulation NetworkTopology NodePlacement
         PeriodicSensingTraffic PoissonTraffic ROUTING_KINDS RoutingModel
         SaturatedTraffic ScenarioSpec SensorNode SimulationSummary SinkTree
-        StarTopology StarTopologyModel TOPOLOGY_KINDS TopologyModel
+        StarTopologyModel TOPOLOGY_KINDS TopologyModel
         TrafficModel TrafficSource adaptive_tx_levels
         aggregate_channel_rows build_routing_model build_topology_model
         build_traffic_model clustered_placement depth_breakdown
-        grid_placement make_lane_sources round_robin_allocation
+        grid_placement make_lane_sources
         simulate_channel simulate_network uniform_disc_placement""",
     "repro.obs": """
         NULL_TRACER NullTracer Span TRACE_KIND TRACE_SCHEMA_VERSION
@@ -154,9 +152,8 @@ EXPORTED_NAMES = {
     "repro.phy": """
         AnalyticOqpskErrorModel Band CHANNEL_PAGES CHIP_SEQUENCES
         EmpiricalBerModel ErrorModel OqpskDsssModulator PHY_HEADER_BYTES
-        PHY_PREAMBLE_BYTES PHY_SFD_BYTES PhyFrame PhyTiming TIMING_2450MHZ
-        channel_center_frequency_hz channels_in_band
-        packet_error_probability""",
+        PHY_PREAMBLE_BYTES PHY_SFD_BYTES PhyTiming TIMING_2450MHZ
+        channels_in_band packet_error_probability""",
     "repro.radio": """
         BerCalibration CC2420Radio CC2420_PROFILE EnergyLedger
         IllegalTransitionError RadioEvent RadioPowerProfile RadioState
@@ -170,21 +167,20 @@ EXPORTED_NAMES = {
         run_ordered""",
     "repro.sim": """
         CounterMonitor Environment Event Monitor Process RandomStreams
-        SimulationError TimeWeightedMonitor Timeout spawn_seeds""",
+        SimulationError Timeout spawn_seeds""",
     "repro.sweep": """
-        ChoiceDimension FloatDimension GridAxis GroupedRows IntDimension
+        ChoiceDimension FloatDimension GridAxis IntDimension
         OptimizeDefinition OptimizeResult OptimizeRound OptimizeSpec
         RandomAxis RangeAxis SweepDefinition SweepPoint SweepRunResult
         SweepSpec SweepStatus UnknownMetricError UnknownOptimizeError
-        UnknownSweepError aggregate_rows axis_from_payload build_points
+        UnknownSweepError axis_from_payload build_points
         dimension_from_payload dispatch_points dominates expand_points
         export_optimize export_sweep extract_point_metrics get_definition
-        get_optimize get_optimize_definition get_sweep group_rows
+        get_optimize get_optimize_definition get_sweep
         iter_definitions iter_optimize_definitions knee_point
         optimize_manifest optimize_names optimize_spec_from_payload
-        ordered_columns pareto_front require_metrics rows_to_csv_text
-        rows_to_json_text run_optimize run_sweep spec_from_payload
-        sweep_manifest sweep_names sweep_status write_rows""",
+        pareto_front require_metrics run_optimize run_sweep
+        spec_from_payload sweep_manifest sweep_names sweep_status""",
 }
 
 #: Resolves every export of the packages named in argv, first through the
