@@ -29,7 +29,7 @@ from __future__ import annotations
 from repro.analysis.tables import format_table
 from repro.contention import build_contention_table
 from repro.core import CaseStudy, CaseStudyParameters, EnergyModel
-from repro.network.scenario import DenseNetworkScenario
+from repro.network import ScenarioSpec
 from repro.runner import run_experiment
 
 
@@ -40,14 +40,12 @@ def main() -> None:
                       path_loss_resolution=61)
 
     # ---- scenario sanity: the network view -----------------------------------------
-    scenario = DenseNetworkScenario(seed=1)
-    nodes = scenario.build_nodes()
-    populations = {}
-    for node in nodes:
-        populations[node.channel] = populations.get(node.channel, 0) + 1
-    print(f"Population: {len(nodes)} nodes over {len(populations)} channels "
-          f"({min(populations.values())}-{max(populations.values())} per channel)")
-    print(f"Per-channel offered load: {scenario.channel_load():.3f}")
+    populations = {channel: len(nodes) for channel, (nodes, _)
+                   in ScenarioSpec().population(seed=1).items()}
+    print(f"Population: {sum(populations.values())} nodes over "
+          f"{len(populations)} channels ({min(populations.values())}-"
+          f"{max(populations.values())} per channel)")
+    print(f"Per-channel offered load: {study.channel_load():.3f}")
     print(f"Packet accumulation period: "
           f"{parameters.packet_accumulation_period_s * 1e3:.0f} ms")
     print()

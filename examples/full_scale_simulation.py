@@ -58,9 +58,9 @@ def main() -> None:
     print()
 
     # ---- a different workload is one ScenarioSpec away -----------------------
-    spec = ScenarioSpec(name="ble-ablation", total_nodes=400, num_channels=4,
-                        battery_life_extension=True, superframes_hint=20)
-    rows = simulate_network(spec, seed=7)
+    spec = ScenarioSpec(total_nodes=400, num_channels=4,
+                        battery_life_extension=True)
+    rows = simulate_network(spec, superframes=20, seed=7)
     ble = aggregate_channel_rows(rows)
     print(f"Ablation — battery-life extension on, {ble['nodes']} nodes over "
           f"{ble['channels']} channels:")

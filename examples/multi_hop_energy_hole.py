@@ -33,12 +33,10 @@ def main() -> None:
     rows = []
     for max_hops in (1, 2):
         spec = ScenarioSpec(
-            name=f"energy-hole-{max_hops}-hop", total_nodes=24,
-            num_channels=1,
+            total_nodes=24, num_channels=1,
             topology=build_topology_model("grid"),
             routing=build_routing_model("gradient", max_hops=max_hops),
-            traffic=build_traffic_model("periodic", rate_scale=0.5),
-            superframes_hint=12)
+            traffic=build_traffic_model("periodic", rate_scale=0.5))
         aggregate = aggregate_channel_rows(
             simulate_network(spec, superframes=12, seed=7,
                              backend="batched"))

@@ -29,11 +29,9 @@ def main() -> None:
     rows = []
     for kind in TRAFFIC_MODEL_KINDS:
         traffic = None if kind == "saturated" else build_traffic_model(kind)
-        spec = ScenarioSpec(name=f"traffic-{kind}", total_nodes=64,
-                            num_channels=2, traffic=traffic,
-                            superframes_hint=20)
+        spec = ScenarioSpec(total_nodes=64, num_channels=2, traffic=traffic)
         aggregate = aggregate_channel_rows(
-            simulate_network(spec, seed=0))
+            simulate_network(spec, superframes=20, seed=0))
         rows.append([
             kind,
             aggregate["packets_attempted"],

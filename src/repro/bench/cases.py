@@ -66,24 +66,33 @@ def _time_kernels(run: Callable[[str], Any], repeats: int,
 
 def bench_vectorized_channel(quick: bool = False, repeats: int = 3,
                              phases: bool = False) -> Dict[str, Any]:
-    """Single dense channel: event kernel vs the batched kernel."""
-    from repro.network.scenario import DenseNetworkScenario
+    """Single dense channel: event kernel vs the batched kernel.
 
-    max_nodes = 20 if quick else None
+    Channel 11 of the placement-seed-1 population, every node at 0 dBm,
+    one lane seeded :data:`BENCH_SEED`.
+    """
+    from repro.mac.vectorized import BatchedChannelSimulator, ChannelLane
+    from repro.network.scenario import EventChannelSimulator
+    from repro.network.spec import ScenarioSpec
+
     superframes = 4 if quick else 10
-    scenario = DenseNetworkScenario(seed=1)
-    channel = scenario.channel_scenario(11, max_nodes=max_nodes,
-                                        seed=BENCH_SEED)
+    spec = ScenarioSpec()
+    config = spec.superframe_config()
+    nodes = spec.population(seed=1)[11][0][:20 if quick else None]
+    lanes = [ChannelLane(nodes=nodes, tx_levels_dbm=[0.0] * len(nodes),
+                         seed=BENCH_SEED)]
+    kernels = {"event": EventChannelSimulator,
+               "batched": BatchedChannelSimulator}
 
     def run(backend: str):
-        return channel.run(superframes=superframes, backend=backend)
+        return kernels[backend](lanes, config).run(superframes)
 
     timings, speedup, breakdown = _time_kernels(run, repeats, repeats,
                                                 phases)
     return build_record(
         experiment="vectorized_channel",
         mode="quick" if quick else "full",
-        params={"nodes": len(channel.nodes), "superframes": superframes,
+        params={"nodes": len(nodes), "superframes": superframes,
                 "seed": BENCH_SEED},
         timings_s=timings, speedup=speedup, phases=breakdown)
 

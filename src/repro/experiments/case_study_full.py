@@ -7,8 +7,8 @@ batched lockstep backend (:mod:`repro.mac.vectorized`) by default — one
 kernel call spanning every (channel, replication) lane — with
 channel-inversion link adaptation and per-channel seeds spawned from the
 master seed.  The discrete-event ``event`` backend remains selectable and
-bit-identical in counts; it fans the channels out per task, reproducibly
-at any ``--jobs`` level.
+bit-identical in counts; it runs the same lanes as one task each,
+reproducibly at any ``--jobs`` level.
 
 The report cross-checks the simulated network against the paper's headline
 numbers where they are comparable — the ~16 % transaction failure
@@ -71,7 +71,7 @@ def run_full_case_study(total_nodes: int = 1600,
     ``superframe_order`` of ``None`` means SO = BO (no inactive portion),
     ``nodes_per_channel_cap`` truncates channel populations for scaled-down
     runs (tests, quick CLI smoke), ``executor`` fans the event backend's
-    channels out (the batched backend runs them all in one call).
+    lanes out (the batched backend runs them all in one call).
     ``traffic_model`` selects the per-node packet process
     (:data:`repro.network.traffic.TRAFFIC_MODEL_KINDS`):
     ``"saturated"`` — the default — is the paper's one-packet-per-superframe
@@ -91,7 +91,6 @@ def run_full_case_study(total_nodes: int = 1600,
                          "pick a geometric topology (grid, disc, cluster) "
                          "for max_hops > 1")
     spec = ScenarioSpec(
-        name="case_study_full",
         total_nodes=total_nodes,
         num_channels=num_channels,
         beacon_order=beacon_order,
@@ -109,13 +108,11 @@ def run_full_case_study(total_nodes: int = 1600,
         battery_life_extension=battery_life_extension,
         csma_convention=csma_convention,
         tx_policy=tx_policy,
-        backend=backend,
-        superframes_hint=superframes,
     )
     rows = simulate_network(spec, superframes=superframes, seed=seed,
                             executor=executor,
                             max_nodes_per_channel=nodes_per_channel_cap,
-                            replications=replications)
+                            backend=backend, replications=replications)
     aggregate = aggregate_channel_rows(rows)
 
     report = ExperimentReport(

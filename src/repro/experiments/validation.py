@@ -24,8 +24,9 @@ from repro.analysis.report import ExperimentReport
 from repro.core.energy_model import EnergyModel, PHASE_BEACON, PHASE_CONTENTION, \
     PHASE_TRANSMIT, PHASE_ACK
 from repro.mac.superframe import SuperframeConfig
+from repro.mac.vectorized import ChannelLane
 from repro.network.node import SensorNode
-from repro.network.scenario import ChannelScenario, SimulationSummary
+from repro.network.scenario import EventChannelSimulator, SimulationSummary
 
 
 @dataclass
@@ -58,12 +59,13 @@ def run_model_vs_simulation(model: EnergyModel,
     on_air = model.packet_bytes_on_air(payload_bytes)
     load = config.offered_load(nodes=num_nodes, payload_bytes=on_air)
 
-    nodes = [SensorNode(node_id=i, channel=11, path_loss_db=path_loss_db,
-                        tx_power_dbm=tx_power_dbm)
+    nodes = [SensorNode(node_id=i, channel=11, path_loss_db=path_loss_db)
              for i in range(1, num_nodes + 1)]
-    scenario = ChannelScenario(nodes=nodes, config=config, constants=constants,
-                               payload_bytes=payload_bytes, seed=seed)
-    simulation = scenario.run(superframes=superframes)
+    lane = ChannelLane(nodes=nodes, tx_levels_dbm=[tx_power_dbm] * num_nodes,
+                       seed=seed)
+    simulation = EventChannelSimulator(
+        [lane], config, constants=constants,
+        payload_bytes=payload_bytes).run(superframes)[0]
 
     budget = model.evaluate(payload_bytes=payload_bytes,
                             tx_power_dbm=tx_power_dbm,

@@ -91,15 +91,16 @@ paper or test configuration produces; staggered starts make ties a
 measure-zero event.
 
 Scope: the uplink transaction cycle of the paper's activation policy
-(Figure 5) with staggered transaction starts — the configuration
-:class:`repro.network.scenario.ChannelScenario` uses, and the only one the
-event kernel models too.  What the event kernel adds is a per-device
-timeline (one process per device), which makes it the semantic oracle this
-kernel is checked against, not a wider protocol scope.  Collisions cannot
-occur under this policy (a transmission starts only when the second CCA
-found the channel clear, which implies no frame is on the air), so the
-batched kernel reports ``collisions == 0`` without tracking the medium per
-device pair.
+(Figure 5) with staggered transaction starts — the only one the event
+kernel (:class:`repro.network.scenario.EventChannelSimulator`) models
+too.  Both kernels take the same input (:class:`ChannelSimulator`: a lane
+list and the settings its lanes share).  What the event kernel adds is a
+per-device timeline (one process per device), which makes it the semantic
+oracle this kernel is checked against, not a wider protocol scope.
+Collisions cannot occur under this policy (a transmission starts only
+when the second CCA found the channel clear, which implies no frame is on
+the air), so the batched kernel reports ``collisions == 0`` without
+tracking the medium per device pair.
 """
 
 from __future__ import annotations
@@ -158,16 +159,16 @@ _raw_compat: Optional[bool] = None
 
 @dataclass(frozen=True)
 class ChannelLane:
-    """One independent single-channel simulation of a batched run.
+    """One independent single-channel simulation: a MAC kernel's unit.
 
-    A lane is what :class:`repro.network.scenario.ChannelScenario` hands the
-    single-channel fast path: the channel's nodes, the *resolved* transmit
-    level per node (link adaptation / default resolution happens in the
-    caller) and the master seed of the lane's random streams.  Lanes of one
-    batch share the superframe configuration, MAC constants, payload and
-    traffic model — the paper's fan-out varies only channel membership and
-    seed — but are otherwise fully independent: distinct channels, distinct
-    Monte-Carlo replications of one channel, or any mix.
+    A lane holds the channel's nodes, the transmit level of each node
+    (link adaptation happens in the caller,
+    :func:`repro.network.simulate.simulate_network`) and the master seed of
+    the lane's random streams.  Lanes of one call share the superframe
+    configuration, MAC constants, payload and traffic model — the paper's
+    fan-out varies only channel membership and seed — but are otherwise
+    fully independent: distinct channels, distinct Monte-Carlo replications
+    of one channel, or any mix.
 
     ``tree`` is the lane's sink tree
     (:class:`repro.network.routing.SinkTree`) when the channel is routed:
@@ -360,19 +361,29 @@ def _record_sharded_kernel(tracer, exports: Sequence[dict],
 # batched kernel
 # ---------------------------------------------------------------------------
 
-class BatchedChannelSimulator:
-    """Uplink simulation of many independent channel lanes in lockstep.
+class ChannelSimulator:
+    """The input of both MAC kernels: a lane list and what its lanes share.
+
+    :class:`BatchedChannelSimulator` and the event kernel
+    (:class:`repro.network.scenario.EventChannelSimulator`) take these
+    arguments, and each ``run(superframes)`` returns one
+    :class:`repro.network.scenario.SimulationSummary` per lane, in lane
+    order.
 
     Parameters
     ----------
     lanes:
-        The :class:`ChannelLane` batch — typically one lane per (channel,
-        replication) pair of a network fan-out.  Order is preserved in the
-        result list.
+        The :class:`ChannelLane` list — typically one lane per (channel,
+        replication) pair of a network run.  Every lane needs at least one
+        node, one transmit level per node and, when routed, a sink tree
+        over exactly its nodes.
     config / constants / payload_bytes / csma_params / profile / traffic:
-        Shared by every lane, exactly as the corresponding
-        :class:`repro.network.scenario.ChannelScenario` arguments.  The
-        traffic model is instantiated per lane from the lane's own
+        Superframe configuration, MAC constants, uplink payload, CSMA/CA
+        parameters (the paper's convention by default), radio power
+        profile and per-node packet process, shared by every lane.  A
+        ``traffic`` of ``None`` is the paper's saturated assumption (one
+        packet ready at every beacon); a model must carry
+        ``payload_bytes``, and each lane draws it from its own
         ``traffic[<id>]`` streams, preserving the equivalence contract.
     """
 
@@ -383,15 +394,19 @@ class BatchedChannelSimulator:
                  profile: RadioPowerProfile = CC2420_PROFILE,
                  traffic=None):
         if not lanes:
-            raise ValueError("A batched simulation needs at least one lane")
+            raise ValueError("A channel simulation needs at least one lane")
         for lane in lanes:
             if not lane.nodes:
                 raise ValueError(
                     "A channel simulation needs at least one node")
             if len(lane.tx_levels_dbm) != len(lane.nodes):
                 raise ValueError("One transmit level per node is required")
+            if lane.tree is not None and lane.tree.node_ids != sorted(
+                    node.node_id for node in lane.nodes):
+                raise ValueError("A lane's sink tree must span exactly its "
+                                 "nodes")
         if traffic is not None:
-            traffic.require_payload(payload_bytes, "the slot-level kernel")
+            traffic.require_payload(payload_bytes, "the MAC kernel")
         self.lanes = [ChannelLane(nodes=list(lane.nodes),
                                   tx_levels_dbm=[float(level) for level
                                                  in lane.tx_levels_dbm],
@@ -405,6 +420,10 @@ class BatchedChannelSimulator:
             constants)
         self.profile = profile
         self.traffic = traffic
+
+
+class BatchedChannelSimulator(ChannelSimulator):
+    """Uplink simulation of many independent channel lanes in lockstep."""
 
     def run(self, superframes: int = 10) -> List:
         """Simulate every lane for ``superframes`` beacon intervals.

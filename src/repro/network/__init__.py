@@ -1,11 +1,11 @@
 """Network scenario substrate.
 
 Builds the dense microsensor network the paper studies: node placement
-around the base station, channel allocation over the sixteen 2450 MHz
-channels, periodic sensing traffic with buffering, sink-tree routing with
-per-hop forwarding load (the NET layer), and the assembly of all of it
-into a runnable packet-level simulation (for cross-validation of the
-analytical model) or into analytical per-channel scenarios.
+around the base station, the round-robin deal over the sixteen 2450 MHz
+channels, per-node traffic models, sink-tree routing with per-hop
+forwarding load (the NET layer), and the assembly of all of it, from one
+declarative :class:`ScenarioSpec`, into the channel lanes both
+packet-level MAC kernels simulate.
 
 The names resolve on first access, so an experiment that never builds a
 network never loads this package's modules.
@@ -30,14 +30,10 @@ _EXPORTS = {
                               "TrafficSource", "SaturatedTraffic",
                               "PoissonTraffic", "BurstyAlarmTraffic",
                               "MixedPopulation", "build_traffic_model"),
-    "repro.network.channel_allocation": ("ChannelAllocator",),
     "repro.network.node": ("SensorNode",),
-    "repro.network.scenario": ("DenseNetworkScenario", "ChannelScenario",
-                               "SimulationSummary"),
-    "repro.network.spec": ("ScenarioSpec", "CASE_STUDY_SPEC",
-                           "adaptive_tx_levels"),
-    "repro.network.simulate": ("ChannelSimTask", "simulate_channel",
-                               "simulate_network", "aggregate_channel_rows"),
+    "repro.network.scenario": ("EventChannelSimulator", "SimulationSummary"),
+    "repro.network.spec": ("ScenarioSpec", "adaptive_tx_levels"),
+    "repro.network.simulate": ("simulate_network", "aggregate_channel_rows"),
 }
 
 __all__ = [name for names in _EXPORTS.values() for name in names]

@@ -1,19 +1,18 @@
-"""Sensor-node description tying together placement, link, traffic and radio.
+"""Sensor-node description: channel and link.
 
 :class:`SensorNode` is the scenario-level description of one node — the
-static attributes the analytical model and the packet-level simulation both
-consume.  It deliberately contains no behaviour of its own; behaviour lives
-in :class:`repro.mac.device.Device` (simulation) and
-:class:`repro.core.energy_model.EnergyModel` (analysis).
+static attributes both packet-level kernels consume.  It deliberately
+contains no behaviour of its own; behaviour lives in
+:class:`repro.mac.device.Device` and the batched kernel
+(:mod:`repro.mac.vectorized`), and each node's transmit level travels with
+its lane (:class:`repro.mac.vectorized.ChannelLane`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 from repro.channel.awgn import AwgnLink
-from repro.network.traffic import PeriodicSensingTraffic
 from repro.phy.error_model import EmpiricalBerModel, ErrorModel
 
 
@@ -28,11 +27,8 @@ class SensorNode:
     channel:
         RF channel the node is assigned to.
     path_loss_db:
-        Attenuation to the base station.
-    traffic:
-        The node's sensing traffic model.
-    tx_power_dbm:
-        Transmit power assigned by link adaptation (``None`` = undecided).
+        Attenuation of the node's uplink (to the base station, or to its
+        parent in a routed channel).
     error_model:
         Bit-error model of the node's link.
     """
@@ -40,8 +36,6 @@ class SensorNode:
     node_id: int
     channel: int
     path_loss_db: float
-    traffic: PeriodicSensingTraffic = field(default_factory=PeriodicSensingTraffic)
-    tx_power_dbm: Optional[float] = None
     error_model: ErrorModel = field(default_factory=EmpiricalBerModel)
 
     def __post_init__(self):

@@ -2,31 +2,29 @@
 
 The paper's case study splits 1600 nodes over sixteen RF channels; the
 channels do not interact (separate frequencies, one coordinator each), so a
-full-network simulation is an embarrassingly parallel fan-out of independent
-single-channel simulations.  :func:`simulate_network` describes each channel
-as a picklable :class:`ChannelSimTask` — the spec, the channel number, the
-shared placement seed and a per-channel simulation seed spawned from the
-master seed — and runs them through any :mod:`repro.runner.executor`
-strategy, so ``--jobs N`` parallelism and serial runs produce identical
-results.
+full-network simulation is a set of independent single-channel
+simulations.  :func:`simulate_network` turns the spec into one
+:class:`repro.mac.vectorized.ChannelLane` per (channel, replication) pair —
+the channel's nodes from :meth:`ScenarioSpec.population` at the master
+seed, each node's transmit level, and a lane seed: for channel ``i`` the
+``i``-th spawned child of the master seed (replication 0) or
+:func:`replication_seeds` children of that (replications 1+) — and hands
+that one lane list to either MAC kernel.
 
-The ``"batched"`` backend — the default — replaces the fan-out entirely:
-every (channel, replication) pair becomes a
-:class:`repro.mac.vectorized.ChannelLane` of one
-:class:`repro.mac.vectorized.BatchedChannelSimulator` call, which advances
-all lanes in lockstep numpy passes.  Lane seeds are exactly the per-channel
-seeds of the task fan-out (replication 0) plus
-:func:`replication_seeds`-spawned children (replications 1+), so batched and
-per-channel runs are bit-identical row for row and adding replications never
-perturbs existing ones.  The executor argument is ignored on this path:
-a large call spreads its lanes over forked workers itself, one per usable
-CPU, with byte-identical rows (see :mod:`repro.mac.vectorized`); the task
-fan-out is how the event kernel spreads over the worker pool.
+The ``"batched"`` backend — the default — advances every lane in one
+:class:`repro.mac.vectorized.BatchedChannelSimulator` call; a large call
+spreads its lanes over forked workers itself, one per usable CPU, with
+byte-identical rows (see :mod:`repro.mac.vectorized`).  The ``"event"``
+backend runs each lane as one task of an executor
+(:mod:`repro.runner.executor`) on the discrete-event kernel
+(:class:`repro.network.scenario.EventChannelSimulator`).  Both get the
+same lanes, so their rows agree row for row (identical counts, energies to
+float-summation-order precision), and adding replications never perturbs
+existing ones.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
 import numpy as np
@@ -41,6 +39,9 @@ CHANNEL_SEED_STREAM = "network.simulate.channels"
 
 #: Seed-stream label of the per-replication children of a channel seed.
 REPLICATION_SEED_STREAM = "network.simulate.replications"
+
+#: Simulation backends :func:`simulate_network` accepts.
+BACKENDS = ("batched", "event")
 
 
 def replication_seeds(channel_seed: int, count: int) -> List[int]:
@@ -58,88 +59,6 @@ def replication_seeds(channel_seed: int, count: int) -> List[int]:
         return [channel_seed]
     return [channel_seed] + spawn_seeds(channel_seed,
                                         REPLICATION_SEED_STREAM, count - 1)
-
-
-@dataclass(frozen=True)
-class ChannelSimTask:
-    """Picklable description of one channel's packet-level simulation.
-
-    ``placement_seed`` drives node placement and path losses and is shared
-    by every task of a network run (all workers must see the same
-    population); ``sim_seed`` drives the channel's packet-level randomness
-    and is unique per (channel, replication).  ``replication`` is ``None``
-    for single-replication runs (no ``"replication"`` row key, preserving
-    historical row shapes and cache artifacts) and the replication index
-    when the run asked for several.
-    """
-
-    spec: ScenarioSpec
-    channel: int
-    placement_seed: int
-    sim_seed: int
-    superframes: int
-    max_nodes: Optional[int] = None
-    backend: Optional[str] = None
-    replication: Optional[int] = None
-
-
-def simulate_channel(task: ChannelSimTask) -> Dict[str, Any]:
-    """Simulate one channel of the spec'd network and summarise it as a dict.
-
-    The task function of :func:`simulate_network`'s executor fan-out.
-    """
-    spec = task.spec
-    tracer = current_tracer()
-    with tracer.span(f"channel[{task.channel}]", kind="lane",
-                     channel=task.channel, replication=task.replication):
-        channel_scenario = _build_channel(
-            spec, spec.build_seeded(task.placement_seed), task.channel,
-            task.sim_seed, task.max_nodes)
-        backend = task.backend or spec.backend
-        summary = channel_scenario.run(superframes=task.superframes,
-                                       backend=backend)
-    return _summary_row(task.channel, summary, task.replication)
-
-
-def _build_channel(spec: ScenarioSpec, scenario, channel: int, seed: int,
-                   max_nodes: Optional[int]):
-    """The :class:`ChannelScenario` of one channel of ``scenario``.
-
-    Built from the spec's own superframe config, MAC constants and CSMA
-    parameters, so band and SO < BO settings are honoured.  ``max_nodes``
-    truncates the channel's population (refused for routed channels,
-    whose sink tree spans all of it); the adaptive TX policy assigns each
-    node its channel-inversion level.  Both the per-channel tasks and the
-    batched lane grid build their channels here.
-    """
-    from repro.network.scenario import ChannelScenario
-
-    nodes = scenario.nodes_on_channel(channel)
-    tree = scenario.sink_tree(channel)
-    if max_nodes is not None and len(nodes) > max_nodes:
-        if tree is not None:
-            raise ValueError("max_nodes cannot truncate a routed "
-                             "channel: the sink tree spans the full "
-                             "population")
-        nodes = nodes[:max_nodes]
-    if spec.tx_policy == TX_POLICY_ADAPTIVE:
-        frame_bytes = spec.payload_bytes + _overhead_bytes()
-        levels = adaptive_tx_levels(
-            [node.path_loss_db for node in nodes], frame_bytes,
-            target_packet_error=spec.target_packet_error,
-            error_model=scenario.error_model)
-        for node, level in zip(nodes, levels):
-            node.tx_power_dbm = level
-    return ChannelScenario(
-        nodes=nodes,
-        config=spec.superframe_config(),
-        constants=spec.constants(),
-        payload_bytes=spec.payload_bytes,
-        seed=seed,
-        csma_params=spec.csma_parameters(),
-        default_tx_power_dbm=spec.tx_power_dbm,
-        traffic=spec.traffic,
-        tree=tree)
 
 
 def _summary_row(channel: int, summary,
@@ -168,40 +87,38 @@ def _summary_row(channel: int, summary,
     return row
 
 
-def _overhead_bytes() -> int:
-    from repro.mac.frames import total_packet_overhead_bytes
-    return total_packet_overhead_bytes()
-
-
-def simulate_network(spec: ScenarioSpec, superframes: Optional[int] = None,
+def simulate_network(spec: ScenarioSpec, superframes: int,
                      seed: Optional[int] = 0, executor=None,
                      max_nodes_per_channel: Optional[int] = None,
-                     backend: Optional[str] = None,
+                     backend: str = "batched",
                      replications: int = 1) -> List[Dict[str, Any]]:
-    """Simulate every channel of ``spec``, batched or as executor tasks.
+    """Simulate every channel of ``spec`` on the batched or event kernel.
 
     Parameters
     ----------
     spec:
         The workload description.
     superframes:
-        Beacon intervals to simulate per channel (default: the spec's hint).
+        Beacon intervals to simulate per channel.
     seed:
-        Master seed; node placement uses it directly and channel ``i``
-        receives the ``i``-th child of
-        ``spawn_seeds(seed, CHANNEL_SEED_STREAM, num_channels)``, so serial
-        and parallel runs are bit-identical.  ``None`` draws one fresh
-        unpredictable master seed up front — the run is not reproducible,
-        but all channels still share a single node population.
+        Master seed; the node population uses it directly and channel
+        ``i`` receives the ``i``-th child of
+        ``spawn_seeds(seed, CHANNEL_SEED_STREAM, num_channels)``, so both
+        backends, serial and parallel, are bit-identical in counts.
+        ``None`` draws one fresh unpredictable master seed up front — the
+        run is not reproducible, but all channels still share a single
+        node population.
     executor:
-        A :mod:`repro.runner.executor` strategy; ``None`` runs serially.
-        Ignored by the ``"batched"`` backend, whose single lockstep kernel
-        call advances every (channel, replication) lane at once and, when
-        large enough, splits its lanes over forked workers itself.
+        The :mod:`repro.runner.executor` strategy the ``"event"`` backend
+        runs its lanes on, one task each; ``None`` runs them in the
+        caller.  Ignored by the ``"batched"`` backend, whose single
+        lockstep kernel call advances every lane at once and, when large
+        enough, splits its lanes over forked workers itself.
     max_nodes_per_channel:
-        Truncate each channel's population (scaled-down runs).
+        Truncate each channel's population (scaled-down runs); refused
+        for routed channels, whose sink tree spans the whole population.
     backend:
-        Override the spec's simulation backend.
+        ``"batched"`` (the default) or ``"event"``, see :data:`BACKENDS`.
     replications:
         Monte-Carlo replications per channel.  Replication 0 uses the
         channel's historical seed (so ``replications=1`` reproduces every
@@ -215,98 +132,79 @@ def simulate_network(spec: ScenarioSpec, superframes: Optional[int] = None,
         One summary dict per (channel, replication), channel-major, in
         channel then replication order.
     """
-    from repro.runner.executor import run_ordered
-
-    resolved_backend = backend or spec.backend
-    if resolved_backend == "batched":
-        return _simulate_network_batched(
-            spec, superframes=superframes, seed=seed,
-            max_nodes_per_channel=max_nodes_per_channel,
-            replications=replications)
-    tasks = build_channel_tasks(spec, superframes=superframes, seed=seed,
-                                max_nodes_per_channel=max_nodes_per_channel,
-                                backend=backend, replications=replications)
-    return run_ordered(executor, simulate_channel, tasks)
-
-
-def _channel_lanes(spec: ScenarioSpec, scenario, seed: int,
-                   max_nodes_per_channel: Optional[int],
-                   replications: int):
-    """The (channel, replication) lane grid of a batched network run.
-
-    Returns ``(lanes, tags)`` where ``tags`` holds the matching
-    ``(channel, replication-or-None)`` row labels.  Each channel is built
-    by :func:`_build_channel`, as in :func:`simulate_channel` — every lane
-    of one channel shares the node population and levels; only the lane
-    seed varies.
-    """
-    from repro.mac.vectorized import ChannelLane
-
-    channel_seeds = spawn_seeds(seed, CHANNEL_SEED_STREAM, len(spec.channels))
-    lanes = []
-    tags = []
-    for channel, channel_seed in zip(spec.channels, channel_seeds):
-        channel_scenario = _build_channel(spec, scenario, channel,
-                                          channel_seed, max_nodes_per_channel)
-        tx_levels = channel_scenario.resolved_tx_levels_dbm()
-        for replication, lane_seed in enumerate(
-                replication_seeds(channel_seed, replications)):
-            lanes.append(ChannelLane(nodes=channel_scenario.nodes,
-                                     tx_levels_dbm=tx_levels, seed=lane_seed,
-                                     tree=channel_scenario.tree))
-            tags.append((channel,
-                         replication if replications > 1 else None))
-    return lanes, tags
-
-
-def _simulate_network_batched(spec: ScenarioSpec,
-                              superframes: Optional[int] = None,
-                              seed: Optional[int] = 0,
-                              max_nodes_per_channel: Optional[int] = None,
-                              replications: int = 1) -> List[Dict[str, Any]]:
-    """One lockstep kernel call covering every (channel, replication)."""
     from repro.mac.vectorized import BatchedChannelSimulator
 
+    if backend not in BACKENDS:
+        raise ValueError(f"Unknown backend {backend!r}; choose one of "
+                         f"{', '.join(BACKENDS)}")
     if seed is None:
         seed = int(np.random.SeedSequence().generate_state(1, np.uint64)[0])
-    if superframes is None:
-        superframes = spec.superframes_hint
-    scenario = spec.build_seeded(seed)
-    lanes, tags = _channel_lanes(spec, scenario, seed,
-                                 max_nodes_per_channel, replications)
-    simulator = BatchedChannelSimulator(
-        lanes, config=spec.superframe_config(), constants=spec.constants(),
-        payload_bytes=spec.payload_bytes,
-        csma_params=spec.csma_parameters(), traffic=spec.traffic)
-    summaries = simulator.run(superframes=superframes)
+    lanes, tags = _channel_lanes(spec, seed, max_nodes_per_channel,
+                                 replications)
+    shared = dict(config=spec.superframe_config(),
+                  payload_bytes=spec.payload_bytes,
+                  csma_params=spec.csma_parameters(), traffic=spec.traffic)
+    if backend == "batched":
+        summaries = BatchedChannelSimulator(lanes, **shared).run(superframes)
+    else:
+        from repro.network.scenario import EventChannelSimulator
+        from repro.runner.executor import run_ordered
+
+        def run_lane(index: int):
+            channel, replication = tags[index]
+            with current_tracer().span(f"channel[{channel}]", kind="lane",
+                                       channel=channel,
+                                       replication=replication):
+                return EventChannelSimulator([lanes[index]], **shared) \
+                    .run(superframes)[0]
+
+        summaries = run_ordered(executor, run_lane, range(len(lanes)))
     return [_summary_row(channel, summary, replication)
             for (channel, replication), summary in zip(tags, summaries)]
 
 
-def build_channel_tasks(spec: ScenarioSpec, superframes: Optional[int] = None,
-                        seed: Optional[int] = 0,
-                        max_nodes_per_channel: Optional[int] = None,
-                        backend: Optional[str] = None,
-                        replications: int = 1) -> List[ChannelSimTask]:
-    """The per-(channel, replication) task list of :func:`simulate_network`.
+def _channel_lanes(spec: ScenarioSpec, seed: int,
+                   max_nodes_per_channel: Optional[int],
+                   replications: int):
+    """The (channel, replication) lanes of a network run.
 
-    A ``seed`` of ``None`` is resolved to one concrete (unpredictable)
-    master seed up front — every channel task must still share the same
-    node population.
+    Returns ``(lanes, tags)`` where ``tags`` holds the matching
+    ``(channel, replication-or-None)`` row labels.  Every lane of one
+    channel shares its nodes, transmit levels and tree; only the lane
+    seed varies.  ``max_nodes_per_channel`` keeps each channel's first
+    nodes; the adaptive TX policy gives each node its channel-inversion
+    level, the fixed one ``spec.tx_power_dbm``.
     """
-    if seed is None:
-        seed = int(np.random.SeedSequence().generate_state(1, np.uint64)[0])
-    channels = spec.channels
-    superframes = spec.superframes_hint if superframes is None else superframes
-    seeds = spawn_seeds(seed, CHANNEL_SEED_STREAM, len(channels))
-    return [ChannelSimTask(spec=spec, channel=channel, placement_seed=seed,
-                           sim_seed=lane_seed, superframes=superframes,
-                           max_nodes=max_nodes_per_channel, backend=backend,
-                           replication=(replication if replications > 1
-                                        else None))
-            for channel, channel_seed in zip(channels, seeds)
-            for replication, lane_seed in enumerate(
-                replication_seeds(channel_seed, replications))]
+    from repro.mac.frames import total_packet_overhead_bytes
+    from repro.mac.vectorized import ChannelLane
+
+    population = spec.population(seed)
+    channel_seeds = spawn_seeds(seed, CHANNEL_SEED_STREAM, len(population))
+    lanes = []
+    tags = []
+    for (channel, (nodes, tree)), channel_seed in zip(population.items(),
+                                                       channel_seeds):
+        if max_nodes_per_channel is not None \
+                and len(nodes) > max_nodes_per_channel:
+            if tree is not None:
+                raise ValueError("max_nodes cannot truncate a routed "
+                                 "channel: the sink tree spans the full "
+                                 "population")
+            nodes = nodes[:max_nodes_per_channel]
+        if spec.tx_policy == TX_POLICY_ADAPTIVE:
+            levels = adaptive_tx_levels(
+                [node.path_loss_db for node in nodes],
+                spec.payload_bytes + total_packet_overhead_bytes(),
+                target_packet_error=spec.target_packet_error)
+        else:
+            levels = [spec.tx_power_dbm] * len(nodes)
+        for replication, lane_seed in enumerate(
+                replication_seeds(channel_seed, replications)):
+            lanes.append(ChannelLane(nodes=nodes, tx_levels_dbm=levels,
+                                     seed=lane_seed, tree=tree))
+            tags.append((channel,
+                         replication if replications > 1 else None))
+    return lanes, tags
 
 
 def aggregate_channel_rows(rows: List[Dict[str, Any]]) -> Dict[str, Any]:

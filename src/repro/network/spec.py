@@ -1,39 +1,44 @@
 """Declarative scenario specifications for the dense-network simulations.
 
-A :class:`ScenarioSpec` captures *what* to simulate — population size, band,
-superframe structure, payload, traffic period, CSMA/CA convention, battery
-life extension, transmit-power policy — as one frozen, picklable value, and
-knows how to build the runnable objects (:class:`DenseNetworkScenario`,
-:class:`repro.mac.csma.CsmaParameters`,
-:class:`repro.mac.superframe.SuperframeConfig`) from it.  That makes diverse
-workloads one configuration away:
+A :class:`ScenarioSpec` captures *what* to simulate — population size,
+channels, superframe structure, payload, traffic, topology and routing,
+CSMA/CA convention, battery life extension, transmit-power policy — as one
+frozen, picklable value, and builds each channel's node population itself
+(:meth:`ScenarioSpec.population`) together with the shared MAC settings
+(:meth:`ScenarioSpec.csma_parameters`,
+:meth:`ScenarioSpec.superframe_config`).  That makes diverse workloads one
+configuration away:
 
->>> spec = ScenarioSpec(total_nodes=320, superframes_hint=4)
+>>> spec = ScenarioSpec(total_nodes=320)
 >>> len(spec.channels)
 16
 >>> spec.csma_parameters().max_csma_backoffs
 2
+>>> nodes, tree = spec.population(seed=0)[11]
+>>> len(nodes), tree is None
+(20, True)
 
-and it is what the channel fan-out of :mod:`repro.network.simulate` ships to
-worker processes, so a full 16-channel case study is described once and
-simulated anywhere.
+:func:`repro.network.simulate.simulate_network` turns a spec into the
+channel lanes both MAC kernels simulate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Dict, List, Optional, Tuple
 
-from repro.mac.constants import MAC_2450MHZ, MacConstants
 from repro.mac.csma import CsmaParameters
 from repro.mac.superframe import SuperframeConfig
 from repro.network.geometry import (lowest_sufficient_levels,
                                     rx_power_threshold_dbm)
-from repro.network.routing import RoutingModel
+from repro.network.node import SensorNode
+from repro.network.routing import GradientRouting, RoutingModel, SinkTree
 from repro.network.topology import TopologyModel
-from repro.network.traffic import PeriodicSensingTraffic, TrafficModel
-from repro.phy.bands import Band, CHANNEL_PAGES, channels_in_band
+from repro.network.traffic import TrafficModel
+from repro.phy.bands import Band, channels_in_band
+from repro.phy.error_model import EmpiricalBerModel
 from repro.radio.power_profile import CC2420_PROFILE, RadioPowerProfile
+from repro.sim.random import RandomStreams
 
 #: Transmit-power policies a spec can request.
 TX_POLICY_FIXED = "fixed"           # every node at ``tx_power_dbm``
@@ -50,19 +55,16 @@ class ScenarioSpec:
 
     Attributes
     ----------
-    name:
-        Identifier used in reports and cache keys.
     total_nodes:
-        Node population spread over the band's channels.
-    band:
-        Frequency band supplying the channel list and PHY timing.
+        Node population spread over the channels (1600 in the paper).
     num_channels:
-        How many of the band's channels to use (``None`` = all of them).
+        How many of the sixteen 2450 MHz channels to use (``None`` = all
+        of them).
     beacon_order / superframe_order:
         Superframe structure; ``superframe_order`` of ``None`` means
         BO = SO (no inactive portion), the paper's case-study setting.
-    payload_bytes / sample_bytes / sampling_interval_s:
-        Traffic shape: payload assembled from periodic sensor readings.
+    payload_bytes:
+        Uplink packet payload.
     traffic:
         Per-node packet process offered to the MAC
         (:class:`repro.network.traffic.TrafficModel`).  ``None`` — the
@@ -94,25 +96,13 @@ class ScenarioSpec:
         mode the paper argues against for dense networks.
     csma_convention:
         ``"paper"`` or ``"standard"`` abort rule.
-    backend:
-        Default simulation backend for this workload: ``"batched"`` (all
-        channels and replications in one lockstep kernel call) or
-        ``"event"`` (the discrete-event reference, fanned out per channel
-        — same counts).
-    superframes_hint:
-        Suggested simulation length in beacon intervals (drivers and
-        examples may override).
     """
 
-    name: str = "dense-network"
     total_nodes: int = 1600
-    band: Band = Band.BAND_2450MHZ
     num_channels: Optional[int] = None
     beacon_order: int = 6
     superframe_order: Optional[int] = None
     payload_bytes: int = 120
-    sample_bytes: int = 1
-    sampling_interval_s: float = 8e-3
     traffic: Optional[TrafficModel] = None
     topology: Optional[TopologyModel] = None
     routing: Optional[RoutingModel] = None
@@ -123,8 +113,6 @@ class ScenarioSpec:
     target_packet_error: float = 0.01
     battery_life_extension: bool = False
     csma_convention: str = CSMA_PAPER
-    backend: str = "batched"
-    superframes_hint: int = 50
 
     def __post_init__(self):
         if self.total_nodes < 1:
@@ -136,16 +124,12 @@ class ScenarioSpec:
             raise ValueError(
                 f"Unknown csma_convention {self.csma_convention!r}; choose "
                 f"'{CSMA_PAPER}' or '{CSMA_STANDARD}'")
-        if self.backend not in ("event", "batched"):
-            raise ValueError(f"Unknown backend {self.backend!r}")
-        if self.superframes_hint < 1:
-            raise ValueError("superframes_hint must be at least 1")
-        available = CHANNEL_PAGES[self.band].channel_count
+        available = len(channels_in_band(Band.BAND_2450MHZ))
         if self.num_channels is not None and \
                 not 1 <= self.num_channels <= available:
             raise ValueError(
-                f"num_channels must lie in 1..{available} for band "
-                f"{self.band.value}, got {self.num_channels}")
+                f"num_channels must lie in 1..{available}, got "
+                f"{self.num_channels}")
         if self.path_loss_high_db < self.path_loss_low_db:
             raise ValueError("path_loss_high_db must be >= path_loss_low_db")
         if self.traffic is not None:
@@ -161,28 +145,11 @@ class ScenarioSpec:
     @property
     def channels(self) -> List[int]:
         """The RF channels the population is split over."""
-        all_channels = channels_in_band(self.band)
-        if self.num_channels is None:
-            return all_channels
-        return all_channels[:self.num_channels]
-
-    def constants(self) -> MacConstants:
-        """MAC constants bound to the spec's band timing."""
-        if self.band is Band.BAND_2450MHZ:
-            return MAC_2450MHZ
-        return MacConstants(timing=CHANNEL_PAGES[self.band].timing)
-
-    def sensing_traffic(self) -> PeriodicSensingTraffic:
-        """The periodic sensing arithmetic (data rate, load, buffering)."""
-        return PeriodicSensingTraffic(
-            sample_bytes=self.sample_bytes,
-            sampling_interval_s=self.sampling_interval_s,
-            payload_bytes=self.payload_bytes)
+        return channels_in_band(Band.BAND_2450MHZ)[:self.num_channels]
 
     def csma_parameters(self) -> CsmaParameters:
         """Slotted CSMA/CA parameters implementing the spec's convention."""
         return CsmaParameters.from_mac_constants(
-            self.constants(),
             paper_convention=self.csma_convention == CSMA_PAPER,
             battery_life_extension=self.battery_life_extension)
 
@@ -192,26 +159,52 @@ class ScenarioSpec:
         if superframe_order is None:
             superframe_order = self.beacon_order
         return SuperframeConfig(beacon_order=self.beacon_order,
-                                superframe_order=superframe_order,
-                                constants=self.constants())
+                                superframe_order=superframe_order)
 
-    def build_seeded(self, placement_seed: int):
-        """The scenario with an explicit placement seed (fan-out workers)."""
-        from repro.network.scenario import DenseNetworkScenario
+    def population(self, seed: int
+                   ) -> Dict[int, Tuple[List[SensorNode], Optional[SinkTree]]]:
+        """Each channel's nodes, in ascending id order, and its sink tree.
 
-        return DenseNetworkScenario(
-            total_nodes=self.total_nodes,
-            channels=self.channels,
-            traffic=self.sensing_traffic(),
-            path_loss_low_db=self.path_loss_low_db,
-            path_loss_high_db=self.path_loss_high_db,
-            beacon_order=self.beacon_order,
-            seed=placement_seed,
-            tx_power_dbm=self.tx_power_dbm,
-            traffic_model=self.traffic,
-            topology_model=self.topology,
-            routing_model=self.routing,
-        )
+        Nodes ``1 .. total_nodes`` are dealt round robin over
+        :attr:`channels`, and every draw comes from a named stream of
+        ``RandomStreams(seed)``.  The star draws each node's sink loss
+        from the uniform bounds (stream ``scenario.pathloss``, the
+        paper's abstraction) and has no tree.  A geometric topology
+        places each channel's nodes (stream
+        ``scenario.topology[<channel>]``), routes them (stream
+        ``scenario.routing[<channel>]``; single-hop gradient routing by
+        default) and gives every node the median loss of its *parent
+        link* — the loss its transmissions must close, which is what
+        channel-inversion adaptation and the AWGN link model act on.
+        """
+        streams = RandomStreams(seed)
+        channels = self.channels
+        members: Dict[int, List[int]] = {channel: [] for channel in channels}
+        for node_id in range(1, self.total_nodes + 1):
+            members[channels[(node_id - 1) % len(channels)]].append(node_id)
+        trees: Dict[int, SinkTree] = {}
+        if self.topology is None or not self.topology.geometric:
+            losses = streams.get("scenario.pathloss").uniform(
+                self.path_loss_low_db, self.path_loss_high_db,
+                size=self.total_nodes)
+            loss_of = dict(enumerate(losses.tolist(), start=1))
+        else:
+            routing = self.routing or GradientRouting(max_hops=1)
+            loss_of = {}
+            for channel, ids in members.items():
+                if not ids:
+                    continue
+                network = self.topology.build_network(
+                    ids, rng=streams.get(f"scenario.topology[{channel}]"))
+                trees[channel] = routing.build_tree(
+                    network, rng=streams.get(f"scenario.routing[{channel}]"))
+                loss_of.update(trees[channel].link_loss_db)
+        error_model = EmpiricalBerModel()
+        return {channel: ([SensorNode(node_id=node_id, channel=channel,
+                                      path_loss_db=loss_of[node_id],
+                                      error_model=error_model)
+                           for node_id in ids], trees.get(channel))
+                for channel, ids in members.items()}
 
 
 def adaptive_tx_levels(path_losses_db, payload_on_air_bytes: int,
@@ -236,8 +229,3 @@ def adaptive_tx_levels(path_losses_db, payload_on_air_bytes: int,
         sensitivity_dbm=sensitivity_dbm, error_model=error_model)
     return lowest_sufficient_levels(path_losses_db, rx_threshold,
                                     profile.tx_level_dbms())
-
-
-#: The paper's Section 5 workload: 1600 nodes over the sixteen 2450 MHz
-#: channels, BO = SO = 6, 120-byte payloads, channel-inversion adaptation.
-CASE_STUDY_SPEC = ScenarioSpec(name="case_study_full")

@@ -407,8 +407,9 @@ class TrafficModel(abc.ABC):
         """Validate that this model feeds ``payload_bytes`` packets.
 
         Both simulation kernels assume a single frame airtime, so every
-        layer embedding a traffic model (:class:`ScenarioSpec`,
-        :class:`ChannelScenario`, the batched kernel) enforces the
+        layer embedding a traffic model (:class:`ScenarioSpec` and the
+        kernels' shared input,
+        :class:`repro.mac.vectorized.ChannelSimulator`) enforces the
         agreement through this one check.
         """
         if self.payload_bytes != payload_bytes:
@@ -483,17 +484,6 @@ class PeriodicSensingTraffic(TrafficModel):
     def packet_period_s(self) -> float:
         """Time to accumulate one full packet (960 ms in the paper)."""
         return self.samples_per_packet * self.sampling_interval_s
-
-    def offered_load(self, nodes: int, channel_bit_rate_bps: float,
-                     overhead_bytes: int = 13) -> float:
-        """Aggregate on-air load of ``nodes`` such sources on one channel."""
-        if nodes < 0:
-            raise ValueError("nodes must be non-negative")
-        if channel_bit_rate_bps <= 0:
-            raise ValueError("channel_bit_rate_bps must be positive")
-        packet_bits = (self.payload_bytes + overhead_bytes) * 8
-        packets_per_second = 1.0 / self.packet_period_s
-        return nodes * packet_bits * packets_per_second / channel_bit_rate_bps
 
     def buffering_delay_s(self) -> float:
         """Average age of a sample when its packet becomes ready.

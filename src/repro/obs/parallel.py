@@ -1,9 +1,9 @@
 """Telemetry transport across the worker-pool boundary.
 
-:class:`TracedExecutor` wraps any engine executor (serial or the forked
-worker pool).  Each task runs under a *fresh* buffer
-:class:`~repro.obs.tracer.Tracer` inside its worker, which sends the
-buffer's export back with the result.  The parent streams results
+:class:`TracedExecutor` wraps the engine's executor, whether it runs the
+tasks in the caller or on forked pool workers.  Each task runs under a
+*fresh* buffer :class:`~repro.obs.tracer.Tracer` inside its worker, which
+sends the buffer's export back with the result.  The parent streams results
 through unchanged (callers still see ``(index, result)``) and, once the
 task list drains, grafts the buffers into its own tracer **in task-index
 order** — so the merged span tree is identical for ``--jobs 1`` and

@@ -41,11 +41,6 @@ class ChannelPage:
     first_channel: int
     last_channel: int
 
-    @property
-    def channel_count(self) -> int:
-        """Number of channels in the band."""
-        return self.last_channel - self.first_channel + 1
-
     def channels(self) -> List[int]:
         """Channel numbers belonging to this band."""
         return list(range(self.first_channel, self.last_channel + 1))

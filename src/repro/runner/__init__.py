@@ -14,8 +14,8 @@ one orchestrated system:
 * :mod:`repro.runner.result` — :class:`RunResult`, the first-class result
   object every engine run returns (rows, metric accessors, provenance,
   deterministic ``to_table``/``to_json``/``to_csv``);
-* :mod:`repro.runner.executor` — serial and worker-pool execution
-  strategies sharing one ``(index, result)`` interface;
+* :mod:`repro.runner.executor` — the worker-pool execution strategy
+  (one job runs every task in the caller);
 * :mod:`repro.runner.cache` — content-addressed on-disk JSON cache keyed by
   (experiment, parameters, seed, code version);
 * :mod:`repro.runner.drivers` — adapters mapping each paper driver onto the
@@ -37,8 +37,8 @@ from repro._lazy import lazy_exports
 _EXPORTS = {
     "repro.runner.cache": ("NullCache", "ResultCache", "code_version"),
     "repro.runner.engine": ("DEFAULT_SEED", "run_experiment"),
-    "repro.runner.executor": ("ProcessExecutor", "SerialExecutor",
-                              "make_executor", "run_ordered"),
+    "repro.runner.executor": ("ProcessExecutor", "make_executor",
+                              "run_ordered"),
     "repro.runner.params": ("ParamSchema", "ParamSpec",
                             "ParameterValueError", "UnknownParameterError",
                             "parse_param"),

@@ -275,8 +275,8 @@ def run_case_study_full(params: Mapping[str, Any],
     """Section 5 case study simulated at full scale (batched backend).
 
     The default batched backend advances every (channel, replication) lane
-    in one lockstep kernel call; the event backend fans the channels out as
-    independent tasks with their own spawned seeds through the context
+    in one lockstep kernel call; the event backend runs the same lanes as
+    independent tasks, each with its own spawned seed, through the context
     executor.  Per-channel summaries are aggregated NaN-safely
     (channels that delivered nothing are skipped in the delay mean instead
     of poisoning it).

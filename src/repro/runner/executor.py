@@ -1,15 +1,13 @@
-"""Execution strategies for the experiment engine.
+"""Execution strategy of the experiment engine.
 
 The engine describes its work as a flat list of *tasks* plus one *task
-function*; an executor decides where the calls run.  Two strategies are
-provided:
+function*; :class:`ProcessExecutor` decides where the calls run: in the
+caller, or shared between the caller and forked workers of the package's
+worker pool (:mod:`repro.pool`), one per CPU this process may use, each
+pulling the next task when it is free.  ``ProcessExecutor(jobs=1)`` runs
+every task in the caller.
 
-* :class:`SerialExecutor` — evaluate in the calling process, in order.
-* :class:`ProcessExecutor` — share the tasks between the caller and forked
-  workers of the package's worker pool (:mod:`repro.pool`), one per CPU
-  this process may use, each pulling the next task when it is free.
-
-Both yield ``(index, result)`` pairs.  Determinism across strategies is
+It yields ``(index, result)`` pairs.  Determinism across job counts is
 the caller's contract: every task must carry its own seed (see
 :func:`repro.sim.random.spawn_seeds`) so the result of task ``i`` does not
 depend on which worker — or how many workers — executed it.
@@ -32,27 +30,6 @@ from repro.pool import WorkerFailed, run_workers, usable_cpus, worker_count
 _FORK_FLOOR_S = 0.02
 
 
-class SerialExecutor:
-    """Evaluate tasks one after another in the calling process.
-
-    This is the reference strategy: parallel strategies must produce the same
-    ``(index, result)`` multiset for the same task list.
-    """
-
-    #: Worker cap, kept for symmetry with :class:`ProcessExecutor`.
-    jobs = 1
-
-    def map_tasks(self, function: Callable[[Any], Any],
-                  tasks: Sequence[Any],
-                  local: Iterable[int] = ()) -> Iterator[Tuple[int, Any]]:
-        """Yield ``(index, function(task))`` in input order."""
-        for index, task in enumerate(tasks):
-            yield index, function(task)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return "SerialExecutor()"
-
-
 class ProcessExecutor:
     """Evaluate tasks on the caller and forked pool workers.
 
@@ -62,12 +39,14 @@ class ProcessExecutor:
         Cap on the processes a call runs on; ``None`` (the default) is
         every CPU in ``os.sched_getaffinity(0)``.
 
-    A call of fewer than two shared tasks, or one the pool's policy keeps
-    in one process (:func:`repro.pool.worker_count`: another thread alive,
-    a ``multiprocessing`` child, inside a pool worker, off Linux), runs in
-    the caller.  Otherwise the workers inherit ``function`` and the tasks
-    through the fork, and only results travel back, pickled.  A task's
-    exception reaches the caller as its own type when it pickles, and as
+    Every call of a one-job executor, a call of fewer than two shared
+    tasks, and one the pool's policy keeps in one process
+    (:func:`repro.pool.worker_count`: another thread alive, a
+    ``multiprocessing`` child, inside a pool worker, off Linux) run in the
+    caller, which yields each result as its task finishes.  Otherwise the
+    workers inherit ``function`` and the tasks through the fork, and only
+    results travel back, pickled.  A task's exception reaches the caller
+    as its own type when it pickles, and as
     :class:`repro.pool.WorkerFailed` (a :class:`RuntimeError` naming the
     worker and the task) when it does not.
 
@@ -89,7 +68,8 @@ class ProcessExecutor:
                   tasks: Sequence[Any],
                   local: Iterable[int] = ()) -> Iterator[Tuple[int, Any]]:
         """Yield ``(index, function(task))`` for every task, in index
-        order once every task is done.
+        order: each as it finishes when the call runs in the caller, all
+        once every task is done when it forks.
 
         The caller runs the ``local`` indices itself (a sweep's cached
         points); only the others are shared with forked workers.
@@ -101,29 +81,30 @@ class ProcessExecutor:
             and self.task_s * shared < _FORK_FLOOR_S
         workers = worker_count(1 if small else min(self.jobs, shared))
 
-        def run(indices) -> List[Tuple[int, Any, float]]:
-            done = []
+        def run(indices) -> Iterator[Tuple[int, Any, float]]:
             for index in indices:
                 started = perf_counter()
                 result = function(tasks[index])
-                done.append((index, result, perf_counter() - started))
-            return done
+                yield index, result, perf_counter() - started
 
         if workers < 2:
             done = run(range(len(tasks)))
         else:
             try:
-                shares = run_workers(run, len(tasks), workers, sorted(local))
+                shares = run_workers(lambda indices: list(run(indices)),
+                                     len(tasks), workers, sorted(local))
             except WorkerFailed as failure:
                 if failure.error is None:
                     raise
                 raise failure.error from failure
             done = sorted(item for share in shares for item in share)
-        if shared:
-            self.task_s = sum(seconds for index, _, seconds in done
-                              if index not in local) / shared
-        for index, result, _ in done:
+        shared_s = 0.0
+        for index, result, seconds in done:
+            if index not in local:
+                shared_s += seconds
             yield index, result
+        if shared:
+            self.task_s = shared_s / shared
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"ProcessExecutor(jobs={self.jobs})"
@@ -132,12 +113,11 @@ class ProcessExecutor:
 def make_executor(jobs: Optional[int] = None):
     """Build the executor matching a ``--jobs`` request.
 
-    ``1`` selects the serial strategy; ``None`` (every usable CPU) or
-    anything larger the worker pool with that cap.
+    ``1`` (or less) runs every task in the caller; ``None`` (every usable
+    CPU) or anything larger shares them with the worker pool up to that
+    cap.
     """
-    if jobs is not None and jobs <= 1:
-        return SerialExecutor()
-    return ProcessExecutor(jobs=jobs)
+    return ProcessExecutor(jobs=None if jobs is None else max(1, jobs))
 
 
 def run_ordered(executor, function: Callable[[Any], Any],
@@ -149,11 +129,11 @@ def run_ordered(executor, function: Callable[[Any], Any],
     ``on_result`` is invoked as each ``(index, result)`` arrives, which
     lets callers stream progress while still receiving a deterministic,
     input-ordered list; ``local`` is passed to the executor's
-    ``map_tasks``.  ``None`` runs serially.
+    ``map_tasks``.  ``None`` runs every task in the caller.
     """
     tasks = list(tasks)
     results: List[Any] = [None] * len(tasks)
-    for index, result in (executor or SerialExecutor()).map_tasks(
+    for index, result in (executor or ProcessExecutor(jobs=1)).map_tasks(
             function, tasks, local):
         results[index] = result
         if on_result is not None:

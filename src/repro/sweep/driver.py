@@ -32,7 +32,7 @@ from repro.obs.parallel import TracedExecutor
 from repro.obs.tracer import activate, current_tracer
 from repro.runner.engine import (_canonical_params, resolve_cache,
                                  run_experiment)
-from repro.runner.executor import (SerialExecutor, make_executor,
+from repro.runner.executor import (ProcessExecutor, make_executor,
                                    run_ordered)
 from repro.runner.registry import ExperimentRegistry, default_registry
 from repro.sweep.spec import SweepSpec
@@ -264,7 +264,7 @@ def dispatch_points(experiment: str,
 
     The shared dispatch path under :func:`run_sweep` and
     :func:`repro.sweep.optimize.run_optimize`: every point becomes one
-    engine task of ``executor`` (serial by default), its result served
+    engine task of ``executor`` (the caller by default), its result served
     from the content-addressed cache when present.  The points the cache
     holds (:meth:`~repro.runner.cache.ResultCache.contains`, one ``stat``
     each) run in the caller; only the others are shared with pool
@@ -276,7 +276,7 @@ def dispatch_points(experiment: str,
     the tracer span wrapping it (``sweep.points.cached`` /
     ``sweep.points.computed`` counters tick either way).
     """
-    executor = executor if executor is not None else SerialExecutor()
+    executor = executor if executor is not None else ProcessExecutor(jobs=1)
     tracer = tracer if tracer is not None else current_tracer()
     if tracer.enabled and not isinstance(executor, TracedExecutor):
         executor = TracedExecutor(executor, tracer)

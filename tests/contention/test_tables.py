@@ -84,14 +84,14 @@ class TestBuildContentionTable:
         assert low.mean_cca_count <= mid.mean_cca_count <= high.mean_cca_count
 
     def test_executor_mode_is_jobs_invariant(self):
-        from repro.runner.executor import ProcessExecutor, SerialExecutor
+        from repro.runner.executor import ProcessExecutor
 
         in_caller = build_contention_table([0.2, 0.6], [33, 63],
                                            num_windows=2, executor=None,
                                            seed=9, num_nodes=25)
         serial = build_contention_table([0.2, 0.6], [33, 63], num_windows=2,
-                                        executor=SerialExecutor(), seed=9,
-                                        num_nodes=25)
+                                        executor=ProcessExecutor(jobs=1),
+                                        seed=9, num_nodes=25)
         parallel = build_contention_table([0.2, 0.6], [33, 63], num_windows=2,
                                           executor=ProcessExecutor(jobs=2),
                                           seed=9, num_nodes=25)

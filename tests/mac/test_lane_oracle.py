@@ -31,7 +31,7 @@ from repro.mac.vectorized import (BatchedChannelSimulator, ChannelLane,
                                   _beacon_airtime_s, _make_data_frame)
 from repro.network.node import SensorNode
 from repro.network.routing import SinkTree
-from repro.network.scenario import ChannelScenario
+from repro.network.scenario import EventChannelSimulator
 from repro.network.traffic import build_traffic_model
 from repro.obs.tracer import current_tracer
 from repro.radio.power_profile import (CC2420_PROFILE, RadioPowerProfile,
@@ -457,16 +457,6 @@ def simulate_lane_reference(lane: ChannelLane, config: SuperframeConfig,
     )
 
 
-def run_oracle(channel: ChannelScenario, superframes: int):
-    """The oracle's summary of ``channel``, built as the batched kernel's lane."""
-    lane = ChannelLane(nodes=channel.nodes,
-                       tx_levels_dbm=channel.resolved_tx_levels_dbm(),
-                       seed=channel.seed, tree=channel.tree)
-    return simulate_lane_reference(
-        lane, channel.config, channel.constants, channel.payload_bytes,
-        channel.csma_params, CC2420_PROFILE, channel.traffic, superframes)
-
-
 def assert_summaries_match(expected, actual):
     """Exact counts; power, delay and per-phase energies to 1e-9."""
     for field in ("packets_attempted", "packets_delivered",
@@ -498,7 +488,7 @@ class TestOracleMatrix:
     and battery-life extension caps BE at 2.  The two lanes of each CSMA
     and traffic call differ in seed and link loss (a clean 70 dB lane under
     heavy load and a lossy 93 dB one), so they also pin lane independence.
-    One case runs through :meth:`ChannelScenario.run`, the single-lane path.
+    One case runs a single lane, a duty-cycled Poisson channel.
     """
 
     CSMA = {
@@ -519,7 +509,7 @@ class TestOracleMatrix:
     @staticmethod
     def lane(seed, node_count, path_loss_db, tree=None):
         nodes = [SensorNode(node_id=i, channel=11,
-                            path_loss_db=path_loss_db, tx_power_dbm=0.0)
+                            path_loss_db=path_loss_db)
                  for i in range(1, node_count + 1)]
         return ChannelLane(nodes=nodes, tx_levels_dbm=[0.0] * node_count,
                            seed=seed, tree=tree)
@@ -578,16 +568,14 @@ class TestOracleMatrix:
         assert all(sorted(summary.by_depth) == [1, 2, 3]
                    for summary in summaries)
 
-    def test_channel_scenario_run_matches_the_oracle(self):
-        """``ChannelScenario.run(backend="batched")`` is one lane of the
-        batched kernel: a duty-cycled Poisson channel matches the oracle."""
-        channel = ChannelScenario(
-            self.lane(5, 8, 70.0).nodes,
+    def test_a_single_lane_call_matches_the_oracle(self):
+        """A one-lane batched call of a duty-cycled Poisson channel
+        matches the oracle."""
+        self.run_against_the_oracle(
+            [self.lane(5, 8, 70.0)],
             SuperframeConfig(beacon_order=4, superframe_order=2),
-            payload_bytes=100, seed=5,
+            superframes=8,
             traffic=build_traffic_model("poisson", payload_bytes=100))
-        assert_summaries_match(run_oracle(channel, superframes=8),
-                               channel.run(superframes=8, backend="batched"))
 
 
 class TestHorizonCutRegimes:
@@ -649,26 +637,31 @@ class TestHorizonCutRegimes:
     #: transaction outcomes (denser bursts reorder the last samples).
     EVENT_COUNT_AGREEMENT = ("single-node-retries", "zero-backoff")
 
-    def build_channel(self, node_count, path_loss_db, seed,
-                      backoff_exponent=None):
-        nodes = [SensorNode(node_id=i, channel=11,
-                            path_loss_db=path_loss_db, tx_power_dbm=0.0)
-                 for i in range(1, node_count + 1)]
+    def run_scenario(self, settings, backends=("oracle", "batched")):
+        """One summary per backend of ``backends`` (``"oracle"``,
+        ``"batched"``, ``"event"``) for the scenario's one-lane list,
+        which is built once and handed to each of them."""
         config = SuperframeConfig(beacon_order=0, superframe_order=0)
-        params = None
-        if backoff_exponent is not None:
-            params = CsmaParameters(min_be=backoff_exponent,
-                                    max_be=backoff_exponent)
-        return ChannelScenario(nodes, config, payload_bytes=100, seed=seed,
-                               csma_params=params)
-
-    def run_scenario(self, settings, backend="batched"):
-        settings = dict(settings)
-        superframes = settings.pop("superframes")
-        channel = self.build_channel(**settings)
-        if backend == "oracle":
-            return run_oracle(channel, superframes)
-        return channel.run(superframes=superframes, backend=backend)
+        node_count = settings["node_count"]
+        nodes = [SensorNode(node_id=i, channel=11,
+                            path_loss_db=settings["path_loss_db"])
+                 for i in range(1, node_count + 1)]
+        lanes = [ChannelLane(nodes=nodes, tx_levels_dbm=[0.0] * node_count,
+                             seed=settings["seed"])]
+        params = CsmaParameters.from_mac_constants()
+        if "backoff_exponent" in settings:
+            params = CsmaParameters(min_be=settings["backoff_exponent"],
+                                    max_be=settings["backoff_exponent"])
+        superframes = settings["superframes"]
+        kernels = {"batched": BatchedChannelSimulator,
+                   "event": EventChannelSimulator}
+        return [simulate_lane_reference(lanes[0], config, MAC_2450MHZ, 100,
+                                        params, CC2420_PROFILE, None,
+                                        superframes)
+                if backend == "oracle" else
+                kernels[backend](lanes, config, payload_bytes=100,
+                                 csma_params=params).run(superframes)[0]
+                for backend in backends]
 
     @staticmethod
     def assert_counts_match(expected, actual, context):
@@ -679,22 +672,18 @@ class TestHorizonCutRegimes:
 
     @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
     def test_oracle_matches_across_the_horizon_cut(self, scenario):
-        settings = self.SCENARIOS[scenario]
-        assert_summaries_match(self.run_scenario(settings, "oracle"),
-                               self.run_scenario(settings))
+        assert_summaries_match(*self.run_scenario(self.SCENARIOS[scenario]))
 
     def test_zero_backoff_counts_match_the_oracle(self):
         self.assert_counts_match(
-            self.run_scenario(self.ZERO_BACKOFF, "oracle"),
-            self.run_scenario(self.ZERO_BACKOFF),
+            *self.run_scenario(self.ZERO_BACKOFF),
             "between the batched kernel and the oracle at BE=0")
 
     @pytest.mark.parametrize("scenario", EVENT_COUNT_AGREEMENT)
     def test_event_kernel_counts_agree_in_sparse_cut_regimes(self, scenario):
         settings = (self.ZERO_BACKOFF if scenario == "zero-backoff"
                     else self.SCENARIOS[scenario])
-        fast = self.run_scenario(settings)
-        event = self.run_scenario(settings, backend="event")
+        event, fast = self.run_scenario(settings, ("event", "batched"))
         self.assert_counts_match(
             event, fast, f"between the event and batched kernels ({scenario})")
 
@@ -702,7 +691,7 @@ class TestHorizonCutRegimes:
     def test_the_cut_leaves_unresolved_attempts(self, scenario):
         """Every scenario must actually lose work to the horizon —
         otherwise it stopped exercising the cut paths it exists for."""
-        summary = self.run_scenario(self.SCENARIOS[scenario])
+        summary, = self.run_scenario(self.SCENARIOS[scenario], ("batched",))
         unresolved = (summary.packets_attempted - summary.packets_delivered
                       - summary.channel_access_failures)
         assert unresolved > 0, (

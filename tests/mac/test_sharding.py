@@ -104,8 +104,8 @@ def assert_no_child_left():
 
 
 def lane(seed, size):
-    nodes = [SensorNode(node_id=i, channel=11, path_loss_db=70.0 + i,
-                        tx_power_dbm=0.0) for i in range(1, size + 1)]
+    nodes = [SensorNode(node_id=i, channel=11, path_loss_db=70.0 + i)
+             for i in range(1, size + 1)]
     return ChannelLane(nodes=nodes, tx_levels_dbm=[0.0] * size, seed=seed)
 
 

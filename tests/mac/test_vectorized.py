@@ -21,16 +21,36 @@ from repro.mac.csma import CsmaParameters
 from repro.mac.superframe import SuperframeConfig
 from repro.mac.vectorized import BatchedChannelSimulator, ChannelLane
 from repro.network.node import SensorNode
-from repro.network.scenario import ChannelScenario, DenseNetworkScenario
+from repro.network.scenario import EventChannelSimulator
 from repro.network.simulate import simulate_network
 from repro.network.spec import ScenarioSpec
 from repro.network.traffic import build_traffic_model
 
 
-def run_both(channel_scenario, superframes):
-    event = channel_scenario.run(superframes=superframes, backend="event")
-    fast = channel_scenario.run(superframes=superframes, backend="batched")
+def run_both(lanes, superframes, **shared):
+    """The one-lane summary of each kernel: the same lane list, built
+    once, goes to the event kernel and to the batched kernel."""
+    event, = EventChannelSimulator(lanes, **shared).run(superframes)
+    fast, = BatchedChannelSimulator(lanes, **shared).run(superframes)
     return event, fast
+
+
+def lanes_of(nodes, seed):
+    """One lane of ``nodes``, every node at 0 dBm."""
+    return [ChannelLane(nodes=nodes, tx_levels_dbm=[0.0] * len(nodes),
+                        seed=seed)]
+
+
+def spec_lanes(spec, placement_seed, lane_seed, max_nodes=None):
+    """Channel 11 of ``spec``'s population at ``placement_seed`` as one
+    lane, its first ``max_nodes`` nodes at 0 dBm."""
+    return lanes_of(spec.population(placement_seed)[11][0][:max_nodes],
+                    lane_seed)
+
+
+def uniform_nodes(count, path_loss_db=70.0):
+    return [SensorNode(node_id=i, channel=11, path_loss_db=path_loss_db)
+            for i in range(1, count + 1)]
 
 
 def assert_summaries_match(event, fast):
@@ -57,63 +77,75 @@ def assert_summaries_match(event, fast):
 class TestCrossValidation:
     @pytest.mark.parametrize("seed", [0, 4, 17])
     def test_light_load_channel_matches_event_kernel(self, seed):
-        scenario = DenseNetworkScenario(total_nodes=64, channels=[11, 12],
-                                        beacon_order=3, seed=seed)
-        channel = scenario.channel_scenario(11, max_nodes=8, seed=seed + 7)
-        assert_summaries_match(*run_both(channel, superframes=6))
+        spec = ScenarioSpec(total_nodes=64, num_channels=2, beacon_order=3)
+        assert_summaries_match(*run_both(
+            spec_lanes(spec, seed, seed + 7, max_nodes=8), 6,
+            config=spec.superframe_config()))
 
     @pytest.mark.parametrize("seed", [2, 9])
     def test_saturated_channel_matches_event_kernel(self, seed):
         """Heavy load: busy CCAs, access failures and retries must agree."""
-        scenario = DenseNetworkScenario(total_nodes=64, channels=[11, 12],
-                                        beacon_order=2, seed=seed)
-        channel = scenario.channel_scenario(11, max_nodes=16, seed=seed)
-        event, fast = run_both(channel, superframes=8)
+        spec = ScenarioSpec(total_nodes=64, num_channels=2, beacon_order=2)
+        event, fast = run_both(spec_lanes(spec, seed, seed, max_nodes=16), 8,
+                               config=spec.superframe_config())
         assert event.channel_access_failures > 0  # the regime is exercised
         assert_summaries_match(event, fast)
 
     def test_full_case_study_channel_matches_event_kernel(self):
-        scenario = DenseNetworkScenario(seed=1)
-        channel = scenario.channel_scenario(11, seed=3)
-        event, fast = run_both(channel, superframes=3)
+        spec = ScenarioSpec()
+        event, fast = run_both(spec_lanes(spec, 1, 3), 3,
+                               config=spec.superframe_config())
         assert event.node_count == 100
         assert_summaries_match(event, fast)
 
     def test_lossy_links_match_event_kernel(self):
         """Corruption draws (coordinator stream) consumed identically."""
-        nodes = [SensorNode(node_id=i, channel=11, path_loss_db=93.0,
-                            tx_power_dbm=0.0) for i in range(1, 7)]
         config = SuperframeConfig(beacon_order=3, superframe_order=3)
-        channel = ChannelScenario(nodes, config, payload_bytes=100, seed=5)
-        event, fast = run_both(channel, superframes=10)
+        event, fast = run_both(lanes_of(uniform_nodes(6, 93.0), 5), 10,
+                               config=config, payload_bytes=100)
         assert event.packets_delivered < event.packets_attempted  # losses
         assert_summaries_match(event, fast)
 
     def test_standard_csma_convention_matches_event_kernel(self):
         params = CsmaParameters.from_mac_constants(paper_convention=False)
-        nodes = [SensorNode(node_id=i, channel=11, path_loss_db=70.0,
-                            tx_power_dbm=0.0) for i in range(1, 13)]
         config = SuperframeConfig(beacon_order=2, superframe_order=2)
-        channel = ChannelScenario(nodes, config, payload_bytes=120, seed=3,
-                                  csma_params=params)
-        assert_summaries_match(*run_both(channel, superframes=6))
+        assert_summaries_match(*run_both(
+            lanes_of(uniform_nodes(12), 3), 6, config=config,
+            payload_bytes=120, csma_params=params))
 
     def test_battery_life_extension_matches_event_kernel(self):
         params = CsmaParameters.from_mac_constants(battery_life_extension=True)
-        nodes = [SensorNode(node_id=i, channel=11, path_loss_db=70.0,
-                            tx_power_dbm=0.0) for i in range(1, 13)]
         config = SuperframeConfig(beacon_order=2, superframe_order=2)
-        channel = ChannelScenario(nodes, config, payload_bytes=120, seed=6,
-                                  csma_params=params)
-        assert_summaries_match(*run_both(channel, superframes=6))
+        assert_summaries_match(*run_both(
+            lanes_of(uniform_nodes(12), 6), 6, config=config,
+            payload_bytes=120, csma_params=params))
 
     def test_inactive_superframe_portion_matches_event_kernel(self):
         """SO < BO: devices sleep through the inactive portion."""
-        nodes = [SensorNode(node_id=i, channel=11, path_loss_db=70.0,
-                            tx_power_dbm=0.0) for i in range(1, 7)]
         config = SuperframeConfig(beacon_order=4, superframe_order=2)
-        channel = ChannelScenario(nodes, config, payload_bytes=100, seed=8)
-        assert_summaries_match(*run_both(channel, superframes=5))
+        assert_summaries_match(*run_both(
+            lanes_of(uniform_nodes(6), 8), 5, config=config,
+            payload_bytes=100))
+
+
+    def test_a_custom_radio_profile_reaches_both_kernels(self):
+        """``profile`` is part of the kernels' shared input: doubling the
+        receive power raises both kernels' power alike."""
+        from dataclasses import replace
+
+        from repro.radio.power_profile import CC2420_PROFILE
+        from repro.radio.states import RadioState
+
+        powers = dict(CC2420_PROFILE.state_power_w)
+        powers[RadioState.RX] *= 2.0
+        profile = replace(CC2420_PROFILE, state_power_w=powers)
+        config = SuperframeConfig(beacon_order=3, superframe_order=3)
+        lanes = lanes_of(uniform_nodes(6), 4)
+        event, fast = run_both(lanes, 4, config=config, payload_bytes=100,
+                               profile=profile)
+        assert_summaries_match(event, fast)
+        default, _ = run_both(lanes, 4, config=config, payload_bytes=100)
+        assert event.mean_node_power_w > default.mean_node_power_w
 
 
 class TestTrafficModelCrossValidation:
@@ -138,48 +170,42 @@ class TestTrafficModelCrossValidation:
     @pytest.mark.parametrize("model", MODELS)
     def test_kernels_agree_for_every_model(self, model, config):
         traffic = build_traffic_model(model, payload_bytes=100)
-        nodes = [SensorNode(node_id=i, channel=11, path_loss_db=70.0,
-                            tx_power_dbm=0.0) for i in range(1, 11)]
-        channel = ChannelScenario(nodes, config, payload_bytes=100, seed=5,
-                                  traffic=traffic)
-        event, fast = run_both(channel, superframes=8)
-        assert_summaries_match(event, fast)
+        assert_summaries_match(*run_both(
+            lanes_of(uniform_nodes(10), 5), 8, config=config,
+            payload_bytes=100, traffic=traffic))
 
     def test_stochastic_models_exercise_idle_superframes(self):
         """The poisson regime must actually skip superframes (otherwise the
         matrix above degenerates into five copies of the saturated case)."""
         traffic = build_traffic_model("poisson", payload_bytes=100,
                                       rate_scale=0.5)
-        nodes = [SensorNode(node_id=i, channel=11, path_loss_db=70.0,
-                            tx_power_dbm=0.0) for i in range(1, 9)]
+        nodes = uniform_nodes(8)
         config = SuperframeConfig(beacon_order=3, superframe_order=3)
-        channel = ChannelScenario(nodes, config, payload_bytes=100, seed=5,
-                                  traffic=traffic)
-        event, fast = run_both(channel, superframes=8)
+        event, fast = run_both(lanes_of(nodes, 5), 8, config=config,
+                               payload_bytes=100, traffic=traffic)
         assert event.packets_attempted < 8 * len(nodes)
         assert event.packets_attempted > 0
         assert_summaries_match(event, fast)
 
     def test_scenario_spec_traffic_threads_through_both_kernels(self):
         """Traffic configured on a ScenarioSpec reaches both backends."""
-        from repro.network.spec import ScenarioSpec
-
         traffic = build_traffic_model("mixed", payload_bytes=120)
         spec = ScenarioSpec(total_nodes=16, num_channels=2, beacon_order=3,
                             traffic=traffic, tx_policy="fixed")
-        scenario = spec.build_seeded(2)
-        channel = scenario.channel_scenario(spec.channels[0], seed=9)
-        assert_summaries_match(*run_both(channel, superframes=6))
+        rows = {backend: simulate_network(spec, superframes=6, seed=2,
+                                          backend=backend)
+                for backend in ("batched", "event")}
+        TestBatchedNetworkEquivalenceMatrix.assert_rows_match(
+            rows["batched"], rows["event"], "mixed traffic from the spec")
+        assert sum(row["packets_attempted"] for row in rows["event"]) > 0
 
 
 class TestVectorizedProperties:
     @pytest.mark.parametrize("backend", ["gpu", "vectorized"])
     def test_unknown_backend_rejected(self, backend):
-        nodes = [SensorNode(node_id=1, channel=11, path_loss_db=65.0,
-                            tx_power_dbm=0.0)]
-        config = SuperframeConfig(beacon_order=3, superframe_order=3)
+        spec = ScenarioSpec(total_nodes=2, num_channels=1, beacon_order=3)
         with pytest.raises(ValueError, match="backend"):
-            ChannelScenario(nodes, config).run(superframes=2, backend=backend)
+            simulate_network(spec, superframes=2, backend=backend)
 
     def test_superframes_must_be_positive(self):
         nodes = [SensorNode(node_id=1, channel=11, path_loss_db=65.0)]
@@ -191,11 +217,9 @@ class TestVectorizedProperties:
 
     def test_zero_delivery_channel_reports_none_delay(self):
         """Out-of-range nodes deliver nothing; the delay must be None."""
-        nodes = [SensorNode(node_id=i, channel=11, path_loss_db=120.0,
-                            tx_power_dbm=0.0) for i in range(1, 4)]
         config = SuperframeConfig(beacon_order=3, superframe_order=3)
-        channel = ChannelScenario(nodes, config, payload_bytes=60, seed=2)
-        event, fast = run_both(channel, superframes=4)
+        event, fast = run_both(lanes_of(uniform_nodes(3, 120.0), 2), 4,
+                               config=config, payload_bytes=60)
         assert event.packets_delivered == 0
         assert event.mean_delivery_delay_s is None
         assert_summaries_match(event, fast)
@@ -271,12 +295,7 @@ class TestBatchedLaneIndependence:
     """
 
     def build_lane(self, seed, nodes=4, path_loss_db=70.0):
-        lane_nodes = [SensorNode(node_id=i, channel=11,
-                                 path_loss_db=path_loss_db,
-                                 tx_power_dbm=0.0)
-                      for i in range(1, nodes + 1)]
-        return ChannelLane(nodes=lane_nodes,
-                           tx_levels_dbm=[0.0] * nodes, seed=seed)
+        return lanes_of(uniform_nodes(nodes, path_loss_db), seed)[0]
 
     def run_batch(self, lanes, superframes=4):
         config = SuperframeConfig(beacon_order=3, superframe_order=3)
@@ -326,8 +345,7 @@ class TestCallScopedState:
 
     def test_fresh_seeds_retain_no_memory(self):
         config = SuperframeConfig(beacon_order=3, superframe_order=3)
-        nodes = [SensorNode(node_id=i, channel=11, path_loss_db=70.0,
-                            tx_power_dbm=0.0) for i in range(1, 41)]
+        nodes = uniform_nodes(40)
         traffic = build_traffic_model("poisson", payload_bytes=100)
 
         def run(first_seed):
@@ -354,25 +372,21 @@ class TestRawStreamProbe:
     own draw transformations; the probe checks those identities against
     the running numpy, and a failed probe must stop the kernel loudly."""
 
-    @staticmethod
-    def build_channel():
-        nodes = [SensorNode(node_id=i, channel=11, path_loss_db=70.0,
-                            tx_power_dbm=0.0) for i in range(1, 17)]
-        config = SuperframeConfig(beacon_order=2, superframe_order=2)
-        return ChannelScenario(nodes, config, payload_bytes=100, seed=5)
-
     def test_probe_failure_stops_the_batched_kernel(self, monkeypatch):
         """A numpy whose raw streams do not replay bit-for-bit must raise
         rather than drift silently; the event kernel still runs."""
         import repro.mac.vectorized as vectorized
 
         monkeypatch.setattr(vectorized, "_raw_compat", False)
-        channel = self.build_channel()
+        lanes = lanes_of(uniform_nodes(16), 5)
+        config = SuperframeConfig(beacon_order=2, superframe_order=2)
         with pytest.raises(RuntimeError, match=np.__version__) as error:
-            channel.run(superframes=4, backend="batched")
+            BatchedChannelSimulator(lanes, config, payload_bytes=100) \
+                .run(superframes=4)
         assert 'backend="event"' in str(error.value)
-        assert channel.run(superframes=4, backend="event") \
-            .packets_attempted > 0
+        event, = EventChannelSimulator(lanes, config, payload_bytes=100) \
+            .run(superframes=4)
+        assert event.packets_attempted > 0
 
     def test_probe_detects_mismatched_integer_streams(self):
         from repro.mac.vectorized import _probe_matches
@@ -418,11 +432,12 @@ class TestTrendsAtScale:
 
     @pytest.fixture(scope="class")
     def summaries(self):
+        spec = ScenarioSpec()
         out = {}
         for nodes in (20, 100):
-            scenario = DenseNetworkScenario(seed=1)
-            channel = scenario.channel_scenario(11, max_nodes=nodes, seed=6)
-            out[nodes] = channel.run(superframes=12, backend="batched")
+            out[nodes], = BatchedChannelSimulator(
+                spec_lanes(spec, 1, 6, max_nodes=nodes),
+                spec.superframe_config()).run(superframes=12)
         return out
 
     def test_failure_probability_grows_with_population(self, summaries):
@@ -441,6 +456,6 @@ class TestTrendsAtScale:
             assert 50e-6 < summary.mean_node_power_w < 1e-3
 
     def test_delay_dominated_by_stagger_within_superframe(self, summaries):
-        interval = DenseNetworkScenario(seed=1).superframe_config().beacon_interval_s
+        interval = ScenarioSpec().superframe_config().beacon_interval_s
         for summary in summaries.values():
             assert 0.0 < summary.mean_delivery_delay_s < interval

@@ -3,13 +3,15 @@
 import pytest
 
 from repro.network.node import SensorNode
+from repro.phy.error_model import EmpiricalBerModel
 
 
 class TestSensorNode:
     def test_basic_construction(self):
         node = SensorNode(node_id=5, channel=11, path_loss_db=70.0)
-        assert node.tx_power_dbm is None
-        assert node.traffic.payload_bytes == 120
+        assert (node.node_id, node.channel, node.path_loss_db) == \
+            (5, 11, 70.0)
+        assert node.error_model == EmpiricalBerModel()
 
     def test_invalid_construction(self):
         with pytest.raises(ValueError):

@@ -1,11 +1,11 @@
-"""Seed spawning and replication semantics of the network fan-out.
+"""Lane building, seed spawning and replication semantics of a network run.
 
-The batched backend's equivalence contract rests on the seed plumbing:
-every (channel, replication) lane must receive exactly the seed the
-per-channel task fan-out would have used, whatever the batch shape, and
-raising the replication count must extend — never perturb — the existing
-replications.  The property tests pin those invariants over arbitrary
-seeds; the run-level tests check the row shapes the backends report.
+The two kernels' equivalence contract rests on one lane list: both
+backends must receive the same (channel, replication) lanes — nodes,
+transmit levels, seeds and trees — and raising the replication count must
+extend, never perturb, the existing replications.  The property tests pin
+the seed invariants over arbitrary seeds; the run-level tests check the
+lanes and the row shapes the backends report.
 """
 
 import pytest
@@ -91,7 +91,7 @@ class TestReplicatedNetworkRuns:
 
     def test_batched_and_per_channel_replications_identical(self):
         """The batch *is* the fan-out: same rows, same order, same seeds —
-        counts exact against the event kernel's per-channel tasks, powers,
+        counts exact against the event kernel's per-lane tasks, powers,
         delays and per-phase energies to 1e-9."""
         spec = tiny_spec()
         batched = simulate_network(spec, superframes=3, seed=4,
@@ -195,6 +195,55 @@ class TestMultiHopRows:
         for row in rep_zero:
             row.pop("replication")
         assert_rows_equal(rep_zero, plain)
+
+
+class TestOneLaneList:
+    @pytest.mark.parametrize("spec, max_nodes", [
+        (tiny_spec(total_nodes=12), None),
+        (tiny_spec(total_nodes=12, tx_policy="fixed", tx_power_dbm=-5.0), 4),
+        (routed_spec(), None),
+    ], ids=["adaptive-star", "fixed-truncated", "routed"])
+    def test_simulate_network_hands_both_backends_equal_lanes(
+            self, spec, max_nodes, monkeypatch):
+        """Nodes, transmit levels, seeds, trees and row tags: the lane
+        list is built once, whichever kernel then runs it."""
+        from repro.mac.vectorized import BatchedChannelSimulator
+        from repro.network.scenario import EventChannelSimulator
+
+        seen = {}
+        for kernel in (BatchedChannelSimulator, EventChannelSimulator):
+            def record(self, superframes, kernel=kernel,
+                       run=kernel.run):
+                seen.setdefault(kernel.__name__, []).extend(self.lanes)
+                return run(self, superframes)
+            monkeypatch.setattr(kernel, "run", record)
+        rows = {backend: simulate_network(
+                    spec, superframes=2, seed=4, backend=backend,
+                    max_nodes_per_channel=max_nodes, replications=2)
+                for backend in ("batched", "event")}
+        batched = seen["BatchedChannelSimulator"]
+        event = seen["EventChannelSimulator"]
+        assert len(batched) == len(event) == 2 * len(spec.channels)
+        for left, right in zip(batched, event):
+            assert left.nodes == right.nodes
+            assert left.tx_levels_dbm == right.tx_levels_dbm
+            assert left.seed == right.seed
+            assert left.tree == right.tree
+        assert len({lane.seed for lane in batched}) == len(batched)
+        tags = {backend: [(row["channel"], row["replication"])
+                          for row in backend_rows]
+                for backend, backend_rows in rows.items()}
+        assert tags["batched"] == tags["event"] == [
+            (channel, replication) for channel in spec.channels
+            for replication in (0, 1)]
+
+
+    @pytest.mark.parametrize("backend", ["batched", "event"])
+    def test_an_empty_channel_is_refused(self, backend):
+        """Fewer nodes than channels leaves a channel with no lane to run."""
+        with pytest.raises(ValueError, match="at least one node"):
+            simulate_network(tiny_spec(total_nodes=1), superframes=2,
+                             seed=4, backend=backend)
 
 
 class TestDepthAggregation:

@@ -2,17 +2,14 @@
 
 import pytest
 
-from repro.network.simulate import (ChannelSimTask, aggregate_channel_rows,
-                                    simulate_channel, simulate_network)
-from repro.network.spec import (CASE_STUDY_SPEC, ScenarioSpec,
-                                adaptive_tx_levels)
-from repro.phy.bands import Band
+from repro.network.simulate import aggregate_channel_rows, simulate_network
+from repro.network.spec import ScenarioSpec, adaptive_tx_levels
 from repro.runner.executor import ProcessExecutor
 
 
 class TestScenarioSpec:
     def test_case_study_defaults_match_paper(self):
-        spec = CASE_STUDY_SPEC
+        spec = ScenarioSpec()
         assert spec.total_nodes == 1600
         assert len(spec.channels) == 16
         assert spec.beacon_order == 6
@@ -36,21 +33,19 @@ class TestScenarioSpec:
         spec = ScenarioSpec(total_nodes=300, num_channels=3)
         assert spec.channels == [11, 12, 13]
 
-    def test_build_produces_scenario(self):
+    def test_population_covers_the_spec(self):
         spec = ScenarioSpec(total_nodes=40, num_channels=2, beacon_order=3)
-        scenario = spec.build_seeded(0)
-        assert len(scenario.build_nodes()) == 40
-        assert scenario.tx_power_dbm == spec.tx_power_dbm
+        population = spec.population(seed=0)
+        assert list(population) == spec.channels
+        assert [len(nodes) for nodes, _ in population.values()] == [20, 20]
 
     @pytest.mark.parametrize("kwargs", [
         {"total_nodes": 0},
         {"tx_policy": "telepathy"},
         {"csma_convention": "loose"},
-        {"backend": "fpga"},
-        {"superframes_hint": 0},
+        {"num_channels": 0},
         {"num_channels": 99},
         {"path_loss_low_db": 80.0, "path_loss_high_db": 60.0},
-        {"backend": "vectorized"},
     ])
     def test_invalid_specs_rejected(self, kwargs):
         with pytest.raises(ValueError):
@@ -58,18 +53,25 @@ class TestScenarioSpec:
 
     def test_spec_is_picklable(self):
         import pickle
-        spec = ScenarioSpec(total_nodes=100, band=Band.BAND_2450MHZ)
+        spec = ScenarioSpec(total_nodes=100)
         assert pickle.loads(pickle.dumps(spec)) == spec
 
 
 class TestScenarioSpecTraffic:
     def test_default_is_the_saturated_assumption(self):
-        spec = ScenarioSpec(total_nodes=32, num_channels=2)
+        from repro.network.traffic import SaturatedTraffic
+
+        spec = ScenarioSpec(total_nodes=32, num_channels=2, beacon_order=3)
         assert spec.traffic is None
-        channel = spec.build_seeded(0).channel_scenario(11, max_nodes=2)
-        model = channel.traffic_model()
-        assert model.kind == "saturated"
-        assert model.payload_bytes == spec.payload_bytes
+        saturated = ScenarioSpec(total_nodes=32, num_channels=2,
+                                 beacon_order=3,
+                                 traffic=SaturatedTraffic(payload_bytes=120))
+        for backend in ("batched", "event"):
+            assert simulate_network(spec, superframes=3, seed=1,
+                                    max_nodes_per_channel=4,
+                                    backend=backend) == \
+                simulate_network(saturated, superframes=3, seed=1,
+                                 max_nodes_per_channel=4, backend=backend)
 
     def test_payload_mismatch_rejected_at_build_time(self):
         from repro.network.traffic import PoissonTraffic
@@ -77,22 +79,6 @@ class TestScenarioSpecTraffic:
         with pytest.raises(ValueError, match="payload"):
             ScenarioSpec(payload_bytes=120,
                          traffic=PoissonTraffic(payload_bytes=60))
-
-    def test_sensing_traffic_carries_the_spec_shape(self):
-        spec = ScenarioSpec(payload_bytes=60, sample_bytes=2,
-                            sampling_interval_s=4e-3)
-        sensing = spec.sensing_traffic()
-        assert sensing.payload_bytes == 60
-        assert sensing.sample_bytes == 2
-        assert sensing.packet_period_s == pytest.approx(0.12)
-
-    def test_traffic_reaches_the_built_scenario(self):
-        from repro.network.traffic import PoissonTraffic
-
-        traffic = PoissonTraffic(mean_interval_s=2.0, payload_bytes=120)
-        scenario = ScenarioSpec(total_nodes=20, num_channels=2,
-                                traffic=traffic).build_seeded(0)
-        assert scenario.traffic_model is traffic
 
     def test_traffic_spec_is_picklable(self):
         import pickle
@@ -108,12 +94,12 @@ class TestScenarioSpecTraffic:
         from repro.network.traffic import PoissonTraffic
 
         base = dict(total_nodes=16, num_channels=2, beacon_order=3,
-                    tx_policy="fixed", superframes_hint=6)
+                    tx_policy="fixed")
         saturated = ScenarioSpec(**base)
         sparse = ScenarioSpec(
             traffic=PoissonTraffic(mean_interval_s=1.0), **base)
-        rows_sat = simulate_network(saturated, seed=3)
-        rows_sparse = simulate_network(sparse, seed=3)
+        rows_sat = simulate_network(saturated, superframes=6, seed=3)
+        rows_sparse = simulate_network(sparse, superframes=6, seed=3)
         attempted_sat = sum(r["packets_attempted"] for r in rows_sat)
         attempted_sparse = sum(r["packets_attempted"] for r in rows_sparse)
         assert 0 < attempted_sparse < attempted_sat
@@ -134,8 +120,7 @@ class TestAdaptiveTxLevels:
 class TestSimulateNetwork:
     @pytest.fixture(scope="class")
     def spec(self):
-        return ScenarioSpec(name="mini", total_nodes=40, num_channels=2,
-                            beacon_order=3, superframes_hint=3)
+        return ScenarioSpec(total_nodes=40, num_channels=2, beacon_order=3)
 
     def test_rows_per_channel(self, spec):
         rows = simulate_network(spec, superframes=3, seed=5,
@@ -167,21 +152,12 @@ class TestSimulateNetwork:
             assert fast_row["channel_access_failures"] == \
                 event_row["channel_access_failures"]
 
-    def test_single_channel_task_roundtrip(self, spec):
-        task = ChannelSimTask(spec=spec, channel=11, placement_seed=5,
-                              sim_seed=42, superframes=2, max_nodes=5)
-        row = simulate_channel(task)
-        assert row["channel"] == 11
-        assert row["nodes"] == 5
-
     def test_superframe_order_is_honoured(self):
         """Regression: the fan-out used to rebuild the superframe with
         SO = BO, silently dropping the spec's inactive portion."""
-        active = ScenarioSpec(total_nodes=12, num_channels=1, beacon_order=4,
-                              superframes_hint=4)
+        active = ScenarioSpec(total_nodes=12, num_channels=1, beacon_order=4)
         duty_cycled = ScenarioSpec(total_nodes=12, num_channels=1,
-                                   beacon_order=4, superframe_order=2,
-                                   superframes_hint=4)
+                                   beacon_order=4, superframe_order=2)
         full = simulate_network(active, superframes=4, seed=3)[0]
         short = simulate_network(duty_cycled, superframes=4, seed=3)[0]
         # A quarter-length active portion means noticeably less power (the
@@ -190,17 +166,23 @@ class TestSimulateNetwork:
         assert short["mean_power_uw"] < 0.95 * full["mean_power_uw"]
         assert short["mean_delivery_delay_s"] < full["mean_delivery_delay_s"]
 
-    def test_seed_none_still_shares_one_population(self, spec):
+    @pytest.mark.parametrize("backend", ["batched", "event"])
+    def test_seed_none_still_shares_one_population(self, spec, monkeypatch,
+                                                   backend):
         """Regression: seed=None used to ship placement_seed=None to every
-        task, giving each channel its own random node placement."""
-        from repro.network.simulate import build_channel_tasks
+        channel task, giving each channel its own random node placement;
+        now it resolves to one concrete seed that draws one population."""
+        seeds = []
+        population = ScenarioSpec.population
 
-        tasks = build_channel_tasks(spec, superframes=2, seed=None)
-        placements = {task.placement_seed for task in tasks}
-        assert len(placements) == 1
-        assert None not in placements
+        def record(self, seed):
+            seeds.append(seed)
+            return population(self, seed)
+
+        monkeypatch.setattr(ScenarioSpec, "population", record)
         rows = simulate_network(spec, superframes=2, seed=None,
-                                max_nodes_per_channel=4)
+                                max_nodes_per_channel=4, backend=backend)
+        assert len(seeds) == 1 and isinstance(seeds[0], int)
         assert [row["channel"] for row in rows] == spec.channels
 
 
@@ -313,13 +295,13 @@ class TestScenarioSpecTopology:
                             routing=GradientRouting(max_hops=3)) \
             .topology.kind == "grid"
 
-    def test_topology_and_routing_reach_the_built_scenario(self):
+    def test_topology_and_routing_reach_the_population(self):
         from repro.network.routing import GradientRouting
         from repro.network.topology import GridTopologyModel
 
-        spec = ScenarioSpec(total_nodes=12, num_channels=2,
+        spec = ScenarioSpec(total_nodes=24, num_channels=2,
                             topology=GridTopologyModel(),
                             routing=GradientRouting(max_hops=2))
-        scenario = spec.build_seeded(5)
-        assert scenario.topology_model == spec.topology
-        assert scenario.routing_model == spec.routing
+        for nodes, tree in spec.population(seed=5).values():
+            assert tree.node_ids == [node.node_id for node in nodes]
+            assert max(tree.depth.values()) == 2

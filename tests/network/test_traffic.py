@@ -36,12 +36,6 @@ class TestPeriodicSensingTraffic:
         assert traffic.samples_per_packet == 120
         assert traffic.packet_period_s == pytest.approx(0.960)
 
-    def test_offered_load_matches_paper(self):
-        # 100 nodes x 133 bytes / 960 ms over 250 kbit/s ~= 0.44.
-        traffic = PeriodicSensingTraffic()
-        load = traffic.offered_load(nodes=100, channel_bit_rate_bps=250_000.0)
-        assert load == pytest.approx(0.44, abs=0.02)
-
     def test_buffering_delay_is_half_packet_period(self):
         assert PeriodicSensingTraffic().buffering_delay_s() == pytest.approx(0.48)
 
@@ -52,13 +46,6 @@ class TestPeriodicSensingTraffic:
             PeriodicSensingTraffic(sampling_interval_s=0.0)
         with pytest.raises(ValueError):
             PeriodicSensingTraffic(sample_bytes=7, payload_bytes=120)
-
-    def test_invalid_queries(self):
-        traffic = PeriodicSensingTraffic()
-        with pytest.raises(ValueError):
-            traffic.offered_load(nodes=-1, channel_bit_rate_bps=250e3)
-        with pytest.raises(ValueError):
-            traffic.offered_load(nodes=1, channel_bit_rate_bps=0.0)
 
     def test_make_source_is_primed_for_steady_state(self):
         """The kernel-facing source starts with one full payload buffered."""

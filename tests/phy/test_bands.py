@@ -16,7 +16,7 @@ class TestChannelCatalogue:
         assert channels_in_band(Band.BAND_868MHZ) == [0]
 
     def test_total_channel_count_is_27(self):
-        total = sum(page.channel_count for page in CHANNEL_PAGES.values())
+        total = sum(len(page.channels()) for page in CHANNEL_PAGES.values())
         assert total == 27
 
     def test_channel_numbers_of_2450mhz_are_11_to_26(self):

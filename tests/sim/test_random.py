@@ -187,18 +187,19 @@ class TestPrimedStreams:
         import repro.mac.vectorized as vectorized
         import repro.sim.random as random_module
         from repro.mac.superframe import SuperframeConfig
+        from repro.mac.vectorized import BatchedChannelSimulator, ChannelLane
         from repro.network.node import SensorNode
-        from repro.network.scenario import ChannelScenario
 
         exact = random_module._seed_words
         monkeypatch.setattr(random_module, "_seed_words",
                             lambda *pairs: exact(*pairs) ^ np.uint64(1))
         monkeypatch.setattr(vectorized, "_raw_compat", None)
-        nodes = [SensorNode(node_id=i, channel=11, path_loss_db=70.0,
-                            tx_power_dbm=0.0) for i in range(1, 5)]
-        channel = ChannelScenario(
-            nodes, SuperframeConfig(beacon_order=2, superframe_order=2),
-            payload_bytes=100, seed=5)
+        nodes = [SensorNode(node_id=i, channel=11, path_loss_db=70.0)
+                 for i in range(1, 5)]
+        simulator = BatchedChannelSimulator(
+            [ChannelLane(nodes=nodes, tx_levels_dbm=[0.0] * 4, seed=5)],
+            SuperframeConfig(beacon_order=2, superframe_order=2),
+            payload_bytes=100)
         with pytest.raises(RuntimeError,
                            match=re.escape(f"numpy {np.__version__}")):
-            channel.run(superframes=2, backend="batched")
+            simulator.run(superframes=2)

@@ -14,7 +14,7 @@ from repro.contention.analytical import ClosedFormContentionModel
 from repro.core import CaseStudy, ChannelInversionPolicy, EnergyModel
 from repro.core.energy_model import ModelConfig
 from repro.experiments.validation import run_model_vs_simulation
-from repro.network.scenario import DenseNetworkScenario
+from repro.network.spec import ScenarioSpec
 
 
 class TestPublicApi:
@@ -56,9 +56,9 @@ class TestHeadlineReproduction:
 
 class TestScenarioToModelConsistency:
     def test_scenario_load_feeds_model(self, contention_table):
-        scenario = DenseNetworkScenario(total_nodes=160, channels=[11], seed=5)
         model = EnergyModel(contention_source=contention_table)
-        load = scenario.channel_load()
+        load = CaseStudy(model=model).channel_load()
+        assert load == pytest.approx(0.433, abs=0.001)
         budget = model.evaluate(payload_bytes=120, tx_power_dbm=0.0,
                                 path_loss_db=75.0, load=load, beacon_order=6)
         assert budget.average_power_w > 0.0
@@ -67,9 +67,10 @@ class TestScenarioToModelConsistency:
         model = EnergyModel(contention_source=contention_table)
         policy = ChannelInversionPolicy(model, payload_bytes=120, load=0.42)
         policy.compute_thresholds()
-        scenario = DenseNetworkScenario(total_nodes=64, channels=[11, 12], seed=6)
+        population = ScenarioSpec(total_nodes=64, num_channels=2) \
+            .population(seed=6)
         levels = {policy.select_level_dbm(node.path_loss_db)
-                  for node in scenario.build_nodes()}
+                  for nodes, _ in population.values() for node in nodes}
         assert len(levels) >= 3          # several distinct levels in use
         for level in levels:
             assert -25.0 <= level <= 0.0

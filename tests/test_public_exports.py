@@ -42,8 +42,8 @@ PUBLIC_SURFACE = {
                       "TrafficModel", "TrafficSource", "SaturatedTraffic",
                       "PoissonTraffic", "BurstyAlarmTraffic",
                       "MixedPopulation", "build_traffic_model",
-                      "ChannelAllocator", "SensorNode",
-                      "DenseNetworkScenario", "ChannelScenario"],
+                      "SensorNode", "ScenarioSpec",
+                      "EventChannelSimulator"],
     "repro.core": ["EnergyModel", "ModelConfig", "NodeEnergyBudget",
                    "ActivationPolicy", "ChannelInversionPolicy",
                    "PacketSizeOptimizer", "BeaconOrderSelector",
@@ -58,7 +58,7 @@ PUBLIC_SURFACE = {
                           "run_model_vs_simulation"],
     "repro.runner": ["run_experiment", "RunResult", "ExperimentSpec",
                      "ExperimentRegistry", "UnknownExperimentError",
-                     "default_registry", "SerialExecutor", "ProcessExecutor",
+                     "default_registry", "ProcessExecutor",
                      "make_executor", "run_ordered", "ResultCache",
                      "NullCache", "code_version", "DEFAULT_SEED",
                      "ParamSpec", "ParamSchema", "ParameterValueError",
@@ -132,9 +132,8 @@ EXPORTED_NAMES = {
         SlottedCsmaCa Superframe SuperframeConfig mac_overhead_bytes
         total_packet_overhead_bytes""",
     "repro.network": """
-        BufferedTrafficSource BurstyAlarmTraffic CASE_STUDY_SPEC
-        ChannelAllocator ChannelScenario ChannelSimTask
-        ClusteredTopologyModel DenseNetworkScenario DiscTopologyModel
+        BufferedTrafficSource BurstyAlarmTraffic ClusteredTopologyModel
+        DiscTopologyModel EventChannelSimulator
         ForwardingSource GradientRouting GridTopologyModel
         MinHopRouting MixedPopulation NetworkTopology NodePlacement
         PeriodicSensingTraffic PoissonTraffic ROUTING_KINDS RoutingModel
@@ -144,7 +143,7 @@ EXPORTED_NAMES = {
         aggregate_channel_rows build_routing_model build_topology_model
         build_traffic_model clustered_placement depth_breakdown
         grid_placement make_lane_sources
-        simulate_channel simulate_network uniform_disc_placement""",
+        simulate_network uniform_disc_placement""",
     "repro.obs": """
         NULL_TRACER NullTracer Span TRACE_KIND TRACE_SCHEMA_VERSION
         TracedExecutor Tracer activate current_tracer deterministic_view
@@ -161,7 +160,7 @@ EXPORTED_NAMES = {
     "repro.runner": """
         DEFAULT_SEED ExperimentRegistry ExperimentSpec NullCache
         ParamSchema ParamSpec ParameterValueError ProcessExecutor
-        ResultCache RunContext RunResult SerialExecutor
+        ResultCache RunContext RunResult
         UnknownExperimentError UnknownParameterError code_version
         default_registry make_executor parse_param run_experiment
         run_ordered""",
