@@ -16,14 +16,18 @@ Each case returns a schema-ordered record (:mod:`repro.bench.trajectory`);
 ``quick`` mode shrinks the population and horizon to CI-smoke size while
 keeping every speedup ratio meaningful.  The slow event kernel runs once
 per full-mode case study record (its median moves little and dominates
-wall time); the batched kernel always gets the full repeat count.
+wall time); the batched kernel always gets the full repeat count.  Every
+kernel also gets at least :data:`MIN_SAMPLED_S` of samples, interleaved
+with the other kernel's.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict
+from statistics import median
+from time import perf_counter
+from typing import Any, Callable, Dict, List
 
-from repro.bench.trajectory import build_record, timed_median
+from repro.bench.trajectory import build_record
 
 #: Master seed of every benchmark run — timings must not wander with the
 #: workload's random draws.
@@ -31,6 +35,12 @@ BENCH_SEED = 2005
 
 #: The two kernels every case times, slow reference first.
 KERNELS = ("event", "batched")
+
+#: Seconds of samples every timed kernel gets at least.  The quick
+#: single-channel case's batched call takes ~1.5 ms, and the median of
+#: three such calls read 8.4-15.1x against a 7.25x gate on one 2-vCPU
+#: host: timer and scheduler noise, not the kernel.
+MIN_SAMPLED_S = 0.2
 
 
 def _phase_breakdown(fn: Callable[[], Any]) -> Dict[str, float]:
@@ -49,12 +59,32 @@ def _phase_breakdown(fn: Callable[[], Any]) -> Dict[str, float]:
 
 def _time_kernels(run: Callable[[str], Any], repeats: int,
                   event_repeats: int, phases: bool):
-    """``(timings, speedup, phases)`` of ``run(backend)`` on both kernels."""
-    timings: Dict[str, Dict[str, Any]] = {}
-    for kernel in KERNELS:
-        count = event_repeats if kernel == "event" else repeats
-        median_s, runs = timed_median(lambda: run(kernel), count)
-        timings[kernel] = {"median_s": median_s, "runs": runs}
+    """``(timings, speedup, phases)`` of ``run(backend)`` on both kernels.
+
+    Each kernel runs at least its repeat count (``event_repeats`` for the
+    event kernel) and until its runs add up to :data:`MIN_SAMPLED_S`.
+    The next run always goes to the kernel with the least time sampled,
+    so the kernels' samples interleave: a host that slows down midway
+    slows both alike, and the ratio holds.
+    """
+    if min(repeats, event_repeats) < 1:
+        raise ValueError("repeats must be at least 1")
+    wanted = {"event": event_repeats, "batched": repeats}
+    samples: Dict[str, List[float]] = {kernel: [] for kernel in KERNELS}
+
+    def short(kernel: str) -> bool:
+        return len(samples[kernel]) < wanted[kernel] \
+            or sum(samples[kernel]) < MIN_SAMPLED_S
+
+    while any(short(kernel) for kernel in KERNELS):
+        kernel = min(filter(short, KERNELS),
+                     key=lambda name: sum(samples[name]))
+        start = perf_counter()
+        run(kernel)
+        samples[kernel].append(perf_counter() - start)
+    timings = {kernel: {"median_s": float(median(samples[kernel])),
+                        "runs": len(samples[kernel])}
+               for kernel in KERNELS}
     speedup = {"batched_vs_event": (timings["event"]["median_s"]
                                     / timings["batched"]["median_s"])}
     breakdown = None

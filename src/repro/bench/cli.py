@@ -40,8 +40,9 @@ def add_bench_parser(commands) -> None:
                         help="scaled-down CI-smoke variant (small "
                              "population, short horizon)")
     parser.add_argument("--repeats", type=int, default=3,
-                        help="timing repetitions per kernel (median is "
-                             "recorded; default 3)")
+                        help="fewest timed runs per kernel; a kernel "
+                             "also runs until its runs add up to 0.2 s "
+                             "(median is recorded; default 3)")
     parser.add_argument("--out", default=DEFAULT_BASELINE_DIR,
                         metavar="DIR",
                         help="directory for the BENCH_*.json records "

@@ -40,9 +40,7 @@ import os
 import platform
 import subprocess
 from pathlib import Path
-from statistics import median
-from time import perf_counter
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 SCHEMA_VERSION = 1
 
@@ -75,19 +73,6 @@ def machine_fingerprint() -> Dict[str, Any]:
         "numpy": numpy.__version__,
         "cpu_count": os.cpu_count(),
     }
-
-
-def timed_median(fn: Callable[[], Any],
-                 repeats: int = 3) -> Tuple[float, int]:
-    """``(median wall-clock seconds, repeats)`` of calling ``fn``."""
-    if repeats < 1:
-        raise ValueError("repeats must be at least 1")
-    samples = []
-    for _ in range(repeats):
-        start = perf_counter()
-        fn()
-        samples.append(perf_counter() - start)
-    return float(median(samples)), repeats
 
 
 def build_record(experiment: str, mode: str, params: Dict[str, Any],

@@ -86,7 +86,8 @@ def run_full_case_study(total_nodes: int = 1600,
     (:data:`repro.network.routing.ROUTING_KINDS`), making the energy hole
     (relays near the sink burn hottest) directly measurable.
     """
-    if topology == "star" and max_hops > 1:
+    layout = build_topology_model(topology)
+    if layout is None and max_hops > 1:
         raise ValueError("The star topology has no node-to-node links; "
                          "pick a geometric topology (grid, disc, cluster) "
                          "for max_hops > 1")
@@ -101,9 +102,8 @@ def run_full_case_study(total_nodes: int = 1600,
                                      payload_bytes=payload_bytes,
                                      rate_scale=traffic_rate_scale,
                                      mix_fraction=traffic_mix)),
-        topology=(None if topology == "star" else
-                  build_topology_model(topology)),
-        routing=(None if topology == "star" else
+        topology=layout,
+        routing=(None if layout is None else
                  build_routing_model(routing, max_hops=max_hops)),
         battery_life_extension=battery_life_extension,
         csma_convention=csma_convention,

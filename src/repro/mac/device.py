@@ -18,7 +18,10 @@ superframe (Figure 5 of the paper) the node:
 
 All radio activity is charged to a per-node :class:`CC2420Radio` energy
 ledger tagged with the protocol phase, which is what the simulation-side
-energy breakdown (cross-validating Figure 9) is computed from.
+energy breakdown (cross-validating Figure 9) is computed from.  A node's
+traffic is its row of per-beacon packet gains
+(:func:`repro.network.routing.lane_arrivals`, the schedule the batched
+kernel reads too), kept as a packet backlog.
 
 Together with :mod:`repro.mac.coordinator` and :mod:`repro.mac.medium` on
 :mod:`repro.sim.engine` this is the event kernel: one process per device,
@@ -30,12 +33,9 @@ downlink, no guaranteed time slots, no association.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import Optional, Sequence
 
 import numpy as np
-
-if TYPE_CHECKING:  # pragma: no cover - typing only (keeps mac below network)
-    from repro.network.traffic import TrafficSource
 
 from repro.mac.constants import (MAC_2450MHZ, PHASE_ACK, PHASE_BEACON,
                                  PHASE_CONTENTION, PHASE_SLEEP,
@@ -71,19 +71,20 @@ class Device:
         The PAN coordinator (decides frame acceptance and acknowledges).
     config:
         Superframe configuration.
+    arrivals:
+        Packets the node gains at each beacon, one entry per superframe
+        (its row of :func:`repro.network.routing.lane_arrivals`; all ones
+        is the paper's saturated model).  The node adds each entry to a
+        backlog when the beacon starts its superframe and sends one
+        packet whenever the backlog is not empty; a superframe with an
+        empty backlog is slept through (beacon reception only), so a row
+        of zeros is a silent node.
     payload_bytes:
         Application payload per uplink packet (L in the paper).
     tx_power_dbm:
         Transmit power level; ``None`` lets a link-adaptation callback decide.
     csma_params / constants / profile:
         MAC and radio parameterisation.
-    traffic_source:
-        Stateful per-node packet feed
-        (:class:`repro.network.traffic.TrafficSource`).  When set, the node
-        polls it at every beacon: data sensed by the superframe boundary is
-        drainable in that superframe, and a superframe without a buffered
-        packet is slept through (beacon reception only).  ``None`` is the
-        paper's saturated model: one packet per superframe.
     rng:
         Random generator (stagger and backoff draws).
 
@@ -97,12 +98,12 @@ class Device:
 
     def __init__(self, env: Environment, node_id: int, medium: Medium,
                  coordinator: Coordinator, config: SuperframeConfig,
+                 arrivals: Sequence[int],
                  payload_bytes: int = 120,
                  tx_power_dbm: Optional[float] = 0.0,
                  csma_params: Optional[CsmaParameters] = None,
                  constants: MacConstants = MAC_2450MHZ,
                  profile: RadioPowerProfile = CC2420_PROFILE,
-                 traffic_source: Optional["TrafficSource"] = None,
                  rng: Optional[np.random.Generator] = None):
         if node_id == Coordinator.COORDINATOR_ID:
             raise ValueError("Node id 0 is reserved for the coordinator")
@@ -116,7 +117,8 @@ class Device:
         self.constants = constants
         self.csma_params = csma_params or CsmaParameters.from_mac_constants(constants)
         self.profile = profile
-        self.traffic_source = traffic_source
+        self.arrivals = arrivals
+        self._backlog = 0
         self.rng = rng if rng is not None else np.random.default_rng(node_id)
 
         self.radio = CC2420Radio(profile=profile,
@@ -167,6 +169,7 @@ class Device:
         # subsequent ones every beacon interval.  The node sleeps up to each
         # wake-up point, then follows the activation policy.
         next_beacon_s = 0.0
+        beacon_index = 0
         while True:
             # ---- sleep until the pre-beacon wake-up --------------------------------
             wake_time = max(self.env.now, next_beacon_s - wake_lead)
@@ -192,28 +195,29 @@ class Device:
             self.counters.increment("beacons_received")
 
             # ---- uplink transaction -------------------------------------------------
-            if self._take_packet(superframe.beacon_time_s):
+            if self._take_packet(beacon_index):
                 yield from self._stagger_delay(superframe, wake_lead)
                 yield from self._uplink_transaction(superframe)
 
             # ---- shutdown until the next wake-up -------------------------------------
             next_beacon_s += beacon_interval
+            beacon_index += 1
             self.radio.transition_to(RadioState.SHUTDOWN, phase=PHASE_SLEEP)
 
-    def _take_packet(self, beacon_time_s: float) -> bool:
-        """Whether a packet is sendable this superframe; drains it if so.
+    def _take_packet(self, beacon_index: int) -> bool:
+        """Whether a packet is sendable this superframe; takes it if so.
 
-        The traffic source is polled at the superframe boundary — data
-        sensed by the beacon instant is drainable in the superframe the
-        beacon starts.  The drained packet is committed to this superframe's
-        single transaction attempt (delivered, failed or deferred).
+        The packets gained at the superframe boundary join the backlog —
+        data sensed by the beacon instant is sendable in the superframe
+        the beacon starts.  The packet taken is committed to this
+        superframe's single transaction attempt (delivered, failed or
+        deferred).
         """
-        if self.traffic_source is None:
-            return True
-        if not self.traffic_source.poll(beacon_time_s):
+        self._backlog += self.arrivals[beacon_index]
+        if not self._backlog:
             self.counters.increment("superframes_without_traffic")
             return False
-        self.traffic_source.drain_packet()
+        self._backlog -= 1
         return True
 
     def _stagger_delay(self, superframe: Superframe, wake_lead: float):

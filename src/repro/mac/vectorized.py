@@ -31,12 +31,11 @@ corruption draws, ``traffic[<id>]`` for per-node packet arrivals, see
 :class:`repro.sim.random.RandomStreams`) and applies the same timing rules
 (CCA sampled at the end of its slot, traffic seen at the superframe
 boundary, deferral checks against the contention access period, the
-``run(until=horizon)`` event cut-off).  Traffic is the one stream read
-differently: the event kernel and the test oracle poll each source at every
-beacon, while this kernel reads each fresh source's whole arrival schedule
-at set-up (:meth:`repro.network.traffic.TrafficSource.packet_counts`, drawn
-from the same ``traffic[<id>]`` streams) and keeps a per-device packet
-backlog.  Delivery / failure / attempt counts are therefore *identical* to
+``run(until=horizon)`` event cut-off).  Both kernels read a lane's
+traffic the same way, once at set-up: the packets each device gains at
+each beacon (:func:`repro.network.routing.lane_arrivals`, drawn from the
+``traffic[<id>]`` streams), which feed a per-device packet backlog.
+Delivery / failure / attempt counts are therefore *identical* to
 the event kernel's — and identical whether a lane runs alone or batched
 with fifteen others — and energies agree to float-summation-order
 precision.  This is asserted by the cross-validation matrix in
@@ -511,7 +510,7 @@ class BatchedChannelSimulator(ChannelSimulator):
 
     # -- the batched fast path ------------------------------------------------
     def _run_batched(self, superframes: int) -> List:
-        from repro.network.routing import depth_breakdown, make_lane_sources
+        from repro.network.routing import depth_breakdown, lane_arrivals
         from repro.network.scenario import SimulationSummary
         from repro.network.traffic import SaturatedTraffic
 
@@ -579,7 +578,7 @@ class BatchedChannelSimulator(ChannelSimulator):
             traffic_model = SaturatedTraffic(payload_bytes=self.payload_bytes)
         # Forwarding turns even saturated relays stateful (their own feed
         # is bottomless but descendants' replicas are not), so any lane
-        # with relays drops the whole batch off the source-free fast path.
+        # with relays drops the whole batch off the schedule-free fast path.
         forwarding = any(lane.tree is not None and lane.tree.relays
                          for lane in lanes)
         saturated = isinstance(traffic_model, SaturatedTraffic) \
@@ -589,9 +588,9 @@ class BatchedChannelSimulator(ChannelSimulator):
         # Every stream of the call is seeded in one pass and opened fresh,
         # so no generator state outlives the call; a lane's family (with
         # its traffic generators) is dropped once the lane is set up.
-        # Traffic sources are read once here: ``new_packets[d, k]`` is
-        # what device ``d`` gains at beacon ``k``, from the same
-        # ``traffic[<id>]`` streams the event kernel polls.
+        # Traffic is read once here: ``new_packets[d, k]`` is what device
+        # ``d`` gains at beacon ``k`` (:func:`lane_arrivals`, the event
+        # kernel's read too, from the same ``traffic[<id>]`` streams).
         device_names = [[f"device[{node.node_id}]" for node in lane.nodes]
                         for lane in lanes]
         traffic_names = [[] if saturated
@@ -604,7 +603,7 @@ class BatchedChannelSimulator(ChannelSimulator):
         device_bgs: List[np.random.BitGenerator] = []
         coordinator_bgs: List[np.random.BitGenerator] = []
         if not saturated:
-            poll_times = np.arange(superframes) * interval
+            beacon_times = np.arange(superframes) * interval
             new_packets = np.zeros((n, superframes), dtype=np.int32)
         programmed_flat: List[float] = []
         pe_flat: List[float] = []
@@ -615,13 +614,11 @@ class BatchedChannelSimulator(ChannelSimulator):
             device_bgs.extend(streams.get(name).bit_generator
                               for name in device_names[lane_index])
             if not saturated:
-                sources = make_lane_sources(
-                    traffic_model,
-                    [node.node_id for node in lane.nodes],
-                    streams, tree=lane.tree, hop_lag_s=interval)
-                for device, source in enumerate(sources,
-                                                int(bounds[lane_index])):
-                    new_packets[device] = source.packet_counts(poll_times)
+                new_packets[bounds[lane_index]:bounds[lane_index + 1]] = \
+                    lane_arrivals(traffic_model,
+                                  [node.node_id for node in lane.nodes],
+                                  streams, beacon_times, tree=lane.tree,
+                                  hop_lag_s=interval)
             programmed = [profile.tx_level(level).level_dbm
                           for level in lane.tx_levels_dbm]
             programmed_flat.extend(programmed)
@@ -629,9 +626,7 @@ class BatchedChannelSimulator(ChannelSimulator):
                 node.link().packet_error_probability(level, ppdu_bytes)
                 for node, level in zip(lane.nodes, programmed))
         if not saturated:
-            # cumulative counts -> packets gained at each beacon; a device
-            # with a packet drains one, so ``queued`` is its backlog
-            new_packets[:, 1:] = np.diff(new_packets, axis=1)
+            # a device with a packet sends one, so ``queued`` is its backlog
             queued = np.zeros(n, dtype=np.int64)
 
         def refill(needing: np.ndarray) -> None:
@@ -1067,7 +1062,7 @@ class BatchedChannelSimulator(ChannelSimulator):
             idle_beacon_t[ids] += np.maximum(horizon - wake, 0.0)
             beacon_rx[ids] += 1
             flag_beacon[alive_lanes] = True
-            # the beacon past the horizon is cut before its traffic poll
+            # the beacon past the horizon is cut before its traffic is read
 
         # ---- numpy ledger reduction ----------------------------------------
         power_sd = profile.power_w(RadioState.SHUTDOWN)

@@ -15,21 +15,19 @@ from repro._lazy import lazy_exports
 
 _EXPORTS = {
     "repro.network.topology": ("NodePlacement", "NetworkTopology",
-                               "TopologyModel",
-                               "StarTopologyModel", "GridTopologyModel",
+                               "TopologyModel", "GridTopologyModel",
                                "DiscTopologyModel", "ClusteredTopologyModel",
                                "TOPOLOGY_KINDS", "build_topology_model",
                                "uniform_disc_placement", "grid_placement",
                                "clustered_placement"),
     "repro.network.routing": ("RoutingModel", "GradientRouting",
-                              "MinHopRouting", "SinkTree", "ForwardingSource",
-                              "ROUTING_KINDS", "build_routing_model",
-                              "depth_breakdown", "make_lane_sources"),
-    "repro.network.traffic": ("PeriodicSensingTraffic",
-                              "BufferedTrafficSource", "TrafficModel",
-                              "TrafficSource", "SaturatedTraffic",
-                              "PoissonTraffic", "BurstyAlarmTraffic",
-                              "MixedPopulation", "build_traffic_model"),
+                              "MinHopRouting", "SinkTree", "ROUTING_KINDS",
+                              "build_routing_model", "depth_breakdown",
+                              "lane_arrivals"),
+    "repro.network.traffic": ("PeriodicSensingTraffic", "TrafficModel",
+                              "SaturatedTraffic", "PoissonTraffic",
+                              "BurstyAlarmTraffic", "MixedPopulation",
+                              "build_traffic_model"),
     "repro.network.node": ("SensorNode",),
     "repro.network.scenario": ("EventChannelSimulator", "SimulationSummary"),
     "repro.network.spec": ("ScenarioSpec", "adaptive_tx_levels"),

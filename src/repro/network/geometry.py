@@ -109,19 +109,19 @@ def pairwise_path_losses_db(placements: Sequence,
 
 def rx_power_threshold_dbm(payload_on_air_bytes: int,
                            target_packet_error: float = 0.01,
-                           sensitivity_dbm: float = -94.0,
-                           error_model=None) -> float:
+                           sensitivity_dbm: float = -94.0) -> float:
     """Received power at which the packet-error constraint is met.
 
     Reduces the packet-error constraint of channel-inversion link
-    adaptation to a single received-power threshold by bisection — the BER
-    model is monotone in received power — so per-node level selection
-    becomes one vectorised comparison (:func:`lowest_sufficient_levels`).
-    Below ``sensitivity_dbm`` the packet-error probability is 1.
+    adaptation to a single received-power threshold by bisection — the
+    empirical BER model is monotone in received power — so per-node level
+    selection becomes one vectorised comparison
+    (:func:`lowest_sufficient_levels`).  Below ``sensitivity_dbm`` the
+    packet-error probability is 1.
     """
     from repro.phy.error_model import EmpiricalBerModel, packet_error_probability
 
-    model = error_model if error_model is not None else EmpiricalBerModel()
+    model = EmpiricalBerModel()
 
     def per_at(rx_dbm: float) -> float:
         if rx_dbm < sensitivity_dbm:

@@ -6,10 +6,9 @@ relay traffic.  This module adds the NET layer above the MAC: given a
 graph), a routing model builds a :class:`SinkTree` — every node's parent on
 its path to the sink — and the tree turns into *forwarding load*: a relay's
 offered traffic is its own packet process plus a replayed copy of every
-descendant's process, expressed as wrapped
-:class:`repro.network.traffic.TrafficSource` objects so forwarded bytes
-flow through exactly the same conservation accounting as locally generated
-ones.
+descendant's process, lagged by the hops between them.
+:func:`lane_arrivals` adds those schedules up; it is where both MAC
+kernels read a lane's traffic.
 
 Two routing disciplines ship:
 
@@ -40,14 +39,13 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro.constants import ROUTING_KINDS
 from repro.network.topology import SINK_NODE_ID, NetworkTopology
-from repro.network.traffic import (TrafficModel, TrafficSource,
-                                   make_node_sources)
+from repro.network.traffic import TrafficModel
 
 
 # ---------------------------------------------------------------------------
@@ -358,120 +356,45 @@ def build_routing_model(name: str, max_hops: int = 4) -> RoutingModel:
 
 
 # ---------------------------------------------------------------------------
-# forwarding-augmented traffic sources
+# forwarding load: one lane's arrival schedule
 # ---------------------------------------------------------------------------
 
-class ForwardingSource(TrafficSource):
-    """A relay's feed: its own packet process plus replayed descendants.
+def lane_arrivals(model: TrafficModel, node_ids: Sequence[int], streams,
+                  times_s: np.ndarray, tree: Optional[SinkTree] = None,
+                  hop_lag_s: float = 0.0) -> np.ndarray:
+    """Packets each node of one lane gains at each beacon of ``times_s``.
 
-    Each descendant contributes an independent *replica* of its arrival
-    process (same stream seed, fresh generator — see
-    :meth:`repro.sim.random.RandomStreams.replica`), lagged by the store-and-
-    forward delay its packets accumulate travelling down to this relay.
-    Draining serves the relay's own buffer first, then descendants in
-    ascending id order.
+    Row ``i`` belongs to ``node_ids[i]``, which runs the model it resolves
+    to by its position (the positional contract of
+    :class:`repro.network.traffic.MixedPopulation`) and draws from its
+    ``traffic[<id>]`` stream of ``streams``
+    (:class:`repro.sim.random.RandomStreams`).  A relay of ``tree`` (which
+    must span exactly ``node_ids``) also forwards a replica of every
+    descendant's process — the descendant's stream replayed from variate
+    zero (:meth:`repro.sim.random.RandomStreams.replica`), so its own
+    stream does not move — lagged ``hops-between × hop_lag_s`` (one beacon
+    interval per store-and-forward hop).  Each process keeps its own
+    whole packets, so the relay has a packet to send iff their summed
+    backlog is not empty.
 
-    Conservation composes: every drain of the wrapper drains exactly one
-    sub-source, and the wrapper's deposited/buffered counts are the sums
-    of its parts, so ``bytes_deposited == bytes_drained + buffered_bytes``
-    holds whenever it holds for every part.
+    Entry ``[i, k]`` is what node ``i`` gains at ``times_s[k]``; a kernel
+    adds it to the node's backlog and sends one packet whenever the
+    backlog is not empty.
     """
-
-    def __init__(self, own: TrafficSource,
-                 relayed: Sequence[Tuple[TrafficSource, float]] = ()):
-        TrafficSource.__init__(self, own.payload_bytes,
-                               start_time_s=own.start_time_s)
-        for source, lag_s in relayed:
-            if source.payload_bytes != own.payload_bytes:
-                raise ValueError("Relayed payload sizes must match the "
-                                 "relay's own payload")
-            if lag_s < 0:
-                raise ValueError("Forwarding lag must be non-negative")
-        self.own = own
-        self.relayed = list(relayed)
-
-    @property
-    def buffered_bytes(self) -> int:
-        return self.own.buffered_bytes \
-            + sum(source.buffered_bytes for source, _ in self.relayed)
-
-    @property
-    def bytes_deposited(self) -> int:
-        return self.own.bytes_deposited \
-            + sum(source.bytes_deposited for source, _ in self.relayed)
-
-    def _advance(self, now_s: float) -> None:
-        self.own.advance_to(now_s)
-        for source, lag_s in self.relayed:
-            # A descendant's packet becomes forwardable only after its
-            # store-and-forward lag; before the lag elapses the replica
-            # stays at its start time.
-            source.advance_to(max(source.start_time_s, now_s - lag_s))
-
-    def packet_available(self) -> bool:
-        # Partial buffers must not pool across sub-sources: a packet is
-        # available only when some single feed can actually be drained.
-        return self.own.packet_available() \
-            or any(source.packet_available() for source, _ in self.relayed)
-
-    def _on_drain(self) -> None:
-        if self.own.packet_available():
-            self.own.drain_packet()
-            return
-        for source, _ in self.relayed:
-            if source.packet_available():
-                source.drain_packet()
-                return
-        raise RuntimeError("No sub-source has a full packet")  # pragma: no cover
-
-    def packet_counts(self, times_s: np.ndarray) -> np.ndarray:
-        # Sub-queues hold whole packets and never pool, so the relay has a
-        # packet iff their summed queue is non-empty: the summed counts
-        # drive the same queue as the parts.
-        times_s = np.asarray(times_s, dtype=float)
-        counts = self.own.packet_counts(times_s)
-        for source, lag_s in self.relayed:
-            counts = counts + source.packet_counts(
-                np.maximum(source.start_time_s, times_s - lag_s))
-        return counts
-
-
-def make_lane_sources(model: TrafficModel, node_ids: Sequence[int], streams,
-                      tree: Optional[SinkTree] = None,
-                      hop_lag_s: float = 0.0) -> List[TrafficSource]:
-    """Per-node feeds for one channel lane, forwarding-augmented if routed.
-
-    Without a tree (or with a relay-free one) this is exactly
-    :func:`repro.network.traffic.make_node_sources` — the star path stays
-    byte-identical.  With relays, each relay's own source is still built
-    from its cached ``traffic[<id>]`` stream (preserving every non-relay
-    node's variates), then wrapped with replicas of its descendants'
-    streams, each lagged ``hops-between × hop_lag_s`` (one beacon interval
-    per store-and-forward hop).
-
-    ``tree`` must span exactly ``node_ids``; descendants resolve their
-    traffic model by their position in ``node_ids``, matching the positional
-    contract of :class:`repro.network.traffic.MixedPopulation`.
-    """
-    sources = make_node_sources(model, list(node_ids), streams)
-    if tree is None or not tree.relays:
-        return sources
-    if sorted(node_ids) != tree.node_ids:
-        raise ValueError("The sink tree must span exactly the lane's nodes")
+    times_s = np.asarray(times_s, dtype=float)
     population = len(node_ids)
     index_of = {node_id: i for i, node_id in enumerate(node_ids)}
-    wrapped: List[TrafficSource] = []
+    counts = np.empty((population, times_s.size), dtype=np.int64)
     for i, node_id in enumerate(node_ids):
-        descendants = tree.descendants(node_id)
-        if not descendants:
-            wrapped.append(sources[i])
+        counts[i] = model.resolve(i, population).packet_counts(
+            times_s, streams.get(f"traffic[{node_id}]"))
+        if tree is None:
             continue
-        relayed = []
-        for descendant in descendants:
-            replica_model = model.resolve(index_of[descendant], population)
-            replica_rng = streams.replica(f"traffic[{descendant}]")
+        for descendant in tree.descendants(node_id):
             lag_s = (tree.depth[descendant] - tree.depth[node_id]) * hop_lag_s
-            relayed.append((replica_model.make_source(rng=replica_rng),
-                            lag_s))
-        wrapped.append(ForwardingSource(sources[i], relayed))
-    return wrapped
+            counts[i] += model.resolve(
+                index_of[descendant], population).packet_counts(
+                    np.maximum(0.0, times_s - lag_s),
+                    streams.replica(f"traffic[{descendant}]"))
+    counts[:, 1:] = np.diff(counts, axis=1)
+    return counts

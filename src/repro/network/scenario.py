@@ -21,7 +21,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.mac.vectorized import ChannelLane, ChannelSimulator
-from repro.network.routing import depth_breakdown, make_lane_sources
+from repro.network.routing import depth_breakdown, lane_arrivals
 from repro.network.traffic import SaturatedTraffic
 from repro.obs.tracer import current_tracer
 from repro.sim.random import RandomStreams
@@ -94,9 +94,11 @@ class EventChannelSimulator(ChannelSimulator):
                 if traffic is None:
                     traffic = SaturatedTraffic(
                         payload_bytes=self.payload_bytes)
-                sources = make_lane_sources(
+                interval = self.config.beacon_interval_s
+                arrivals = lane_arrivals(
                     traffic, [node.node_id for node in lane.nodes], streams,
-                    tree=lane.tree, hop_lag_s=self.config.beacon_interval_s)
+                    np.arange(superframes) * interval, tree=lane.tree,
+                    hop_lag_s=interval).tolist()
                 env = Environment()
                 channel = lane.nodes[0].channel
                 medium = Medium(env, channel=channel)
@@ -107,8 +109,8 @@ class EventChannelSimulator(ChannelSimulator):
                     links=links, rng=streams.get("coordinator"))
 
                 devices: List[Device] = []
-                for node, tx_level, source in zip(
-                        lane.nodes, lane.tx_levels_dbm, sources):
+                for node, tx_level, row in zip(
+                        lane.nodes, lane.tx_levels_dbm, arrivals):
                     device = Device(
                         env=env,
                         node_id=node.node_id,
@@ -120,7 +122,7 @@ class EventChannelSimulator(ChannelSimulator):
                         csma_params=self.csma_params,
                         constants=self.constants,
                         profile=self.profile,
-                        traffic_source=source,
+                        arrivals=row,
                         rng=streams.get(f"device[{node.node_id}]"),
                     )
                     devices.append(device)
@@ -129,7 +131,7 @@ class EventChannelSimulator(ChannelSimulator):
                 for device in devices:
                     device.start()
 
-                horizon = superframes * self.config.beacon_interval_s
+                horizon = superframes * interval
             with tracer.span("contention_merge", kind="phase"):
                 env.run(until=horizon)
 

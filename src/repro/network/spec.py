@@ -37,7 +37,7 @@ from repro.network.topology import TopologyModel
 from repro.network.traffic import TrafficModel
 from repro.phy.bands import Band, channels_in_band
 from repro.phy.error_model import EmpiricalBerModel
-from repro.radio.power_profile import CC2420_PROFILE, RadioPowerProfile
+from repro.radio.power_profile import CC2420_PROFILE
 from repro.sim.random import RandomStreams
 
 #: Transmit-power policies a spec can request.
@@ -74,18 +74,17 @@ class ScenarioSpec:
     topology:
         Node layout per channel
         (:class:`repro.network.topology.TopologyModel`).  ``None`` — the
-        default — and :class:`repro.network.topology.StarTopologyModel`
-        both keep the paper's star: path losses drawn directly from the
-        uniform bounds below, no geometry.  A geometric model (grid /
-        disc / cluster) places nodes instead and derives every loss from
-        the placement.
+        default — is the paper's star: path losses drawn directly from the
+        uniform bounds below, no geometry.  A model (grid / disc /
+        cluster) places nodes instead and derives every loss from the
+        placement.
     routing:
         Sink-tree discipline (:class:`repro.network.routing.RoutingModel`)
-        applied to a geometric topology.  ``None`` or ``max_hops`` of 1
-        keeps every node on a direct sink link; deeper trees add relay
-        forwarding load.  Requires a geometric topology when multi-hop.
+        applied to the topology.  ``None`` or ``max_hops`` of 1 keeps
+        every node on a direct sink link; deeper trees add relay
+        forwarding load.  Requires a topology when multi-hop.
     path_loss_low_db / path_loss_high_db:
-        Uniform path-loss population bounds (star topologies only).
+        Uniform path-loss population bounds (the star only).
     tx_policy / tx_power_dbm / target_packet_error:
         ``"fixed"`` transmits at ``tx_power_dbm`` everywhere; ``"adaptive"``
         assigns each node the lowest programmable level whose packet-error
@@ -135,7 +134,7 @@ class ScenarioSpec:
         if self.traffic is not None:
             self.traffic.require_payload(self.payload_bytes, "the spec")
         if self.routing is not None and self.routing.max_hops > 1 and \
-                (self.topology is None or not self.topology.geometric):
+                self.topology is None:
             raise ValueError(
                 "Multi-hop routing needs a geometric topology (grid, disc "
                 "or cluster); the star has no node-to-node links to relay "
@@ -183,7 +182,7 @@ class ScenarioSpec:
         for node_id in range(1, self.total_nodes + 1):
             members[channels[(node_id - 1) % len(channels)]].append(node_id)
         trees: Dict[int, SinkTree] = {}
-        if self.topology is None or not self.topology.geometric:
+        if self.topology is None:
             losses = streams.get("scenario.pathloss").uniform(
                 self.path_loss_low_db, self.path_loss_high_db,
                 size=self.total_nodes)
@@ -208,11 +207,8 @@ class ScenarioSpec:
 
 
 def adaptive_tx_levels(path_losses_db, payload_on_air_bytes: int,
-                       target_packet_error: float = 0.01,
-                       profile: RadioPowerProfile = CC2420_PROFILE,
-                       sensitivity_dbm: float = -94.0,
-                       error_model=None) -> List[float]:
-    """Channel-inversion link adaptation over the programmable TX levels.
+                       target_packet_error: float = 0.01) -> List[float]:
+    """Channel-inversion link adaptation over the CC2420's TX levels.
 
     Returns, for every path loss, the lowest programmable level whose
     packet-error probability for a ``payload_on_air_bytes`` frame stays at
@@ -225,7 +221,6 @@ def adaptive_tx_levels(path_losses_db, payload_on_air_bytes: int,
     topology layer through :mod:`repro.network.geometry`.
     """
     rx_threshold = rx_power_threshold_dbm(
-        payload_on_air_bytes, target_packet_error=target_packet_error,
-        sensitivity_dbm=sensitivity_dbm, error_model=error_model)
+        payload_on_air_bytes, target_packet_error=target_packet_error)
     return lowest_sufficient_levels(path_losses_db, rx_threshold,
-                                    profile.tx_level_dbms())
+                                    CC2420_PROFILE.tx_level_dbms())

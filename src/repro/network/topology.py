@@ -18,9 +18,10 @@ Two levels of description live here:
 
 :class:`TopologyModel` (frozen, picklable, like
 :class:`repro.network.traffic.TrafficModel`) is the declarative layer
-scenarios embed: ``star`` keeps the paper's direct path-loss draw, while
-``grid`` / ``disc`` / ``cluster`` place nodes geometrically and derive
-every loss from the placement.
+scenarios embed: ``grid`` / ``disc`` / ``cluster`` place nodes
+geometrically and derive every loss from the placement.  The paper's star
+is no topology model at all: a scenario without one draws its losses
+directly (:func:`build_topology_model` maps ``"star"`` to ``None``).
 """
 
 from __future__ import annotations
@@ -250,13 +251,11 @@ class TopologyModel(abc.ABC):
 
     Implementations are frozen dataclasses — hashable, picklable, directly
     embeddable in :class:`repro.network.spec.ScenarioSpec` — and carry a
-    ``kind`` tag matching :data:`TOPOLOGY_KINDS`.  ``geometric`` marks
-    whether the model places nodes in space (``grid`` / ``disc`` /
-    ``cluster``) or keeps the paper's direct path-loss draw (``star``).
+    ``kind`` tag matching :data:`TOPOLOGY_KINDS`.  Every model places
+    nodes in space; the paper's star is a scenario without a model.
     """
 
     kind: str = "abstract"
-    geometric: bool = True
 
     @abc.abstractmethod
     def place(self, count: int,
@@ -284,24 +283,6 @@ class TopologyModel(abc.ABC):
         return NetworkTopology.from_placements(
             rekeyed, path_loss_model=self.path_loss_model(),
             max_link_loss_db=self.max_link_loss_db)
-
-
-@dataclass(frozen=True)
-class StarTopologyModel(TopologyModel):
-    """The paper's star: no geometry, path losses drawn from U(55, 95) dB.
-
-    The trivial instance of the topology axis — scenarios embedding it (or
-    no topology at all) keep the historical direct path-loss draw, and no
-    placement or routing randomness is ever consumed.
-    """
-
-    kind = "star"
-    geometric = False
-
-    def place(self, count: int, rng: Optional[np.random.Generator] = None,
-              first_node_id: int = 1) -> List[NodePlacement]:
-        raise TypeError("The star topology has no geometry; path losses are "
-                        "drawn directly from the scenario's distribution")
 
 
 @dataclass(frozen=True)
@@ -390,13 +371,15 @@ def build_topology_model(name: str, spacing_m: float = 12.0,
                          radius_m: float = 60.0, num_clusters: int = 4,
                          cluster_radius_m: float = 8.0,
                          path_loss_exponent: float = 3.0,
-                         max_link_loss_db: float = 78.0) -> TopologyModel:
+                         max_link_loss_db: float = 78.0
+                         ) -> Optional[TopologyModel]:
     """Build a registered topology model from flat experiment parameters.
 
     Parameters
     ----------
     name:
-        One of :data:`TOPOLOGY_KINDS`.
+        One of :data:`TOPOLOGY_KINDS`; ``"star"``, the paper's direct
+        path-loss draw, is no geometric layout and builds ``None``.
     spacing_m:
         Lattice step of the ``"grid"`` layout.
     radius_m:
@@ -412,7 +395,7 @@ def build_topology_model(name: str, spacing_m: float = 12.0,
         raise ValueError(f"Unknown topology {name!r}; choose one of "
                          f"{', '.join(TOPOLOGY_KINDS)}")
     if name == "star":
-        return StarTopologyModel()
+        return None
     if name == "grid":
         return GridTopologyModel(spacing_m=spacing_m,
                                  path_loss_exponent=path_loss_exponent,

@@ -18,8 +18,7 @@ Main entry points
 
 ``Process``
     A generator-based coroutine driven by the environment.  A process yields
-    events (``Timeout``, other events, or other processes) and is resumed when
-    the yielded event fires.
+    ``Timeout`` events and is resumed when the yielded event fires.
 
 ``Timeout``
     A pure-delay event.

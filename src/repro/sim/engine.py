@@ -3,21 +3,21 @@
 The engine follows the classic event-list design: an :class:`Environment`
 owns a heap of ``(time, priority, sequence, event)`` entries and pops them in
 chronological order.  Model code is written as generator functions ("process
-functions") that ``yield`` events; the :class:`Process` wrapper resumes the
-generator whenever the yielded event is triggered.
+functions") that ``yield`` timeouts; the :class:`Process` wrapper resumes the
+generator whenever the timeout it yielded fires.
 
-The design mirrors a small subset of the ``simpy`` API
-(``Environment.process``, ``Environment.timeout``, ``Environment.run``,
-``Event.succeed`` / ``Event.fail``), enough for the event MAC kernel
-(:mod:`repro.mac.device`, :mod:`repro.mac.coordinator`), so that kernel reads
-naturally to anyone familiar with that library, while remaining a from-scratch
-implementation suitable for the offline environment.
+The design mirrors the small subset of the ``simpy`` API the event MAC kernel
+(:mod:`repro.mac.device`, :mod:`repro.mac.coordinator`) runs on —
+``Environment.process``, ``Environment.timeout``, ``Environment.now`` and
+``Environment.run(until=<time>)`` — so that kernel reads naturally to anyone
+familiar with that library, while remaining a from-scratch implementation
+suitable for the offline environment.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, Generator, List, Optional, Tuple
+from typing import Callable, Generator, List, Optional, Tuple
 
 
 class SimulationError(RuntimeError):
@@ -31,82 +31,25 @@ PRIORITY_URGENT = 0
 
 
 class Event:
-    """A condition that may happen at some point in simulated time.
+    """A point in simulated time that processes wait for by yielding it.
 
-    An event starts *pending*, becomes *triggered* when scheduled with a value
-    (or an exception), and *processed* once all its callbacks have run.
-    Processes wait for events by yielding them.
+    An event is scheduled when it is created.  When the environment
+    reaches it, it runs its callbacks — the resumes of the processes
+    waiting on it — and its ``callbacks`` become ``None``.
     """
 
     def __init__(self, env: "Environment"):
         self.env = env
         self.callbacks: Optional[List[Callable[["Event"], None]]] = []
-        self._value: Any = None
-        self._exception: Optional[BaseException] = None
-        self._triggered = False
-        self._defused = False
-
-    # -- state inspection -------------------------------------------------
-    @property
-    def processed(self) -> bool:
-        """``True`` once the event's callbacks have been executed."""
-        return self.callbacks is None
-
-    @property
-    def value(self) -> Any:
-        """The value the event was triggered with.
-
-        Raises
-        ------
-        SimulationError
-            If the event has not been triggered yet.
-        """
-        if not self._triggered:
-            raise SimulationError("Event value is not yet available")
-        if self._exception is not None:
-            raise self._exception
-        return self._value
-
-    # -- triggering -------------------------------------------------------
-    def succeed(self, value: Any = None) -> "Event":
-        """Trigger the event successfully with ``value``."""
-        if self._triggered:
-            raise SimulationError("Event has already been triggered")
-        self._triggered = True
-        self._value = value
-        self.env._schedule(self, PRIORITY_NORMAL)
-        return self
-
-    def fail(self, exception: BaseException) -> "Event":
-        """Trigger the event with an exception.
-
-        The exception is re-raised inside every process waiting on the event.
-        """
-        if self._triggered:
-            raise SimulationError("Event has already been triggered")
-        if not isinstance(exception, BaseException):
-            raise TypeError("fail() requires an exception instance")
-        self._triggered = True
-        self._exception = exception
-        self.env._schedule(self, PRIORITY_NORMAL)
-        return self
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        state = "processed" if self.processed else (
-            "triggered" if self._triggered else "pending")
-        return f"<{type(self).__name__} {state} at {hex(id(self))}>"
 
 
 class Timeout(Event):
     """An event that fires after a fixed simulated delay."""
 
-    def __init__(self, env: "Environment", delay: float, value: Any = None):
+    def __init__(self, env: "Environment", delay: float):
         if delay < 0:
             raise SimulationError(f"Negative timeout delay: {delay!r}")
         super().__init__(env)
-        self.delay = delay
-        self._value = value
-        self._triggered = True
         env._schedule(self, PRIORITY_NORMAL, delay)
 
 
@@ -116,51 +59,30 @@ class Initialize(Event):
     def __init__(self, env: "Environment", process: "Process"):
         super().__init__(env)
         self.callbacks = [process._resume]
-        self._value = None
-        self._triggered = True
         env._schedule(self, PRIORITY_URGENT)
 
 
-class Process(Event):
-    """A running process: wraps a generator and is itself an event.
+class Process:
+    """A running process: a generator resumed each time its event fires.
 
-    The process event triggers when the generator returns (value = return
-    value) or raises (failure).  Other processes can therefore wait on it.
+    An exception the generator raises propagates out of
+    :meth:`Environment.run`; a generator that returns simply stops.
     """
 
     def __init__(self, env: "Environment", generator: Generator):
-        if not hasattr(generator, "send") or not hasattr(generator, "throw"):
+        if not hasattr(generator, "send"):
             raise SimulationError(
                 "Process requires a generator (did you call the process "
                 "function?)")
-        super().__init__(env)
+        self.env = env
         self._generator = generator
         Initialize(env, self)
 
-    @property
-    def is_alive(self) -> bool:
-        """``True`` while the underlying generator has not terminated."""
-        return not self._triggered
-
-    # -- kernel machinery --------------------------------------------------
     def _resume(self, event: Event) -> None:
         try:
-            if event._exception is not None:
-                event._defused = True
-                next_target = self._generator.throw(event._exception)
-            else:
-                next_target = self._generator.send(event._value)
-        except StopIteration as stop:
-            self._triggered = True
-            self._value = stop.value
-            self.env._schedule(self, PRIORITY_NORMAL)
+            next_target = self._generator.send(None)
+        except StopIteration:
             return
-        except BaseException as exc:
-            self._triggered = True
-            self._exception = exc
-            self.env._schedule(self, PRIORITY_NORMAL)
-            return
-
         if not isinstance(next_target, Event):
             raise SimulationError(
                 f"Process yielded a non-event object: {next_target!r}")
@@ -192,13 +114,9 @@ class Environment:
         return self._now
 
     # -- event factories -------------------------------------------------
-    def event(self) -> Event:
-        """Create a new pending :class:`Event`."""
-        return Event(self)
-
-    def timeout(self, delay: float, value: Any = None) -> Timeout:
+    def timeout(self, delay: float) -> Timeout:
         """Create an event that fires ``delay`` time units from now."""
-        return Timeout(self, delay, value)
+        return Timeout(self, delay)
 
     def process(self, generator: Generator) -> Process:
         """Register ``generator`` as a new process starting at the current time."""
@@ -229,49 +147,23 @@ class Environment:
         self._now = time
         callbacks = event.callbacks
         event.callbacks = None
-        if callbacks:
-            for callback in callbacks:
-                callback(event)
-        if event._exception is not None and not event._defused:
-            raise event._exception
+        for callback in callbacks:
+            callback(event)
 
-    def run(self, until: Any = None) -> Any:
+    def run(self, until: Optional[float] = None) -> None:
         """Run the simulation.
 
         Parameters
         ----------
         until:
-            ``None`` — run until the event queue is exhausted;
-            a number — run until the clock reaches that time;
-            an :class:`Event` — run until that event has been processed and
-            return its value.
+            ``None`` — run until the event queue is exhausted; a number —
+            run every event due by that time, then set the clock to it.
         """
-        if until is None:
-            stop_time = float("inf")
-            stop_event: Optional[Event] = None
-        elif isinstance(until, Event):
-            stop_time = float("inf")
-            stop_event = until
-        else:
-            stop_time = float(until)
-            if stop_time < self._now:
-                raise SimulationError(
-                    f"run(until={stop_time}) lies in the past (now={self._now})")
-            stop_event = None
-
-        while self._queue:
-            if self.peek() > stop_time:
-                self._now = stop_time
-                return None
-            self.step()
-            if stop_event is not None and stop_event.processed:
-                if stop_event._exception is not None:
-                    raise stop_event._exception
-                return stop_event._value
-        if stop_event is not None and not stop_event.processed:
+        stop_time = float("inf") if until is None else float(until)
+        if stop_time < self._now:
             raise SimulationError(
-                "run() terminated because the event queue is empty, but the "
-                "requested stop event never fired")
-        if until is not None and stop_event is None:
+                f"run(until={stop_time}) lies in the past (now={self._now})")
+        while self._queue and self.peek() <= stop_time:
+            self.step()
+        if until is not None:
             self._now = stop_time
-        return None

@@ -312,8 +312,9 @@ def test_a_network_experiment_loads_the_network_layer(name):
 
 
 def test_a_cold_batched_case_study_loads_no_event_kernel():
-    """``case_study_full`` runs the batched kernel; only the event branch
-    of :meth:`repro.network.scenario.ChannelScenario.run` imports the
+    """``case_study_full`` runs the batched kernel; only
+    :meth:`repro.network.scenario.EventChannelSimulator.run`, which
+    ``simulate_network`` reaches on its event backend alone, imports the
     event kernel."""
     completed = _run(_cold_runs(["case_study_full"])
                      + "assert 'repro.mac.vectorized' in sys.modules; "

@@ -7,14 +7,16 @@ cases in quick mode (sub-second workloads) end to end.
 """
 
 import json
+import time
 
 import pytest
 
+from repro.bench import cases
 from repro.bench.trajectory import (DEFAULT_TOLERANCE, SCHEMA_VERSION,
                                     bench_path, build_record,
                                     compare_records, git_sha,
                                     machine_fingerprint, read_record,
-                                    timed_median, write_record)
+                                    write_record)
 
 #: Key order the schema promises — provenance last, so regenerated
 #: baselines diff minimally.
@@ -68,12 +70,44 @@ class TestRecordSchema:
     def test_git_sha_unknown_outside_a_repository(self, tmp_path):
         assert git_sha(str(tmp_path)) == "unknown"
 
-    def test_timed_median_counts_runs(self):
-        median_s, runs = timed_median(lambda: None, repeats=5)
-        assert runs == 5
-        assert median_s >= 0.0
+
+class TestKernelTiming:
+    @staticmethod
+    def fake_run(calls, seconds):
+        """A stand-in for a case's ``run(backend)`` that logs its calls."""
+        def run(kernel):
+            calls.append(kernel)
+            time.sleep(seconds[kernel])
+        return run
+
+    def test_each_kernel_runs_its_repeat_count(self, monkeypatch):
+        monkeypatch.setattr(cases, "MIN_SAMPLED_S", 0.0)
+        calls = []
+        timings, _, breakdown = cases._time_kernels(
+            self.fake_run(calls, {"event": 0.0, "batched": 0.0}), 5, 2,
+            phases=False)
+        assert sorted(calls) == ["batched"] * 5 + ["event"] * 2
+        assert {kernel: entry["runs"] for kernel, entry in timings.items()} \
+            == {"event": 2, "batched": 5}
+        assert min(entry["median_s"] for entry in timings.values()) >= 0.0
+        assert breakdown is None
         with pytest.raises(ValueError):
-            timed_median(lambda: None, repeats=0)
+            cases._time_kernels(self.fake_run([], {}), 0, 1, phases=False)
+
+    def test_fast_kernels_sample_the_floor_interleaved(self, monkeypatch):
+        """Kernels much faster than the floor run past their repeat count
+        until their samples add up to it, and their runs interleave: the
+        batched kernel starts before the event kernel's samples end."""
+        monkeypatch.setattr(cases, "MIN_SAMPLED_S", 0.05)
+        calls = []
+        timings, speedup, _ = cases._time_kernels(
+            self.fake_run(calls, {"event": 0.004, "batched": 0.001}), 3, 3,
+            phases=False)
+        assert timings["batched"]["runs"] > timings["event"]["runs"] > 3
+        last_event = max(i for i, kernel in enumerate(calls)
+                         if kernel == "event")
+        assert calls.index("batched") < last_event
+        assert speedup["batched_vs_event"] > 1.0
 
 
 class TestWriterClobberGuards:

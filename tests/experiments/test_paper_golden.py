@@ -334,29 +334,6 @@ class TestBatchedHeadlineGolden:
             "comparison outside its tolerance band.")
 
 
-class TestStarProjectionGolden:
-    """The topology axis must not move the paper's numbers: an explicit
-    star topology model (and a relay-free routed grid) reproduce the
-    untouched star path bit-for-bit on every kernel."""
-
-    def test_star_topology_model_is_the_identity(self):
-        from repro.network.simulate import simulate_network
-        from repro.network.spec import ScenarioSpec
-        from repro.network.topology import StarTopologyModel
-
-        base = dict(total_nodes=12, num_channels=2, beacon_order=3)
-        for backend in ("batched", "event"):
-            plain = simulate_network(ScenarioSpec(**base), superframes=4,
-                                     seed=3, backend=backend)
-            starred = simulate_network(
-                ScenarioSpec(**base, topology=StarTopologyModel()),
-                superframes=4, seed=3, backend=backend)
-            assert starred == plain, (
-                f"The explicit star topology model perturbed the {backend} "
-                f"kernel's rows — the paper's single-hop setting must stay "
-                f"bit-for-bit identical under the topology axis.")
-
-
 class TestMultiHopEnergyHoleGolden:
     """Golden pins of the multi-hop NET layer: the energy-hole gradient.
 

@@ -2,6 +2,7 @@
 
 from functools import lru_cache
 
+import numpy as np
 import pytest
 
 from repro.channel.awgn import AwgnLink
@@ -15,11 +16,14 @@ from repro.mac.frames import AckFrame
 from repro.mac.medium import Medium
 from repro.mac.superframe import SuperframeConfig
 from repro.mac.vectorized import _beacon_airtime_s
-from repro.network.traffic import (BufferedTrafficSource,
-                                   PeriodicSensingTraffic, PoissonTraffic)
+from repro.network.traffic import PoissonTraffic, SaturatedTraffic
 from repro.radio.states import RadioState
 from repro.sim.engine import Environment
 from repro.sim.random import RandomStreams
+
+
+#: Beacons an arrival row covers: more than any test here runs.
+ROW_BEACONS = 64
 
 
 def build_network(num_nodes=3, beacon_order=2, payload_bytes=50,
@@ -29,8 +33,10 @@ def build_network(num_nodes=3, beacon_order=2, payload_bytes=50,
 
     ``superframe_order`` defaults to ``beacon_order`` (no inactive
     portion); ``traffic`` is a :class:`repro.network.traffic.TrafficModel`
-    whose per-node sources feed the devices (``None``: saturated).
+    whose per-node arrival rows, over :data:`ROW_BEACONS` beacons, feed
+    the devices (``None``: saturated).
     """
+    traffic = traffic or SaturatedTraffic(payload_bytes=payload_bytes)
     streams = RandomStreams(seed)
     env = Environment()
     medium = Medium(env)
@@ -47,8 +53,9 @@ def build_network(num_nodes=3, beacon_order=2, payload_bytes=50,
         devices.append(Device(
             env=env, node_id=node_id, medium=medium, coordinator=coordinator,
             config=config, payload_bytes=payload_bytes, tx_power_dbm=0.0,
-            traffic_source=(None if traffic is None else traffic.make_source(
-                streams.get(f"traffic{node_id}"))),
+            arrivals=np.diff(traffic.packet_counts(
+                np.arange(ROW_BEACONS) * config.beacon_interval_s,
+                streams.get(f"traffic{node_id}")), prepend=0).tolist(),
             rng=streams.get(f"dev{node_id}")))
     coordinator.start()
     for device in devices:
@@ -95,7 +102,7 @@ class TestCoordinator:
         env, medium, coordinator, devices, config = build_network(num_nodes=1)
         with pytest.raises(ValueError):
             Device(env=env, node_id=0, medium=medium, coordinator=coordinator,
-                   config=config)
+                   config=config, arrivals=[1])
 
 
 class TestDeviceTransactions:
@@ -177,27 +184,35 @@ class TestDeviceTransactions:
         assert device.delays.count == device.counters.get("packets_delivered")
         assert device.delays.mean < config.beacon_interval_s
 
-    def test_packet_source_can_suppress_traffic(self):
-        # A cold buffer filling one sample per 1000 s never holds a packet.
+    @staticmethod
+    def run_one_device(arrivals, superframes=3):
         env = Environment()
         medium = Medium(env)
         config = SuperframeConfig(beacon_order=2, superframe_order=2)
         coordinator = Coordinator(env, medium, config)
-        silent = BufferedTrafficSource(
-            traffic=PeriodicSensingTraffic(sampling_interval_s=1e3,
-                                           payload_bytes=120))
         device = Device(env=env, node_id=1, medium=medium,
                         coordinator=coordinator, config=config,
-                        traffic_source=silent)
+                        arrivals=arrivals)
         coordinator.start()
         device.start()
-        env.run(until=3 * config.beacon_interval_s)
+        env.run(until=superframes * config.beacon_interval_s)
+        return device
+
+    def test_a_row_of_zeros_is_a_silent_node(self):
+        device = self.run_one_device([0] * 4)
         assert device.counters.get("packets_attempted") == 0
         assert device.counters.get("beacons_received") >= 2
         assert device.counters.get("superframes_without_traffic") == \
             device.counters.get("beacons_received")
         assert device.radio.ledger.energy_by_phase().get("transmit", 0.0) \
             == 0.0
+
+    def test_the_backlog_carries_packets_to_later_superframes(self):
+        """Two packets gained at the first beacon go out one per
+        superframe; the third superframe has none left."""
+        device = self.run_one_device([2, 0, 0, 0])
+        assert device.counters.get("packets_attempted") == 2
+        assert device.counters.get("superframes_without_traffic") == 1
 
 
 #: Small channels that between them reach every way a transaction ends:

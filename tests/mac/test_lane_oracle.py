@@ -48,16 +48,17 @@ def simulate_lane_reference(lane: ChannelLane, config: SuperframeConfig,
                             constants: MacConstants, payload_bytes: int,
                             csma_params: CsmaParameters,
                             profile: RadioPowerProfile, traffic,
-                            superframes: int):
+                            superframes: int, polled_lane):
     """Scalar single-lane kernel drawing from the generators directly.
 
     The pre-batching implementation of the uplink kernel: one Python pass
     per lane over an explicit CCA-sample / TX-end event heap, its variates
-    taken from ``Generator`` calls instead of raw-stream replay.  Slower
-    than the batched kernel but equivalent to it, including at the
-    simulation horizon.
+    taken from ``Generator`` calls instead of raw-stream replay, and its
+    traffic polled from the scalar reference (the ``polled_lane``
+    fixture) instead of read as a schedule.  Slower than the batched
+    kernel but equivalent to it, including at the simulation horizon.
     """
-    from repro.network.routing import depth_breakdown, make_lane_sources
+    from repro.network.routing import depth_breakdown
     from repro.network.scenario import SimulationSummary
     from repro.network.traffic import SaturatedTraffic
 
@@ -104,9 +105,8 @@ def simulate_lane_reference(lane: ChannelLane, config: SuperframeConfig,
     traffic_model = traffic
     if traffic_model is None:
         traffic_model = SaturatedTraffic(payload_bytes=payload_bytes)
-    sources = make_lane_sources(
-        traffic_model, [node.node_id for node in nodes], streams,
-        tree=lane.tree, hop_lag_s=interval)
+    polls = polled_lane(traffic_model, [node.node_id for node in nodes],
+                        streams, lane.tree, interval)
 
     # ---- per-device link/corruption constants -----------------------------
     programmed_dbm = [profile.tx_level(level).level_dbm
@@ -222,14 +222,13 @@ def simulate_lane_reference(lane: ChannelLane, config: SuperframeConfig,
             arrival = resume + beacon_air
             if arrival > horizon:
                 return
-            # Poll the traffic feed at the superframe boundary, exactly
-            # where the event kernel does: no buffered packet means the
-            # device sleeps this superframe out after the beacon.
-            if not sources[index].poll(beacon_at):
+            # Poll the traffic feed at the superframe boundary, where both
+            # kernels read it: no buffered packet means the device sleeps
+            # this superframe out after the beacon.
+            if not polls[index](beacon_at):
                 now = arrival
                 next_beacon[index] += interval
                 continue
-            sources[index].drain_packet()
             cap_end = beacon_at + sf_duration
             latest_start = cap_end - margin
             start = arrival
@@ -515,9 +514,10 @@ class TestOracleMatrix:
                            seed=seed, tree=tree)
 
     @staticmethod
-    def run_against_the_oracle(lanes, config, superframes, params=None,
-                               traffic=None):
-        """Batched summaries of ``lanes``, each checked against the oracle."""
+    def run_against_the_oracle(polled_lane, lanes, config, superframes,
+                               params=None, traffic=None):
+        """Batched summaries of ``lanes``, each checked against the oracle
+        (its traffic polled from ``polled_lane``)."""
         params = params or CsmaParameters.from_mac_constants()
         summaries = BatchedChannelSimulator(
             lanes, config, payload_bytes=100, csma_params=params,
@@ -525,7 +525,7 @@ class TestOracleMatrix:
         for lane, summary in zip(lanes, summaries):
             expected = simulate_lane_reference(
                 lane, config, MAC_2450MHZ, 100, params, CC2420_PROFILE,
-                traffic, superframes)
+                traffic, superframes, polled_lane)
             assert_summaries_match(expected, summary)
             assert (summary.by_depth is None) == (expected.by_depth is None)
             for depth, row in (expected.by_depth or {}).items():
@@ -535,11 +535,12 @@ class TestOracleMatrix:
 
     @pytest.mark.parametrize("structure", sorted(STRUCTURES))
     @pytest.mark.parametrize("csma", sorted(CSMA))
-    def test_csma_parameter_sets_match_the_oracle(self, csma, structure):
+    def test_csma_parameter_sets_match_the_oracle(self, polled_lane, csma, structure):
         beacon_order, superframe_order = self.STRUCTURES[structure]
         config = SuperframeConfig(beacon_order=beacon_order,
                                   superframe_order=superframe_order)
         summaries = self.run_against_the_oracle(
+            polled_lane,
             [self.lane(5, 12, 70.0), self.lane(6, 12, 93.0)], config,
             superframes=8, params=self.CSMA[csma])
         # Saturated contention must fail some accesses on both lanes, or
@@ -548,19 +549,21 @@ class TestOracleMatrix:
                    for summary in summaries)
 
     @pytest.mark.parametrize("model", TRAFFIC)
-    def test_traffic_models_match_the_oracle(self, model):
+    def test_traffic_models_match_the_oracle(self, polled_lane, model):
         config = SuperframeConfig(beacon_order=3, superframe_order=3)
         summaries = self.run_against_the_oracle(
+            polled_lane,
             [self.lane(5, 16, 70.0), self.lane(6, 16, 93.0)], config,
             superframes=16,
             traffic=build_traffic_model(model, payload_bytes=100))
         assert all(summary.packets_attempted > 0 for summary in summaries)
 
-    def test_routed_lanes_match_the_oracle_per_depth(self):
+    def test_routed_lanes_match_the_oracle_per_depth(self, polled_lane):
         tree = SinkTree(parent={1: 0, 2: 1, 3: 2, 4: 0, 5: 4, 6: 0},
                         depth={1: 1, 2: 2, 3: 3, 4: 1, 5: 2, 6: 1},
                         link_loss_db={i: 70.0 for i in range(1, 7)})
         summaries = self.run_against_the_oracle(
+            polled_lane,
             [self.lane(5, 6, 70.0, tree), self.lane(6, 6, 70.0, tree)],
             SuperframeConfig(beacon_order=3, superframe_order=3),
             superframes=8,
@@ -568,11 +571,11 @@ class TestOracleMatrix:
         assert all(sorted(summary.by_depth) == [1, 2, 3]
                    for summary in summaries)
 
-    def test_a_single_lane_call_matches_the_oracle(self):
+    def test_a_single_lane_call_matches_the_oracle(self, polled_lane):
         """A one-lane batched call of a duty-cycled Poisson channel
         matches the oracle."""
         self.run_against_the_oracle(
-            [self.lane(5, 8, 70.0)],
+            polled_lane, [self.lane(5, 8, 70.0)],
             SuperframeConfig(beacon_order=4, superframe_order=2),
             superframes=8,
             traffic=build_traffic_model("poisson", payload_bytes=100))
@@ -637,10 +640,12 @@ class TestHorizonCutRegimes:
     #: transaction outcomes (denser bursts reorder the last samples).
     EVENT_COUNT_AGREEMENT = ("single-node-retries", "zero-backoff")
 
-    def run_scenario(self, settings, backends=("oracle", "batched")):
+    def run_scenario(self, settings, backends=("oracle", "batched"),
+                     polled_lane=None):
         """One summary per backend of ``backends`` (``"oracle"``,
         ``"batched"``, ``"event"``) for the scenario's one-lane list,
-        which is built once and handed to each of them."""
+        which is built once and handed to each of them; the oracle
+        polls its traffic from ``polled_lane``."""
         config = SuperframeConfig(beacon_order=0, superframe_order=0)
         node_count = settings["node_count"]
         nodes = [SensorNode(node_id=i, channel=11,
@@ -657,7 +662,7 @@ class TestHorizonCutRegimes:
                    "event": EventChannelSimulator}
         return [simulate_lane_reference(lanes[0], config, MAC_2450MHZ, 100,
                                         params, CC2420_PROFILE, None,
-                                        superframes)
+                                        superframes, polled_lane)
                 if backend == "oracle" else
                 kernels[backend](lanes, config, payload_bytes=100,
                                  csma_params=params).run(superframes)[0]
@@ -671,12 +676,14 @@ class TestHorizonCutRegimes:
                 f"{field} diverges {context}")
 
     @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
-    def test_oracle_matches_across_the_horizon_cut(self, scenario):
-        assert_summaries_match(*self.run_scenario(self.SCENARIOS[scenario]))
+    def test_oracle_matches_across_the_horizon_cut(self, scenario,
+                                                   polled_lane):
+        assert_summaries_match(*self.run_scenario(
+            self.SCENARIOS[scenario], polled_lane=polled_lane))
 
-    def test_zero_backoff_counts_match_the_oracle(self):
+    def test_zero_backoff_counts_match_the_oracle(self, polled_lane):
         self.assert_counts_match(
-            *self.run_scenario(self.ZERO_BACKOFF),
+            *self.run_scenario(self.ZERO_BACKOFF, polled_lane=polled_lane),
             "between the batched kernel and the oracle at BE=0")
 
     @pytest.mark.parametrize("scenario", EVENT_COUNT_AGREEMENT)

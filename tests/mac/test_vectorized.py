@@ -152,9 +152,10 @@ class TestTrafficModelCrossValidation:
     """Same-seed kernel agreement for every registered traffic model.
 
     The equivalence contract must survive the traffic axis: both kernels
-    poll each node's ``traffic[<id>]`` stream at identical beacon instants,
-    so delivery / failure / attempt counts stay *identical* and energies
-    agree to float precision for every model x superframe structure.
+    read each node's ``traffic[<id>]`` schedule at identical beacon
+    instants, so delivery / failure / attempt counts stay *identical* and
+    energies agree to float precision for every model x superframe
+    structure.
     """
 
     MODELS = ("saturated", "periodic", "poisson", "bursty", "mixed")

@@ -1,16 +1,16 @@
 """Unit tests of sink-tree routing and the forwarding-load layer."""
 
+import numpy as np
 import pytest
 
 from repro.network.routing import (
     ROUTING_KINDS,
-    ForwardingSource,
     GradientRouting,
     MinHopRouting,
     SinkTree,
     build_routing_model,
     depth_breakdown,
-    make_lane_sources,
+    lane_arrivals,
 )
 from repro.network.topology import (
     SINK_NODE_ID,
@@ -18,7 +18,7 @@ from repro.network.topology import (
     NetworkTopology,
     grid_placement,
 )
-from repro.network.traffic import build_traffic_model, make_node_sources
+from repro.network.traffic import build_traffic_model
 from repro.sim.random import RandomStreams
 
 
@@ -190,137 +190,87 @@ class TestDepthBreakdown:
         assert hop2["mean_delivery_delay_s"] is None
 
 
-class TestForwardingSource:
-    def sources(self, rate_scale=1.0):
-        model = build_traffic_model("periodic", payload_bytes=120,
-                                    rate_scale=rate_scale)
-        streams = RandomStreams(21)
-        own, relayed = make_node_sources(model, [1, 2], streams)
-        return own, relayed
+class TestLaneArrivals:
+    """One lane's schedule: each node's own process, plus a lagged replica
+    of every descendant's process at a relay."""
 
-    def test_payload_and_lag_validation(self):
-        model = build_traffic_model("periodic", payload_bytes=120)
-        other = build_traffic_model("periodic", payload_bytes=60)
-        streams = RandomStreams(3)
-        own = model.make_source(rng=streams.get("traffic[1]"))
-        small = other.make_source(rng=streams.get("traffic[2]"))
-        with pytest.raises(ValueError, match="payload"):
-            ForwardingSource(own, [(small, 0.0)])
-        good = model.make_source(rng=streams.get("traffic[3]"))
-        with pytest.raises(ValueError, match="non-negative"):
-            ForwardingSource(own, [(good, -1.0)])
+    TIMES = np.arange(40) * 1.0
 
-    def test_deposits_and_buffers_are_sums(self):
-        own, relayed = self.sources()
-        wrapper = ForwardingSource(own, [(relayed, 0.0)])
-        wrapper.advance_to(30.0)
-        assert wrapper.bytes_deposited == \
-            own.bytes_deposited + relayed.bytes_deposited
-        assert wrapper.buffered_bytes == \
-            own.buffered_bytes + relayed.buffered_bytes
+    @staticmethod
+    def own_gains(model, node_id, seed, times):
+        """A node's own schedule as per-beacon gains."""
+        rng = RandomStreams(seed).get(f"traffic[{node_id}]")
+        return np.diff(model.packet_counts(times, rng), prepend=0)
 
-    def test_conservation_composes_under_draining(self):
-        own, relayed = self.sources()
-        wrapper = ForwardingSource(own, [(relayed, 0.0)])
-        drained = 0
-        for step in range(1, 200):
-            if wrapper.poll(step * 1.0):
-                drained += wrapper.drain_packet()
-        assert drained > 0
-        assert wrapper.bytes_deposited == drained + wrapper.buffered_bytes
-        # Each wrapper drain drained exactly one sub-source packet.
-        assert wrapper.packets_drained == \
-            own.packets_drained + relayed.packets_drained
+    KINDS = ("saturated", "periodic", "poisson", "bursty")
 
-    def test_own_traffic_drains_before_relayed(self):
-        own, relayed = self.sources()
-        wrapper = ForwardingSource(own, [(relayed, 0.0)])
-        now = 1.0
-        while not wrapper.poll(now):
-            now += 1.0
-        if own.packet_available():
-            before = own.packets_drained
-            wrapper.drain_packet()
-            assert own.packets_drained == before + 1
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_star_rows_are_each_nodes_own_schedule(self, kind):
+        model = build_traffic_model(kind, payload_bytes=120, rate_scale=4.0)
+        gains = lane_arrivals(model, [1, 2, 3], RandomStreams(9), self.TIMES)
+        for row, node_id in zip(gains, [1, 2, 3]):
+            assert row.tolist() == \
+                self.own_gains(model, node_id, 9, self.TIMES).tolist()
 
-    def test_lag_delays_the_relayed_feed(self):
-        _, relayed_now = self.sources()
-        own2, relayed_lagged = self.sources()
-        lagged = ForwardingSource(own2, [(relayed_lagged, 15.0)])
-        lagged.advance_to(30.0)
-        relayed_now.advance_to(30.0)
-        # The lagged replica only saw time 15.0 of its arrival process.
-        assert relayed_lagged.bytes_deposited <= relayed_now.bytes_deposited
-        relayed_now2 = self.sources()[1]
-        relayed_now2.advance_to(15.0)
-        assert relayed_lagged.bytes_deposited == relayed_now2.bytes_deposited
-
-    def test_partial_buffers_do_not_pool_across_feeds(self):
-        """Two half-full feeds must not look like one full packet."""
-        own, relayed = self.sources()
-        wrapper = ForwardingSource(own, [(relayed, 0.0)])
-        now = 0.5
-        while not wrapper.packet_available() and now < 300.0:
-            wrapper.advance_to(now)
-            assert wrapper.packet_available() == \
-                (own.packet_available() or relayed.packet_available())
-            now += 0.5
-
-
-class TestMakeLaneSources:
-    def streams(self, seed=9):
-        return RandomStreams(seed)
-
-    def test_without_a_tree_is_make_node_sources(self):
-        model = build_traffic_model("periodic", payload_bytes=120)
-        plain = make_node_sources(model, [1, 2, 3], self.streams())
-        lane = make_lane_sources(model, [1, 2, 3], self.streams())
-        for a, b in zip(plain, lane):
-            a.advance_to(40.0)
-            b.advance_to(40.0)
-            assert a.bytes_deposited == b.bytes_deposited
-
-    def test_relay_free_tree_returns_plain_sources(self):
-        model = build_traffic_model("periodic", payload_bytes=120)
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_a_relay_free_tree_is_the_star(self, kind):
+        model = build_traffic_model(kind, payload_bytes=120, rate_scale=8.0)
         tree = SinkTree(parent={1: 0, 2: 0}, depth={1: 1, 2: 1},
                         link_loss_db={1: 70.0, 2: 71.0})
-        lane = make_lane_sources(model, [1, 2], self.streams(), tree=tree)
-        assert not any(isinstance(s, ForwardingSource) for s in lane)
+        star = lane_arrivals(model, [1, 2], RandomStreams(9), self.TIMES)
+        routed = lane_arrivals(model, [1, 2], RandomStreams(9), self.TIMES,
+                               tree=tree, hop_lag_s=10.0)
+        assert routed.tolist() == star.tolist()
 
-    def test_tree_must_span_the_lane(self):
-        model = build_traffic_model("periodic", payload_bytes=120)
-        tree = SinkTree(parent={1: 0, 2: 1}, depth={1: 1, 2: 2},
-                        link_loss_db={1: 70.0, 2: 71.0})
-        with pytest.raises(ValueError, match="span exactly"):
-            make_lane_sources(model, [1, 2, 3], self.streams(), tree=tree)
-
-    def test_relays_replay_their_descendants_streams(self):
-        """The relay's replica deposits exactly the bytes the descendant's
-        own (lag-shifted) source deposits — the replay contract."""
-        model = build_traffic_model("periodic", payload_bytes=120)
-        tree = SinkTree(parent={1: 0, 2: 1}, depth={1: 1, 2: 2},
-                        link_loss_db={1: 70.0, 2: 71.0})
-        lane = make_lane_sources(model, [1, 2], self.streams(), tree=tree,
-                                 hop_lag_s=10.0)
-        relay, leaf = lane
-        assert isinstance(relay, ForwardingSource)
-        assert not isinstance(leaf, ForwardingSource)
-        relay.advance_to(50.0)
-        leaf.advance_to(40.0)  # the replica lags one 10 s hop behind
-        replica = relay.relayed[0][0]
-        assert replica.bytes_deposited == leaf.bytes_deposited
-
-    def test_non_relay_variates_are_untouched(self):
-        """Wrapping relays must not perturb any node's own stream: the
-        same master seed gives every node the same own-arrival process
-        with and without the tree."""
-        model = build_traffic_model("poisson", payload_bytes=120)
-        tree = SinkTree(parent={1: 0, 2: 1, 3: 1}, depth={1: 1, 2: 2, 3: 2},
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_relays_add_their_descendants_lagged_schedules(self, kind):
+        """A relay gains its own packets plus each descendant's, replayed
+        from the descendant's stream ``hops-between x hop_lag_s`` late;
+        leaves and the descendants' own rows keep their variates."""
+        model = build_traffic_model(kind, payload_bytes=120, rate_scale=4.0)
+        tree = SinkTree(parent={1: 0, 2: 1, 3: 2}, depth={1: 1, 2: 2, 3: 3},
                         link_loss_db={1: 70.0, 2: 71.0, 3: 72.0})
-        plain = make_node_sources(model, [1, 2, 3], self.streams())
-        lane = make_lane_sources(model, [1, 2, 3], self.streams(), tree=tree)
-        own_sources = [lane[0].own, lane[1], lane[2]]
-        for a, b in zip(plain, own_sources):
-            a.advance_to(60.0)
-            b.advance_to(60.0)
-            assert a.bytes_deposited == b.bytes_deposited
+        routed = lane_arrivals(model, [1, 2, 3], RandomStreams(9),
+                               self.TIMES, tree=tree, hop_lag_s=10.0)
+        star = lane_arrivals(model, [1, 2, 3], RandomStreams(9), self.TIMES)
+
+        def lagged(node_id, lag_s):
+            return self.own_gains(model, node_id, 9,
+                                  np.maximum(0.0, self.TIMES - lag_s))
+
+        assert routed[2].tolist() == star[2].tolist()
+        assert routed[1].tolist() == (star[1] + lagged(3, 10.0)).tolist()
+        assert routed[0].tolist() == (star[0] + lagged(2, 10.0)
+                                      + lagged(3, 20.0)).tolist()
+        # a lag delays the forwarded packets: nothing arrives from node 3
+        # at relay 1 before its 20 s lag, whatever node 3 itself gained
+        if kind != "saturated":
+            assert lagged(3, 20.0)[1:21].sum() == 0
+
+    def test_partial_payloads_never_pool_across_feeds(self):
+        """Each process keeps its own whole packets: a relay whose own
+        feed and unlagged replica are both half a payload along holds no
+        packet from them.  Packets complete every second beacon."""
+        model = build_traffic_model("periodic", payload_bytes=120,
+                                    sampling_interval_s=2.0 / 120)
+        tree = SinkTree(parent={1: 0, 2: 1}, depth={1: 1, 2: 2},
+                        link_loss_db={1: 70.0, 2: 71.0})
+        relay, leaf = lane_arrivals(model, [1, 2], RandomStreams(9),
+                                    np.arange(6) * 1.0, tree=tree)
+        assert leaf.tolist() == [1, 0, 1, 0, 1, 0]
+        assert relay.tolist() == [2, 0, 2, 0, 2, 0]
+
+    def test_mixed_descendants_run_their_own_component(self):
+        """A replica runs the model its descendant resolves to by
+        position, not the relay's."""
+        model = build_traffic_model("mixed", payload_bytes=120,
+                                    mix_fraction=0.5, rate_scale=4.0)
+        tree = SinkTree(parent={1: 0, 2: 1}, depth={1: 1, 2: 2},
+                        link_loss_db={1: 70.0, 2: 71.0})
+        routed = lane_arrivals(model, [1, 2], RandomStreams(9), self.TIMES,
+                               tree=tree)
+        periodic, bursty = (model.resolve(i, 2) for i in range(2))
+        assert (periodic.kind, bursty.kind) == ("periodic", "bursty")
+        assert routed[0].tolist() == (
+            self.own_gains(periodic, 1, 9, self.TIMES)
+            + self.own_gains(bursty, 2, 9, self.TIMES)).tolist()

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from repro.network.simulate import replication_seeds, simulate_network
 from repro.network.spec import ScenarioSpec
+from repro.network.traffic import build_traffic_model
 
 seeds = st.integers(min_value=0, max_value=2**63 - 1)
 
@@ -197,12 +198,21 @@ class TestMultiHopRows:
         assert_rows_equal(rep_zero, plain)
 
 
+#: The lane lists both backends must agree on: a star and a truncated
+#: star under Poisson traffic, and a routed channel whose ring-2 nodes
+#: relay through ring 1.
+POISSON = build_traffic_model("poisson", rate_scale=4.0)
+LANE_SPECS = [
+    (tiny_spec(total_nodes=12, traffic=POISSON), None),
+    (tiny_spec(total_nodes=12, tx_policy="fixed", tx_power_dbm=-5.0,
+               traffic=POISSON), 4),
+    (routed_spec(total_nodes=24, num_channels=1), None),
+]
+LANE_IDS = ["adaptive-star", "fixed-truncated", "routed"]
+
+
 class TestOneLaneList:
-    @pytest.mark.parametrize("spec, max_nodes", [
-        (tiny_spec(total_nodes=12), None),
-        (tiny_spec(total_nodes=12, tx_policy="fixed", tx_power_dbm=-5.0), 4),
-        (routed_spec(), None),
-    ], ids=["adaptive-star", "fixed-truncated", "routed"])
+    @pytest.mark.parametrize("spec, max_nodes", LANE_SPECS, ids=LANE_IDS)
     def test_simulate_network_hands_both_backends_equal_lanes(
             self, spec, max_nodes, monkeypatch):
         """Nodes, transmit levels, seeds, trees and row tags: the lane
@@ -236,6 +246,37 @@ class TestOneLaneList:
         assert tags["batched"] == tags["event"] == [
             (channel, replication) for channel in spec.channels
             for replication in (0, 1)]
+
+    @pytest.mark.parametrize("spec, max_nodes", LANE_SPECS, ids=LANE_IDS)
+    def test_both_backends_read_the_same_arrivals(self, spec, max_nodes,
+                                                  monkeypatch):
+        """Each lane's traffic reaches both kernels through one
+        ``lane_arrivals`` call: the same nodes, trees and packets gained
+        at each beacon."""
+        import repro.network.routing as routing
+        import repro.network.scenario as scenario
+
+        seen = []
+
+        def record(model, node_ids, streams, times_s, tree=None,
+                   hop_lag_s=0.0, read=routing.lane_arrivals):
+            gains = read(model, node_ids, streams, times_s, tree=tree,
+                         hop_lag_s=hop_lag_s)
+            seen[-1].append((list(node_ids), tree, hop_lag_s,
+                             gains.tolist()))
+            return gains
+
+        monkeypatch.setattr(routing, "lane_arrivals", record)
+        monkeypatch.setattr(scenario, "lane_arrivals", record)
+        for backend in ("batched", "event"):
+            seen.append([])
+            simulate_network(spec, superframes=6, seed=4, backend=backend,
+                             max_nodes_per_channel=max_nodes,
+                             replications=2)
+        batched, event = seen
+        assert len(batched) == 2 * len(spec.channels)
+        assert batched == event
+        assert any(sum(map(sum, gains)) for *_, gains in batched)
 
 
     @pytest.mark.parametrize("backend", ["batched", "event"])

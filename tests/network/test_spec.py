@@ -277,13 +277,9 @@ class TestAggregation:
 class TestScenarioSpecTopology:
     def test_multihop_routing_needs_a_geometric_topology(self):
         from repro.network.routing import GradientRouting
-        from repro.network.topology import StarTopologyModel
 
         with pytest.raises(ValueError, match="geometric topology"):
             ScenarioSpec(routing=GradientRouting(max_hops=2))
-        with pytest.raises(ValueError, match="geometric topology"):
-            ScenarioSpec(topology=StarTopologyModel(),
-                         routing=GradientRouting(max_hops=2))
 
     def test_single_hop_routing_is_valid_anywhere(self):
         from repro.network.routing import GradientRouting

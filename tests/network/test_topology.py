@@ -12,7 +12,6 @@ from repro.network.topology import (
     DiscTopologyModel,
     GridTopologyModel,
     NetworkTopology,
-    StarTopologyModel,
     build_topology_model,
     clustered_placement,
     grid_placement,
@@ -181,21 +180,15 @@ class TestNetworkTopology:
 
 class TestTopologyModels:
     def test_build_topology_model_covers_every_kind(self):
-        kinds = {build_topology_model(name).kind for name in TOPOLOGY_KINDS}
-        assert kinds == set(TOPOLOGY_KINDS)
+        """Every geometric kind builds its model; the star builds none."""
+        models = {name: build_topology_model(name) for name in TOPOLOGY_KINDS}
+        assert models.pop("star") is None
+        assert {name: model.kind for name, model in models.items()} == \
+            {name: name for name in models}
         with pytest.raises(ValueError, match="Unknown topology"):
             build_topology_model("torus")
 
-    def test_star_model_is_non_geometric(self):
-        model = StarTopologyModel()
-        assert not model.geometric
-        with pytest.raises(TypeError, match="no geometry"):
-            model.place(10)
-
-    def test_geometric_flags_and_kinds(self):
-        assert GridTopologyModel().geometric
-        assert DiscTopologyModel().geometric
-        assert ClusteredTopologyModel().geometric
+    def test_layout_parameters_reach_their_kinds(self):
         assert build_topology_model("grid", spacing_m=7.0).spacing_m == 7.0
         assert build_topology_model("disc", radius_m=30.0).radius_m == 30.0
         cluster = build_topology_model("cluster", radius_m=30.0,

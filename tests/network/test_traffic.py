@@ -1,12 +1,12 @@
 """Unit and property tests of the traffic-model subsystem.
 
 Covers the periodic sensing arithmetic, every registered
-:class:`repro.network.traffic.TrafficModel`, and the properties the MAC
-kernels rely on: byte conservation (deposited == drained + buffered), no
-packet before ``payload_bytes`` accumulated, boundary samples drainable in
-the superframe they land on, seeded sources that reproduce the same
-arrival process regardless of how the polling is chunked, and arrival
-schedules (``packet_counts``) that match lazy polling on beacon grids.
+:class:`repro.network.traffic.TrafficModel` and its arrival schedule
+(:meth:`~repro.network.traffic.TrafficModel.packet_counts`): no packet
+before ``payload_bytes`` accumulated, boundary samples counted at the
+beacon they land on, schedules that a longer horizon only extends, and
+lane schedules (:func:`repro.network.routing.lane_arrivals`) that give the
+has-packet flags of the scalar polling reference on beacon grids.
 """
 
 import math
@@ -17,16 +17,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.network.traffic import (TRAFFIC_MODEL_KINDS, BurstyAlarmTraffic,
+                                   MixedPopulation, PeriodicSensingTraffic,
+                                   PoissonTraffic, SaturatedTraffic,
+                                   build_traffic_model)
+
 from repro.mac.superframe import SuperframeConfig
-from repro.network.traffic import (TRAFFIC_MODEL_KINDS, BufferedTrafficSource,
-                                   BurstyAlarmTraffic, MixedPopulation,
-                                   PeriodicSensingTraffic, PoissonTraffic,
-                                   SaturatedTraffic, build_traffic_model)
 
 
 def sample_count(time_s: float, interval_s: float = 8e-3) -> int:
     """Boundary-inclusive sensing events by ``time_s`` (event at t counts)."""
     return int(math.floor(time_s / interval_s + 1e-9))
+
+
+def counts(model, times, seed=None):
+    rng = None if seed is None else np.random.default_rng(seed)
+    return model.packet_counts(np.asarray(times, dtype=float), rng).tolist()
 
 
 class TestPeriodicSensingTraffic:
@@ -47,142 +53,45 @@ class TestPeriodicSensingTraffic:
         with pytest.raises(ValueError):
             PeriodicSensingTraffic(sample_bytes=7, payload_bytes=120)
 
-    def test_make_source_is_primed_for_steady_state(self):
-        """The kernel-facing source starts with one full payload buffered."""
-        source = PeriodicSensingTraffic().make_source()
-        assert source.poll(0.0)
-        assert source.drain_packet() == 120
-        assert not source.packet_available()
+    def test_schedule_is_primed_for_steady_state(self):
+        """The first beacon already finds one full payload buffered."""
+        assert counts(PeriodicSensingTraffic(), [0.0]) == [1]
 
+    def test_no_second_packet_before_a_payload_accumulates(self):
+        # 62 one-byte samples by 0.5 s do not make a packet
+        assert counts(PeriodicSensingTraffic(), [0.5]) == [1]
 
-class TestBufferedTrafficSource:
-    def test_no_packet_before_accumulation(self):
-        source = BufferedTrafficSource()
-        source.deposit_until(0.5)         # 62 samples of 1 byte
-        assert not source.packet_available()
-        assert source.buffered_bytes == 62
+    def test_packet_after_960_ms(self):
+        assert counts(PeriodicSensingTraffic(), [0.961]) == [2]
 
-    def test_packet_available_after_960_ms(self):
-        source = BufferedTrafficSource()
-        source.deposit_until(0.961)
-        assert source.packet_available()
-        assert source.drain_packet() == 120
-        assert source.buffered_bytes == 0
-        assert source.packets_drained == 1
-
-    def test_sample_on_superframe_boundary_is_drainable(self):
-        """A sensing event landing exactly on a superframe boundary belongs
-        to the superframe that starts there: the 120th 8-ms sample lands at
-        0.96 s, so a beacon at 0.96 s must find a drainable packet even
-        though ``0.96 // 0.008`` is 119 in binary floating point."""
-        source = BufferedTrafficSource()
-        assert source.deposit_until(0.96) == 120
-        assert source.packet_available()
-        assert source.drain_packet() == 120
-
-    def test_boundary_deposit_then_drain_order_is_stable(self):
-        """Draining at the boundary then advancing must not double-count."""
-        source = BufferedTrafficSource()
-        source.deposit_until(0.96)
-        source.drain_packet()
-        assert source.deposit_until(0.96) == 0
-        source.deposit_until(1.92)
-        assert source.buffered_bytes == 120
-
-    def test_drain_without_packet_raises(self):
-        with pytest.raises(RuntimeError):
-            BufferedTrafficSource().drain_packet()
-
-    def test_time_cannot_move_backwards(self):
-        source = BufferedTrafficSource()
-        source.deposit_until(1.0)
-        with pytest.raises(ValueError):
-            source.deposit_until(0.5)
-
-    def test_sub_epsilon_jitter_is_tolerated_like_advance_to(self):
-        """Kernel poll instants can carry sub-1e-12 float jitter; the
-        deposit path must absorb it exactly like ``advance_to`` promises
-        instead of raising mid-simulation."""
-        source = BufferedTrafficSource()
-        source.poll(0.5)
-        assert not source.poll(0.5 - 5e-13)
-        assert source.buffered_bytes == 62
-
-    def test_incremental_deposits_equal_single_deposit(self):
-        incremental = BufferedTrafficSource()
-        for step in range(1, 11):
-            incremental.deposit_until(step * 0.1)
-        single = BufferedTrafficSource()
-        single.deposit_until(1.0)
-        assert incremental.buffered_bytes == single.buffered_bytes
+    def test_sample_on_superframe_boundary_counts(self):
+        """A sensing event landing exactly on a beacon belongs to the
+        superframe that starts there: the 120th 8-ms sample lands at
+        0.96 s, so a beacon at 0.96 s must count its packet even though
+        ``0.96 // 0.008`` is 119 in binary floating point — once."""
+        assert counts(PeriodicSensingTraffic(), [0.96, 0.96, 1.92]) == \
+            [2, 2, 3]
 
     def test_long_run_packet_rate(self):
-        source = BufferedTrafficSource()
-        source.deposit_until(9.601)
-        drained = 0
-        while source.packet_available():
-            source.drain_packet()
-            drained += 1
-        assert drained == 10
-
-    def test_primed_source_counts_priming_as_deposited(self):
-        source = BufferedTrafficSource(initial_buffered_bytes=120)
-        assert source.bytes_deposited == 120
-        source.drain_packet()
-        assert source.bytes_deposited == \
-            source.bytes_drained + source.buffered_bytes
+        assert counts(PeriodicSensingTraffic(), [9.601]) == [11]
 
     @settings(max_examples=30, deadline=None)
-    @given(times=st.lists(st.floats(min_value=0.0, max_value=5.0),
-                          min_size=1, max_size=20))
-    def test_buffer_never_negative_and_consistent(self, times):
-        source = BufferedTrafficSource()
-        for time in sorted(times):
-            source.deposit_until(time)
-            assert source.buffered_bytes >= 0
-        assert source.buffered_bytes == sample_count(sorted(times)[-1])
-
-    @settings(max_examples=50, deadline=None)
     @given(times=st.lists(st.floats(min_value=0.0, max_value=20.0),
-                          min_size=1, max_size=30),
-           drain_greedily=st.booleans())
-    def test_byte_conservation_under_interleaved_drains(self, times,
-                                                        drain_greedily):
-        """deposited == drained + buffered at every point of any schedule."""
-        source = BufferedTrafficSource()
-        for time in sorted(times):
-            source.deposit_until(time)
-            if drain_greedily:
-                while source.packet_available():
-                    source.drain_packet()
-            elif source.packet_available():
-                source.drain_packet()
-            assert source.bytes_deposited == \
-                source.bytes_drained + source.buffered_bytes
+                          min_size=1, max_size=20))
+    def test_counts_follow_the_sample_count(self, times):
+        times = sorted(times)
+        assert counts(PeriodicSensingTraffic(), times) == \
+            [1 + sample_count(time) // 120 for time in times]
 
     @settings(max_examples=50, deadline=None)
     @given(time=st.floats(min_value=0.0, max_value=0.959))
-    def test_no_packet_before_payload_accumulated(self, time):
-        """A cold periodic source can never emit before 120 samples exist."""
-        source = BufferedTrafficSource()
-        assert not source.poll(time)
-        with pytest.raises(RuntimeError):
-            source.drain_packet()
+    def test_no_second_packet_before_the_payload_period(self, time):
+        assert counts(PeriodicSensingTraffic(), [time]) == [1]
 
 
 class TestSaturatedTraffic:
-    def test_always_has_a_packet(self):
-        source = SaturatedTraffic().make_source()
-        for time in (0.0, 0.1, 5.0):
-            assert source.poll(time)
-            assert source.drain_packet() == 120
-
-    def test_conservation_holds_trivially(self):
-        source = SaturatedTraffic(payload_bytes=50).make_source()
-        source.poll(1.0)
-        source.drain_packet()
-        assert source.bytes_deposited == \
-            source.bytes_drained + source.buffered_bytes == 50
+    def test_one_packet_per_poll(self):
+        assert counts(SaturatedTraffic(), [0.0, 0.1, 5.0]) == [1, 2, 3]
 
     def test_invalid_payload(self):
         with pytest.raises(ValueError):
@@ -190,10 +99,6 @@ class TestSaturatedTraffic:
 
 
 class TestPoissonTraffic:
-    def test_requires_a_generator(self):
-        with pytest.raises(ValueError):
-            PoissonTraffic().make_source(rng=None)
-
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
             PoissonTraffic(mean_interval_s=0.0)
@@ -201,50 +106,13 @@ class TestPoissonTraffic:
             PoissonTraffic(payload_bytes=0)
 
     def test_mean_rate_is_roughly_respected(self):
-        source = PoissonTraffic(mean_interval_s=0.5).make_source(
-            rng=np.random.default_rng(42))
-        source.advance_to(1000.0)
-        arrivals = source.bytes_deposited // 120
+        arrivals, = counts(PoissonTraffic(mean_interval_s=0.5), [1000.0],
+                           seed=42)
         assert arrivals == pytest.approx(2000, rel=0.1)
 
     def test_no_packet_before_a_full_arrival(self):
-        source = PoissonTraffic(mean_interval_s=10.0).make_source(
-            rng=np.random.default_rng(3))
-        assert not source.poll(0.0)
-
-    @settings(max_examples=25, deadline=None)
-    @given(seed=st.integers(min_value=0, max_value=2**32 - 1),
-           cuts=st.lists(st.floats(min_value=0.0, max_value=50.0),
-                         min_size=0, max_size=10))
-    def test_seeded_and_chunk_invariant(self, seed, cuts):
-        """Same seed => same arrival process, however polling is chunked.
-
-        This is the property the executor-independence of the simulation
-        rests on: a source's state at time T depends only on (model, seed,
-        T), never on the intermediate poll instants.
-        """
-        chunked = PoissonTraffic(mean_interval_s=1.0).make_source(
-            rng=np.random.default_rng(seed))
-        for cut in sorted(cuts):
-            chunked.advance_to(cut)
-        chunked.advance_to(50.0)
-        direct = PoissonTraffic(mean_interval_s=1.0).make_source(
-            rng=np.random.default_rng(seed))
-        direct.advance_to(50.0)
-        assert chunked.bytes_deposited == direct.bytes_deposited
-        assert chunked.buffered_bytes == direct.buffered_bytes
-
-    @settings(max_examples=25, deadline=None)
-    @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
-    def test_byte_conservation(self, seed):
-        source = PoissonTraffic(mean_interval_s=0.3).make_source(
-            rng=np.random.default_rng(seed))
-        for step in range(1, 11):
-            source.advance_to(step * 1.0)
-            if source.packet_available():
-                source.drain_packet()
-            assert source.bytes_deposited == \
-                source.bytes_drained + source.buffered_bytes
+        assert counts(PoissonTraffic(mean_interval_s=10.0), [0.0],
+                      seed=3) == [0]
 
 
 class TestBurstyAlarmTraffic:
@@ -256,29 +124,15 @@ class TestBurstyAlarmTraffic:
         with pytest.raises(ValueError):
             BurstyAlarmTraffic(payload_bytes=0)
 
-    def test_bursts_deposit_whole_packets(self):
-        source = BurstyAlarmTraffic(
-            mean_event_interval_s=1.0, mean_burst_packets=4.0).make_source(
-                rng=np.random.default_rng(7))
-        source.advance_to(100.0)
-        assert source.bytes_deposited % 120 == 0
-        assert source.bytes_deposited >= 120  # events did fire in 100 s
-
-    @settings(max_examples=25, deadline=None)
-    @given(seed=st.integers(min_value=0, max_value=2**32 - 1),
-           cuts=st.lists(st.floats(min_value=0.0, max_value=200.0),
-                         min_size=0, max_size=8))
-    def test_seeded_and_chunk_invariant(self, seed, cuts):
-        make = BurstyAlarmTraffic(mean_event_interval_s=5.0,
-                                  mean_burst_packets=3.0).make_source
-        chunked = make(rng=np.random.default_rng(seed))
-        for cut in sorted(cuts):
-            chunked.advance_to(cut)
-        chunked.advance_to(200.0)
-        direct = make(rng=np.random.default_rng(seed))
-        direct.advance_to(200.0)
-        assert chunked.bytes_deposited == direct.bytes_deposited
-        assert chunked.buffered_bytes == direct.buffered_bytes
+    def test_bursts_queue_whole_packets(self):
+        times = np.arange(1, 101, dtype=float)
+        schedule = counts(BurstyAlarmTraffic(mean_event_interval_s=1.0,
+                                             mean_burst_packets=4.0),
+                          times, seed=7)
+        steps = np.diff(schedule, prepend=0)
+        assert schedule[-1] >= 1  # alarms did fire in 100 s
+        assert steps.min() >= 0
+        assert schedule[-1] > np.count_nonzero(steps)  # some burst > 1
 
 
 class TestMixedPopulation:
@@ -305,9 +159,9 @@ class TestMixedPopulation:
         with pytest.raises(ValueError):
             self.mix().resolve(8, 8)
 
-    def test_make_source_requires_resolution(self):
+    def test_packet_counts_requires_resolution(self):
         with pytest.raises(TypeError):
-            self.mix().make_source(rng=np.random.default_rng(0))
+            self.mix().packet_counts(np.zeros(1), np.random.default_rng(0))
 
     def test_fractions_must_sum_to_one(self):
         with pytest.raises(ValueError, match="sum to 1"):
@@ -379,88 +233,99 @@ def superframe_order(beacon_order, gap):
     return max(0, beacon_order - gap)
 
 
-class TestArrivalSchedule:
-    """``packet_counts`` drives the batched kernel's queue exactly as lazy
-    ``poll``/``drain_packet`` drive the event kernel's, beacon by beacon."""
+# The schedule checks and the prefix check are module-level functions,
+# not methods: Hypothesis refuses one method run on several test
+# instances, which parametrizing a class method makes.
 
-    @settings(max_examples=40, deadline=None)
-    @given(bo=beacon_orders, gap=order_gaps, superframes=horizons,
-           sampling_ms=st.floats(min_value=0.5, max_value=40.0),
-           initial=st.integers(min_value=0, max_value=360))
-    def test_periodic_from_any_initial_buffer(self, check_schedule, bo, gap,
-                                              superframes, sampling_ms,
-                                              initial):
-        traffic = PeriodicSensingTraffic(sampling_interval_s=sampling_ms
-                                         * 1e-3)
-        check_schedule(lambda: BufferedTrafficSource(
-                           traffic=traffic, initial_buffered_bytes=initial),
-                       bo, superframe_order(bo, gap), superframes)
+@settings(max_examples=40, deadline=None)
+@given(bo=beacon_orders, gap=order_gaps, superframes=horizons,
+       sampling_ms=st.floats(min_value=0.5, max_value=40.0))
+def test_schedule_periodic_at_any_sampling_interval(
+        check_schedule, lane_shape, bo, gap, superframes, sampling_ms):
+    """``lane_arrivals`` drives the kernels' backlog exactly as polling
+    the scalar reference does, beacon by beacon, on every lane shape
+    (``lane_shape``: star, relay-free tree, routed with replicas lagged
+    0 hops or 1-2 hops) — here for periodic sensing at any rate."""
+    traffic = PeriodicSensingTraffic(sampling_interval_s=sampling_ms * 1e-3)
+    check_schedule(traffic, 0, bo, superframe_order(bo, gap), superframes,
+                   lane_shape)
 
-    @settings(max_examples=30, deadline=None)
-    @given(bo=beacon_orders, gap=order_gaps, superframes=horizons,
-           beacons_per_packet=st.integers(min_value=1, max_value=4),
-           primed=st.booleans())
-    def test_periodic_boundary_samples(self, check_schedule, bo, gap,
-                                       superframes, beacons_per_packet,
-                                       primed):
-        """Packets complete exactly on beacons; the boundary sample counts."""
-        so = superframe_order(bo, gap)
-        interval = SuperframeConfig(beacon_order=bo,
-                                    superframe_order=so).beacon_interval_s
-        traffic = PeriodicSensingTraffic(
-            sampling_interval_s=interval * beacons_per_packet / 120)
 
-        def make():
-            if primed:
-                return traffic.make_source()
-            return BufferedTrafficSource(traffic=traffic)
+@settings(max_examples=30, deadline=None)
+@given(bo=beacon_orders, gap=order_gaps, superframes=horizons,
+       beacons_per_packet=st.integers(min_value=1, max_value=4))
+def test_schedule_periodic_boundary_samples(
+        check_schedule, lane_shape, bo, gap, superframes,
+        beacons_per_packet):
+    """Packets complete exactly on beacons; the boundary sample counts."""
+    so = superframe_order(bo, gap)
+    interval = SuperframeConfig(beacon_order=bo,
+                                superframe_order=so).beacon_interval_s
+    traffic = PeriodicSensingTraffic(
+        sampling_interval_s=interval * beacons_per_packet / 120)
+    flags = check_schedule(traffic, 0, bo, so, superframes, lane_shape)
+    leaf = [k % beacons_per_packet == 0 for k in range(superframes)]
+    # nodes 3 and 4 forward nothing on the routed tree
+    leaves = (2, 3) if lane_shape.startswith("routed") else (0, 1, 2, 3)
+    assert [flags[node] for node in leaves] == [leaf] * len(leaves)
 
-        flags = check_schedule(make, bo, so, superframes)
-        expected = [(k % beacons_per_packet == 0) if k else primed
-                    for k in range(superframes)]
-        assert flags == expected
 
-    @settings(max_examples=40, deadline=None)
-    @given(bo=beacon_orders, gap=order_gaps, superframes=horizons,
-           seed=seeds, mean_s=st.floats(min_value=0.01, max_value=20.0))
-    def test_poisson(self, check_schedule, bo, gap, superframes, seed,
-                     mean_s):
-        traffic = PoissonTraffic(mean_interval_s=mean_s)
-        check_schedule(
-            lambda: traffic.make_source(rng=np.random.default_rng(seed)),
-            bo, superframe_order(bo, gap), superframes)
+@settings(max_examples=40, deadline=None)
+@given(bo=beacon_orders, gap=order_gaps, superframes=horizons, seed=seeds,
+       mean_s=st.floats(min_value=0.01, max_value=20.0))
+def test_schedule_poisson(check_schedule, lane_shape, bo, gap, superframes,
+                          seed, mean_s):
+    check_schedule(PoissonTraffic(mean_interval_s=mean_s), seed, bo,
+                   superframe_order(bo, gap), superframes, lane_shape)
 
-    @settings(max_examples=40, deadline=None)
-    @given(bo=beacon_orders, gap=order_gaps, superframes=horizons,
-           seed=seeds, mean_s=st.floats(min_value=0.05, max_value=40.0),
-           burst=st.floats(min_value=1.0, max_value=6.0))
-    def test_bursty(self, check_schedule, bo, gap, superframes, seed, mean_s,
-                    burst):
-        traffic = BurstyAlarmTraffic(mean_event_interval_s=mean_s,
-                                     mean_burst_packets=burst)
-        check_schedule(
-            lambda: traffic.make_source(rng=np.random.default_rng(seed)),
-            bo, superframe_order(bo, gap), superframes)
 
-    @settings(max_examples=10, deadline=None)
-    @given(bo=beacon_orders, gap=order_gaps, superframes=horizons)
-    def test_saturated(self, check_schedule, bo, gap, superframes):
-        flags = check_schedule(SaturatedTraffic().make_source, bo,
-                               superframe_order(bo, gap), superframes)
-        assert all(flags)
+@settings(max_examples=40, deadline=None)
+@given(bo=beacon_orders, gap=order_gaps, superframes=horizons, seed=seeds,
+       mean_s=st.floats(min_value=0.05, max_value=40.0),
+       burst=st.floats(min_value=1.0, max_value=6.0))
+def test_schedule_bursty(check_schedule, lane_shape, bo, gap, superframes,
+                         seed, mean_s, burst):
+    traffic = BurstyAlarmTraffic(mean_event_interval_s=mean_s,
+                                 mean_burst_packets=burst)
+    check_schedule(traffic, seed, bo, superframe_order(bo, gap),
+                   superframes, lane_shape)
 
-    @settings(max_examples=30, deadline=None)
-    @given(bo=beacon_orders, gap=order_gaps, superframes=horizons,
-           seed=seeds, fraction=st.floats(min_value=0.05, max_value=0.95),
-           rate_scale=st.floats(min_value=0.25, max_value=4.0),
-           position=st.data())
-    def test_mixed_population_node(self, check_schedule, bo, gap,
-                                   superframes, seed, fraction, rate_scale,
-                                   position):
-        model = build_traffic_model("mixed", mix_fraction=fraction,
-                                    rate_scale=rate_scale)
-        index = position.draw(st.integers(min_value=0, max_value=7))
-        resolved = model.resolve(index, 8)
-        check_schedule(
-            lambda: resolved.make_source(rng=np.random.default_rng(seed)),
-            bo, superframe_order(bo, gap), superframes)
+
+@settings(max_examples=10, deadline=None)
+@given(bo=beacon_orders, gap=order_gaps, superframes=horizons)
+def test_schedule_saturated(check_schedule, lane_shape, bo, gap,
+                            superframes):
+    flags = check_schedule(SaturatedTraffic(), 0, bo,
+                           superframe_order(bo, gap), superframes,
+                           lane_shape)
+    assert all(all(node) for node in flags)
+
+
+@settings(max_examples=30, deadline=None)
+@given(bo=beacon_orders, gap=order_gaps, superframes=horizons, seed=seeds,
+       fraction=st.floats(min_value=0.05, max_value=0.95),
+       rate_scale=st.floats(min_value=0.25, max_value=4.0))
+def test_schedule_mixed_population(check_schedule, lane_shape, bo, gap,
+                                   superframes, seed, fraction, rate_scale):
+    model = build_traffic_model("mixed", mix_fraction=fraction,
+                                rate_scale=rate_scale)
+    check_schedule(model, seed, bo, superframe_order(bo, gap), superframes,
+                   lane_shape)
+
+
+@pytest.mark.parametrize("kind", [kind for kind in TRAFFIC_MODEL_KINDS
+                                  if kind != "mixed"])
+@settings(max_examples=40, deadline=None)
+@given(seed=seeds, rate_scale=st.floats(min_value=0.25, max_value=4.0),
+       times=st.lists(st.floats(min_value=0.0, max_value=50.0),
+                      min_size=1, max_size=30),
+       cut=st.integers(min_value=1, max_value=30))
+def test_a_longer_horizon_extends_the_schedule(kind, seed, rate_scale,
+                                               times, cut):
+    """A schedule up to time T depends only on (model, seed, T): a longer
+    horizon extends it and never rewrites its prefix, so a lane's
+    arrivals do not depend on how long the run is."""
+    model = build_traffic_model(kind, rate_scale=rate_scale)
+    times = sorted(times)
+    full = counts(model, times, seed)
+    assert counts(model, times[:cut], seed) == full[:cut]

@@ -2,13 +2,7 @@
 
 import pytest
 
-from repro.sim.engine import (
-    Environment,
-    Event,
-    Process,
-    SimulationError,
-    Timeout,
-)
+from repro.sim.engine import Environment, Process, SimulationError
 
 
 class TestEnvironmentBasics:
@@ -61,13 +55,6 @@ class TestEnvironmentBasics:
         env.run()
         assert order == ["first", "second", "third"]
 
-    def test_run_until_event_that_never_fires_raises(self):
-        env = Environment()
-        pending = env.event()
-        env.timeout(1.0)
-        with pytest.raises(SimulationError):
-            env.run(until=pending)
-
     def test_run_until_the_current_time_processes_events_due_now(self):
         # Events due at the stop time still run; the clock does not move.
         env = Environment()
@@ -97,19 +84,6 @@ class TestTimeout:
         with pytest.raises(SimulationError):
             env.timeout(-1.0)
 
-    def test_timeout_value_passed_to_process(self):
-        env = Environment()
-        seen = []
-
-        def proc():
-            value = yield env.timeout(2.0, value="payload")
-            seen.append(value)
-
-        env.process(proc())
-        env.run()
-        assert seen == ["payload"]
-        assert env.now == 2.0
-
     def test_delay_counts_from_the_current_time(self):
         env = Environment(initial_time=5.0)
         fired = []
@@ -136,82 +110,13 @@ class TestTimeout:
 
 
 class TestEvent:
-    def test_value_before_trigger_raises(self):
-        env = Environment()
-        with pytest.raises(SimulationError):
-            _ = env.event().value
-
-    def test_succeed_twice_raises(self):
-        env = Environment()
-        event = env.event()
-        event.succeed(1)
-        with pytest.raises(SimulationError):
-            event.succeed(2)
-
-    def test_fail_requires_exception(self):
-        env = Environment()
-        with pytest.raises(TypeError):
-            env.event().fail("not an exception")
-
-    def test_process_waits_for_event(self):
-        env = Environment()
-        event = env.event()
-        results = []
-
-        def waiter():
-            value = yield event
-            results.append((env.now, value))
-
-        def trigger():
-            yield env.timeout(4.0)
-            event.succeed("done")
-
-        env.process(waiter())
-        env.process(trigger())
-        env.run()
-        assert results == [(4.0, "done")]
-
-    def test_failed_event_raises_inside_process(self):
-        env = Environment()
-        event = env.event()
-        caught = []
-
-        def waiter():
-            try:
-                yield event
-            except RuntimeError as exc:
-                caught.append(str(exc))
-
-        def trigger():
-            yield env.timeout(1.0)
-            event.fail(RuntimeError("boom"))
-
-        env.process(waiter())
-        env.process(trigger())
-        env.run()
-        assert caught == ["boom"]
-
-    def test_unhandled_event_failure_propagates(self):
-        env = Environment()
-        event = env.event()
-        event.fail(RuntimeError("unhandled"))
-        with pytest.raises(RuntimeError, match="unhandled"):
-            env.run()
-
-    def test_fail_after_trigger_raises(self):
-        env = Environment()
-        event = env.event()
-        event.succeed()
-        with pytest.raises(SimulationError):
-            event.fail(RuntimeError("late"))
-
     def test_yielding_an_already_processed_event_raises(self):
         # Nothing could ever resume the process; the kernel's processes
         # only wait on fresh timeouts.
         env = Environment()
         done = env.timeout(1.0)
         env.run(until=2.0)
-        assert done.processed
+        assert done.callbacks is None
 
         def late_waiter():
             yield done
@@ -227,42 +132,19 @@ class TestProcess:
         with pytest.raises(SimulationError):
             Process(env, lambda: None)
 
-    def test_process_return_value_via_run_until(self):
+    def test_yielding_a_process_raises(self):
+        # Processes are not events: nothing waits on another process.
         env = Environment()
-
-        def proc():
-            yield env.timeout(1.0)
-            return 42
-
-        result = env.run(until=env.process(proc()))
-        assert result == 42
-
-    def test_process_is_alive_until_done(self):
-        env = Environment()
-
-        def proc():
-            yield env.timeout(5.0)
-
-        process = env.process(proc())
-        assert process.is_alive
-        env.run()
-        assert not process.is_alive
-
-    def test_waiting_on_another_process(self):
-        env = Environment()
-        log = []
 
         def child():
-            yield env.timeout(2.0)
-            return "child-result"
+            yield env.timeout(1.0)
 
         def parent():
-            result = yield env.process(child())
-            log.append((env.now, result))
+            yield env.process(child())
 
         env.process(parent())
-        env.run()
-        assert log == [(2.0, "child-result")]
+        with pytest.raises(SimulationError, match="non-event"):
+            env.run()
 
     def test_yield_non_event_raises(self):
         env = Environment()
@@ -284,21 +166,3 @@ class TestProcess:
         env.process(proc())
         with pytest.raises(ValueError, match="inside"):
             env.run()
-
-    def test_parent_can_catch_a_failing_child(self):
-        env = Environment()
-        log = []
-
-        def child():
-            yield env.timeout(1.0)
-            raise ValueError("child failed")
-
-        def parent():
-            try:
-                yield env.process(child())
-            except ValueError as exc:
-                log.append((env.now, str(exc)))
-
-        env.process(parent())
-        env.run()
-        assert log == [(1.0, "child failed")]

@@ -30,12 +30,6 @@ KEEP = {
         "state-machine loop through it",
     "repro.contention.monte_carlo:window_statistics":
         "reference: the window oracle reduces its reference windows with it",
-    "repro.sim.engine:Event.succeed":
-        "reference: part of the event kernel the batched kernel is checked "
-        "against",
-    "repro.sim.engine:Process.is_alive":
-        "reference: part of the event kernel the batched kernel is checked "
-        "against",
     "repro.sweep.analysis:dominates":
         "reference: tests check pareto_front's members against it",
     "repro.sweep.spec:spec_from_payload":

@@ -38,9 +38,9 @@ PUBLIC_SURFACE = {
                          "ContentionTable", "build_contention_table",
                          "ClosedFormContentionModel"],
     "repro.network": ["uniform_disc_placement",
-                      "PeriodicSensingTraffic", "BufferedTrafficSource",
-                      "TrafficModel", "TrafficSource", "SaturatedTraffic",
-                      "PoissonTraffic", "BurstyAlarmTraffic",
+                      "PeriodicSensingTraffic", "TrafficModel",
+                      "SaturatedTraffic", "PoissonTraffic",
+                      "BurstyAlarmTraffic",
                       "MixedPopulation", "build_traffic_model",
                       "SensorNode", "ScenarioSpec",
                       "EventChannelSimulator"],
@@ -132,17 +132,17 @@ EXPORTED_NAMES = {
         SlottedCsmaCa Superframe SuperframeConfig mac_overhead_bytes
         total_packet_overhead_bytes""",
     "repro.network": """
-        BufferedTrafficSource BurstyAlarmTraffic ClusteredTopologyModel
+        BurstyAlarmTraffic ClusteredTopologyModel
         DiscTopologyModel EventChannelSimulator
-        ForwardingSource GradientRouting GridTopologyModel
+        GradientRouting GridTopologyModel
         MinHopRouting MixedPopulation NetworkTopology NodePlacement
         PeriodicSensingTraffic PoissonTraffic ROUTING_KINDS RoutingModel
         SaturatedTraffic ScenarioSpec SensorNode SimulationSummary SinkTree
-        StarTopologyModel TOPOLOGY_KINDS TopologyModel
-        TrafficModel TrafficSource adaptive_tx_levels
+        TOPOLOGY_KINDS TopologyModel
+        TrafficModel adaptive_tx_levels
         aggregate_channel_rows build_routing_model build_topology_model
         build_traffic_model clustered_placement depth_breakdown
-        grid_placement make_lane_sources
+        grid_placement lane_arrivals
         simulate_network uniform_disc_placement""",
     "repro.obs": """
         NULL_TRACER NullTracer Span TRACE_KIND TRACE_SCHEMA_VERSION
