@@ -3,12 +3,13 @@
 
 Grid sweeps (``examples/design_space_exploration.py``) spend most of
 their budget far from the Pareto front.  The optimizer layer
-(``repro.sweep.optimize``) runs the same search *adaptively*: a seeded
-successive-halving loop proposes batches of design points over the
-experiment's typed parameter domains, dispatches them through the same
-executor + result cache as a plain sweep, and stops once the Pareto
-front stabilises.  Everything is seeded — re-running a search replays
-the identical proposal sequence from the cache and recomputes nothing.
+(``repro.sweep.optimize``) searches the same grid *adaptively*: an
+``OptimizeSpec`` is a ``SweepSpec`` plus a budget, and a seeded
+successive-halving loop proposes batches of the grid's points, dispatches
+them through the same executor + result cache as a plain sweep, and stops
+once the Pareto front stabilises.  Everything is seeded — re-running a
+search replays the identical proposal sequence from the cache and
+recomputes nothing.
 
 This walkthrough:
 
@@ -16,7 +17,7 @@ This walkthrough:
    through a ``Session`` and prints the per-round trajectory;
 2. compares its knee point against the exhaustive reference grid
    (``case_study_power_grid``) — same operating point, half the budget;
-3. builds a custom ``OptimizeSpec`` from scratch over typed dimensions;
+3. builds a custom ``OptimizeSpec`` from scratch over grid axes;
 4. exports the byte-reproducible CSV/JSON/manifest artifacts.
 
 Equivalent CLI::
@@ -34,7 +35,7 @@ import tempfile
 from pathlib import Path
 
 import repro.api as api
-from repro.sweep import export_optimize, knee_point, pareto_front
+from repro.sweep import export_sweep
 
 #: The examples run the quick variants so the walkthrough finishes in
 #: seconds; drop ``quick=True`` for the paper-scale design spaces.
@@ -60,8 +61,7 @@ def main() -> None:
     # ---- 2. the knee, versus the exhaustive grid at twice the budget --------
     knee = result.knee()
     grid = session.sweep("case_study_power_grid", quick=QUICK)
-    grid_knee = knee_point(pareto_front(grid.rows, grid.spec.objectives),
-                           grid.spec.objectives)
+    grid_knee = grid.knee()
     print(f"optimizer knee ({len(result.points)} points): "
           f"BO={knee['beacon_order']} SO={knee['superframe_order']} "
           f"-> {knee['mean_power_uw']:.1f} uW")
@@ -71,13 +71,14 @@ def main() -> None:
     print()
 
     # ---- 3. a custom search space is one OptimizeSpec away ------------------
-    # Dimensions validate against case_study_full's typed schema *here*: a
-    # typo'd name or an out-of-domain bound raises on this line, before any
-    # simulation starts.
+    # Every axis value validates against case_study_full's typed schema
+    # *here*: a typo'd name or an out-of-domain value raises on this line,
+    # before any simulation starts.  A consecutive-integer axis is searched
+    # by Gaussian steps, any other axis as a choice.
     custom = api.OptimizeSpec(
         name="custom_power_search", experiment="case_study_full",
-        dimensions={"beacon_order": api.IntDimension(3, 6),
-                    "superframe_order": api.ChoiceDimension((None, 2, 3))},
+        axes={"beacon_order": api.GridAxis((3, 4, 5, 6)),
+              "superframe_order": api.GridAxis((None, 2, 3))},
         objectives={"mean_power_uw": "min", "mean_delivery_delay_s": "min"},
         base_params={"total_nodes": 32, "num_channels": 2, "superframes": 4},
         max_points=6, initial_points=4, batch_size=2)
@@ -88,7 +89,7 @@ def main() -> None:
 
     # ---- 4. byte-reproducible artifacts -------------------------------------
     out_dir = Path(tempfile.mkdtemp(prefix="repro-optimize-"))
-    paths = export_optimize(result, out_dir)
+    paths = export_sweep(result, out_dir)
     print(f"exported to {out_dir} (spec hash {spec.spec_hash()}):")
     for kind, path in sorted(paths.items()):
         print(f"  {kind:9s} {path.name}")

@@ -43,14 +43,11 @@ from repro.runner.params import (ParamSchema, ParamSpec, ParameterValueError,
 from repro.runner.registry import (ExperimentRegistry, ExperimentSpec,
                                    UnknownExperimentError, default_registry)
 from repro.runner.result import RunResult
-from repro.sweep.artifacts import optimize_json_text, sweep_json_text
-from repro.sweep.catalog import (UnknownOptimizeError, UnknownSweepError,
-                                 get_optimize, get_sweep)
+from repro.sweep.artifacts import sweep_json_text
+from repro.sweep.catalog import UnknownSweepError, get_optimize, get_sweep
 from repro.sweep.driver import SweepRunResult, run_sweep, sweep_status
-from repro.sweep.optimize import (ChoiceDimension, FloatDimension,
-                                  IntDimension, OptimizeResult, OptimizeSpec,
-                                  run_optimize)
-from repro.sweep.spec import GridAxis, RandomAxis, RangeAxis, SweepSpec
+from repro.sweep.optimize import OptimizeResult, run_optimize
+from repro.sweep.spec import GridAxis, OptimizeSpec, SweepSpec
 
 __all__ = [
     "Session",
@@ -59,14 +56,7 @@ __all__ = [
     "SweepSpec",
     "OptimizeResult",
     "OptimizeSpec",
-    "IntDimension",
-    "FloatDimension",
-    "ChoiceDimension",
-    "UnknownOptimizeError",
-    "optimize_json_text",
     "GridAxis",
-    "RangeAxis",
-    "RandomAxis",
     "ParamSpec",
     "ParamSchema",
     "ParameterValueError",
@@ -251,7 +241,7 @@ class Session:
     def optimize(self, spec: Union[OptimizeSpec, str], *,
                  quick: bool = False,
                  jobs: Optional[int] = None) -> OptimizeResult:
-        """Run an adaptive design-space search (spec or catalogue name).
+        """Run an adaptive search of a grid (spec or catalogue name).
 
         A string resolves through the optimizer catalogue
         (:func:`repro.sweep.catalog.get_optimize`; ``quick=True`` selects
@@ -260,12 +250,7 @@ class Session:
         re-run replays the identical proposal sequence from the session
         cache and recomputes nothing.
         """
-        if isinstance(spec, str):
-            spec = get_optimize(spec, quick=quick)
-        elif quick:
-            raise ValueError("quick=True only applies to catalogue names; "
-                             "build the quick variant of an explicit "
-                             "OptimizeSpec yourself")
+        spec = self._resolve_sweep(spec, quick, get_optimize)
         result = run_optimize(spec,
                               jobs=self._jobs if jobs is None else jobs,
                               cache=self._cache,
@@ -315,13 +300,14 @@ class Session:
                             registry=spec.registry or self._registry)
 
     @staticmethod
-    def _resolve_sweep(spec: Union[SweepSpec, str], quick: bool) -> SweepSpec:
+    def _resolve_sweep(spec: Union[SweepSpec, str], quick: bool,
+                       get=get_sweep) -> SweepSpec:
         if isinstance(spec, str):
-            return get_sweep(spec, quick=quick)
+            return get(spec, quick=quick)
         if quick:
             raise ValueError("quick=True only applies to catalogue names; "
                              "build the quick variant of an explicit "
-                             "SweepSpec yourself")
+                             f"{type(spec).__name__} yourself")
         return spec
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper

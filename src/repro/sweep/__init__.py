@@ -3,23 +3,24 @@
 The subsystem turns any experiment of the engine's registry into a
 multi-point design-space study:
 
-* :mod:`repro.sweep.spec` — :class:`SweepSpec` with grid/range/seeded-random
-  axes, stable JSON serialisation and a content hash;
+* :mod:`repro.sweep.spec` — :class:`SweepSpec` with grid axes, stable
+  JSON serialisation and a content hash, and :class:`OptimizeSpec`, the
+  same spec plus a search budget;
 * :mod:`repro.sweep.driver` — :func:`run_sweep`: expansion into engine
   tasks, cached points served in the caller and the rest shared with the
   forked worker pool, per-point cache keys so interrupted or repeated sweeps resume from the
   result cache instead of recomputing;
-* :mod:`repro.sweep.optimize` — :func:`run_optimize`: adaptive
-  design-space search (seeded successive halving + a k-NN acquisition)
-  proposing batches over typed dimensions, dispatched through the same
+* :mod:`repro.sweep.optimize` — :func:`run_optimize`: adaptive search of
+  a spec's grid (seeded successive halving + a k-NN acquisition)
+  proposing batches of its points, dispatched through the same
   executor/cache path — a warm re-run replays the identical proposal
   sequence from the cache and recomputes nothing;
 * :mod:`repro.sweep.analysis` — Pareto-front extraction and knee-point
   selection over arbitrary objectives;
 * :mod:`repro.sweep.artifacts` — byte-reproducible CSV/JSON exports plus a
   manifest (spec hash, code version, seeds, cache keys);
-* :mod:`repro.sweep.catalog` — the registered headline sweeps
-  (``node_density``, ``duty_cycle``, ``tx_policy``);
+* :mod:`repro.sweep.catalog` — the six registered headline sweeps and the
+  ``case_study_power`` optimizer over its reference grid;
 * :mod:`repro.sweep.cli` — the ``python -m repro sweep`` command tree.
 
 Quick start::
@@ -41,10 +42,8 @@ from repro._lazy import lazy_exports
 _EXPORTS = {
     "repro.sweep.analysis": ("UnknownMetricError", "dominates", "knee_point",
                              "pareto_front", "require_metrics"),
-    "repro.sweep.artifacts": ("export_optimize", "export_sweep",
-                              "optimize_manifest", "sweep_manifest"),
-    "repro.sweep.catalog": ("OptimizeDefinition", "SweepDefinition",
-                            "UnknownOptimizeError", "UnknownSweepError",
+    "repro.sweep.artifacts": ("export_sweep", "sweep_manifest"),
+    "repro.sweep.catalog": ("SweepDefinition", "UnknownSweepError",
                             "get_definition", "get_optimize",
                             "get_optimize_definition", "get_sweep",
                             "iter_definitions", "iter_optimize_definitions",
@@ -53,12 +52,9 @@ _EXPORTS = {
                            "build_points", "dispatch_points",
                            "expand_points", "extract_point_metrics",
                            "run_sweep", "sweep_status"),
-    "repro.sweep.optimize": ("ChoiceDimension", "FloatDimension",
-                             "IntDimension", "OptimizeResult",
-                             "OptimizeRound", "OptimizeSpec",
-                             "dimension_from_payload",
-                             "optimize_spec_from_payload", "run_optimize"),
-    "repro.sweep.spec": ("GridAxis", "RandomAxis", "RangeAxis", "SweepSpec",
+    "repro.sweep.optimize": ("OptimizeResult", "OptimizeRound",
+                             "run_optimize"),
+    "repro.sweep.spec": ("GridAxis", "OptimizeSpec", "SweepSpec",
                          "axis_from_payload", "spec_from_payload"),
 }
 

@@ -18,8 +18,10 @@ Layout of :func:`export_sweep`::
     <out_dir>/<name>.json           {"manifest": ..., "rows": ..., "long_rows": ...}
     <out_dir>/<name>.manifest.json  spec payload + hash, code version, seeds, keys
 
-Layout of :func:`export_optimize` (same discipline; the manifest
-additionally records every round's proposals and the front trajectory)::
+An optimizer run (:class:`repro.sweep.optimize.OptimizeResult`) exports
+through the same function with its own layout — no long table, the front
+and knee in the JSON, and every round's proposals and the stop reason in
+the manifest::
 
     <out_dir>/<name>.csv            wide rows (one line per evaluated point)
     <out_dir>/<name>.json           {"manifest": ..., "rows": ..., "front": ..., "knee": ...}
@@ -35,21 +37,26 @@ from typing import Any, Dict, Optional
 
 from repro.analysis.io import write_rows
 from repro.runner.cache import code_version
+from repro.sweep.analysis import require_metrics
 from repro.sweep.driver import SweepRunResult
+from repro.sweep.optimize import OptimizeResult
 
 
 def sweep_manifest(result: SweepRunResult) -> Dict[str, Any]:
-    """Everything needed to reproduce (and verify) a sweep's exports.
+    """Everything needed to reproduce (and verify) a run's exports.
 
     Contains the full spec payload and its stable hash, the code-version
     token, the master seed, and every point's parameters and engine cache
-    key.  Deliberately excludes wall-clock and cache-hit diagnostics: two
-    runs of the same spec on the same code produce identical manifests.
+    key; an optimizer run adds its trajectory (each round's proposals,
+    point indices and Pareto front) and its stop reason.  Deliberately
+    excludes wall-clock and cache-hit diagnostics: two runs of the same
+    spec on the same code — a warm re-run served from the cache included
+    — produce identical manifests.
     """
     spec = result.spec
-    return {
-        "kind": "repro-sweep-manifest",
-        "sweep": spec.to_payload(),
+    manifest = {
+        "kind": f"repro-{result.kind}-manifest",
+        result.kind: spec.to_payload(),
         "spec_hash": spec.spec_hash(),
         "experiment": spec.experiment,
         "seed": spec.seed,
@@ -62,37 +69,42 @@ def sweep_manifest(result: SweepRunResult) -> Dict[str, Any]:
                     "cache_key": point.cache_key}
                    for point in result.points],
     }
+    if isinstance(result, OptimizeResult):
+        manifest.update(stop_reason=result.stop_reason,
+                        rounds=[round_.to_payload()
+                                for round_ in result.rounds])
+    return manifest
 
 
-def manifest_text(result: SweepRunResult) -> str:
-    """The manifest as deterministic JSON text."""
-    return json.dumps(sweep_manifest(result), indent=2, sort_keys=True) + "\n"
-
-
-def sweep_json_payload(result: SweepRunResult) -> Dict[str, Any]:
-    """The combined JSON artifact payload (manifest + wide + long rows)."""
-    return {"manifest": sweep_manifest(result), "rows": list(result.rows),
-            "long_rows": result.long_rows()}
+def _json_text(payload: Dict[str, Any]) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def sweep_json_text(result: SweepRunResult) -> str:
-    """The combined artifact as deterministic JSON text.
+    """The combined artifact as deterministic JSON text: the manifest and
+    the wide rows, plus the long rows of a sweep or the front and knee of
+    an optimizer run.
 
     Byte-identical to the ``<name>.json`` file :func:`export_sweep`
-    writes — the canonical machine-readable form of one sweep run, which
-    is also what the service layer serves for finished sweep jobs.
+    writes — the canonical machine-readable form of one run, which is
+    also what the service layer serves for finished sweep jobs.
     """
-    return json.dumps(sweep_json_payload(result), indent=2,
-                      sort_keys=True) + "\n"
+    payload = {"manifest": sweep_manifest(result), "rows": list(result.rows)}
+    if isinstance(result, OptimizeResult):
+        payload.update(front=result.front(), knee=result.knee())
+    else:
+        payload["long_rows"] = result.long_rows()
+    return _json_text(payload)
 
 
 def export_sweep(result: SweepRunResult, out_dir: os.PathLike,
                  name: Optional[str] = None) -> Dict[str, Path]:
-    """Write the sweep's CSV/JSON tables and manifest into ``out_dir``.
+    """Write the run's CSV/JSON tables and manifest into ``out_dir``.
 
     Returns the written paths keyed by artifact kind (``"csv"``,
-    ``"long_csv"``, ``"json"``, ``"manifest"``).  Exports are byte-for-byte
-    reproducible for a fixed spec and code version.
+    ``"long_csv"`` — sweeps only —, ``"json"``, ``"manifest"``).  Exports
+    are byte-for-byte reproducible for a fixed spec and code version,
+    including across warm re-runs served entirely from the result cache.
 
     An objective of the spec that *no point produced* raises
     :class:`repro.sweep.analysis.UnknownMetricError` (with did-you-mean
@@ -100,103 +112,22 @@ def export_sweep(result: SweepRunResult, out_dir: os.PathLike,
     exporting ``None`` columns that the Pareto helpers would count as
     worst-possible values.
     """
-    from repro.sweep.analysis import require_metrics
-    require_metrics(result.spec.objectives, result.metric_names,
-                    context=f"sweep {result.spec.name!r} export")
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    name = name or result.spec.name
-    wide_columns = (["point"] + result.spec.axis_names()
-                    + list(result.metric_names))
-    long_rows = result.long_rows()
-
-    paths = {
-        "csv": write_rows(result.rows, out_dir / f"{name}.csv", fmt="csv",
-                          columns=wide_columns),
-        "long_csv": write_rows(long_rows, out_dir / f"{name}.long.csv",
-                               fmt="csv"),
-        "manifest": out_dir / f"{name}.manifest.json",
-        "json": out_dir / f"{name}.json",
-    }
-    paths["manifest"].write_text(manifest_text(result), encoding="utf-8")
-    paths["json"].write_text(sweep_json_text(result), encoding="utf-8")
-    return paths
-
-
-def optimize_manifest(result: "OptimizeResult") -> Dict[str, Any]:
-    """Everything needed to reproduce (and verify) an optimizer run.
-
-    The optimizer sibling of :func:`sweep_manifest`: the spec payload and
-    hash, the code version, every evaluated point with its engine cache
-    key — plus the search trajectory (each round's proposals, point
-    indices and Pareto front) and the stop reason.  Wall-clock and
-    cache-hit diagnostics are deliberately excluded: a warm re-run of the
-    same spec produces a byte-identical manifest.
-    """
     spec = result.spec
-    return {
-        "kind": "repro-optimize-manifest",
-        "optimize": spec.to_payload(),
-        "spec_hash": spec.spec_hash(),
-        "experiment": spec.experiment,
-        "seed": spec.seed,
-        "code_version": code_version(),
-        "num_points": len(result.points),
-        "metric_names": list(result.metric_names),
-        "stop_reason": result.stop_reason,
-        "rounds": [round_.to_payload() for round_ in result.rounds],
-        "points": [{"index": point.index,
-                    "axis_values": dict(point.axis_values),
-                    "params": dict(point.params),
-                    "cache_key": point.cache_key}
-                   for point in result.points],
-    }
-
-
-def optimize_manifest_text(result: "OptimizeResult") -> str:
-    """The optimizer manifest as deterministic JSON text."""
-    return json.dumps(optimize_manifest(result), indent=2,
-                      sort_keys=True) + "\n"
-
-
-def optimize_json_payload(result: "OptimizeResult") -> Dict[str, Any]:
-    """The combined JSON artifact payload (manifest + rows + front + knee)."""
-    return {"manifest": optimize_manifest(result),
-            "rows": list(result.rows),
-            "front": result.front(),
-            "knee": result.knee()}
-
-
-def optimize_json_text(result: "OptimizeResult") -> str:
-    """The combined optimizer artifact as deterministic JSON text."""
-    return json.dumps(optimize_json_payload(result), indent=2,
-                      sort_keys=True) + "\n"
-
-
-def export_optimize(result: "OptimizeResult", out_dir: os.PathLike,
-                    name: Optional[str] = None) -> Dict[str, Path]:
-    """Write the optimizer run's CSV/JSON tables and manifest into ``out_dir``.
-
-    Returns the written paths keyed by artifact kind (``"csv"``,
-    ``"json"``, ``"manifest"``).  Exports are byte-for-byte reproducible
-    for a fixed spec and code version — including across warm re-runs
-    served entirely from the result cache.
-    """
-    from repro.sweep.analysis import require_metrics
-    require_metrics(result.spec.objectives, result.metric_names,
-                    context=f"optimize {result.spec.name!r} export")
+    require_metrics(spec.objectives, result.metric_names,
+                    context=f"{result.kind} {spec.name!r} export")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    name = name or result.spec.name
-    wide_columns = (["point"] + result.spec.dimension_names()
-                    + list(result.metric_names))
-    paths = {
-        "csv": write_rows(result.rows, out_dir / f"{name}.csv", fmt="csv",
-                          columns=wide_columns),
-        "manifest": out_dir / f"{name}.manifest.json",
-        "json": out_dir / f"{name}.json",
-    }
-    paths["manifest"].write_text(optimize_manifest_text(result),
+    name = name or spec.name
+    wide_columns = ["point"] + spec.axis_names() + list(result.metric_names)
+    paths = {"csv": write_rows(result.rows, out_dir / f"{name}.csv",
+                               fmt="csv", columns=wide_columns)}
+    if not isinstance(result, OptimizeResult):
+        paths["long_csv"] = write_rows(result.long_rows(),
+                                       out_dir / f"{name}.long.csv",
+                                       fmt="csv")
+    paths["json"] = out_dir / f"{name}.json"
+    paths["manifest"] = out_dir / f"{name}.manifest.json"
+    paths["json"].write_text(sweep_json_text(result), encoding="utf-8")
+    paths["manifest"].write_text(_json_text(sweep_manifest(result)),
                                  encoding="utf-8")
-    paths["json"].write_text(optimize_json_text(result), encoding="utf-8")
     return paths

@@ -21,9 +21,11 @@ trade-off story:
   the reference baseline of the catalogue's *optimizer* entries.
 
 The catalogue also registers adaptive searches
-(:class:`repro.sweep.optimize.OptimizeSpec`, run with
-``python -m repro sweep optimize <name>``): ``case_study_power`` searches
-the BO/SO space of ``case_study_power_grid`` with half the evaluation
+(:class:`repro.sweep.spec.OptimizeSpec`, run with
+``python -m repro sweep optimize <name>``), each built from its reference
+sweep's axes, base parameters and objectives plus a budget, so it cannot
+drift from the grid it is judged against: ``case_study_power`` searches
+the BO/SO grid of ``case_study_power_grid`` with half the evaluation
 budget and must find a knee point that matches or dominates the grid's.
 
 Every sweep has a *quick* variant (``get_sweep(name, quick=True)``) that
@@ -37,12 +39,10 @@ across runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, Tuple
+from typing import Callable, Dict, Iterator, Mapping, Optional, Tuple
 
 from repro.runner.params import ReadableKeyError, did_you_mean
-from repro.sweep.optimize import (ChoiceDimension, IntDimension,
-                                  OptimizeSpec)
-from repro.sweep.spec import GridAxis, SweepSpec
+from repro.sweep.spec import GridAxis, OptimizeSpec, SweepSpec
 
 #: Objectives of the paper's trade-off story, shared by every headline
 #: sweep: average node power (uW), transaction failure probability, and
@@ -55,23 +55,27 @@ TRADEOFF_OBJECTIVES = {
 
 
 class UnknownSweepError(ReadableKeyError):
-    """Raised when a sweep name is not in the catalogue."""
+    """Raised when a sweep (or, with ``kind="optimizer"``, an optimizer)
+    name is not in the catalogue."""
 
-    def __init__(self, name: str, known: Tuple[str, ...]):
+    def __init__(self, name: str, known: Tuple[str, ...],
+                 kind: str = "sweep"):
         self.name = name
         self.known = known
-        super().__init__(f"Unknown sweep {name!r}. Registered sweeps: "
+        super().__init__(f"Unknown {kind} {name!r}. Registered {kind}s: "
                          f"{', '.join(known) or '(none)'}."
                          + did_you_mean(name, known))
 
 
 @dataclass(frozen=True)
 class SweepDefinition:
-    """One named entry of the catalogue."""
+    """One named entry of the catalogue: a sweep, or an optimizer over the
+    grid of its ``reference_sweep``."""
 
     name: str
     title: str
     builder: Callable[[bool], SweepSpec]
+    reference_sweep: Optional[str] = None
 
     def build(self, quick: bool = False) -> SweepSpec:
         """The concrete spec (full-scale, or the quick CI variant)."""
@@ -146,9 +150,10 @@ def _traffic_mix(quick: bool) -> SweepSpec:
 
 
 def _case_study_power_grid(quick: bool) -> SweepSpec:
-    """The exhaustive BO x SO grid the ``case_study_power`` optimizer is
-    benchmarked against: same dimensions, same base parameters, double the
-    evaluation budget (every combination)."""
+    """The exhaustive BO x SO grid the ``case_study_power`` optimizer
+    searches and is benchmarked against: every combination, twice the
+    optimizer's budget.  ``superframe_order`` stays at or below the
+    smallest beacon order — the superframe structure rejects SO > BO."""
     if quick:
         axes = {"beacon_order": GridAxis((3, 4, 5, 6)),
                 "superframe_order": GridAxis((None, 2, 3))}
@@ -211,68 +216,43 @@ _DEFINITIONS: Dict[str, SweepDefinition] = {
 }
 
 
-class UnknownOptimizeError(ReadableKeyError):
-    """Raised when an optimizer name is not in the catalogue."""
-
-    def __init__(self, name: str, known: Tuple[str, ...]):
-        self.name = name
-        self.known = known
-        super().__init__(f"Unknown optimizer {name!r}. Registered optimizers: "
-                         f"{', '.join(known) or '(none)'}."
-                         + did_you_mean(name, known))
-
-
-@dataclass(frozen=True)
-class OptimizeDefinition:
-    """One named adaptive-search entry of the catalogue."""
-
-    name: str
-    title: str
-    builder: Callable[[bool], OptimizeSpec]
-    reference_sweep: str
-
-    def build(self, quick: bool = False) -> OptimizeSpec:
-        """The concrete spec (full-scale, or the quick CI variant)."""
-        return self.builder(quick)
-
-
 def _case_study_power(quick: bool) -> OptimizeSpec:
     """Adaptive BO/SO search of the case study's power/delay trade-off.
 
-    Searches the same design space as the ``case_study_power_grid``
-    reference sweep with *half* the evaluation budget; the acceptance
-    bar (pinned in the tests) is that the optimizer's knee point matches
-    or dominates the exhaustive grid's knee.  ``superframe_order``
-    choices stay at or below the smallest beacon order — the superframe
-    structure rejects SO > BO.
+    Searches the ``case_study_power_grid`` reference sweep's grid — its
+    axes, base parameters, objectives and seed — with *half* its
+    evaluation budget; the acceptance bar (pinned in the tests) is that
+    the optimizer's knee point matches or dominates the exhaustive grid's
+    knee.
     """
-    if quick:
-        dimensions = {"beacon_order": IntDimension(3, 6),
-                      "superframe_order": ChoiceDimension((None, 2, 3))}
-        base = {"total_nodes": 32, "num_channels": 2, "superframes": 4}
-        budget = {"max_points": 6, "initial_points": 4, "batch_size": 2}
-    else:
-        dimensions = {"beacon_order": IntDimension(3, 8),
-                      "superframe_order": ChoiceDimension((None, 2, 3))}
-        base = {}
-        budget = {"max_points": 9, "initial_points": 5, "batch_size": 2}
+    grid = _case_study_power_grid(quick)
+    budget = ({"max_points": 6, "initial_points": 4} if quick
+              else {"max_points": 9, "initial_points": 5})
     return OptimizeSpec(
-        name="case_study_power", experiment="case_study_full",
-        dimensions=dimensions, objectives=TRADEOFF_OBJECTIVES,
-        base_params=base, patience=2, **budget,
+        name="case_study_power", experiment=grid.experiment, axes=grid.axes,
+        base_params=grid.base_params, seed=grid.seed,
+        objectives=grid.objectives, batch_size=2, patience=2, **budget,
         title="Adaptive BO/SO search of the power/delay/reliability "
               "trade-off at half the reference grid's budget")
 
 
-_OPTIMIZE_DEFINITIONS: Dict[str, OptimizeDefinition] = {
+_OPTIMIZE_DEFINITIONS: Dict[str, SweepDefinition] = {
     definition.name: definition for definition in (
-        OptimizeDefinition("case_study_power",
-                           "adaptive BO/SO power-trade-off search "
-                           "(half the reference grid's budget)",
-                           _case_study_power,
-                           reference_sweep="case_study_power_grid"),
+        SweepDefinition("case_study_power",
+                        "adaptive BO/SO power-trade-off search "
+                        "(half the reference grid's budget)",
+                        _case_study_power,
+                        reference_sweep="case_study_power_grid"),
     )
 }
+
+
+def _lookup(table: Mapping[str, SweepDefinition], name: str,
+            kind: str) -> SweepDefinition:
+    try:
+        return table[name]
+    except KeyError:
+        raise UnknownSweepError(name, tuple(sorted(table)), kind) from None
 
 
 def optimize_names() -> Tuple[str, ...]:
@@ -280,18 +260,15 @@ def optimize_names() -> Tuple[str, ...]:
     return tuple(sorted(_OPTIMIZE_DEFINITIONS))
 
 
-def iter_optimize_definitions() -> Iterator[OptimizeDefinition]:
+def iter_optimize_definitions() -> Iterator[SweepDefinition]:
     """The optimizer catalogue entries, in name order."""
     for name in optimize_names():
         yield _OPTIMIZE_DEFINITIONS[name]
 
 
-def get_optimize_definition(name: str) -> OptimizeDefinition:
+def get_optimize_definition(name: str) -> SweepDefinition:
     """The optimizer entry for ``name`` (with close-match suggestions)."""
-    try:
-        return _OPTIMIZE_DEFINITIONS[name]
-    except KeyError:
-        raise UnknownOptimizeError(name, optimize_names()) from None
+    return _lookup(_OPTIMIZE_DEFINITIONS, name, "optimizer")
 
 
 def get_optimize(name: str, quick: bool = False) -> OptimizeSpec:
@@ -312,10 +289,7 @@ def iter_definitions() -> Iterator[SweepDefinition]:
 
 def get_definition(name: str) -> SweepDefinition:
     """The catalogue entry for ``name`` (with close-match suggestions)."""
-    try:
-        return _DEFINITIONS[name]
-    except KeyError:
-        raise UnknownSweepError(name, sweep_names()) from None
+    return _lookup(_DEFINITIONS, name, "sweep")
 
 
 def get_sweep(name: str, quick: bool = False) -> SweepSpec:

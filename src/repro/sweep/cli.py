@@ -16,10 +16,10 @@ writes the CSV/JSON tables plus the reproducibility manifest via
 :mod:`repro.sweep.artifacts`.  ``status`` computes every point's engine
 cache key and reports which points are already done — an interrupted sweep
 shows partial occupancy and ``run`` will only compute the rest.
-``optimize`` runs a registered adaptive search
-(:mod:`repro.sweep.optimize`) with the same resume/export discipline: a
-warm re-run replays the identical proposal sequence from the cache and
-recomputes nothing.
+``optimize`` runs a registered adaptive search of its reference sweep's
+grid (:mod:`repro.sweep.optimize`) through ``run``'s printing, resume and
+export: a warm re-run replays the identical proposal sequence from the
+cache and recomputes nothing.
 
 Output discipline matches :mod:`repro.runner.cli`: result tables and the
 summary/``spec_hash`` lines stay on stdout; auxiliary status ("wrote ...")
@@ -34,14 +34,11 @@ import logging
 # Shared --param reader — one table, one behaviour for both the runner and
 # the sweep CLI (see repro.runner.params.parse_param).
 from repro.runner.params import parse_param_arg as _parse_param
-from repro.sweep.analysis import knee_point, pareto_front
-from repro.sweep.artifacts import export_optimize, export_sweep
-from repro.sweep.catalog import (UnknownOptimizeError, UnknownSweepError,
-                                 get_optimize, get_sweep,
-                                 iter_definitions,
+from repro.sweep.artifacts import export_sweep
+from repro.sweep.catalog import (get_optimize, get_sweep, iter_definitions,
                                  iter_optimize_definitions)
 from repro.sweep.driver import run_sweep, sweep_status
-from repro.sweep.optimize import run_optimize
+from repro.sweep.optimize import OptimizeResult, run_optimize
 from repro.sweep.spec import SweepSpec
 
 logger = logging.getLogger(__name__)
@@ -58,37 +55,44 @@ def add_sweep_parser(commands) -> None:
     list_parser.add_argument("--verbose", action="store_true",
                              help="include axes and base parameters")
 
-    def common(parser: argparse.ArgumentParser) -> None:
-        parser.add_argument("sweep", help="registered sweep name "
-                                          "(see 'sweep list')")
+    def common(parser: argparse.ArgumentParser, dest: str = "sweep",
+               noun: str = "sweep") -> None:
+        parser.add_argument(dest, help=f"registered {noun} name "
+                                       f"(see 'sweep list')")
         parser.add_argument("--quick", action="store_true",
-                            help="scaled-down CI variant of the sweep")
+                            help=f"scaled-down CI variant of the {noun}")
         parser.add_argument("--cache-dir", default=None,
                             help="result cache directory (default "
                                  "REPRO_CACHE_DIR or ~/.cache/repro-bougard)")
         parser.add_argument("--param", action="append", type=_parse_param,
                             default=[], metavar="KEY=VALUE",
-                            help="override one base parameter of the sweep "
+                            help=f"override one base parameter of the {noun} "
                                  "(repeatable; validated against the "
                                  "experiment schema; axes cannot be "
                                  "overridden)")
 
-    run_parser = actions.add_parser(
-        "run", help="run a sweep (finished points resume from the cache)")
-    common(run_parser)
-    run_parser.add_argument("--jobs", "-j", type=int, default=None,
+    def jobs(parser: argparse.ArgumentParser) -> None:
+        parser.add_argument("--jobs", "-j", type=int, default=None,
                             help="cap on the worker processes the uncached "
                                  "points are shared between (default: "
                                  "every usable CPU; 1 = serial; rows are "
                                  "identical either way)")
-    run_parser.add_argument("--no-cache", action="store_true",
+
+    def running(parser: argparse.ArgumentParser) -> None:
+        jobs(parser)
+        parser.add_argument("--no-cache", action="store_true",
                             help="neither read nor write the result cache "
                                  "(disables resume)")
-    run_parser.add_argument("--export", metavar="DIR", default=None,
+        parser.add_argument("--export", metavar="DIR", default=None,
                             help="write CSV/JSON/manifest artifacts to DIR")
-    run_parser.add_argument("--quiet", "-q", action="store_true",
+        parser.add_argument("--quiet", "-q", action="store_true",
                             help="suppress the tables, print the summary "
                                  "lines only")
+
+    run_parser = actions.add_parser(
+        "run", help="run a sweep (finished points resume from the cache)")
+    common(run_parser)
+    running(run_parser)
     run_parser.add_argument("--trace", metavar="PATH", default=None,
                             help="write a repro.obs trace of the sweep "
                                  "(inspect with 'python -m repro obs "
@@ -101,67 +105,38 @@ def add_sweep_parser(commands) -> None:
     export_parser = actions.add_parser(
         "export", help="run (from cache where possible) and write artifacts")
     common(export_parser)
-    export_parser.add_argument("--jobs", "-j", type=int, default=None,
-                               help="cap on the worker processes for "
-                                    "missing points (default: every "
-                                    "usable CPU; 1 = serial)")
+    jobs(export_parser)
     export_parser.add_argument("--out", required=True, metavar="DIR",
                                help="output directory of the artifacts")
 
     optimize_parser = actions.add_parser(
-        "optimize", help="adaptive design-space search (batches resume "
-                         "from the cache)")
-    optimize_parser.add_argument("optimizer",
-                                 help="registered optimizer name "
-                                      "(see 'sweep list')")
-    optimize_parser.add_argument("--quick", action="store_true",
-                                 help="scaled-down CI variant of the search")
-    optimize_parser.add_argument("--cache-dir", default=None,
-                                 help="result cache directory (default "
-                                      "REPRO_CACHE_DIR or "
-                                      "~/.cache/repro-bougard)")
-    optimize_parser.add_argument("--param", action="append",
-                                 type=_parse_param, default=[],
-                                 metavar="KEY=VALUE",
-                                 help="override one base parameter "
-                                      "(repeatable; searched dimensions "
-                                      "cannot be overridden)")
-    optimize_parser.add_argument("--jobs", "-j", type=int, default=None,
-                                 help="cap on the worker processes per "
-                                      "proposal batch (default: every "
-                                      "usable CPU; 1 = serial)")
-    optimize_parser.add_argument("--no-cache", action="store_true",
-                                 help="neither read nor write the result "
-                                      "cache (disables resume)")
-    optimize_parser.add_argument("--export", metavar="DIR", default=None,
-                                 help="write CSV/JSON/manifest artifacts "
-                                      "to DIR")
-    optimize_parser.add_argument("--quiet", "-q", action="store_true",
-                                 help="suppress the tables, print the "
-                                      "summary lines only")
+        "optimize", help="adaptive search of a registered grid (batches "
+                         "resume from the cache)")
+    common(optimize_parser, dest="optimizer", noun="optimizer")
+    running(optimize_parser)
 
 
 def _resolve_spec(arguments: argparse.Namespace) -> SweepSpec:
-    spec = get_sweep(arguments.sweep, quick=arguments.quick)
-    overrides = dict(getattr(arguments, "param", []) or [])
-    if overrides:
-        spec = spec.with_overrides(overrides)
-    return spec
+    if arguments.sweep_command == "optimize":
+        spec = get_optimize(arguments.optimizer, quick=arguments.quick)
+    else:
+        spec = get_sweep(arguments.sweep, quick=arguments.quick)
+    overrides = dict(arguments.param)
+    return spec.with_overrides(overrides) if overrides else spec
 
 
-def _print_front(result, names=None) -> None:
+def _print_front(result) -> None:
     objectives = dict(result.spec.objectives)
     if not objectives:
         return
-    names = names if names is not None else result.spec.axis_names()
-    front = pareto_front(result.rows, objectives)
-    knee = knee_point(front, objectives)
-    columns = ["point"] + list(names) + list(objectives)
+    names = result.spec.axis_names()
+    knee = result.knee()
+    columns = ["point"] + names + list(objectives)
     from repro.analysis.tables import format_table
     senses = ", ".join(f"{metric} ({sense})"
                        for metric, sense in objectives.items())
     rows = [["-" if row.get(column) is None else row.get(column)
-             for column in columns] for row in front]
+             for column in columns] for row in result.front()]
     print(format_table(columns, rows,
                        title=f"Pareto front over {senses}"))
     if knee is not None:
@@ -170,32 +145,38 @@ def _print_front(result, names=None) -> None:
 
 
 def _command_run(arguments: argparse.Namespace) -> int:
+    """``sweep run`` and ``sweep optimize``: run, print, export."""
     spec = _resolve_spec(arguments)
     tracer = None
-    if arguments.trace:
+    if getattr(arguments, "trace", None):
         from repro.obs import Tracer
         tracer = Tracer(name=f"sweep:{arguments.sweep}")
-    result = run_sweep(spec, jobs=arguments.jobs,
-                       cache=not arguments.no_cache,
-                       cache_root=arguments.cache_dir,
-                       tracer=tracer)
+    run = run_optimize if arguments.sweep_command == "optimize" else run_sweep
+    result = run(spec, jobs=arguments.jobs, cache=not arguments.no_cache,
+                 cache_root=arguments.cache_dir, tracer=tracer)
     if not arguments.quiet:
         print(result.to_table())
         print()
         _print_front(result)
-    print(f"sweep {spec.name}: {len(result.points)} points "
+    searched = isinstance(result, OptimizeResult)
+    rounds = f" in {len(result.rounds)} rounds" if searched else ""
+    stop = f" stop={result.stop_reason}" if searched else ""
+    print(f"{result.kind} {spec.name}: {len(result.points)} points{rounds} "
           f"({result.computed_points} computed, {result.cached_points} from "
-          f"cache) in {result.elapsed_s:.3f}s seed={spec.seed} "
+          f"cache){stop} in {result.elapsed_s:.3f}s seed={spec.seed} "
           f"spec_hash={spec.spec_hash()}")
     if arguments.export:
-        paths = export_sweep(result, arguments.export)
-        for kind in ("csv", "long_csv", "json", "manifest"):
-            logger.info(f"  wrote {kind:9s} {paths[kind]}")
+        _log_paths(export_sweep(result, arguments.export))
     if tracer is not None:
         from repro.obs import write_trace
         trace_path = write_trace(tracer, arguments.trace)
         logger.info(f"wrote trace to {trace_path}")
     return 0
+
+
+def _log_paths(paths) -> None:
+    for kind, path in paths.items():
+        logger.info(f"  wrote {kind:9s} {path}")
 
 
 def _command_status(arguments: argparse.Namespace) -> int:
@@ -221,32 +202,7 @@ def _command_export(arguments: argparse.Namespace) -> int:
     print(f"sweep {spec.name}: exported {len(result.points)} points "
           f"({result.cached_points} from cache) "
           f"spec_hash={spec.spec_hash()}")
-    for kind in ("csv", "long_csv", "json", "manifest"):
-        logger.info(f"  wrote {kind:9s} {paths[kind]}")
-    return 0
-
-
-def _command_optimize(arguments: argparse.Namespace) -> int:
-    spec = get_optimize(arguments.optimizer, quick=arguments.quick)
-    overrides = dict(getattr(arguments, "param", []) or [])
-    if overrides:
-        spec = spec.with_overrides(overrides)
-    result = run_optimize(spec, jobs=arguments.jobs,
-                          cache=not arguments.no_cache,
-                          cache_root=arguments.cache_dir)
-    if not arguments.quiet:
-        print(result.to_table())
-        print()
-        _print_front(result, names=spec.dimension_names())
-    print(f"optimize {spec.name}: {len(result.points)} points in "
-          f"{len(result.rounds)} rounds "
-          f"({result.computed_points} computed, {result.cached_points} from "
-          f"cache) stop={result.stop_reason} in {result.elapsed_s:.3f}s "
-          f"seed={spec.seed} spec_hash={spec.spec_hash()}")
-    if arguments.export:
-        paths = export_optimize(result, arguments.export)
-        for kind in ("csv", "json", "manifest"):
-            logger.info(f"  wrote {kind:9s} {paths[kind]}")
+    _log_paths(paths)
     return 0
 
 
@@ -268,7 +224,7 @@ def _command_list(arguments: argparse.Namespace) -> int:
         spec = definition.build(quick=False)
         quick = definition.build(quick=True)
         optimizer_rows.append([definition.name, spec.experiment,
-                               " x ".join(spec.dimension_names()),
+                               " x ".join(spec.axis_names()),
                                spec.max_points, quick.max_points,
                                definition.reference_sweep,
                                definition.title])
@@ -297,15 +253,13 @@ def command_sweep(arguments: argparse.Namespace) -> int:
                "run": _command_run,
                "status": _command_status,
                "export": _command_export,
-               "optimize": _command_optimize}[arguments.sweep_command]
+               "optimize": _command_run}[arguments.sweep_command]
     try:
         return handler(arguments)
-    except (UnknownSweepError, UnknownOptimizeError) as error:
-        logger.error(f"error: {error}")
-        return 2
     except KeyError as error:
-        # e.g. an unknown --param name (UnknownParameterError); keep the
-        # schema's did-you-mean message, drop the traceback.
+        # An unknown sweep, optimizer or --param name (UnknownSweepError,
+        # UnknownParameterError); keep the did-you-mean message, drop the
+        # traceback.
         logger.error(f"error: {error.args[0]}")
         return 2
     except ValueError as error:

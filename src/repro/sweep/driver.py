@@ -35,6 +35,7 @@ from repro.runner.engine import (_canonical_params, resolve_cache,
 from repro.runner.executor import (ProcessExecutor, make_executor,
                                    run_ordered)
 from repro.runner.registry import ExperimentRegistry, default_registry
+from repro.sweep.analysis import knee_point, pareto_front
 from repro.sweep.spec import SweepSpec
 
 logger = logging.getLogger(__name__)
@@ -65,6 +66,9 @@ class SweepRunResult:
     saved — a warm re-run of the same spec reports ``computed_points == 0``.
     """
 
+    #: Label of the run's manifest, table and summary line.
+    kind = "sweep"
+
     spec: SweepSpec
     points: List[SweepPoint]
     rows: List[Dict[str, Any]]
@@ -85,6 +89,14 @@ class SweepRunResult:
                              "value": wide.get(metric)})
         return rows
 
+    def front(self) -> List[Dict[str, Any]]:
+        """The Pareto front of the rows over the spec's objectives."""
+        return pareto_front(self.rows, dict(self.spec.objectives))
+
+    def knee(self) -> Optional[Dict[str, Any]]:
+        """The knee point of the front (utopia-distance rule)."""
+        return knee_point(self.front(), dict(self.spec.objectives))
+
     def to_table(self, title: Optional[str] = None) -> str:
         """Render the wide rows as an ASCII table."""
         from repro.analysis.tables import format_table
@@ -92,7 +104,8 @@ class SweepRunResult:
         rows = [["-" if row.get(header) is None else row.get(header, "-")
                  for header in headers] for row in self.rows]
         return format_table(headers, rows,
-                            title=title or f"sweep {self.spec.name} "
+                            title=title or f"{self.kind} "
+                                           f"{self.spec.name} "
                                            f"({self.spec.experiment})")
 
 

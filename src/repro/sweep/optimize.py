@@ -1,16 +1,17 @@
 """Adaptive design-space optimizer over the sweep engine.
 
-Where :func:`repro.sweep.driver.run_sweep` evaluates an explicit grid,
-:func:`run_optimize` *searches*: it proposes batches of design points over
-typed dimensions (:class:`IntDimension`, :class:`FloatDimension`,
-:class:`ChoiceDimension`), evaluates each batch through the exact sweep
-dispatch path (same executors, same content-addressed cache keys, same
-tracer counters — see :func:`repro.sweep.driver.dispatch_points`), and uses
-the observed metrics to steer the next batch.
+Where :func:`repro.sweep.driver.run_sweep` evaluates every point of a
+grid, :func:`run_optimize` *searches* it: an
+:class:`~repro.sweep.spec.OptimizeSpec` is a sweep's grid plus a budget,
+and the optimizer proposes batches of that grid's points, evaluates each
+batch through the exact sweep dispatch path (same executors, same
+content-addressed cache keys, same tracer counters — see
+:func:`repro.sweep.driver.dispatch_points`), and uses the observed metrics
+to steer the next batch.
 
 The proposal engine is deliberately simple and *fully seeded*:
 
-* **Round 0** draws ``initial_points`` uniform samples from the dimensions.
+* **Round 0** draws ``initial_points`` uniform samples from the axes.
 * **Later rounds** run successive halving + a Bayesian-lite acquisition:
   the elite set (best observed points by scalarised cost, halved every
   round) is perturbed with a shrinking radius into a candidate pool, mixed
@@ -18,6 +19,11 @@ The proposal engine is deliberately simple and *fully seeded*:
   inverse-distance surrogate of the cost minus an exploration bonus
   (distance to the nearest observed point), and the best ``batch_size``
   survivors are evaluated.
+* An axis of consecutive integers is perturbed by a Gaussian step in value
+  space, rounded and clamped to its ends; any other axis is redrawn with
+  a radius-dependent probability (its values have no neighbourhood).  A
+  point's unit coordinate on an axis is its value's index over the last
+  index.
 * The *scalar* cost of a point is the mean of its per-objective costs
   (max objectives negated), each min–max normalised over the observations
   so far; a missing objective value scores a fixed worst-case penalty.
@@ -42,7 +48,6 @@ the discrete space is fully observed).
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import math
 import time
@@ -51,14 +56,11 @@ from typing import (TYPE_CHECKING, Any, Dict, Iterator, List, Mapping,
                     Optional, Sequence, Tuple)
 
 from repro.runner.cache import canonical_json
-from repro.runner.catalog import jsonify
-from repro.runner.engine import DEFAULT_SEED
-from repro.runner.registry import ExperimentRegistry, default_registry
-from repro.sweep.analysis import (_cost_vector, knee_point, pareto_front,
-                                  require_metrics)
-from repro.sweep.driver import (SweepPoint, build_points, dispatch_points,
-                                _wide_row)
-from repro.sweep.spec import SENSE_MAX, SENSE_MIN
+from repro.runner.registry import ExperimentRegistry
+from repro.sweep.analysis import _cost_vector, pareto_front, require_metrics
+from repro.sweep.driver import (SweepPoint, SweepRunResult, build_points,
+                                dispatch_points, _wide_row)
+from repro.sweep.spec import OptimizeSpec
 
 if TYPE_CHECKING:
     import numpy as np
@@ -71,7 +73,7 @@ OPTIMIZE_SEED_STREAM = "sweep.optimize"
 #: observed point).
 MISSING_COST_PENALTY = 2.0
 
-#: Perturbation radius of round 1 (fraction of each dimension's span),
+#: Perturbation radius of round 1 (fraction of each integer axis's span),
 #: halved every later round down to the floor.
 INITIAL_RADIUS = 0.3
 MIN_RADIUS = 0.05
@@ -86,353 +88,42 @@ EXPLORATION_WEIGHT = 0.5
 SURROGATE_NEIGHBOURS = 3
 
 
-@dataclass(frozen=True)
-class IntDimension:
-    """An integer dimension searched over the inclusive ``[low, high]`` range.
-
-    >>> import numpy as np
-    >>> IntDimension(3, 6).sample(np.random.default_rng(0)) in (3, 4, 5, 6)
-    True
-    """
-
-    low: int
-    high: int
-
-    def __post_init__(self):
-        if int(self.low) != self.low or int(self.high) != self.high:
-            raise ValueError("IntDimension bounds must be integers")
-        object.__setattr__(self, "low", int(self.low))
-        object.__setattr__(self, "high", int(self.high))
-        if self.high < self.low:
-            raise ValueError("IntDimension needs high >= low")
-
-    def sample(self, rng: np.random.Generator) -> int:
-        return int(rng.integers(self.low, self.high + 1))
-
-    def perturb(self, value: Any, rng: np.random.Generator,
-                radius: float) -> int:
-        span = max(1.0, float(self.high - self.low))
-        step = rng.normal(0.0, radius * span)
-        moved = int(round(float(value) + step))
-        return int(min(self.high, max(self.low, moved)))
-
-    def to_unit(self, value: Any) -> float:
-        if self.high == self.low:
-            return 0.5
-        return (float(value) - self.low) / (self.high - self.low)
-
-    def to_payload(self) -> Dict[str, Any]:
-        return {"kind": "int", "low": self.low, "high": self.high}
+def _is_int_range(values: Tuple[Any, ...]) -> bool:
+    """Whether an axis is consecutive ascending integers (searched as a
+    range, not as a choice)."""
+    return (all(type(value) is int for value in values)
+            and values == tuple(range(values[0], values[0] + len(values))))
 
 
-@dataclass(frozen=True)
-class FloatDimension:
-    """A float dimension over ``[low, high]``; ``spacing="log"`` searches
-    (samples, perturbs and measures distance) in log space.
-
-    >>> import numpy as np
-    >>> dim = FloatDimension(1e-3, 1.0, spacing="log")
-    >>> 1e-3 <= dim.sample(np.random.default_rng(0)) <= 1.0
-    True
-    """
-
-    low: float
-    high: float
-    spacing: str = "linear"
-
-    def __post_init__(self):
-        object.__setattr__(self, "low", float(self.low))
-        object.__setattr__(self, "high", float(self.high))
-        if self.high < self.low:
-            raise ValueError("FloatDimension needs high >= low")
-        if self.spacing not in ("linear", "log"):
-            raise ValueError(f"Unknown spacing {self.spacing!r}")
-        if self.spacing == "log" and self.low <= 0:
-            raise ValueError("log spacing needs positive endpoints")
-
-    def _bounds(self) -> Tuple[float, float]:
-        if self.spacing == "log":
-            return math.log(self.low), math.log(self.high)
-        return self.low, self.high
-
-    def _from_scale(self, scaled: float) -> float:
-        if self.spacing == "log":
-            return float(math.exp(scaled))
-        return float(scaled)
-
-    def _to_scale(self, value: Any) -> float:
-        if self.spacing == "log":
-            return math.log(float(value))
-        return float(value)
-
-    def sample(self, rng: np.random.Generator) -> float:
-        lo, hi = self._bounds()
-        return self._from_scale(float(rng.uniform(lo, hi)))
-
-    def perturb(self, value: Any, rng: np.random.Generator,
-                radius: float) -> float:
-        lo, hi = self._bounds()
-        span = hi - lo
-        if span == 0:
-            return float(self.low)
-        moved = self._to_scale(value) + float(rng.normal(0.0, radius * span))
-        return self._from_scale(min(hi, max(lo, moved)))
-
-    def to_unit(self, value: Any) -> float:
-        lo, hi = self._bounds()
-        if hi == lo:
-            return 0.5
-        return (self._to_scale(value) - lo) / (hi - lo)
-
-    def to_payload(self) -> Dict[str, Any]:
-        return {"kind": "float", "low": self.low, "high": self.high,
-                "spacing": self.spacing}
+def _draw(values: Tuple[Any, ...], rng: np.random.Generator) -> Any:
+    """One uniform draw from an axis's values."""
+    return values[int(rng.integers(0, len(values)))]
 
 
-@dataclass(frozen=True)
-class ChoiceDimension:
-    """A categorical dimension over an explicit value tuple.
-
-    Perturbation re-draws uniformly with a radius-dependent probability
-    (categories have no neighbourhood structure); unit distance is by
-    declaration index.
-
-    >>> import numpy as np
-    >>> ChoiceDimension((None, 2, 3)).sample(np.random.default_rng(1)) \
-        in (None, 2, 3)
-    True
-    """
-
-    values: Tuple[Any, ...]
-
-    def __post_init__(self):
-        if not self.values:
-            raise ValueError("ChoiceDimension needs at least one value")
-        object.__setattr__(self, "values", tuple(self.values))
-
-    def _index(self, value: Any) -> int:
-        for index, candidate in enumerate(self.values):
-            # values are canonical; discriminate bool from int spellings
-            if isinstance(candidate, bool) != isinstance(value, bool):
-                continue
-            if candidate == value:
-                return index
-        raise ValueError(f"{value!r} is not one of {self.values!r}")
-
-    def sample(self, rng: np.random.Generator) -> Any:
-        return self.values[int(rng.integers(0, len(self.values)))]
-
-    def perturb(self, value: Any, rng: np.random.Generator,
-                radius: float) -> Any:
-        if float(rng.random()) < max(0.25, radius):
-            return self.sample(rng)
-        return value
-
-    def to_unit(self, value: Any) -> float:
-        if len(self.values) == 1:
-            return 0.5
-        return self._index(value) / (len(self.values) - 1)
-
-    def to_payload(self) -> Dict[str, Any]:
-        return {"kind": "choice", "values": list(self.values)}
+def _perturb(values: Tuple[Any, ...], value: Any, rng: np.random.Generator,
+             radius: float) -> Any:
+    """A neighbour of ``value``: a rounded Gaussian step of ``radius`` ×
+    the span on an integer range, else a redraw with probability
+    ``max(0.25, radius)``."""
+    if _is_int_range(values):
+        low, high = values[0], values[-1]
+        step = rng.normal(0.0, radius * max(1.0, float(high - low)))
+        return int(min(high, max(low, int(round(float(value) + step)))))
+    if float(rng.random()) < max(0.25, radius):
+        return _draw(values, rng)
+    return value
 
 
-#: Payload ``kind`` -> dimension class, for :func:`dimension_from_payload`.
-_DIMENSION_KINDS = {"int": IntDimension, "float": FloatDimension,
-                    "choice": ChoiceDimension}
-
-
-def dimension_from_payload(payload: Mapping[str, Any]):
-    """Rebuild a dimension from its ``to_payload`` dict."""
-    data = dict(payload)
-    kind = data.pop("kind", None)
-    if kind not in _DIMENSION_KINDS:
-        raise ValueError(f"Unknown dimension kind {kind!r}; known kinds: "
-                         f"{', '.join(sorted(_DIMENSION_KINDS))}")
-    if kind == "choice":
-        return ChoiceDimension(tuple(data["values"]))
-    return _DIMENSION_KINDS[kind](**data)
-
-
-@dataclass(frozen=True)
-class OptimizeSpec:
-    """One declarative adaptive search over an experiment's design space.
-
-    The optimizer sibling of :class:`repro.sweep.spec.SweepSpec`: the same
-    build-time schema validation (unknown experiment/parameter or
-    out-of-domain dimension bound fails before any compute), the same
-    canonical JSON payload and stable hash, the same ``registry``-is-policy
-    convention (excluded from identity).
-
-    Attributes
-    ----------
-    name / experiment / base_params / seed / title / registry:
-        As on :class:`~repro.sweep.spec.SweepSpec`; ``seed`` is both every
-        point's experiment seed and the sole entropy source of the
-        proposal engine.
-    dimensions:
-        Parameter name -> searched dimension.
-    objectives:
-        Metric name -> ``"min"``/``"max"``; **required** (an optimizer
-        without objectives has nothing to optimise).
-    max_points:
-        Total evaluation budget across all rounds.
-    initial_points:
-        Size of the round-0 uniform batch.
-    batch_size:
-        Proposals evaluated per adaptive round.
-    patience:
-        Consecutive rounds the Pareto front may stay unchanged before the
-        run stops as converged.
-    max_rounds:
-        Hard round cap (``None``: unlimited — budget or convergence stop
-        the run).
-    """
-
-    name: str
-    experiment: str
-    dimensions: Mapping[str, Any]
-    objectives: Mapping[str, str]
-    base_params: Mapping[str, Any] = field(default_factory=dict)
-    seed: int = DEFAULT_SEED
-    max_points: int = 16
-    initial_points: int = 6
-    batch_size: int = 3
-    patience: int = 2
-    max_rounds: Optional[int] = None
-    title: str = ""
-    registry: Optional[Any] = field(default=None, compare=False, repr=False)
-
-    def __post_init__(self):
-        if not self.dimensions:
-            raise ValueError("OptimizeSpec needs at least one dimension")
-        if not self.objectives:
-            raise ValueError("OptimizeSpec needs at least one objective")
-        object.__setattr__(self, "dimensions", dict(self.dimensions))
-        object.__setattr__(self, "base_params", dict(self.base_params))
-        object.__setattr__(self, "objectives", dict(self.objectives))
-        overlap = set(self.dimensions) & set(self.base_params)
-        if overlap:
-            raise ValueError(
-                f"Parameters {sorted(overlap)} appear both as dimensions "
-                f"and in base_params; a proposed value would silently win")
-        for metric, sense in self.objectives.items():
-            if sense not in (SENSE_MIN, SENSE_MAX):
-                raise ValueError(
-                    f"Objective {metric!r} has sense {sense!r}; "
-                    f"use '{SENSE_MIN}' or '{SENSE_MAX}'")
-        if self.max_points < 1:
-            raise ValueError("OptimizeSpec needs max_points >= 1")
-        if self.initial_points < 1:
-            raise ValueError("OptimizeSpec needs initial_points >= 1")
-        if self.batch_size < 1:
-            raise ValueError("OptimizeSpec needs batch_size >= 1")
-        if self.patience < 1:
-            raise ValueError("OptimizeSpec needs patience >= 1")
-        if self.max_rounds is not None and self.max_rounds < 1:
-            raise ValueError("OptimizeSpec needs max_rounds >= 1 (or None)")
-        self._validate_against_schema()
-
-    def _validate_against_schema(self) -> None:
-        """Validate bounds/choices and base params against the experiment.
-
-        Choice values and base parameters are stored in canonical coerced
-        form (equivalent spellings hash identically — matching the
-        engine's canonical cache keys); Int/Float dimension *bounds* are
-        validated so an out-of-domain search range fails at build time.
-        """
-        registry = self.registry
-        if registry is None:
-            registry = default_registry()
-        schema = registry.get(self.experiment).schema
-
-        def canonical(name, value):
-            return schema.validate(name, value, experiment=self.experiment)
-
-        object.__setattr__(self, "base_params",
-                           {name: canonical(name, value)
-                            for name, value in self.base_params.items()})
-        dimensions = {}
-        for name, dimension in self.dimensions.items():
-            if isinstance(dimension, ChoiceDimension):
-                dimensions[name] = ChoiceDimension(
-                    tuple(canonical(name, value)
-                          for value in dimension.values))
-            else:
-                canonical(name, dimension.low)
-                canonical(name, dimension.high)
-                dimensions[name] = dimension
-        object.__setattr__(self, "dimensions", dimensions)
-
-    # -- derivation -----------------------------------------------------------
-    def with_overrides(self, overrides: Mapping[str, Any]) -> "OptimizeSpec":
-        """A copy with ``overrides`` merged into ``base_params``.
-
-        Overriding a parameter the optimizer *searches* is rejected —
-        pinning a dimension would silently change the design space.
-        """
-        overlap = sorted(set(overrides) & set(self.dimensions))
-        if overlap:
-            raise ValueError(
-                f"Optimizer {self.name!r} searches {', '.join(overlap)} as "
-                f"dimension(s); remove the override or define a new spec")
-        merged = {**self.base_params, **dict(overrides)}
-        return OptimizeSpec(name=self.name, experiment=self.experiment,
-                            dimensions=self.dimensions,
-                            objectives=self.objectives, base_params=merged,
-                            seed=self.seed, max_points=self.max_points,
-                            initial_points=self.initial_points,
-                            batch_size=self.batch_size,
-                            patience=self.patience,
-                            max_rounds=self.max_rounds, title=self.title,
-                            registry=self.registry)
-
-    def dimension_names(self) -> List[str]:
-        """The searched parameter names, in declaration order."""
-        return list(self.dimensions)
-
-    # -- serialisation --------------------------------------------------------
-    def to_payload(self) -> Dict[str, Any]:
-        """JSON-safe description of the search (manifest / hash input)."""
-        return {
-            "name": self.name,
-            "experiment": self.experiment,
-            "dimensions": {name: dimension.to_payload()
-                           for name, dimension in self.dimensions.items()},
-            "objectives": dict(self.objectives),
-            "base_params": jsonify(dict(self.base_params)),
-            "seed": self.seed,
-            "max_points": self.max_points,
-            "initial_points": self.initial_points,
-            "batch_size": self.batch_size,
-            "patience": self.patience,
-            "max_rounds": self.max_rounds,
-            "title": self.title,
-        }
-
-    def spec_hash(self) -> str:
-        """Stable 16-hex-digit identity of the search's *definition*."""
-        encoded = canonical_json(self.to_payload()).encode("utf-8")
-        return hashlib.sha256(encoded).hexdigest()[:16]
-
-
-def optimize_spec_from_payload(payload: Mapping[str, Any]) -> OptimizeSpec:
-    """Rebuild an :class:`OptimizeSpec` from :meth:`OptimizeSpec.to_payload`."""
-    return OptimizeSpec(
-        name=payload["name"],
-        experiment=payload["experiment"],
-        dimensions={name: dimension_from_payload(dimension)
-                    for name, dimension in payload["dimensions"].items()},
-        objectives=dict(payload["objectives"]),
-        base_params=dict(payload.get("base_params", {})),
-        seed=payload.get("seed", DEFAULT_SEED),
-        max_points=payload.get("max_points", 16),
-        initial_points=payload.get("initial_points", 6),
-        batch_size=payload.get("batch_size", 3),
-        patience=payload.get("patience", 2),
-        max_rounds=payload.get("max_rounds"),
-        title=payload.get("title", ""),
-    )
+def _unit(values: Tuple[Any, ...], value: Any) -> float:
+    """``value``'s index over the last index (0.5 on a one-value axis)."""
+    if len(values) == 1:
+        return 0.5
+    for index, candidate in enumerate(values):
+        # values are canonical; discriminate bool from int spellings
+        if isinstance(candidate, bool) == isinstance(value, bool) \
+                and candidate == value:
+            return index / (len(values) - 1)
+    raise ValueError(f"{value!r} is not one of {values!r}")
 
 
 @dataclass(frozen=True)
@@ -456,42 +147,16 @@ class OptimizeRound:
 
 
 @dataclass
-class OptimizeResult:
-    """Outcome of one :func:`run_optimize` call.
+class OptimizeResult(SweepRunResult):
+    """Outcome of one :func:`run_optimize` call: the
+    :class:`~repro.sweep.driver.SweepRunResult` of the evaluated points, in
+    evaluation order, plus the search trajectory — the per-round batches
+    and the stop reason."""
 
-    Shaped like :class:`repro.sweep.driver.SweepRunResult` (wide ``rows``
-    in evaluation order, cache accounting, metric names) plus the
-    optimizer's trajectory: per-round batches and the stop reason.
-    """
+    kind = "optimize"
 
-    spec: OptimizeSpec
-    points: List[SweepPoint]
-    rows: List[Dict[str, Any]]
-    rounds: List[OptimizeRound]
-    stop_reason: str
-    computed_points: int
-    cached_points: int
-    elapsed_s: float
-    metric_names: List[str] = field(default_factory=list)
-
-    def front(self) -> List[Dict[str, Any]]:
-        """The final Pareto front over the spec's objectives."""
-        return pareto_front(self.rows, dict(self.spec.objectives))
-
-    def knee(self) -> Optional[Dict[str, Any]]:
-        """The knee point of the final front (utopia-distance rule)."""
-        return knee_point(self.front(), dict(self.spec.objectives))
-
-    def to_table(self, title: Optional[str] = None) -> str:
-        """Render the evaluated points as an ASCII table."""
-        from repro.analysis.tables import format_table
-        headers = (["point"] + self.spec.dimension_names()
-                   + self.metric_names)
-        rows = [["-" if row.get(header) is None else row.get(header, "-")
-                 for header in headers] for row in self.rows]
-        return format_table(headers, rows,
-                            title=title or f"optimize {self.spec.name} "
-                                           f"({self.spec.experiment})")
+    rounds: List[OptimizeRound] = field(default_factory=list)
+    stop_reason: str = ""
 
 
 def _round_rngs(spec: OptimizeSpec) -> Iterator[np.random.Generator]:
@@ -539,8 +204,8 @@ def _scalar_costs(rows: Sequence[Mapping[str, Any]],
 
 def _unit_vector(spec: OptimizeSpec,
                  values: Mapping[str, Any]) -> Tuple[float, ...]:
-    return tuple(spec.dimensions[name].to_unit(values[name])
-                 for name in spec.dimension_names())
+    return tuple(_unit(spec.axes[name].values, values[name])
+                 for name in spec.axis_names())
 
 
 def _distance(a: Sequence[float], b: Sequence[float]) -> float:
@@ -570,13 +235,13 @@ def _initial_proposals(spec: OptimizeSpec,
     exhausted — a small discrete space must not stall the run on
     collisions.
     """
-    names = spec.dimension_names()
+    names = spec.axis_names()
     proposals: List[Dict[str, Any]] = []
     seen: set = set()
     for _ in range(spec.initial_points * 16):
         if len(proposals) >= spec.initial_points:
             break
-        values = {name: spec.dimensions[name].sample(rng) for name in names}
+        values = {name: _draw(spec.axes[name].values, rng) for name in names}
         token = _proposal_token(values)
         if token in seen:
             continue
@@ -598,7 +263,7 @@ def _adaptive_proposals(spec: OptimizeSpec,
     explorers; novel candidates are ranked by surrogate cost minus the
     exploration bonus and the best ``batch_size`` survive.
     """
-    names = spec.dimension_names()
+    names = spec.axis_names()
     costs = _scalar_costs(rows, spec.objectives)
     order = sorted(range(len(rows)), key=lambda i: (costs[i], i))
     elite_count = max(1, math.ceil(spec.initial_points / 2 ** round_index))
@@ -618,11 +283,12 @@ def _adaptive_proposals(spec: OptimizeSpec,
     for row_index in elites:
         base = evaluated_values[row_index]
         for _ in range(PERTURBATIONS_PER_ELITE):
-            consider({name: spec.dimensions[name].perturb(base[name], rng,
-                                                          radius)
+            consider({name: _perturb(spec.axes[name].values, base[name],
+                                     rng, radius)
                       for name in names})
     for _ in range(max(2, elite_count)):
-        consider({name: spec.dimensions[name].sample(rng) for name in names})
+        consider({name: _draw(spec.axes[name].values, rng)
+                  for name in names})
     if not pool:
         return []
 
@@ -766,8 +432,8 @@ def run_optimize(spec: OptimizeSpec,
                            for name in outcome["metrics"]})
     cached = sum(1 for outcome in outcomes if outcome["cache_hit"])
     return OptimizeResult(spec=spec, points=points, rows=rows,
-                          rounds=rounds, stop_reason=stop_reason,
                           computed_points=len(points) - cached,
                           cached_points=cached,
                           elapsed_s=time.perf_counter() - start,
-                          metric_names=metric_names)
+                          metric_names=metric_names, rounds=rounds,
+                          stop_reason=stop_reason)

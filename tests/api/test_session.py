@@ -175,7 +175,7 @@ class TestSessionOptimize:
         session = api.Session(cache_dir=tmp_path)
         spec = api.OptimizeSpec(
             name="mini", experiment="case_study_full",
-            dimensions={"beacon_order": api.IntDimension(3, 5)},
+            axes={"beacon_order": api.GridAxis((3, 4, 5))},
             objectives={"mean_power_uw": "min"},
             base_params={"total_nodes": 8, "num_channels": 1,
                          "superframes": 2},
@@ -187,7 +187,7 @@ class TestSessionOptimize:
         session = api.Session(cache=False)
         spec = api.OptimizeSpec(
             name="mini", experiment="case_study_full",
-            dimensions={"beacon_order": api.IntDimension(3, 5)},
+            axes={"beacon_order": api.GridAxis((3, 4, 5))},
             objectives={"mean_power_uw": "min"},
             max_points=2, initial_points=2)
         with pytest.raises(ValueError, match="quick"):
@@ -195,5 +195,6 @@ class TestSessionOptimize:
 
     def test_unknown_optimizer_suggests(self, tmp_path):
         session = api.Session(cache_dir=tmp_path)
-        with pytest.raises(api.UnknownOptimizeError, match="case_study_power"):
+        with pytest.raises(api.UnknownSweepError,
+                           match="Unknown optimizer.*case_study_power"):
             session.optimize("case_study_pwr", quick=True)

@@ -8,7 +8,7 @@ from repro.runner.params import (PARAM_LITERALS, ParamSchema, ParamSpec,
                                  parse_param)
 from repro.runner.registry import UnknownExperimentError
 from repro.sweep.analysis import UnknownMetricError
-from repro.sweep.catalog import UnknownOptimizeError, UnknownSweepError
+from repro.sweep.catalog import UnknownSweepError
 
 
 class TestParamSpec:
@@ -196,7 +196,8 @@ class TestUnknownNameErrors:
         (UnknownExperimentError("fig3", ("fig3_radio", "fig4_ber")),
          "Unknown experiment 'fig3'. Known experiments: fig3_radio, "
          "fig4_ber."),
-        (UnknownOptimizeError("case_study_powr", ("case_study_power",)),
+        (UnknownSweepError("case_study_powr", ("case_study_power",),
+                           "optimizer"),
          "Unknown optimizer 'case_study_powr'. Registered optimizers: "
          "case_study_power. Did you mean: case_study_power?"),
         (UnknownSweepError("duty", ("duty_cycle", "node_density")),

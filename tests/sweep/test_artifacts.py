@@ -8,7 +8,8 @@ from repro.analysis.io import (ordered_columns, rows_to_csv_text,
                                rows_to_json_text, write_rows)
 from repro.sweep.artifacts import export_sweep, sweep_manifest
 from repro.sweep.driver import run_sweep
-from repro.sweep.spec import GridAxis, SweepSpec
+from repro.sweep.optimize import run_optimize
+from repro.sweep.spec import GridAxis, OptimizeSpec, SweepSpec
 
 SPEC = SweepSpec(
     name="mini", experiment="case_study_full",
@@ -102,6 +103,34 @@ class TestManifestAndExport:
                      "mini.manifest.json"):
             assert (cold_dir / name).read_bytes() == \
                 (warm_dir / name).read_bytes(), name
+
+
+class TestOptimizerExport:
+    def test_an_optimizer_run_keeps_its_own_layout(self, tmp_path):
+        """One writer serves both kinds: an optimizer run exports no long
+        table, its front and knee in the JSON, and its trajectory in the
+        manifest, whose spec payload carries the grid axes."""
+        spec = OptimizeSpec(name="mini_search", experiment=SPEC.experiment,
+                            axes=SPEC.axes, base_params=SPEC.base_params,
+                            objectives=SPEC.objectives, max_points=2,
+                            initial_points=2)
+        result = run_optimize(spec, cache_root=tmp_path / "cache")
+        paths = export_sweep(result, tmp_path / "out")
+        assert sorted(paths) == ["csv", "json", "manifest"]
+        manifest = json.loads(paths["manifest"].read_text())
+        assert manifest["kind"] == "repro-optimize-manifest"
+        assert manifest["optimize"]["axes"] == \
+            {"total_nodes": {"kind": "grid", "values": [8, 16]}}
+        assert manifest["optimize"]["max_points"] == 2
+        assert manifest["stop_reason"] == result.stop_reason
+        assert len(manifest["rounds"]) == len(result.rounds)
+        combined = json.loads(paths["json"].read_text())
+        assert sorted(combined) == ["front", "knee", "manifest", "rows"]
+        assert combined["knee"] == result.knee()
+        # The same spec run as a grid is a sweep, served from the cache.
+        grid = run_sweep(spec, cache_root=tmp_path / "cache")
+        assert grid.computed_points == 0
+        assert sweep_manifest(grid)["kind"] == "repro-sweep-manifest"
 
 
 class TestExportFailsLoudlyOnUnknownObjective:

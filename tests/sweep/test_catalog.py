@@ -4,9 +4,23 @@ import pytest
 
 from repro.runner.registry import default_registry
 from repro.sweep.catalog import (TRADEOFF_OBJECTIVES, UnknownSweepError,
-                                 get_definition, get_sweep, iter_definitions,
+                                 get_definition, get_optimize, get_sweep,
+                                 iter_definitions, optimize_names,
                                  sweep_names)
 from repro.sweep.driver import expand_points
+
+#: ``spec_hash`` of every catalogue entry, (quick, full).  The hash is the
+#: identity of a run's manifests: a change to a catalogue spec, or to how
+#: specs serialise, shows here before it re-keys exported artifacts.
+SPEC_HASHES = {
+    "case_study_power_grid": ("2819d46ba96574e6", "42e66d4ea992e5c6"),
+    "duty_cycle": ("dbd5c83b5246e4a8", "09ceaaa17245f8e7"),
+    "node_density": ("c7d9ca39c42fe15c", "5785fe5718943148"),
+    "topology_depth": ("5ddf5cfaf3b30693", "eee8231e879bada3"),
+    "traffic_mix": ("d4149af3247461fa", "46725f41ff43be95"),
+    "tx_policy": ("277057349572f95d", "36a785cefed61f79"),
+    "case_study_power": ("cc6f85f4ce2fdbc3", "694d87357da9de5f"),
+}
 
 
 class TestCatalogue:
@@ -22,6 +36,26 @@ class TestCatalogue:
     def test_unknown_sweep_suggests(self):
         with pytest.raises(UnknownSweepError, match="node_density"):
             get_definition("node_densty")
+
+    @pytest.mark.parametrize("get, name, message", [
+        (get_sweep, "case_study_power",
+         "Unknown sweep 'case_study_power'. Registered sweeps: "),
+        (get_optimize, "case_study_power_grid",
+         "Unknown optimizer 'case_study_power_grid'. Registered "
+         "optimizers: case_study_power. Did you mean: case_study_power?"),
+    ])
+    def test_sweeps_and_optimizers_are_looked_up_apart(self, get, name,
+                                                       message):
+        with pytest.raises(UnknownSweepError) as excinfo:
+            get(name)
+        assert str(excinfo.value).startswith(message)
+
+    @pytest.mark.parametrize("quick", [True, False])
+    @pytest.mark.parametrize("name", sweep_names() + optimize_names())
+    def test_spec_hashes_are_pinned(self, name, quick):
+        get = get_optimize if name in optimize_names() else get_sweep
+        assert get(name, quick=quick).spec_hash() == \
+            SPEC_HASHES[name][0 if quick else 1]
 
     @pytest.mark.parametrize("name", sweep_names())
     def test_every_sweep_expands_against_the_registry(self, name, tmp_path):

@@ -213,6 +213,15 @@ class TestOptimizeCommand:
         second = capsys.readouterr().out
         assert "(0 computed, 6 from cache)" in second
 
+    def test_grid_serves_every_optimizer_point_from_the_cache(self, tmp_path,
+                                                              capsys):
+        """The optimizer searches its reference sweep's grid: the grid
+        then computes only the points the optimizer did not."""
+        cache = ["--quick", "--quiet", "--cache-dir", str(tmp_path)]
+        assert main(["sweep", "optimize", "case_study_power", *cache]) == 0
+        assert main(["sweep", "run", "case_study_power_grid", *cache]) == 0
+        assert "(6 computed, 6 from cache)" in capsys.readouterr().out
+
     def test_optimize_prints_front_and_knee(self, tmp_path, capsys):
         assert main(["sweep", "optimize", "case_study_power", "--quick",
                      "--cache-dir", str(tmp_path)]) == 0
@@ -245,4 +254,4 @@ class TestOptimizeCommand:
         assert main(["sweep", "optimize", "case_study_power", "--quick",
                      "--cache-dir", str(tmp_path),
                      "--param", "beacon_order=5"]) == 2
-        assert "dimension" in capsys.readouterr().err
+        assert "varies beacon_order as axis" in capsys.readouterr().err

@@ -1,15 +1,18 @@
 """Tests of the adaptive design-space optimizer.
 
-Covers the determinism contract (same seed => same proposal sequence,
-warm re-run recomputes nothing, smaller budgets evaluate a prefix of
-larger ones — the latter two as hypothesis properties), the loud failure
-on unknown objectives, the stop reasons, and the ISSUE's acceptance
-scenario: the quick catalogue optimizer must find a knee point matching
-or dominating the exhaustive reference grid's at half the budget.
+Covers the grid draws, the determinism contract (same seed => same
+proposal sequence, pinned against a recorded golden; warm re-run
+recomputes nothing, smaller budgets evaluate a prefix of larger ones — the
+latter two as hypothesis properties), the loud failure on unknown
+objectives, the stop reasons, and the acceptance scenario: the quick
+catalogue optimizer must find a knee point matching or dominating the
+exhaustive reference grid's at half the budget.
 """
 
+import dataclasses
 import json
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,14 +23,18 @@ from repro.runner.params import ParamSpec
 from repro.runner.registry import ExperimentRegistry, ExperimentSpec
 from repro.sweep.analysis import (UnknownMetricError, knee_point,
                                   pareto_front)
-from repro.sweep.artifacts import export_optimize
+from repro.sweep.artifacts import export_sweep
 from repro.sweep.catalog import (get_optimize, get_optimize_definition,
-                                 get_sweep)
+                                 get_sweep, iter_optimize_definitions)
 from repro.sweep.driver import run_sweep
-from repro.sweep.optimize import (ChoiceDimension, FloatDimension,
-                                  IntDimension, OptimizeSpec,
-                                  dimension_from_payload,
-                                  optimize_spec_from_payload, run_optimize)
+from repro.sweep.optimize import _draw, _perturb, _unit, run_optimize
+from repro.sweep.spec import (GridAxis, OptimizeSpec, SweepSpec,
+                              spec_from_payload)
+
+#: Per-round proposals, point indices and fronts of the bowl search at
+#: seeds 7, 8 and 11, recorded when the search still ran on typed
+#: dimensions (``x`` an integer range, ``y`` and ``mode`` choices).
+GOLDEN = Path(__file__).parent / "goldens" / "bowl_search_rounds.json"
 
 
 def _bowl_runner(params, context):
@@ -55,9 +62,9 @@ def _bowl_registry() -> ExperimentRegistry:
 
 def _bowl_spec(registry=None, **overrides) -> OptimizeSpec:
     settings_ = dict(name="bowl_search", experiment="bowl",
-                     dimensions={"x": IntDimension(0, 10),
-                                 "y": FloatDimension(0.0, 1.0),
-                                 "mode": ChoiceDimension(("a", "b"))},
+                     axes={"x": GridAxis(tuple(range(11))),
+                           "y": GridAxis((0.0, 0.25, 0.5, 0.75, 1.0)),
+                           "mode": GridAxis(("a", "b"))},
                      objectives={"cost": "min", "spread": "min"},
                      seed=7, max_points=12, initial_points=5, batch_size=3,
                      patience=2, registry=registry or _bowl_registry())
@@ -65,53 +72,59 @@ def _bowl_spec(registry=None, **overrides) -> OptimizeSpec:
     return OptimizeSpec(**settings_)
 
 
-class TestDimensions:
-    def test_int_samples_and_perturbs_within_bounds(self):
-        dim = IntDimension(3, 6)
+class TestGridDraws:
+    def test_consecutive_integer_axis_stays_within_its_ends(self):
+        values = (3, 4, 5, 6)
         rng = np.random.default_rng(0)
         for _ in range(50):
-            assert 3 <= dim.sample(rng) <= 6
-            assert 3 <= dim.perturb(5, rng, radius=0.5) <= 6
-        assert dim.to_unit(3) == 0.0 and dim.to_unit(6) == 1.0
+            assert 3 <= _draw(values, rng) <= 6
+            assert 3 <= _perturb(values, 5, rng, radius=0.5) <= 6
+        assert _unit(values, 3) == 0.0 and _unit(values, 6) == 1.0
 
-    def test_float_log_spacing_stays_in_bounds(self):
-        dim = FloatDimension(1e-3, 1.0, spacing="log")
-        rng = np.random.default_rng(1)
-        for _ in range(50):
-            assert 1e-3 <= dim.sample(rng) <= 1.0
-            assert 1e-3 <= dim.perturb(0.1, rng, radius=0.5) <= 1.0
-        assert dim.to_unit(1e-3) == pytest.approx(0.0)
-        assert dim.to_unit(1.0) == pytest.approx(1.0)
+    def test_integer_axis_takes_a_rounded_gaussian_step(self):
+        """An integer range moves by a Gaussian step of radius × span,
+        rounded and clamped to its ends."""
+        values = tuple(range(11))
+        for seed in range(40):
+            rng, reference = (np.random.default_rng(seed),
+                              np.random.default_rng(seed))
+            step = reference.normal(0.0, 0.3 * 10)
+            assert _perturb(values, 5, rng, radius=0.3) == \
+                min(10, max(0, int(round(5 + step))))
 
-    def test_choice_handles_none_values(self):
-        dim = ChoiceDimension((None, 2, 3))
-        rng = np.random.default_rng(2)
-        assert dim.sample(rng) in (None, 2, 3)
-        assert dim.perturb(None, rng, radius=0.3) in (None, 2, 3)
-        assert dim.to_unit(None) == 0.0 and dim.to_unit(3) == 1.0
+    @pytest.mark.parametrize("values", [(None, 2, 3), ("a", "b"),
+                                        (1, 2, 4, 8), (6, 5, 4, 3),
+                                        (True, False)])
+    def test_other_axes_are_drawn_as_a_choice(self, values):
+        """A ``None``, string, gapped or descending axis keeps its value
+        unless a ``max(0.25, radius)`` coin redraws it from the tuple."""
+        for seed in range(40):
+            rng, coin = (np.random.default_rng(seed),
+                         np.random.default_rng(seed))
+            moved = _perturb(values, values[-1], rng, radius=0.1)
+            if float(coin.random()) < 0.25:
+                assert moved == _draw(values, coin)
+            else:
+                assert moved == values[-1]
+            assert rng.bit_generator.state == coin.bit_generator.state
+        assert _unit(values, values[0]) == 0.0
+        assert _unit(values, values[-1]) == 1.0
 
-    def test_payload_round_trips(self):
-        for dim in (IntDimension(3, 6),
-                    FloatDimension(0.5, 2.0, spacing="log"),
-                    ChoiceDimension((None, "a", 1))):
-            assert dimension_from_payload(dim.to_payload()) == dim
+    def test_one_value_axis_has_unit_one_half(self):
+        for values in ((4,), (None,), ("a",)):
+            assert _unit(values, values[0]) == 0.5
 
-    @pytest.mark.parametrize("build", [
-        lambda: IntDimension(6, 3),
-        lambda: FloatDimension(2.0, 1.0),
-        lambda: FloatDimension(-1.0, 1.0, spacing="log"),
-        lambda: FloatDimension(0.0, 1.0, spacing="weird"),
-        lambda: ChoiceDimension(()),
-    ])
-    def test_invalid_dimensions_rejected(self, build):
+    def test_bool_and_int_spellings_are_told_apart(self):
+        assert _unit((0, True), True) == 1.0
         with pytest.raises(ValueError):
-            build()
+            _unit((1, 2), True)
 
 
 class TestOptimizeSpec:
     def test_payload_and_hash_round_trip(self):
         spec = get_optimize("case_study_power", quick=True)
-        rebuilt = optimize_spec_from_payload(spec.to_payload())
+        rebuilt = spec_from_payload(spec.to_payload())
+        assert isinstance(rebuilt, OptimizeSpec)
         assert rebuilt == spec
         assert rebuilt.spec_hash() == spec.spec_hash()
 
@@ -121,36 +134,69 @@ class TestOptimizeSpec:
         assert quick.spec_hash() != full.spec_hash()
         assert quick.max_points < full.max_points
 
-    def test_out_of_domain_bound_fails_at_build_time(self):
+    @pytest.mark.parametrize("quick", [True, False])
+    def test_catalogue_optimizers_search_their_reference_grid(self, quick):
+        for definition in iter_optimize_definitions():
+            spec = definition.build(quick)
+            grid = get_sweep(definition.reference_sweep, quick)
+            assert isinstance(spec, SweepSpec)
+            assert (spec.experiment, spec.axes, spec.base_params,
+                    spec.objectives, spec.seed) == \
+                (grid.experiment, grid.axes, grid.base_params,
+                 grid.objectives, grid.seed)
+            assert spec.max_points * 2 <= grid.num_points()
+
+    def test_replace_keeps_the_budget(self):
+        """perfbench re-seeds the catalogue optimizer this way."""
+        spec = get_optimize("case_study_power", quick=True)
+        reseeded = dataclasses.replace(spec, seed=9)
+        assert isinstance(reseeded, OptimizeSpec)
+        assert (reseeded.seed, reseeded.max_points) == (9, spec.max_points)
+
+    def test_out_of_domain_value_fails_at_build_time(self):
         with pytest.raises(ValueError, match="beacon_order"):
             OptimizeSpec(name="bad", experiment="case_study_full",
-                         dimensions={"beacon_order": IntDimension(0, 99)},
+                         axes={"beacon_order": GridAxis(tuple(range(100)))},
                          objectives={"mean_power_uw": "min"})
 
-    def test_unknown_dimension_parameter_fails_at_build_time(self):
+    def test_every_searched_value_is_validated_at_build_time(self):
+        """A value inside the axis's ends but outside the parameter's
+        choices fails when the spec is built, not in a later round."""
+        registry = ExperimentRegistry()
+        registry.register(ExperimentSpec(
+            "sizes", "power-of-two sizes", "", _bowl_runner,
+            params=[ParamSpec("x", "int", 1, choices=(1, 2, 4, 8))]))
+        with pytest.raises(ValueError, match="invalid value 3"):
+            OptimizeSpec(name="bad", experiment="sizes",
+                         axes={"x": GridAxis(tuple(range(1, 9)))},
+                         objectives={"cost": "min"}, registry=registry)
+
+    def test_unknown_axis_parameter_fails_at_build_time(self):
         with pytest.raises(KeyError, match="warp_factor"):
             OptimizeSpec(name="bad", experiment="case_study_full",
-                         dimensions={"warp_factor": IntDimension(1, 2)},
+                         axes={"warp_factor": GridAxis((1, 2))},
                          objectives={"mean_power_uw": "min"})
 
     def test_objectives_are_required(self):
         with pytest.raises(ValueError, match="objective"):
             OptimizeSpec(name="bad", experiment="case_study_full",
-                         dimensions={"beacon_order": IntDimension(3, 6)},
+                         axes={"beacon_order": GridAxis((3, 4))},
                          objectives={})
 
-    def test_dimension_base_param_overlap_rejected(self):
+    def test_axis_base_param_overlap_rejected(self):
         with pytest.raises(ValueError, match="beacon_order"):
             OptimizeSpec(name="bad", experiment="case_study_full",
-                         dimensions={"beacon_order": IntDimension(3, 6)},
+                         axes={"beacon_order": GridAxis((3, 4))},
                          objectives={"mean_power_uw": "min"},
                          base_params={"beacon_order": 4})
 
-    def test_with_overrides_rejects_searched_dimensions(self):
+    def test_with_overrides_rejects_searched_axes(self):
         spec = get_optimize("case_study_power", quick=True)
         with pytest.raises(ValueError, match="beacon_order"):
             spec.with_overrides({"beacon_order": 5})
         derived = spec.with_overrides({"superframes": 6})
+        assert isinstance(derived, OptimizeSpec)
+        assert derived.max_points == spec.max_points
         assert derived.base_params["superframes"] == 6
         assert derived.spec_hash() != spec.spec_hash()
 
@@ -164,6 +210,15 @@ class TestOptimizeSpec:
 
 
 class TestRunOptimizeSynthetic:
+    @pytest.mark.parametrize("seed", [7, 8, 11])
+    def test_grid_search_reproduces_the_recorded_proposals(self, seed):
+        golden = json.loads(GOLDEN.read_text())[str(seed)]
+        result = run_optimize(_bowl_spec(seed=seed), cache=False)
+        assert result.stop_reason == golden["stop_reason"]
+        assert json.loads(json.dumps(
+            [round_.to_payload() for round_ in result.rounds])) == \
+            golden["rounds"]
+
     def test_same_spec_reproposes_identical_sequence(self):
         first = run_optimize(_bowl_spec(), cache=False)
         second = run_optimize(_bowl_spec(), cache=False)
@@ -197,7 +252,7 @@ class TestRunOptimizeSynthetic:
     def test_space_exhausted_on_a_tiny_discrete_space(self):
         registry = _bowl_registry()
         spec = OptimizeSpec(name="tiny", experiment="bowl",
-                            dimensions={"x": IntDimension(0, 1)},
+                            axes={"x": GridAxis((0, 1))},
                             objectives={"cost": "min"}, seed=3,
                             max_points=10, initial_points=4, batch_size=2,
                             registry=registry)
@@ -211,8 +266,8 @@ class TestRunOptimizeSynthetic:
         the budget (which exceeds the whole 22-point space)."""
         registry = _bowl_registry()
         spec = OptimizeSpec(name="discrete", experiment="bowl",
-                            dimensions={"x": IntDimension(0, 10),
-                                        "mode": ChoiceDimension(("a", "b"))},
+                            axes={"x": GridAxis(tuple(range(11))),
+                                  "mode": GridAxis(("a", "b"))},
                             objectives={"cost": "min"}, seed=7,
                             max_points=60, initial_points=6, batch_size=3,
                             patience=2, registry=registry)
@@ -279,7 +334,7 @@ class TestRunOptimizeSynthetic:
 
 
 class TestQuickCaseStudyAcceptance:
-    """The ISSUE's acceptance scenario, end to end on the real simulator."""
+    """The acceptance scenario, end to end on the real simulator."""
 
     def test_optimizer_knee_matches_or_dominates_the_grid_knee(self,
                                                                tmp_path):
@@ -305,8 +360,8 @@ class TestQuickCaseStudyAcceptance:
         cold = run_optimize(spec, cache_root=tmp_path / "cache")
         warm = run_optimize(spec, cache_root=tmp_path / "cache")
         assert warm.computed_points == 0
-        cold_paths = export_optimize(cold, tmp_path / "cold")
-        warm_paths = export_optimize(warm, tmp_path / "warm")
+        cold_paths = export_sweep(cold, tmp_path / "cold")
+        warm_paths = export_sweep(warm, tmp_path / "warm")
         for kind in ("csv", "json", "manifest"):
             assert cold_paths[kind].read_bytes() == \
                 warm_paths[kind].read_bytes()
@@ -316,8 +371,8 @@ class TestQuickCaseStudyAcceptance:
         serial = run_optimize(spec, jobs=1, cache_root=tmp_path / "a")
         parallel = run_optimize(spec, jobs=2, cache_root=tmp_path / "b")
         assert serial.rows == parallel.rows
-        serial_paths = export_optimize(serial, tmp_path / "sa")
-        parallel_paths = export_optimize(parallel, tmp_path / "pa")
+        serial_paths = export_sweep(serial, tmp_path / "sa")
+        parallel_paths = export_sweep(parallel, tmp_path / "pa")
         for kind in ("csv", "json", "manifest"):
             assert serial_paths[kind].read_bytes() == \
                 parallel_paths[kind].read_bytes()
@@ -325,7 +380,7 @@ class TestQuickCaseStudyAcceptance:
     def test_manifest_records_rounds_and_stop_reason(self, tmp_path):
         spec = get_optimize("case_study_power", quick=True)
         result = run_optimize(spec, cache_root=tmp_path)
-        paths = export_optimize(result, tmp_path / "out")
+        paths = export_sweep(result, tmp_path / "out")
         manifest = json.loads(paths["manifest"].read_text())
         assert manifest["kind"] == "repro-optimize-manifest"
         assert manifest["spec_hash"] == spec.spec_hash()

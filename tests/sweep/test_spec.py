@@ -1,89 +1,37 @@
 """Tests of the sweep axes and the declarative SweepSpec."""
 
+import json
+
 import pytest
 
-from repro.sweep.spec import (GridAxis, RandomAxis, RangeAxis, SweepSpec,
-                              axis_from_payload, spec_from_payload)
+from repro.sweep.catalog import (get_optimize, get_sweep, optimize_names,
+                                 sweep_names)
+from repro.sweep.spec import (GridAxis, SweepSpec, axis_from_payload,
+                              spec_from_payload)
 
 
 class TestAxes:
     def test_grid_axis_preserves_order_and_values(self):
         axis = GridAxis((3, 1, 2))
-        assert axis.resolve() == [3, 1, 2]
+        assert axis.values == (3, 1, 2)
 
     def test_grid_axis_accepts_categoricals_and_none(self):
-        axis = GridAxis(("adaptive", "fixed", None))
-        assert axis.resolve() == ["adaptive", "fixed", None]
+        axis = GridAxis(["adaptive", "fixed", None])
+        assert axis.values == ("adaptive", "fixed", None)
 
     def test_grid_axis_rejects_empty(self):
         with pytest.raises(ValueError):
             GridAxis(())
 
-    def test_range_axis_linear(self):
-        assert RangeAxis(start=0.0, stop=1.0, num=5).resolve() == \
-            [0.0, 0.25, 0.5, 0.75, 1.0]
-
-    def test_range_axis_int_rounding(self):
-        assert RangeAxis(start=400, stop=1600, num=4, dtype="int").resolve() \
-            == [400, 800, 1200, 1600]
-
-    def test_range_axis_int_rounding_deduplicates(self):
-        """Regression: a fine grid collapsing under int rounding must not
-        expand into duplicate design points."""
-        assert RangeAxis(start=1, stop=3, num=5, dtype="int").resolve() == \
-            [1, 2, 3]
-
-    def test_random_axis_int_rounding_deduplicates(self):
-        values = RandomAxis(low=1, high=3, count=32, dtype="int").resolve(0)
-        assert len(values) == len(set(values))
-
-    def test_range_axis_log_spacing(self):
-        values = RangeAxis(start=1.0, stop=100.0, num=3,
-                           spacing="log").resolve()
-        assert values == pytest.approx([1.0, 10.0, 100.0])
-
-    @pytest.mark.parametrize("kwargs", [
-        {"start": 1.0, "stop": 2.0, "num": 0},
-        {"start": 1.0, "stop": 2.0, "num": 2, "spacing": "weird"},
-        {"start": 1.0, "stop": 2.0, "num": 2, "dtype": "complex"},
-        {"start": -1.0, "stop": 2.0, "num": 2, "spacing": "log"},
-    ])
-    def test_range_axis_rejects_bad_arguments(self, kwargs):
-        with pytest.raises(ValueError):
-            RangeAxis(**kwargs)
-
-    def test_random_axis_is_deterministic_in_the_seed(self):
-        axis = RandomAxis(low=1.0, high=9.0, count=4)
-        assert axis.resolve(seed=11) == axis.resolve(seed=11)
-        assert axis.resolve(seed=11) != axis.resolve(seed=12)
-
-    def test_random_axis_respects_bounds_and_sorts(self):
-        values = RandomAxis(low=2.0, high=3.0, count=16).resolve(seed=0)
-        assert all(2.0 <= value <= 3.0 for value in values)
-        assert values == sorted(values)
-
-    def test_random_axis_int_dtype(self):
-        values = RandomAxis(low=10, high=20, count=8, dtype="int").resolve(3)
-        assert all(isinstance(value, int) for value in values)
-
-    @pytest.mark.parametrize("kwargs", [
-        {"low": 1.0, "high": 2.0, "count": 0},
-        {"low": 2.0, "high": 1.0, "count": 2},
-        {"low": 0.0, "high": 1.0, "count": 2, "spacing": "log"},
-    ])
-    def test_random_axis_rejects_bad_arguments(self, kwargs):
-        with pytest.raises(ValueError):
-            RandomAxis(**kwargs)
-
     def test_axis_payload_round_trip(self):
-        for axis in (GridAxis((1, "two", None)),
-                     RangeAxis(start=1.0, stop=4.0, num=3, dtype="int"),
-                     RandomAxis(low=0.5, high=2.0, count=5, spacing="log")):
-            assert axis_from_payload(axis.to_payload()) == axis
+        axis = GridAxis((1, "two", None))
+        assert axis.to_payload() == {"kind": "grid",
+                                     "values": [1, "two", None]}
+        assert axis_from_payload(axis.to_payload()) == axis
 
     def test_unknown_axis_kind_rejected(self):
         with pytest.raises(ValueError, match="Unknown axis kind"):
-            axis_from_payload({"kind": "sobol"})
+            axis_from_payload({"kind": "range", "start": 1, "stop": 3})
 
 
 class TestSweepSpec:
@@ -115,27 +63,26 @@ class TestSweepSpec:
         with pytest.raises(ValueError, match="sense"):
             self.spec(objectives={"mean_power_uw": "minimise"})
 
-    def test_random_axis_expansion_is_reproducible(self):
-        def build():
-            return self.spec(axes={"total_nodes": RandomAxis(
-                low=10, high=100, count=3, dtype="int")}, seed=99)
-        assert build().expand_axes() == build().expand_axes()
-
-    def test_random_axis_depends_on_master_seed(self):
-        values_a = self.spec(
-            axes={"total_nodes": RandomAxis(low=10, high=1000, count=3,
-                                            dtype="int")},
-            seed=1).expand_axes()
-        values_b = self.spec(
-            axes={"total_nodes": RandomAxis(low=10, high=1000, count=3,
-                                            dtype="int")},
-            seed=2).expand_axes()
-        assert values_a != values_b
+    def test_axes_must_be_grid_axes(self):
+        with pytest.raises(TypeError, match="GridAxis"):
+            self.spec(axes={"total_nodes": (16, 32)})
 
     def test_payload_round_trip_preserves_identity(self):
         spec = self.spec(objectives={"mean_power_uw": "min"}, seed=7,
                          title="round trip")
         rebuilt = spec_from_payload(spec.to_payload())
+        assert rebuilt == spec
+        assert rebuilt.spec_hash() == spec.spec_hash()
+
+    @pytest.mark.parametrize("quick", [True, False])
+    @pytest.mark.parametrize("name", sweep_names() + optimize_names())
+    def test_catalogue_payloads_round_trip(self, name, quick):
+        """``spec_from_payload`` rebuilds every catalogue sweep and
+        optimizer — the class included — from its payload."""
+        get = get_optimize if name in optimize_names() else get_sweep
+        spec = get(name, quick=quick)
+        rebuilt = spec_from_payload(json.loads(json.dumps(spec.to_payload())))
+        assert type(rebuilt) is type(spec)
         assert rebuilt == spec
         assert rebuilt.spec_hash() == spec.spec_hash()
 

@@ -35,9 +35,6 @@ KEEP = {
     "repro.sweep.spec:spec_from_payload":
         "test seam: rebuilding a spec from to_payload proves the payload "
         "(and so spec_hash and the manifest) loses nothing",
-    "repro.sweep.optimize:optimize_spec_from_payload":
-        "test seam: rebuilding a spec from to_payload proves the payload "
-        "(and so spec_hash and the manifest) loses nothing",
     "repro.obs.trace:deterministic_view":
         "test seam: tests compare traces of two runs through it",
     "repro.service.worker:WorkerPool.wait_idle":

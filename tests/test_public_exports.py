@@ -64,11 +64,10 @@ PUBLIC_SURFACE = {
                      "ParamSpec", "ParamSchema", "ParameterValueError",
                      "UnknownParameterError", "parse_param"],
     "repro.api": ["Session", "RunResult", "SweepSpec", "GridAxis",
-                  "RangeAxis", "RandomAxis", "ParamSpec", "ParamSchema",
+                  "OptimizeSpec", "ParamSpec", "ParamSchema",
                   "ParameterValueError", "UnknownParameterError",
                   "UnknownExperimentError", "DEFAULT_SEED", "code_version"],
-    "repro.sweep": ["SweepSpec", "GridAxis", "RangeAxis", "RandomAxis",
-                    "run_sweep", "sweep_status", "expand_points",
+    "repro.sweep": ["SweepSpec", "GridAxis", "OptimizeSpec", "run_sweep", "sweep_status", "expand_points",
                     "SweepRunResult", "SweepPoint", "SweepStatus",
                     "pareto_front", "knee_point", "dominates",
                     "export_sweep", "sweep_manifest", "get_sweep", "sweep_names",
@@ -168,17 +167,13 @@ EXPORTED_NAMES = {
         CounterMonitor Environment Event Monitor Process RandomStreams
         SimulationError Timeout spawn_seeds""",
     "repro.sweep": """
-        ChoiceDimension FloatDimension GridAxis IntDimension
-        OptimizeDefinition OptimizeResult OptimizeRound OptimizeSpec
-        RandomAxis RangeAxis SweepDefinition SweepPoint SweepRunResult
-        SweepSpec SweepStatus UnknownMetricError UnknownOptimizeError
-        UnknownSweepError axis_from_payload build_points
-        dimension_from_payload dispatch_points dominates expand_points
-        export_optimize export_sweep extract_point_metrics get_definition
-        get_optimize get_optimize_definition get_sweep
+        GridAxis OptimizeResult OptimizeRound OptimizeSpec SweepDefinition
+        SweepPoint SweepRunResult SweepSpec SweepStatus UnknownMetricError
+        UnknownSweepError axis_from_payload build_points dispatch_points
+        dominates expand_points export_sweep extract_point_metrics
+        get_definition get_optimize get_optimize_definition get_sweep
         iter_definitions iter_optimize_definitions knee_point
-        optimize_manifest optimize_names optimize_spec_from_payload
-        pareto_front require_metrics run_optimize run_sweep
+        optimize_names pareto_front require_metrics run_optimize run_sweep
         spec_from_payload sweep_manifest sweep_names sweep_status""",
 }
 
