@@ -32,6 +32,7 @@ from __future__ import annotations
 import os
 from typing import Any, List, Optional, Union
 
+from repro.pool import KernelHelpers
 from repro.runner.backends import (CacheBackend, DirectoryBackend,
                                    SharedDirectoryBackend, resolve_backend)
 from repro.runner.cache import code_version
@@ -72,6 +73,7 @@ __all__ = [
     "DirectoryBackend",
     "SharedDirectoryBackend",
     "resolve_backend",
+    "KernelHelpers",
 ]
 
 _UNSET = object()
@@ -97,13 +99,17 @@ class Session:
         directory), built over ``cache_dir``.  Mutually exclusive with a
         non-default ``cache`` argument.
     jobs:
-        Default cap on the worker processes of every run, sweep and
-        optimizer: the caller and forked children of the worker pool
-        (:mod:`repro.pool`), each on a CPU of its own.  ``None`` (the
-        default) is every CPU in ``os.sched_getaffinity(0)``; ``1`` is
-        serial.  Rows are identical either way.  A fan-out started while
-        another thread is alive (``repro serve``) stays in the calling
-        process, and nothing forks at construction.
+        Default cap on the worker processes a task fan-out of every run,
+        sweep and optimizer shares its tasks between: the caller and
+        forked children of the worker pool (:mod:`repro.pool`), each on a
+        CPU of its own.  ``None`` (the default) is every CPU in
+        ``os.sched_getaffinity(0)``; ``1`` runs every task in the caller.
+        A large batched kernel call splits its lanes whatever ``jobs``
+        says: over forked children from the main thread, and over the
+        :class:`KernelHelpers` lent to a thread (``repro serve``'s
+        workers); any other fan-out started while another thread is alive
+        stays in the calling process.  Rows are identical either way, and
+        nothing forks or spawns at construction.
     seed:
         Default master seed — the session's *seed policy*.  Every
         :meth:`run` uses it unless overridden per call; ``None`` makes runs

@@ -19,6 +19,11 @@ TRAFFIC_MODEL_KINDS = ("saturated", "periodic", "poisson", "bursty", "mixed")
 #: accepts them (the ``topology`` experiment parameter's choices).
 TOPOLOGY_KINDS = ("star", "grid", "disc", "cluster")
 
+#: The topology kinds with no geometric layout (``build_topology_model``
+#: builds ``None``): every node links straight to its coordinator, so
+#: nothing routes over more than one hop (``max_hops`` must stay 1).
+SINGLE_HOP_TOPOLOGY_KINDS = ("star",)
+
 #: Registered routing-model kinds, in the order ``build_routing_model``
 #: accepts them (the ``routing`` experiment parameter's choices).
 ROUTING_KINDS = ("gradient", "min_hop")

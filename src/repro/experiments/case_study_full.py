@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
 from repro.analysis.report import ExperimentReport
+from repro.constants import SINGLE_HOP_TOPOLOGY_KINDS
 from repro.network.routing import build_routing_model
 from repro.network.simulate import aggregate_channel_rows, simulate_network
 from repro.network.spec import ScenarioSpec
@@ -86,11 +87,11 @@ def run_full_case_study(total_nodes: int = 1600,
     (:data:`repro.network.routing.ROUTING_KINDS`), making the energy hole
     (relays near the sink burn hottest) directly measurable.
     """
+    if topology in SINGLE_HOP_TOPOLOGY_KINDS and max_hops > 1:
+        raise ValueError(f"The {topology} topology has no node-to-node "
+                         f"links; pick a geometric topology (grid, disc, "
+                         f"cluster) for max_hops > 1")
     layout = build_topology_model(topology)
-    if layout is None and max_hops > 1:
-        raise ValueError("The star topology has no node-to-node links; "
-                         "pick a geometric topology (grid, disc, cluster) "
-                         "for max_hops > 1")
     spec = ScenarioSpec(
         total_nodes=total_nodes,
         num_channels=num_channels,

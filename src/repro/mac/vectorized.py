@@ -80,7 +80,10 @@ contiguous pieces of about equal device count, two per worker
 free, so a worker slowed by other work on its CPU runs fewer pieces; the
 rows are byte-identical to a one-process call whichever worker ran which
 piece.  Every child is reaped before :meth:`BatchedChannelSimulator.run`
-returns or raises.
+returns or raises.  A call from a thread cannot fork; when its thread has
+helpers lent (``repro serve``'s worker threads), it shares its pieces with
+the idle ones instead, each piece a helper takes sent to it pickled
+(:class:`repro.pool.KernelHelpers`).
 
 Known departure: within a lane, simultaneous events are ordered by device
 index, while the event kernel orders them by scheduling sequence.  Exact
@@ -106,6 +109,7 @@ from __future__ import annotations
 
 from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import partial
 from heapq import heappop, heappush
 from time import perf_counter
 from typing import Dict, List, Optional, Sequence
@@ -119,7 +123,8 @@ from repro.mac.csma import CsmaParameters
 from repro.mac.frames import AckFrame, BeaconFrame, DataFrame
 from repro.mac.superframe import SuperframeConfig
 from repro.obs.tracer import Tracer, activate, current_tracer
-from repro.pool import WorkerFailed, run_workers, worker_count
+from repro.pool import (WorkerFailed, lent_helpers, run_helpers,
+                        run_workers, worker_count)
 from repro.radio.power_profile import (CC2420_PROFILE, RadioPowerProfile,
                                        T_SHUTDOWN_TO_IDLE_POLICY_S)
 from repro.radio.states import RadioState
@@ -289,15 +294,20 @@ def raw_streams_compatible() -> bool:
 
 
 # ---------------------------------------------------------------------------
-# lane pieces over forked workers
+# lane pieces over forked workers or helpers
 # ---------------------------------------------------------------------------
 
+def _shard_cap(lane_count: int, devices: int, superframes: int) -> int:
+    """The most workers one kernel call may use: one per lane, each with
+    at least :data:`_SHARD_FLOOR` device-superframes."""
+    return min(lane_count, devices * superframes // _SHARD_FLOOR)
+
+
 def _shard_count(lane_count: int, devices: int, superframes: int) -> int:
-    """How many processes one kernel call spreads its lanes over: what the
-    pool's policy (:func:`repro.pool.worker_count`) grants, up to the
-    lanes and :data:`_SHARD_FLOOR` device-superframes per worker."""
-    return worker_count(min(lane_count, devices * superframes
-                            // _SHARD_FLOOR))
+    """How many forked processes one kernel call spreads its lanes over:
+    what the pool's policy (:func:`repro.pool.worker_count`) grants, up to
+    :func:`_shard_cap`."""
+    return worker_count(_shard_cap(lane_count, devices, superframes))
 
 
 def _piece_count(lane_count: int, devices: int, superframes: int,
@@ -322,6 +332,34 @@ def _shard_bounds(counts: Sequence[int], shards: int) -> List[int]:
         bounds.append(min(cuts, key=lambda cut: abs(prefix[cut] - target)))
     bounds.append(len(counts))
     return bounds
+
+
+def _run_pieces(pieces, indices, superframes: int, tracing: bool) -> tuple:
+    """Run the ``pieces`` at ``indices``: ``({piece index: summaries},
+    trace exports, seconds)``.  When ``tracing``, they run under one fresh
+    buffer tracer, whose export is the list's one entry.  The caller and
+    forked children run the pieces they pull; a helper, the one piece it
+    was sent."""
+    begun = perf_counter()
+    done: Dict[int, List] = {}
+    buffer = Tracer(name="shard") if tracing else None
+    with activate(buffer) if tracing else nullcontext():
+        for index in indices:
+            done[index] = pieces[index]._run_batched(superframes)
+    exports = [buffer.export()] if tracing else []
+    return done, exports, perf_counter() - begun
+
+
+def _warm_up() -> None:
+    """A kernel helper's first call (:class:`repro.pool.KernelHelpers`):
+    a one-node call loads the kernel's modules and runs the raw-stream
+    probe in the helper, so its first piece pays for neither, and a
+    helper whose numpy fails the probe is never used."""
+    from repro.network.node import SensorNode
+    node = SensorNode(node_id=1, channel=11, path_loss_db=70.0)
+    BatchedChannelSimulator([ChannelLane(nodes=[node], tx_levels_dbm=[0.0],
+                                         seed=0)],
+                            SuperframeConfig()).run(1)
 
 
 def _record_sharded_kernel(tracer, exports: Sequence[dict],
@@ -429,11 +467,13 @@ class BatchedChannelSimulator(ChannelSimulator):
 
         Returns one :class:`repro.network.scenario.SimulationSummary` per
         lane, in lane order — bit-for-bit what a single-lane run of each
-        lane would produce, so a call large enough to be sharded over
-        forked workers (:func:`_shard_count`) returns the same summaries
-        as a single-process call.  Raises :class:`RuntimeError` when this
-        numpy fails the raw-stream probe (:func:`raw_streams_compatible`)
-        or a forked shard fails.
+        lane would produce, so a call large enough to be sharded
+        (:func:`_shard_cap`) over forked workers (:func:`_shard_count`),
+        or over the helpers lent to a thread
+        (:func:`repro.pool.lent_helpers`), returns the same summaries as a
+        single-process call.  Raises :class:`RuntimeError` when this numpy
+        fails the raw-stream probe (:func:`raw_streams_compatible`) or a
+        forked shard or helper fails.
         """
         if superframes < 1:
             raise ValueError("superframes must be at least 1")
@@ -443,26 +483,35 @@ class BatchedChannelSimulator(ChannelSimulator):
                 f"bounded integers or doubles differently from the "
                 f"raw-stream replay the batched kernel relies on; run with "
                 f"backend=\"event\" instead")
-        devices = sum(len(lane.nodes) for lane in self.lanes)
-        shards = _shard_count(len(self.lanes), devices, superframes)
+        size = (len(self.lanes),
+                sum(len(lane.nodes) for lane in self.lanes), superframes)
+        shards = _shard_count(*size)
         if shards > 1:
             return self._run_sharded(superframes, shards)
+        helpers, cpu = lent_helpers(_shard_cap(*size) - 1, _warm_up)
+        if helpers:
+            return self._run_sharded(superframes, 1 + len(helpers), helpers,
+                                     cpu)
         return self._run_batched(superframes)
 
-    # -- lane pieces over forked workers --------------------------------------
-    def _run_sharded(self, superframes: int, workers: int) -> List:
-        """Run the lanes on ``workers`` processes of the worker pool
-        (:func:`repro.pool.run_workers`): the caller and ``workers - 1``
-        forked children, each kept on its own CPU.  Returns the summaries
-        in lane order.
+    # -- lane pieces over forked workers or helpers ---------------------------
+    def _run_sharded(self, superframes: int, workers: int,
+                     helpers: Sequence = (), cpu: Optional[int] = None
+                     ) -> List:
+        """Run the lanes on ``workers`` processes: with no ``helpers``,
+        the caller and ``workers - 1`` forked children of the worker pool
+        (:func:`repro.pool.run_workers`), each kept on its own CPU; else
+        the calling thread, kept on ``cpu``, and the ``helpers`` lent to it
+        (:func:`repro.pool.run_helpers`), each piece a helper takes sent to
+        it pickled.  Returns the summaries in lane order.
 
         The lanes are cut into contiguous pieces of about equal device
         count (:func:`_piece_count`), and every worker takes the next
         piece as soon as it is free, so a worker whose CPU is busy with
         other work runs fewer pieces instead of holding up the call.  A
-        failed child raises a :class:`RuntimeError` naming the worker and
-        the lanes it failed on; an exception of the caller's own pieces
-        propagates as it is.
+        failed child or helper raises a :class:`RuntimeError` naming the
+        worker and the lanes it failed on; an exception of the caller's
+        own pieces propagates as it is.
         """
         tracer = current_tracer()
         tracing = tracer.enabled
@@ -477,20 +526,23 @@ class BatchedChannelSimulator(ChannelSimulator):
                   for lo, hi in zip(bounds, bounds[1:])]
 
         def run_pieces(indices) -> tuple:
-            """One worker's pieces: ``({piece index: summaries}, trace
-            export or None, seconds)``, under one fresh buffer tracer
-            when the caller traces."""
-            begun = perf_counter()
-            done: Dict[int, List] = {}
-            buffer = Tracer(name="shard") if tracing else None
-            with activate(buffer) if tracing else nullcontext():
-                for index in indices:
-                    done[index] = pieces[index]._run_batched(superframes)
-            export = buffer.export() if tracing else None
-            return done, export, perf_counter() - begun
+            return _run_pieces(pieces, indices, superframes, tracing)
+
+        def request(index: int):
+            return partial(_run_pieces, {index: pieces[index]}, (index,),
+                           superframes, tracing)
 
         try:
-            outcomes = run_workers(run_pieces, len(pieces), workers)
+            if helpers:
+                local, *sent = run_helpers(run_pieces, request, len(pieces),
+                                           list(helpers), cpu)
+                outcomes = [local, *(reply for replies in sent
+                                     for reply in replies)]
+                worker_s = [local[2]] + [sum(reply[2] for reply in replies)
+                                         for replies in sent]
+            else:
+                outcomes = run_workers(run_pieces, len(pieces), workers)
+                worker_s = [seconds for _, _, seconds in outcomes]
         except WorkerFailed as failure:
             piece = failure.index
             lanes = ("" if piece is None else
@@ -499,9 +551,10 @@ class BatchedChannelSimulator(ChannelSimulator):
                                f"failed{lanes}: {failure.text}") from None
         if tracing:
             _record_sharded_kernel(tracer,
-                                   [export for _, export, _ in outcomes],
+                                   [export for _, exports, _ in outcomes
+                                    for export in exports],
                                    perf_counter() - started)
-            for _, _, seconds in outcomes:
+            for seconds in worker_s:
                 tracer.meter_record("kernel.shard_s", seconds)
         done = {index: summaries for pieces_done, _, _ in outcomes
                 for index, summaries in pieces_done.items()}

@@ -35,7 +35,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.channel.pathloss import LogDistancePathLoss, PathLossModel
-from repro.constants import TOPOLOGY_KINDS
+from repro.constants import SINGLE_HOP_TOPOLOGY_KINDS, TOPOLOGY_KINDS
 from repro.network.geometry import (deterministic_path_loss_db,
                                     pairwise_path_losses_db,
                                     propagation_distance_m)
@@ -394,7 +394,7 @@ def build_topology_model(name: str, spacing_m: float = 12.0,
     if name not in TOPOLOGY_KINDS:
         raise ValueError(f"Unknown topology {name!r}; choose one of "
                          f"{', '.join(TOPOLOGY_KINDS)}")
-    if name == "star":
+    if name in SINGLE_HOP_TOPOLOGY_KINDS:
         return None
     if name == "grid":
         return GridTopologyModel(spacing_m=spacing_m,

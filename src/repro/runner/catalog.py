@@ -12,10 +12,11 @@ it the model) is imported only when the experiment first computes.
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, List, Mapping
+from typing import Any, Dict, List, Mapping, Optional
 
-from repro.constants import ROUTING_KINDS, TOPOLOGY_KINDS, TRAFFIC_MODEL_KINDS
-from repro.runner.params import ParamSpec
+from repro.constants import (ROUTING_KINDS, SINGLE_HOP_TOPOLOGY_KINDS,
+                             TOPOLOGY_KINDS, TRAFFIC_MODEL_KINDS)
+from repro.runner.params import ParameterValueError, ParamSchema, ParamSpec
 from repro.runner.registry import ExperimentRegistry, ExperimentSpec, RunContext
 
 
@@ -80,6 +81,33 @@ def _beacon_order(default: int) -> ParamSpec:
     return ParamSpec("beacon_order", "int", default, minimum=0, maximum=14,
                      doc="IEEE 802.15.4 beacon order BO (inter-beacon "
                          "period 2^BO base superframes)")
+
+
+def _superframe_within_beacon(params: Mapping[str, Any],
+                              experiment: Optional[str]) -> None:
+    """SO <= BO: the active portion cannot outlast the beacon interval
+    (``superframe_order`` None means SO = BO)."""
+    order, beacon = params["superframe_order"], params["beacon_order"]
+    if order is not None and order > beacon:
+        raise ParameterValueError(
+            "superframe_order", order,
+            f"None (SO = BO) or an int <= beacon_order ({beacon})",
+            experiment, reason="the active portion would outlast the "
+                               "beacon interval")
+
+
+def _multi_hop_needs_geometry(params: Mapping[str, Any],
+                              experiment: Optional[str]) -> None:
+    """``max_hops`` above 1 needs a geometric topology: the star has no
+    node-to-node links to relay over."""
+    topology = params["topology"]
+    if params["max_hops"] > 1 and topology in SINGLE_HOP_TOPOLOGY_KINDS:
+        geometric = [kind for kind in TOPOLOGY_KINDS
+                     if kind not in SINGLE_HOP_TOPOLOGY_KINDS]
+        raise ParameterValueError(
+            "max_hops", params["max_hops"],
+            f"1 on the {topology} topology (pick {', '.join(geometric)} "
+            f"to route over several hops)", experiment)
 
 
 def build_default_registry() -> ExperimentRegistry:
@@ -213,7 +241,7 @@ def build_default_registry() -> ExperimentRegistry:
         title="Full-scale packet-level simulation of the dense-network "
               "case study (batched lockstep kernel)",
         runner=DriverAdapter("run_case_study_full"),
-        params=[
+        params=ParamSchema([
             ParamSpec("total_nodes", "int", 1600, minimum=1,
                       doc="sensor nodes in the network"),
             ParamSpec("num_channels", "int", None, minimum=1, maximum=16,
@@ -280,7 +308,7 @@ def build_default_registry() -> ExperimentRegistry:
                       doc="hop-depth cap of the routing tree (1: every "
                           "node on a direct sink link; needs a geometric "
                           "topology when above 1)"),
-        ],
+        ], rules=(_superframe_within_beacon, _multi_hop_needs_geometry)),
         output_names=("channel", "nodes", "packets_attempted",
                       "packets_delivered", "channel_access_failures",
                       "collisions", "failure_probability", "mean_power_uw",

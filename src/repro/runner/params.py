@@ -14,7 +14,10 @@ the same messages:
   parameters and therefore identical cache keys;
 * bounds (``minimum``/``maximum``) and ``choices`` are enforced with a
   message naming the experiment, the parameter and the allowed domain
-  (:class:`ParameterValueError`).
+  (:class:`ParameterValueError`);
+* a schema's rules run on every fully resolved parameter set, so a
+  combination that no single value reveals (a superframe order above the
+  beacon order) fails at the same boundary, with the same error.
 
 :func:`parse_param` is the shared ``--param key=value`` reader used by both
 the runner and the sweep command lines (one normalisation table, one
@@ -26,8 +29,8 @@ from __future__ import annotations
 import ast
 import difflib
 import math
-from typing import (Any, Dict, Iterable, Iterator, Mapping, Optional,
-                    Sequence, Tuple)
+from typing import (Any, Callable, Dict, Iterable, Iterator, Mapping,
+                    Optional, Sequence, Tuple)
 
 #: Parameter types a :class:`ParamSpec` can declare.
 PARAM_TYPES = ("int", "float", "bool", "str", "list", "any")
@@ -333,12 +336,19 @@ def _bounds_text(minimum: Optional[float], maximum: Optional[float]) -> str:
     return ""
 
 
+#: A rule across parameters: given a resolved parameter set and the
+#: experiment name, raise :class:`ParameterValueError` if the set breaks it.
+ParamRule = Callable[[Mapping[str, Any], Optional[str]], None]
+
+
 class ParamSchema:
     """Ordered, validated collection of :class:`ParamSpec` entries.
 
     The schema owns parameter resolution for one experiment: merging
     overrides into the defaults, coercing every value to its canonical type
     and failing helpfully on unknown names or out-of-domain values.
+    ``rules`` (:data:`ParamRule`) check what spans several parameters; they
+    see every resolved set (:meth:`check`).
 
     Examples
     --------
@@ -349,15 +359,17 @@ class ParamSchema:
     {'num_windows': 4, 'mode': 'fast'}
     """
 
-    __slots__ = ("_specs",)
+    __slots__ = ("_specs", "_rules")
 
-    def __init__(self, specs: Iterable[ParamSpec] = ()):
+    def __init__(self, specs: Iterable[ParamSpec] = (),
+                 rules: Iterable[ParamRule] = ()):
         ordered: Dict[str, ParamSpec] = {}
         for spec in specs:
             if spec.name in ordered:
                 raise ValueError(f"Duplicate parameter {spec.name!r}")
             ordered[spec.name] = spec
         self._specs = ordered
+        self._rules = tuple(rules)
 
     # -- mapping protocol ---------------------------------------------------------
     def __iter__(self) -> Iterator[ParamSpec]:
@@ -399,12 +411,21 @@ class ParamSchema:
             raise UnknownParameterError(name, self.names(), experiment)
         return self._specs[name].coerce(value, experiment)
 
+    def check(self, params: Mapping[str, Any],
+              experiment: Optional[str] = None) -> None:
+        """Apply every rule to ``params``, a complete set of canonical
+        values; the first broken rule raises :class:`ParameterValueError`."""
+        for rule in self._rules:
+            rule(params, experiment)
+
     def resolve(self, overrides: Optional[Mapping[str, Any]] = None,
                 experiment: Optional[str] = None) -> Dict[str, Any]:
-        """Merge ``overrides`` into the defaults, coercing every value."""
+        """Merge ``overrides`` into the defaults, coercing every value,
+        and :meth:`check` the result."""
         params = self.defaults()
         for name, value in (overrides or {}).items():
             params[name] = self.validate(name, value, experiment)
+        self.check(params, experiment)
         return params
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper

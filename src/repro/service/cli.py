@@ -19,6 +19,7 @@ import logging
 import signal
 import sys
 import threading
+import time
 from typing import Any, Dict
 
 from repro.api import Session, parse_param_arg, resolve_backend
@@ -105,8 +106,10 @@ def add_service_parsers(commands: Any) -> None:
 def command_serve(arguments: argparse.Namespace) -> int:
     """Run the service until SIGINT/SIGTERM, then drain gracefully."""
     backend = resolve_backend(arguments.backend, arguments.cache_dir)
-    # No ``jobs``: with the worker, heartbeat and HTTP threads alive every
-    # fan-out of a served job runs in the worker thread's process.
+    # No ``jobs``: with the worker, heartbeat and HTTP threads alive a
+    # served job's task fan-outs run in its worker thread, and its large
+    # kernel calls share the worker pool's helpers (spawned by the first
+    # such call, not here).
     session_options: Dict[str, Any] = {"backend": backend}
     if arguments.seed is not None:
         session_options["seed"] = arguments.seed
@@ -125,11 +128,13 @@ def command_serve(arguments: argparse.Namespace) -> int:
     state = ServiceState(frontend_session, store, pool)
     server = make_server(state, arguments.host, arguments.port)
 
-    stop = threading.Event()
+    signals: list = []
 
     def request_stop(signum, frame):  # noqa: ARG001 (signal signature)
-        logger.info("received signal %s; draining workers", signum)
-        stop.set()
+        # The handler runs between two bytecodes of the main thread, which
+        # may hold any lock (``Event.wait()`` holds its event's), so it
+        # takes none; the main thread polls the list instead.
+        signals.append(signum)
 
     previous = {}
     for signum in (signal.SIGINT, signal.SIGTERM):
@@ -147,7 +152,9 @@ def command_serve(arguments: argparse.Namespace) -> int:
           f"store {store_path})")
     sys.stdout.flush()
     try:
-        stop.wait()
+        while not signals:
+            time.sleep(0.05)
+        logger.info("received signal %s; draining workers", signals[0])
     finally:
         for signum, handler in previous.items():
             signal.signal(signum, handler)

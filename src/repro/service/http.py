@@ -16,7 +16,9 @@ runtime dependency — whose handler closes over a :class:`ServiceState`
 ``POST /v1/jobs/{id}/cancel`` Cancel a queued job (running jobs finish).
 ``GET /v1/jobs``            Queue listing with per-state counts.
 ``GET /v1/health``          Liveness + queue counts + code version.
-``GET /v1/metrics``         Merged worker-pool observability counters.
+``GET /v1/metrics``         Merged worker-pool observability counters, and
+                            the finished jobs' queue wait and compute
+                            seconds (count, p50, p90).
 =========================== ====================================================
 
 Submission canonicalises *before* enqueueing, so bad specs (unknown

@@ -17,8 +17,18 @@ Execution path of one claimed job:
 
 Each worker owns a :class:`repro.obs.Tracer` activated around its
 executions (tracer activation is thread-local), so cache hit/store
-counters and per-job spans attribute to the worker that did the work;
-:meth:`WorkerPool.metrics` merges them for ``GET /v1/metrics``.
+counters and per-job spans attribute to the worker that did the work,
+and every finished job records its queue wait (submitted to claimed) and
+compute seconds as meters; :meth:`WorkerPool.metrics` merges them for
+``GET /v1/metrics``.
+
+CPUs: a fork is unsafe with the pool's threads alive, so a served job's
+task fan-outs run in its worker thread.  Its large batched kernel calls
+do not: the pool lends its :class:`repro.api.KernelHelpers` to each
+worker thread, so such a call shares its lane pieces with the idle helper
+processes (spawned as large calls ask for them, at most one per usable
+CPU beyond the first, never before the first such call, and ended by
+:meth:`WorkerPool.stop`).
 
 Liveness: a background ticker heartbeats the claim while the job computes,
 and every idle loop opportunistically requeues stale claims of *other*
@@ -43,7 +53,7 @@ import traceback
 from contextlib import contextmanager, nullcontext
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
-from repro.api import Session, sweep_json_text
+from repro.api import KernelHelpers, Session, sweep_json_text
 from repro.obs import Tracer, activate
 from repro.service.jobs import JobSpec, JobState, spec_from_canonical
 from repro.service.store import JobRecord, JobStore
@@ -52,6 +62,9 @@ logger = logging.getLogger(__name__)
 
 #: How long a claim may go without a heartbeat before peers requeue it.
 DEFAULT_STALE_AFTER_S = 30.0
+
+#: The per-job meters every worker records and ``GET /v1/metrics`` reports.
+JOB_METERS = ("service.queue_wait_s", "service.compute_s")
 
 
 class Worker:
@@ -113,6 +126,7 @@ class Worker:
         """Execute one claimed job and record its outcome."""
         self.tracer.count("service.jobs.claimed")
         spec = spec_from_canonical(record.spec)
+        started = time.perf_counter()
         try:
             with self._heartbeats(record.job_id), activate(self.tracer), \
                     self.tracer.span(f"job:{record.job_id[:12]}", kind="job",
@@ -129,6 +143,16 @@ class Worker:
                            record.attempts, record.max_attempts,
                            state or "lost claim", detail)
             return
+        # Recorded before the job reads done, so a client that saw it
+        # done finds it in ``/v1/metrics``.  A claim stamps the record's
+        # heartbeat with the time its poll began, which may precede the
+        # submission it then finds by a few milliseconds: such a job
+        # waited for nothing.
+        self.tracer.meter_record("service.compute_s",
+                                 time.perf_counter() - started)
+        self.tracer.meter_record("service.queue_wait_s",
+                                 max(0.0, record.heartbeat_unix_s
+                                     - record.submitted_unix_s))
         self.store.finish(record.job_id, self.worker_id,
                           result_text=result_text, cache_key=cache_key)
         self.tracer.count("service.jobs.done")
@@ -183,7 +207,8 @@ class Worker:
 
 
 class WorkerPool:
-    """N workers as daemon threads over one store.
+    """N workers as daemon threads over one store, sharing one
+    :class:`repro.api.KernelHelpers`.
 
     Parameters
     ----------
@@ -202,6 +227,7 @@ class WorkerPool:
                  session_factory: Callable[[], Session], *,
                  workers: int = 2, **worker_options: Any):
         self.store = store
+        self.helpers = KernelHelpers()
         self.workers: List[Worker] = [
             Worker(store, session_factory(), f"worker-{index}",
                    **worker_options)
@@ -210,16 +236,22 @@ class WorkerPool:
         self._stop = threading.Event()
 
     def start(self) -> None:
-        """Start every worker thread (idempotent per pool)."""
+        """Start every worker thread (idempotent per pool); no process
+        starts before the first large kernel call."""
         if self._threads:
             raise RuntimeError("WorkerPool already started")
         self._stop.clear()
         for worker in self.workers:
-            thread = threading.Thread(target=worker.run_forever,
-                                      args=(self._stop,), daemon=True,
-                                      name=worker.worker_id)
+            thread = threading.Thread(target=self._run, args=(worker,),
+                                      daemon=True, name=worker.worker_id)
             thread.start()
             self._threads.append(thread)
+
+    def _run(self, worker: Worker) -> None:
+        """One worker thread: its loop, with the pool's helpers lent to
+        every kernel call it makes."""
+        with self.helpers.lend():
+            worker.run_forever(self._stop)
 
     def wake(self) -> None:
         """End every idle worker's poll wait (a job was just queued)."""
@@ -227,12 +259,14 @@ class WorkerPool:
             worker.wakeup.set()
 
     def stop(self, timeout: Optional[float] = 30.0) -> None:
-        """Graceful drain: stop claiming, finish jobs in hand, join."""
+        """Graceful drain: stop claiming, finish jobs in hand, join, then
+        end and reap the kernel helpers."""
         self._stop.set()
         self.wake()
         for thread in self._threads:
             thread.join(timeout=timeout)
         self._threads = []
+        self.helpers.stop()
 
     def wait_idle(self, timeout: float = 60.0,
                   poll_interval_s: float = 0.05) -> bool:
@@ -247,18 +281,34 @@ class WorkerPool:
         return False
 
     def metrics(self) -> Dict[str, Any]:
-        """Merged observability counters of every worker tracer.
+        """Merged observability counters and job timing of every worker
+        tracer.
 
         ``counters`` sums the per-worker counts (service job outcomes plus
         the engine's ``cache.*`` events recorded while each worker's
-        tracer was active); ``per_worker`` keeps the breakdown.
+        tracer was active); ``per_worker`` keeps the breakdown.  ``timing``
+        gives the finished jobs' queue wait and compute seconds
+        (:data:`JOB_METERS`): their count, median and 90th percentile
+        (``None`` before the first job).
         """
         merged: Dict[str, int] = {}
         per_worker: Dict[str, Dict[str, int]] = {}
+        timing = Tracer(name="timing")  # the workers' job meters, merged
         for worker in self.workers:
             counts = worker.tracer.counters.as_dict()
             per_worker[worker.worker_id] = counts
             for name, value in counts.items():
                 merged[name] = merged.get(name, 0) + value
+            for name in JOB_METERS:
+                meter = worker.tracer.meters.get(name)
+                for value in (meter.values if meter is not None else ()):
+                    timing.meter_record(name, value)
+        meters = {name: timing.meters.get(name) for name in JOB_METERS}
         return {"counters": {name: merged[name] for name in sorted(merged)},
-                "per_worker": per_worker}
+                "per_worker": per_worker,
+                "timing": {name: {"count": 0, "p50_s": None, "p90_s": None}
+                           if meter is None else
+                           {"count": meter.count,
+                            "p50_s": meter.percentile(50),
+                            "p90_s": meter.percentile(90)}
+                           for name, meter in meters.items()}}

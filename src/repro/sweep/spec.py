@@ -142,10 +142,11 @@ class SweepSpec:
         """Validate and canonicalise the spec against the experiment schema.
 
         Runs at spec-*build* time: an unknown experiment, an unknown
-        parameter name or any out-of-domain axis value fails here — with a
-        message naming the experiment, the parameter, the value and the
-        allowed domain — before any simulation (or even point expansion)
-        starts.
+        parameter name, any out-of-domain axis value or a grid point that
+        breaks one of the schema's rules across parameters (a superframe
+        order above the point's beacon order) fails here — with a message
+        naming the experiment, the parameter, the value and the allowed
+        domain — before any simulation starts.
 
         Base parameters and axis values are stored in their *canonical*
         coerced form, so equivalent spellings of one design space
@@ -169,6 +170,9 @@ class SweepSpec:
             name: GridAxis(tuple(canonical(name, value)
                                  for value in axis.values))
             for name, axis in self.axes.items()})
+        base = {**schema.defaults(), **self.base_params}
+        for point in self.expand_axes():
+            schema.check({**base, **point}, experiment=self.experiment)
 
     # -- derivation ---------------------------------------------------------------
     def with_overrides(self, overrides: Mapping[str, Any]) -> "SweepSpec":
@@ -242,13 +246,13 @@ class OptimizeSpec(SweepSpec):
 
     :func:`repro.sweep.optimize.run_optimize` proposes points of the axes'
     grid round by round instead of expanding all of them.  Everything else
-    is the :class:`SweepSpec`'s: every axis value is validated against the
-    experiment's schema when the spec is built, so a search space with an
-    out-of-domain value fails before any compute (a constraint across
-    parameters, such as a superframe order above the beacon order, is
-    checked only when a point runs); the payload, hash and ``registry``
-    convention are the same.  ``seed`` is both every point's experiment
-    seed and the sole entropy source of the proposals.
+    is the :class:`SweepSpec`'s: every axis value, and every grid point
+    against the schema's rules across parameters (such as a superframe
+    order above the beacon order), is validated when the spec is built, so
+    a search space with an impossible point fails before any compute; the
+    payload, hash and ``registry`` convention are the same.  ``seed`` is
+    both every point's experiment seed and the sole entropy source of the
+    proposals.
 
     Attributes
     ----------

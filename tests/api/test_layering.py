@@ -30,9 +30,11 @@ UPPER_LAYERS = ("repro.api", "repro.sweep", "repro.bench", "repro.service")
 #: What only a computing run may load.
 COMPUTE_STACK = ("numpy", "repro.runner.drivers")
 
-#: What only a fan-out that forks may load: the worker pool imports
-#: ``pickle`` and ``signal`` where it forks, and nothing in the package
-#: uses ``concurrent.futures`` or ``multiprocessing``.
+#: What only a fan-out that forks or spawns may load: the worker pool
+#: imports ``pickle`` and ``signal`` where it forks, and ``pickle`` and
+#: ``subprocess`` (which imports ``signal``) where it spawns a kernel
+#: helper; nothing in the package uses ``concurrent.futures`` or
+#: ``multiprocessing``.
 FORK_STACK = ("concurrent.futures", "multiprocessing", "pickle", "signal")
 
 #: Every package but ``repro.service``, whose seam check admits only

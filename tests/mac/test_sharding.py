@@ -12,6 +12,12 @@ trace must equal the serial trace outside the timing field; and every
 child must be reaped whether the call succeeds, a worker fails or the
 caller is interrupted.
 
+A call from a thread cannot fork; when the thread has
+:class:`repro.pool.KernelHelpers` lent, it shares its pieces with the
+idle helper processes instead, and the same contract holds: the
+summaries and the deterministic trace of a one-process call, no process
+left once the helpers are stopped, and a helper's failure named.
+
 The tests force small calls to shard by lowering the per-worker and
 per-piece floors and patching the CPU set the policy reads.
 """
@@ -20,8 +26,12 @@ import json
 import multiprocessing
 import os
 import re
+import signal
+import subprocess
+import sys
 import threading
 import time
+from functools import partial
 
 import pytest
 
@@ -34,6 +44,8 @@ from repro.network.node import SensorNode
 from repro.obs import Tracer, deterministic_view, validate_trace
 from repro.obs.trace import build_payload
 from repro.runner.engine import run_experiment
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(pool.__file__)))
 
 pytestmark = pytest.mark.skipif(not hasattr(os, "sched_getaffinity"),
                                 reason="lane shards run on Linux only")
@@ -453,3 +465,352 @@ class TestShardedTrace:
             "setup", "beacon_grid", "contention_merge", "energy_ledger"))
         assert phases == pytest.approx(durations[ids["kernel:batched"]],
                                        rel=1e-9)
+
+
+# -- helpers lent to a thread -------------------------------------------------
+
+def in_thread(kernel_helpers, call):
+    """``call()``'s value, computed on a new thread that has
+    ``kernel_helpers`` lent, as a worker thread of ``repro serve`` has."""
+    outcome = {}
+
+    def work():
+        try:
+            with kernel_helpers.lend():
+                outcome["value"] = call()
+        except BaseException as error:  # re-raised on the test thread
+            outcome["error"] = error
+
+    thread = threading.Thread(target=work)
+    thread.start()
+    thread.join(timeout=120)
+    assert not thread.is_alive()
+    if "error" in outcome:
+        raise outcome["error"]
+    return outcome["value"]
+
+
+def helper_eval(kernel_helpers, expression):
+    """``eval(expression)`` in one of the idle helpers."""
+    def call():
+        taken, cpu = pool.lent_helpers(1, vectorized._warm_up)
+        assert len(taken) == 1
+        return pool.run_helpers(lambda items: None,
+                                lambda index: partial(eval, expression), 1,
+                                taken, cpu)[1][0]
+    return in_thread(kernel_helpers, call)
+
+
+@pytest.fixture
+def helpers(cpus):
+    """``helpers(k)``: a :class:`KernelHelpers` with its ``k - 1`` helpers
+    started and idle, every later call sharded however small; stopped at
+    teardown, after which no child may be left."""
+    made = []
+
+    def start(count):
+        cpus(count)
+        kernel_helpers = pool.KernelHelpers()
+        made.append(kernel_helpers)
+        # The first call spawns the helpers and runs without them.
+        in_thread(kernel_helpers, lambda: uneven_batch().run(superframes=6))
+        assert kernel_helpers.wait_ready() == count - 1
+        return kernel_helpers
+
+    yield start
+    for kernel_helpers in made:
+        kernel_helpers.stop()
+    assert_no_child_left()
+
+
+class TestHelpersLentToAThread:
+    @pytest.mark.parametrize("hash_seed", [None, "12345"])
+    @pytest.mark.parametrize("workload", sorted(WORKLOADS))
+    def test_rows_and_trace_equal_the_main_thread_serial_call(
+            self, workload, hash_seed, cpus, helpers, monkeypatch, no_fork):
+        params = WORKLOADS[workload]
+        cpus(1)
+        serial_tracer = Tracer(name="run:case_study_full")
+        serial = rows_json(params, tracer=serial_tracer)
+        if hash_seed is not None:
+            monkeypatch.setenv("PYTHONHASHSEED", hash_seed)
+        kernel_helpers = helpers(2)
+        if hash_seed is not None:
+            assert helper_eval(kernel_helpers, "hash('repro')") \
+                != hash("repro")
+        tracer = Tracer(name="run:case_study_full")
+        assert in_thread(kernel_helpers,
+                         lambda: rows_json(params, tracer=tracer)) == serial
+        payload = build_payload(tracer)
+        validate_trace(payload)
+        assert deterministic_view(payload) == deterministic_view(
+            build_payload(serial_tracer))
+        # The caller and the helper each ran pieces of the call.
+        shares = tracer.meters["kernel.shard_s"].values
+        assert len(shares) == 2 and min(shares) > 0.0
+
+    def test_two_helpers_give_the_single_call_summaries(self, cpus, helpers,
+                                                        no_fork):
+        cpus(1)
+        serial = uneven_batch().run(superframes=6)
+        kernel_helpers = helpers(3)
+        assert in_thread(kernel_helpers,
+                         lambda: uneven_batch().run(superframes=6)) == serial
+
+    def test_threads_contending_for_the_helpers_get_the_serial_summaries(
+            self, cpus, helpers, no_fork):
+        """More calling threads than CPUs share two helpers under a short
+        switch interval: a helper taken by two calls at once would mix
+        their replies, and one never given back would leave the set short."""
+        cpus(1)
+        serial = uneven_batch().run(superframes=6)
+        kernel_helpers = helpers(3)
+        results, widths = [], []
+
+        def calls():
+            with kernel_helpers.lend(), pool.usage() as used:
+                for _ in range(4):
+                    results.append(uneven_batch().run(superframes=6))
+            widths.extend(used)
+
+        threads = [threading.Thread(target=calls) for _ in range(6)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(results) == 24 and all(rows == serial for rows in results)
+        # The first call found both helpers idle; every call that took
+        # any gave them back.
+        assert widths and min(widths) > 1
+        assert kernel_helpers.wait_ready() == 2
+
+    def test_a_helper_imports_the_callers_copy_of_the_package(
+            self, helpers, monkeypatch):
+        """A host may put ``src`` on ``sys.path`` and set no
+        ``PYTHONPATH``; the helper must still run this copy."""
+        monkeypatch.delenv("PYTHONPATH", raising=False)
+        kernel_helpers = helpers(2)
+        assert helper_eval(kernel_helpers, "__import__('repro').__file__") \
+            == sys.modules["repro"].__file__
+
+    def test_the_first_call_spawns_and_later_calls_reuse(self, cpus,
+                                                         monkeypatch):
+        cpus(2)
+        spawned = []
+        real = subprocess.Popen
+
+        def counting(*args, **kwargs):
+            spawned.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(subprocess, "Popen", counting)
+        kernel_helpers = pool.KernelHelpers()
+        try:
+            assert not spawned
+            for _ in range(3):
+                in_thread(kernel_helpers,
+                          lambda: uneven_batch().run(superframes=6))
+                kernel_helpers.wait_ready()
+            assert len(spawned) == 1
+        finally:
+            kernel_helpers.stop()
+        assert_no_child_left()
+
+    def test_calls_spawn_only_the_helpers_they_lack(self, cpus, monkeypatch):
+        """Four CPUs allow three helpers, but a call that can use one
+        spawns one; a later call that can use five spawns the other two."""
+        cpus(4)
+        spawned = []
+        real = subprocess.Popen
+
+        def counting(*args, **kwargs):
+            spawned.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(subprocess, "Popen", counting)
+        kernel_helpers = pool.KernelHelpers()
+        try:
+            # 27 devices x 6 superframes over an 81 floor: two workers.
+            monkeypatch.setattr(vectorized, "_SHARD_FLOOR", 81)
+            in_thread(kernel_helpers,
+                      lambda: uneven_batch().run(superframes=6))
+            assert len(spawned) == 1 and kernel_helpers.wait_ready() == 1
+            monkeypatch.setattr(vectorized, "_SHARD_FLOOR", 1)
+            in_thread(kernel_helpers,
+                      lambda: uneven_batch().run(superframes=6))
+            assert len(spawned) == 3
+            assert sorted(helper.cpu for helper in kernel_helpers._helpers) \
+                == [1, 2, 3]
+        finally:
+            kernel_helpers.stop()
+        assert_no_child_left()
+
+    def test_each_call_keeps_to_a_cpu_no_other_call_or_busy_helper_holds(
+            self, helpers):
+        """Three calls at once over four CPUs and three helpers, each
+        asking for one: the first two get a helper and a CPU apiece, the
+        third finds every CPU held and takes none.  Each caller runs on
+        the CPU it was given, and its own set is back afterwards."""
+        kernel_helpers = helpers(4)
+        leases, affinities = [], []
+        turn = [threading.Event() for _ in range(4)]
+        release = threading.Event()
+        turn[0].set()
+
+        def call(order):
+            turn[order].wait()
+            taken, cpu = pool.lent_helpers(1, vectorized._warm_up)
+            leases.append(([helper.cpu for helper in taken], cpu))
+            turn[order + 1].set()
+            release.wait()
+            if taken:
+                pool.run_helpers(
+                    lambda items: affinities.append(
+                        (cpu, os.sched_getaffinity(0))),
+                    lambda index: None, 0, taken, cpu)
+            return os.sched_getaffinity(0)
+
+        outcomes = []
+        threads = [threading.Thread(
+            target=lambda order=order: outcomes.append(
+                in_thread(kernel_helpers, partial(call, order))))
+            for order in range(3)]
+        for thread in threads:
+            thread.start()
+        assert turn[3].wait(timeout=60)
+        release.set()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert leases == [([3], 0), ([2], 1), ([], None)]
+        # Pinning to a CPU this host lacks leaves the caller where it is.
+        real = os.sched_getaffinity(0)
+        assert sorted(affinities) == [
+            (cpu, {cpu} if cpu in real else real) for cpu in (0, 1)]
+        assert outcomes == [real] * 3
+        assert kernel_helpers.wait_ready() == 3
+        assert not kernel_helpers._callers
+
+    def test_a_helper_that_fails_its_warm_up_ends_spawning(self, cpus,
+                                                           monkeypatch):
+        cpus(2)
+        spawned = []
+        real = subprocess.Popen
+
+        def counting(*args, **kwargs):
+            spawned.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(subprocess, "Popen", counting)
+        kernel_helpers = pool.KernelHelpers()
+        try:
+            for _ in range(2):
+                assert in_thread(kernel_helpers, lambda: pool.lent_helpers(
+                    1, partial(int, "not a number"))) == ([], None)
+                assert kernel_helpers.wait_ready() == 0
+            assert len(spawned) == 1 and kernel_helpers._helpers == []
+        finally:
+            kernel_helpers.stop()
+        assert_no_child_left()
+
+    def test_a_call_below_the_floor_spawns_nothing(self, monkeypatch):
+        monkeypatch.setattr(pool, "usable_cpus", lambda: [0, 1])
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a helper was spawned")
+
+        monkeypatch.setattr(subprocess, "Popen", refuse)
+        kernel_helpers = pool.KernelHelpers()
+        assert len(in_thread(kernel_helpers,
+                             lambda: uneven_batch().run(superframes=6))) == 6
+        kernel_helpers.stop()
+
+    def test_a_helper_raising_is_named_and_stays_in_use(self, helpers):
+        kernel_helpers = helpers(2)
+        with pytest.raises(pool.WorkerFailed) as failure:
+            helper_eval(kernel_helpers, "1 / 0")
+        assert re.match(r"worker 1 of 2 failed on task 0: helper \d+ on "
+                        r"CPU 1 raised: Traceback", str(failure.value))
+        assert "ZeroDivisionError" in str(failure.value)
+        assert helper_eval(kernel_helpers, "6 * 7") == 42
+
+    def test_a_helper_killed_mid_piece_fails_the_call_and_is_dropped(
+            self, cpus, helpers):
+        """The helper is frozen, so the piece it takes waits in its pipe;
+        killed then, it fails the call with its name, and the next call
+        runs without it."""
+        cpus(1)
+        serial = uneven_batch().run(superframes=6)
+        kernel_helpers = helpers(2)
+        (helper,) = kernel_helpers._helpers
+        pid = helper.process.pid
+        os.kill(pid, signal.SIGSTOP)
+        timer = threading.Timer(1.0, os.kill, (pid, signal.SIGKILL))
+        timer.start()
+        try:
+            with pytest.raises(RuntimeError) as failure:
+                in_thread(kernel_helpers,
+                          lambda: uneven_batch().run(superframes=6))
+        finally:
+            timer.join()
+        assert re.match(rf"kernel worker 1 of 2 failed on lanes \d-\d: "
+                        rf"helper {pid} on CPU 1 was killed by signal 9 "
+                        rf"without replying", str(failure.value))
+        assert kernel_helpers._helpers == []
+        assert in_thread(kernel_helpers,
+                         lambda: uneven_batch().run(superframes=6)) == serial
+
+    def test_a_helper_exits_when_its_owner_is_killed(self, tmp_path):
+        """A helper reads its requests from its owner; at the end of file
+        that the owner's death leaves, it exits."""
+        pids = tmp_path / "pids"
+        owner = subprocess.Popen([sys.executable, "-c", f"""
+import threading, time
+import repro.mac.vectorized as vectorized
+import repro.pool as pool
+from repro.mac.superframe import SuperframeConfig
+from repro.mac.vectorized import BatchedChannelSimulator, ChannelLane
+from repro.network.node import SensorNode
+vectorized._SHARD_FLOOR = vectorized._PIECE_FLOOR = 1
+pool.usable_cpus = lambda: [0, 1]
+helpers = pool.KernelHelpers()
+def call():
+    with helpers.lend():
+        lanes = [ChannelLane(nodes=[SensorNode(node_id=1, channel=11,
+                                               path_loss_db=70.0)],
+                             tx_levels_dbm=[0.0], seed=seed)
+                 for seed in range(4)]
+        BatchedChannelSimulator(lanes, SuperframeConfig(2, 2)).run(4)
+thread = threading.Thread(target=call)
+thread.start()
+thread.join()
+helpers.wait_ready()
+open({str(pids)!r}, "w").write(" ".join(
+    str(helper.process.pid) for helper in helpers._helpers))
+time.sleep(600)
+"""], env={**os.environ, "PYTHONPATH": SRC})
+        try:
+            wait_for(pids, timeout=60)
+            time.sleep(0.1)
+            (pid,) = map(int, pids.read_text().split())
+        finally:
+            owner.kill()
+            owner.wait()
+        deadline = time.monotonic() + 30
+        while _alive(pid):
+            assert time.monotonic() < deadline, "the helper outlived its owner"
+            time.sleep(0.05)
+
+
+def _alive(pid):
+    """Whether ``pid`` runs (a zombie no longer does)."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False

@@ -155,6 +155,28 @@ class TestCommands:
         err = capsys.readouterr().err
         assert "num_windows" in err and "int in [1, 64]" in err
 
+    @pytest.mark.parametrize("params, named", [
+        (["beacon_order=2", "superframe_order=3"], "superframe_order"),
+        (["max_hops=3"], "max_hops"),
+    ])
+    def test_an_impossible_case_study_fails_before_computing(
+            self, params, named, tmp_path, capsys, monkeypatch):
+        """SO > BO, and more than one hop on the star, pass every
+        one-value check; the schema's rules stop them before the driver."""
+        from repro.runner import drivers
+
+        def never(*args, **kwargs):
+            raise AssertionError("the driver ran")
+
+        monkeypatch.setattr(drivers, "run_case_study_full", never)
+        argv = ["run", "case_study_full", "--cache-dir", str(tmp_path)]
+        for param in params:
+            argv += ["--param", param]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"parameter {named!r}: invalid value" in err
+        assert not list(tmp_path.rglob("*.json"))
+
     def test_negative_seed_fails_without_computing(self, tmp_path, capsys):
         assert main(["run", "fig3_radio", "--seed", "-1",
                      "--cache-dir", str(tmp_path)]) == 2

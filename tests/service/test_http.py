@@ -80,9 +80,28 @@ class TestSmoke:
         direct = service.session.run("fig3_radio", seed=17)
         assert fetched == direct.to_json()
 
-        counters = service.metrics()["counters"]
+        metrics = service.metrics()
+        counters = metrics["counters"]
         assert counters["service.jobs.computed"] == 1
         assert counters["service.jobs.done"] == 1
+        for meter in ("service.queue_wait_s", "service.compute_s"):
+            timing = metrics["timing"][meter]
+            assert timing["count"] == 1
+            assert 0.0 <= timing["p50_s"] <= timing["p90_s"]
+        assert metrics["timing"]["service.compute_s"]["p50_s"] > 0.0
+
+    def test_job_timing_percentiles_merge_every_worker(self, service):
+        for seed in range(1, 6):
+            receipt = service.submit({**RUN_PAYLOAD, "seed": seed})
+            service.wait(receipt["job_id"], timeout_s=60)
+        per_worker = [worker.tracer.meters["service.compute_s"].values
+                      for worker in service.pool.workers
+                      if "service.compute_s" in worker.tracer.meters]
+        merged = sorted(value for values in per_worker for value in values)
+        timing = service.metrics()["timing"]["service.compute_s"]
+        assert timing["count"] == len(merged) == 5
+        assert timing["p50_s"] == pytest.approx(merged[2])
+        assert merged[3] <= timing["p90_s"] <= merged[4]
 
     def test_equivalent_spelling_dedups_through_http(self, service):
         first = service.submit({"kind": "run", "name": "fig6_csma",
@@ -99,6 +118,9 @@ class TestSmoke:
         metrics = service.metrics()
         assert metrics["backend"]["kind"] == "shared-directory"
         assert "per_worker" in metrics
+        assert metrics["timing"] == {
+            meter: {"count": 0, "p50_s": None, "p90_s": None}
+            for meter in ("service.queue_wait_s", "service.compute_s")}
 
     def test_listing_counts_jobs(self, service):
         service.submit(RUN_PAYLOAD)
@@ -137,6 +159,20 @@ class TestErrors:
                              "seed": seed})
         assert caught.value.status == 400
         assert "seed" in caught.value.message
+        assert frontend.jobs()["jobs"] == []
+
+    @pytest.mark.parametrize("params, named", [
+        ({"beacon_order": 2, "superframe_order": 3}, "superframe_order"),
+        ({"max_hops": 3}, "max_hops"),
+    ])
+    def test_an_impossible_case_study_is_400(self, frontend, params, named):
+        """Each value is in its domain, the combination is not: the
+        schema's rules answer 400, so no worker burns an attempt on it."""
+        with pytest.raises(ServiceError) as caught:
+            frontend.submit({"kind": "run", "name": "case_study_full",
+                             "params": params, "seed": 1})
+        assert caught.value.status == 400
+        assert f"parameter {named!r}: invalid value" in caught.value.message
         assert frontend.jobs()["jobs"] == []
 
     def test_malformed_json_is_400(self, frontend):

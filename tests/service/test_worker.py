@@ -1,6 +1,10 @@
-"""Tests of the worker pool: execution, dedup, crash requeue, drain."""
+"""Tests of the worker pool: execution, dedup, crash requeue, drain,
+job timing and the kernel helpers its jobs share."""
 
+import logging
 import os
+import signal
+import subprocess
 import sys
 import threading
 import time
@@ -59,6 +63,23 @@ class TestExecute:
             "service.jobs.computed"] == 1
         assert worker2.tracer.counters.as_dict()[
             "service.jobs.served_from_cache"] == 1
+
+    def test_job_meters_record_queue_wait_and_compute(self, tmp_path):
+        """A claim stamps the time its poll began, which can precede the
+        submission it finds: that job waited for nothing, not for a
+        negative time."""
+        now = [1000.0]
+        store = JobStore(tmp_path / "jobs.sqlite", clock=lambda: now[0])
+        worker = Worker(store, _SlowSession(delay_s=0.0), "w0")
+        for claimed_at in (1000.25, 999.997):
+            job = submit_run_stub(store, f"timed-{claimed_at}")
+            now[0] = claimed_at
+            worker.execute(store.claim("w0"))
+            assert store.get(job).state == JobState.DONE
+            now[0] = 1000.0
+        meters = worker.tracer.meters
+        assert list(meters["service.queue_wait_s"].values) == [0.25, 0.0]
+        assert meters["service.compute_s"].count == 2
 
     def test_failing_job_retries_then_fails(self, store, tmp_path):
         session = _CrashingSession(fail_times=99)
@@ -185,6 +206,155 @@ class TestNoForkUnderThreads:
         assert store.get(job.job_id).state == JobState.DONE
         serial = Session(cache=False, jobs=1).run("fig6_csma", seed=9,
                                                   **params)
+        assert store.result_text(job.job_id) == serial.to_json()
+
+
+#: A case study the helper tests shard however small (floors lowered).
+SMALL_CASE_STUDY = {"total_nodes": 96, "num_channels": 4, "superframes": 4,
+                    "replications": 2}
+
+
+@pytest.fixture()
+def shard_anything(monkeypatch):
+    """Every kernel call shards, over two CPUs: one helper per pool."""
+    import repro.mac.vectorized as vectorized
+    import repro.pool as pool
+    monkeypatch.setattr(vectorized, "_SHARD_FLOOR", 1)
+    monkeypatch.setattr(vectorized, "_PIECE_FLOOR", 1)
+    monkeypatch.setattr(pool, "usable_cpus", lambda: [0, 1])
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def run_jobs(pool, store, backend, seeds):
+    """Submit one small case study per seed and wait for the pool."""
+    session = Session(backend=backend)
+    jobs = [submit(store, session,
+                   JobSpec(kind="run", name="case_study_full",
+                           params=SMALL_CASE_STUDY, seed=seed))
+            for seed in seeds]
+    assert pool.wait_idle(timeout=120)
+    return jobs
+
+
+class TestKernelHelpers:
+    def test_start_spawns_nothing_and_small_jobs_never_do(
+            self, backend, store, monkeypatch):
+        """Above the floor only a large kernel call spawns; ``workers=0``
+        and a pool of below-floor jobs start no process at all."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("a helper was spawned")
+
+        monkeypatch.setattr(subprocess, "Popen", refuse)
+        idle = WorkerPool(store, lambda: Session(backend=backend),
+                          workers=0)
+        idle.start()
+        idle.stop()
+        pool = WorkerPool(store, lambda: Session(backend=backend),
+                          workers=2, poll_interval_s=0.02)
+        pool.start()
+        try:
+            jobs = run_jobs(pool, store, backend, (1, 2))
+        finally:
+            pool.stop()
+        assert all(store.get(job.job_id).state == JobState.DONE
+                   for job in jobs)
+
+    def test_large_jobs_share_the_helpers_and_stop_reaps_them(
+            self, backend, store, shard_anything):
+        """The first sharded job spawns the pool's helper and runs
+        without it; once it is up, jobs use it, with rows equal to a
+        main-thread serial run.  After ``stop()`` no child is left."""
+        pool = WorkerPool(store, lambda: Session(backend=backend),
+                          workers=2, poll_interval_s=0.02)
+        pool.start()
+        try:
+            run_jobs(pool, store, backend, (1,))
+            assert pool.helpers.wait_ready() == 1
+            (job,) = run_jobs(pool, store, backend, (2,))
+        finally:
+            pool.stop()
+        assert_no_child_left()
+        serial = Session(cache=False, jobs=1).run(
+            "case_study_full", seed=2, **SMALL_CASE_STUDY)
+        assert store.result_text(job.job_id) == serial.to_json()
+        compute = pool.metrics()["timing"]["service.compute_s"]
+        assert compute["count"] == 2
+
+    def test_a_failed_spawn_keeps_the_helpers_up_and_the_jobs_complete(
+            self, backend, store, shard_anything, monkeypatch):
+        """Three CPUs allow two helpers; the second spawn fails as at the
+        process limit.  The first helper is kept and used, no spawn is
+        tried again, every job completes with the serial rows, and after
+        ``stop()`` no child is left."""
+        import repro.pool
+        monkeypatch.setattr(repro.pool, "usable_cpus", lambda: [0, 1, 2])
+        spawns = []
+        real = subprocess.Popen
+
+        def second_fails(*args, **kwargs):
+            spawns.append(args)
+            if len(spawns) == 2:
+                raise BlockingIOError(11, "Resource temporarily unavailable")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(subprocess, "Popen", second_fails)
+        pool = WorkerPool(store, lambda: Session(backend=backend),
+                          workers=1, poll_interval_s=0.02)
+        pool.start()
+        try:
+            jobs = run_jobs(pool, store, backend, (1,))
+            assert pool.helpers.wait_ready() == 1
+            jobs += run_jobs(pool, store, backend, (2, 3))
+            assert len(spawns) == 2
+            assert pool.metrics()["counters"]["service.jobs.done"] == 3
+            # Jobs 2 and 3 each shared their kernel calls with the helper.
+            shares = pool.workers[0].tracer.meters["kernel.shard_s"]
+            assert shares.count >= 4
+        finally:
+            pool.stop()
+        assert_no_child_left()
+        for job, seed in zip(jobs, (1, 2, 3)):
+            serial = Session(cache=False, jobs=1).run(
+                "case_study_full", seed=seed, **SMALL_CASE_STUDY)
+            assert store.result_text(job.job_id) == serial.to_json()
+
+    def test_a_helper_killed_mid_piece_fails_one_attempt_then_the_retry_completes(
+            self, backend, store, shard_anything):
+        warnings = []
+        handler = logging.Handler(logging.WARNING)
+        handler.emit = lambda entry: warnings.append(entry.getMessage())
+        logger = logging.getLogger("repro.service.worker")
+        logger.addHandler(handler)
+        pool = WorkerPool(store, lambda: Session(backend=backend),
+                          workers=1, poll_interval_s=0.02)
+        pool.start()
+        try:
+            run_jobs(pool, store, backend, (1,))
+            assert pool.helpers.wait_ready() == 1
+            (helper,) = pool.helpers._helpers
+            pid = helper.process.pid
+            # Frozen, the helper leaves the piece it takes in its pipe.
+            os.kill(pid, signal.SIGSTOP)
+            timer = threading.Timer(1.0, os.kill, (pid, signal.SIGKILL))
+            timer.start()
+            (job,) = run_jobs(pool, store, backend, (2,))
+            timer.join()
+        finally:
+            pool.stop()
+            logger.removeHandler(handler)
+        assert_no_child_left()
+        record = store.get(job.job_id)
+        assert record.state == JobState.DONE
+        assert record.attempts == 2
+        (warning,) = warnings
+        assert "attempt 1/3 failed" in warning
+        assert f"helper {pid} on CPU 1 was killed by signal 9" in warning
+        serial = Session(cache=False, jobs=1).run(
+            "case_study_full", seed=2, **SMALL_CASE_STUDY)
         assert store.result_text(job.job_id) == serial.to_json()
 
 

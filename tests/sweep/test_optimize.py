@@ -171,6 +171,16 @@ class TestOptimizeSpec:
                          axes={"x": GridAxis(tuple(range(1, 9)))},
                          objectives={"cost": "min"}, registry=registry)
 
+    def test_a_grid_point_breaking_a_schema_rule_fails_at_build_time(self):
+        """The proposals are drawn from the grid, so a grid with no
+        impossible point can propose none; one with such a point fails
+        when the spec is built."""
+        with pytest.raises(ValueError, match="superframe_order"):
+            OptimizeSpec(name="bad", experiment="case_study_full",
+                         axes={"beacon_order": GridAxis((2, 3, 4)),
+                               "superframe_order": GridAxis((None, 3))},
+                         objectives={"mean_power_uw": "min"})
+
     def test_unknown_axis_parameter_fails_at_build_time(self):
         with pytest.raises(KeyError, match="warp_factor"):
             OptimizeSpec(name="bad", experiment="case_study_full",

@@ -104,6 +104,28 @@ class TestSweepSpec:
         assert "beacon_order" in message
         assert "int in [0, 14]" in message
 
+    def test_a_point_breaking_a_schema_rule_fails_at_build_time(self):
+        """Every value passes its own check, but point (BO 2, SO 3) does
+        not: the spec fails when built, not when that point runs."""
+        with pytest.raises(ValueError, match="'superframe_order': "
+                                             "invalid value 3"):
+            self.spec(axes={"beacon_order": GridAxis((4, 2)),
+                            "superframe_order": GridAxis((3,))})
+        with pytest.raises(ValueError, match="'max_hops': invalid value 2"):
+            self.spec(axes={"max_hops": GridAxis((1, 2))})
+        self.spec(axes={"max_hops": GridAxis((1, 2))},
+                  base_params={"topology": "grid"})
+
+    @pytest.mark.parametrize("name", sweep_names())
+    def test_every_catalogue_grid_keeps_so_at_or_below_bo(self, name):
+        for quick in (True, False):
+            spec = get_sweep(name, quick=quick)
+            for point in spec.expand_axes():
+                params = {**spec.base_params, **point}
+                order = params.get("superframe_order")
+                beacon = params.get("beacon_order", 6)
+                assert order is None or order <= beacon, (name, point)
+
     def test_base_params_validate_at_build_time_too(self):
         with pytest.raises(KeyError, match="Did you mean: superframes"):
             self.spec(base_params={"superfames": 4})

@@ -39,6 +39,9 @@ KEEP = {
         "test seam: tests compare traces of two runs through it",
     "repro.service.worker:WorkerPool.wait_idle":
         "test seam: service tests wait for the pool to drain",
+    "repro.pool:KernelHelpers.wait_ready":
+        "test seam: helper tests wait until no helper is starting, so a "
+        "call is known to use them",
     "repro.mac.superframe:Superframe.backoff_slot_boundary_after":
         "ROADMAP item 11: the backoff-slot grid of slotted CSMA/CA",
     "repro.sim.monitor:Monitor.confidence_interval":

@@ -66,7 +66,8 @@ PUBLIC_SURFACE = {
     "repro.api": ["Session", "RunResult", "SweepSpec", "GridAxis",
                   "OptimizeSpec", "ParamSpec", "ParamSchema",
                   "ParameterValueError", "UnknownParameterError",
-                  "UnknownExperimentError", "DEFAULT_SEED", "code_version"],
+                  "UnknownExperimentError", "DEFAULT_SEED", "code_version",
+                  "KernelHelpers"],
     "repro.sweep": ["SweepSpec", "GridAxis", "OptimizeSpec", "run_sweep", "sweep_status", "expand_points",
                     "SweepRunResult", "SweepPoint", "SweepStatus",
                     "pareto_front", "knee_point", "dominates",
